@@ -1,8 +1,7 @@
 """The state-db shootout: backend x temporal-model matrix (machine-readable).
 
-Races every registered state-db backend -- plus one lean-IO cell
-(``lsm-mmap`` block reads + the ``compact`` interning codec) -- through
-the paper's Table-1 join on all three models, and writes
+Races every registered state-db backend through the paper's Table-1
+join on all three models, and writes
 ``BENCH_statedb.json`` so CI has a perf artifact to track:
 
 * per-cell wall seconds, join rows + a SHA-256 over them (the identity
@@ -39,17 +38,8 @@ from repro.temporal.engine import TemporalQueryEngine
 from repro.workload.datasets import ds1
 from repro.workload.generator import generate
 
-#: The matrix cells: (label, backend, codec, mmap block reads, prefetch).
-CONFIGS = [
-    ("memory", "memory", None, None, None),
-    ("lsm", "lsm", None, None, None),
-    ("lsm-mmap", "lsm-mmap", None, None, None),
-    ("btree", "btree", None, None, None),
-    # The lean-IO cell: zero-copy sealed-file block reads, the interning
-    # codec shrinking every payload the hot loop decodes, and batched
-    # GHFK block fetches (8 distinct blocks per round trip).
-    ("lsm-mmap+compact", "lsm-mmap", "compact", True, 8),
-]
+#: The matrix cells: one per registered state-db backend.
+BACKENDS = ["memory", "lsm", "lsm-mmap", "btree"]
 MODELS = ("tqf", "m1", "m2")
 TIMING_ROUNDS = 3
 
@@ -63,7 +53,6 @@ _KV_COUNTERS = {
     "kv_sstable_reads": metric_names.KV_SSTABLE_READS,
     "kv_bloom_negatives": metric_names.KV_BLOOM_NEGATIVES,
     "kv_checkpoints": metric_names.KV_CHECKPOINTS,
-    "block_batch_reads": metric_names.BLOCK_BATCH_READS,
 }
 
 
@@ -134,11 +123,8 @@ def run_bench(out_path: Optional[str] = None) -> Dict[str, object]:
     }
     results: List[Dict[str, object]] = report["results"]  # type: ignore[assignment]
 
-    for label, backend, codec, mmap_io, prefetch in CONFIGS:
-        fabric_config = query_fabric_config(
-            workers=1, statedb=backend, codec=codec, mmap_io=mmap_io,
-            ghfk_prefetch=prefetch,
-        )
+    for backend in BACKENDS:
+        fabric_config = query_fabric_config(workers=1, statedb=backend)
         with ExperimentRunner.build(
             data, "plain", fabric_config=fabric_config
         ) as plain, ExperimentRunner.build(
@@ -151,9 +137,7 @@ def run_bench(out_path: Optional[str] = None) -> Dict[str, object]:
                 sample = _measure(runner.facade, model, window)
                 sample.update(
                     {
-                        "config": label,
                         "backend": backend,
-                        "codec": codec or "default",
                         "model": model,
                         "ledger_bytes": runner.network.ledger.block_store.total_bytes(),
                     }
@@ -166,7 +150,7 @@ def run_bench(out_path: Optional[str] = None) -> Dict[str, object]:
                 )
                 results.append(sample)
 
-    by_key = {(r["config"], r["model"]): r for r in results}
+    by_key = {(r["backend"], r["model"]): r for r in results}
 
     # Identity gate: a backend may never change what a query returns.
     for model in MODELS:
@@ -177,17 +161,17 @@ def run_bench(out_path: Optional[str] = None) -> Dict[str, object]:
 
     baseline = by_key[("lsm", "tqf")]
     shootout = {
-        label: {
-            "seconds": by_key[(label, "tqf")]["seconds"],
+        backend: {
+            "seconds": by_key[(backend, "tqf")]["seconds"],
             "vs_lsm": round(
                 float(baseline["seconds"])
-                / max(float(by_key[(label, "tqf")]["seconds"]), 1e-9),
+                / max(float(by_key[(backend, "tqf")]["seconds"]), 1e-9),
                 2,
             ),
         }
-        for label, _backend, _codec, _mmap, _prefetch in CONFIGS
+        for backend in BACKENDS
     }
-    challengers = [label for label, *_ in CONFIGS if label != "lsm"]
+    challengers = [backend for backend in BACKENDS if backend != "lsm"]
     best = max(challengers, key=lambda label: shootout[label]["vs_lsm"])
     report["tqf_shootout"] = {
         "baseline": "lsm",

@@ -56,9 +56,6 @@ def query_fabric_config(
     workers: Optional[int] = None,
     cache_blocks: Optional[int] = None,
     statedb: Optional[str] = None,
-    codec: Optional[str] = None,
-    mmap_io: Optional[bool] = None,
-    ghfk_prefetch: Optional[int] = None,
 ) -> FabricConfig:
     """A :class:`FabricConfig` with the query-execution knobs applied.
 
@@ -66,32 +63,25 @@ def query_fabric_config(
     ``REPRO_QUERY_WORKERS`` default); ``cache_blocks`` sizes the shared
     decoded-block LRU (``None`` keeps it off, the paper's cost model);
     ``statedb`` picks the state-db backend (``None`` keeps the
-    ``REPRO_STATEDB`` default); ``codec``/``mmap_io``/``ghfk_prefetch``
-    adjust the block store's serialization and read path (the shootout's
-    lean-IO cell).
+    ``REPRO_STATEDB`` default).
     """
     config = FabricConfig()
-    if workers is not None or ghfk_prefetch is not None:
-        query = config.query
-        if workers is not None:
-            query = dataclasses.replace(query, workers=workers)
-        if ghfk_prefetch is not None:
-            query = dataclasses.replace(query, ghfk_prefetch=ghfk_prefetch)
-        config = dataclasses.replace(config, query=query)
+    if workers is not None:
+        config = dataclasses.replace(
+            config, query=dataclasses.replace(config.query, workers=workers)
+        )
     if statedb is not None:
         config = dataclasses.replace(
             config,
             state_db=dataclasses.replace(config.state_db, backend=statedb),
         )
-    block_store = config.block_store
     if cache_blocks is not None:
-        block_store = dataclasses.replace(block_store, cache_blocks=cache_blocks)
-    if codec is not None:
-        block_store = dataclasses.replace(block_store, codec=codec)
-    if mmap_io is not None:
-        block_store = dataclasses.replace(block_store, mmap_io=mmap_io)
-    if block_store is not config.block_store:
-        config = dataclasses.replace(config, block_store=block_store)
+        config = dataclasses.replace(
+            config,
+            block_store=dataclasses.replace(
+                config.block_store, cache_blocks=cache_blocks
+            ),
+        )
     return config
 
 

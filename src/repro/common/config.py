@@ -136,8 +136,7 @@ class BlockStoreConfig:
 
     #: Block files roll over once they exceed this many bytes.
     max_file_bytes: int = 4 * 1024 * 1024
-    #: Codec used to serialize blocks (``json``, ``binary`` or
-    #: ``compact`` -- binary with string interning).
+    #: Codec used to serialize blocks (``json`` or ``binary``).
     codec: str = "json"
     #: Decoded-block LRU cache capacity.  0 (the default) disables caching,
     #: matching the paper's cost model where every GHFK call pays its own
@@ -153,10 +152,9 @@ class BlockStoreConfig:
 
     def __post_init__(self) -> None:
         _require_positive(self.max_file_bytes, "max_file_bytes")
-        if self.codec not in ("json", "binary", "compact"):
+        if self.codec not in ("json", "binary"):
             raise ConfigError(
-                f"block codec must be 'json', 'binary' or 'compact', "
-                f"got {self.codec!r}"
+                f"block codec must be 'json' or 'binary', got {self.codec!r}"
             )
         if self.cache_blocks < 0:
             raise ConfigError(

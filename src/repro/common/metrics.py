@@ -52,6 +52,9 @@ KV_CHECKPOINTS = "kv.checkpoints"
 WAL_RECORDS = "kv.wal_records"
 STATE_TABLES_QUARANTINED = "kv.tables_quarantined"
 BLOCK_BATCH_READS = "ledger.block_batch_reads"
+#: Transactions actually decoded out of block payloads (a block read is
+#: lazy: ``txs_decoded / ghfk_results`` is the decode work per result).
+TXS_DECODED = "ledger.txs_decoded"
 
 GHFK_SECONDS = "query.ghfk_seconds"
 COMMIT_SECONDS = "ledger.commit_seconds"

@@ -17,9 +17,22 @@ Versions are Fabric "heights": ``(block_number, tx_index)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple  # noqa: F401 - Tuple in annotations
+from typing import (  # noqa: F401 - Tuple in annotations
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.common.errors import LedgerError
+from repro.common import metrics as metric_names
+from repro.common.codec import Codec, read_uvarint, write_uvarint
+from repro.common.errors import CodecError, LedgerError
+from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric import crypto
 
 #: A committed value's version: (block number, transaction index).
@@ -251,12 +264,215 @@ class BlockHeader:
         )
 
 
-@dataclass
-class Block:
-    """One ledger block: header + ordered transactions."""
+#: First byte of a framed block payload; doubles as the frame's version.
+#: No pre-frame payload starts with it: those were one whole-block value,
+#: ``{`` under the json codec and the dict tag ``0x09`` under binary.
+FRAME_MAGIC = 0xF1
 
-    header: BlockHeader
-    transactions: List[Transaction]
+
+class _Frame(NamedTuple):
+    """A framed payload as parsed by :meth:`Block.from_payload`."""
+
+    payload: bytes
+    #: ``payload[body:]`` is the codec-level list ``[header, tx0, ...]``.
+    body: int
+    #: Byte length of each list element (segment), header first.
+    lengths: List[int]
+    #: Offset of segment 0, and the list separator's length.
+    first: int
+    step: int
+    codec: Codec
+    #: Receives ``ledger.txs_decoded``.
+    metrics: MetricsRegistry
+
+    def segment(self, index: int) -> Any:
+        """Decode segment ``index`` alone (0 is the header)."""
+        start = self.first + sum(self.lengths[:index]) + index * self.step
+        return self.codec.decode(self.payload[start : start + self.lengths[index]])
+
+
+class _LazyTransactions(Sequence):
+    """``block.transactions`` while the block's payload is still framed.
+
+    Indexing decodes only the segment asked for; iterating (or slicing,
+    or comparing) decodes the whole block in one codec call.  The view
+    points at its block and the block never points back, so dropping the
+    block frees its payload at once instead of waiting for the cyclic GC.
+    """
+
+    __slots__ = ("_block",)
+
+    def __init__(self, block: "Block") -> None:
+        self._block = block
+
+    def __len__(self) -> int:
+        frame = self._block._frame
+        if frame is None:  # fully decoded since this view was taken
+            return len(self._block._materialize())
+        return len(frame.lengths) - 1
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return self._block._materialize()[index]
+        return self._block._transaction(index)
+
+    def __iter__(self) -> Iterator[Transaction]:
+        return iter(self._block._materialize())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LazyTransactions):
+            other = other._block._materialize()
+        return self._block._materialize() == other
+
+
+class Block:
+    """One ledger block: header + ordered transactions.
+
+    Built either eagerly from its parts (the orderer, tests) or lazily
+    over a framed payload (:meth:`from_payload`, every block-store read).
+    A lazy block decodes on demand and memoises what it decoded, so
+    ``block.transactions[i] is block.transactions[i]`` and a mutation made
+    through it is seen by :meth:`verify_data_hash`.  Once everything is
+    decoded it drops the payload and is indistinguishable from an eager
+    block.
+
+    Lazy decoding is safe under concurrent readers of one cached block:
+    a decoded transaction is published with ``dict.setdefault`` (atomic;
+    the first writer wins and every reader gets that object), and the
+    switch to the fully decoded list assigns the list before it clears
+    the frame.
+    """
+
+    __slots__ = ("_header", "_txs", "_frame", "_decoded")
+
+    def __init__(
+        self, header: BlockHeader, transactions: List[Transaction]
+    ) -> None:
+        self._header: Optional[BlockHeader] = header
+        self._txs: Optional[List[Transaction]] = transactions
+        #: Set while lazy; cleared once everything is decoded.
+        self._frame: Optional[_Frame] = None
+        #: Transactions decoded one at a time, by index, while lazy.
+        self._decoded: Dict[int, Transaction] = {}
+
+    # -- framed payload -------------------------------------------------------
+
+    def to_payload(self, codec: Codec) -> bytes:
+        """Serialize as a framed payload.
+
+        Layout: :data:`FRAME_MAGIC`, a varint segment count (header +
+        transactions, so at least 1), one varint length per segment,
+        then the segments laid out as one codec-level list.  The table
+        lets a reader decode any single segment, the list syntax lets it
+        decode all of them with one call (see :meth:`Codec.list_affixes`).
+        """
+        raw = self.to_dict()
+        segments = [codec.encode(raw["header"])]
+        segments.extend(codec.encode(tx) for tx in raw["transactions"])
+        prefix, separator, suffix = codec.list_affixes(len(segments))
+        table = bytearray((FRAME_MAGIC,))
+        write_uvarint(len(segments), table)
+        for segment in segments:
+            write_uvarint(len(segment), table)
+        return bytes(table) + prefix + separator.join(segments) + suffix
+
+    @staticmethod
+    def from_payload(
+        payload: bytes, codec: Codec, metrics: MetricsRegistry = NULL_REGISTRY
+    ) -> "Block":
+        """A lazy block over a payload written by :meth:`to_payload`.
+
+        Only the frame is parsed and validated here (magic, at least the
+        header segment, lengths that end exactly at the payload's end);
+        a malformed frame raises :class:`CodecError`.  ``metrics``
+        receives ``ledger.txs_decoded``.
+        """
+        if not payload or payload[0] != FRAME_MAGIC:
+            raise CodecError(
+                f"not a framed block payload (starts {bytes(payload[:8])!r}): "
+                "blocks written before the framed format (one whole-block "
+                "json/binary/compact value) are not readable; re-ingest "
+                "the ledger"
+            )
+        count, position = read_uvarint(payload, 1)
+        if count < 1:
+            raise CodecError("framed block payload has no header segment")
+        lengths = []
+        for _ in range(count):
+            length, position = read_uvarint(payload, position)
+            lengths.append(length)
+        body = position
+        prefix, separator, suffix = codec.list_affixes(count)
+        first, step = body + len(prefix), len(separator)
+        needed = first + sum(lengths) + (count - 1) * step + len(suffix)
+        if needed != len(payload):
+            raise CodecError(
+                f"framed block payload: {count} segments need {needed} "
+                f"bytes, payload has {len(payload)}"
+            )
+        block = Block.__new__(Block)
+        block._header = block._txs = None
+        block._frame = _Frame(payload, body, lengths, first, step, codec, metrics)
+        block._decoded = {}
+        return block
+
+    def _transaction(self, index: int) -> Transaction:
+        """Transaction ``index``, decoding only its segment."""
+        frame = self._frame
+        if frame is None:  # fully decoded since the caller took its view
+            return self._materialize()[index]
+        count = len(frame.lengths) - 1
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("block transaction index out of range")
+        tx = self._decoded.get(index)
+        if tx is None:
+            tx = self._decoded.setdefault(
+                index, Transaction.from_dict(frame.segment(index + 1))
+            )
+            frame.metrics.increment(metric_names.TXS_DECODED)
+        return tx
+
+    def _materialize(self) -> List[Transaction]:
+        """Decode everything still framed -- header included -- with one
+        codec call, keeping the transactions already handed out."""
+        frame = self._frame
+        if frame is None:
+            assert self._txs is not None
+            return self._txs
+        header, *raw_txs = frame.codec.decode(frame.payload[frame.body :])
+        known = len(self._decoded)
+        publish = self._decoded.setdefault  # keeps a transaction already handed out
+        txs = [
+            publish(index, Transaction.from_dict(raw))
+            for index, raw in enumerate(raw_txs)
+        ]
+        frame.metrics.increment(metric_names.TXS_DECODED, len(txs) - known)
+        if self._header is None:
+            self._header = BlockHeader.from_dict(header)
+        self._txs = txs
+        self._frame = None
+        return txs
+
+    # -- the parts --------------------------------------------------------------
+
+    @property
+    def header(self) -> BlockHeader:
+        header = self._header
+        if header is None:
+            frame = self._frame
+            if frame is None:  # a concurrent reader just decoded everything
+                assert self._header is not None
+                return self._header
+            header = self._header = BlockHeader.from_dict(frame.segment(0))
+        return header
+
+    @property
+    def transactions(self) -> Sequence[Transaction]:
+        if self._frame is None:
+            return self._materialize()
+        return _LazyTransactions(self)
 
     @property
     def number(self) -> int:
@@ -268,6 +484,19 @@ class Block:
         if not self.transactions:
             return 0
         return max(tx.timestamp for tx in self.transactions)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Block):
+            return NotImplemented
+        return (
+            self.header == other.header
+            and self._materialize() == other._materialize()
+        )
+
+    __hash__ = None  # type: ignore[assignment] - mutable, like a list
+
+    def __repr__(self) -> str:
+        return f"Block(header={self.header!r}, transactions={self._materialize()!r})"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -283,7 +512,7 @@ class Block:
         )
 
     @staticmethod
-    def compute_data_hash(transactions: List[Transaction]) -> bytes:
+    def compute_data_hash(transactions: Iterable[Transaction]) -> bytes:
         """Deterministic hash over the ordered transaction ids + payloads."""
         hasher_input = bytearray()
         for tx in transactions:

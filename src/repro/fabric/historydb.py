@@ -118,10 +118,13 @@ class HistoryDB:
         ``prefetch`` batches that many *distinct* blocks per block-store
         round trip (:meth:`BlockStore.get_blocks` coalesces same-file
         reads); 1 -- the default -- keeps the paper's one-block-at-a-time
-        hot loop and its exact counter sequence.  Rows and the
-        deserialization totals are identical at every setting; only the
-        IO shape changes.  Laziness is preserved at batch granularity:
-        abandoning the iterator skips every unfetched batch.
+        hot loop and its exact counter sequence.  Rows are identical at
+        every setting, and so are the deserialization totals of a fully
+        consumed iterator; only the IO shape changes.  Laziness is
+        preserved at batch granularity: abandoning the iterator skips
+        every unfetched batch, but the batch in hand has been read (and
+        counted) -- up to ``prefetch - 1`` blocks the serial loop would
+        not have touched, opened lazily and never decoded.
 
         Safe to call from any number of threads against a shared store:
         the location list is snapshotted under the lock, and each

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.common.codec import (
     BinaryCodec,
-    CompactCodec,
     JsonCodec,
     get_codec,
     read_uvarint,
@@ -16,7 +15,7 @@ from repro.common.codec import (
 )
 from repro.common.errors import CodecError
 
-CODECS = [JsonCodec(), BinaryCodec(), CompactCodec()]
+CODECS = [JsonCodec(), BinaryCodec()]
 
 
 def codec_id(codec) -> str:
@@ -83,64 +82,6 @@ class TestBinaryCodecDetails:
             BinaryCodec().decode(b"")
 
 
-class TestCompactCodecDetails:
-    def test_trailing_bytes_rejected(self):
-        codec = CompactCodec()
-        payload = codec.encode(42) + b"\x00"
-        with pytest.raises(CodecError, match="trailing"):
-            codec.decode(payload)
-
-    def test_non_string_dict_key_rejected(self):
-        with pytest.raises(CodecError, match="keys must be str"):
-            CompactCodec().encode({1: "x"})
-
-    def test_repeated_strings_are_interned(self):
-        codec = CompactCodec()
-        value = [{"channel": "mychannel", "key": "asset1"} for _ in range(50)]
-        compact = codec.encode(value)
-        binary = BinaryCodec().encode(value)
-        assert codec.decode(compact) == value
-        # Every repeated key/value is stored once plus 50 short refs,
-        # so the interned form must be markedly smaller.
-        assert len(compact) < len(binary) // 2
-        assert compact.count(b"mychannel") == 1
-        assert compact.count(b"asset1") == 1
-
-    def test_unique_strings_stay_inline(self):
-        codec = CompactCodec()
-        value = {"only-once": "also-once"}
-        payload = codec.encode(value)
-        # Empty intern table (one zero-count varint) plus one tag byte
-        # for the dict key, which compact encodes as a tagged value.
-        assert payload[0] == 0
-        assert len(payload) == len(BinaryCodec().encode(value)) + 2
-        assert codec.decode(payload) == value
-
-    def test_dict_keys_intern_with_values(self):
-        codec = CompactCodec()
-        # The string "x" appears once as a key and once as a value:
-        # counted together, it qualifies for interning.
-        value = {"x": "x"}
-        payload = codec.encode(value)
-        assert payload.count(b"x") == 1
-        assert codec.decode(payload) == value
-
-    def test_out_of_range_reference_rejected(self):
-        codec = CompactCodec()
-        out = bytearray()
-        write_uvarint(0, out)  # empty intern table
-        out.append(0x0A)  # _T_STR_REF
-        write_uvarint(3, out)  # index 3 into an empty table
-        with pytest.raises(CodecError, match="out of range"):
-            codec.decode(bytes(out))
-
-    def test_truncated_intern_table_rejected(self):
-        codec = CompactCodec()
-        payload = codec.encode(["repeat", "repeat"])
-        with pytest.raises(CodecError):
-            codec.decode(payload[:3])
-
-
 class TestUvarint:
     @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 2**32, 2**63])
     def test_round_trip(self, value):
@@ -165,11 +106,14 @@ class TestRegistry:
     def test_lookup_by_name(self):
         assert get_codec("json").name == "json"
         assert get_codec("binary").name == "binary"
-        assert get_codec("compact").name == "compact"
 
     def test_unknown_codec(self):
         with pytest.raises(CodecError, match="unknown codec"):
             get_codec("msgpack")
+
+    def test_removed_compact_codec_is_unknown(self):
+        with pytest.raises(CodecError, match="unknown codec"):
+            get_codec("compact")
 
 
 json_values = st.recursive(
@@ -197,15 +141,40 @@ def test_binary_codec_round_trip_property(value):
 
 
 @given(value=json_values)
-def test_compact_codec_round_trip_property(value):
-    codec = CompactCodec()
-    assert codec.decode(codec.encode(value)) == value
-
-
-@given(value=json_values)
 def test_codecs_agree(value):
     """Every codec must decode to the same in-memory value."""
     reference = JsonCodec()
     expected = reference.decode(reference.encode(value))
-    for codec in (BinaryCodec(), CompactCodec()):
-        assert codec.decode(codec.encode(value)) == expected
+    codec = BinaryCodec()
+    assert codec.decode(codec.encode(value)) == expected
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=codec_id)
+@given(items=st.lists(json_values, max_size=6))
+def test_list_affixes_spell_the_encoded_list(codec, items):
+    """The identity the framed block payload rests on: elements encoded
+    one by one and joined with the affixes *are* the encoded list, so the
+    whole decodes in one call and each element decodes from its slice."""
+    prefix, separator, suffix = codec.list_affixes(len(items))
+    joined = prefix + separator.join(codec.encode(item) for item in items) + suffix
+    assert joined == codec.encode(items)
+    assert codec.decode(joined) == [codec.decode(codec.encode(item)) for item in items]
+
+
+def test_json_codec_is_shared_across_threads_safely():
+    """One cached encoder/decoder pair serves every thread (the registry
+    hands out a single JsonCodec): concurrent round trips of bytes-bearing
+    values -- the object_hook re-enters Python mid-parse -- stay exact."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    codec = get_codec("json")
+    values = [
+        {"n": n, "blob": bytes([n % 256]) * 40, "rows": [{"k": f"key{n}", "v": [n, None]}] * 8}
+        for n in range(64)
+    ]
+
+    def round_trips(value):
+        return all(codec.decode(codec.encode(value)) == value for _ in range(50))
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        assert all(pool.map(round_trips, values, timeout=60))

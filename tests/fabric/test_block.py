@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.common.codec import BinaryCodec, JsonCodec
-from repro.common.errors import LedgerError
+from repro.common import metrics as metric_names
+from repro.common.codec import BinaryCodec, JsonCodec, write_uvarint
+from repro.common.errors import CodecError, LedgerError
+from repro.common.metrics import MetricsRegistry
 from repro.fabric.block import (
+    FRAME_MAGIC,
     GENESIS_PREVIOUS_HASH,
     Block,
     BlockHeader,
@@ -15,6 +20,7 @@ from repro.fabric.block import (
     RWSet,
     Transaction,
 )
+from tests.helpers import DecodeSpyCodec
 
 
 def make_tx(tx_id="tx-1", key="k", value="v", timestamp=5) -> Transaction:
@@ -163,3 +169,270 @@ class TestCommitTimestamp:
     def test_empty_block(self):
         header = BlockHeader(0, GENESIS_PREVIOUS_HASH, Block.compute_data_hash([]))
         assert Block(header, []).commit_timestamp == 0
+
+
+# --------------------------------------------------------------------------
+# Framed payload + lazy block
+# --------------------------------------------------------------------------
+
+CODECS = [JsonCodec(), BinaryCodec()]
+codec_ids = [codec.name for codec in CODECS]
+
+
+def ten_tx_block() -> Block:
+    return make_block(
+        number=3, txs=[make_tx(f"tx-{i}", key=f"k{i}", value=i) for i in range(10)]
+    )
+
+
+values = st.none() | st.integers(-5, 5) | st.text(max_size=6) | st.binary(max_size=6)
+
+
+@st.composite
+def transactions(draw, index: int) -> Transaction:
+    rw_set = RWSet()
+    for key in draw(st.lists(st.sampled_from("abcdef"), max_size=3, unique=True)):
+        rw_set.add_read(key, draw(st.none() | st.tuples(st.integers(0, 9), st.integers(0, 9))))
+    # Possibly empty write set; deletes mixed with writes.
+    for key in draw(st.lists(st.sampled_from("uvwxyz"), max_size=4, unique=True)):
+        if draw(st.booleans()):
+            rw_set.add_delete(key)
+        else:
+            rw_set.add_write(key, draw(values | st.dictionaries(st.text(max_size=3), values, max_size=2)))
+    return Transaction(
+        tx_id=f"tx-{index}",
+        chaincode="cc",
+        creator=draw(st.sampled_from(["alice", "bob"])),
+        timestamp=draw(st.integers(0, 1000)),
+        rw_set=rw_set,
+        signature=draw(st.binary(max_size=8)),
+        validation_code=draw(st.sampled_from(["VALID", "MVCC_READ_CONFLICT"])),
+        event_name=draw(st.sampled_from(["", "shipped"])),
+        event_payload=draw(values),
+    )
+
+
+@st.composite
+def blocks(draw) -> Block:
+    count = draw(st.integers(0, 6))
+    return make_block(
+        number=draw(st.integers(0, 2**40)),
+        txs=[draw(transactions(index)) for index in range(count)],
+    )
+
+
+class TestFramedPayload:
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    @given(block=blocks())
+    def test_lazy_block_equals_the_eagerly_built_one(self, codec, block):
+        """from_payload(to_payload(b)) is b, whichever way it is read."""
+        payload = block.to_payload(codec)
+        eager = Block.from_dict(codec.decode(codec.encode(block.to_dict())))
+        assert Block.from_payload(payload, codec) == eager
+        # One segment at a time, newest first, then the header.
+        lazy = Block.from_payload(payload, codec)
+        assert len(lazy.transactions) == len(eager.transactions)
+        for index in reversed(range(len(eager.transactions))):
+            assert lazy.transactions[index] == eager.transactions[index]
+        assert lazy.header == eager.header
+        assert lazy.to_dict() == eager.to_dict()
+        lazy.verify_data_hash()
+        # The frame re-encodes to the very same bytes.
+        assert lazy.to_payload(codec) == payload
+
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    def test_sequence_protocol_of_the_lazy_view(self, codec):
+        eager = ten_tx_block()
+        lazy = Block.from_payload(eager.to_payload(codec), codec)
+        view = lazy.transactions
+        assert len(view) == 10
+        assert view[-1].tx_id == "tx-9"
+        assert view[-10].tx_id == "tx-0"
+        for bad in (10, -11):
+            with pytest.raises(IndexError):
+                view[bad]
+        assert [tx.tx_id for tx in view[2:5]] == ["tx-2", "tx-3", "tx-4"]
+        assert view == eager.transactions
+        assert lazy.transactions == Block.from_payload(eager.to_payload(codec), codec).transactions
+        assert lazy == eager and eager == lazy
+        assert lazy != make_block(number=4)
+        assert eager.transactions[3] in lazy.transactions
+        # Fully decoded now: a plain list, like an eager block's.
+        assert lazy.transactions is lazy.transactions
+        assert isinstance(lazy.transactions, list)
+
+    def test_decoded_transactions_keep_their_identity(self):
+        codec = JsonCodec()
+        lazy = Block.from_payload(ten_tx_block().to_payload(codec), codec)
+        first = lazy.transactions[4]
+        assert lazy.transactions[4] is first
+        assert lazy.transactions[-6] is first
+        # ... across the switch to the fully decoded list, too.
+        assert list(lazy.transactions)[4] is first
+        assert lazy.transactions[4] is first
+
+    @pytest.mark.parametrize("touch_all_first", [False, True])
+    def test_tampering_through_the_lazy_view_breaks_the_data_hash(self, touch_all_first):
+        codec = JsonCodec()
+        lazy = Block.from_payload(ten_tx_block().to_payload(codec), codec)
+        if touch_all_first:
+            lazy.verify_data_hash()
+        lazy.transactions[7].rw_set.add_write("k7", "tampered")
+        with pytest.raises(LedgerError, match="data hash mismatch"):
+            lazy.verify_data_hash()
+
+    def test_one_transaction_is_one_small_decode_and_all_is_one_decode(self):
+        """The two read paths are a single codec call each: GHFK's
+        ``transactions[i]`` decodes segment i alone (never the header),
+        a full scan decodes the whole body -- header included -- once."""
+        payload = ten_tx_block().to_payload(JsonCodec())
+        metrics = MetricsRegistry()
+
+        codec = DecodeSpyCodec()
+        lazy = Block.from_payload(payload, codec, metrics)
+        assert codec.decoded == []  # opening the frame decodes nothing
+        assert lazy.transactions[6].tx_id == "tx-6"
+        assert lazy.transactions[6].tx_id == "tx-6"
+        assert len(codec.decoded) == 1 and codec.decoded[0] < len(payload) // 8
+        assert metrics.counter(metric_names.TXS_DECODED) == 1
+        assert lazy.number == 3
+        assert len(codec.decoded) == 2 and codec.decoded[1] < len(payload) // 8
+
+        codec = DecodeSpyCodec()
+        scanned = Block.from_payload(payload, codec, metrics)
+        assert [tx.tx_id for tx in scanned.transactions] == [f"tx-{i}" for i in range(10)]
+        assert scanned.number == 3
+        scanned.verify_data_hash()
+        assert len(codec.decoded) == 1 and codec.decoded[0] > len(payload) * 3 // 4
+        assert metrics.counter(metric_names.TXS_DECODED) == 11
+
+        # A scan after point reads decodes only what is still framed.
+        lazy.verify_data_hash()
+        assert metrics.counter(metric_names.TXS_DECODED) == 20
+
+    def test_lazy_view_does_not_keep_its_block_in_a_reference_cycle(self):
+        """Dropping the last reference frees the block (and the payload
+        bytes it holds) at once, without a cyclic-GC pass."""
+        import gc
+        import weakref
+
+        codec = JsonCodec()
+        payload = ten_tx_block().to_payload(codec)
+        alive = weakref.ref(codec)
+        gc.collect()
+        gc.disable()
+        try:
+            lazy = Block.from_payload(payload, codec)
+            view = lazy.transactions
+            assert view[0].tx_id == "tx-0" and lazy.number == 3
+            del codec, lazy, view
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_concurrent_readers_of_one_lazy_block_see_one_object_per_index(self):
+        """Shared-cache shape: many GHFK iterators index (and some scan)
+        the same cached block.  Whoever decodes first, every reader must
+        end up with the same Transaction objects -- a second copy would
+        hide a mutation from verify_data_hash."""
+        import sys
+        import threading
+
+        codec = JsonCodec()
+        payload = ten_tx_block().to_payload(codec)
+        workers, rounds = 8, 60
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        failures: list[str] = []
+        try:
+            for _ in range(rounds):
+                lazy = Block.from_payload(payload, codec)
+                seen: list[list[Transaction]] = [[] for _ in range(workers)]
+                barrier = threading.Barrier(workers)
+
+                def read(slot: int, lazy=lazy, seen=seen, barrier=barrier) -> None:
+                    barrier.wait(timeout=30)
+                    order = range(10) if slot % 2 else reversed(range(10))
+                    picked = {i: lazy.transactions[i] for i in order}
+                    if slot % 4 == 0:
+                        picked = dict(enumerate(lazy.transactions))
+                    seen[slot] = [picked[i] for i in range(10)]
+
+                threads = [threading.Thread(target=read, args=(slot,)) for slot in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                final = list(lazy.transactions)
+                for slot in range(workers):
+                    if [id(tx) for tx in seen[slot]] != [id(tx) for tx in final]:
+                        failures.append(f"reader {slot} holds a private copy")
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:3]
+
+
+class TestMalformedFrames:
+    """Anything but a well-formed frame is a CodecError -- never an
+    IndexError or struct.error leaking out of the parser."""
+
+    @pytest.fixture
+    def payload(self) -> bytes:
+        return ten_tx_block().to_payload(JsonCodec())
+
+    @staticmethod
+    def frame(lengths: list[int], body: bytes, count: int | None = None) -> bytes:
+        table = bytearray((FRAME_MAGIC,))
+        write_uvarint(len(lengths) if count is None else count, table)
+        for length in lengths:
+            write_uvarint(length, table)
+        return bytes(table) + body
+
+    def test_wrong_magic(self, payload):
+        with pytest.raises(CodecError, match="not a framed block payload"):
+            Block.from_payload(b"\xf2" + payload[1:], JsonCodec())
+        with pytest.raises(CodecError, match="not a framed block payload"):
+            Block.from_payload(b"", JsonCodec())
+
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    def test_pre_frame_whole_block_payload_is_named(self, codec):
+        """What PR <= 11 wrote: one codec value for the whole block."""
+        old = codec.encode(ten_tx_block().to_dict())
+        with pytest.raises(CodecError, match="written before the framed format"):
+            Block.from_payload(old, codec)
+
+    def test_truncated_table(self, payload):
+        for cut in (1, 2, 5, 12):
+            with pytest.raises(CodecError):
+                Block.from_payload(payload[:cut], JsonCodec())
+
+    def test_zero_segments(self):
+        with pytest.raises(CodecError, match="no header segment"):
+            Block.from_payload(self.frame([], b"[]"), JsonCodec())
+
+    def test_table_runs_past_the_end(self, payload):
+        with pytest.raises(CodecError, match="segments need"):
+            Block.from_payload(payload[:-1], JsonCodec())
+        with pytest.raises(CodecError, match="segments need"):
+            Block.from_payload(self.frame([2, 2**40], b"[{},{}]"), JsonCodec())
+        with pytest.raises(CodecError):
+            Block.from_payload(self.frame([2], b"[{}]", count=2**50), JsonCodec())
+
+    def test_table_stops_short_of_the_end(self, payload):
+        with pytest.raises(CodecError, match="segments need"):
+            Block.from_payload(payload + b" ", JsonCodec())
+        with pytest.raises(CodecError, match="segments need"):
+            Block.from_payload(self.frame([2], b"[{},{}]"), JsonCodec())
+
+    def test_frame_written_by_the_other_codec(self, payload):
+        with pytest.raises(CodecError):
+            Block.from_payload(payload, BinaryCodec())
+
+    def test_well_framed_garbage_fails_as_codec_error_when_decoded(self):
+        lazy = Block.from_payload(self.frame([2, 3], b"[{},nul]"), JsonCodec())
+        assert len(lazy.transactions) == 1
+        with pytest.raises(CodecError):
+            lazy.transactions[0]
+        with pytest.raises(CodecError):
+            list(lazy.transactions)

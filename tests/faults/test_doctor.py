@@ -98,6 +98,23 @@ def test_torn_index_tail_is_repaired(tmp_path):
     assert report.height > 0
 
 
+def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
+    """A ledger whose block records hold the old whole-block payload will
+    not open; the doctor says why instead of calling it corruption."""
+    from repro.common.codec import get_codec
+    from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader
+    from repro.fabric.blockstore import BlockStore
+
+    store = BlockStore(tmp_path / "net" / "ledger")
+    genesis = Block(BlockHeader(0, GENESIS_PREVIOUS_HASH, Block.compute_data_hash([])), [])
+    store._index.append(store._files.append(get_codec("json").encode(genesis.to_dict())))
+    store.close()
+    report = run_doctor(tmp_path / "net")
+    assert not report.ok
+    assert "recovery-failed" in codes(report)
+    assert "written before the framed format" in report.render()
+
+
 def test_unfinished_manifest_is_reported(tmp_path):
     config = build_ledger_dir(tmp_path / "net")
     manifest = tmp_path / "m1-run.json"

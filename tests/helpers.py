@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.common.codec import JsonCodec
 from repro.common.config import BlockCuttingConfig, FabricConfig
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import (
@@ -71,3 +72,15 @@ def build_m1_index(network: FabricNetwork, t1: int, t2: int, u: int):
         metrics=network.metrics,
     )
     return indexer.run(t1, t2, u)
+
+
+class DecodeSpyCodec(JsonCodec):
+    """JsonCodec recording the size of every payload it decodes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.decoded: list[int] = []
+
+    def decode(self, payload):
+        self.decoded.append(len(payload))
+        return super().decode(payload)
