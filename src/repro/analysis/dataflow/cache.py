@@ -37,7 +37,8 @@ from repro.analysis.findings import Finding
 #: 3: results gained ``dropped_baseline`` (pruned stale entries).
 #: 5: the symbolic scheme verifier landed (TEMP002-004) -- schema-4
 #: results predate three rule families and must not be replayed.
-CACHE_SCHEMA = 5
+#: 6: RES001 accepts handles stored into a container the object owns.
+CACHE_SCHEMA = 6
 
 
 @dataclass(frozen=True)

@@ -229,8 +229,8 @@ BLOCKING_ALLOWLIST: Dict[str, Tuple[FrozenSet[str], str]] = {
     ),
     # BlockFileManager: the shared append handle and the current-file
     # number ARE the guarded resource -- every touch (append, rollover,
-    # flush-for-read, sealed-file mapping, tail truncation, sync) must
-    # happen under the manager lock or readers race the committer
+    # flush-for-read, read-descriptor get-or-open, tail truncation, sync)
+    # must happen under the manager lock or readers race the committer
     # (the blockfile-races regression suite exists because they did).
     "repro.storage.blockfile.BlockFileManager.append": (
         frozenset({"io"}),
@@ -242,10 +242,11 @@ BLOCKING_ALLOWLIST: Dict[str, Tuple[FrozenSet[str], str]] = {
         "closing the full file and opening its successor must be atomic "
         "w.r.t. readers flushing the shared append handle",
     ),
-    "repro.storage.blockfile.BlockFileManager._sealed_map": (
+    "repro.storage.blockfile.BlockFileManager._reader": (
         frozenset({"io"}),
-        "the mmap cache is keyed by file number; mapping outside the lock "
-        "could map a file the committer is still appending to",
+        "the read-descriptor cache is keyed by file number; a get-or-open "
+        "outside the lock lets two readers open (and one leak) a handle, "
+        "and the visibility flush shares the critical section",
     ),
     "repro.storage.blockfile.BlockFileManager.truncate_tail": (
         frozenset({"io"}),

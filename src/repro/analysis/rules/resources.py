@@ -14,8 +14,9 @@ The rule accepts the three lifetimes the codebase actually uses:
 * ``handle = fs.open(...)`` followed by ``handle.close()`` inside a
   ``finally`` block of the same function -- the atomic
   write-temp/fsync/replace idiom;
-* ``self._file = fs.open(...)`` -- object-owned, closed by the owner's
-  ``close()``.
+* ``self._file = fs.open(...)`` or ``self._files[key] = fs.open(...)``
+  -- object-owned (directly or in a container the object owns), closed
+  by the owner's ``close()``.
 
 Everything else is flagged: a discarded ``fs.open(...)`` expression, a
 handle passed straight into another call, or a local whose ``close()``
@@ -143,6 +144,8 @@ class SeamHandleLifetimeRule(Rule):
             if target is None:
                 flag(call, "is never bound to a name")
                 continue
+            if isinstance(target, ast.Subscript):
+                target = target.value  # a slot: judged by its container
             if isinstance(target, ast.Attribute):
                 continue  # object-owned handle; its owner's close() runs it
             if not isinstance(target, ast.Name):

@@ -152,6 +152,37 @@ def read_uvarint(payload: bytes, offset: int) -> tuple[int, int]:
         raise CodecError("truncated varint") from None
 
 
+def read_uvarints(payload: bytes, offset: int, count: int) -> tuple[list[int], int]:
+    """Read ``count`` consecutive varints; return (values, next_offset).
+
+    Equal to ``count`` :func:`read_uvarint` calls, same errors, without
+    a call and a tuple per value: a framed block's length table is read
+    on every block read.
+    """
+    values = []
+    try:
+        for _ in range(count):
+            byte = payload[offset]
+            offset += 1
+            if byte >= 0x80:
+                result = byte & 0x7F
+                shift = 7
+                while True:
+                    byte = payload[offset]
+                    offset += 1
+                    if byte < 0x80:
+                        break
+                    result |= (byte & 0x7F) << shift
+                    shift += 7
+                    if shift > 63 * 2:
+                        raise CodecError("varint too long")
+                byte = result | (byte << shift)
+            values.append(byte)
+    except IndexError:
+        raise CodecError("truncated varint") from None
+    return values, offset
+
+
 class BinaryCodec(Codec):
     """Compact tag-length-value binary encoding (no stdlib pickle)."""
 

@@ -145,10 +145,6 @@ class BlockStoreConfig:
     #: ``flush`` (default) or ``fsync``: whether the per-commit block file
     #: and block index sync calls ``os.fsync``.
     durability: str = "flush"
-    #: Read *sealed* (rolled-over) block files through memory maps
-    #: instead of seek+read handles; ignored on filesystems that cannot
-    #: map (fault injection).  The active append file is never mapped.
-    mmap_io: bool = False
 
     def __post_init__(self) -> None:
         _require_positive(self.max_file_bytes, "max_file_bytes")
@@ -194,9 +190,10 @@ def default_ghfk_prefetch() -> int:
     """GHFK block-prefetch depth from ``REPRO_GHFK_PREFETCH`` (default 1).
 
     1 keeps the paper-faithful hot loop (one block fetched and decoded
-    per distinct history location); larger values batch that many
-    distinct blocks into one block-store round trip, coalescing
-    same-file reads.
+    per distinct history location); larger values fetch that many
+    distinct blocks per ``BlockStore.get_blocks`` call.  A batch saves
+    no IO (a block read opens no file); removal pending, DESIGN.md
+    section 5.
     """
     raw = os.environ.get(GHFK_PREFETCH_ENV_VAR, "1")
     try:
@@ -225,8 +222,7 @@ class QueryConfig:
     #: Worker threads per query (1 = serial, no thread pool at all).
     workers: int = field(default_factory=default_query_workers)
     #: Distinct blocks per GHFK block-store round trip (1 = the paper's
-    #: serial hot loop; more batches same-file reads).  Rows are
-    #: byte-identical at every setting.
+    #: serial hot loop).  Rows are byte-identical at every setting.
     ghfk_prefetch: int = field(default_factory=default_ghfk_prefetch)
 
     def __post_init__(self) -> None:

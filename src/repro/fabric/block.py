@@ -30,7 +30,7 @@ from typing import (  # noqa: F401 - Tuple in annotations
 )
 
 from repro.common import metrics as metric_names
-from repro.common.codec import Codec, read_uvarint, write_uvarint
+from repro.common.codec import Codec, read_uvarint, read_uvarints, write_uvarint
 from repro.common.errors import CodecError, LedgerError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric import crypto
@@ -397,11 +397,7 @@ class Block:
         count, position = read_uvarint(payload, 1)
         if count < 1:
             raise CodecError("framed block payload has no header segment")
-        lengths = []
-        for _ in range(count):
-            length, position = read_uvarint(payload, position)
-            lengths.append(length)
-        body = position
+        lengths, body = read_uvarints(payload, position, count)
         prefix, separator, suffix = codec.list_affixes(count)
         first, step = body + len(prefix), len(separator)
         needed = first + sum(lengths) + (count - 1) * step + len(suffix)

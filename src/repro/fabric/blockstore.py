@@ -14,7 +14,8 @@ shared :class:`~repro.fabric.blockcache.BlockCache`) for the cache
 ablation and for the parallel query executor, whose concurrent GHFK
 scans of co-located keys then deserialize each block once.  The cache is
 thread-safe and single-flight; reads are safe from any number of threads
-(each read opens its own file handle).
+(each is one positional read on a per-file descriptor the block-file
+manager opens once; ``pread`` shares no file position).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class BlockStore:
         durability: str = "flush",
         fs: FileSystem = REAL_FS,
         cache: Optional[BlockCache] = None,
-        mmap_io: bool = False,
     ) -> None:
         if durability not in ("flush", "fsync"):
             raise ValueError(
@@ -69,8 +69,7 @@ class BlockStore:
         fsync = durability == "fsync"
         self._fs = fs
         self._files = BlockFileManager(
-            path / "chains", max_file_bytes=max_file_bytes, fsync=fsync, fs=fs,
-            mmap_io=mmap_io,
+            path / "chains", max_file_bytes=max_file_bytes, fsync=fsync, fs=fs
         )
         index_path = path / "index" / "blocks.idx"
         index_path.with_name(index_path.name + ".tmp").unlink(missing_ok=True)
@@ -251,25 +250,18 @@ class BlockStore:
         return self._deserialize(self._files.read(self._locate(block_number)))
 
     def get_blocks(self, block_numbers: Sequence[int]) -> List[Block]:
-        """Read several blocks in one batch (the GHFK hot-loop path).
+        """Read several blocks (the batched GHFK loop's round trip).
 
-        The uncached path collects every location first and hands them to
-        :meth:`BlockFileManager.read_many`, which coalesces same-file
-        reads into one open handle -- N history fetches against one block
-        file cost one open instead of N.  The deserialization counters
-        advance exactly as N :meth:`get_block` calls would (the batch
-        changes IO shape, never the paper's cost metric), plus one
-        ``ledger.block_batch_reads`` tick per multi-block batch.  With a
-        cache configured the batch simply loops ``get_block`` so hit
-        accounting and single-flight behaviour stay identical.
+        Exactly ``get_block`` per number -- counters, cache accounting
+        and single-flight included -- plus one
+        ``ledger.block_batch_reads`` tick per multi-block uncached batch.
+        There is nothing to coalesce: a block read is already one
+        positional read on a descriptor opened once per file.
         """
-        if self._cache is not None or len(block_numbers) <= 1:
-            return [self.get_block(number) for number in block_numbers]
-        payloads = self._files.read_many(
-            [self._locate(number) for number in block_numbers]
-        )
-        self._metrics.increment(metric_names.BLOCK_BATCH_READS)
-        return [self._deserialize(payload) for payload in payloads]
+        blocks = [self.get_block(number) for number in block_numbers]
+        if self._cache is None and len(blocks) > 1:
+            self._metrics.increment(metric_names.BLOCK_BATCH_READS)
+        return blocks
 
     def iter_blocks(self, start: int = 0, end: Optional[int] = None) -> Iterator[Block]:
         """Yield blocks ``start .. end`` (``end`` exclusive, default height).

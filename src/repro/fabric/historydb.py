@@ -115,12 +115,13 @@ class HistoryDB:
         the remaining blocks entirely -- the behaviour the paper's Model M1
         relies on to read an index bundle with exactly one block access.
 
-        ``prefetch`` batches that many *distinct* blocks per block-store
-        round trip (:meth:`BlockStore.get_blocks` coalesces same-file
-        reads); 1 -- the default -- keeps the paper's one-block-at-a-time
-        hot loop and its exact counter sequence.  Rows are identical at
-        every setting, and so are the deserialization totals of a fully
-        consumed iterator; only the IO shape changes.  Laziness is
+        ``prefetch`` batches that many *distinct* blocks per
+        :meth:`BlockStore.get_blocks` call; 1 -- the default -- keeps the
+        paper's one-block-at-a-time hot loop and its exact counter
+        sequence.  Rows are identical at every setting, and so are the
+        deserialization totals of a fully consumed iterator.  (A batch
+        saves no IO -- a block read opens no file; the knob is pending
+        removal, see DESIGN.md section 5.)  Laziness is
         preserved at batch granularity: abandoning the iterator skips
         every unfetched batch, but the batch in hand has been read (and
         counted) -- up to ``prefetch - 1`` blocks the serial loop would

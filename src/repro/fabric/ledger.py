@@ -60,7 +60,6 @@ class Ledger:
             cache_blocks=self._config.block_store.cache_blocks,
             durability=self._config.block_store.durability,
             fs=fs,
-            mmap_io=self._config.block_store.mmap_io,
         )
         state_config = self._config.state_db
         # The uniform option set: every backend factory picks the options

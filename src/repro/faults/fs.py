@@ -39,13 +39,19 @@ class FileSystem:
     #: Whether handles returned by :meth:`open` are backed by real OS
     #: file descriptors that ``mmap`` can map.  Fault-injecting wrappers
     #: interpose userspace buffers that a memory map would bypass, so
-    #: they advertise ``False`` and mmap-capable readers fall back to
-    #: buffered reads.
+    #: they advertise ``False`` and the one mmap-capable reader (the
+    #: ``lsm-mmap`` SSTable reader) falls back to buffered reads.
     supports_mmap = True
 
     def open(self, path: Union[str, Path], mode: str) -> IO[bytes]:
         """Open ``path`` exactly like the builtin ``open``."""
         return open(path, mode)
+
+    def pread(self, handle: IO[bytes], size: int, offset: int) -> bytes:
+        """Read up to ``size`` bytes at ``offset`` of a handle opened for
+        reading, without moving (or depending on) its position, so
+        threads can share one handle (``os.pread``)."""
+        return os.pread(handle.fileno(), size, offset)
 
     def replace(self, src: Union[str, Path], dst: Union[str, Path]) -> None:
         """Atomically rename ``src`` over ``dst`` (``os.replace``)."""
@@ -179,7 +185,8 @@ class FaultyReadFile:
     (:meth:`FaultPlan.fail_reads`) and slow-disk latency
     (:meth:`FaultPlan.delay`) reach the storage layer: the plan's
     :meth:`~repro.faults.plan.FaultPlan.on_read` hook runs before each
-    ``read`` and may sleep or raise ``OSError``.  Everything else passes
+    ``read`` (and each :meth:`FaultyFS.pread` on this handle) and may
+    sleep or raise ``OSError``.  Everything else passes
     straight through to a real handle -- read handles hold no buffered
     state, so a kill only forbids further use.
     """
@@ -209,6 +216,10 @@ class FaultyReadFile:
     def tell(self) -> int:
         """Current position of the underlying handle."""
         return self._real.tell()
+
+    def fileno(self) -> int:
+        """The underlying OS file descriptor."""
+        return self._real.fileno()
 
     def close(self) -> None:
         if not self.closed:
@@ -256,6 +267,13 @@ class FaultyFS(FileSystem):
         if "r" in mode and "+" not in mode:
             return FaultyReadFile(self, Path(path), mode)  # type: ignore[return-value]
         return open(path, mode)
+
+    def pread(self, handle: IO[bytes], size: int, offset: int) -> bytes:
+        """One positional read, consulting the fault plan first exactly
+        as :meth:`FaultyReadFile.read` does (one hook call per read)."""
+        self._check_alive()
+        self.plan.on_read(handle.path)  # type: ignore[attr-defined]
+        return super().pread(handle, size, offset)
 
     def replace(self, src: Union[str, Path], dst: Union[str, Path]) -> None:
         self._check_alive()

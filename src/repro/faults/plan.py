@@ -113,6 +113,11 @@ class FaultPlan:
         media errors are: only that one read fails; earlier and later
         reads of the same file succeed.  Schedule several to model a
         persistently sick disk.
+
+        A read is one consultation of the seam: a ``read``/``readline``
+        on a handle, or one ``FileSystem.pread``.  A block read is a
+        single ``pread`` of the whole record, so against ``blockfile_*``
+        ``nth`` counts *blocks* read from that file.
         """
         if nth < 1:
             raise ValueError(f"nth must be >= 1, got {nth}")

@@ -138,8 +138,9 @@ def _scenario_lsm(workers: int) -> None:
 
 def _scenario_blockfile(workers: int) -> None:
     """One committer appending across rollovers while readers hammer
-    ``read``/``read_many``/``file_size`` -- the shared-append-handle seam
-    (reader-side visibility flush vs mid-record writes and rollover)."""
+    ``read``/``file_size`` over sealed and current files -- the
+    shared-append-handle seam (reader-side visibility flush vs mid-record
+    writes and rollover) and the shared read-descriptor cache."""
     from repro.storage.blockfile import BlockFileManager
 
     with tempfile.TemporaryDirectory(prefix="repro-san-blockfile-") as tmp:
@@ -154,15 +155,13 @@ def _scenario_blockfile(workers: int) -> None:
                             manager.append(f"blk-{step:03d}".encode() * 4)
                         )
                     else:
-                        location = locations[(index + step) % len(locations)]
-                        manager.read(location)
+                        count = len(locations)
+                        # Oldest (sealed once the committer rolls over),
+                        # newest (the file being appended to), and one
+                        # in between.
+                        for position in (0, count - 1, (index + step) % count):
+                            manager.read(locations[position])
                         manager.file_size(manager.current_file_num)
-                        if step % 5 == 0:
-                            count = len(locations)
-                            manager.read_many(
-                                [locations[(index + d) % count]
-                                 for d in range(3)]
-                            )
 
             _run_threads(workers, work)
         finally:

@@ -17,19 +17,19 @@ worker threads (reading), so every access to the append handle and the
 current-file number goes through one lock: the reader-side visibility
 flush used to call ``flush()`` on the shared handle with no lock at all,
 racing the committer's ``write()`` mid-append.  Reads themselves stay
-outside the lock -- each opens its own handle (or consults a per-file
-memory map for sealed files when ``mmap_io`` is on), so block IO never
-serializes behind the committer.
+outside the lock: a block read is one positional read (``pread``) of the
+whole record on a per-file descriptor opened once and shared by every
+thread -- ``pread`` carries its own offset, so readers neither seek nor
+serialize behind each other or the committer.
 """
 
 from __future__ import annotations
 
-import mmap
 import struct
 import warnings
 import zlib
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import IO, Dict, Iterator, Optional, Tuple
 
 from repro.common.errors import BlockFileError
 from repro.common.locks import make_rlock
@@ -51,7 +51,7 @@ def _parse_file_num(file: Path) -> Optional[int]:
     return int(suffix)
 
 
-@sanitize_shared("_writer", "_current_num")
+@sanitize_shared("_writer", "_current_num", "_readers")
 class BlockFileManager:
     """Manages the directory of append-only block files."""
 
@@ -61,7 +61,6 @@ class BlockFileManager:
         max_file_bytes: int = 4 * 1024 * 1024,
         fsync: bool = False,
         fs: FileSystem = REAL_FS,
-        mmap_io: bool = False,
     ) -> None:
         if max_file_bytes <= 0:
             raise ValueError(f"max_file_bytes must be positive, got {max_file_bytes}")
@@ -73,10 +72,11 @@ class BlockFileManager:
         #: Serializes every touch of the shared append handle and the
         #: current-file number (committer appends vs reader flushes).
         self._lock = make_rlock("BlockFileManager._lock")
-        self._mmap_io = bool(mmap_io) and getattr(fs, "supports_mmap", False)
-        #: Sealed-file maps, built lazily per file (only files *below*
-        #: the current one are mapped -- the append file still grows).
-        self._maps: Dict[int, mmap.mmap] = {}
+        #: One read handle per block file ever read, kept until
+        #: :meth:`close`.  Never evicted: another thread may be mid-
+        #: ``pread`` on it, and roll-over and tail truncation keep the
+        #: inode, so a cached descriptor never goes stale.
+        self._readers: Dict[int, IO[bytes]] = {}
         self._current_num = self._latest_file_num()
         self._writer = fs.open(self._file_path(self._current_num), "ab")
 
@@ -108,7 +108,7 @@ class BlockFileManager:
         """Append one serialized block; returns its location."""
         if not payload:
             raise BlockFileError("refusing to append an empty block payload")
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        crc = zlib.crc32(payload)
         with self._lock:
             if self._writer.tell() >= self._max_file_bytes:
                 self._roll_over()
@@ -134,162 +134,68 @@ class BlockFileManager:
             if file_num == self._current_num:
                 self._writer.flush()
 
-    def _sealed_map(self, file_num: int) -> Optional[mmap.mmap]:
-        """The cached memory map for a *sealed* file, or ``None`` when
-        mapping does not apply (mmap off, or the file is still growing)."""
-        if not self._mmap_io:
-            return None
+    def _reader(self, file_num: int) -> IO[bytes]:
+        """The cached read handle for ``file_num``, opened on first use.
+
+        One critical section per block read: the visibility flush (the
+        append handle buffers, and only a flush makes the tail record
+        preadable) and the get-or-open both need the lock.
+        """
         with self._lock:
-            if file_num >= self._current_num:
-                return None
-            cached = self._maps.get(file_num)
-            if cached is not None:
-                return cached
-            file_path = self._file_path(file_num)
-            try:
-                with open(file_path, "rb") as handle:
-                    mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            except (OSError, ValueError) as exc:
-                raise BlockFileError(
-                    f"cannot map block file {file_path.name}: {exc}"
-                ) from exc
-            self._maps[file_num] = mapped
-            return mapped
-
-    def _read_mapped(self, mapped: mmap.mmap, location: BlockLocation) -> bytes:
-        """Decode and verify one record from a sealed file's map."""
-        name = self._file_path(location.file_num).name
-        if location.offset + _HEADER.size > len(mapped):
-            raise BlockFileError(
-                f"truncated block header at {name}:{location.offset}"
-            )
-        length, crc = _HEADER.unpack_from(mapped, location.offset)
-        if length != location.length:
-            raise BlockFileError(
-                f"length mismatch at {name}:{location.offset}: "
-                f"index says {location.length}, file says {length}"
-            )
-        start = location.offset + _HEADER.size
-        payload = bytes(mapped[start : start + length])
-        if len(payload) != length:
-            raise BlockFileError(
-                f"truncated block payload at {name}:{location.offset}"
-            )
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-            raise BlockFileError(
-                f"block payload checksum mismatch at {name}:{location.offset}"
-            )
-        return payload
-
-    def _read_with_handle(
-        self, handle: IO[bytes], file_path: Path, location: BlockLocation
-    ) -> bytes:
-        """Seek/read/verify one record on an already-open read handle."""
-        try:
-            handle.seek(location.offset)
-            header = handle.read(_HEADER.size)
-            if len(header) != _HEADER.size:
-                raise BlockFileError(
-                    f"truncated block header at {file_path.name}:{location.offset}"
+            if file_num == self._current_num:
+                self._writer.flush()
+            if file_num not in self._readers:
+                self._readers[file_num] = self._fs.open(
+                    self._file_path(file_num), "rb"
                 )
-            length, crc = _HEADER.unpack(header)
-            if length != location.length:
-                raise BlockFileError(
-                    f"length mismatch at {file_path.name}:{location.offset}: "
-                    f"index says {location.length}, file says {length}"
-                )
-            payload = handle.read(length)
-        except OSError as exc:
-            # Injected or genuine read fault (EIO): typed, never a
-            # silently wrong block.
-            raise BlockFileError(
-                f"read failed at {file_path.name}:{location.offset}: {exc}"
-            ) from exc
-        if len(payload) != length:
-            raise BlockFileError(
-                f"truncated block payload at {file_path.name}:{location.offset}"
-            )
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-            raise BlockFileError(
-                f"block payload checksum mismatch at "
-                f"{file_path.name}:{location.offset}"
-            )
-        return payload
+            return self._readers[file_num]
 
     def read(self, location: BlockLocation) -> bytes:
         """Read the serialized block payload at ``location``.
 
-        This is a real file open/seek/read (or a sealed-file map
-        consultation under ``mmap_io``) so block retrieval has genuine IO
-        cost, as on a Fabric peer.  The payload is verified against the
-        record's CRC32 so a flipped byte surfaces as
-        :class:`BlockFileError`, never a silently wrong block.
+        One positional read of the whole record through the filesystem
+        seam, so block retrieval has genuine IO cost, as on a Fabric
+        peer, and injected read faults reach it.  The record's length is
+        checked against the index and its payload against the record's
+        CRC32 before anything is returned, so a truncated file or a
+        flipped byte surfaces as :class:`BlockFileError`, never a
+        silently wrong block.
         """
-        mapped = self._sealed_map(location.file_num)
-        if mapped is not None:
-            return self._read_mapped(mapped, location)
-        file_path = self._file_path(location.file_num)
-        if not file_path.exists():
-            raise BlockFileError(f"block file {file_path.name} does not exist")
-        # The write handle buffers; make appended data visible to readers.
-        self._flush_for_read(location.file_num)
-        handle = None
+        length = location.length
         try:
-            handle = self._fs.open(file_path, "rb")
-            return self._read_with_handle(handle, file_path, location)
-        except OSError as exc:
-            raise BlockFileError(
-                f"read failed at {file_path.name}:{location.offset}: {exc}"
-            ) from exc
-        finally:
-            if handle is not None:
-                handle.close()
-
-    def read_many(self, locations: Sequence[BlockLocation]) -> List[bytes]:
-        """Read several payloads, coalescing same-file work.
-
-        Locations in the same file share one open handle (or one sealed
-        map) and are visited in offset order, so a batch of N history
-        reads against one block file costs one open instead of N.
-        Results come back in input order; every record is CRC-verified
-        exactly as :meth:`read` would.
-        """
-        results: List[Optional[bytes]] = [None] * len(locations)
-        by_file: Dict[int, List[int]] = {}
-        for position, location in enumerate(locations):
-            by_file.setdefault(location.file_num, []).append(position)
-        for file_num in sorted(by_file):
-            positions = sorted(
-                by_file[file_num], key=lambda p: locations[p].offset
+            record = self._fs.pread(
+                self._reader(location.file_num),
+                _HEADER.size + length,
+                location.offset,
             )
-            mapped = self._sealed_map(file_num)
-            if mapped is not None:
-                for position in positions:
-                    results[position] = self._read_mapped(
-                        mapped, locations[position]
-                    )
-                continue
-            file_path = self._file_path(file_num)
-            if not file_path.exists():
-                raise BlockFileError(f"block file {file_path.name} does not exist")
-            self._flush_for_read(file_num)
-            handle = None
-            try:
-                handle = self._fs.open(file_path, "rb")
-                for position in positions:
-                    results[position] = self._read_with_handle(
-                        handle, file_path, locations[position]
-                    )
-            except OSError as exc:
-                raise BlockFileError(
-                    f"read failed in {file_path.name}: {exc}"
-                ) from exc
-            finally:
-                if handle is not None:
-                    handle.close()
-        # Every slot was filled or an exception escaped above.
-        assert all(payload is not None for payload in results)
-        return [payload for payload in results if payload is not None]
+        except FileNotFoundError:
+            name = self._file_path(location.file_num).name
+            raise BlockFileError(f"block file {name} does not exist") from None
+        except OSError as exc:
+            # Injected or genuine fault (EIO, EMFILE): typed, never a
+            # silently wrong block.
+            raise self._read_error("read failed", location, f": {exc}") from exc
+        if len(record) < _HEADER.size:
+            raise self._read_error("truncated block header", location)
+        stored_length, crc = _HEADER.unpack_from(record)
+        if stored_length != length:
+            raise self._read_error(
+                "length mismatch",
+                location,
+                f": index says {length}, file says {stored_length}",
+            )
+        payload = record[_HEADER.size :]
+        if len(payload) != length:
+            raise self._read_error("truncated block payload", location)
+        if zlib.crc32(payload) != crc:
+            raise self._read_error("block payload checksum mismatch", location)
+        return payload
+
+    def _read_error(
+        self, what: str, location: BlockLocation, detail: str = ""
+    ) -> BlockFileError:
+        name = self._file_path(location.file_num).name
+        return BlockFileError(f"{what} at {name}:{location.offset}{detail}")
 
     # -- recovery ---------------------------------------------------------
 
@@ -309,40 +215,49 @@ class BlockFileManager:
             last_file_num = self._current_num
         while True:
             file_path = self._file_path(file_num)
-            if not file_path.exists():
+            # Read from ``offset`` on, not the whole file: the block store
+            # re-verifies only its last indexed record on every open.
+            # Raw read-mode open, off the read-fault seam, so recovery
+            # does not consume a test's ``fail_reads`` schedule.
+            try:
+                with open(file_path, "rb") as handle:
+                    handle.seek(offset)
+                    data = handle.read()
+            except FileNotFoundError:
                 return
-            data = file_path.read_bytes()
             is_last_file = file_num == last_file_num
-            while offset < len(data):
+            position = 0  # into ``data``, which starts at ``offset``
+            while position < len(data):
+                start = offset + position
                 tail_ok = is_last_file  # only the live tail may be torn
-                if offset + _HEADER.size > len(data):
+                if position + _HEADER.size > len(data):
                     if tail_ok:
                         return
                     raise BlockFileError(
                         f"torn record header mid-chain at "
-                        f"{file_path.name}:{offset}"
+                        f"{file_path.name}:{start}"
                     )
-                length, crc = _HEADER.unpack_from(data, offset)
-                end = offset + _HEADER.size + length
+                length, crc = _HEADER.unpack_from(data, position)
+                end = position + _HEADER.size + length
                 if end > len(data):
                     if tail_ok:
                         return
                     raise BlockFileError(
                         f"torn record payload mid-chain at "
-                        f"{file_path.name}:{offset}"
+                        f"{file_path.name}:{start}"
                     )
-                payload = data[offset + _HEADER.size : end]
-                if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+                payload = data[position + _HEADER.size : end]
+                if zlib.crc32(payload) != crc:
                     if tail_ok and end == len(data):
                         return  # corrupt final record: crash-torn tail
                     raise BlockFileError(
-                        f"record checksum mismatch at {file_path.name}:{offset}"
+                        f"record checksum mismatch at {file_path.name}:{start}"
                     )
                 yield (
-                    BlockLocation(file_num=file_num, offset=offset, length=length),
+                    BlockLocation(file_num=file_num, offset=start, length=length),
                     payload,
                 )
-                offset = end
+                position = end
             if is_last_file:
                 return
             file_num += 1
@@ -383,9 +298,9 @@ class BlockFileManager:
             if not self._writer.closed:
                 self._writer.flush()
                 self._writer.close()
-            for mapped in self._maps.values():
-                mapped.close()
-            self._maps.clear()
+            for handle in self._readers.values():
+                handle.close()
+            self._readers.clear()
 
     @property
     def current_file_num(self) -> int:

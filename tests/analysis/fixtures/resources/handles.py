@@ -26,6 +26,30 @@ class HandleOwner:
         self._file.close()
 
 
+class HandleCacheOwner:
+    """Accepted lifetime 3 again: a slot of a container the object owns."""
+
+    def __init__(self, fs):
+        self._fs = fs
+        self._files = {}
+
+    def handle(self, path):
+        if path not in self._files:
+            self._files[path] = self._fs.open(path, "rb")
+        return self._files[path]
+
+    def close(self):
+        for handle in self._files.values():
+            handle.close()
+
+
+def local_container_is_not_owned(fs, paths):
+    handles = {}
+    for path in paths:
+        handles[path] = fs.open(path, "rb")  # expect: RES001
+    return handles
+
+
 def happy_path_close(fs, path, data):
     handle = fs.open(path, "wb")  # expect: RES001
     handle.write(data)

@@ -11,6 +11,7 @@ from repro.common.codec import (
     JsonCodec,
     get_codec,
     read_uvarint,
+    read_uvarints,
     write_uvarint,
 )
 from repro.common.errors import CodecError
@@ -100,6 +101,67 @@ class TestUvarint:
         write_uvarint(300, out)
         with pytest.raises(CodecError):
             read_uvarint(bytes(out[:-1]), 0)
+
+
+class TestUvarintTable:
+    """``read_uvarints`` is ``count`` successive ``read_uvarint`` calls."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=2**63),
+                st.sampled_from([0, 127, 128, 16_383, 16_384, 2**63]),
+            ),
+            max_size=40,
+        ),
+        st.binary(max_size=3),
+        st.binary(max_size=3),
+    )
+    def test_equals_successive_single_reads(self, values, before, after):
+        table = bytearray(before)
+        for value in values:
+            write_uvarint(value, table)
+        payload = bytes(table) + after
+        expected, offset = [], len(before)
+        for _ in values:
+            value, offset = read_uvarint(payload, offset)
+            expected.append(value)
+        assert read_uvarints(payload, len(before), len(values)) == (expected, offset)
+        assert expected == values
+        assert offset == len(payload) - len(after)
+
+    @pytest.mark.parametrize("value", [127, 128, 16_384, 2**63])
+    def test_truncated_table_is_a_codec_error(self, value):
+        table = bytearray()
+        for _ in range(3):
+            write_uvarint(value, table)
+        for cut in range(len(table)):
+            with pytest.raises(CodecError, match="truncated varint"):
+                read_uvarints(bytes(table[:cut]), 0, 3)
+        with pytest.raises(CodecError, match="truncated varint"):
+            read_uvarints(bytes(table), 0, 4)  # count past the end
+        with pytest.raises(CodecError, match="truncated varint"):
+            read_uvarints(bytes(table), len(table) + 5, 1)  # offset past it
+
+    def test_over_long_varint_rejected_like_the_single_reader(self):
+        # 18 continuation bytes is the longest accepted, 19 is too long,
+        # in both readers.
+        longest = b"\x80" * 18 + b"\x01"
+        assert read_uvarints(b"\x05" + longest, 0, 2) == (
+            [5, read_uvarint(longest, 0)[0]],
+            1 + len(longest),
+        )
+        too_long = b"\x80" * 19 + b"\x01"
+        for reader in (
+            lambda: read_uvarint(too_long, 0),
+            lambda: read_uvarints(b"\x05" + too_long, 0, 2),
+        ):
+            with pytest.raises(CodecError, match="varint too long"):
+                reader()
+
+    def test_zero_count_reads_nothing(self):
+        assert read_uvarints(b"", 0, 0) == ([], 0)
+        assert read_uvarints(b"\xff", 1, 0) == ([], 1)
 
 
 class TestRegistry:

@@ -261,6 +261,20 @@ class TestFramedPayload:
         assert lazy.transactions is lazy.transactions
         assert isinstance(lazy.transactions, list)
 
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    def test_two_and_three_byte_segment_lengths_round_trip(self, codec):
+        txs = [
+            make_tx("m", value="v" * 200),
+            make_tx("l", value="v" * 20_000),
+            make_tx("m2", value="w" * 300),
+        ]
+        sizes = [len(codec.encode(tx.to_dict())) for tx in txs]
+        assert 128 <= sizes[0] < 16_384 <= sizes[1]
+        block = make_block(txs=txs)
+        lazy = Block.from_payload(block.to_payload(codec), codec)
+        assert [lazy.transactions[i] for i in (2, 0, 1)] == [txs[2], txs[0], txs[1]]
+        assert Block.from_payload(block.to_payload(codec), codec) == block
+
     def test_decoded_transactions_keep_their_identity(self):
         codec = JsonCodec()
         lazy = Block.from_payload(ten_tx_block().to_payload(codec), codec)
@@ -406,6 +420,25 @@ class TestMalformedFrames:
         for cut in (1, 2, 5, 12):
             with pytest.raises(CodecError):
                 Block.from_payload(payload[:cut], JsonCodec())
+
+    def test_one_two_and_three_byte_lengths_in_one_table(self):
+        """Lengths < 128, >= 128 and >= 16,384 share a table; the frame
+        validates whole, and cut anywhere in the table it is a CodecError."""
+        segments = [b"{}", b'"' + b"m" * 198 + b'"', b'"' + b"l" * 19_998 + b'"']
+        lengths = [len(segment) for segment in segments]
+        assert lengths == [2, 200, 20_000]
+        payload = self.frame(lengths, b"[" + b",".join(segments) + b"]")
+        assert len(Block.from_payload(payload, JsonCodec()).transactions) == 2
+        table_end = 1 + 1 + 1 + 2 + 3  # magic, count, then the three lengths
+        assert payload[table_end:table_end + 3] == b"[{}"
+        for cut in range(table_end):
+            with pytest.raises(CodecError):
+                Block.from_payload(payload[:cut], JsonCodec())
+
+    def test_over_long_length_varint(self):
+        bad = bytes((FRAME_MAGIC, 1)) + b"\x80" * 19 + b"\x01" + b"[{}]"
+        with pytest.raises(CodecError, match="varint too long"):
+            Block.from_payload(bad, JsonCodec())
 
     def test_zero_segments(self):
         with pytest.raises(CodecError, match="no header segment"):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
+import os
 
 import pytest
 
@@ -14,7 +17,12 @@ from repro.common.config import (
     FabricConfig,
     QueryConfig,
 )
-from repro.common.errors import BlockFileError, BlockNotFoundError, CodecError
+from repro.common.errors import (
+    BlockFileError,
+    BlockNotFoundError,
+    CodecError,
+    FaultInjectionError,
+)
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.block import (
     GENESIS_PREVIOUS_HASH,
@@ -25,9 +33,13 @@ from repro.fabric.block import (
     Transaction,
 )
 from repro.fabric.blockstore import BlockStore
+from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.historydb import HistoryDB
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
+from repro.faults import FaultPlan, FaultyFS
+from repro.storage import blockfile as blockfile_module
+from repro.storage.blockfile import BlockFileManager
 from repro.temporal.engine import TemporalQueryEngine
 from repro.temporal.intervals import TimeInterval
 from repro.workload.datasets import ds1
@@ -267,6 +279,168 @@ class TestFramedReads:
             reopened.close()
         with pytest.raises(CodecError, match="written before the framed format"):
             Ledger(tmp_path)
+
+
+# --------------------------------------------------------------------------
+# Reopen cost and descriptor lifetime
+# --------------------------------------------------------------------------
+
+
+class _CountingReads:
+    """Stands in for the block-file module's ``open``: counts the bytes
+    every read-mode handle returns."""
+
+    def __init__(self) -> None:
+        self.bytes_read = 0
+
+    def __call__(self, path, mode):
+        spy = self
+
+        class Handle(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                spy.bytes_read += len(data)
+                return data
+
+        assert mode == "rb"
+        return Handle(path, "r")
+
+
+def _open_fds() -> int:
+    gc.collect()  # descriptors of unreachable objects (earlier tests') go first
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestReopen:
+    def test_reopen_reads_the_last_record_not_the_whole_tail_file(
+        self, tmp_path, monkeypatch
+    ):
+        store = BlockStore(tmp_path)
+        blocks = chain_blocks([[make_tx(f"t{n}", {"k": n})] for n in range(12)])
+        for block in blocks:
+            store.add_block(block)
+        store.close()
+        blockfile = tmp_path / "chains" / "blockfile_000000"
+        file_size = blockfile.stat().st_size
+        last_record = 8 + len(blocks[-1].to_payload(JsonCodec()))
+        assert file_size > 10 * last_record
+
+        reads = _CountingReads()
+        monkeypatch.setattr(blockfile_module, "open", reads, raising=False)
+        reopened = BlockStore(tmp_path)
+        monkeypatch.undo()
+        try:
+            assert reads.bytes_read == last_record  # file_size - last offset
+            assert reopened.height == 12
+            assert reopened.get_block(11) == blocks[11]
+        finally:
+            reopened.close()
+
+    def test_tail_scan_from_an_offset_keeps_absolute_offsets_and_messages(
+        self, tmp_path
+    ):
+        """Torn-tail and mid-chain semantics do not depend on where the
+        scan starts."""
+        store = BlockStore(tmp_path, max_file_bytes=1000)
+        for block in chain_blocks([[make_tx(f"t{n}", {"k": n})] for n in range(8)]):
+            store.add_block(block)
+        files = store._files
+        everything = list(files.scan_records(0, 0))
+        # Three records per file: 3 + 3 + 2.
+        assert [location.file_num for location, _ in everything] == [
+            0, 0, 0, 1, 1, 1, 2, 2,
+        ]
+        for skip in range(len(everything)):
+            start = everything[skip][0]
+            assert list(files.scan_records(start.file_num, start.offset)) == (
+                everything[skip:]
+            )
+        store.close()
+        # Damage the second record of the (sealed) first file: a scan
+        # starting at it names its absolute offset.
+        second = everything[1][0]
+        assert second.file_num == 0 and second.offset > 0
+        blockfile = tmp_path / "chains" / "blockfile_000000"
+        damaged = bytearray(blockfile.read_bytes())
+        damaged[second.offset + 8 + 4] ^= 0x01
+        blockfile.write_bytes(bytes(damaged))
+        files = BlockFileManager(tmp_path / "chains", max_file_bytes=1000)
+        try:
+            with pytest.raises(
+                BlockFileError,
+                match=f"record checksum mismatch at blockfile_000000:{second.offset}",
+            ):
+                list(files.scan_records(0, second.offset))
+            # Torn tail of the last file: a clean end, from any start.
+            last = everything[-1][0]
+            tail = tmp_path / "chains" / f"blockfile_{last.file_num:06d}"
+            tail.write_bytes(tail.read_bytes()[:-3])
+            assert list(files.scan_records(last.file_num, last.offset)) == []
+            assert list(files.scan_records(last.file_num, 0)) == [
+                entry for entry in everything[:-1] if entry[0].file_num == last.file_num
+            ]
+        finally:
+            files.close()
+
+
+class TestDescriptorLifetime:
+    """Block files keep one read descriptor each until close; nothing may
+    outlive the network that opened it."""
+
+    def _ingest(self, path) -> int:
+        network = FabricNetwork(
+            path,
+            config=FabricConfig(
+                block_cutting=BlockCuttingConfig(max_message_count=2),
+                block_store=BlockStoreConfig(max_file_bytes=2048),
+            ),
+        )
+        try:
+            network.install(KeyValueChaincode())
+            gateway = network.gateway("writer")
+            for i in range(24):
+                gateway.submit_transaction("kv", "put", [f"k{i % 3}", i], timestamp=i + 1)
+            gateway.flush()
+            return network.ledger.height
+        finally:
+            network.close()
+
+    def test_open_read_close_fifty_times_leaks_no_descriptor(self, tmp_path):
+        height = self._ingest(tmp_path)
+        config = FabricConfig(block_store=BlockStoreConfig(max_file_bytes=2048))
+        baseline = _open_fds()
+        for _ in range(50):
+            network = FabricNetwork(tmp_path, config=config)
+            try:
+                store = network.ledger.block_store
+                assert store._files.current_file_num > 1  # several block files
+                for number in range(height):
+                    assert store.get_block(number).number == number
+                assert _open_fds() > baseline
+            finally:
+                network.close()
+            assert _open_fds() == baseline
+
+    def test_killed_network_leaks_no_descriptor_across_reopen(self, tmp_path):
+        height = self._ingest(tmp_path)
+        config = FabricConfig(block_store=BlockStoreConfig(max_file_bytes=2048))
+        baseline = _open_fds()
+        for _ in range(5):
+            fs = FaultyFS(FaultPlan())
+            network = FabricNetwork(tmp_path, config=config, fs=fs)
+            for number in range(height):
+                network.ledger.block_store.get_block(number)
+            fs.kill()  # the process dies without close()
+            with pytest.raises(FaultInjectionError):
+                network.ledger.block_store.get_block(0)
+            del network  # a dead process holds no descriptors
+            reopened = FabricNetwork(tmp_path, config=config)
+            try:
+                assert reopened.ledger.height == height
+                reopened.ledger.verify_chain()
+            finally:
+                reopened.close()
+            assert _open_fds() == baseline
 
 
 # --------------------------------------------------------------------------

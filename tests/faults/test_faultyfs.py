@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import FaultInjectionError, SimulatedCrashError
+from repro.common.errors import (
+    BlockFileError,
+    FaultInjectionError,
+    SimulatedCrashError,
+)
 from repro.faults import FaultPlan, FaultyFS, active_plan, crash_point
+from repro.storage.blockfile import BlockFileManager
 
 
 def read_bytes(path) -> bytes:
@@ -248,6 +253,83 @@ def test_delay_sleeps_every_matching_read_without_changing_data(tmp_path):
     assert naps == [0.005, 0.005]
     assert plan.delays_applied == 2
     assert plan.fired is None  # latency is not a data fault
+
+
+def test_pread_consults_the_plan_once_and_shares_no_position(tmp_path):
+    path = tmp_path / "blockfile_000000"
+    path.write_bytes(b"0123456789")
+    naps = []
+    plan = FaultPlan(sleep=naps.append).delay("blockfile_*", ms=5.0)
+    plan.fail_reads("blockfile_*", nth=2)
+    fs = FaultyFS(plan)
+    handle = fs.open(path, "rb")
+    assert fs.pread(handle, 4, 3) == b"3456"
+    assert handle.tell() == 0  # positional: the handle never moved
+    with pytest.raises(OSError) as excinfo:
+        fs.pread(handle, 4, 0)
+    assert excinfo.value.errno == 5  # EIO
+    assert fs.pread(handle, 100, 8) == b"89"  # short at end of file
+    assert naps == [0.005] * 3
+    fs.kill()
+    with pytest.raises(FaultInjectionError):
+        fs.pread(handle, 1, 0)
+    handle.close()
+
+
+# -- the same faults, seen through a block read ----------------------------
+
+
+def _block_files(tmp_path, plan, blocks=6):
+    """A manager on a faulty filesystem with ``blocks`` records spread
+    over several files; returns (fs, manager, locations, payloads)."""
+    fs = FaultyFS(plan)
+    manager = BlockFileManager(tmp_path / "chains", max_file_bytes=64, fs=fs)
+    payloads = [f"block-{i}-".encode() * 4 for i in range(blocks)]
+    locations = [manager.append(payload) for payload in payloads]
+    assert manager.current_file_num > 0
+    return fs, manager, locations, payloads
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_fail_reads_fails_exactly_the_kth_block_read(tmp_path, k):
+    plan = FaultPlan()
+    fs, manager, locations, payloads = _block_files(tmp_path, plan)
+    manager.read(locations[0])  # before arming: does not consume the schedule
+    plan.fail_reads("blockfile_*", nth=k)
+    # One file, so the per-file read count is the block-read count: the
+    # hook fires once per block (it used to fire for header and payload).
+    target = locations[0]
+    for attempt in range(1, 7):
+        if attempt == k:
+            with pytest.raises(BlockFileError, match="read failed at blockfile_000000:0"):
+                manager.read(target)
+        else:
+            assert manager.read(target) == payloads[0]
+    assert plan.fired == "read:blockfile_000000"
+    manager.close()
+
+
+def test_delay_sleeps_once_per_block_read(tmp_path):
+    naps = []
+    plan = FaultPlan(sleep=naps.append).delay("blockfile_*", ms=5.0)
+    fs, manager, locations, payloads = _block_files(tmp_path, plan)
+    for location, payload in zip(locations, payloads):
+        assert manager.read(location) == payload
+    assert naps == [0.005] * len(locations)
+    manager.close()
+
+
+def test_block_read_after_kill_raises(tmp_path):
+    fs, manager, locations, payloads = _block_files(tmp_path, FaultPlan())
+    sealed, current = locations[0], locations[-1]
+    assert manager.read(sealed) == payloads[0]
+    manager.sync()
+    fs.kill()
+    # A cached descriptor on a sealed file, and the current file's
+    # visibility flush, both refuse to serve a dead process.
+    for location in (sealed, current):
+        with pytest.raises(FaultInjectionError):
+            manager.read(location)
 
 
 def test_faulty_read_file_protocol_passthrough(tmp_path):

@@ -9,7 +9,7 @@ Two bugs are pinned here:
   flush between header and payload (harmless on CPython today, undefined
   under the sanitizer's scheduling and on any buffered-IO change).  The
   fix routes every touch of the handle through the instance lock
-  (:meth:`BlockFileManager._flush_for_read`).
+  (:meth:`BlockFileManager._reader` / ``_flush_for_read``).
 * ``_latest_file_num`` crashed at open with ``ValueError`` on any stray
   directory entry sharing the ``blockfile_`` prefix but lacking a
   numeric suffix (``blockfile_backup``), and trusted lexicographic glob
@@ -19,10 +19,12 @@ Two bugs are pinned here:
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.common.errors import BlockFileError
+from repro.faults.fs import FileSystem
 from repro.storage.blockfile import BlockFileManager
 from repro.storage.blockindex import BlockLocation
 
@@ -71,67 +73,133 @@ class TestForeignEntries:
                 manager.close()
 
 
-class TestReadMany:
-    @pytest.mark.parametrize("mmap_io", [False, True])
-    def test_batch_matches_single_reads_across_files(self, tmp_path, mmap_io):
-        manager = BlockFileManager(tmp_path, max_file_bytes=256, mmap_io=mmap_io)
+class CountingFS(FileSystem):
+    """Real filesystem that records every read-mode open."""
+
+    def __init__(self) -> None:
+        self.read_opens: list[str] = []
+
+    def open(self, path, mode):
+        if mode == "rb":
+            self.read_opens.append(Path(path).name)
+        return super().open(path, mode)
+
+
+class TestReadPath:
+    def test_n_reads_over_f_files_open_f_handles(self, tmp_path):
+        fs = CountingFS()
+        manager = BlockFileManager(tmp_path, max_file_bytes=256, fs=fs)
         try:
             locations = [manager.append(_payload(i)) for i in range(40)]
-            assert manager.current_file_num > 0  # rollovers happened
-            # Shuffled, duplicated, cross-file batch: results must come
-            # back in input order regardless of the coalescing.
-            batch = [locations[i] for i in (7, 31, 7, 0, 39, 12, 25, 3)]
-            expected = [manager.read(location) for location in batch]
-            assert manager.read_many(batch) == expected
-            assert manager.read_many([]) == []
-            assert manager.read_many(locations) == [
-                _payload(i) for i in range(40)
-            ]
+            files = {location.file_num for location in locations}
+            assert len(files) > 2  # rollovers happened
+            # Shuffled, repeated, cross-file reads, sealed and current.
+            for _ in range(3):
+                for i in (7, 31, 7, 0, 39, 12, 25, 3, *range(40)):
+                    assert manager.read(locations[i]) == _payload(i)
+            assert sorted(fs.read_opens) == sorted(
+                f"blockfile_{file_num:06d}" for file_num in files
+            )
         finally:
             manager.close()
 
-    def test_read_many_sees_unflushed_tail(self, tmp_path):
+    def test_read_sees_unsynced_tail(self, tmp_path):
         manager = BlockFileManager(tmp_path)
         try:
-            location = manager.append(_payload(0))
-            # No sync(): the visibility flush inside the batch path must
-            # surface the buffered record.
-            assert manager.read_many([location]) == [_payload(0)]
+            first = manager.append(_payload(0))
+            assert manager.read(first) == _payload(0)
+            # No sync(): the visibility flush must surface a record
+            # appended after the descriptor was opened and cached.
+            second = manager.append(_payload(1))
+            assert manager.read(second) == _payload(1)
         finally:
             manager.close()
 
-    def test_read_many_missing_file_raises(self, tmp_path):
+    def test_missing_file_raises(self, tmp_path):
         manager = BlockFileManager(tmp_path)
         try:
             ghost = BlockLocation(file_num=7, offset=0, length=4)
-            with pytest.raises(BlockFileError, match="does not exist"):
-                manager.read_many([ghost])
+            with pytest.raises(BlockFileError, match="blockfile_000007 does not exist"):
+                manager.read(ghost)
         finally:
             manager.close()
 
-    def test_mmap_serves_sealed_files_only(self, tmp_path):
-        manager = BlockFileManager(tmp_path, max_file_bytes=64, mmap_io=True)
+    def test_cached_descriptors_survive_rollover_and_truncate_tail(self, tmp_path):
+        fs = CountingFS()
+        manager = BlockFileManager(tmp_path, max_file_bytes=128, fs=fs)
         try:
-            locations = [manager.append(_payload(i)) for i in range(10)]
-            current = manager.current_file_num
-            sealed = [l for l in locations if l.file_num < current]
-            growing = [l for l in locations if l.file_num == current]
-            assert sealed and growing
-            for location in sealed + growing:
-                assert manager.read(location) == _payload(
-                    locations.index(location)
-                )
-            assert manager._sealed_map(current) is None
+            early = manager.append(_payload(0))
+            assert manager.read(early) == _payload(0)  # caches file 0's handle
+            locations = [manager.append(_payload(i)) for i in range(1, 12)]
+            assert manager.current_file_num > 0
+            assert manager.read(early) == _payload(0)  # file 0 is sealed now
+            kept, dropped = locations[-2], locations[-1]
+            assert kept.file_num == dropped.file_num == manager.current_file_num
+            assert manager.read(dropped) == _payload(11)
+            opens = list(fs.read_opens)
+            manager.truncate_tail(dropped)
+            assert manager.read(kept) == _payload(10)
+            with pytest.raises(BlockFileError, match="truncated block header"):
+                manager.read(dropped)
+            # The next append lands where the dropped record was and is
+            # read through the descriptor opened before the truncation.
+            again = manager.append(_payload(99))
+            assert again == BlockLocation(
+                dropped.file_num, dropped.offset, len(_payload(99))
+            )
+            assert manager.read(again) == _payload(99)
+            assert fs.read_opens == opens
+        finally:
+            manager.close()
+
+    def test_damage_raises_the_typed_error_for_each_shape(self, tmp_path):
+        manager = BlockFileManager(tmp_path)
+        try:
+            first = manager.append(_payload(1))
+            last = manager.append(_payload(2))
+            manager.sync()
+            file_path = tmp_path / "blockfile_000000"
+            intact = file_path.read_bytes()
+            wrong = BlockLocation(first.file_num, first.offset, first.length - 1)
+            with pytest.raises(
+                BlockFileError,
+                match=f"length mismatch at blockfile_000000:0: index says "
+                f"{first.length - 1}, file says {first.length}",
+            ):
+                manager.read(wrong)
+            file_path.write_bytes(intact[:-3])  # cut inside the last payload
+            with pytest.raises(
+                BlockFileError,
+                match=f"truncated block payload at blockfile_000000:{last.offset}",
+            ):
+                manager.read(last)
+            file_path.write_bytes(intact[: last.offset + 5])  # inside its header
+            with pytest.raises(
+                BlockFileError,
+                match=f"truncated block header at blockfile_000000:{last.offset}",
+            ):
+                manager.read(last)
+            assert manager.read(first) == _payload(1)
+            flipped = bytearray(intact)
+            flipped[first.offset + 8 + 3] ^= 0x40
+            file_path.write_bytes(bytes(flipped))
+            with pytest.raises(
+                BlockFileError,
+                match="block payload checksum mismatch at blockfile_000000:0",
+            ):
+                manager.read(first)
+            assert manager.read(last) == _payload(2)
         finally:
             manager.close()
 
 
 def test_concurrent_readers_vs_committer_hammer(tmp_path):
-    """Reader threads hammer ``read``/``file_size``/``read_many`` against
-    the file the committer is actively appending to (tiny
-    ``max_file_bytes`` forces rollovers mid-hammer).  Before the lock
-    fix, the reader-side ``flush()`` of the shared append handle raced
-    the committer's buffered writes."""
+    """Reader threads hammer ``read``/``file_size`` against the file the
+    committer is actively appending to and the files it has sealed (tiny
+    ``max_file_bytes`` forces rollovers mid-hammer), all through the
+    shared per-file read descriptors.  Before the lock fix, the
+    reader-side ``flush()`` of the shared append handle raced the
+    committer's buffered writes."""
     manager = BlockFileManager(tmp_path, max_file_bytes=2048)
     locations: list[BlockLocation] = [manager.append(_payload(0))]
     stop = threading.Event()
@@ -145,12 +213,10 @@ def test_concurrent_readers_vs_committer_hammer(tmp_path):
                 location = locations[i % count]
                 assert manager.read(location) == _payload(i % count)
                 manager.file_size(manager.current_file_num)
-                if count >= 4:
-                    batch = [locations[(i + d) % count] for d in range(4)]
-                    payloads = manager.read_many(batch)
-                    assert payloads == [
-                        _payload((i + d) % count) for d in range(4)
-                    ]
+                # The newest record (current file) and the oldest
+                # (sealed once the committer has rolled over).
+                assert manager.read(locations[count - 1]) == _payload(count - 1)
+                assert manager.read(locations[0]) == _payload(0)
                 i += 1
         except BaseException as exc:  # noqa: B036 - collected for the assert
             errors.append(exc)
