@@ -38,7 +38,9 @@ from repro.analysis.findings import Finding
 #: 5: the symbolic scheme verifier landed (TEMP002-004) -- schema-4
 #: results predate three rule families and must not be replayed.
 #: 6: RES001 accepts handles stored into a container the object owns.
-CACHE_SCHEMA = 6
+#: 7: CONC003's ``BLOCKING_ALLOWLIST`` lost five rows (rule input that
+#: the fingerprint does not otherwise cover).
+CACHE_SCHEMA = 7
 
 
 @dataclass(frozen=True)

@@ -258,33 +258,6 @@ BLOCKING_ALLOWLIST: Dict[str, Tuple[FrozenSet[str], str]] = {
         "sync must flush/fsync the same handle generation it observed; "
         "racing a rollover could sync the freshly-closed handle",
     ),
-    # BTreeStore: WAL-before-tree ordering under the lock, exactly like
-    # the LSM store's entries above.
-    "repro.storage.kv.btree.BTreeStore.put": (
-        frozenset({"io"}),
-        "WAL append must precede the tree write under the lock (recovery "
-        "order); the interval checkpoint shares the same critical section",
-    ),
-    "repro.storage.kv.btree.BTreeStore.delete": (
-        frozenset({"io"}),
-        "WAL append must precede the tree delete under the lock (recovery "
-        "order); the interval checkpoint shares the same critical section",
-    ),
-    "repro.storage.kv.btree.BTreeStore.checkpoint": (
-        frozenset({"io"}),
-        "checkpoint publishes the sstable and truncates the WAL atomically "
-        "w.r.t. writers; a write between the two would be lost on replay",
-    ),
-    "repro.storage.kv.btree.BTreeStore.scrub": (
-        frozenset({"io"}),
-        "scrub verifies the checkpoint against a stable view; a concurrent "
-        "checkpoint replacing the file mid-scrub would misreport corruption",
-    ),
-    "repro.storage.kv.btree.BTreeStore.close": (
-        frozenset({"io"}),
-        "close must drain the final checkpoint before marking the store "
-        "closed",
-    ),
 }
 
 

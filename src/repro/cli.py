@@ -20,6 +20,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench import experiments, tables
+from repro.storage.kv import BACKENDS
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -59,9 +60,9 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         "--statedb",
         default=None,
         metavar="BACKEND",
-        help="state-db backend: memory, lsm, lsm-mmap or btree "
-        "(default: REPRO_STATEDB or memory; backends change speed, "
-        "never query results)",
+        help="state-db backend: memory (in-memory reference) or lsm "
+        "(durable LevelDB stand-in); default: REPRO_STATEDB or memory; "
+        "the backend changes speed and durability, never query results",
     )
 
 
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument("path", help="ledger directory (FabricNetwork path)")
     doctor.add_argument(
         "--backend",
-        choices=["auto", "memory", "lsm", "lsm-mmap", "btree"],
+        choices=["auto", *BACKENDS],
         default="auto",
         help="state-db backend of the ledger (default: detect from files)",
     )

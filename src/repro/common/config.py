@@ -27,18 +27,18 @@ QUERY_WORKERS_ENV_VAR = "REPRO_QUERY_WORKERS"
 #: artifact alone: ``REPRO_SEED=<seed from the artifact> <same command>``.
 SEED_ENV_VAR = "REPRO_SEED"
 
-#: Environment variable selecting the default state-db backend (any name
-#: registered in :mod:`repro.storage.kv`: ``memory``, ``lsm``,
-#: ``lsm-mmap``, ``btree``, ...).  The CI matrix runs the suite once per
-#: interesting backend so every code path is exercised against each.
+#: Environment variable selecting the default state-db backend
+#: (``memory`` or ``lsm``, see :data:`repro.storage.kv.BACKENDS`).  The
+#: CI matrix runs the suite once with ``lsm`` so tier-1 also exercises
+#: the durable backend.
 STATEDB_ENV_VAR = "REPRO_STATEDB"
 
 
 def default_statedb_backend() -> str:
     """State-db backend name from ``REPRO_STATEDB`` (default ``memory``).
 
-    Validation happens in :class:`StateDbConfig` against the backend
-    registry, so a typo'd variable fails loudly at config construction.
+    Validation happens in :class:`StateDbConfig`, so a typo'd variable
+    fails loudly at config construction.
     """
     # An *empty* variable (e.g. an unset CI matrix cell) means default.
     return os.environ.get(STATEDB_ENV_VAR) or "memory"
@@ -89,17 +89,15 @@ def _require_durability(value: str) -> None:
 class StateDbConfig:
     """Backing store for the state database.
 
-    ``backend`` names any store registered in :mod:`repro.storage.kv`
-    (``memory``, ``lsm``, ``lsm-mmap``, ``btree``, ...); the remaining
-    fields form the uniform option set every backend factory receives
-    and picks from (e.g. ``memtable_limit`` is the LSM flush threshold
-    *and* the btree checkpoint cadence).
+    ``backend`` is ``memory`` (the in-memory reference, no durability)
+    or ``lsm`` (the LevelDB stand-in); the remaining fields configure
+    the ``lsm`` store and mean nothing to ``memory``.
     """
 
-    #: Registered backend name; defaults from ``REPRO_STATEDB``.
+    #: One of :data:`repro.storage.kv.BACKENDS`; defaults from
+    #: ``REPRO_STATEDB``.
     backend: str = field(default_factory=default_statedb_backend)
-    #: Memtable flush threshold for the LSM backend, in entries (the
-    #: btree backend reads it as its checkpoint interval).
+    #: Memtable flush threshold for the LSM backend, in entries.
     memtable_limit: int = 8192
     #: Number of L0 SSTables that triggers a compaction.
     compaction_trigger: int = 6
@@ -111,14 +109,13 @@ class StateDbConfig:
     durability: str = "flush"
 
     def __post_init__(self) -> None:
-        # Imported lazily: the registry populates when repro.storage.kv
-        # imports, and config must stay importable from anywhere without
-        # a cycle through the storage layer.
-        from repro.storage.kv import backend_names
+        # Imported lazily: config must stay importable from anywhere
+        # without a cycle through the storage layer.
+        from repro.storage.kv import BACKENDS
 
-        if self.backend not in backend_names():
+        if self.backend not in BACKENDS:
             raise ConfigError(
-                f"state-db backend must be one of {list(backend_names())}, "
+                f"state-db backend must be one of {sorted(BACKENDS)}, "
                 f"got {self.backend!r}"
             )
         _require_positive(self.memtable_limit, "memtable_limit")

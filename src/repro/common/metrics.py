@@ -48,7 +48,6 @@ KV_WRITES = "kv.writes"
 KV_SSTABLE_READS = "kv.sstable_reads"
 KV_BLOOM_NEGATIVES = "kv.bloom_negatives"
 KV_COMPACTIONS = "kv.compactions"
-KV_CHECKPOINTS = "kv.checkpoints"
 WAL_RECORDS = "kv.wal_records"
 STATE_TABLES_QUARANTINED = "kv.tables_quarantined"
 BLOCK_BATCH_READS = "ledger.block_batch_reads"

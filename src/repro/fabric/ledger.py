@@ -62,8 +62,8 @@ class Ledger:
             fs=fs,
         )
         state_config = self._config.state_db
-        # The uniform option set: every backend factory picks the options
-        # it honours and ignores the rest (see repro.storage.kv.registry).
+        # One option set whichever backend is configured: ``lsm`` takes
+        # all of it, ``memory`` has nothing to configure and ignores it.
         self.state_db = StateDB(
             open_kv_store(
                 state_config.backend,

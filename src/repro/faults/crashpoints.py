@@ -23,7 +23,6 @@ __all__ = [
     "crash_point",
     "active_plan",
     "ALL_CRASH_POINTS",
-    "BTREE_CRASH_POINTS",
     "COMMIT_CRASH_POINTS",
     "M1_CRASH_POINTS",
 ]
@@ -50,10 +49,6 @@ LEDGER_POST_COMMIT = "ledger.post_commit"
 LSM_PRE_SSTABLE = "lsm.pre_sstable_write"
 #: New SSTable finalized, before the WAL is truncated.
 LSM_POST_SSTABLE = "lsm.post_sstable_write"
-#: BTree store: checkpoint due, before the snapshot table is written.
-BTREE_PRE_CHECKPOINT = "btree.pre_checkpoint_write"
-#: BTree store: snapshot finalized, before the WAL is truncated.
-BTREE_POST_CHECKPOINT = "btree.post_checkpoint_write"
 
 #: M1 indexer: before submitting a bundle's write_index transaction.
 M1_PRE_BUNDLE = "m1.pre_bundle_write"
@@ -66,15 +61,8 @@ M1_PRE_RECORD_RUN = "m1.pre_record_run"
 #: M1 indexer: run recorded on the ledger, before manifest cleanup.
 M1_POST_RECORD_RUN = "m1.post_record_run"
 
-#: BTree-backend points: fired only when the state-db runs the ``btree``
-#: backend, so the sweep pairs them with a btree-backed config.
-BTREE_CRASH_POINTS = (
-    BTREE_PRE_CHECKPOINT,
-    BTREE_POST_CHECKPOINT,
-)
-
-#: Commit-pipeline points (swept against ingestion workloads; the sweep
-#: picks the state-db backend that reaches each point).
+#: Commit-pipeline points (swept against ingestion workloads on the
+#: ``lsm`` state-db, the backend that reaches the two ``lsm.*`` points).
 COMMIT_CRASH_POINTS = (
     ORDERER_BLOCK_CUT,
     LEDGER_PRE_APPEND,
@@ -86,7 +74,7 @@ COMMIT_CRASH_POINTS = (
     LEDGER_POST_COMMIT,
     LSM_PRE_SSTABLE,
     LSM_POST_SSTABLE,
-) + BTREE_CRASH_POINTS
+)
 
 #: M1 indexing points (swept against indexing runs, recovered via resume).
 M1_CRASH_POINTS = (

@@ -36,8 +36,6 @@ from repro.common.errors import ReproError, WalCorruptionError
 from repro.fabric.audit import Finding, audit_ledger
 
 _WAL_NAME = "wal.log"
-_BTREE_WAL_NAME = "btree.wal"
-_BTREE_CHECKPOINT_NAME = "btree-checkpoint.sst"
 
 
 @dataclasses.dataclass
@@ -77,13 +75,11 @@ class DoctorReport:
 
 
 def detect_backend(path: str | Path) -> str:
-    """Guess the state-db backend from what the directory contains (each
-    durable backend uses distinct file names)."""
+    """Guess the state-db backend from what the directory contains:
+    ``lsm`` leaves a WAL or SSTables, ``memory`` leaves nothing.  Any
+    other file under ``statedb/`` is ignored -- the state-db is derived
+    data, rebuilt from the chain."""
     statedb = Path(path) / "statedb"
-    if (statedb / _BTREE_WAL_NAME).exists() or (
-        statedb / _BTREE_CHECKPOINT_NAME
-    ).exists():
-        return "btree"
     if (statedb / _WAL_NAME).exists() or any(statedb.glob("sst-*.sst")):
         return "lsm"
     return "memory"
@@ -215,17 +211,13 @@ def _check_raw_storage(path: Path, report: DoctorReport) -> None:
     from repro.storage.kv.wal import replay
 
     statedb = path / "statedb"
-    for wal_name in (_WAL_NAME, _BTREE_WAL_NAME):
-        wal_path = statedb / wal_name
-        if wal_path.exists():
-            try:
-                report.wal_records += sum(1 for _ in replay(wal_path))
-            except WalCorruptionError as exc:
-                report.add("error", "wal-corrupt", str(exc))
-    tables = sorted(statedb.glob("sst-*.sst"))
-    if (statedb / _BTREE_CHECKPOINT_NAME).exists():
-        tables.append(statedb / _BTREE_CHECKPOINT_NAME)
-    for table in tables:
+    wal_path = statedb / _WAL_NAME
+    if wal_path.exists():
+        try:
+            report.wal_records += sum(1 for _ in replay(wal_path))
+        except WalCorruptionError as exc:
+            report.add("error", "wal-corrupt", str(exc))
+    for table in sorted(statedb.glob("sst-*.sst")):
         try:
             SSTableReader(table)
             report.sstables_checked += 1

@@ -36,13 +36,6 @@ __all__ = ["FileSystem", "FaultyFS", "FaultyFile", "FaultyReadFile", "REAL_FS"]
 class FileSystem:
     """Real filesystem: the zero-overhead default seam."""
 
-    #: Whether handles returned by :meth:`open` are backed by real OS
-    #: file descriptors that ``mmap`` can map.  Fault-injecting wrappers
-    #: interpose userspace buffers that a memory map would bypass, so
-    #: they advertise ``False`` and the one mmap-capable reader (the
-    #: ``lsm-mmap`` SSTable reader) falls back to buffered reads.
-    supports_mmap = True
-
     def open(self, path: Union[str, Path], mode: str) -> IO[bytes]:
         """Open ``path`` exactly like the builtin ``open``."""
         return open(path, mode)
@@ -248,10 +241,6 @@ class FaultyFS(FileSystem):
     :class:`FaultInjectionError`, catching code that incorrectly keeps
     running after a simulated crash.
     """
-
-    #: Reads must observe the userspace write buffers (and the fault
-    #: plan's read hooks); a memory map would bypass both.
-    supports_mmap = False
 
     def __init__(self, plan) -> None:
         self.plan = plan

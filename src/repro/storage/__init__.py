@@ -4,11 +4,9 @@ Fabric keeps its state database in LevelDB (or CouchDB) and its blocks in
 append-only files on the peer's file system.  This subpackage provides both
 substrates:
 
-* :mod:`repro.storage.kv` -- pluggable state-db backends behind one
-  registry: a LevelDB-like LSM store (memtable, write-ahead log,
-  SSTables, compaction; optionally with mmap'd reads), a checkpointing
-  sorted in-memory store, and a plain in-memory backend, all behind the
-  same interface.
+* :mod:`repro.storage.kv` -- the state-db's two backends behind one
+  interface: a LevelDB-like LSM store (memtable, write-ahead log,
+  SSTables, compaction) and the in-memory reference.
 * :mod:`repro.storage.blockfile` / :mod:`repro.storage.blockindex` --
   append-only block files with size-based rollover and a block-location
   index, mirroring the peer's block storage.
@@ -16,31 +14,15 @@ substrates:
 
 from repro.storage.blockfile import BlockFileManager
 from repro.storage.blockindex import BlockIndex, BlockLocation
-from repro.storage.kv import (
-    BackendSpec,
-    BTreeStore,
-    KVStore,
-    LSMStore,
-    MemStore,
-    backend_names,
-    backend_specs,
-    get_backend,
-    open_kv_store,
-    register_backend,
-)
+from repro.storage.kv import BACKENDS, KVStore, LSMStore, MemStore, open_kv_store
 
 __all__ = [
-    "BTreeStore",
-    "BackendSpec",
+    "BACKENDS",
     "BlockFileManager",
     "BlockIndex",
     "BlockLocation",
     "KVStore",
     "LSMStore",
     "MemStore",
-    "backend_names",
-    "backend_specs",
-    "get_backend",
     "open_kv_store",
-    "register_backend",
 ]

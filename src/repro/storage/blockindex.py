@@ -69,7 +69,7 @@ class BlockIndex:
                 "<I", data, offset + _BODY.size
             )
             is_tail = offset + _RECORD_SIZE == len(data)
-            if (zlib.crc32(body) & 0xFFFFFFFF) != stored_crc:
+            if zlib.crc32(body) != stored_crc:
                 if is_tail:
                     break  # crash-torn final record: drop it
                 raise BlockFileError(
@@ -90,7 +90,7 @@ class BlockIndex:
         body = _BODY.pack(
             block_num, location.file_num, location.offset, location.length
         )
-        return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        return body + struct.pack("<I", zlib.crc32(body))
 
     def append(self, location: BlockLocation) -> int:
         """Record the location of the next block; returns its block number."""

@@ -1,138 +1,56 @@
-"""A from-scratch sorted key-value store with pluggable backends.
+"""A from-scratch sorted key-value store: the state-db's two backends.
 
-Every backend implements :class:`~repro.storage.kv.api.KVStore` and is
-reached by name through the registry (:func:`open_kv_store`):
+Both implement :class:`~repro.storage.kv.api.KVStore` and are opened by
+name through :func:`open_kv_store`:
 
 * ``lsm`` -- :class:`~repro.storage.kv.lsm.LSMStore`, file-backed,
-  LevelDB-like: writes go to a write-ahead log and a sorted memtable;
-  full memtables are flushed to immutable SSTables; reads consult
-  memtable then SSTables newest-first (Bloom filters skip tables that
-  definitely lack the key); compaction merges SSTables under a manifest.
-* ``lsm-mmap`` -- the same store serving SSTable data sections through
-  per-operation memory maps instead of resident copies.
-* ``btree`` -- :class:`~repro.storage.kv.btree.BTreeStore`, a sorted
-  in-memory map with WAL + checkpoint durability: every read is one
-  in-process lookup, at the cost of holding the whole state in memory.
+  LevelDB-like (the paper's state-db substrate): writes go to a
+  write-ahead log and a sorted memtable; full memtables are flushed to
+  immutable SSTables; reads consult memtable then SSTables newest-first
+  (Bloom filters skip tables that definitely lack the key); compaction
+  merges SSTables under a manifest.
 * ``memory`` -- :class:`~repro.storage.kv.memstore.MemStore`, an
-  in-memory sorted map with the same semantics and no durability, used
-  when the state-db is not the variable under test.
-
-Factories accept one uniform option set (``memtable_limit``,
-``compaction_trigger``, ``compaction``, ``durability``, ``metrics``,
-``fs``) and each picks what it needs, so the ledger opens any backend
-without per-backend plumbing.  New backends register a
-:class:`~repro.storage.kv.registry.BackendSpec` via
-:func:`register_backend`.
+  in-memory sorted map with the same semantics and no durability: the
+  reference the conformance suite compares ``lsm`` against, and the
+  default when the state-db is not the variable under test.
 """
 
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.storage.kv.api import KVStore
-from repro.storage.kv.btree import BTreeStore
 from repro.storage.kv.lsm import LSMStore
 from repro.storage.kv.memstore import MemStore
-from repro.storage.kv.registry import (
-    BackendSpec,
-    backend_names,
-    backend_specs,
-    get_backend,
-    open_kv_store,
-    register_backend,
-)
 
-#: Option names shared by the LSM variants (documentation on the spec).
-_LSM_OPTIONS = (
-    "memtable_limit",
-    "compaction_trigger",
-    "compaction",
-    "durability",
-    "metrics",
-    "fs",
-)
+#: The state-db backend names :class:`~repro.common.config.StateDbConfig`
+#: accepts.
+BACKENDS = ("memory", "lsm")
 
 
-def _make_memory(path: Optional[Union[str, Path]] = None, **_: Any) -> KVStore:
-    """``memory`` ignores the path and every durability option."""
-    return MemStore()
-
-
-def _make_lsm(
-    path: Optional[Union[str, Path]] = None, mmap_io: bool = False, **options: Any
+def open_kv_store(
+    backend: str, path: Optional[Union[str, Path]] = None, **options: Any
 ) -> KVStore:
-    assert path is not None  # registry enforces file_backed
-    kwargs = {name: options[name] for name in _LSM_OPTIONS if name in options}
-    return LSMStore(path, mmap_io=mmap_io, **kwargs)
+    """Open a KV store by backend name (one of :data:`BACKENDS`).
 
-
-def _make_lsm_mmap(
-    path: Optional[Union[str, Path]] = None, **options: Any
-) -> KVStore:
-    options.pop("mmap_io", None)
-    return _make_lsm(path, mmap_io=True, **options)
-
-
-def _make_btree(path: Optional[Union[str, Path]] = None, **options: Any) -> KVStore:
-    kwargs: dict[str, Any] = {}
-    if "memtable_limit" in options:
-        # The knob that means "mutations between durability events" maps
-        # onto the btree's checkpoint cadence.
-        kwargs["checkpoint_interval"] = options["memtable_limit"]
-    for name in ("durability", "metrics", "fs"):
-        if name in options:
-            kwargs[name] = options[name]
-    return BTreeStore(path, **kwargs)
-
-
-register_backend(
-    BackendSpec(
-        name="memory",
-        factory=_make_memory,
-        file_backed=False,
-        durable=False,
-        description="sorted in-memory map, no durability (fast baseline)",
+    Args:
+        backend: ``"memory"`` or ``"lsm"``.
+        path: the store's directory; required by ``lsm``, ignored by
+            ``memory``.
+        **options: :class:`~repro.storage.kv.lsm.LSMStore` keyword
+            arguments (``memtable_limit``, ``compaction_trigger``,
+            ``compaction``, ``durability``, ``metrics``, ``fs``);
+            ``memory`` has nothing to configure and ignores them, so the
+            ledger passes one option set whichever backend is configured.
+    """
+    if backend == "memory":
+        return MemStore()
+    if backend == "lsm":
+        if path is None:
+            raise ValueError("the 'lsm' backend requires a path")
+        return LSMStore(path, **options)
+    raise ValueError(
+        f"unknown KV backend {backend!r}; available: {sorted(BACKENDS)}"
     )
-)
-register_backend(
-    BackendSpec(
-        name="lsm",
-        factory=_make_lsm,
-        file_backed=True,
-        durable=True,
-        description="LevelDB-like WAL + memtable + SSTables with compaction",
-        options=_LSM_OPTIONS,
-    )
-)
-register_backend(
-    BackendSpec(
-        name="lsm-mmap",
-        factory=_make_lsm_mmap,
-        file_backed=True,
-        durable=True,
-        description="LSM store with zero-copy mmap'd SSTable reads",
-        options=_LSM_OPTIONS,
-    )
-)
-register_backend(
-    BackendSpec(
-        name="btree",
-        factory=_make_btree,
-        file_backed=True,
-        durable=True,
-        description="sorted in-memory map with WAL + checkpoint durability",
-        options=("memtable_limit", "durability", "metrics", "fs"),
-    )
-)
 
-__all__ = [
-    "BTreeStore",
-    "BackendSpec",
-    "KVStore",
-    "LSMStore",
-    "MemStore",
-    "backend_names",
-    "backend_specs",
-    "get_backend",
-    "open_kv_store",
-    "register_backend",
-]
+
+__all__ = ["BACKENDS", "KVStore", "LSMStore", "MemStore", "open_kv_store"]

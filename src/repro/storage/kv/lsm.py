@@ -16,15 +16,17 @@ guarantees they were never visible as live tables.
 The live table set is recorded in a ``MANIFEST.json`` sibling (written
 via the same staged-rename discipline) after every table-set change.  On
 open, the manifest is authoritative: listed tables load, ``.sst`` files
-*not* listed are deleted as strays.  That matters because compaction no
-longer unlinks its victims inline -- lock-free readers may still hold a
-snapshot that references them (and in mmap mode they re-open the file by
-path on every read), so victims are retired via a GC finalizer that
-deletes the file only once the last reader reference drains.  If the
-process dies before a finalizer runs, the orphaned victim would
-resurrect deleted keys on a glob-based reopen; the manifest makes it a
-stray instead.  Directories from before the manifest existed load by
-glob and gain a manifest on first open.
+*not* listed are deleted as strays.  That matters because compaction
+does not unlink its victims inline -- lock-free readers may still hold a
+snapshot that references them, so victims are retired via a GC finalizer
+that deletes the file only once the last reader reference drains.
+Readers hold a table's verified bytes in memory and never reopen its
+file, so this snapshot-lifetime guarantee is about file lifetime only: a
+table file stays on disk at least as long as any snapshot that lists it,
+and no read depends on that.  If the process dies before a finalizer
+runs, the orphaned victim would resurrect deleted keys on a glob-based
+reopen; the manifest makes it a stray instead.  Directories from before
+the manifest existed load by glob and gain a manifest on first open.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class LSMStore(KVStore):
         metrics: MetricsRegistry = NULL_REGISTRY,
         durability: str = "flush",
         fs: FileSystem = REAL_FS,
-        mmap_io: bool = False,
     ) -> None:
         """``compaction`` picks the strategy once ``compaction_trigger``
         SSTables accumulate:
@@ -102,11 +103,6 @@ class LSMStore(KVStore):
           tombstones survive unless the merge happens to include the
           oldest table (size-tiered trade-off: cheaper compactions, more
           tables to consult on reads).
-
-        ``mmap_io`` serves SSTable data sections through per-operation
-        memory maps instead of resident copies (see
-        :class:`~repro.storage.kv.sstable.SSTableReader`); it is ignored
-        on filesystems that cannot map (``fs.supports_mmap`` false).
         """
         if memtable_limit <= 0:
             raise ValueError(f"memtable_limit must be positive, got {memtable_limit}")
@@ -134,7 +130,6 @@ class LSMStore(KVStore):
         self._metrics = metrics
         self._fs = fs
         self._fsync = durability == "fsync"
-        self._mmap_io = bool(mmap_io)
         self._memtable = Memtable()
         self._tables: List[Tuple[int, SSTableReader]] = []  # newest last
         self._next_sequence = 0
@@ -232,7 +227,7 @@ class LSMStore(KVStore):
                 self._quarantined.append(file.name)
                 continue
             try:
-                reader = SSTableReader(file, fs=self._fs, mmap_io=self._mmap_io)
+                reader = SSTableReader(file, fs=self._fs)
             except SSTableError:
                 # Scrub-and-quarantine: a table failing its CRC (bit rot,
                 # torn bytes, injected flip) is isolated rather than
@@ -324,8 +319,7 @@ class LSMStore(KVStore):
             # duplicated entries are harmless (newest-wins), a window
             # where the records exist nowhere would not be.
             self._tables = self._tables + [
-                (sequence, SSTableReader(table_path, fs=self._fs,
-                                         mmap_io=self._mmap_io))
+                (sequence, SSTableReader(table_path, fs=self._fs))
             ]
             self._memtable = Memtable()
             # Manifest before WAL truncation: a crash in between leaves
@@ -357,8 +351,7 @@ class LSMStore(KVStore):
         table survives to be shadowed.
 
         Victim files are *not* deleted here: a lock-free reader may hold
-        a pre-compaction snapshot that still consults them (fatally so in
-        mmap mode, where every read re-opens the file by path).  Each
+        a pre-compaction snapshot that still consults them.  Each
         victim is instead scheduled for deletion when its reader object
         is garbage-collected -- i.e. once the table-list rebind below and
         every outstanding snapshot have dropped their references.  The
@@ -380,8 +373,7 @@ class LSMStore(KVStore):
         write_sstable(table_path, merged, fs=self._fs, fsync=self._fsync)
         retired = list(victims)
         self._tables = survivors + [
-            (sequence, SSTableReader(table_path, fs=self._fs,
-                                     mmap_io=self._mmap_io))
+            (sequence, SSTableReader(table_path, fs=self._fs))
         ]
         self._write_manifest_locked()
         for _, reader in retired:
@@ -533,8 +525,7 @@ class LSMStore(KVStore):
             for sequence, reader in self._tables:
                 try:
                     healthy.append(
-                        (sequence, SSTableReader(reader.path, fs=self._fs,
-                                                 mmap_io=self._mmap_io))
+                        (sequence, SSTableReader(reader.path, fs=self._fs))
                     )
                 except SSTableError:
                     self._quarantine_file_locked(reader.path)

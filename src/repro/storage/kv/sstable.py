@@ -34,12 +34,10 @@ footer's CRC32 covers every byte before it, so any surviving corruption
 from __future__ import annotations
 
 import bisect
-import mmap
 import struct
 import zlib
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, cast
+from typing import Iterator, List, Optional, Tuple
 
 from repro.common.codec import read_uvarint, write_uvarint
 from repro.common.errors import SSTableError
@@ -104,7 +102,7 @@ def write_sstable(
         write_uvarint(offset, data)
     bloom_offset = len(data)
     data.extend(BloomFilter.build(all_keys, bits_per_key=BLOOM_BITS_PER_KEY).to_bytes())
-    crc = zlib.crc32(data) & 0xFFFFFFFF
+    crc = zlib.crc32(data)
     data.extend(_FOOTER.pack(index_offset, bloom_offset, count, crc, MAGIC))
     tmp_path = path.with_name(path.name + TMP_SUFFIX)
     handle = fs.open(tmp_path, "wb")
@@ -121,28 +119,14 @@ def write_sstable(
 class SSTableReader:
     """Read-only view over one SSTable file.
 
-    Two data-access modes share one verification pass (the whole file is
-    read once at open so the CRC covers every byte either way):
-
-    * **eager** (default): the raw bytes stay in memory and every lookup
-      or scan decodes from them -- LevelDB's block cache at our scale.
-    * **mmap** (``mmap_io=True`` on a filesystem that supports it): only
-      the sparse index and the Bloom filter are kept; the data section is
-      memory-mapped *per operation*, so resident memory is the index and
-      the OS page cache serves the data pages without a userspace copy.
-      Each lookup maps for the duration of the call; each scan maps for
-      the lifetime of its iterator.  The map is opened by path, so the
-      file must still exist when the read starts -- which is exactly why
-      the LSM store defers deleting compacted tables until every reader
-      that might still consult them has drained.
+    The whole file is read once at open, so the footer CRC covers every
+    byte before anything is parsed; the verified bytes then stay in
+    memory and every lookup or scan decodes from them -- LevelDB's block
+    cache at our scale.  The file is never opened again.
     """
 
-    def __init__(
-        self, path: str | Path, fs: FileSystem = REAL_FS, mmap_io: bool = False
-    ) -> None:
+    def __init__(self, path: str | Path, fs: FileSystem = REAL_FS) -> None:
         self.path = Path(path)
-        self._fs = fs
-        self.mmap_io = bool(mmap_io) and getattr(fs, "supports_mmap", False)
         handle = None
         try:
             handle = fs.open(self.path, "rb")
@@ -163,7 +147,7 @@ class SSTableReader:
         if magic != MAGIC:
             raise SSTableError(f"{self.path.name}: bad magic {magic:#x}")
         body = raw[: len(raw) - _FOOTER.size]
-        if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
+        if zlib.crc32(body) != crc:
             raise SSTableError(
                 f"{self.path.name}: content checksum mismatch (corrupt table)"
             )
@@ -180,9 +164,7 @@ class SSTableReader:
             )
         except (ValueError, struct.error) as exc:
             raise SSTableError(f"{self.path.name}: bad bloom section: {exc}") from exc
-        # In mmap mode the verified bytes are dropped: data pages come
-        # from per-operation maps, index and bloom stay parsed above.
-        self._raw: Optional[bytes] = None if self.mmap_io else raw
+        self._raw = raw
 
     def _parse_index(self, raw: bytes, index_offset: int, end: int) -> None:
         offset = index_offset
@@ -193,35 +175,6 @@ class SSTableReader:
             data_offset, offset = read_uvarint(raw, offset)
             self._index_keys.append(key)
             self._index_offsets.append(data_offset)
-
-    @contextmanager
-    def _buffer(self) -> Iterator[bytes]:
-        """The data section as a readable buffer.
-
-        Eager mode yields the in-memory bytes; mmap mode opens the file
-        and maps it for the duration of the ``with`` block.  A missing or
-        unreadable file (e.g. the table was deleted after this reader was
-        snapshotted) raises :class:`SSTableError` at entry.
-        """
-        if self._raw is not None:
-            yield self._raw
-            return
-        handle = None
-        mapped: Optional[mmap.mmap] = None
-        try:
-            handle = self._fs.open(self.path, "rb")
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            if handle is not None:
-                handle.close()
-            raise SSTableError(f"{self.path.name}: read failed: {exc}") from exc
-        try:
-            # mmap quacks like bytes for every operation the decoders
-            # use (indexing, slicing, len).
-            yield cast(bytes, mapped)
-        finally:
-            mapped.close()
-            handle.close()
 
     # -- entry decoding --------------------------------------------------
 
@@ -266,34 +219,29 @@ class SSTableReader:
             return False, None  # definitely absent, no data access
         if not self._index_keys or key < self._index_keys[0]:
             return False, None
-        with self._buffer() as buf:
-            offset = self._seek_offset(key)
-            while offset < self._data_end:
-                entry_key, value, offset = self._read_entry(buf, offset)
-                if entry_key == key:
-                    return True, value
-                if entry_key > key:
-                    return False, None
+        buf = self._raw
+        offset = self._seek_offset(key)
+        while offset < self._data_end:
+            entry_key, value, offset = self._read_entry(buf, offset)
+            if entry_key == key:
+                return True, value
+            if entry_key > key:
+                return False, None
         return False, None
 
     def scan(
         self, start: Optional[bytes], end: Optional[bytes]
     ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """Yield ``(key, value-or-tombstone-None)`` within ``[start, end)``.
-
-        In mmap mode the map is established when iteration *starts* (the
-        generator body runs on the first ``next()``) and held until the
-        iterator is exhausted or closed.
-        """
-        with self._buffer() as buf:
-            offset = 0 if start is None else self._seek_offset(start)
-            while offset < self._data_end:
-                key, value, offset = self._read_entry(buf, offset)
-                if start is not None and key < start:
-                    continue
-                if end is not None and key >= end:
-                    return
-                yield bytes(key), None if value is None else bytes(value)
+        """Yield ``(key, value-or-tombstone-None)`` within ``[start, end)``."""
+        buf = self._raw
+        offset = 0 if start is None else self._seek_offset(start)
+        while offset < self._data_end:
+            key, value, offset = self._read_entry(buf, offset)
+            if start is not None and key < start:
+                continue
+            if end is not None and key >= end:
+                return
+            yield bytes(key), None if value is None else bytes(value)
 
     @property
     def smallest_key(self) -> Optional[bytes]:

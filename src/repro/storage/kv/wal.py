@@ -96,7 +96,7 @@ class WriteAheadLog:
         self._append(_encode_payload(OP_DELETE, key, None))
 
     def _append(self, payload: bytes) -> None:
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        crc = zlib.crc32(payload)
         self._file.write(_HEADER.pack(len(payload), crc))
         self._file.write(payload)
         self.record_count += 1
@@ -152,7 +152,7 @@ def replay(path: str | Path) -> Iterator[Tuple[int, bytes, Optional[bytes]]]:
         if body_end > total:
             return  # torn payload at tail
         payload = data[body_start:body_end]
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+        if zlib.crc32(payload) != crc:
             if body_end == total:
                 return  # corrupt tail record: drop it
             raise WalCorruptionError(

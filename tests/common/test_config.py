@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.config import (
     SCALE_ENV_VAR,
+    STATEDB_ENV_VAR,
     BlockCuttingConfig,
     BlockStoreConfig,
     FabricConfig,
@@ -35,8 +36,10 @@ class TestStateDbConfig:
         assert StateDbConfig(backend="memory").backend == "memory"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            StateDbConfig(backend="couchdb")
+        # "btree" and "lsm-mmap" named backends until PR 14 removed them.
+        for name in ("couchdb", "btree", "lsm-mmap"):
+            with pytest.raises(ConfigError, match=r"one of \['lsm', 'memory'\]"):
+                StateDbConfig(backend=name)
 
     def test_rejects_zero_memtable(self):
         with pytest.raises(ConfigError):
@@ -55,11 +58,22 @@ class TestBlockStoreConfig:
 
 
 class TestFabricConfig:
-    def test_default_composition(self):
+    def test_default_composition(self, monkeypatch):
+        monkeypatch.delenv(STATEDB_ENV_VAR, raising=False)
         config = FabricConfig()
         assert config.block_cutting.max_message_count == 10
         assert config.state_db.backend == "memory"
         assert config.channel == "supply-chain"
+
+    def test_default_backend_follows_env(self, monkeypatch):
+        monkeypatch.setenv(STATEDB_ENV_VAR, "lsm")
+        assert FabricConfig().state_db.backend == "lsm"
+        # Empty (an unset CI matrix cell) means the default.
+        monkeypatch.setenv(STATEDB_ENV_VAR, "")
+        assert FabricConfig().state_db.backend == "memory"
+        monkeypatch.setenv(STATEDB_ENV_VAR, "btree")
+        with pytest.raises(ConfigError):
+            FabricConfig()
 
     def test_empty_channel_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import os
+import shutil
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.common.config import (
     BlockStoreConfig,
     FabricConfig,
     QueryConfig,
+    StateDbConfig,
 )
 from repro.common.errors import (
     BlockFileError,
@@ -38,6 +40,7 @@ from repro.fabric.historydb import HistoryDB
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
 from repro.faults import FaultPlan, FaultyFS
+from repro.faults.doctor import detect_backend, run_doctor
 from repro.storage import blockfile as blockfile_module
 from repro.storage.blockfile import BlockFileManager
 from repro.temporal.engine import TemporalQueryEngine
@@ -381,6 +384,53 @@ class TestReopen:
             ]
         finally:
             files.close()
+
+    def test_statedb_files_of_a_removed_backend_are_ignored(self, tmp_path):
+        """The state-db is derived data: a directory whose ``statedb/``
+        holds only files of a backend that no longer exists opens under
+        either remaining backend by replaying the chain."""
+
+        def config(backend: str) -> FabricConfig:
+            return FabricConfig(
+                block_cutting=BlockCuttingConfig(max_message_count=2),
+                state_db=StateDbConfig(backend=backend, memtable_limit=4),
+            )
+
+        network = FabricNetwork(tmp_path, config=config("lsm"))
+        network.install(KeyValueChaincode())
+        gateway = network.gateway("writer")
+        for i in range(24):
+            gateway.submit_transaction("kv", "put", [f"k{i % 9}", i], timestamp=i + 1)
+        gateway.submit_transaction("kv", "delete", ["k3"], timestamp=30)
+        gateway.flush()
+        height = network.ledger.height
+        fingerprint = network.ledger.state_fingerprint()
+        network.close()
+
+        statedb = tmp_path / "statedb"
+        assert any(statedb.glob("sst-*.sst"))
+        shutil.rmtree(statedb)
+        statedb.mkdir()
+        strays = {"btree.wal": b"\x00" * 40, "btree-checkpoint.sst": b"not a table"}
+        for name, content in strays.items():
+            (statedb / name).write_bytes(content)
+
+        assert detect_backend(tmp_path) == "memory"
+        for backend in ("memory", "lsm"):
+            report = run_doctor(tmp_path, config=config(backend))
+            assert f"[{backend} state-db] -> consistent" in report.render()
+            assert report.height == height
+            # Nothing the doctor counted as verified came from the strays.
+            assert (report.wal_records, report.sstables_checked) == (0, 0)
+            ledger = Ledger(tmp_path, config=config(backend))
+            try:
+                assert ledger.height == height
+                assert ledger.state_fingerprint() == fingerprint
+                ledger.verify_chain()
+            finally:
+                ledger.close()
+        for name, content in strays.items():
+            assert (statedb / name).read_bytes() == content
 
 
 class TestDescriptorLifetime:

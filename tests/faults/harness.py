@@ -32,35 +32,20 @@ from repro.faults import FaultPlan, FaultyFS, active_plan
 from repro.faults.doctor import run_doctor
 
 
-def storage_config(
-    backend: str = "lsm",
-    max_message_count: int = 4,
-    memtable_limit: int = 24,
-    durability: str = "flush",
-) -> FabricConfig:
-    """A config that exercises every storage layer: a durable state-db
-    backend with a tiny memtable / checkpoint interval (frequent WAL and
-    table activity) and small blocks."""
-    return FabricConfig(
-        block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
-        state_db=StateDbConfig(
-            backend=backend, memtable_limit=memtable_limit, durability=durability
-        ),
-        block_store=BlockStoreConfig(durability=durability),
-    )
-
-
 def lsm_config(
     max_message_count: int = 4,
     memtable_limit: int = 24,
     durability: str = "flush",
 ) -> FabricConfig:
-    """:func:`storage_config` pinned to the LSM backend."""
-    return storage_config(
-        backend="lsm",
-        max_message_count=max_message_count,
-        memtable_limit=memtable_limit,
-        durability=durability,
+    """A config that exercises every storage layer: the LSM state-db
+    with a tiny memtable (frequent WAL and table activity) and small
+    blocks."""
+    return FabricConfig(
+        block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
+        state_db=StateDbConfig(
+            backend="lsm", memtable_limit=memtable_limit, durability=durability
+        ),
+        block_store=BlockStoreConfig(durability=durability),
     )
 
 

@@ -10,34 +10,18 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultPlan
-from repro.faults.crashpoints import (
-    BTREE_CRASH_POINTS,
-    COMMIT_CRASH_POINTS,
-    LEDGER_POST_COMMIT,
-    LEDGER_PRE_APPEND,
-    LEDGER_PRE_SAVEPOINT,
-    LEDGER_PRE_STATE,
-)
+from repro.faults.crashpoints import COMMIT_CRASH_POINTS, LEDGER_POST_COMMIT
 from tests.faults.harness import (
     continue_workload,
     lsm_config,
     reopen_and_verify,
     run_kv_workload_until_crash,
-    storage_config,
 )
-
-
-def _config_for(point: str):
-    """Each point needs a backend that actually reaches it: the btree
-    checkpoint points never fire under the LSM backend and vice versa."""
-    if point in BTREE_CRASH_POINTS:
-        return storage_config(backend="btree")
-    return lsm_config()
 
 
 @pytest.mark.parametrize("point", COMMIT_CRASH_POINTS)
 def test_kill_at_every_commit_point(tmp_path, point):
-    config = _config_for(point)
+    config = lsm_config()
     plan = FaultPlan(seed=3).crash_at(point)
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired == point, f"workload never reached {point}"
@@ -49,32 +33,10 @@ def test_kill_at_every_commit_point(tmp_path, point):
 def test_kill_later_occurrence(tmp_path, point):
     """Crashing on a later arrival exercises recovery of a longer chain
     (compactions done, WAL truncated at least once)."""
-    config = _config_for(point)
+    config = lsm_config()
     plan = FaultPlan(seed=11).crash_at(point, occurrence=5)
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired == point, f"workload reached {point} fewer than 5 times"
-    reopen_and_verify(tmp_path / "net", config, outcome.acked_tx_ids)
-    continue_workload(tmp_path / "net", config)
-
-
-#: Ledger-generic points re-swept under every other durable backend: the
-#: recovery contract is backend-independent, so each backend must survive
-#: a kill at the same pipeline stages the LSM config is swept through.
-_GENERIC_POINTS = (
-    LEDGER_PRE_APPEND,
-    LEDGER_PRE_STATE,
-    LEDGER_PRE_SAVEPOINT,
-    LEDGER_POST_COMMIT,
-)
-
-
-@pytest.mark.parametrize("backend", ["lsm-mmap", "btree"])
-@pytest.mark.parametrize("point", _GENERIC_POINTS)
-def test_kill_under_other_durable_backends(tmp_path, backend, point):
-    config = storage_config(backend=backend)
-    plan = FaultPlan(seed=17).crash_at(point, occurrence=2)
-    outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
-    assert outcome.fired == point, f"workload never reached {point}"
     reopen_and_verify(tmp_path / "net", config, outcome.acked_tx_ids)
     continue_workload(tmp_path / "net", config)
 

@@ -1,9 +1,7 @@
-"""Backend-conformance suite: every registered state-db backend must
-honour the :class:`~repro.storage.kv.api.KVStore` contract identically.
-
-The suite parametrizes over :func:`backend_specs`, so a newly registered
-backend is swept automatically -- the interchangeability the shootout
-benchmark (and the byte-identical-rows acceptance gate) relies on.
+"""Backend-conformance suite: both state-db backends must honour the
+:class:`~repro.storage.kv.api.KVStore` contract identically -- ``lsm``
+is checked against the ``memory`` reference, which is what lets a
+configuration change the backend without changing a query result.
 """
 
 from __future__ import annotations
@@ -11,38 +9,23 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ClosedStoreError
-from repro.storage.kv import backend_names, backend_specs, open_kv_store
+from repro.storage.kv import BACKENDS, open_kv_store
 
 
-def _specs():
-    return [pytest.param(spec, id=spec.name) for spec in backend_specs()]
-
-
-@pytest.fixture
-def store(request, tmp_path):
-    spec = request.param if hasattr(request, "param") else None
-    assert spec is not None
-    store = open_kv_store(spec.name, path=tmp_path / "db",
-                          memtable_limit=8, compaction_trigger=3)
-    yield store
-    store.close()
-
-
-def _open(spec, tmp_path, **options):
+def _open(backend, tmp_path):
     return open_kv_store(
-        spec.name, path=tmp_path / "db",
-        memtable_limit=8, compaction_trigger=3, **options,
+        backend, path=tmp_path / "db", memtable_limit=8, compaction_trigger=3
     )
 
 
-def test_expected_backends_registered():
-    assert set(backend_names()) >= {"memory", "lsm", "lsm-mmap", "btree"}
+def test_expected_backends():
+    assert set(BACKENDS) == {"memory", "lsm"}
 
 
-@pytest.mark.parametrize("spec", _specs())
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestContract:
-    def test_put_get_overwrite_delete(self, spec, tmp_path):
-        store = _open(spec, tmp_path)
+    def test_put_get_overwrite_delete(self, backend, tmp_path):
+        store = _open(backend, tmp_path)
         try:
             assert store.get(b"k") is None
             store.put(b"k", b"v1")
@@ -55,8 +38,8 @@ class TestContract:
         finally:
             store.close()
 
-    def test_scan_sorted_half_open(self, spec, tmp_path):
-        store = _open(spec, tmp_path)
+    def test_scan_sorted_half_open(self, backend, tmp_path):
+        store = _open(backend, tmp_path)
         try:
             for key in (b"d", b"a", b"c", b"e", b"b"):
                 store.put(key, b"v-" + key)
@@ -71,8 +54,8 @@ class TestContract:
         finally:
             store.close()
 
-    def test_scan_values_match_gets(self, spec, tmp_path):
-        store = _open(spec, tmp_path)
+    def test_scan_values_match_gets(self, backend, tmp_path):
+        store = _open(backend, tmp_path)
         try:
             expected = {}
             for i in range(40):  # crosses flush/checkpoint thresholds
@@ -89,10 +72,10 @@ class TestContract:
         finally:
             store.close()
 
-    def test_deleted_keys_stay_dead_across_flushes(self, spec, tmp_path):
+    def test_deleted_keys_stay_dead_across_flushes(self, backend, tmp_path):
         """Tombstone shadowing: a delete must shadow older flushed values
         no matter how many tables/checkpoints sit underneath."""
-        store = _open(spec, tmp_path)
+        store = _open(backend, tmp_path)
         try:
             for i in range(10):
                 store.put(b"victim", f"gen-{i}".encode())
@@ -106,8 +89,8 @@ class TestContract:
         finally:
             store.close()
 
-    def test_validation(self, spec, tmp_path):
-        store = _open(spec, tmp_path)
+    def test_validation(self, backend, tmp_path):
+        store = _open(backend, tmp_path)
         try:
             with pytest.raises(ValueError):
                 store.put(b"", b"v")
@@ -118,8 +101,8 @@ class TestContract:
         finally:
             store.close()
 
-    def test_closed_store_raises(self, spec, tmp_path):
-        store = _open(spec, tmp_path)
+    def test_closed_store_raises(self, backend, tmp_path):
+        store = _open(backend, tmp_path)
         store.close()
         store.close()  # idempotent
         with pytest.raises(ClosedStoreError):
@@ -127,15 +110,15 @@ class TestContract:
         with pytest.raises(ClosedStoreError):
             store.get(b"k")
 
-    def test_reopen_recovers_acknowledged_writes(self, spec, tmp_path):
-        if not spec.durable:
-            pytest.skip(f"{spec.name} is not durable")
-        store = _open(spec, tmp_path)
+    def test_reopen_recovers_acknowledged_writes(self, backend, tmp_path):
+        if backend == "memory":
+            pytest.skip("memory is not durable")
+        store = _open(backend, tmp_path)
         for i in range(20):
             store.put(f"k{i:02d}".encode(), f"v{i}".encode())
         store.delete(b"k05")
         store.close()
-        reopened = _open(spec, tmp_path)
+        reopened = _open(backend, tmp_path)
         try:
             assert reopened.get(b"k05") is None
             for i in range(20):
@@ -145,25 +128,25 @@ class TestContract:
         finally:
             reopened.close()
 
-    def test_reopen_without_close_loses_nothing(self, spec, tmp_path):
+    def test_reopen_without_close_loses_nothing(self, backend, tmp_path):
         """Durable backends must recover acknowledged writes from the WAL
         even when the process never called close() (crash semantics)."""
-        if not spec.durable:
-            pytest.skip(f"{spec.name} is not durable")
-        store = _open(spec, tmp_path)
+        if backend == "memory":
+            pytest.skip("memory is not durable")
+        store = _open(backend, tmp_path)
         store.put(b"acked", b"yes")
         del store  # abandoned, not closed
-        reopened = _open(spec, tmp_path)
+        reopened = _open(backend, tmp_path)
         try:
             assert reopened.get(b"acked") == b"yes"
         finally:
             reopened.close()
 
-    def test_backends_agree_pairwise(self, spec, tmp_path):
+    def test_backends_agree_pairwise(self, backend, tmp_path):
         """Every backend must produce byte-identical scan output for the
-        same workload (the shootout's identity gate, in miniature)."""
+        same workload."""
         reference = open_kv_store("memory")
-        store = _open(spec, tmp_path)
+        store = _open(backend, tmp_path)
         try:
             operations = [(f"k{i % 7}".encode(), f"v{i}".encode())
                           for i in range(30)]

@@ -2,13 +2,12 @@
 
 ``_merge_tables_locked`` used to ``unlink`` its victim SSTables inline,
 while :meth:`LSMStore.get`/``scan`` read lock-free from a snapshot that
-may still reference those readers.  In mmap mode every read re-opens the
-table by path, so a reader racing a compaction would hit
-``SSTableError: read failed`` on a file that was live when it
-snapshotted.  The fix retires victims through a GC finalizer that
-deletes the file only once the last reader reference drains (plus a
-``MANIFEST.json`` so a crash before the finalizer cannot resurrect the
-victim on reopen).
+may still reference those readers.  Victims are now retired through a GC
+finalizer that deletes the file only once the last reader reference
+drains (plus a ``MANIFEST.json`` so a crash before the finalizer cannot
+resurrect the victim on reopen).  These tests pin the file *lifetimes*:
+a victim exists while a snapshot lists it, is gone once the snapshot is
+collected, and is gone after ``close()`` whatever is still alive.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ class TestDeferredVictimDeletion:
 
     def test_snapshot_survives_compaction(self, tmp_path):
         """A reader snapshot captured before a compaction must keep
-        serving from the victim tables (this is the direct regression
-        check: with inline victim unlinks, the mmap lookups below raise
-        ``SSTableError: read failed``)."""
+        serving from the victim tables, and their files must stay on
+        disk while it is alive."""
         store = open_kv_store(
-            "lsm-mmap", path=tmp_path / "db",
+            "lsm", path=tmp_path / "db",
             memtable_limit=4, compaction_trigger=3,
         )
         try:
@@ -57,7 +55,6 @@ class TestDeferredVictimDeletion:
                 if found:
                     assert value == b"value-3"
             assert any(reader.lookup(b"key-0003")[0] for reader in tables)
-            # A scan against the retired table re-maps the file too.
             assert list(tables[0].scan(None, None))
 
             # Dropping the last references (the tuple and the loop
@@ -72,7 +69,7 @@ class TestDeferredVictimDeletion:
 
     def test_close_force_deletes_retired_tables(self, tmp_path):
         store = open_kv_store(
-            "lsm-mmap", path=tmp_path / "db",
+            "lsm", path=tmp_path / "db",
             memtable_limit=4, compaction_trigger=3,
         )
         _memtable = tables = None
@@ -124,12 +121,11 @@ class TestDeferredVictimDeletion:
             reopened.close()
 
 
-@pytest.mark.parametrize("backend", ["lsm", "lsm-mmap"])
+@pytest.mark.parametrize("backend", ["lsm"])
 def test_scan_iterators_survive_compactions_hammer(tmp_path, backend):
     """Eight reader threads hold ``scan()`` iterators open across forced
     compactions while a writer pumps keys through tiny tables.  Any
-    ``SSTableError: read failed`` (the un-fixed symptom) surfaces in
-    ``errors``."""
+    reader failure surfaces in ``errors``."""
     store = open_kv_store(
         backend, path=tmp_path / "db",
         memtable_limit=8, compaction_trigger=3,

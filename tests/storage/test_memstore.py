@@ -66,6 +66,8 @@ class TestFactory:
         assert store.get(b"k") == b"v"
         store.close()
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown KV backend"):
-            open_kv_store("rocksdb")
+    def test_unknown_backend(self, tmp_path):
+        # "btree" and "lsm-mmap" named backends until PR 14 removed them.
+        for name in ("rocksdb", "btree", "lsm-mmap"):
+            with pytest.raises(ValueError, match=r"unknown KV backend .*\['lsm', 'memory'\]"):
+                open_kv_store(name, path=tmp_path / "db")
