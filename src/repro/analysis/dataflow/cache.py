@@ -40,7 +40,10 @@ from repro.analysis.findings import Finding
 #: 6: RES001 accepts handles stored into a container the object owns.
 #: 7: CONC003's ``BLOCKING_ALLOWLIST`` lost five rows (rule input that
 #: the fingerprint does not otherwise cover).
-CACHE_SCHEMA = 7
+#: 8: ``_KEY_APIS`` / ``WRITE_METHODS`` lost the private-data and
+#: selector stub methods (rule input again: the fingerprint covers the
+#: linted tree, not the analyzer's own tables).
+CACHE_SCHEMA = 8
 
 
 @dataclass(frozen=True)

@@ -64,14 +64,7 @@ _KEY_APIS: Dict[str, Tuple[str, int]] = {
     "get_state_by_range": (SCAN_OP, 0),
     "get_state_by_range_with_pagination": (SCAN_OP, 0),
     "get_history_for_key": (HIDDEN_OP, 0),
-    "get_private_data": (READ_OP, 1),
-    "put_private_data": (WRITE_OP, 1),
-    "del_private_data": (DELETE_OP, 1),
 }
-
-#: APIs whose result set is defined by a selector, not a key: the read
-#: surface is the whole state namespace and never enters the RWSet.
-_SELECTOR_APIS = {"get_query_result"}
 
 #: Composite-key framing used by the stub: ``\x00<type>\x00attr\x00...``.
 _COMPOSITE_FRAME = "\x00"
@@ -654,12 +647,6 @@ class _KeyAnalyzer:
             if kind in (READ_OP, SCAN_OP, HIDDEN_OP):
                 return (LedgerValue(),)
             return ()
-        if isinstance(func, ast.Attribute) and func.attr in _SELECTOR_APIS:
-            self._eval_other_args(node, skip=-1)
-            self._record_op(
-                KeyOp(kind=HIDDEN_OP, line=node.lineno, term=Unknown())
-            )
-            return (LedgerValue(),)
         if isinstance(func, ast.Attribute) and func.attr == "get_tx_timestamp":
             return (ArgInput(),)
         if isinstance(func, ast.Attribute) and func.attr == "create_composite_key":
@@ -749,15 +736,6 @@ class _KeyAnalyzer:
         # A callee that returns nothing trackable (constructors, helpers
         # built from arithmetic) still computes from its inputs.
         return all_args
-
-    def _eval_other_args(self, node: ast.Call, skip: int) -> None:
-        """Evaluate non-key arguments for their side effects (nested
-        calls to the stub still record their operations in order)."""
-        for index, arg in enumerate(node.args):
-            if index != skip:
-                self._eval(arg)
-        for keyword in node.keywords:
-            self._eval(keyword.value)
 
     def _call_arg_terms(self, node: ast.Call) -> Dict[int, Tuple[Term, ...]]:
         terms: Dict[int, Tuple[Term, ...]] = {}

@@ -30,7 +30,7 @@ DATETIME_CLOCK_ATTRS = {"now", "utcnow", "today"}
 BANNED_BUILTINS = {"input", "open"}
 
 #: Stub methods that stage a write into the transaction's write set.
-WRITE_METHODS = {"put_state", "del_state", "put_private_data", "del_private_data"}
+WRITE_METHODS = {"put_state", "del_state"}
 
 
 def is_set_expression(node: ast.expr, set_names: Set[str]) -> bool:

@@ -22,8 +22,8 @@ file) inherits from a base named ``Chaincode`` and flags:
   ``os.cpu_count``;
 * the ``input`` and ``open`` builtins (peer-local I/O);
 * ``for`` loops iterating an unordered ``set`` whose body stages writes
-  via ``put_state`` / ``del_state`` / ``put_private_data`` (wrap the
-  iterable in ``sorted(...)`` to fix).  Plain ``dict`` iteration is
+  via ``put_state`` / ``del_state`` (wrap the iterable in
+  ``sorted(...)`` to fix).  Plain ``dict`` iteration is
   insertion-ordered in Python and is deliberately not flagged.
 
 Chaincode should derive every varying value from its arguments or from

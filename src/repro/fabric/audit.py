@@ -9,6 +9,9 @@ get the whole damage picture:
 * state-db contents vs a fresh replay of all valid writes;
 * history-index locations vs the blocks' actual writes;
 * savepoint vs chain height.
+
+Those are all the derivations a peer keeps, so a clean audit means the
+peer's whole queryable state follows from its blocks.
 """
 
 from __future__ import annotations
@@ -60,39 +63,15 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit_ledger(ledger: Ledger, side_db=None) -> AuditReport:
+def audit_ledger(ledger: Ledger) -> AuditReport:
     """Run every check; never raises for ledger damage (only for IO that
-    prevents reading the chain at all).
-
-    With ``side_db`` given (a peer's private-data store), every held
-    private value is additionally verified against its on-chain hash.
-    """
+    prevents reading the chain at all)."""
     report = AuditReport(height=ledger.height)
     expected_state = _audit_chain(ledger, report)
     _audit_state_db(ledger, expected_state, report)
     _audit_history_index(ledger, report)
     _audit_savepoint(ledger, report)
-    if side_db is not None:
-        _audit_private_data(ledger, side_db, report)
     return report
-
-
-def _audit_private_data(ledger: Ledger, side_db, report: AuditReport) -> None:
-    from repro.fabric.privatedata import hash_key, value_hash
-
-    for (collection, key), value in side_db._values.items():
-        committed = ledger.get_state(hash_key(collection, key))
-        if committed is None:
-            report.add(
-                "warning", "private-orphan",
-                f"side-db holds ({collection!r}, {key!r}) with no on-chain hash",
-            )
-        elif value_hash(value) != committed:
-            report.add(
-                "error", "private-hash-mismatch",
-                f"side-db value for ({collection!r}, {key!r}) fails its "
-                f"on-chain hash",
-            )
 
 
 def _audit_chain(ledger: Ledger, report: AuditReport) -> Dict[str, tuple]:

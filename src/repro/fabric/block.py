@@ -158,12 +158,6 @@ class Transaction:
     #: Optional chaincode event (Fabric's SetEvent: at most one per tx).
     event_name: str = ""
     event_payload: Any = None
-    #: Private-data payloads ``(collection, key) -> value`` travelling
-    #: with the transaction *outside* the block: never serialized, never
-    #: hashed -- only their digests (already in the write set) are public.
-    private_payloads: Dict[Tuple[str, str], Any] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     #: Memoized ``(rw_set revision, bytes)`` for :meth:`signable_payload`.
     #: The payload is consumed five times per transaction (endorser
     #: signature, orderer size estimate, data hash at cut, data-hash
@@ -207,10 +201,10 @@ class Transaction:
         """The bytes an endorser signs (RWSet + identity + timestamp).
 
         Memoized: every field it covers is immutable once the endorser
-        has signed (``validation_code`` and ``private_payloads`` mutate
-        later but are deliberately outside the signed payload).  RWSet
-        mutations bump the set's revision counter and invalidate the
-        cache, so post-signing tampering is still reflected.
+        has signed (``validation_code`` mutates later but is deliberately
+        outside the signed payload).  RWSet mutations bump the set's
+        revision counter and invalidate the cache, so post-signing
+        tampering is still reflected.
         """
         if (
             self._payload_cache is not None

@@ -101,14 +101,20 @@ class BlockCache:
                 del self._inflight[key]
             future.set_exception(exc)
             raise
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._metrics.increment(metric_names.BLOCK_CACHE_EVICTIONS)
-            del self._inflight[key]
-        future.set_result(value)
+        try:
+            with self._lock:
+                del self._inflight[key]
+                self._entries[key] = value
+                self._entries.move_to_end(key)
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+                    self._metrics.increment(metric_names.BLOCK_CACHE_EVICTIONS)
+        finally:
+            # The load succeeded: whatever happens while publishing it,
+            # the waiters parked on the future get the value.  Resolved
+            # anywhere else, a failure above would end this thread with
+            # the future pending and every waiter blocked forever.
+            future.set_result(value)
         return value
 
     def invalidate(self, key: Hashable) -> None:

@@ -10,7 +10,13 @@ endorsing peer's committed state.  As in Fabric v1.x:
   one surviving write per key (later writes replace earlier ones);
 * ``get_history_for_key`` and ``get_state_by_range`` are query APIs; range
   reads record read versions, history reads do not enter the RWSet
-  (Fabric does not validate phantom history reads).
+  (Fabric does not validate phantom history reads);
+* composite keys (``create_composite_key`` and the partial-key scan) are
+  plain state keys under a ``\\x00`` frame, scanned by prefix up to
+  Fabric's ``maxUnicodeRuneValue``.
+
+Everything a simulation produces leaves the stub in its ``rw_set`` and its
+one optional event: the endorser builds the transaction from those alone.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from repro.fabric.statedb import StateDB
 #: Delimiter used by Fabric's composite-key helpers (U+0000, the minimum
 #: code point, so composite keys group correctly under range scans).
 COMPOSITE_DELIMITER = "\x00"
+
+#: Exclusive upper bound of a partial-composite-key scan: Fabric's
+#: ``maxUnicodeRuneValue``, the largest code point an attribute can start with.
+MAX_UNICODE_RUNE = "\U0010ffff"
 
 
 def create_composite_key(object_type: str, attributes: List[str]) -> str:
@@ -70,24 +80,16 @@ class ChaincodeStub:
         tx_id: str,
         timestamp: int,
         creator: str,
-        side_db=None,
-        collection_policy=None,
-        peer_name: str = "peer0",
     ) -> None:
         self._state_db = state_db
         self._history_db = history_db
         self._block_store = block_store
-        self._side_db = side_db
-        self._collection_policy = collection_policy
-        self._peer_name = peer_name
         self.tx_id = tx_id
         self.timestamp = timestamp
         self.creator = creator
         self.rw_set = RWSet()
         self.event_name = ""
         self.event_payload: Any = None
-        #: Staged private values, attached to the transaction at endorsement.
-        self.private_payloads: dict = {}
 
     # -- state access -----------------------------------------------------
 
@@ -134,12 +136,12 @@ class ChaincodeStub:
         """Fabric's GetStateByPartialCompositeKey: all composite keys whose
         leading attributes match, in sorted order.
 
-        Range-scans ``[prefix, prefix + maxByte)`` where the prefix is the
-        composite encoding of the given attributes without the trailing
-        delimiter cut-off.
+        Range-scans ``[prefix, prefix + maxUnicodeRuneValue)`` where the
+        prefix is the composite encoding of the given attributes, trailing
+        delimiter included.
         """
         prefix = create_composite_key(object_type, attributes)
-        return self.get_state_by_range(prefix, prefix + "\x7f")
+        return self.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
 
     def get_state_by_range_with_pagination(
         self,
@@ -166,80 +168,9 @@ class ChaincodeStub:
         """Fabric GHFK: lazy, oldest-first iterator over all past states."""
         return self._history_db.get_history_for_key(key, self._block_store)
 
-    def get_query_result(self, selector: dict) -> Iterator[Tuple[str, Any]]:
-        """CouchDB-style rich query over current states (GetQueryResult).
-
-        As in Fabric, rich-query results are *not* recorded in the read
-        set: phantom reads are not protected by validation, so chaincode
-        must not make write decisions that depend on result completeness.
-        """
-        from repro.fabric.richquery import RichQueryEngine
-
-        return RichQueryEngine(self._state_db).query(selector)
-
     def get_tx_timestamp(self) -> int:
         """The transaction's logical timestamp (Fabric GetTxTimestamp)."""
         return self.timestamp
-
-    # -- private data ------------------------------------------------------
-
-    def put_private_data(self, collection: str, key: str, value: Any) -> None:
-        """Stage a private write: the value goes to authorized peers'
-        side databases; only its SHA-256 hash enters the public write set
-        (and therefore the block and MVCC validation)."""
-        from repro.fabric.privatedata import hash_key, value_hash
-
-        if not key:
-            raise ChaincodeError("put_private_data requires a non-empty key")
-        self.rw_set.add_write(hash_key(collection, key), value_hash(value))
-        self.private_payloads[(collection, key)] = value
-
-    def get_private_data(self, collection: str, key: str) -> Optional[Any]:
-        """Read a committed private value from this peer's side database.
-
-        Verifies the value against its on-chain hash; raises
-        :class:`~repro.fabric.privatedata.PrivateDataError` on tampering
-        or when this peer is not a member of ``collection``.  Returns
-        ``None`` when no committed value exists here (e.g. the peer
-        missed dissemination and has not reconciled).
-        """
-        from repro.fabric.privatedata import (
-            PrivateDataError,
-            hash_key,
-            value_hash,
-        )
-
-        if self._collection_policy is not None and not self._collection_policy.authorized(
-            collection, self._peer_name
-        ):
-            raise PrivateDataError(
-                f"peer {self._peer_name!r} is not a member of collection "
-                f"{collection!r}"
-            )
-        public_key = hash_key(collection, key)
-        committed = self._state_db.get_state(public_key)
-        self.rw_set.add_read(public_key, committed.version if committed else None)
-        if committed is None:
-            return None
-        if self._side_db is None:
-            return None
-        value = self._side_db.get(collection, key)
-        if value is None:
-            return None
-        if value_hash(value) != committed.value:
-            raise PrivateDataError(
-                f"private value for ({collection!r}, {key!r}) fails its "
-                f"on-chain hash check"
-            )
-        return value
-
-    def del_private_data(self, collection: str, key: str) -> None:
-        """Stage a private deletion: removes the public hash entry and
-        purges the value from authorized side databases at commit."""
-        from repro.fabric.privatedata import PURGE, hash_key
-
-        self.rw_set.add_delete(hash_key(collection, key))
-        self.private_payloads[(collection, key)] = PURGE
 
     def set_event(self, name: str, payload: Any = None) -> None:
         """Attach a chaincode event to the transaction (Fabric SetEvent).

@@ -29,16 +29,12 @@ class Endorser:
         state_db: StateDB,
         history_db: HistoryDB,
         block_store: BlockStore,
-        side_db=None,
-        collection_policy=None,
         footprint_recorder=None,
     ) -> None:
         self._identity = identity
         self._state_db = state_db
         self._history_db = history_db
         self._block_store = block_store
-        self._side_db = side_db
-        self._collection_policy = collection_policy
         #: Optional :class:`repro.fabric.footprint.FootprintRecorder`:
         #: when set, every endorsed RWSet's keys are folded into the
         #: dynamic witness report the KEY003 bridge cross-checks.
@@ -77,9 +73,6 @@ class Endorser:
             tx_id=tx_id,
             timestamp=timestamp,
             creator=creator,
-            side_db=self._side_db,
-            collection_policy=self._collection_policy,
-            peer_name=self._identity.name,
         )
         try:
             response = chaincode.invoke(stub, fn, args)
@@ -103,7 +96,6 @@ class Endorser:
             rw_set=stub.rw_set,
             event_name=stub.event_name,
             event_payload=stub.event_payload,
-            private_payloads=stub.private_payloads,
         )
         tx.signature = self._identity.sign(tx.signable_payload())
         return tx, response

@@ -12,9 +12,9 @@ Two halves, bridging the static analysis and the live peer:
   json`` export and answers the two questions the parallel validator
   asks: *which namespaces can transactions of this chaincode touch
   beyond their recorded RWSet* (hidden reads: ``get_history_for_key``
-  and rich queries are never recorded in the RWSet), and *is the
-  chaincode's write set statically unbounded* (a ⊤ write).  Both force
-  conservative conflict grouping.
+  is never recorded in the RWSet), and *is the chaincode's write set
+  statically unbounded* (a ⊤ write).  Both force conservative conflict
+  grouping.
 
 The pattern semantics (``lit``/``pre``/``arg``/``top``, matching and
 overlap) are imported from the analysis package so the runtime and the

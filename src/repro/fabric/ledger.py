@@ -267,13 +267,6 @@ class Ledger:
             key, self.block_store, prefetch=self._config.query.ghfk_prefetch
         )
 
-    def get_query_result(self, selector: dict) -> Iterator[Tuple[str, Any]]:
-        """CouchDB-style rich query over current states."""
-        from repro.fabric.richquery import RichQueryEngine
-
-        self._drain()
-        return RichQueryEngine(self.state_db).query(selector)
-
     # -- integrity & bookkeeping ------------------------------------------------
 
     @property

@@ -2,7 +2,9 @@
 
 Mirrors the paper's experimental setup (Section IV-3): a single peer with
 the ordering service enabled.  The orderer delivers cut blocks straight to
-the peer's commit path.
+the peer's commit path, then to committing peers joined with
+``add_peer`` and to block / chaincode-event listeners in the order they
+were registered.
 """
 
 from __future__ import annotations
@@ -47,10 +49,7 @@ class FabricNetwork:
         self._path = Path(path)
         self._verify_signatures = verify_signatures
         self._fs = fs
-        from repro.fabric.privatedata import CollectionPolicy
-
         self.msp = MSP()
-        self.collection_policy = CollectionPolicy()
         peer_identity = self.msp.enroll("peer0")
         self.peer = Peer(
             self._path,
@@ -58,7 +57,6 @@ class FabricNetwork:
             config=self.config,
             metrics=self.metrics,
             verify_signatures=verify_signatures,
-            collection_policy=self.collection_policy,
             fs=fs,
             footprint_recorder=footprint_recorder,
         )
@@ -91,7 +89,6 @@ class FabricNetwork:
             metrics=MetricsRegistry(),
             verify_signatures=self._verify_signatures,
             signature_check=self.peer.endorser.verify_endorsement,
-            collection_policy=self.collection_policy,
             fs=self._fs,
         )
         peer.sync_from(self.peer.ledger)
@@ -102,13 +99,6 @@ class FabricNetwork:
     def install(self, chaincode: Chaincode) -> None:
         """Install a chaincode on the peer."""
         self.peer.install_chaincode(chaincode)
-
-    def configure_collection(self, name: str, peer_names: list) -> None:
-        """Restrict a private-data collection to ``peer_names``.
-
-        Unconfigured collections default to every peer.
-        """
-        self.collection_policy.configure(name, peer_names)
 
     def on_block(self, callback) -> None:
         """Register a block listener: called with every committed block.

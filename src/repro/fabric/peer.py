@@ -3,6 +3,8 @@
 The paper's setup is a single peer with consensus enabled; ours mirrors
 that -- one peer that both endorses proposals and commits ordered blocks.
 Endorsement signatures are verified at commit via the validator hook.
+A peer holds no state beside its ledger: committing a block *is*
+``Ledger.commit_block``, and a late peer catches up from blocks alone.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ class Peer:
         metrics: MetricsRegistry = NULL_REGISTRY,
         verify_signatures: bool = True,
         signature_check: Optional[Callable[[Transaction], bool]] = None,
-        collection_policy=None,
         fs: FileSystem = REAL_FS,
         footprint_recorder=None,
     ) -> None:
@@ -42,19 +43,13 @@ class Peer:
         :class:`repro.fabric.footprint.FootprintRecorder`) captures the
         keys every endorsement touches, for the KEY003 static/dynamic
         bridge."""
-        from repro.fabric.privatedata import SideDatabase
-
         self.identity = identity
         self.ledger = Ledger(path, config=config, metrics=metrics, fs=fs)
-        self.side_db = SideDatabase()
-        self.collection_policy = collection_policy
         self.endorser = Endorser(
             identity=identity,
             state_db=self.ledger.state_db,
             history_db=self.ledger.history_db,
             block_store=self.ledger.block_store,
-            side_db=self.side_db,
-            collection_policy=collection_policy,
             footprint_recorder=footprint_recorder,
         )
         if verify_signatures:
@@ -81,29 +76,7 @@ class Peer:
         return self.endorser.endorse(chaincode_name, fn, args, creator, timestamp)
 
     def commit(self, block: Block) -> int:
-        valid = self.ledger.commit_block(block)
-        self._apply_private_data(block)
-        return valid
-
-    def _apply_private_data(self, block: Block) -> None:
-        """Store valid transactions' private payloads this peer is
-        authorized to hold (dissemination happens alongside the block in
-        this in-process simulator)."""
-        from repro.fabric.block import VALID
-        from repro.fabric.privatedata import PURGE
-
-        for tx in block.transactions:
-            if tx.validation_code != VALID or not tx.private_payloads:
-                continue
-            for (collection, key), value in tx.private_payloads.items():
-                if self.collection_policy is not None and not (
-                    self.collection_policy.authorized(collection, self.identity.name)
-                ):
-                    continue
-                if value is PURGE:
-                    self.side_db.delete(collection, key)
-                else:
-                    self.side_db.put(collection, key, value)
+        return self.ledger.commit_block(block)
 
     def sync_from(self, source: Ledger) -> int:
         """Catch up by replaying ``source``'s blocks beyond our height.

@@ -16,8 +16,8 @@ validation codes to the serial pass -- within a group block order is
 preserved, across groups no ``writes_so_far`` entry is ever consulted.
 A statically inferred :class:`~repro.fabric.footprint.ChaincodeFootprint`
 widens the grouping conservatively for chaincodes whose access surface
-the RWSet cannot witness (``get_history_for_key`` / rich-query reads
-are never recorded) or whose write namespace is unresolvable (⊤).
+the RWSet cannot witness (``get_history_for_key`` reads are never
+recorded) or whose write namespace is unresolvable (⊤).
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from repro.temporal.planners import (
     GeometricPlanner,
     HierarchicalPlanner,
 )
-from repro.temporal.pointintime import PointInTimeEngine
 from repro.temporal.tqf import TQFEngine
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "M1Indexer",
     "M1QueryEngine",
     "M2QueryEngine",
-    "PointInTimeEngine",
     "QueryExplainer",
     "QueryStats",
     "TemporalQueryEngine",

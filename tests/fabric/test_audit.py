@@ -87,34 +87,3 @@ class TestDamagedLedger:
         assert "state-mismatch" in rendered
         assert "finding" in rendered
 
-
-class TestPrivateDataAudit:
-    @pytest.fixture
-    def private_network(self, tmp_path):
-        from tests.fabric.test_privatedata import _ShipmentChaincode, SECRET
-
-        with FabricNetwork(tmp_path, config=fabric_config()) as net:
-            net.install(_ShipmentChaincode())
-            gateway = net.gateway("shipper")
-            gateway.submit_transaction(
-                "shipments", "register", ["S1", "in-transit", SECRET], timestamp=1
-            )
-            gateway.flush()
-            yield net
-
-    def test_clean_private_data(self, private_network):
-        report = audit_ledger(private_network.ledger, private_network.peer.side_db)
-        assert report.ok
-        assert not report.findings
-
-    def test_tampered_private_value_detected(self, private_network):
-        private_network.peer.side_db.put("manifests", "S1", {"contents": "socks"})
-        report = audit_ledger(private_network.ledger, private_network.peer.side_db)
-        assert not report.ok
-        assert any(f.code == "private-hash-mismatch" for f in report.findings)
-
-    def test_orphan_private_value_is_warning(self, private_network):
-        private_network.peer.side_db.put("manifests", "ghost", {"x": 1})
-        report = audit_ledger(private_network.ledger, private_network.peer.side_db)
-        assert report.ok  # warning only
-        assert any(f.code == "private-orphan" for f in report.findings)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -132,6 +134,23 @@ class TestSerialization:
         tx = make_tx()
         tx.validation_code = "VALID"
         assert Transaction.from_dict(tx.to_dict()).validation_code == "VALID"
+
+    def test_every_transaction_field_is_serialized(self):
+        """Nothing rides on a transaction outside the block: each field
+        but the payload memo is a ``to_dict`` key and survives the trip."""
+        tx = make_tx()
+        tx.validation_code = "VALID"
+        tx.event_name = "shipped"
+        tx.event_payload = {"n": 1}
+        names = {f.name for f in dataclasses.fields(Transaction)} - {"_payload_cache"}
+        raw = tx.to_dict()
+        assert set(raw) == names
+        restored = Transaction.from_dict(raw)
+        blank = Transaction(tx_id="", chaincode="", creator="", timestamp=0, rw_set=RWSet())
+        for name in names:
+            # Non-default on the way in, so a field ``from_dict`` drops shows.
+            assert getattr(tx, name) != getattr(blank, name)
+            assert getattr(restored, name) == getattr(tx, name)
 
 
 class TestHashes:

@@ -12,7 +12,8 @@ loading (one loader call per key per residency, shared by all waiters).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -133,6 +134,57 @@ class TestSingleFlight:
             gate.set()
             assert all(future.result(timeout=10) for future in futures)
         assert len(cache) == 0
+
+    def test_failure_while_publishing_still_releases_the_waiters(
+        self, metrics, monkeypatch
+    ):
+        """The loader thread dying after a successful load must not strand
+        the threads parked on its future (the tier-1 hang: a mutant that
+        evicts without the lock made ``move_to_end`` raise here)."""
+        parked = threading.Event()
+        release = threading.Event()
+
+        class SignallingFuture(Future):
+            def result(self, timeout=None):
+                parked.set()
+                return super().result(timeout)
+
+        class Vanishing(OrderedDict):
+            def move_to_end(self, key, last=True):
+                raise KeyError(key)
+
+        monkeypatch.setattr("repro.fabric.blockcache.Future", SignallingFuture)
+        cache = BlockCache(8, metrics=metrics)
+        cache._entries = Vanishing()
+
+        def slow_loader():
+            release.wait(timeout=5)
+            return "decoded"
+
+        outcomes = {}
+
+        def call(name):
+            try:
+                outcomes[name] = cache.get_or_load("blk", slow_loader)
+            except KeyError as exc:
+                outcomes[name] = exc
+
+        # Daemon threads: at a commit without the fix the waiter never
+        # returns, and the test must fail on the join, not hang on it.
+        loader = threading.Thread(target=call, args=("loader",), daemon=True)
+        waiter = threading.Thread(target=call, args=("waiter",), daemon=True)
+        loader.start()
+        while "blk" not in cache._inflight:
+            pass  # the first caller owns the load
+        waiter.start()
+        assert parked.wait(timeout=5)
+        release.set()
+        for thread in (loader, waiter):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert outcomes["waiter"] == "decoded"
+        assert isinstance(outcomes["loader"], KeyError)
+        assert cache._inflight == {}
 
     def test_concurrent_distinct_keys_respect_capacity(self, metrics):
         cache = BlockCache(4, metrics=metrics)

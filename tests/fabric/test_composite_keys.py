@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.common.config import StateDbConfig
 from repro.common.errors import ChaincodeError
 from repro.fabric.chaincode import (
     create_composite_key,
     split_composite_key,
 )
 from repro.fabric.network import FabricNetwork
+from repro.storage.kv import BACKENDS
 from tests.helpers import fabric_config
 
 
@@ -99,3 +103,22 @@ class TestPartialCompositeScan:
     def test_unknown_owner_empty(self, network):
         gateway = network.gateway("reader")
         assert gateway.evaluate_transaction("assets", "assets_of", ["carol"]) == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_scan_includes_non_ascii_attributes(self, tmp_path, backend):
+        """The scan's upper bound is Fabric's ``maxUnicodeRuneValue``: an
+        attribute starting at or above U+007F is inside the prefix range."""
+        config = dataclasses.replace(
+            fabric_config(),
+            # Two entries per memtable: under ``lsm`` the scan merges SSTables.
+            state_db=StateDbConfig(backend=backend, memtable_limit=2),
+        )
+        assets = ["abc", "\x7f", "é", "日本"]
+        with FabricNetwork(tmp_path, config=config) as net:
+            net.install(_AssetChaincode())
+            gateway = net.gateway("registrar")
+            for asset in assets:
+                gateway.submit_transaction("assets", "register", ["alice", asset])
+            gateway.submit_transaction("assets", "register", ["alicf", "other"])
+            gateway.flush()
+            assert gateway.evaluate_transaction("assets", "assets_of", ["alice"]) == assets

@@ -114,7 +114,5 @@ class PipelinePropertyMachine(RuleBasedStateMachine):
         shutil.rmtree(self.workdir, ignore_errors=True)
 
 
-PipelinePropertyMachine.TestCase.settings = settings(
-    max_examples=15, stateful_step_count=25, deadline=None
-)
+PipelinePropertyMachine.TestCase.settings = settings(max_examples=15, stateful_step_count=25)
 TestPipelineProperties = PipelinePropertyMachine.TestCase

@@ -46,14 +46,14 @@ class TestBloomFilter:
         with pytest.raises(ValueError):
             BloomFilter(bytearray(1), bit_count=0, hash_count=1)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(keys=st.sets(st.binary(min_size=1, max_size=12), max_size=60))
     def test_no_false_negatives_property(self, keys):
         bloom = BloomFilter.build(keys)
         for key in keys:
             assert bloom.may_contain(key)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(keys=st.sets(st.binary(min_size=1, max_size=12), min_size=1, max_size=60))
     def test_persistence_preserves_membership(self, keys):
         bloom = BloomFilter.from_bytes(BloomFilter.build(keys).to_bytes())

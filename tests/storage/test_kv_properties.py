@@ -45,7 +45,7 @@ def assert_equivalent(store, model: dict) -> None:
         assert store.get(key) == model[key]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(ops=operations)
 def test_memstore_matches_model(ops):
     store = MemStore()
@@ -54,7 +54,7 @@ def test_memstore_matches_model(ops):
     assert_equivalent(store, model)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(ops=operations)
 def test_lsm_matches_model(tmp_path_factory, ops):
     path = tmp_path_factory.mktemp("lsm")
@@ -65,7 +65,7 @@ def test_lsm_matches_model(tmp_path_factory, ops):
     store.close()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(ops=operations, split=st.integers(min_value=0, max_value=60))
 def test_lsm_survives_reopen(tmp_path_factory, ops, split):
     """Apply a prefix, reopen the store, apply the rest: still a sorted dict."""
@@ -80,7 +80,7 @@ def test_lsm_survives_reopen(tmp_path_factory, ops, split):
     store.close()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     ops=operations,
     start=st.one_of(st.none(), keys),

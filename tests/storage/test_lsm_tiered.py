@@ -76,7 +76,7 @@ class TestTieredCompaction:
         reopened.close()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(ops=operations)
 def test_tiered_matches_model(tmp_path_factory, ops):
     path = tmp_path_factory.mktemp("tiered")
@@ -89,7 +89,7 @@ def test_tiered_matches_model(tmp_path_factory, ops):
     store.close()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(ops=operations, split=st.integers(min_value=0, max_value=60))
 def test_tiered_survives_reopen(tmp_path_factory, ops, split):
     path = tmp_path_factory.mktemp("tiered")

@@ -161,14 +161,20 @@ def test_interval_for_always_contains_t(t, u):
     assert interval.start % u == 0
 
 
-@given(
-    start=st.integers(min_value=0, max_value=10**6),
-    length=st.integers(min_value=1, max_value=10**5),
-    u=st.integers(min_value=1, max_value=10**4),
+#: ``(u, window length)`` with ``length / u`` at most 2,000: an example
+#: builds a couple of thousand intervals, not 10**5 of them at ``u=1``.
+_UNIT_AND_LENGTH = st.integers(min_value=1, max_value=10**4).flatmap(
+    lambda u: st.tuples(
+        st.just(u), st.integers(min_value=1, max_value=min(10**5, 2_000 * u))
+    )
 )
-def test_overlapping_intervals_tile_the_window(start, length, u):
+
+
+@given(start=st.integers(min_value=0, max_value=10**6), unit_and_length=_UNIT_AND_LENGTH)
+def test_overlapping_intervals_tile_the_window(start, unit_and_length):
     """The overlapping intervals are adjacent, cover the window, and each
     one genuinely overlaps it."""
+    u, length = unit_and_length
     window = TimeInterval(start, start + length)
     scheme = FixedIntervalScheme(u)
     intervals = scheme.intervals_overlapping(window)

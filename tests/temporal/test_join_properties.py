@@ -100,7 +100,7 @@ def rows_to_points(rows):
     return points
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(data=scenario())
 def test_join_matches_pointwise_oracle_full_window(data):
     shipment_events, container_events = data
@@ -111,7 +111,7 @@ def test_join_matches_pointwise_oracle_full_window(data):
     )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(
     data=scenario(),
     start=st.integers(min_value=0, max_value=T_MAX - 1),
@@ -143,7 +143,7 @@ def test_join_matches_pointwise_oracle_sub_window(data, start, length):
     assert rows_to_points(rows) == oracle
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(data=scenario())
 def test_rows_are_within_window_and_sorted(data):
     shipment_events, container_events = data

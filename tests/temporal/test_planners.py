@@ -88,7 +88,7 @@ class TestEquiCountPlanner:
         with pytest.raises(TemporalQueryError):
             EquiCountPlanner(0)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         times=st.lists(
             st.integers(min_value=1, max_value=999), min_size=0, max_size=40,

@@ -136,7 +136,7 @@ class TestInvariants:
         first_fifth = sum(1 for e in data.events if e.time <= 2_000)
         assert 0.1 < first_fifth / len(data.events) < 0.35
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         events_per_key=st.sampled_from([2, 4, 10, 40]),

@@ -45,7 +45,7 @@ class TestMEBatching:
     def test_empty(self):
         assert list(batch_events_me([])) == []
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         keys=st.lists(st.sampled_from(["A", "B", "C", "D"]), max_size=40)
     )
