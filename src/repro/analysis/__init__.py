@@ -29,7 +29,7 @@ DET002    interprocedural determinism: a nondeterministic value reaching
           (:mod:`repro.analysis.dataflow`); strictly subsumes CHAIN001
 TEMP001   Model M1 ingest contract: every ``"write_index"`` submission
           followed by its ``"clear_index"`` tombstone, and θ-boundary
-          arithmetic confined to the interval scheme / planners
+          arithmetic confined to the interval scheme
 CONC001   unlocked ``self.attr`` writes in classes that carry a
           ``threading`` lock (``_locked``-suffix methods exempt)
 RES001    ``fs.open`` handles not scoped by ``with``, closed in a

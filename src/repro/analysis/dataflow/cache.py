@@ -9,7 +9,9 @@ fingerprint of everything that can influence it:
   size first, so an unchanged tree costs one ``stat()`` per file and
   zero reads;
 * the rule selection and the baseline file's hash;
-* a schema version, bumped when rules or the result format change.
+* the analyzer's own sources (``repro/analysis/**/*.py``): rules, and
+  the tables they read, are inputs of the run like any linted file;
+* a schema version for the cache file's layout.
 
 On a hit the previous :class:`~repro.analysis.runner.LintResult` is
 rebuilt from JSON (minus the parsed ``project``, which cached consumers
@@ -31,18 +33,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 
-#: Bump to invalidate every existing cache (rule or format changes).
-#: 2: the CFG/lockset layer landed (CONC002-004, TEMP001 rewrite) --
-#: results from schema-1 runs no longer reflect the rule set.
-#: 3: results gained ``dropped_baseline`` (pruned stale entries).
-#: 5: the symbolic scheme verifier landed (TEMP002-004) -- schema-4
-#: results predate three rule families and must not be replayed.
-#: 6: RES001 accepts handles stored into a container the object owns.
-#: 7: CONC003's ``BLOCKING_ALLOWLIST`` lost five rows (rule input that
-#: the fingerprint does not otherwise cover).
-#: 8: ``_KEY_APIS`` / ``WRITE_METHODS`` lost the private-data and
-#: selector stub methods (rule input again: the fingerprint covers the
-#: linted tree, not the analyzer's own tables).
+#: Versions the cache *file layout* only: a rule or rule-table change
+#: reaches the fingerprint through :func:`analyzer_digest`.
 CACHE_SCHEMA = 8
 
 
@@ -111,23 +103,29 @@ def baseline_digest(baseline_path: Optional[Path]) -> str:
     return hashlib.sha256(baseline_path.read_bytes()).hexdigest()
 
 
+def analyzer_digest() -> str:
+    """Hash of the analyzer's own sources, so that editing a rule or one
+    of its tables invalidates every cached result."""
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for stamp in compute_stamps(sorted(package.rglob("*.py")), package):
+        digest.update(f"{stamp.relpath}={stamp.sha256}\n".encode())
+    return digest.hexdigest()
+
+
 def run_fingerprint(
     stamps: Sequence[FileStamp],
     select: Sequence[str],
     baseline: str,
-    witness: str = "absent",
+    analyzer: str,
 ) -> str:
-    """One hash covering everything that can change the run's outcome.
-
-    ``witness`` is the digest of the dynamic footprint-witness report
-    (``footprint-report.json``): KEY003's findings are a function of
-    that file's bytes, so a cached result must not outlive it.
-    """
+    """One hash covering everything that can change the run's outcome
+    (``analyzer`` is :func:`analyzer_digest`)."""
     digest = hashlib.sha256()
     digest.update(f"schema={CACHE_SCHEMA}\n".encode())
     digest.update(f"select={','.join(sorted(select))}\n".encode())
     digest.update(f"baseline={baseline}\n".encode())
-    digest.update(f"witness={witness}\n".encode())
+    digest.update(f"analyzer={analyzer}\n".encode())
     for stamp in stamps:
         digest.update(f"{stamp.relpath}={stamp.sha256}\n".encode())
     return digest.hexdigest()

@@ -9,7 +9,6 @@ from repro.analysis.rules import (
     determinism,
     durability,
     exceptions,
-    footprint,
     resources,
     scheme,
     temporal_model,
@@ -22,7 +21,6 @@ __all__ = [
     "determinism",
     "durability",
     "exceptions",
-    "footprint",
     "resources",
     "scheme",
     "temporal_model",

@@ -1,25 +1,18 @@
-"""TEMP002/TEMP003/TEMP004: the symbolic temporal-scheme verifier.
+"""TEMP002/TEMP004: the symbolic temporal-scheme verifier.
 
 Where TEMP001 polices *how* temporal code is written (tombstones,
-arithmetic through the scheme), these three families prove *what it
+arithmetic through the scheme), these two families prove *what it
 computes*: the :mod:`repro.analysis.symbolic` engine executes the
-analyzed project's own ``temporal/intervals.py`` and
-``temporal/planners.py`` against symbolic boundary terms materialized
-over a ``u``-grid and convicts any scheme or planner that violates the
-paper's interval axioms.
+analyzed project's own ``temporal/intervals.py`` against symbolic
+boundary terms materialized over a ``u``-grid and convicts any scheme
+that violates the paper's interval axioms.
 
 * **TEMP002** -- scheme-axiom violation: ``interval_for`` fails to
   cover a positive timestamp, produces overlapping or misaligned
   intervals, ``previous_interval`` breaks the monotone walk to the
   timeline start, ``intervals_overlapping`` disagrees with
   ``interval_for``, or ``partition``/``partition_clipped`` do not tile
-  their window; hierarchical schemes add per-level alignment and
-  branch-exact nesting.
-
-* **TEMP003** -- planner incompleteness/overlap: a planner's ``plan``
-  leaves a gap or overlap in the query window, misses an event's
-  timestamp, raises on a legal window, or (for hierarchical planners)
-  deviates from the canonical coarsest-covering decomposition.
+  their window.
 
 * **TEMP004** -- boundary convention: the half-open ``(lo, hi]``
   contract -- ``contains`` off-by-one at either endpoint,
@@ -28,7 +21,7 @@ paper's interval axioms.
   bucket, or ``interval_for`` arithmetic contradicting
   ``TimeInterval.contains``.
 
-All three rules share one memoized verification pass per project, so
+Both rules share one memoized verification pass per project, so
 selecting the whole TEMP family costs a single probe-grid run.
 """
 
@@ -57,29 +50,12 @@ class SchemeAxiomRule(_SchemeRule):
     probes over the ``u``-grid and found a timestamp with no index
     interval, overlapping or gapped intervals, a non-monotone
     ``previous_interval`` walk, an ``intervals_overlapping`` listing
-    that disagrees with ``interval_for``, a ``partition`` /
-    ``partition_clipped`` that does not tile its window, or a
-    hierarchical level that is misaligned or breaks nesting.  Any of
-    these makes M1/M2 disagree with TQF on some query.
+    that disagrees with ``interval_for``, or a ``partition`` /
+    ``partition_clipped`` that does not tile its window.  Any of these
+    makes M1/M2 disagree with TQF on some query.
     """
 
     rule_id = "TEMP002"
-
-
-@register
-class PlannerCompletenessRule(_SchemeRule):
-    """TEMP003: an interval planner's plan is incomplete or overlapping.
-
-    The verifier planned every probe window under every event multiset
-    and found a plan that leaves part of the window uncovered, overlaps
-    itself, misses an event timestamp, raises on a legal window, or --
-    for planners over a hierarchical scheme -- deviates from the
-    canonical coarsest-covering decomposition (a skipped level
-    multiplies the per-query bundle probes without changing answers,
-    silently destroying the M3 speedup).
-    """
-
-    rule_id = "TEMP003"
 
 
 @register

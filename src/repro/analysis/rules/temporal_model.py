@@ -28,12 +28,11 @@ The rule enforces two invariants over ``repro/temporal/``:
 
 * **Interval arithmetic goes through the scheme.**  M1 and M2 agree on
   ``θ`` boundaries only because both sides compute them with
-  :class:`~repro.temporal.intervals.FixedIntervalScheme` (or a
-  planner).  Hand-rolled ``//``/``%`` math on the index length ``u``
-  outside ``intervals.py``/``planners.py`` is exactly how an off-by-one
-  on the half-open ``(start, end]`` convention sneaks in and makes the
-  indexer and the query engine disagree about which bundle covers a
-  timestamp.
+  :class:`~repro.temporal.intervals.FixedIntervalScheme`.  Hand-rolled
+  ``//``/``%`` math on the index length ``u`` outside ``intervals.py``
+  is exactly how an off-by-one on the half-open ``(start, end]``
+  convention sneaks in and makes the indexer and the query engine
+  disagree about which bundle covers a timestamp.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ _WRITE_MARKER = "write_index"
 _CLEAR_MARKER = "clear_index"
 
 #: Files allowed to do raw interval math: they *define* the scheme.
-_SCHEME_FILES = ("intervals.py", "planners.py")
+_SCHEME_FILES = ("intervals.py",)
 
 #: Files whose ingest sequences are checked for the tombstone.
 _INGEST_FILES = ("m1.py", "chaincodes.py")
@@ -196,7 +195,7 @@ class M1ModelInvariantRule(Rule):
                         message=(
                             f"hand-rolled `{operator}` arithmetic on the "
                             "index length u; compute θ boundaries through "
-                            "FixedIntervalScheme (or a planner) so the "
+                            "FixedIntervalScheme so the "
                             "indexer and query engine can never disagree "
                             "about the (start, end] convention"
                         ),

@@ -16,6 +16,7 @@ from repro.analysis.baseline import (
 from repro.analysis.dataflow.cache import (
     CachedResult,
     LintCache,
+    analyzer_digest,
     baseline_digest,
     compute_stamps,
     run_fingerprint,
@@ -125,10 +126,11 @@ def run_lint(
     reports clean.
 
     ``cache_path`` enables the whole-run mtime+SHA cache: when no input
-    file, the selection, or the baseline changed since the last run, the
-    previous result is replayed without parsing anything (the replayed
-    result's ``project`` is empty).  A relative ``cache_path`` is
-    anchored at the project root.  Baseline-writing runs bypass it.
+    file, the selection, the baseline or the analyzer's own source
+    changed since the last run, the previous result is replayed without
+    parsing anything (the replayed result's ``project`` is empty).  A
+    relative ``cache_path`` is anchored at the project root.
+    Baseline-writing runs bypass it.
     """
     # Validate the selection *before* the cache lookup: an invalid
     # --select must be a usage error even when a previous run's result
@@ -148,13 +150,8 @@ def run_lint(
             cache_path = resolved_root / cache_path
         cache = LintCache(cache_path)
         stamps = compute_stamps(files, resolved_root, cache.previous_stamps)
-        from repro.analysis.footprint.export import dynamic_report_digest
-
         fingerprint = run_fingerprint(
-            stamps,
-            select,
-            baseline_digest(baseline_path),
-            witness=dynamic_report_digest(resolved_root),
+            stamps, select, baseline_digest(baseline_path), analyzer_digest()
         )
         cached = cache.lookup(fingerprint)
         if cached is not None:

@@ -1,10 +1,10 @@
-"""Symbolic interval-algebra verifier for temporal schemes and planners.
+"""Symbolic interval-algebra verifier for the temporal interval scheme.
 
-The engine behind the TEMP002/TEMP003/TEMP004 rule families: it loads
-the analyzed project's ``temporal/intervals.py`` + ``temporal/planners.py``
-(:mod:`.loader`), materializes symbolic boundary/window terms over a
-``u``-grid (:mod:`.terms`), checks the scheme axioms and planner
-completeness (:mod:`.axioms`), and reports convicted violations as
+The engine behind the TEMP002/TEMP004 rule families: it loads the
+analyzed project's ``temporal/intervals.py`` (:mod:`.loader`),
+materializes symbolic boundary/window terms over a ``u``-grid
+(:mod:`.terms`), checks the interval and scheme axioms
+(:mod:`.axioms`), and reports convicted violations as
 line-anchored findings (:mod:`.verifier`).  A seeded property-based
 fuzzer (:mod:`.fuzz`) attacks the same axioms with random tuples and
 bridges CONFIRMED / UNWITNESSED / STATICALLY-INVISIBLE verdicts against
@@ -12,7 +12,7 @@ the static findings; :mod:`.report` packages everything as the
 ``scheme-report.json`` artifact.
 """
 
-from repro.analysis.symbolic.axioms import Violation, canonical_cover
+from repro.analysis.symbolic.axioms import Violation
 from repro.analysis.symbolic.fuzz import (
     SchemeBridge,
     SchemeFuzzReport,
@@ -33,7 +33,6 @@ __all__ = [
     "Violation",
     "bridge",
     "build_scheme_report",
-    "canonical_cover",
     "fuzz_project",
     "render_scheme_report",
     "verify_project",

@@ -1,8 +1,8 @@
-"""The scheme and planner axioms, checked by bounded symbolic probing.
+"""The scheme axioms, checked by bounded symbolic probing.
 
 Every check here materializes the symbolic probe terms of
 :mod:`repro.analysis.symbolic.terms` over the ``u``-grid and drives the
-*project's own* scheme/planner classes through them, comparing the
+*project's own* interval and scheme classes through them, comparing the
 results against the algebraic expectations the paper's ``(t1, t2]``
 convention dictates.  The axioms:
 
@@ -12,18 +12,7 @@ convention dictates.  The axioms:
   back monotonically to ``None`` exactly at the timeline start;
   ``intervals_overlapping`` agrees with ``interval_for`` and returns
   only genuinely overlapping intervals; ``partition`` /
-  ``partition_clipped`` tile their window exactly.  Hierarchical
-  schemes additionally satisfy per-level alignment and nesting (each
-  level-``l`` interval is exactly ``branch`` level-``l-1`` intervals).
-
-* **TEMP003 -- planner completeness.**  Every planner's ``plan`` must
-  tile the query window exactly -- adjacent, disjoint, first interval
-  starting at ``window.start``, last ending at ``window.end`` -- for
-  every event multiset, so no timestamp a query probes can fall between
-  planned intervals.  Planners built on a hierarchical scheme must
-  return the *canonical coarsest-covering* decomposition (a skipped
-  level silently multiplies the per-query GHFK count).  A planner that
-  raises on a legal window is incomplete by definition.
+  ``partition_clipped`` tile their window exactly.
 
 * **TEMP004 -- boundary convention.**  The half-open ``(lo, hi]``
   contract: ``contains`` excludes the start and includes the end,
@@ -38,7 +27,7 @@ from __future__ import annotations
 import inspect
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.symbolic.terms import (
     K_RANGE,
@@ -47,26 +36,8 @@ from repro.analysis.symbolic.terms import (
     materialize_windows,
 )
 
-#: Fixed seed for the deterministic event-multiset generator: a lint run
-#: must produce the same findings on every machine regardless of
-#: ``REPRO_SEED`` (the *fuzz* runner is the seeded half of the story).
-STATIC_SEED = 0x5EED
-
 #: Walk limit for the previous_interval monotonicity check.
 _PREV_WALK_LIMIT = 64
-
-#: Constructor-parameter value grids, keyed by parameter name.  ``u`` is
-#: bound to the current grid point; everything else enumerates a small
-#: set.  A planner/scheme with a required parameter outside this table
-#: is reported as unverifiable instead of guessed at.
-_PARAM_GRIDS: Dict[str, Sequence[Any]] = {
-    "u": ("<u>",),
-    "events_per_interval": (1, 2, 3),
-    "base": (1, "<u>"),
-    "ratio": (2.0,),
-    "levels": (3,),
-    "branch": (4,),
-}
 
 
 @dataclass(frozen=True)
@@ -96,18 +67,6 @@ class Tally:
         self.checks += n
 
 
-class _Probe:
-    """Minimal event stand-in: planners only read ``.time``."""
-
-    __slots__ = ("time",)
-
-    def __init__(self, time: int) -> None:
-        self.time = time
-
-    def __lt__(self, other: "_Probe") -> bool:
-        return self.time < other.time
-
-
 def _ends(interval: Any) -> Optional[Tuple[int, int]]:
     """``(start, end)`` if the object looks like a time interval."""
     start = getattr(interval, "start", None)
@@ -115,83 +74,6 @@ def _ends(interval: Any) -> Optional[Tuple[int, int]]:
     if isinstance(start, int) and isinstance(end, int):
         return start, end
     return None
-
-
-def _constructor_configs(cls: type, u: int) -> Optional[List[Dict[str, Any]]]:
-    """Keyword-argument sets to instantiate ``cls`` with, or ``None``
-    when a required parameter is outside the known grids."""
-    try:
-        signature = inspect.signature(cls)
-    except (TypeError, ValueError):
-        return None
-    grids: List[List[Tuple[str, Any]]] = []
-    for name, param in signature.parameters.items():
-        if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
-            continue
-        if param.default is not param.empty:
-            continue  # optional: let the class default decide
-        if name not in _PARAM_GRIDS:
-            return None
-        values = [u if value == "<u>" else value for value in _PARAM_GRIDS[name]]
-        grids.append([(name, value) for value in values])
-    return [dict(combo) for combo in itertools.product(*grids)] or [{}]
-
-
-def _accepts_level(method: Any) -> bool:
-    try:
-        return "level" in inspect.signature(method).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def canonical_cover(
-    level_lengths: Sequence[int], start: int, end: int
-) -> List[Tuple[int, int]]:
-    """The reference coarsest-covering decomposition of ``(start, end]``.
-
-    At each position take the longest level length whose aligned block
-    both starts here and fits inside the window; when not even the base
-    length fits aligned, clip to the next base boundary (or the window
-    end).  This is the spec the hierarchical planner is held to --
-    written independently here so a planner that skips a level (or
-    tiles finer than it must) is convicted rather than trusted.
-    """
-    base = level_lengths[0]
-    out: List[Tuple[int, int]] = []
-    position = start
-    while position < end:
-        chosen = None
-        for length in sorted(level_lengths, reverse=True):
-            if position % length == 0 and position + length <= end:
-                chosen = position + length
-                break
-        if chosen is None:
-            next_base = (position // base + 1) * base
-            chosen = min(end, next_base)
-        out.append((position, chosen))
-        position = chosen
-    return out
-
-
-def _event_sets(
-    window: Tuple[int, int], u: int, chunk: int
-) -> List[List[_Probe]]:
-    """Deterministic event multisets for one planner window: empty,
-    boundary-hugging, duplicate-heavy, and pseudorandom (fixed seed)."""
-    import random
-
-    start, end = window
-    rng = random.Random(STATIC_SEED ^ (u << 16) ^ (start * 1000003 + end))
-    sets: List[List[int]] = [[]]
-    sets.append([end] * max(2, chunk))  # all events on the closing bound
-    boundaries = [k * u for k in K_RANGE if start < k * u <= end]
-    if boundaries:
-        sets.append(sorted(boundaries + [b for b in boundaries]))  # dupes
-    span = end - start
-    count = min(2 * chunk + 3, span)
-    if count > 0:
-        sets.append(sorted(rng.randint(start + 1, end) for _ in range(count)))
-    return [[_Probe(t) for t in times] for times in sets]
 
 
 # ---------------------------------------------------------------------------
@@ -290,33 +172,36 @@ def check_scheme_class(
 ) -> List[Violation]:
     """Drive one scheme class through the probe grid."""
     violations: List[Violation] = []
-    verified_any = False
+    try:
+        required = [
+            name
+            for name, param in inspect.signature(cls).parameters.items()
+            if param.default is param.empty
+            and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
+        ]
+    except (TypeError, ValueError):
+        required = []
+    if required != ["u"]:
+        notes.append(
+            f"{relpath}: {cls.__name__} is not constructed from u alone; "
+            "scheme not verified"
+        )
+        return violations
     for u in U_GRID:
-        configs = _constructor_configs(cls, u)
-        if configs is None:
-            notes.append(
-                f"{relpath}: {cls.__name__} has a constructor parameter "
-                "outside the known grids; scheme not verified"
+        try:
+            scheme = cls(u=u)
+        except Exception as exc:  # repro-lint: disable=ERR001
+            violations.append(
+                Violation(
+                    "TEMP002", relpath, cls.__name__, "__init__",
+                    "construction",
+                    f"{cls.__name__}(u={u}) raised {exc!r}",
+                )
             )
             return violations
-        for kwargs in configs:
-            try:
-                scheme = cls(**kwargs)
-            except Exception as exc:  # repro-lint: disable=ERR001
-                violations.append(
-                    Violation(
-                        "TEMP002", relpath, cls.__name__, "__init__",
-                        "construction",
-                        f"{cls.__name__}({kwargs}) raised {exc!r}",
-                    )
-                )
-                return violations
-            verified_any = True
-            violations.extend(
-                _check_scheme_instance(scheme, cls, ti_cls, relpath, u, tally)
-            )
-    if verified_any:
-        tally.tick(0)
+        violations.extend(
+            _check_scheme_instance(scheme, cls, ti_cls, relpath, u, tally)
+        )
     return _dedup(violations)
 
 
@@ -334,9 +219,6 @@ def _check_scheme_instance(
     def convict(rule: str, method: str, kind: str, witness: str) -> None:
         violations.append(Violation(rule, relpath, name, kind=kind,
                                     method=method, witness=f"u={u}: {witness}"))
-
-    level_lengths = list(getattr(scheme, "level_lengths", []) or [])
-    single_level = not level_lengths and getattr(scheme, "u", None) == u
 
     # -- interval_for: cover, alignment, contains agreement ---------------
     dense = list(range(1, min(3 * u + 3, 32)))
@@ -369,7 +251,7 @@ def _check_scheme_instance(
                 f"{t} arithmetically (need start < t <= end)",
             )
             continue
-        if single_level and (start % u != 0 or end - start != u):
+        if start % u != 0 or end - start != u:
             convict(
                 "TEMP002", "interval_for", "alignment",
                 f"interval_for({t}) = ({start}, {end}] is not a u-aligned "
@@ -389,18 +271,17 @@ def _check_scheme_instance(
             )
 
     # -- boundary residues: t = k*u belongs left --------------------------
-    if single_level:
-        for k in K_RANGE:
-            tally.tick()
-            ends = by_timestamp.get(k * u)
-            if ends is not None and ends != ((k - 1) * u, k * u):
-                convict(
-                    "TEMP004", "interval_for", "boundary-off-by-one",
-                    f"interval_for({k}*u = {k * u}) = ({ends[0]}, {ends[1]}]; "
-                    f"the boundary timestamp k·u belongs to ((k-1)u, ku] = "
-                    f"({(k - 1) * u}, {k * u}]",
-                )
-                break
+    for k in K_RANGE:
+        tally.tick()
+        ends = by_timestamp.get(k * u)
+        if ends is not None and ends != ((k - 1) * u, k * u):
+            convict(
+                "TEMP004", "interval_for", "boundary-off-by-one",
+                f"interval_for({k}*u = {k * u}) = ({ends[0]}, {ends[1]}]; "
+                f"the boundary timestamp k·u belongs to ((k-1)u, ku] = "
+                f"({(k - 1) * u}, {k * u}]",
+            )
+            break
 
     # -- no interval contains 0 -------------------------------------------
     for t in (0, -u):
@@ -427,7 +308,7 @@ def _check_scheme_instance(
                 "index intervals must partition the timeline",
             )
             break
-        if b_lo > a_hi and not level_lengths:
+        if b_lo > a_hi:
             convict(
                 "TEMP002", "interval_for", "total-cover",
                 f"gap between ({a_lo}, {a_hi}] and ({b_lo}, {b_hi}]: "
@@ -443,16 +324,7 @@ def _check_scheme_instance(
     # -- window probes ------------------------------------------------------
     if ti_cls is not None:
         violations.extend(
-            _check_scheme_windows(
-                scheme, name, ti_cls, relpath, u, single_level, tally
-            )
-        )
-
-    # -- hierarchical levels ------------------------------------------------
-    if level_lengths:
-        violations.extend(
-            _check_hierarchy(scheme, name, ti_cls, relpath, u,
-                             level_lengths, tally)
+            _check_scheme_windows(scheme, name, ti_cls, relpath, u, tally)
         )
     return violations
 
@@ -522,7 +394,6 @@ def _check_scheme_windows(
     ti_cls: type,
     relpath: str,
     u: int,
-    single_level: bool,
     tally: Tally,
 ) -> List[Violation]:
     violations: List[Violation] = []
@@ -568,7 +439,7 @@ def _check_scheme_windows(
                     "agreement",
                     f"u={u}: timestamp {t} in window ({ws}, {we}] lives in "
                     f"({home[0]}, {home[1]}], which intervals_overlapping "
-                    "did not list -- the planner would never probe its "
+                    "did not list -- the query engine would never probe its "
                     "bundle and events would silently vanish",
                 ))
                 break
@@ -583,10 +454,10 @@ def _check_scheme_windows(
             ))
             continue
         violations.extend(_tiling_violations(
-            pieces, ws, we, "TEMP002", relpath, name, "partition_clipped", u,
+            pieces, ws, we, relpath, name, "partition_clipped", u,
         ))
         # partition (aligned windows only).
-        if single_level and ws % u == 0 and we % u == 0:
+        if ws % u == 0 and we % u == 0:
             tally.tick()
             try:
                 aligned = [_ends(iv) for iv in scheme.partition(window)]
@@ -597,78 +468,8 @@ def _check_scheme_windows(
                 ))
                 continue
             violations.extend(_tiling_violations(
-                aligned, ws, we, "TEMP002", relpath, name, "partition", u,
+                aligned, ws, we, relpath, name, "partition", u,
             ))
-    return violations
-
-
-def _check_hierarchy(
-    scheme: Any,
-    name: str,
-    ti_cls: Optional[type],
-    relpath: str,
-    u: int,
-    level_lengths: Sequence[int],
-    tally: Tally,
-) -> List[Violation]:
-    violations: List[Violation] = []
-    if not _accepts_level(scheme.interval_for):
-        violations.append(Violation(
-            "TEMP002", relpath, name, "interval_for", "levels",
-            f"u={u}: scheme advertises level_lengths={list(level_lengths)} "
-            "but interval_for takes no level parameter",
-        ))
-        return violations
-    for level, length in enumerate(level_lengths):
-        for k in (1, 2):
-            t = k * length
-            tally.tick()
-            try:
-                ends = _ends(scheme.interval_for(t, level=level))
-            except Exception as exc:  # repro-lint: disable=ERR001
-                violations.append(Violation(
-                    "TEMP002", relpath, name, "interval_for", "levels",
-                    f"u={u}: interval_for({t}, level={level}) raised {exc!r}",
-                ))
-                return violations
-            if ends != ((k - 1) * length, k * length):
-                violations.append(Violation(
-                    "TEMP002", relpath, name, "interval_for", "levels",
-                    f"u={u}: interval_for({t}, level={level}) = {ends}; a "
-                    f"level-{level} boundary timestamp belongs to "
-                    f"({(k - 1) * length}, {k * length}]",
-                ))
-                return violations
-    if ti_cls is None or not _accepts_level(scheme.partition):
-        return violations
-    for level in range(1, len(level_lengths)):
-        length = level_lengths[level]
-        finer = level_lengths[level - 1]
-        parent = ti_cls(length, 2 * length)
-        tally.tick()
-        try:
-            children = [_ends(iv) for iv in scheme.partition(parent, level=level - 1)]
-        except Exception as exc:  # repro-lint: disable=ERR001
-            violations.append(Violation(
-                "TEMP002", relpath, name, "partition", "nesting",
-                f"u={u}: partition of a level-{level} interval at level "
-                f"{level - 1} raised {exc!r}",
-            ))
-            return violations
-        expected = [
-            (length + i * finer, length + (i + 1) * finer)
-            for i in range(length // finer)
-        ]
-        if children != expected:
-            violations.append(Violation(
-                "TEMP002", relpath, name, "partition", "nesting",
-                f"u={u}: level-{level} interval ({length}, {2 * length}] "
-                f"split into {children} at level {level - 1}; nesting "
-                f"requires exactly {expected} -- each coarse interval is "
-                "the union of its children, or coarse bundles and fine "
-                "bundles disagree about which events they hold",
-            ))
-            return violations
     return violations
 
 
@@ -676,29 +477,28 @@ def _tiling_violations(
     pieces: List[Optional[Tuple[int, int]]],
     ws: int,
     we: int,
-    rule: str,
     relpath: str,
     class_name: str,
     method: str,
     u: int,
 ) -> List[Violation]:
-    """Exact-tiling assertions shared by scheme partitions and planners."""
+    """Exact-tiling assertions (TEMP002) on a scheme partition."""
     where = f"u={u}: {method}(({ws}, {we}])"
     if not pieces or any(piece is None for piece in pieces):
         return [Violation(
-            rule, relpath, class_name, method, "tiling",
+            "TEMP002", relpath, class_name, method, "tiling",
             f"{where} returned no usable intervals",
         )]
     clean = [piece for piece in pieces if piece is not None]
     if clean[0][0] != ws:
         return [Violation(
-            rule, relpath, class_name, method, "tiling",
+            "TEMP002", relpath, class_name, method, "tiling",
             f"{where} starts at {clean[0][0]}, not the window start {ws}: "
             f"events in ({ws}, {clean[0][0]}] are never indexed",
         )]
     if clean[-1][1] != we:
         return [Violation(
-            rule, relpath, class_name, method, "tiling",
+            "TEMP002", relpath, class_name, method, "tiling",
             f"{where} ends at {clean[-1][1]}, not the window end {we}: "
             f"events in ({clean[-1][1]}, {we}] are never indexed",
         )]
@@ -706,153 +506,12 @@ def _tiling_violations(
         if a_hi != b_lo:
             kind = "overlap" if b_lo < a_hi else "gap"
             return [Violation(
-                rule, relpath, class_name, method, "tiling",
+                "TEMP002", relpath, class_name, method, "tiling",
                 f"{where}: ({a_lo}, {a_hi}] then ({b_lo}, {b_hi}] -- a "
                 f"{kind} at {min(a_hi, b_lo)}; intervals must be adjacent "
                 "so no timestamp falls between them",
             )]
     return []
-
-
-# ---------------------------------------------------------------------------
-# TEMP003: planners
-# ---------------------------------------------------------------------------
-
-
-def check_planner_class(
-    cls: type,
-    ti_cls: Optional[type],
-    relpath: str,
-    tally: Tally,
-    notes: List[str],
-) -> List[Violation]:
-    """Drive one planner class through windows x event multisets."""
-    violations: List[Violation] = []
-    if ti_cls is None:
-        notes.append(
-            f"{relpath}: no TimeInterval class available; planner "
-            f"{cls.__name__} not verified"
-        )
-        return violations
-    for u in U_GRID:
-        configs = _constructor_configs(cls, u)
-        if configs is None:
-            notes.append(
-                f"{relpath}: {cls.__name__} has a constructor parameter "
-                "outside the known grids; planner not verified"
-            )
-            return violations
-        for kwargs in configs:
-            try:
-                planner = cls(**kwargs)
-            except Exception as exc:  # repro-lint: disable=ERR001
-                violations.append(Violation(
-                    "TEMP003", relpath, cls.__name__, "__init__",
-                    "construction",
-                    f"{cls.__name__}({kwargs}) raised {exc!r}",
-                ))
-                return _dedup(violations)
-            violations.extend(
-                _check_planner_instance(planner, cls, ti_cls, relpath, u, tally)
-            )
-    return _dedup(violations)
-
-
-def _check_planner_instance(
-    planner: Any,
-    cls: type,
-    ti_cls: type,
-    relpath: str,
-    u: int,
-    tally: Tally,
-) -> List[Violation]:
-    violations: List[Violation] = []
-    name = cls.__name__
-    chunk = int(getattr(planner, "events_per_interval", 2) or 2)
-    scheme = getattr(planner, "scheme", None)
-    level_lengths = list(getattr(scheme, "level_lengths", []) or [])
-    windows = list(materialize_windows(u))
-    if level_lengths:
-        # The generic probe windows top out below the coarsest level, so
-        # a planner that never emits coarse intervals would look
-        # identical on them.  Add windows where every level must appear.
-        top = max(level_lengths)
-        base = min(level_lengths)
-        windows.extend([
-            (0, top),  # exactly one coarsest block
-            (0, 2 * top + base),  # two coarse blocks plus a fine tail
-            (base, top + base),  # unaligned start straddling a coarse block
-            (top, 3 * top),  # coarse blocks away from zero
-        ])
-    for ws, we in windows:
-        try:
-            window = ti_cls(ws, we)
-        except Exception:  # repro-lint: disable=ERR001
-            continue
-        for events in _event_sets((ws, we), u, chunk):
-            tally.tick()
-            try:
-                plan = planner.plan(events, window)
-            except Exception as exc:  # repro-lint: disable=ERR001
-                violations.append(Violation(
-                    "TEMP003", relpath, name, "plan", "completeness",
-                    f"u={u}: plan of ({ws}, {we}] with "
-                    f"{len(events)} event(s) raised "
-                    f"{type(exc).__name__}: {exc} -- a planner that cannot "
-                    "plan a legal window leaves the range unindexed",
-                ))
-                return violations
-            pieces = [_ends(iv) for iv in plan]
-            violations.extend(_tiling_violations(
-                pieces, ws, we, "TEMP003", relpath, name, "plan", u,
-            ))
-            if violations:
-                return violations
-            clean = [piece for piece in pieces if piece is not None]
-            for event in events:
-                tally.tick()
-                if not any(lo < event.time <= hi for lo, hi in clean):
-                    violations.append(Violation(
-                        "TEMP003", relpath, name, "plan", "completeness",
-                        f"u={u}: event at t={event.time} is in no planned "
-                        f"interval of ({ws}, {we}] -- TQF would return it, "
-                        "the indexed model would not",
-                    ))
-                    return violations
-            if level_lengths:
-                expected = canonical_cover(level_lengths, ws, we)
-                tally.tick()
-                if clean != expected:
-                    violations.append(Violation(
-                        "TEMP003", relpath, name, "plan", "coarsest-cover",
-                        f"u={u}: hierarchical plan of ({ws}, {we}] produced "
-                        f"{clean}, the canonical coarsest-covering "
-                        f"decomposition is {expected} -- a skipped level "
-                        "multiplies the per-query bundle probes",
-                    ))
-                    return violations
-    # Growth stress: geometric-family planners (a `ratio` attribute > 1)
-    # must survive astronomically long windows without their float length
-    # accumulator overflowing to infinity.
-    ratio = getattr(planner, "ratio", None)
-    if isinstance(ratio, float) and ratio > 1.0:
-        tally.tick()
-        stress = ti_cls(0, u * 2 ** 1100)
-        try:
-            plan = planner.plan([], stress)
-        except Exception as exc:  # repro-lint: disable=ERR001
-            violations.append(Violation(
-                "TEMP003", relpath, name, "plan", "completeness",
-                f"u={u}: plan of the long window (0, u*2^1100] raised "
-                f"{type(exc).__name__}: {exc} -- geometric growth must be "
-                "capped at the window remainder, not left to overflow",
-            ))
-            return violations
-        pieces = [_ends(iv) for iv in plan]
-        violations.extend(_tiling_violations(
-            pieces, 0, u * 2 ** 1100, "TEMP003", relpath, name, "plan", u,
-        ))
-    return violations
 
 
 def _dedup(violations: Iterable[Violation]) -> List[Violation]:

@@ -2,9 +2,9 @@
 
 The symbolic verifier proves the axioms over a bounded probe grid; this
 module attacks the same axioms from the opposite side, in the style of
-the PR 7/8 dynamic cross-checks: fuzz random ``(u, window, events)``
-tuples (seeded, ``REPRO_SEED``-honoring) against the project's scheme
-and planner classes and record every concrete counterexample as a
+the PR 7 dynamic cross-check: fuzz random ``(u, window, timestamp)``
+tuples (seeded, ``REPRO_SEED``-honoring) against the project's interval
+and scheme classes and record every concrete counterexample as a
 witness.  :func:`bridge` then joins the two views per
 ``(rule, file, class, method)`` site:
 
@@ -17,9 +17,9 @@ witness.  :func:`bridge` then joins the two views per
   finding: the most valuable kind, it names an axiom the bounded grid
   missed and feeds the next probe-term iteration.
 
-Unlike the static rules (which pin :data:`~repro.analysis.symbolic
-.axioms.STATIC_SEED` so lint output is machine-independent), the fuzzer
-draws its seed from ``REPRO_SEED`` so CI can sweep seeds over time.
+Unlike the static rules (whose probe grid is fixed, so lint output is
+machine-independent), the fuzzer draws its seed from ``REPRO_SEED`` so
+CI can sweep seeds over time.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.project import Project
-from repro.analysis.symbolic.axioms import _ends, canonical_cover
+from repro.analysis.symbolic.axioms import _ends
 from repro.analysis.symbolic.loader import load_temporal
 from repro.analysis.symbolic.verifier import SchemeVerification, verify_project
 from repro.common.config import repro_seed
 
-#: Default number of random (u, window, events) rounds per class.
+#: Default number of random (u, window, timestamp) rounds per class.
 DEFAULT_ROUNDS = 40
 
 _SiteKey = Tuple[str, str, str, str]
@@ -84,7 +84,7 @@ class SchemeFuzzReport:
 
 @dataclass
 class SchemeBridge:
-    """The joined static/fuzz verdicts (PR 7/8 bridge style)."""
+    """The joined static/fuzz verdicts (PR 7 bridge style)."""
 
     verification: SchemeVerification
     fuzz: SchemeFuzzReport
@@ -126,7 +126,7 @@ def fuzz_project(
     rounds: int = DEFAULT_ROUNDS,
     seed: Optional[int] = None,
 ) -> SchemeFuzzReport:
-    """Random witness hunt over every scheme/planner pair in ``project``."""
+    """Random witness hunt over every scheme file in ``project``."""
     resolved_seed = repro_seed(0) if seed is None else seed
     report = SchemeFuzzReport(seed=resolved_seed, rounds=rounds)
     rng = random.Random(resolved_seed)
@@ -137,12 +137,6 @@ def fuzz_project(
             _fuzz_interval_class(ti_cls, relpath, rng, rounds, report)
         for cls in loaded.scheme_classes():
             _fuzz_scheme(cls, ti_cls, relpath, rng, rounds, report)
-        if loaded.planners_file is not None:
-            for cls in loaded.planner_classes():
-                _fuzz_planner(
-                    cls, ti_cls, loaded.planners_file.relpath,
-                    rng, rounds, report,
-                )
     return report
 
 
@@ -260,93 +254,6 @@ def _fuzz_scheme(
                 "TEMP002", relpath, name, "partition_clipped",
                 f"u={u}: partition_clipped(({lo}, {hi}]): {flaw}",
             ))
-
-
-def _fuzz_planner(
-    cls: type,
-    ti_cls: Optional[type],
-    relpath: str,
-    rng: random.Random,
-    rounds: int,
-    report: SchemeFuzzReport,
-) -> None:
-    if ti_cls is None:
-        return
-    name = cls.__name__
-    for _ in range(rounds):
-        u = rng.randint(1, 32)
-        planner = _random_planner(cls, u, rng)
-        if planner is None:
-            return
-        lo = rng.randint(0, 12 * u)
-        hi = lo + rng.randint(1, 12 * u)
-        try:
-            window = ti_cls(lo, hi)
-        except Exception:  # repro-lint: disable=ERR001
-            continue
-        count = rng.randint(0, 12)
-        events = [_FuzzEvent(rng.randint(lo + 1, hi)) for _ in range(count)]
-        events.sort(key=lambda event: event.time)
-        report.checks += 1
-        try:
-            plan = planner.plan(events, window)
-            pieces = [_ends(iv) for iv in plan]
-        except Exception as exc:  # repro-lint: disable=ERR001
-            report.witnesses.append(FuzzWitness(
-                "TEMP003", relpath, name, "plan",
-                f"u={u}: plan(({lo}, {hi}], {count} events) raised {exc!r}",
-            ))
-            continue
-        flaw = _tiling_flaw(pieces, lo, hi)
-        if flaw is not None:
-            report.witnesses.append(FuzzWitness(
-                "TEMP003", relpath, name, "plan",
-                f"u={u}: plan(({lo}, {hi}], {count} events): {flaw}",
-            ))
-            continue
-        clean = [piece for piece in pieces if piece is not None]
-        for event in events:
-            report.checks += 1
-            if not any(p_lo < event.time <= p_hi for p_lo, p_hi in clean):
-                report.witnesses.append(FuzzWitness(
-                    "TEMP003", relpath, name, "plan",
-                    f"u={u}: event t={event.time} uncovered by the plan "
-                    f"of ({lo}, {hi}]",
-                ))
-                break
-        levels = list(
-            getattr(getattr(planner, "scheme", None), "level_lengths", []) or []
-        )
-        if levels:
-            report.checks += 1
-            expected = canonical_cover(levels, lo, hi)
-            if clean != expected:
-                report.witnesses.append(FuzzWitness(
-                    "TEMP003", relpath, name, "plan",
-                    f"u={u}: hierarchical plan of ({lo}, {hi}] is {clean}, "
-                    f"canonical coarsest cover is {expected}",
-                ))
-
-
-class _FuzzEvent:
-    __slots__ = ("time",)
-
-    def __init__(self, time: int) -> None:
-        self.time = time
-
-
-def _random_planner(cls: type, u: int, rng: random.Random) -> Optional[Any]:
-    for kwargs in (
-        {"u": u},
-        {"events_per_interval": rng.randint(1, 4)},
-        {"base": rng.choice([1, u]), "ratio": 2.0},
-        {},
-    ):
-        try:
-            return cls(**kwargs)
-        except Exception:  # repro-lint: disable=ERR001
-            continue
-    return None
 
 
 def _tiling_flaw(

@@ -1,19 +1,12 @@
-"""Load the analyzed project's interval scheme and planner code.
+"""Load the analyzed project's interval scheme code.
 
 The symbolic verifier proves properties of the *project under
 analysis*, not of whatever ``repro`` happens to be importable -- a
 mutation-acceptance clone or a fixture tree must be judged on its own
-bytes.  So the scheme file (``temporal/intervals.py``) and the planner
-file (``temporal/planners.py``) are compiled and executed from the
-project's :class:`~repro.analysis.project.SourceFile` text into fresh
-synthetic modules.
-
-``planners.py`` imports ``repro.temporal.intervals``; while it executes,
-``sys.modules`` temporarily maps that name to the *project's* loaded
-intervals module (restored in a ``finally``), so a mutated scheme
-propagates into the planners the verifier drives, and both sides share
-one ``TimeInterval`` class.  Everything else (``repro.common.errors``,
-``repro.temporal.events``) resolves normally.
+bytes.  So the scheme file (``temporal/intervals.py``) is compiled and
+executed from the project's
+:class:`~repro.analysis.project.SourceFile` text into a fresh synthetic
+module; its imports (``repro.common.errors``, ...) resolve normally.
 
 A file that fails to execute is reported as a load note, never a crash:
 the lint runner already surfaces syntax errors, and the verifier must
@@ -46,23 +39,20 @@ _LOAD_COUNTER = 0
 
 @dataclass
 class LoadedTemporal:
-    """One project's executed temporal modules plus source anchors."""
+    """One project's executed scheme module plus source anchors."""
 
     intervals_file: SourceFile
     intervals_module: types.ModuleType
-    planners_file: Optional[SourceFile] = None
-    planners_module: Optional[types.ModuleType] = None
-    #: (class name, method name) -> 1-based definition line, per file.
-    anchors: Dict[str, Dict[Tuple[str, str], int]] = field(default_factory=dict)
+    #: (class name, method name) -> 1-based definition line.
+    anchors: Dict[Tuple[str, str], int] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
-    def anchor(self, relpath: str, class_name: str, method: str) -> int:
-        """The definition line of ``class.method`` in ``relpath`` (falls
-        back to the class line, then line 1, so findings always anchor)."""
-        table = self.anchors.get(relpath, {})
+    def anchor(self, class_name: str, method: str) -> int:
+        """The definition line of ``class.method`` (falls back to the
+        class line, then line 1, so findings always anchor)."""
         return (
-            table.get((class_name, method))
-            or table.get((class_name, ""))
+            self.anchors.get((class_name, method))
+            or self.anchors.get((class_name, ""))
             or 1
         )
 
@@ -76,23 +66,6 @@ class LoadedTemporal:
         """The project's ``TimeInterval`` value class, if one is defined."""
         candidates = _classes_with(self.intervals_module, INTERVAL_METHODS)
         return candidates[0] if candidates else None
-
-    def planner_classes(self) -> List[type]:
-        """Concrete planner classes: a ``plan`` method plus the ``name``
-        marker, skipping the abstract base."""
-        if self.planners_module is None:
-            return []
-        out = []
-        for cls in _module_classes(self.planners_module):
-            if not callable(getattr(cls, "plan", None)):
-                continue
-            name = getattr(cls, "name", None)
-            if not isinstance(name, str) or name == "abstract":
-                continue
-            if getattr(cls, "__abstractmethods__", None):
-                continue
-            out.append(cls)
-        return out
 
 
 def _module_classes(module: types.ModuleType) -> List[type]:
@@ -126,11 +99,11 @@ def _def_lines(source: SourceFile) -> Dict[Tuple[str, str], int]:
     return table
 
 
-def _exec_source(source: SourceFile, tag: str) -> types.ModuleType:
+def _exec_source(source: SourceFile) -> types.ModuleType:
     """Compile and run one project file into a fresh synthetic module."""
     global _LOAD_COUNTER
     _LOAD_COUNTER += 1
-    module = types.ModuleType(f"_repro_symbolic_{tag}_{_LOAD_COUNTER}")
+    module = types.ModuleType(f"_repro_symbolic_intervals_{_LOAD_COUNTER}")
     module.__file__ = str(source.path)
     code = compile(source.text, str(source.path), "exec")
     # The synthetic module must be importable by name while its body
@@ -146,73 +119,50 @@ def _exec_source(source: SourceFile, tag: str) -> types.ModuleType:
     return module
 
 
-def _temporal_pairs(
-    project: Project,
-) -> List[Tuple[SourceFile, Optional[SourceFile]]]:
-    """(intervals.py, planners.py) pairs grouped by their directory."""
-    by_dir: Dict[str, Dict[str, SourceFile]] = {}
+def _scheme_files(project: Project) -> List[SourceFile]:
+    """Every ``intervals.py`` at the project top level or in a
+    ``temporal`` package."""
+    found = []
     for source in project.files:
         if source.tree is None:
             continue
         parent, _, basename = source.relpath.rpartition("/")
-        if basename in ("intervals.py", "planners.py") and (
+        if basename == "intervals.py" and (
             parent.endswith("temporal") or parent == ""
         ):
-            by_dir.setdefault(parent, {})[basename] = source
-    pairs = []
-    for group in by_dir.values():
-        if "intervals.py" in group:
-            pairs.append((group["intervals.py"], group.get("planners.py")))
-    return pairs
+            found.append(source)
+    return found
 
 
 def load_temporal(project: Project) -> List[LoadedTemporal]:
-    """Execute every scheme/planner pair the project defines.
+    """Execute every scheme file the project defines.
 
-    Returns one :class:`LoadedTemporal` per loadable pair; pairs whose
-    intervals file cannot execute are skipped with no entry (the runner
-    reports unparsable files separately).
+    Returns one :class:`LoadedTemporal` per file; a file that cannot
+    execute yields an entry holding an empty module and a note (the
+    runner reports unparsable files separately).
     """
     loaded: List[LoadedTemporal] = []
-    for intervals_file, planners_file in _temporal_pairs(project):
+    for intervals_file in _scheme_files(project):
         try:
-            intervals_module = _exec_source(intervals_file, "intervals")
+            intervals_module = _exec_source(intervals_file)
         except BaseException as exc:  # repro-lint: disable=ERR001 -- any project bug
-            continue_note = (
-                f"{intervals_file.relpath}: scheme module failed to "
-                f"execute ({type(exc).__name__}: {exc}); scheme axioms "
-                "not verified"
-            )
             loaded.append(
                 LoadedTemporal(
                     intervals_file=intervals_file,
                     intervals_module=types.ModuleType("_repro_symbolic_empty"),
-                    notes=[continue_note],
+                    notes=[
+                        f"{intervals_file.relpath}: scheme module failed to "
+                        f"execute ({type(exc).__name__}: {exc}); scheme "
+                        "axioms not verified"
+                    ],
                 )
             )
             continue
-        entry = LoadedTemporal(
-            intervals_file=intervals_file,
-            intervals_module=intervals_module,
+        loaded.append(
+            LoadedTemporal(
+                intervals_file=intervals_file,
+                intervals_module=intervals_module,
+                anchors=_def_lines(intervals_file),
+            )
         )
-        entry.anchors[intervals_file.relpath] = _def_lines(intervals_file)
-        if planners_file is not None:
-            saved = sys.modules.get("repro.temporal.intervals")
-            sys.modules["repro.temporal.intervals"] = intervals_module
-            try:
-                entry.planners_module = _exec_source(planners_file, "planners")
-                entry.planners_file = planners_file
-                entry.anchors[planners_file.relpath] = _def_lines(planners_file)
-            except BaseException as exc:  # repro-lint: disable=ERR001
-                entry.notes.append(
-                    f"{planners_file.relpath}: planner module failed to "
-                    f"execute ({type(exc).__name__}: {exc}); planner "
-                    "completeness not verified"
-                )
-            finally:
-                if saved is not None:
-                    sys.modules["repro.temporal.intervals"] = saved
-                else:
-                    sys.modules.pop("repro.temporal.intervals", None)
-        loaded.append(entry)
     return loaded

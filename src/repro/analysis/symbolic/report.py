@@ -4,8 +4,7 @@
 machine-readable record of the whole verification story: the symbolic
 pass (what was checked, what was convicted, per-class verdicts), the
 seeded fuzzing session, and the bridge verdicts joining the two.  CI
-uploads it so a reviewer can read off *why* a scheme was accepted --
-the hierarchical M3 prototype ships on the strength of this artifact.
+uploads it so a reviewer can read off *why* a scheme was accepted.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ def build_scheme_report(bridge: SchemeBridge) -> Dict[str, Any]:
             "findings": [finding.to_json() for finding in verification.findings],
             "interval_classes": list(verification.interval_classes),
             "schemes": list(verification.schemes),
-            "planners": list(verification.planners),
             "notes": list(verification.notes),
         },
         "fuzz": {

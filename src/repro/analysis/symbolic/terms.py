@@ -29,8 +29,8 @@ from typing import Iterator, List, Tuple
 
 #: Concrete interval lengths the symbolic terms are materialized over.
 #: The set deliberately mixes ``u = 1`` (every timestamp is a boundary),
-#: small primes (no accidental divisibility), powers of two (the
-#: hierarchical branch factor), and a composite.
+#: small primes (no accidental divisibility), powers of two, and a
+#: composite.
 U_GRID: Tuple[int, ...] = (1, 2, 3, 5, 8)
 
 #: Boundary multiples probed around: ``k·u`` for these ``k``.

@@ -1,14 +1,14 @@
 """Orchestrate one symbolic verification pass over a project.
 
 :func:`verify_project` loads the project's temporal modules (see
-:mod:`repro.analysis.symbolic.loader`), drives every interval class,
-scheme class and planner class through the axiom checks of
+:mod:`repro.analysis.symbolic.loader`), drives every interval class
+and scheme class through the axiom checks of
 :mod:`repro.analysis.symbolic.axioms`, and converts the convicted
 violations into :class:`~repro.analysis.findings.Finding` records
 anchored at the offending ``def`` line.
 
 The pass is memoized on the project object (the same idiom the lockset
-analysis uses): TEMP002, TEMP003 and TEMP004 all consume the same
+analysis uses): TEMP002 and TEMP004 both consume the same
 verification, and the scheme-report artifact reuses it again, so the
 probe grid runs once per lint invocation.
 """
@@ -16,7 +16,7 @@ probe grid runs once per lint invocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project
@@ -24,7 +24,6 @@ from repro.analysis.symbolic.axioms import (
     Tally,
     Violation,
     check_interval_class,
-    check_planner_class,
     check_scheme_class,
 )
 from repro.analysis.symbolic.loader import LoadedTemporal, load_temporal
@@ -44,7 +43,6 @@ class SchemeVerification:
     #: Per-class descriptors for the scheme-report artifact.
     interval_classes: List[Dict[str, Any]] = field(default_factory=list)
     schemes: List[Dict[str, Any]] = field(default_factory=list)
-    planners: List[Dict[str, Any]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
     @property
@@ -60,9 +58,7 @@ def _finding(loaded: LoadedTemporal, violation: Violation) -> Finding:
     """Anchor one violation at its method's definition line."""
     return Finding(
         path=violation.relpath,
-        line=loaded.anchor(
-            violation.relpath, violation.class_name, violation.method
-        ),
+        line=loaded.anchor(violation.class_name, violation.method),
         rule_id=violation.rule,
         message=(
             f"{violation.class_name}.{violation.method}: "
@@ -75,28 +71,18 @@ def _descriptor(cls: type, relpath: str, violations: List[Violation]) -> Dict[st
     convicted = sorted(
         {v.rule for v in violations if v.class_name == cls.__name__}
     )
-    entry: Dict[str, Any] = {
+    return {
         "class": cls.__name__,
         "file": relpath,
         "verified": not convicted,
         "convicted_rules": convicted,
     }
-    levels = getattr(cls, "level_lengths", None)
-    if levels is None:
-        # Instance attribute: probe a default construction if possible.
-        try:
-            levels = list(getattr(cls(u=1), "level_lengths", []) or [])
-        except Exception:  # repro-lint: disable=ERR001 -- descriptor only, best effort
-            levels = []
-    if levels:
-        entry["level_lengths_u1"] = list(levels)
-    return entry
 
 
 def verify_project(project: Project) -> SchemeVerification:
     """The memoized symbolic verification for ``project`` (the same
     caching idiom as the lockset analysis: one probe-grid run serves
-    TEMP002-004 and the scheme-report artifact alike)."""
+    TEMP002, TEMP004 and the scheme-report artifact alike)."""
     cached = getattr(project, _CACHE_ATTR, None)
     if cached is None:
         cached = _verify(project)
@@ -120,26 +106,12 @@ def _verify(project: Project) -> SchemeVerification:
                 _descriptor(ti_cls, relpath, class_violations)
             )
 
-        scheme_classes = loaded.scheme_classes()
-        for cls in scheme_classes:
+        for cls in loaded.scheme_classes():
             scheme_violations = check_scheme_class(
                 cls, ti_cls, relpath, tally, result.notes
             )
             violations.extend(scheme_violations)
             result.schemes.append(_descriptor(cls, relpath, scheme_violations))
-
-        planners_relpath: Optional[str] = (
-            loaded.planners_file.relpath if loaded.planners_file else None
-        )
-        if planners_relpath is not None:
-            for cls in loaded.planner_classes():
-                planner_violations = check_planner_class(
-                    cls, ti_cls, planners_relpath, tally, result.notes
-                )
-                violations.extend(planner_violations)
-                result.planners.append(
-                    _descriptor(cls, planners_relpath, planner_violations)
-                )
 
         result.violations.extend(violations)
         result.findings.extend(
@@ -147,7 +119,7 @@ def _verify(project: Project) -> SchemeVerification:
         )
 
     result.checks = tally.checks
-    if result.schemes or result.planners:
+    if result.schemes:
         result.notes.append(
             f"probe grid: u in {list(U_GRID)}, {result.checks} checks"
         )

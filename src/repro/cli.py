@@ -243,16 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "json: full edges, witnesses and cycles) instead of findings",
     )
     lint.add_argument(
-        "--footprint",
-        default=None,
-        choices=["json", "dot"],
-        metavar="{json,dot}",
-        help="emit the inferred per-entry-point chaincode key footprints "
-        "(json: the machine-readable report the parallel validator "
-        "loads; dot: bipartite entry-point/namespace graph) instead of "
-        "findings",
-    )
-    lint.add_argument(
         "--cache",
         default=".repro-lint-cache.json",
         metavar="PATH",
@@ -278,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="random (u, window, events) rounds per scheme/planner class "
+        help="random (u, window, timestamp) rounds per scheme class "
         "for --scheme-report (default: 40; seed comes from REPRO_SEED)",
     )
     lint.add_argument(
@@ -589,28 +579,6 @@ def _run_lint(args: argparse.Namespace) -> int:
             return 2
         graph = CallGraph.build(SymbolTable.build(project))
         print(graph.to_dot() if args.call_graph == "dot" else graph.to_json())
-        return 0
-
-    if args.footprint:
-        import json as json_module
-
-        from repro.analysis.footprint import footprint_for
-        from repro.analysis.footprint.export import footprint_dot, footprint_json
-        from repro.analysis.project import build_project
-
-        try:
-            project = build_project(
-                [Path(path) for path in args.paths],
-                root=Path(args.root) if args.root else None,
-            )
-        except FileNotFoundError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        analysis = footprint_for(project)
-        if args.footprint == "dot":
-            print(footprint_dot(analysis), end="")
-        else:
-            print(json_module.dumps(footprint_json(analysis), indent=2))
         return 0
 
     if args.lock_graph:

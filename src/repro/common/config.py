@@ -276,10 +276,6 @@ class CommitConfig:
     #: itself is always appended and synced in the foreground, so the
     #: chain-durable-before-derived-state recovery invariant holds.
     pipeline: bool = False
-    #: Optional ``repro lint --footprint json`` export; when set, the
-    #: parallel validator widens conflict groups for chaincodes whose
-    #: access surface the RWSet cannot witness (hidden reads, ⊤ writes).
-    footprint_path: str = ""
 
     def __post_init__(self) -> None:
         _require_positive(self.workers, "workers")

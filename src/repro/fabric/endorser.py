@@ -29,16 +29,11 @@ class Endorser:
         state_db: StateDB,
         history_db: HistoryDB,
         block_store: BlockStore,
-        footprint_recorder=None,
     ) -> None:
         self._identity = identity
         self._state_db = state_db
         self._history_db = history_db
         self._block_store = block_store
-        #: Optional :class:`repro.fabric.footprint.FootprintRecorder`:
-        #: when set, every endorsed RWSet's keys are folded into the
-        #: dynamic witness report the KEY003 bridge cross-checks.
-        self._footprint_recorder = footprint_recorder
         self._chaincodes: Dict[str, Chaincode] = {}
         self._tx_occurrences: Dict[Tuple[str, int], int] = {}
 
@@ -86,8 +81,6 @@ class Endorser:
             raise EndorsementError(
                 f"chaincode {chaincode_name!r} fn {fn!r} failed: {exc}"
             ) from exc
-        if self._footprint_recorder is not None:
-            self._footprint_recorder.record(chaincode_name, fn, stub.rw_set)
         tx = Transaction(
             tx_id=tx_id,
             chaincode=chaincode_name,

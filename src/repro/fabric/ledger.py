@@ -78,17 +78,11 @@ class Ledger:
             metrics=metrics,
         )
         self.history_db = HistoryDB(metrics=metrics)
-        commit = self._config.commit
-        self._footprint = None
-        if commit.footprint_path:
-            from repro.fabric.footprint import load_footprint
-
-            self._footprint = load_footprint(commit.footprint_path)
         self._pipeline: Optional["CommitPipeline"] = None
         self._validator = self._build_validator()
         self._last_header_hash = GENESIS_PREVIOUS_HASH
         self._recover()
-        if commit.pipeline:
+        if self._config.commit.pipeline:
             # Engaged only after recovery: replay applies derived state
             # inline, exactly like the serial path.
             from repro.fabric.pipeline import CommitPipeline
@@ -106,7 +100,6 @@ class Ledger:
                 version_lookup=self._version_lookup,
                 signature_check=signature_check,
                 workers=commit.workers,
-                footprint=self._footprint,
             )
         return Validator(
             version_lookup=self._version_lookup,

@@ -42,7 +42,6 @@ class FabricNetwork:
         metrics: Optional[MetricsRegistry] = None,
         verify_signatures: bool = True,
         fs: FileSystem = REAL_FS,
-        footprint_recorder=None,
     ) -> None:
         self.config = config or FabricConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -58,7 +57,6 @@ class FabricNetwork:
             metrics=self.metrics,
             verify_signatures=verify_signatures,
             fs=fs,
-            footprint_recorder=footprint_recorder,
         )
         self.peers = {"peer0": self.peer}
         # Resume the chain where the (possibly reopened) ledger left off:

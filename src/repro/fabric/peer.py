@@ -34,15 +34,10 @@ class Peer:
         verify_signatures: bool = True,
         signature_check: Optional[Callable[[Transaction], bool]] = None,
         fs: FileSystem = REAL_FS,
-        footprint_recorder=None,
     ) -> None:
         """``signature_check`` overrides the endorsement verification used
         at commit; a secondary peer passes the *endorsing* peer's check
-        (it cannot verify signatures under its own identity).
-        ``footprint_recorder`` (a
-        :class:`repro.fabric.footprint.FootprintRecorder`) captures the
-        keys every endorsement touches, for the KEY003 static/dynamic
-        bridge."""
+        (it cannot verify signatures under its own identity)."""
         self.identity = identity
         self.ledger = Ledger(path, config=config, metrics=metrics, fs=fs)
         self.endorser = Endorser(
@@ -50,7 +45,6 @@ class Peer:
             state_db=self.ledger.state_db,
             history_db=self.ledger.history_db,
             block_store=self.ledger.block_store,
-            footprint_recorder=footprint_recorder,
         )
         if verify_signatures:
             # Re-wire the ledger's validator with the signature check; the

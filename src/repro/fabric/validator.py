@@ -14,15 +14,14 @@ conflict groups (union-find over each RWSet's reads+writes) and
 validating groups concurrently therefore produces byte-identical
 validation codes to the serial pass -- within a group block order is
 preserved, across groups no ``writes_so_far`` entry is ever consulted.
-A statically inferred :class:`~repro.fabric.footprint.ChaincodeFootprint`
-widens the grouping conservatively for chaincodes whose access surface
-the RWSet cannot witness (``get_history_for_key`` reads are never
-recorded) or whose write namespace is unresolvable (⊤).
+The recorded read/write sets are the validator's only input: a read that
+never enters a read set (``get_history_for_key``) is checked by neither
+the serial nor the parallel pass, so it can change no validation code.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fabric.block import (
     BAD_SIGNATURE,
@@ -32,9 +31,6 @@ from repro.fabric.block import (
     Transaction,
     Version,
 )
-
-if TYPE_CHECKING:
-    from repro.fabric.footprint import ChaincodeFootprint
 
 #: Returns the committed version of a key, or None if absent.
 VersionLookup = Callable[[str], Optional[Version]]
@@ -127,14 +123,12 @@ class ParallelValidator(Validator):
         version_lookup: VersionLookup,
         signature_check: Optional[SignatureCheck] = None,
         workers: int = 1,
-        footprint: Optional["ChaincodeFootprint"] = None,
     ) -> None:
         super().__init__(version_lookup, signature_check)
         from repro.temporal.executor import build_executor
 
         self._workers = max(1, workers)
         self._executor = build_executor(self._workers)
-        self._footprint = footprint
 
     def validate_block(self, block: Block) -> int:
         if self._workers == 1 or len(block.transactions) < 2:
@@ -169,20 +163,11 @@ class ParallelValidator(Validator):
     def _conflict_groups(
         self, block: Block
     ) -> List[List[Tuple[int, Transaction]]]:
-        """Partition the block's transactions into key-disjoint groups.
-
-        Exact RWSet keys drive the union-find; the static footprint (when
-        present) adds two conservative couplings the RWSet cannot
-        witness: transactions of a chaincode with a hidden read surface
-        join every transaction whose keys fall inside that surface, and
-        transactions of an unbounded (⊤) or statically unknown chaincode
-        all join one group.
-        """
+        """Partition the block's transactions into key-disjoint groups
+        (union-find over each RWSet's read and write keys)."""
         txs = block.transactions
         uf = _UnionFind(len(txs))
         owner: Dict[str, int] = {}
-        conservative_anchor: Optional[int] = None
-        surface_anchor: Dict[str, int] = {}
         for index, tx in enumerate(txs):
             keys = {read.key for read in tx.rw_set.reads}
             keys.update(tx.rw_set.writes)
@@ -191,34 +176,6 @@ class ParallelValidator(Validator):
                     uf.union(owner[key], index)
                 else:
                     owner[key] = index
-            if self._footprint is not None:
-                if self._footprint.is_conservative(tx.chaincode):
-                    if conservative_anchor is None:
-                        conservative_anchor = index
-                    uf.union(conservative_anchor, index)
-                elif self._footprint.hidden_surface(tx.chaincode):
-                    if tx.chaincode in surface_anchor:
-                        uf.union(surface_anchor[tx.chaincode], index)
-                    else:
-                        surface_anchor[tx.chaincode] = index
-        if self._footprint is not None:
-            # Couple every tx whose keys fall inside some chaincode's
-            # hidden surface with that chaincode's transactions.
-            for chaincode, anchor in sorted(surface_anchor.items()):
-                for index, tx in enumerate(txs):
-                    if tx.chaincode == chaincode:
-                        continue
-                    keys = {read.key for read in tx.rw_set.reads}
-                    keys.update(tx.rw_set.writes)
-                    if any(
-                        self._footprint.surface_touches(chaincode, key)
-                        for key in keys
-                    ):
-                        uf.union(anchor, index)
-            if conservative_anchor is not None:
-                # An unbounded chaincode can touch anything: one group.
-                for index in range(len(txs)):
-                    uf.union(conservative_anchor, index)
         grouped: Dict[int, List[Tuple[int, Transaction]]] = {}
         for index, tx in enumerate(txs):
             grouped.setdefault(uf.find(index), []).append((index, tx))

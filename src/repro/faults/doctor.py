@@ -11,9 +11,10 @@ it is not, is the damage repairable?*  It layers four groups of checks:
 3. **Cross-structure audit** (:func:`repro.fabric.audit.audit_ledger`):
    hash chain, data hashes, state-db vs an independent chain replay,
    history index, savepoint.
-4. **M1 index consistency**: interval directories must point at bundles
-   that exist in history, half-finished bundle pairs and an unfinished
-   run manifest are flagged as resumable.
+4. **M1 index consistency**: every recorded indexing run must be
+   readable (a run written with a removed interval scheme is an error),
+   half-finished bundle pairs and an unfinished run manifest are flagged
+   as resumable.
 
 Everything is reported as findings (never an exception for damage), so
 operators see the whole picture in one run.
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.common.config import FabricConfig
-from repro.common.errors import ReproError, WalCorruptionError
+from repro.common.errors import IndexingError, ReproError, WalCorruptionError
 from repro.fabric.audit import Finding, audit_ledger
 
 _WAL_NAME = "wal.log"
@@ -234,14 +235,16 @@ def _check_raw_storage(path: Path, report: DoctorReport) -> None:
 
 
 def _check_m1(ledger, report: DoctorReport) -> None:
-    """M1 invariants: directories point at real bundles; bundle pairs
-    that are missing their ``clear_index`` half are resumable, not
+    """M1 invariants: every recorded indexing run is readable; bundle
+    pairs that are missing their ``clear_index`` half are resumable, not
     fatal."""
-    from repro.temporal.intervals import TimeInterval
-    from repro.temporal.keys import encode_interval_key, is_interval_key
-    from repro.temporal.m1 import DIRECTORY_PREFIX
-    from repro.temporal.tqf import PREFIX_END
+    from repro.temporal.keys import is_interval_key
+    from repro.temporal.m1 import M1QueryEngine
 
+    try:
+        M1QueryEngine(ledger).indexing_runs()
+    except IndexingError as exc:
+        report.add("error", "m1-run-unreadable", str(exc))
     for key, _ in ledger.state_db.get_state_by_range("", ""):
         if is_interval_key(key):
             report.add(
@@ -249,17 +252,3 @@ def _check_m1(ledger, report: DoctorReport) -> None:
                 f"{key!r} still in state-db: its clear_index transaction "
                 "never committed (resuming the indexing run repairs this)",
             )
-    for dir_key, state in ledger.state_db.get_state_by_range(
-        DIRECTORY_PREFIX, DIRECTORY_PREFIX + PREFIX_END
-    ):
-        base_key = dir_key[len(DIRECTORY_PREFIX):]
-        for start, end in state.value or []:
-            index_key = encode_interval_key(
-                base_key, TimeInterval(start, end)
-            )
-            if not ledger.history_db.locations_for_key(index_key):
-                report.add(
-                    "error", "m1-directory-dangling",
-                    f"directory of {base_key!r} lists interval "
-                    f"({start}, {end}] but no bundle exists in history",
-                )

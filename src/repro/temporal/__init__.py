@@ -20,31 +20,16 @@ runs Q on any model and reports instrumentation.
 from repro.temporal.engine import JoinResult, QueryStats, TemporalQueryEngine
 from repro.temporal.events import Event, LOAD, UNLOAD
 from repro.temporal.explain import QueryExplainer
-from repro.temporal.intervals import (
-    FixedIntervalScheme,
-    HierarchicalIntervalScheme,
-    TimeInterval,
-)
+from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.livequery import LiveJoinQuery
 from repro.temporal.m1 import M1Indexer, M1QueryEngine
 from repro.temporal.m2 import BaseAccessAPI, M2QueryEngine
-from repro.temporal.planners import (
-    EquiCountPlanner,
-    FixedLengthPlanner,
-    GeometricPlanner,
-    HierarchicalPlanner,
-)
 from repro.temporal.tqf import TQFEngine
 
 __all__ = [
     "BaseAccessAPI",
-    "EquiCountPlanner",
     "Event",
     "FixedIntervalScheme",
-    "FixedLengthPlanner",
-    "GeometricPlanner",
-    "HierarchicalIntervalScheme",
-    "HierarchicalPlanner",
     "JoinResult",
     "LiveJoinQuery",
     "LOAD",

@@ -188,22 +188,10 @@ class M1IndexChaincode(Chaincode):
             stub.del_state(index_key)
             return {"key": index_key}
         if fn == "record_run":
-            # Append one indexing-run descriptor {t1, t2, u, scheme} to the
-            # meta key.
+            # Append one indexing-run descriptor {t1, t2, u} to the meta key.
             (run,) = args
             runs = stub.get_state(self.META_KEY) or []
             runs.append(run)
             stub.put_state(self.META_KEY, runs)
             return {"runs": len(runs)}
-        if fn == "extend_directory":
-            # Append a key's newly created index intervals to its interval
-            # directory (used by non-deterministic planners, whose Θ(k)
-            # cannot be recomputed from run metadata alone).
-            directory_key, intervals = args
-            if not intervals:
-                raise ChaincodeError("refusing to record an empty directory entry")
-            existing = stub.get_state(directory_key) or []
-            existing.extend(intervals)
-            stub.put_state(directory_key, existing)
-            return {"key": directory_key, "intervals": len(existing)}
         raise ChaincodeError(f"unknown function {fn!r} on {self.name!r}")

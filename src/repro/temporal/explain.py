@@ -77,7 +77,7 @@ class QueryExplainer:
         )
 
     def _explain_m1(self, key: str, window: TimeInterval) -> FetchPlan:
-        intervals = list(self._m1._overlapping_intervals(key, window))
+        intervals = list(self._m1._overlapping_intervals(window))
         # Each non-empty bundle costs exactly the one block holding its
         # write; empty candidates cost a GHFK call but zero blocks.
         blocks = 0

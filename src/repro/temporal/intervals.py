@@ -145,97 +145,3 @@ class FixedIntervalScheme:
             for interval in self.iter_intervals_overlapping(window)
             if (clipped := interval.intersection(window)) is not None
         ]
-
-
-class HierarchicalIntervalScheme:
-    """Nested fixed-length levels ``u, branch·u, branch²·u, ...``.
-
-    The M3 groundwork (ROADMAP item 3, per *Timehash: Hierarchical Time
-    Indexing*): level 0 is the paper's fixed-``u`` scheme, and each
-    coarser level bundles exactly ``branch`` intervals of the level
-    below, so every level-``l`` interval is the disjoint union of its
-    ``branch`` children.  The defaults (``levels=3``, ``branch=4``)
-    give the ``u, 4u, 16u`` hierarchy; a long query window can then be
-    covered by a few coarse bundles plus fine bundles at the ragged
-    edges instead of ``|window| / u`` fine bundles.
-
-    Every level obeys the same ``(start, end]`` axioms as
-    :class:`FixedIntervalScheme` -- the TEMP002-004 symbolic verifier
-    checks per-level alignment *and* the nesting invariant, and this
-    class ships only because that pass proves it clean.
-    """
-
-    def __init__(self, u: int, levels: int = 3, branch: int = 4) -> None:
-        if u <= 0:
-            raise TemporalQueryError(f"interval length u must be positive, got {u}")
-        if levels < 1:
-            raise TemporalQueryError(f"need at least one level, got {levels}")
-        if branch < 2:
-            raise TemporalQueryError(
-                f"branch factor must be at least 2, got {branch}"
-            )
-        self.u = u
-        self.levels = levels
-        self.branch = branch
-        #: Interval length per level, finest first: ``u * branch**level``.
-        self.level_lengths: List[int] = [
-            u * branch**level for level in range(levels)
-        ]
-        self._schemes = [
-            FixedIntervalScheme(length) for length in self.level_lengths
-        ]
-
-    def _scheme(self, level: int) -> FixedIntervalScheme:
-        if not 0 <= level < self.levels:
-            raise TemporalQueryError(
-                f"level {level} out of range: scheme has {self.levels} level(s)"
-            )
-        return self._schemes[level]
-
-    def _infer_level(self, interval: TimeInterval) -> int:
-        """The coarsest level ``interval`` is an aligned member of
-        (falling back to the base level for foreign intervals)."""
-        for level in reversed(range(self.levels)):
-            length = self.level_lengths[level]
-            if interval.length == length and interval.start % length == 0:
-                return level
-        return 0
-
-    def interval_for(self, timestamp: Timestamp, level: int = 0) -> TimeInterval:
-        """The level-``level`` index interval containing ``timestamp``
-        (same ``t > 0`` contract as the fixed scheme)."""
-        return self._scheme(level).interval_for(timestamp)
-
-    def previous_interval(self, interval: TimeInterval) -> "TimeInterval | None":
-        """The adjacent earlier interval at ``interval``'s own level, or
-        ``None`` at the timeline start.  M2's backward probing walk works
-        unchanged at any level because each level partitions the
-        timeline on its own."""
-        if interval.start == 0:
-            return None
-        length = self.level_lengths[self._infer_level(interval)]
-        return TimeInterval(max(0, interval.start - length), interval.start)
-
-    def intervals_overlapping(
-        self, window: TimeInterval, level: int = 0
-    ) -> List[TimeInterval]:
-        """All level-``level`` index intervals overlapping the window."""
-        return list(self.iter_intervals_overlapping(window, level))
-
-    def iter_intervals_overlapping(
-        self, window: TimeInterval, level: int = 0
-    ) -> Iterator[TimeInterval]:
-        """Lazily yield the level-``level`` intervals overlapping
-        ``window``."""
-        return self._scheme(level).iter_intervals_overlapping(window)
-
-    def partition(self, window: TimeInterval, level: int = 0) -> List[TimeInterval]:
-        """Aligned level-``level`` intervals covering exactly ``window``
-        (window bounds must be multiples of that level's length)."""
-        return self._scheme(level).partition(window)
-
-    def partition_clipped(
-        self, window: TimeInterval, level: int = 0
-    ) -> List[TimeInterval]:
-        """Level-``level`` intervals covering ``window``, edges clipped."""
-        return self._scheme(level).partition_clipped(window)

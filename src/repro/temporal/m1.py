@@ -7,11 +7,10 @@ since its last run it gathers, per key ``k`` and per index interval
 from state-db.  The bundle then lives only in history-db, retrievable with
 a single block deserialization.
 
-Interval creation is pluggable (:mod:`repro.temporal.planners`).  The
-paper's fixed-length strategy is *deterministic*: a query recomputes
-``Θ(k)`` from the run metadata ``(t1, t2, u)``.  Data-dependent planners
-(equi-count, geometric -- the paper's "future work") additionally persist
-a per-key *interval directory* on the ledger that queries consult.
+Index intervals are the paper's fixed-length-``u`` partition
+(:class:`~repro.temporal.intervals.FixedIntervalScheme`), the same for
+every key, so a query recomputes ``Θ(k)`` from the recorded run metadata
+``(t1, t2, u)`` alone.
 
 The **query engine** computes the overlapping index intervals, issues one
 GHFK per overlapping interval and reads only the first history entry of
@@ -21,16 +20,13 @@ each -- the bundle -- leaving the deletion marker's block untouched
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
 from repro.common import metrics as metric_names
 from repro.common.errors import IndexingError, TemporalQueryError
-from repro.common.locks import make_lock
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.sanitizer.shared import sanitize_shared
 from repro.common.timeutils import Stopwatch
 from repro.fabric.gateway import Gateway
 from repro.fabric.ledger import Ledger
@@ -47,47 +43,43 @@ from repro.temporal.chaincodes import M1IndexChaincode
 from repro.temporal.events import Event, events_to_values
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import encode_interval_key, is_interval_key
-from repro.temporal.planners import FixedLengthPlanner, IntervalPlanner
 from repro.temporal.tqf import PREFIX_END, TQFEngine
-
-#: State-key prefix of per-key interval directories.  Sorts below every
-#: printable entity prefix, so entity range scans never see it.
-DIRECTORY_PREFIX = "\x02m1-dir\x00"
-
-#: Run-scheme markers stored in the run metadata.
-SCHEME_FIXED = "fixed"
-SCHEME_DIRECTORY = "directory"
-
-
-def directory_key(key: str) -> str:
-    """The state key holding ``key``'s index-interval directory."""
-    return DIRECTORY_PREFIX + key
 
 
 @dataclass(frozen=True)
 class IndexingRun:
-    """One invocation of the indexing process over ``(t1, t2]``.
-
-    ``scheme`` records how queries should reconstruct ``Θ(k)``:
-    ``"fixed"`` (recompute from ``u``) or ``"directory"`` (read the
-    per-key directory).
-    """
+    """One invocation of the indexing process over ``(t1, t2]`` with
+    fixed-length-``u`` index intervals."""
 
     t1: int
     t2: int
-    u: int = 0
-    scheme: str = SCHEME_FIXED
+    u: int
 
     def to_value(self) -> Dict[str, object]:
-        return {"t1": self.t1, "t2": self.t2, "u": self.u, "scheme": self.scheme}
+        return {"t1": self.t1, "t2": self.t2, "u": self.u}
 
     @staticmethod
     def from_value(raw: Dict[str, object]) -> "IndexingRun":
+        """Decode a stored run descriptor.
+
+        Ledgers indexed by an older tree carry a ``scheme`` field:
+        ``"fixed"`` is this format; ``"directory"`` runs kept their
+        intervals in a per-key directory this tree no longer reads, and
+        must fail loudly rather than be read as fixed-``u`` with ``u=0``.
+        """
+        scheme = raw.get("scheme", "fixed")
+        if scheme != "fixed":
+            raise IndexingError(
+                f"indexing run ({raw.get('t1')}, {raw.get('t2')}] was written "
+                f"with the removed {scheme!r} interval scheme (per-key "
+                "interval directory); its bundles cannot be located. "
+                "Re-ingest into a fresh ledger and re-index with "
+                "M1Indexer.run"
+            )
         return IndexingRun(
             t1=raw["t1"],  # type: ignore[arg-type]
             t2=raw["t2"],  # type: ignore[arg-type]
-            u=raw.get("u", 0),  # type: ignore[arg-type]
-            scheme=raw.get("scheme", SCHEME_FIXED),  # type: ignore[arg-type]
+            u=raw["u"],  # type: ignore[arg-type]
         )
 
     @property
@@ -100,7 +92,6 @@ class IndexingReport:
     """What one indexing run did (feeds Table III)."""
 
     run: IndexingRun
-    planner: str
     keys_scanned: int
     indexes_written: int
     events_bundled: int
@@ -112,8 +103,7 @@ class M1Indexer:
 
     The indexer is a *client* of the network: it reads histories through
     GHFK (paying the full scan-from-zero cost the paper reports in
-    Table III) and submits two transactions per non-empty bundle (plus
-    one directory transaction per key for data-dependent planners).
+    Table III) and submits two transactions per non-empty bundle.
     """
 
     def __init__(
@@ -146,19 +136,13 @@ class M1Indexer:
         bounds are not (Table III indexes every 25K timestamps with u=2K),
         the boundary intervals are clipped to the run so consecutive runs
         tile the timeline without overlap.
-        """
-        return self.run_with_planner(t1, t2, FixedLengthPlanner(u))
-
-    def run_with_planner(
-        self, t1: int, t2: int, planner: IntervalPlanner
-    ) -> IndexingReport:
-        """Index ``(t1, t2]`` choosing ``Θ(k)`` per key via ``planner``.
 
         The range must not overlap any previous run: overlapping runs
         would bundle the same events twice and queries would return
         duplicates.  Periodic indexing therefore always picks
         ``t1 = previous run's t2``.
         """
+        scheme = FixedIntervalScheme(u)
         if t2 <= t1:
             raise IndexingError(f"indexing range ({t1}, {t2}] is empty")
         window = TimeInterval(t1, t2)
@@ -167,16 +151,20 @@ class M1Indexer:
         manifest_state = None
         if self._manifest is not None:
             manifest_state = self._manifest.load()
+            # ``u`` is part of the run's identity: keys completed before
+            # the crash were bundled under the manifest's ``u``, and a
+            # query recomputes every key's intervals from the one
+            # recorded ``u``.
             if manifest_state is not None and (
                 manifest_state.get("t1") != t1
                 or manifest_state.get("t2") != t2
-                or manifest_state.get("planner") != planner.name
+                or manifest_state.get("u") != u
             ):
                 raise IndexingError(
                     f"run manifest {self._manifest.path} records an unfinished "
                     f"({manifest_state.get('t1')}, {manifest_state.get('t2')}] "
-                    f"{manifest_state.get('planner')} run; resume or clear it "
-                    "before indexing a different range"
+                    f"u={manifest_state.get('u')} run; resume it with the same "
+                    "range and u, or clear it, before starting a different run"
                 )
         resuming = manifest_state is not None
         completed_keys = set(manifest_state["completed_keys"]) if resuming else set()
@@ -189,7 +177,6 @@ class M1Indexer:
                 self._manifest.clear()
                 return IndexingReport(
                     run=previous,
-                    planner=planner.name,
                     keys_scanned=0,
                     indexes_written=0,
                     events_bundled=0,
@@ -204,8 +191,9 @@ class M1Indexer:
         if self._manifest is not None:
             # Persist the run's identity up front so a crash at any later
             # point is recognizably *this* run when it resumes.
-            self._save_manifest(t1, t2, planner.name, completed_keys)
+            self._save_manifest(t1, t2, u, completed_keys)
 
+        intervals = scheme.partition_clipped(window)
         keys_scanned = 0
         indexes_written = 0
         events_bundled = 0
@@ -215,16 +203,12 @@ class M1Indexer:
                     continue
                 keys_scanned += 1
                 events = self._scanner.fetch_events(key, window)
-                intervals = planner.plan(events, window)
-                self._check_plan(key, intervals, window)
                 written, bundled = self._write_bundles(
                     key, events, intervals,
                     verify_existing=self._manifest is not None,
                 )
-                indexes_written += len(written)
+                indexes_written += written
                 events_bundled += bundled
-                if written and not planner.deterministic:
-                    self._extend_directory(key, written, t2)
                 if self._manifest is not None:
                     # Flush first: a manifest checkpoint must never claim
                     # transactions that were still pending (and would be
@@ -233,12 +217,9 @@ class M1Indexer:
                 crash_point(M1_POST_KEY)
                 if self._manifest is not None:
                     completed_keys.add(key)
-                    self._save_manifest(t1, t2, planner.name, completed_keys)
+                    self._save_manifest(t1, t2, u, completed_keys)
 
-        if planner.deterministic:
-            run = IndexingRun(t1=t1, t2=t2, u=planner.u, scheme=SCHEME_FIXED)  # type: ignore[attr-defined]
-        else:
-            run = IndexingRun(t1=t1, t2=t2, scheme=SCHEME_DIRECTORY)
+        run = IndexingRun(t1=t1, t2=t2, u=u)
         crash_point(M1_PRE_RECORD_RUN)
         self._gateway.submit_transaction(
             M1IndexChaincode.name, "record_run", [run.to_value()]
@@ -249,7 +230,6 @@ class M1Indexer:
             self._manifest.clear()
         return IndexingReport(
             run=run,
-            planner=planner.name,
             keys_scanned=keys_scanned,
             indexes_written=indexes_written,
             events_bundled=events_bundled,
@@ -257,57 +237,17 @@ class M1Indexer:
         )
 
     def _save_manifest(
-        self, t1: int, t2: int, planner_name: str, completed_keys: set
+        self, t1: int, t2: int, u: int, completed_keys: set
     ) -> None:
         assert self._manifest is not None
         self._manifest.save(
             {
                 "t1": t1,
                 "t2": t2,
-                "planner": planner_name,
+                "u": u,
                 "completed_keys": sorted(completed_keys),
             }
         )
-
-    def _extend_directory(
-        self, key: str, written: List[TimeInterval], t2: int
-    ) -> None:
-        """Submit the per-key directory extension, skipping intervals a
-        crashed run already recorded."""
-        pending = written
-        if self._manifest is not None:
-            existing = {
-                (iv.start, iv.end)
-                for iv in M1QueryEngine(self._ledger).directory_intervals(key)
-            }
-            pending = [
-                iv for iv in written if (iv.start, iv.end) not in existing
-            ]
-        if not pending:
-            return
-        self._gateway.submit_transaction(
-            M1IndexChaincode.name,
-            "extend_directory",
-            [directory_key(key), [[iv.start, iv.end] for iv in pending]],
-            timestamp=t2,
-        )
-
-    @staticmethod
-    def _check_plan(
-        key: str, intervals: List[TimeInterval], window: TimeInterval
-    ) -> None:
-        """Planner contract: adjacent intervals tiling the window exactly."""
-        if not intervals:
-            raise IndexingError(f"planner produced no intervals for {key!r}")
-        if intervals[0].start != window.start or intervals[-1].end != window.end:
-            raise IndexingError(
-                f"planner intervals for {key!r} do not cover {window}"
-            )
-        for left, right in zip(intervals, intervals[1:]):
-            if left.end != right.start:
-                raise IndexingError(
-                    f"planner intervals for {key!r} leave a gap at {left.end}"
-                )
 
     def _write_bundles(
         self,
@@ -315,17 +255,17 @@ class M1Indexer:
         events: List[Event],
         intervals: List[TimeInterval],
         verify_existing: bool = False,
-    ) -> tuple[List[TimeInterval], int]:
+    ) -> tuple[int, int]:
         """Submit the two indexing transactions per non-empty interval.
 
         With ``verify_existing`` (manifest mode) each interval is first
         checked against the ledger: a bundle a crashed run already
         committed is not rewritten, and a committed bundle whose
         ``clear_index`` went missing in the crash gets just the clear.
-        Returns the intervals holding bundles (pre-existing included) and
-        the number of events newly bundled.
+        Returns the number of intervals holding bundles (pre-existing
+        included) and the number of events newly bundled.
         """
-        written: List[TimeInterval] = []
+        written = 0
         bundled = 0
         position = 0
         events = sorted(events)
@@ -361,22 +301,12 @@ class M1Indexer:
                     M1IndexChaincode.name, "clear_index", [index_key],
                     timestamp=interval.end,
                 )
-            written.append(interval)
+            written += 1
         return written, bundled
 
 
-@sanitize_shared("_bundle_cache")
 class M1QueryEngine:
-    """Temporal queries over Model M1 indexes.
-
-    ``bundle_cache_size > 0`` enables a client-side LRU over decoded
-    bundles.  Unlike caching raw blocks, this is *sound without
-    invalidation*: a bundle ``EV(k, θ)`` is written once and then only
-    ever deleted from state-db, never rewritten, so a cached copy can
-    never go stale.  The LRU is lock-guarded so the parallel query
-    executor's workers can share one engine (an unguarded
-    ``move_to_end`` races concurrent eviction of the same key).
-    """
+    """Temporal queries over Model M1 indexes."""
 
     model = "m1"
 
@@ -384,13 +314,9 @@ class M1QueryEngine:
         self,
         ledger: Ledger,
         metrics: MetricsRegistry = NULL_REGISTRY,
-        bundle_cache_size: int = 0,
     ) -> None:
         self._ledger = ledger
         self._metrics = metrics
-        self._cache_size = bundle_cache_size
-        self._cache_lock = make_lock("M1QueryEngine._cache_lock")
-        self._bundle_cache: "OrderedDict[str, List[Event]]" = OrderedDict()
 
     # -- index metadata ---------------------------------------------------
 
@@ -403,11 +329,6 @@ class M1QueryEngine:
         """Largest timestamp covered by any indexing run (0 when unindexed)."""
         runs = self.indexing_runs()
         return max((run.t2 for run in runs), default=0)
-
-    def directory_intervals(self, key: str) -> List[TimeInterval]:
-        """The per-key interval directory (planner-based runs only)."""
-        raw = self._ledger.get_state(directory_key(key)) or []
-        return [TimeInterval(start, end) for start, end in raw]
 
     # -- queries -------------------------------------------------------------
 
@@ -434,41 +355,25 @@ class M1QueryEngine:
             )
         with self._metrics.timed(metric_names.GHFK_SECONDS):
             events: List[Event] = []
-            for interval in self._overlapping_intervals(key, window):
+            for interval in self._overlapping_intervals(window):
                 events.extend(self._read_bundle(key, interval, window))
         events.sort()
         return events
 
-    def _overlapping_intervals(
-        self, key: str, window: TimeInterval
-    ) -> Iterator[TimeInterval]:
-        """Candidate index intervals ``O(Θ(k), τ)`` across all runs.
-
-        Fixed-length runs yield u-aligned intervals clipped to the run's
-        range -- exactly what the indexer wrote, recomputed with no ledger
-        access.  Directory runs consult the key's on-ledger directory.
-        """
-        directory: List[TimeInterval] | None = None
+    def _overlapping_intervals(self, window: TimeInterval) -> Iterator[TimeInterval]:
+        """Candidate index intervals ``O(Θ(k), τ)`` across all runs:
+        u-aligned intervals clipped to each run's range -- exactly what the
+        indexer wrote, recomputed with no ledger access beyond the run
+        metadata (``Θ(k)`` is the same for every key)."""
         for run in self.indexing_runs():
             clipped = run.window.intersection(window)
             if clipped is None:
                 continue
-            if run.scheme == SCHEME_FIXED:
-                scheme = FixedIntervalScheme(run.u)
-                for interval in scheme.iter_intervals_overlapping(clipped):
-                    bounded = interval.intersection(run.window)
-                    if bounded is not None:
-                        yield bounded
-            else:
-                if directory is None:
-                    directory = self.directory_intervals(key)
-                for interval in directory:
-                    if (
-                        interval.start >= run.t1
-                        and interval.end <= run.t2
-                        and interval.overlaps(window)
-                    ):
-                        yield interval
+            scheme = FixedIntervalScheme(run.u)
+            for interval in scheme.iter_intervals_overlapping(clipped):
+                bounded = interval.intersection(run.window)
+                if bounded is not None:
+                    yield bounded
 
     def _read_bundle(
         self, key: str, interval: TimeInterval, window: TimeInterval
@@ -483,28 +388,11 @@ class M1QueryEngine:
         ]
 
     def _load_bundle(self, key: str, index_key: str) -> List[Event]:
-        """The full decoded bundle for ``index_key`` (cached when enabled).
-
-        Bundles are immutable once written, so callers may share the
-        returned list but must not mutate it.
-        """
-        if self._cache_size:
-            with self._cache_lock:
-                cached = self._bundle_cache.get(index_key)
-                if cached is not None:
-                    self._bundle_cache.move_to_end(index_key)
-                    return cached
-        bundle: List[Event] = []
+        """The full decoded bundle for ``index_key``."""
         for entry in self._ledger.get_history_for_key(index_key):
             # The first (oldest) entry is the bundle; stop immediately so
             # the deletion marker's block is never deserialized.
             if entry.is_delete:
                 break
-            bundle = [Event.from_value(key, value) for value in (entry.value or [])]
-            break
-        if self._cache_size:
-            with self._cache_lock:
-                self._bundle_cache[index_key] = bundle
-                while len(self._bundle_cache) > self._cache_size:
-                    self._bundle_cache.popitem(last=False)
-        return bundle
+            return [Event.from_value(key, value) for value in (entry.value or [])]
+        return []

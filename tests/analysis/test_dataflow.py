@@ -117,7 +117,6 @@ class TestSymbolTable:
             "repro.common.metrics.MetricsRegistry": "_lock",
             "repro.fabric.blockcache.BlockCache": "_lock",
             "repro.fabric.historydb.HistoryDB": "_lock",
-            "repro.temporal.m1.M1QueryEngine": "_cache_lock",
         }
         for qualname, lock_attr in expectations.items():
             assert qualname in classes, qualname
@@ -346,6 +345,44 @@ class TestResultCache:
         selected = self.run(src, cache, select=["CHAIN"])
         assert not selected.from_cache
 
+    def test_analyzer_edit_invalidates(self, tmp_path, monkeypatch):
+        """The analyzer's own source is an input of the run: editing a
+        rule (or a table a rule reads) must not replay the old result."""
+        from repro.analysis import runner
+
+        src, cache = self.seed(tmp_path)
+        self.run(src, cache)
+        assert self.run(src, cache).from_cache
+        monkeypatch.setattr(runner, "analyzer_digest", lambda: "edited")
+        assert not self.run(src, cache).from_cache
+        assert self.run(src, cache).from_cache
+
+    def test_analyzer_digest_covers_nested_analysis_modules(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis.dataflow import cache as cache_module
+
+        assert cache_module.analyzer_digest() == cache_module.analyzer_digest()
+        # Point the function at a stand-in package: <pkg>/dataflow/cache.py.
+        package = tmp_path / "analysis"
+        table = package / "rules" / "tables.py"
+        for path in (package / "dataflow" / "cache.py", table):
+            path.parent.mkdir(parents=True)
+            path.write_text("ROWS = ('a',)\n")
+        monkeypatch.setattr(
+            cache_module, "__file__", str(package / "dataflow" / "cache.py")
+        )
+        before = cache_module.analyzer_digest()
+        table.write_text("ROWS = ()\n")
+        assert cache_module.analyzer_digest() != before
+
+    def test_fingerprint_tracks_the_analyzer(self, tmp_path):
+        src, _ = self.seed(tmp_path)
+        stamps = compute_stamps(sorted(src.rglob("*.py")), src.parent)
+        assert run_fingerprint(
+            stamps, [], baseline_digest(None), "a"
+        ) != run_fingerprint(stamps, [], baseline_digest(None), "b")
+
     def test_corrupt_cache_is_ignored(self, tmp_path):
         src, cache = self.seed(tmp_path)
         self.run(src, cache)
@@ -365,12 +402,12 @@ class TestResultCache:
         src, cache = self.seed(tmp_path)
         files = sorted(src.rglob("*.py"))
         stamps = compute_stamps(files, src.parent)
-        fp = run_fingerprint(stamps, [], baseline_digest(None))
+        fp = run_fingerprint(stamps, [], baseline_digest(None), "a")
         # Touch without changing content: same fingerprint.
         (src / "app.py").touch()
         stamps2 = compute_stamps(files, src.parent)
-        assert run_fingerprint(stamps2, [], baseline_digest(None)) == fp
+        assert run_fingerprint(stamps2, [], baseline_digest(None), "a") == fp
         # Change content: different fingerprint.
         (src / "app.py").write_text("x = 2\n")
         stamps3 = compute_stamps(files, src.parent)
-        assert run_fingerprint(stamps3, [], baseline_digest(None)) != fp
+        assert run_fingerprint(stamps3, [], baseline_digest(None), "a") != fp

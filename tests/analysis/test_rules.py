@@ -32,14 +32,13 @@ def test_registry_exposes_the_documented_rule_families():
         "DET002",
         "TEMP001",
         "TEMP002",
-        "TEMP003",
         "TEMP004",
         "CONC001",
         "CONC002",
         "CONC003",
         "CONC004",
         "RES001",
-    } <= set(rules)
+    } == set(rules)
     for rule_id, rule_class in rules.items():
         assert rule_class.rule_id == rule_id
         assert rule_class.__doc__, f"{rule_id} has no docstring for --explain"

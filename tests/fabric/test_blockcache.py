@@ -174,7 +174,11 @@ class TestSingleFlight:
         loader = threading.Thread(target=call, args=("loader",), daemon=True)
         waiter = threading.Thread(target=call, args=("waiter",), daemon=True)
         loader.start()
-        while "blk" not in cache._inflight:
+        def load_started():
+            with cache._lock:  # ``_inflight`` is guarded by the cache lock
+                return "blk" in cache._inflight
+
+        while not load_started():
             pass  # the first caller owns the load
         waiter.start()
         assert parked.wait(timeout=5)

@@ -1,9 +1,9 @@
-"""Dependency-aware parallel validation: conflict grouping, parity with
-the serial validator, and static-footprint widening.
+"""Dependency-aware parallel validation: conflict grouping and parity
+with the serial validator.
 
 The invariant everything here defends: ``ParallelValidator`` must
 produce byte-identical validation codes to the serial pass for every
-block, at every worker count, with or without a footprint.
+block, at every worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.fabric.block import (
     RWSet,
     Transaction,
 )
-from repro.fabric.footprint import ChaincodeFootprint
 from repro.fabric.validator import ParallelValidator, Validator
 
 
@@ -97,10 +96,8 @@ class TestValidateBlockEdgeCases:
 
 
 class TestConflictGroups:
-    def validator(self, footprint=None):
-        return ParallelValidator(
-            version_lookup={}.get, workers=2, footprint=footprint
-        )
+    def validator(self):
+        return ParallelValidator(version_lookup={}.get, workers=2)
 
     def test_disjoint_transactions_get_singleton_groups(self):
         block = make_block(
@@ -129,133 +126,6 @@ class TestConflictGroups:
             ]
         )
         assert group_indices(self.validator(), block) == [[0, 2], [1, 3]]
-
-
-def build_footprint(entries):
-    return ChaincodeFootprint.from_json({"schema": 1, "entries": entries})
-
-
-class TestFootprintWidening:
-    def test_unknown_chaincode_is_conservative(self):
-        footprint = build_footprint(
-            [{"chaincode": "kv", "reads": [], "writes": [], "hidden_reads": []}]
-        )
-        assert footprint.is_conservative("never-analyzed")
-        assert not footprint.is_conservative("kv")
-
-    def test_top_write_marks_the_chaincode_unbounded(self):
-        footprint = build_footprint(
-            [
-                {
-                    "chaincode": "wild",
-                    "reads": [],
-                    "writes": [{"kind": "top"}],
-                    "hidden_reads": [],
-                }
-            ]
-        )
-        assert footprint.is_conservative("wild")
-
-    def test_hidden_prefix_surface_is_precise_not_conservative(self):
-        footprint = build_footprint(
-            [
-                {
-                    "chaincode": "hist",
-                    "reads": [],
-                    "writes": [{"kind": "lit", "key": "meta"}],
-                    "hidden_reads": [{"kind": "pre", "prefix": "evt~"}],
-                }
-            ]
-        )
-        assert not footprint.is_conservative("hist")
-        assert footprint.hidden_surface("hist")
-        assert footprint.surface_touches("hist", "evt~42")
-        assert not footprint.surface_touches("hist", "run~42")
-
-    def test_arg_hidden_surface_forces_conservative_grouping(self):
-        footprint = build_footprint(
-            [
-                {
-                    "chaincode": "scanner",
-                    "reads": [],
-                    "writes": [],
-                    "hidden_reads": [{"kind": "arg"}],
-                }
-            ]
-        )
-        assert footprint.is_conservative("scanner")
-
-    def test_conservative_chaincode_collapses_the_block_to_one_group(self):
-        footprint = build_footprint(
-            [
-                {
-                    "chaincode": "wild",
-                    "reads": [],
-                    "writes": [{"kind": "top"}],
-                    "hidden_reads": [],
-                },
-                {
-                    "chaincode": "kv",
-                    "reads": [],
-                    "writes": [{"kind": "arg"}],
-                    "hidden_reads": [],
-                },
-            ]
-        )
-        validator = ParallelValidator(
-            version_lookup={}.get, workers=2, footprint=footprint
-        )
-        block = make_block(
-            [
-                make_tx("t0", writes=[("a", 1)], chaincode="kv"),
-                make_tx("t1", writes=[("b", 1)], chaincode="wild"),
-                make_tx("t2", writes=[("c", 1)], chaincode="kv"),
-            ]
-        )
-        assert group_indices(validator, block) == [[0, 1, 2]]
-
-    def test_hidden_surface_couples_only_matching_transactions(self):
-        footprint = build_footprint(
-            [
-                {
-                    "chaincode": "hist",
-                    "reads": [],
-                    "writes": [{"kind": "lit", "key": "meta"}],
-                    "hidden_reads": [{"kind": "pre", "prefix": "evt~"}],
-                },
-                {
-                    "chaincode": "kv",
-                    "reads": [],
-                    "writes": [{"kind": "arg"}],
-                    "hidden_reads": [],
-                },
-            ]
-        )
-        validator = ParallelValidator(
-            version_lookup={}.get, workers=2, footprint=footprint
-        )
-        block = make_block(
-            [
-                make_tx("t0", writes=[("meta", 1)], chaincode="hist"),
-                make_tx("t1", writes=[("evt~7", 1)], chaincode="kv"),
-                make_tx("t2", writes=[("run~7", 1)], chaincode="kv"),
-            ]
-        )
-        # t1 writes inside hist's hidden read surface -> coupled with t0;
-        # t2 stays independent.
-        assert group_indices(validator, block) == [[0, 1], [2]]
-
-    def test_missing_footprint_groups_by_rwset_only(self):
-        validator = ParallelValidator(
-            version_lookup={}.get, workers=2, footprint=None
-        )
-        block = make_block(
-            [
-                make_tx("t0", writes=[("a", 1)], chaincode="anything"),
-                make_tx("t1", writes=[("b", 1)], chaincode="anything"),
-            ]
-        )
-        assert group_indices(validator, block) == [[0], [1]]
 
 
 def random_block(seed, tx_count=40, key_space=8):
@@ -312,29 +182,6 @@ class TestParallelParity:
             version_lookup=committed.get,
             signature_check=check,
             workers=workers,
-        ).validate_block(parallel_block)
-        actual = [tx.validation_code for tx in parallel_block.transactions]
-        assert actual == expected
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_parity_holds_with_a_conservative_footprint(self, seed):
-        footprint = build_footprint(
-            [
-                {
-                    "chaincode": "cc",
-                    "reads": [],
-                    "writes": [{"kind": "top"}],
-                    "hidden_reads": [],
-                }
-            ]
-        )
-        serial_block, committed = random_block(seed)
-        Validator(version_lookup=committed.get).validate_block(serial_block)
-        expected = [tx.validation_code for tx in serial_block.transactions]
-
-        parallel_block, _ = random_block(seed)
-        ParallelValidator(
-            version_lookup=committed.get, workers=4, footprint=footprint
         ).validate_block(parallel_block)
         actual = [tx.validation_code for tx in parallel_block.transactions]
         assert actual == expected

@@ -19,7 +19,6 @@ from repro.faults.doctor import run_doctor
 from repro.temporal.chaincodes import M1IndexChaincode, SupplyChainChaincode
 from repro.temporal.intervals import TimeInterval
 from repro.temporal.m1 import M1Indexer, M1QueryEngine
-from repro.temporal.planners import EquiCountPlanner
 from repro.temporal.tqf import TQFEngine
 from repro.workload.ingest import ingest
 from tests.helpers import SMALL_CONFIG, fabric_config, small_workload
@@ -136,42 +135,49 @@ def test_m1_kill_mid_bundle_later_keys(tmp_path, occurrence):
         recovered.close()
 
 
-def test_m1_resume_with_directory_planner(tmp_path):
-    """Data-dependent planners persist per-key directories; a crashed run
-    must not leave dangling or duplicated directory entries."""
+def test_resume_with_a_different_u_is_refused(tmp_path):
+    """``u`` is part of an unfinished run's identity: keys completed
+    before the crash are bundled under the manifest's ``u``, so resuming
+    under another ``u`` would record one ``u`` for bundles written under
+    two and M1 would silently miss the earlier keys' events."""
+    import json
+
     from repro.faults.crashpoints import M1_POST_KEY
 
     plan = FaultPlan(seed=23).crash_at(M1_POST_KEY, occurrence=2)
     fs = FaultyFS(plan)
     manifest = tmp_path / "m1-run.json"
     network = ingested_network(tmp_path / "net", fs=fs)
-    planner = EquiCountPlanner(events_per_interval=8)
     try:
         with active_plan(plan):
-            build_indexer(network, manifest).run_with_planner(0, T2, planner)
+            build_indexer(network, manifest).run(0, T2, U)
     except SimulatedCrashError:
         pass
     finally:
         fs.kill()
     assert plan.fired is not None
+    assert json.loads(manifest.read_text())["u"] == U
 
     recovered = reopened_network(tmp_path / "net")
     try:
-        build_indexer(recovered, manifest).run_with_planner(
-            0, T2, EquiCountPlanner(events_per_interval=8)
-        )
+        with pytest.raises(IndexingError, match="unfinished"):
+            build_indexer(recovered, manifest).run(0, T2, 2 * U)
+        assert M1QueryEngine(recovered.ledger).indexing_runs() == []
+
+        # A manifest written before ``u`` was recorded cannot vouch for
+        # any ``u``: refused the same way.
+        saved = manifest.read_text()
+        legacy = json.loads(saved)
+        del legacy["u"]
+        legacy["planner"] = "fixed"
+        manifest.write_text(json.dumps(legacy))
+        with pytest.raises(IndexingError, match="unfinished"):
+            build_indexer(recovered, manifest).run(0, T2, U)
+
+        manifest.write_text(saved)
+        report = build_indexer(recovered, manifest).run(0, T2, U)
+        assert report.run.u == U
         assert_m1_matches_tqf(recovered)
-        m1 = M1QueryEngine(recovered.ledger)
-        for prefix in PREFIXES:
-            for key in m1.list_keys(prefix):
-                intervals = [
-                    (iv.start, iv.end) for iv in m1.directory_intervals(key)
-                ]
-                assert len(intervals) == len(set(intervals)), (
-                    f"duplicated directory entries for {key!r}"
-                )
-        doctor = run_doctor(tmp_path / "net", config=fabric_config())
-        assert doctor.ok, doctor.render()
     finally:
         recovered.close()
 

@@ -14,11 +14,7 @@ import random
 import pytest
 
 from repro.common.config import repro_seed
-from repro.temporal.intervals import (
-    FixedIntervalScheme,
-    HierarchicalIntervalScheme,
-    TimeInterval,
-)
+from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 
 ROUNDS = 200
 T_MAX = 400
@@ -80,7 +76,6 @@ class TestSchemePartitionProperties:
     def _schemes(self, rng):
         u = rng.choice((1, 2, 3, 5, 7, 16, 100))
         yield u, FixedIntervalScheme(u)
-        yield u, HierarchicalIntervalScheme(u, levels=2, branch=4)
 
     def _windows(self, rng, u):
         yield random_interval(rng)

@@ -5,10 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import IndexingError
+from repro.faults.doctor import run_doctor
+from repro.temporal.chaincodes import M1IndexChaincode
 from repro.temporal.intervals import TimeInterval
 from repro.temporal.keys import encode_interval_key
-from repro.temporal.m1 import M1QueryEngine
-from tests.helpers import build_m1_index, build_plain_network, small_workload
+from repro.temporal.m1 import IndexingRun, M1QueryEngine
+from repro.temporal.tqf import TQFEngine
+from tests.helpers import (
+    build_m1_index,
+    build_plain_network,
+    fabric_config,
+    small_workload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +142,54 @@ class TestOverlapGuard:
         with pytest.raises(IndexingError):
             build_m1_index(network, t1=0, t2=500, u=50)
         network.close()
+
+
+class TestStoredRunFormats:
+    """Run descriptors written by an older tree carried a ``scheme``
+    field.  ``"fixed"`` is today's only scheme and still reads; a
+    ``"directory"`` run (per-key interval directory, removed) must fail
+    loudly everywhere the run list is read -- never be answered as a
+    fixed-length run with ``u = 0``."""
+
+    def test_run_stored_with_scheme_fixed_still_reads(
+        self, tmp_path, workload, monkeypatch
+    ):
+        to_value = IndexingRun.to_value
+        monkeypatch.setattr(
+            IndexingRun, "to_value", lambda run: {**to_value(run), "scheme": "fixed"}
+        )
+        network = build_plain_network(tmp_path, workload)
+        build_m1_index(network, t1=0, t2=1_000, u=100)
+        stored = network.ledger.get_state(M1IndexChaincode.META_KEY)
+        assert stored == [{"t1": 0, "t2": 1_000, "u": 100, "scheme": "fixed"}]
+        m1, tqf = M1QueryEngine(network.ledger), TQFEngine(network.ledger)
+        assert m1.indexing_runs() == [IndexingRun(t1=0, t2=1_000, u=100)]
+        window = TimeInterval(150, 850)
+        for key in workload.shipments[:3]:
+            assert m1.fetch_events(key, window) == tqf.fetch_events(key, window)
+        network.close()
+
+    def test_run_stored_with_scheme_directory_fails_loudly(self, tmp_path, workload):
+        network = build_plain_network(tmp_path, workload)
+        gateway = network.gateway("older-tree")
+        gateway.submit_transaction(
+            M1IndexChaincode.name,
+            "record_run",
+            [{"t1": 0, "t2": 500, "u": 0, "scheme": "directory"}],
+        )
+        gateway.flush()
+        engine = M1QueryEngine(network.ledger)
+        expected = r"removed 'directory' interval scheme.*re-index with M1Indexer\.run"
+        with pytest.raises(IndexingError, match=expected):
+            engine.indexing_runs()
+        with pytest.raises(IndexingError, match=expected):
+            engine.fetch_events(workload.shipments[0], TimeInterval(0, 400))
+        with pytest.raises(IndexingError, match=expected):
+            build_m1_index(network, t1=500, t2=1_000, u=100)
+        network.close()
+
+        report = run_doctor(tmp_path, config=fabric_config())
+        assert not report.ok
+        unreadable = [f for f in report.findings if f.code == "m1-run-unreadable"]
+        assert len(unreadable) == 1
+        assert "re-index with M1Indexer.run" in unreadable[0].detail

@@ -7,6 +7,7 @@ a docstring, and every module must import cleanly on its own.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -75,6 +76,33 @@ def test_public_classes_and_functions_documented(module_name):
     assert not undocumented, (
         f"{module_name}: missing docstrings on {sorted(undocumented)}"
     )
+
+
+#: The system proper.  ``repro.analysis`` is tooling *about* it; a
+#: runtime module importing the analyzer (at module level or inside a
+#: function) would put lint machinery on the endorse/commit/query path.
+RUNTIME_PACKAGES = ("common", "storage", "fabric", "temporal", "workload", "faults")
+
+
+def test_no_runtime_module_imports_the_analyzer():
+    offending = {}
+    for module_name in MODULES:
+        if module_name.split(".")[1] not in RUNTIME_PACKAGES:
+            continue
+        module = importlib.import_module(module_name)
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        analyzer = sorted(
+            name for name in imported if (name + ".").startswith("repro.analysis.")
+        )
+        if analyzer:
+            offending[module_name] = analyzer
+    assert not offending
 
 
 def test_package_exposes_version():
