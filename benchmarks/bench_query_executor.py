@@ -5,7 +5,8 @@ executor/cache matrix -- workers {1, 8} x shared block cache {off, on}
 -- and writes ``BENCH_query.json`` so the perf trajectory has data
 points a CI artifact can track:
 
-* per-config wall seconds, ``blocks_deserialized``, cache hit/miss
+* per-config wall seconds, ``blocks_deserialized``, ``txs_decoded``
+  (transaction segments decoded, per timing round), cache hit/miss
   counts, GHFK calls and a SHA-256 over the join rows (the byte-identity
   check across every config);
 * a ``speedup`` section comparing TQF's parallel+cache configuration to
@@ -17,8 +18,12 @@ directory; set ``REPRO_BENCH_QUERY_OUT`` to redirect it.
 Run directly (``python benchmarks/bench_query_executor.py``) or through
 pytest (``pytest benchmarks/bench_query_executor.py``); both produce the
 same file and apply the same assertions: identical rows everywhere,
-parallel deserializations never above serial, and >= 2x TQF speedup for
-workers=8 + shared cache over the serial cache-off path.
+parallel deserializations never above serial, a cached block keeping
+what it decoded (a cached config never decodes more segments than the
+serial cache-off path, and none at all once the cache is warm), and
+>= 2x TQF speedup for workers=8 + shared cache over the serial
+cache-off path.  The decode counts fail as counts: a cache that lost its
+memo would otherwise only show as a near-miss on the wall-clock gate.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Dict, List, Optional
 
 from repro.bench.experiments import query_fabric_config, table1_windows, u_small
 from repro.bench.runner import ExperimentRunner
-from repro.temporal.engine import TemporalQueryEngine
+from repro.common import metrics as metric_names
 from repro.workload.datasets import ds1
 from repro.workload.generator import generate
 
@@ -52,11 +57,16 @@ def _rows_digest(rows: List[object]) -> str:
     return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
 
 
-def _measure(facade: TemporalQueryEngine, model: str, window) -> Dict[str, object]:
-    """Best-of-N timing for one (facade, model) on one window."""
+def _measure(runner: ExperimentRunner, model: str, window) -> Dict[str, object]:
+    """Best-of-N timing for one (runner, model) on one window, plus the
+    transaction segments each round decoded."""
     best: Optional[Dict[str, object]] = None
+    metrics = runner.network.metrics
+    decoded_per_round: List[int] = []
     for _ in range(TIMING_ROUNDS):
-        result = facade.run_join(model, window)
+        decoded_before = metrics.counter(metric_names.TXS_DECODED)
+        result = runner.facade.run_join(model, window)
+        decoded_per_round.append(metrics.counter(metric_names.TXS_DECODED) - decoded_before)
         stats = result.stats
         sample: Dict[str, object] = {
             "seconds": stats.join_seconds,
@@ -71,6 +81,7 @@ def _measure(facade: TemporalQueryEngine, model: str, window) -> Dict[str, objec
         if best is None or sample["seconds"] < best["seconds"]:  # type: ignore[operator]
             best = sample
     assert best is not None
+    best["txs_decoded"] = decoded_per_round
     return best
 
 
@@ -111,7 +122,7 @@ def run_bench(out_path: Optional[str] = None) -> Dict[str, object]:
             plain.build_m1_index(u=u)
             m2.ingest()
             for model, runner in (("tqf", plain), ("m1", plain), ("m2", m2)):
-                sample = _measure(runner.facade, model, window)
+                sample = _measure(runner, model, window)
                 sample.update(
                     {"config": label, "model": model,
                      "workers": workers, "cache_blocks": cache_blocks}
@@ -139,6 +150,18 @@ def run_bench(out_path: Optional[str] = None) -> Dict[str, object]:
         for label, _workers, _cache in CONFIGS:
             assert by_key[(label, model)]["blocks_deserialized"] <= serial_blocks, (
                 f"{model}/{label} deserialized more blocks than serial cache-off"
+            )
+        serial_decoded = max(by_key[("serial-nocache", model)]["txs_decoded"])  # type: ignore[call-overload]
+        for label, _workers, cache_blocks in CONFIGS:
+            if not cache_blocks:
+                continue
+            decoded: List[int] = by_key[(label, model)]["txs_decoded"]  # type: ignore[assignment]
+            assert max(decoded) <= serial_decoded, (
+                f"{model}/{label} decoded more segments ({decoded}) than "
+                f"serial cache-off ({serial_decoded})"
+            )
+            assert not any(decoded[1:]), (
+                f"{model}/{label} decoded segments on a warm cache: {decoded}"
             )
 
     with open(out_path, "w") as handle:

@@ -138,7 +138,7 @@ def _audit_history_index(ledger: Ledger, report: AuditReport) -> None:
     rebuilt = HistoryDB()
     rebuilt.rebuild(ledger.block_store)
     live = ledger.history_db
-    keys = set(live._locations) | set(rebuilt._locations)
+    keys = set(live.keys()) | set(rebuilt.keys())
     for key in sorted(keys):
         if live.locations_for_key(key) != rebuilt.locations_for_key(key):
             report.add(

@@ -331,13 +331,13 @@ class Block:
     block.
 
     Lazy decoding is safe under concurrent readers of one cached block:
-    a decoded transaction is published with ``dict.setdefault`` (atomic;
-    the first writer wins and every reader gets that object), and the
-    switch to the fully decoded list assigns the list before it clears
-    the frame.
+    a decoded segment and the transaction built from it are each
+    published with ``dict.setdefault`` (atomic; the first writer wins and
+    every reader gets that object), and the switch to the fully decoded
+    list assigns the list before it clears the frame.
     """
 
-    __slots__ = ("_header", "_txs", "_frame", "_decoded")
+    __slots__ = ("_header", "_txs", "_frame", "_raw", "_decoded")
 
     def __init__(
         self, header: BlockHeader, transactions: List[Transaction]
@@ -346,7 +346,10 @@ class Block:
         self._txs: Optional[List[Transaction]] = transactions
         #: Set while lazy; cleared once everything is decoded.
         self._frame: Optional[_Frame] = None
-        #: Transactions decoded one at a time, by index, while lazy.
+        #: Transaction segments decoded one at a time, by index, while
+        #: lazy: the codec-level mappings :meth:`history_write` reads.
+        self._raw: Dict[int, Dict[str, Any]] = {}
+        #: The transactions built from them and handed out, by index.
         self._decoded: Dict[int, Transaction] = {}
 
     # -- framed payload -------------------------------------------------------
@@ -403,8 +406,18 @@ class Block:
         block = Block.__new__(Block)
         block._header = block._txs = None
         block._frame = _Frame(payload, body, lengths, first, step, codec, metrics)
+        block._raw = {}
         block._decoded = {}
         return block
+
+    def _segment(self, frame: _Frame, index: int) -> Dict[str, Any]:
+        """Transaction ``index`` of a lazy block as its decoded mapping,
+        decoding only that segment and only once."""
+        raw = self._raw.get(index)
+        if raw is None:
+            raw = self._raw.setdefault(index, frame.segment(index + 1))
+            frame.metrics.increment(metric_names.TXS_DECODED)
+        return raw
 
     def _transaction(self, index: int) -> Transaction:
         """Transaction ``index``, decoding only its segment."""
@@ -419,10 +432,42 @@ class Block:
         tx = self._decoded.get(index)
         if tx is None:
             tx = self._decoded.setdefault(
-                index, Transaction.from_dict(frame.segment(index + 1))
+                index, Transaction.from_dict(self._segment(frame, index))
             )
-            frame.metrics.increment(metric_names.TXS_DECODED)
         return tx
+
+    def history_write(self, tx_index: int, key: str) -> Tuple[Any, bool, int, str]:
+        """``(value, is_delete, timestamp, tx_id)`` of the write to
+        ``key`` by transaction ``tx_index``: what one GHFK result needs.
+
+        On a lazy block this reads the transaction's decoded segment and
+        builds no :class:`Transaction`.  A transaction already handed out
+        through :attr:`transactions` is read instead of its segment, so a
+        mutation made through the view is what history reports.  A
+        location that names no write to ``key`` raises
+        :class:`LedgerError`.
+        """
+        frame = self._frame
+        tx: Optional[Transaction] = None
+        if frame is None:
+            txs = self._materialize()
+            if 0 <= tx_index < len(txs):
+                tx = txs[tx_index]
+        elif 0 <= tx_index < len(frame.lengths) - 1:
+            tx = self._decoded.get(tx_index)
+            if tx is None:
+                raw = self._segment(frame, tx_index)
+                for write in raw["rw_set"]["writes"]:
+                    if write["k"] == key:
+                        return write["v"], bool(write["d"]), raw["timestamp"], raw["tx_id"]
+        if tx is not None:
+            found = tx.rw_set.writes.get(key)
+            if found is not None:
+                return found.value, found.is_delete, tx.timestamp, tx.tx_id
+        raise LedgerError(
+            f"history index names block {self.number} tx {tx_index} for key "
+            f"{key!r}, but that transaction writes no such key"
+        )
 
     def _materialize(self) -> List[Transaction]:
         """Decode everything still framed -- header included -- with one
@@ -432,17 +477,20 @@ class Block:
             assert self._txs is not None
             return self._txs
         header, *raw_txs = frame.codec.decode(frame.payload[frame.body :])
-        known = len(self._decoded)
+        # A segment history already read stays the one its transaction is
+        # built from: the values handed out are the ones the hash covers.
+        known = self._raw
         publish = self._decoded.setdefault  # keeps a transaction already handed out
         txs = [
-            publish(index, Transaction.from_dict(raw))
+            publish(index, Transaction.from_dict(known.get(index, raw)))
             for index, raw in enumerate(raw_txs)
         ]
-        frame.metrics.increment(metric_names.TXS_DECODED, len(txs) - known)
+        frame.metrics.increment(metric_names.TXS_DECODED, len(txs) - len(known))
         if self._header is None:
             self._header = BlockHeader.from_dict(header)
         self._txs = txs
         self._frame = None
+        self._raw = {}  # dropped with the payload it was decoded from
         return txs
 
     # -- the parts --------------------------------------------------------------

@@ -11,8 +11,7 @@ query's end timestamp) never pay for the remaining blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.locks import make_rlock
@@ -22,9 +21,12 @@ from repro.fabric.block import Block, VALID
 from repro.fabric.blockstore import BlockStore
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One historical state of a key, extracted from a committed block."""
+class HistoryEntry(NamedTuple):
+    """One historical state of a key, extracted from a committed block.
+
+    A named tuple, not a frozen dataclass: one is built per GHFK result,
+    and a frozen dataclass pays an ``object.__setattr__`` per field.
+    """
 
     key: str
     value: Any
@@ -104,6 +106,11 @@ class HistoryDB:
         with self._lock:
             return len(self._locations)
 
+    def keys(self) -> List[str]:
+        """A snapshot of every key with at least one write location."""
+        with self._lock:
+            return list(self._locations)
+
     def get_history_for_key(
         self, key: str, block_store: BlockStore, prefetch: int = 1
     ) -> Iterator[HistoryEntry]:
@@ -182,15 +189,6 @@ class HistoryDB:
     def _entry(
         self, key: str, block: Block, block_num: int, tx_num: int
     ) -> HistoryEntry:
-        tx = block.transactions[tx_num]
-        write = tx.rw_set.writes[key]
+        value, is_delete, timestamp, tx_id = block.history_write(tx_num, key)
         self._metrics.increment(metric_names.GHFK_RESULTS)
-        return HistoryEntry(
-            key=key,
-            value=write.value,
-            is_delete=write.is_delete,
-            timestamp=tx.timestamp,
-            block_num=block_num,
-            tx_num=tx_num,
-            tx_id=tx.tx_id,
-        )
+        return HistoryEntry(key, value, is_delete, timestamp, block_num, tx_num, tx_id)

@@ -70,7 +70,7 @@ def summarize_chain(ledger: Ledger, top_keys: int = 5) -> ChainSummary:
     widths = sorted(
         (
             (key, history.block_count_for_key(key))
-            for key in _history_keys(ledger)
+            for key in history.keys()
         ),
         key=lambda pair: (-pair[1], pair[0]),
     )
@@ -87,10 +87,6 @@ def summarize_chain(ledger: Ledger, top_keys: int = 5) -> ChainSummary:
     )
 
 
-def _history_keys(ledger: Ledger) -> List[str]:
-    return list(ledger.history_db._locations.keys())
-
-
 def ghfk_cost_profile(ledger: Ledger, prefix: str = "") -> Dict[str, int]:
     """Blocks a full GHFK would deserialize, per key (base keys only).
 
@@ -99,7 +95,7 @@ def ghfk_cost_profile(ledger: Ledger, prefix: str = "") -> Dict[str, int]:
     """
     return {
         key: ledger.history_db.block_count_for_key(key)
-        for key in _history_keys(ledger)
+        for key in ledger.history_db.keys()
         if key.startswith(prefix) and not is_interval_key(key)
         and not key.startswith("\x01") and not key.startswith("\x02")
     }

@@ -112,6 +112,7 @@ def _scenario_historydb(workers: int) -> None:
             history.locations_for_key(f"key-{step % 6}")
             history.block_count_for_key(f"key-{(step + 1) % 6}")
             history.key_count()
+            history.keys()
 
     _run_threads(workers, work)
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import threading
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import main
+from repro.fabric.historydb import HistoryDB
 from repro.fabric.inspect import ghfk_cost_profile, summarize_chain
+from repro.sanitizer import runtime
+from repro.sanitizer.scenarios import _fake_block
 from tests.helpers import build_plain_network, small_workload
 
 
@@ -56,6 +62,44 @@ class TestGhfkCostProfile:
     def test_prefix_filter(self, network, workload):
         profile = ghfk_cost_profile(network.ledger, prefix="S")
         assert set(profile) == set(workload.shipments)
+
+
+class TestHistoryKeysSnapshot:
+    def test_keys_is_a_snapshot_not_a_view(self, network, workload):
+        history = network.ledger.history_db
+        keys = history.keys()
+        assert len(keys) == history.key_count() == workload.config.key_count
+        keys.clear()
+        assert history.key_count() == workload.config.key_count
+
+    def test_profile_racing_a_commit_reads_the_index_under_its_lock(self):
+        """``ghfk_cost_profile`` runs while a gateway may be committing:
+        it must enumerate keys through the locked ``HistoryDB.keys()``,
+        never the live ``_locations`` dict -- the dynamic race sanitizer
+        sees every access to that attribute and the locks held."""
+        with runtime.sanitized(seed=18) as sanitizer:
+            history = HistoryDB()
+            ledger = SimpleNamespace(history_db=history)
+            profiles = []
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        history.index_block(_fake_block(n, [f"S{n:03d}"])) for n in range(40)
+                    ]
+                ),
+                threading.Thread(
+                    target=lambda: profiles.extend(ghfk_cost_profile(ledger) for _ in range(40))
+                ),
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            report = sanitizer.build_report(source="inspect", workers=2)
+        assert report.races == [], "\n".join(race.render() for race in report.races)
+        assert ghfk_cost_profile(ledger) == {f"S{n:03d}": 1 for n in range(40)}
+        assert all(set(profile.values()) <= {1} for profile in profiles)
 
 
 class TestCli:
