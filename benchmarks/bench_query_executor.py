@@ -9,8 +9,9 @@ points a CI artifact can track:
   (transaction segments decoded, per timing round), cache hit/miss
   counts, GHFK calls and a SHA-256 over the join rows (the byte-identity
   check across every config);
-* a ``speedup`` section comparing TQF's parallel+cache configuration to
-  the serial cache-off baseline (the paper's measurement setup).
+* a ``speedup`` section comparing TQF's serial+cache configuration to
+  the serial cache-off baseline (the paper's measurement setup) -- like
+  for like: the only difference between the two is the cache.
 
 The output path defaults to ``BENCH_query.json`` in the working
 directory; set ``REPRO_BENCH_QUERY_OUT`` to redirect it.
@@ -21,8 +22,11 @@ same file and apply the same assertions: identical rows everywhere,
 parallel deserializations never above serial, a cached block keeping
 what it decoded (a cached config never decodes more segments than the
 serial cache-off path, and none at all once the cache is warm), and
->= 2x TQF speedup for workers=8 + shared cache over the serial
-cache-off path.  The decode counts fail as counts: a cache that lost its
+>= 2x TQF speedup for the shared cache over the cache-off path at
+workers=1.  The workers=8 rows are measured and checked for identity but
+gate nothing: on this substrate they lose to workers=1 in like-for-like
+cells (DESIGN.md §5), so a gate on ``parallel-cache`` passed on the
+cache alone.  The decode counts fail as counts: a cache that lost its
 memo would otherwise only show as a near-miss on the wall-clock gate.
 """
 
@@ -48,7 +52,7 @@ CONFIGS = [
 ]
 TIMING_ROUNDS = 3
 
-#: TQF wall-clock gate: parallel+cache must beat serial+nocache by this.
+#: TQF wall-clock gate: serial+cache must beat serial+nocache by this.
 REQUIRED_TQF_SPEEDUP = 2.0
 
 
@@ -131,12 +135,12 @@ def run_bench(out_path: Optional[str] = None) -> Dict[str, object]:
 
     by_key = {(r["config"], r["model"]): r for r in results}
     baseline = by_key[("serial-nocache", "tqf")]
-    contender = by_key[("parallel-cache", "tqf")]
+    contender = by_key[("serial-cache", "tqf")]
     speedup = float(baseline["seconds"]) / max(float(contender["seconds"]), 1e-9)
     report["speedup"] = {
         "tqf": {
             "serial_nocache_seconds": baseline["seconds"],
-            "parallel_cache_seconds": contender["seconds"],
+            "serial_cache_seconds": contender["seconds"],
             "speedup": round(speedup, 2),
             "required": REQUIRED_TQF_SPEEDUP,
         }
@@ -174,7 +178,7 @@ def test_query_executor_bench():
     report = run_bench()
     speedup = report["speedup"]["tqf"]["speedup"]  # type: ignore[index]
     assert speedup >= REQUIRED_TQF_SPEEDUP, (
-        f"TQF parallel+cache speedup {speedup}x is below the "
+        f"TQF serial+cache speedup {speedup}x is below the "
         f"{REQUIRED_TQF_SPEEDUP}x gate; see BENCH_query.json"
     )
 

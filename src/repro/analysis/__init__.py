@@ -26,7 +26,9 @@ ERR001    swallowed exceptions: bare ``except:`` or broad
 DET002    interprocedural determinism: a nondeterministic value reaching
           ``put_state``/``del_state`` through *any* chain of helper
           calls, tracked by the project-wide taint engine
-          (:mod:`repro.analysis.dataflow`); strictly subsumes CHAIN001
+          (:mod:`repro.analysis.dataflow`); same source set as
+          CHAIN001, which additionally flags uses that never reach a
+          write
 TEMP001   Model M1 ingest contract: every ``"write_index"`` submission
           followed by its ``"clear_index"`` tombstone, and θ-boundary
           arithmetic confined to the interval scheme
@@ -38,8 +40,7 @@ RES001    ``fs.open`` handles not scoped by ``with``, closed in a
 
 Entry points: the :func:`run_lint` API and the ``repro lint`` CLI
 subcommand (see :mod:`repro.cli`).  Findings can be suppressed per line
-with ``# repro-lint: disable=RULE`` and grandfathered in a checked-in
-baseline file (see :mod:`repro.analysis.baseline`).
+with ``# repro-lint: disable=RULE -- reason``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ fingerprint of everything that can influence it:
 * every analyzed file's content hash -- revalidated by ``mtime_ns`` +
   size first, so an unchanged tree costs one ``stat()`` per file and
   zero reads;
-* the rule selection and the baseline file's hash;
+* the rule selection;
 * the analyzer's own sources (``repro/analysis/**/*.py``): rules, and
   the tables they read, are inputs of the run like any linted file;
 * a schema version for the cache file's layout.
@@ -29,13 +29,13 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.findings import Finding
 
 #: Versions the cache *file layout* only: a rule or rule-table change
 #: reaches the fingerprint through :func:`analyzer_digest`.
-CACHE_SCHEMA = 8
+CACHE_SCHEMA = 9
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,6 @@ def compute_stamps(
     return stamps
 
 
-def baseline_digest(baseline_path: Optional[Path]) -> str:
-    """Hash of the baseline file contents ("absent" when there is none)."""
-    if baseline_path is None or not baseline_path.exists():
-        return "absent"
-    return hashlib.sha256(baseline_path.read_bytes()).hexdigest()
-
-
 def analyzer_digest() -> str:
     """Hash of the analyzer's own sources, so that editing a rule or one
     of its tables invalidates every cached result."""
@@ -116,7 +109,6 @@ def analyzer_digest() -> str:
 def run_fingerprint(
     stamps: Sequence[FileStamp],
     select: Sequence[str],
-    baseline: str,
     analyzer: str,
 ) -> str:
     """One hash covering everything that can change the run's outcome
@@ -124,7 +116,6 @@ def run_fingerprint(
     digest = hashlib.sha256()
     digest.update(f"schema={CACHE_SCHEMA}\n".encode())
     digest.update(f"select={','.join(sorted(select))}\n".encode())
-    digest.update(f"baseline={baseline}\n".encode())
     digest.update(f"analyzer={analyzer}\n".encode())
     for stamp in stamps:
         digest.update(f"{stamp.relpath}={stamp.sha256}\n".encode())
@@ -136,9 +127,6 @@ class CachedResult:
     """The replayable portion of a :class:`LintResult`."""
 
     new_findings: List[Finding]
-    baselined: List[Finding]
-    stale_baseline: List[Finding]
-    dropped_baseline: List[Tuple[Finding, str]]
     suppressed: List[Finding]
     files_checked: int
 
@@ -172,12 +160,6 @@ class LintCache:
         try:
             return CachedResult(
                 new_findings=_findings(result["new_findings"]),
-                baselined=_findings(result["baselined"]),
-                stale_baseline=_findings(result["stale_baseline"]),
-                dropped_baseline=[
-                    (Finding.from_json(entry), str(entry.get("reason", "")))
-                    for entry in result.get("dropped_baseline", [])
-                ],
                 suppressed=_findings(result["suppressed"]),
                 files_checked=int(result["files_checked"]),
             )
@@ -198,12 +180,6 @@ class LintCache:
             "files": {stamp.relpath: stamp.to_json() for stamp in stamps},
             "result": {
                 "new_findings": [f.to_json() for f in result.new_findings],
-                "baselined": [f.to_json() for f in result.baselined],
-                "stale_baseline": [f.to_json() for f in result.stale_baseline],
-                "dropped_baseline": [
-                    {**entry.to_json(), "reason": reason}
-                    for entry, reason in result.dropped_baseline
-                ],
                 "suppressed": [f.to_json() for f in result.suppressed],
                 "files_checked": result.files_checked,
             },

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.runner import LintResult, run_lint
@@ -107,10 +107,10 @@ class BridgeResult:
         )
 
     def _conc_findings(self) -> List[Finding]:
-        """Every CONC finding the lint produced, baselined or not."""
+        """Every CONC finding the lint produced."""
         return [
             finding
-            for finding in (*self.lint.new_findings, *self.lint.baselined)
+            for finding in self.lint.new_findings
             if finding.rule_id.startswith("CONC")
         ]
 
@@ -119,7 +119,6 @@ def cross_check(
     report_path: str | Path,
     paths: Sequence[Path],
     root: Optional[Path] = None,
-    baseline_path: Optional[Path] = None,
 ) -> BridgeResult:
     """Load a race report, run the CONC rules, and join the verdicts.
 
@@ -133,7 +132,6 @@ def cross_check(
     lint = run_lint(
         list(paths),
         root=root,
-        baseline_path=baseline_path,
         select=("CONC",),
         cache_path=None,
     )

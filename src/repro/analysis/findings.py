@@ -11,10 +11,7 @@ class Finding:
     """One rule violation.
 
     ``path`` is project-root-relative with forward slashes so findings
-    (and the baseline file that stores them) are stable across machines.
-    ``message`` deliberately carries no line numbers: baseline matching
-    keys on ``(rule_id, path, message)`` so a finding survives unrelated
-    edits that shift it a few lines.
+    are stable across machines.
     """
 
     path: str
@@ -26,12 +23,8 @@ class Finding:
         """The one-line human form: ``path:line: RULE message``."""
         return f"{self.path}:{self.line}: {self.rule_id} {self.message}"
 
-    def baseline_key(self) -> tuple:
-        """Identity used when matching against the baseline file."""
-        return (self.rule_id, self.path, self.message)
-
     def to_json(self) -> Dict[str, Any]:
-        """JSON-object form used by ``--format json`` and the baseline."""
+        """JSON-object form used by ``--format json`` and the result cache."""
         return {
             "rule": self.rule_id,
             "path": self.path,
@@ -41,7 +34,7 @@ class Finding:
 
     @staticmethod
     def from_json(raw: Dict[str, Any]) -> "Finding":
-        """Invert :meth:`to_json` (used when loading the baseline)."""
+        """Invert :meth:`to_json` (used when replaying the result cache)."""
         return Finding(
             path=str(raw["path"]),
             line=int(raw.get("line", 0)),

@@ -3,9 +3,9 @@
 Both the per-file rule (:mod:`repro.analysis.rules.determinism`) and the
 interprocedural one (:mod:`repro.analysis.rules.dataflow_determinism`,
 via :mod:`repro.analysis.dataflow.taint`) must agree exactly on which
-APIs diverge between two executions of the same chaincode -- otherwise
-DET002 could not claim to subsume CHAIN001.  This module is the single
-definition, dependency-free so the rule layer and the dataflow layer can
+APIs diverge between two executions of the same chaincode -- the two
+rules answer different questions about one source set.  This module is
+the single definition, dependency-free so the rule layer and the dataflow layer can
 both import it without cycles.
 """
 

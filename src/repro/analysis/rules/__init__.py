@@ -10,7 +10,6 @@ from repro.analysis.rules import (
     durability,
     exceptions,
     resources,
-    scheme,
     temporal_model,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "durability",
     "exceptions",
     "resources",
-    "scheme",
     "temporal_model",
 ]

@@ -26,9 +26,11 @@ names the source, its location, and the call chain, so the report is
 actionable without re-running the analysis by hand.
 
 A flow CHAIN001 also sees (source and sink in the same chaincode class)
-is still reported -- DET002 strictly subsumes CHAIN001's source set, and
-the two findings describe different lines: the API use versus the write
-it contaminates.
+is still reported -- the two rules share one source set, and the two
+findings describe different lines: the API use versus the write it
+contaminates.  CHAIN001 additionally flags uses that never reach a
+write: DET002 follows *values*, so a coin toss deciding whether a
+constant is written is invisible to it.
 """
 
 from __future__ import annotations

@@ -28,13 +28,19 @@ file) inherits from a base named ``Chaincode`` and flags:
 
 Chaincode should derive every varying value from its arguments or from
 ``stub.get_tx_timestamp()``, which is part of the ordered transaction.
+
+DET002 draws on the same source set but follows values to a ledger
+write; CHAIN001 additionally flags uses that never reach a write, e.g.
+``if random.random() < 0.5: stub.put_state(k, 1)`` -- a nondeterministic
+branch around a constant.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
+from repro.analysis.dataflow.symbols import dotted_path, import_aliases
 from repro.analysis.findings import Finding
 from repro.analysis.nondeterminism import (
     BANNED_ATTRS as _BANNED_ATTRS,
@@ -47,40 +53,6 @@ from repro.analysis.nondeterminism import (
 )
 from repro.analysis.project import Project, SourceFile
 from repro.analysis.registry import Rule, register
-
-
-def _import_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Map local names to the dotted path they import, module-wide.
-
-    ``import time as t``        -> ``{"t": "time"}``
-    ``from random import seed`` -> ``{"seed": "random.seed"}``
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _dotted_path(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Resolve ``node`` to a dotted path rooted at an imported module."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    base = aliases.get(node.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
 
 
 def _chaincode_classes(tree: ast.AST) -> List[ast.ClassDef]:
@@ -143,7 +115,7 @@ class ChaincodeDeterminismRule(Rule):
     def check_file(self, source: SourceFile, project: Project) -> List[Finding]:
         if source.tree is None or "Chaincode" not in source.text:
             return []
-        aliases = _import_aliases(source.tree)
+        aliases = import_aliases(source.tree)
         findings: List[Finding] = []
         for class_def in _chaincode_classes(source.tree):
             findings.extend(self._check_class(source, class_def, aliases))
@@ -203,7 +175,7 @@ class ChaincodeDeterminismRule(Rule):
     def _resolve(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
         """Dotted path for attribute chains and bare imported names."""
         if isinstance(node, ast.Attribute):
-            return _dotted_path(node, aliases)
+            return dotted_path(node, aliases)
         if isinstance(node, ast.Name) and not isinstance(getattr(node, "ctx", None), ast.Store):
             dotted = aliases.get(node.id)
             # Only bare *from*-imports resolve through a Name (e.g.

@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "FileSystem-seam bypasses, fsync-before-rename, crash-point "
         "coverage, swallowed exceptions)",
         description="Run the repro-lint static analyzer.",
-        epilog="exit codes: 0 = clean (or all findings baselined), "
-        "1 = new findings, 2 = usage error (unknown rule, bad path)",
+        epilog="exit codes: 0 = clean, 1 = new findings, "
+        "2 = usage error (unknown rule, bad path)",
     )
     lint.add_argument(
         "paths",
@@ -186,23 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json"],
         default="text",
         help="output format (json is machine-readable, for CI annotation)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default="lint-baseline.json",
-        metavar="PATH",
-        help="baseline file of grandfathered findings "
-        "(default: lint-baseline.json; a missing file means empty)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings as the new baseline and exit 0",
     )
     lint.add_argument(
         "--select",
@@ -253,23 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="always analyze from scratch, ignoring and not writing the cache",
-    )
-    lint.add_argument(
-        "--scheme-report",
-        default=None,
-        metavar="PATH",
-        help="run the symbolic scheme verifier (TEMP002-004) plus the "
-        "seeded property-based fuzzer over the analyzed tree, write the "
-        "combined scheme-report JSON artifact to PATH, and print the "
-        "static-vs-fuzz bridge verdicts; exits 1 on any conviction",
-    )
-    lint.add_argument(
-        "--scheme-fuzz-rounds",
-        type=int,
-        default=None,
-        metavar="N",
-        help="random (u, window, timestamp) rounds per scheme class "
-        "for --scheme-report (default: 40; seed comes from REPRO_SEED)",
     )
     lint.add_argument(
         "--dynamic-witness",
@@ -491,13 +457,11 @@ def _run_dynamic_witness(args: argparse.Namespace) -> int:
 
     from repro.analysis.dynamic_witness import cross_check
 
-    baseline_path = None if args.no_baseline else Path(args.baseline)
     try:
         result = cross_check(
             args.dynamic_witness,
             [Path(path) for path in args.paths],
             root=Path(args.root) if args.root else None,
-            baseline_path=baseline_path,
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
@@ -508,37 +472,6 @@ def _run_dynamic_witness(args: argparse.Namespace) -> int:
         else result.render_text()
     )
     return 0 if result.ok else 1
-
-
-def _run_scheme_report(args: argparse.Namespace) -> int:
-    """``lint --scheme-report``: symbolic verification + seeded fuzzing."""
-    from pathlib import Path
-
-    from repro.analysis.project import build_project
-    from repro.analysis.symbolic import bridge, render_scheme_report
-    from repro.analysis.symbolic.fuzz import DEFAULT_ROUNDS
-
-    try:
-        project = build_project(
-            [Path(path) for path in args.paths],
-            root=Path(args.root) if args.root else None,
-        )
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    rounds = (
-        args.scheme_fuzz_rounds
-        if args.scheme_fuzz_rounds is not None
-        else DEFAULT_ROUNDS
-    )
-    result = bridge(project, rounds=rounds)
-    Path(args.scheme_report).write_text(
-        render_scheme_report(result) + "\n", encoding="utf-8"
-    )
-    print(result.render_text())
-    print(f"(scheme report written to {args.scheme_report})")
-    clean = result.verification.ok and not result.fuzz.witnesses
-    return 0 if clean else 1
 
 
 def _run_lint(args: argparse.Namespace) -> int:
@@ -552,14 +485,16 @@ def _run_lint(args: argparse.Namespace) -> int:
     if args.dynamic_witness:
         return _run_dynamic_witness(args)
 
-    if args.scheme_report:
-        return _run_scheme_report(args)
-
     if args.explain:
         rules = all_rules()
-        rule = rules.get(args.explain)
+        # Rule ids are upper-case; match like --select does.
+        rule = rules.get(args.explain.upper())
         if rule is None:
-            print(f"unknown rule {args.explain!r}; known: {', '.join(sorted(rules))}")
+            print(
+                f"repro lint: unknown rule {args.explain!r}; "
+                f"known: {', '.join(sorted(rules))}",
+                file=sys.stderr,
+            )
             return 2
         module_doc = inspect.getmodule(rule).__doc__ or ""
         print(f"{rule.rule_id}: {(rule.__doc__ or '').strip()}\n\n{module_doc.strip()}")
@@ -604,25 +539,18 @@ def _run_lint(args: argparse.Namespace) -> int:
         if args.select is not None
         else []
     )
-    baseline_path = None if args.no_baseline else Path(args.baseline)
     cache_path = None if args.no_cache else Path(args.cache)
     try:
         result = run_lint(
             [Path(path) for path in args.paths],
             root=Path(args.root) if args.root else None,
-            baseline_path=baseline_path,
             select=select,
-            write_baseline=args.write_baseline,
             cache_path=cache_path,
         )
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, KeyError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     print(result.render_json() if args.format == "json" else result.render_text())
-    if args.write_baseline:
-        if args.format == "text":
-            print(f"(baseline written to {baseline_path})")
-        return 0
     return 0 if result.ok else 1
 
 

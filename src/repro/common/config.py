@@ -101,8 +101,6 @@ class StateDbConfig:
     memtable_limit: int = 8192
     #: Number of L0 SSTables that triggers a compaction.
     compaction_trigger: int = 6
-    #: Compaction strategy for the LSM backend: ``full`` or ``tiered``.
-    compaction: str = "full"
     #: ``flush`` (default) or ``fsync``: whether WAL sync points and
     #: SSTable finalization call ``os.fsync`` so acknowledged writes
     #: survive power loss, not just a process kill.
@@ -120,10 +118,6 @@ class StateDbConfig:
             )
         _require_positive(self.memtable_limit, "memtable_limit")
         _require_positive(self.compaction_trigger, "compaction_trigger")
-        if self.compaction not in ("full", "tiered"):
-            raise ConfigError(
-                f"compaction must be 'full' or 'tiered', got {self.compaction!r}"
-            )
         _require_durability(self.durability)
 
 

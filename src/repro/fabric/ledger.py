@@ -70,7 +70,6 @@ class Ledger:
                 path=path / "statedb",
                 memtable_limit=state_config.memtable_limit,
                 compaction_trigger=state_config.compaction_trigger,
-                compaction=state_config.compaction,
                 durability=state_config.durability,
                 metrics=metrics,
                 fs=fs,

@@ -38,7 +38,7 @@ def open_kv_store(
             ``memory``.
         **options: :class:`~repro.storage.kv.lsm.LSMStore` keyword
             arguments (``memtable_limit``, ``compaction_trigger``,
-            ``compaction``, ``durability``, ``metrics``, ``fs``);
+            ``durability``, ``metrics``, ``fs``);
             ``memory`` has nothing to configure and ignores them, so the
             ledger passes one option set whichever backend is configured.
     """

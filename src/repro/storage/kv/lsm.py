@@ -89,30 +89,15 @@ class LSMStore(KVStore):
         path: str | Path,
         memtable_limit: int = 8192,
         compaction_trigger: int = 6,
-        compaction: str = "full",
         metrics: MetricsRegistry = NULL_REGISTRY,
         durability: str = "flush",
         fs: FileSystem = REAL_FS,
     ) -> None:
-        """``compaction`` picks the strategy once ``compaction_trigger``
-        SSTables accumulate:
-
-        * ``"full"`` -- merge every table into one and drop dead entries
-          (lowest read amplification, highest write amplification);
-        * ``"tiered"`` -- merge only the newest half of the tables;
-          tombstones survive unless the merge happens to include the
-          oldest table (size-tiered trade-off: cheaper compactions, more
-          tables to consult on reads).
-        """
         if memtable_limit <= 0:
             raise ValueError(f"memtable_limit must be positive, got {memtable_limit}")
         if compaction_trigger <= 1:
             raise ValueError(
                 f"compaction_trigger must be > 1, got {compaction_trigger}"
-            )
-        if compaction not in ("full", "tiered"):
-            raise ValueError(
-                f"compaction must be 'full' or 'tiered', got {compaction!r}"
             )
         if durability not in ("flush", "fsync"):
             raise ValueError(
@@ -122,7 +107,6 @@ class LSMStore(KVStore):
         # (parallel ingestion); the reentrant lock serializes every
         # structural mutation (memtable swap, table list, sequences).
         self._lock = make_rlock("LSMStore._lock")
-        self._compaction = compaction
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self._memtable_limit = memtable_limit
@@ -329,26 +313,14 @@ class LSMStore(KVStore):
             self._write_manifest_locked()
             self._wal.truncate()
             if len(self._tables) >= self._compaction_trigger:
-                self._compact_locked()
+                self._merge_tables_locked()
 
     def _table_path(self, sequence: int) -> Path:
         return self.path / f"{_SST_PREFIX}{sequence:08d}{_SST_SUFFIX}"
 
-    def _compact_locked(self) -> None:
-        if self._compaction == "full":
-            self._merge_tables_locked(victims=self._tables)
-        else:
-            # Tiered: merge the newest half (at least two tables).  The
-            # merged table takes a fresh (highest) sequence number, which
-            # is consistent with its precedence: it replaced exactly the
-            # newest run.
-            count = max(2, len(self._tables) // 2)
-            self._merge_tables_locked(victims=self._tables[-count:])
-
-    def _merge_tables_locked(self, victims: List[Tuple[int, SSTableReader]]) -> None:
-        """Merge ``victims`` (a suffix of the table list, newest last)
-        into one table.  Tombstones can be dropped only when no older
-        table survives to be shadowed.
+    def _merge_tables_locked(self) -> None:
+        """Full compaction: merge every table into one and drop dead
+        entries (no older table survives for a tombstone to shadow).
 
         Victim files are *not* deleted here: a lock-free reader may hold
         a pre-compaction snapshot that still consults them.  Each
@@ -359,22 +331,18 @@ class LSMStore(KVStore):
         unlink runs leaves only a stray that reopen deletes.
         """
         self._metrics.increment(metric_names.KV_COMPACTIONS)
-        survivors = self._tables[: len(self._tables) - len(victims)]
+        retired = self._tables
         merged = self._merged_entries(
-            sources=[reader for _, reader in victims],
+            sources=[reader for _, reader in retired],
             memtable=None,
             start=None,
             end=None,
-            keep_tombstones=bool(survivors),
         )
         sequence = self._next_sequence
         self._next_sequence += 1
         table_path = self._table_path(sequence)
         write_sstable(table_path, merged, fs=self._fs, fsync=self._fsync)
-        retired = list(victims)
-        self._tables = survivors + [
-            (sequence, SSTableReader(table_path, fs=self._fs))
-        ]
+        self._tables = [(sequence, SSTableReader(table_path, fs=self._fs))]
         self._write_manifest_locked()
         for _, reader in retired:
             self._pending_unlinks.add(reader.path)
@@ -420,16 +388,8 @@ class LSMStore(KVStore):
     ) -> Iterator[Tuple[bytes, bytes]]:
         self._check_open()
         memtable, tables = self._read_snapshot()
-        yield from (
-            (key, value)
-            for key, value in self._merged_entries(
-                sources=list(tables),
-                memtable=memtable,
-                start=start,
-                end=end,
-                keep_tombstones=False,
-            )
-            if value is not None
+        yield from self._merged_entries(
+            sources=list(tables), memtable=memtable, start=start, end=end
         )
 
     def _merged_entries(
@@ -438,9 +398,9 @@ class LSMStore(KVStore):
         memtable: Optional[Memtable],
         start: Optional[bytes],
         end: Optional[bytes],
-        keep_tombstones: bool,
-    ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """K-way merge with newest-wins on duplicate keys.
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """K-way merge with newest-wins on duplicate keys; a key whose
+        newest entry is a tombstone is dropped.
 
         Source priority: memtable beats any SSTable; later SSTables beat
         earlier ones.  The heap orders by ``(key, -priority)`` so for equal
@@ -471,7 +431,7 @@ class LSMStore(KVStore):
             if key == last_key:
                 continue  # older duplicate, already emitted newest
             last_key = key
-            if value is None and not keep_tombstones:
+            if value is None:
                 continue
             yield key, value
 

@@ -39,3 +39,16 @@ class StillBad(BadChaincode):
         for key in seen:  # expect: CHAIN001
             stub.del_state(key)  # expect: DET002
         return sorted(seen)
+
+
+class CoinFlip(Chaincode):
+    """Nondeterministic *control*, deterministic value: whether the write
+    happens depends on a coin toss.  CHAIN001 flags the use; DET002's
+    value taint has nothing to follow into ``put_state``."""
+
+    name = "coin-flip"
+
+    def invoke(self, stub, fn, args):
+        if random.random() < 0.5:  # expect: CHAIN001
+            stub.put_state(args[0], 1)
+        return []

@@ -1,4 +1,4 @@
-"""The ``repro lint`` subcommand: exit codes, formats, baseline flags."""
+"""The ``repro lint`` subcommand: exit codes, formats, cache flags."""
 
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ def lint_argv(project, *extra):
         str(project / "src"),
         "--root",
         str(project),
-        "--baseline",
-        str(project / "lint-baseline.json"),
         *extra,
     ]
 
@@ -49,14 +47,6 @@ def test_json_format_is_machine_readable(project, capsys):
     assert document["ok"] is False
     assert {finding["rule"] for finding in document["findings"]} == {"ERR001"}
     assert all(finding["line"] > 0 for finding in document["findings"])
-
-
-def test_write_baseline_then_gate(project, capsys):
-    assert main(lint_argv(project, "--write-baseline")) == 0
-    assert (project / "lint-baseline.json").exists()
-    capsys.readouterr()
-    assert main(lint_argv(project)) == 0  # grandfathered
-    assert main(lint_argv(project, "--no-baseline")) == 1  # still really there
 
 
 def test_select_limits_the_rules(project, capsys):
@@ -147,3 +137,10 @@ def test_explain_prints_rule_documentation(capsys):
     out = capsys.readouterr().out
     assert "CHAIN001" in out and "deterministic" in out
     assert main(["lint", "--explain", "NOPE999"]) == 2
+    captured = capsys.readouterr()  # a usage error: stderr, like the others
+    assert captured.out == "" and "unknown rule 'NOPE999'" in captured.err
+
+
+def test_explain_matches_case_insensitively_like_select(capsys):
+    assert main(["lint", "--explain", "temp001"]) == 0
+    assert capsys.readouterr().out.startswith("TEMP001:")

@@ -20,7 +20,6 @@ from repro.analysis.dataflow import CallGraph, SymbolTable, dataflow_for
 from repro.analysis.dataflow.cache import (
     CACHE_SCHEMA,
     LintCache,
-    baseline_digest,
     compute_stamps,
     run_fingerprint,
 )
@@ -379,9 +378,7 @@ class TestResultCache:
     def test_fingerprint_tracks_the_analyzer(self, tmp_path):
         src, _ = self.seed(tmp_path)
         stamps = compute_stamps(sorted(src.rglob("*.py")), src.parent)
-        assert run_fingerprint(
-            stamps, [], baseline_digest(None), "a"
-        ) != run_fingerprint(stamps, [], baseline_digest(None), "b")
+        assert run_fingerprint(stamps, [], "a") != run_fingerprint(stamps, [], "b")
 
     def test_corrupt_cache_is_ignored(self, tmp_path):
         src, cache = self.seed(tmp_path)
@@ -402,12 +399,12 @@ class TestResultCache:
         src, cache = self.seed(tmp_path)
         files = sorted(src.rglob("*.py"))
         stamps = compute_stamps(files, src.parent)
-        fp = run_fingerprint(stamps, [], baseline_digest(None), "a")
+        fp = run_fingerprint(stamps, [], "a")
         # Touch without changing content: same fingerprint.
         (src / "app.py").touch()
         stamps2 = compute_stamps(files, src.parent)
-        assert run_fingerprint(stamps2, [], baseline_digest(None), "a") == fp
+        assert run_fingerprint(stamps2, [], "a") == fp
         # Change content: different fingerprint.
         (src / "app.py").write_text("x = 2\n")
         stamps3 = compute_stamps(files, src.parent)
-        assert run_fingerprint(stamps3, [], baseline_digest(None), "a") != fp
+        assert run_fingerprint(stamps3, [], "a") != fp

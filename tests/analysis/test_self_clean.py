@@ -27,12 +27,7 @@ def test_source_tree_is_lint_clean():
         import pytest
 
         pytest.skip("not running from a source checkout")
-    baseline = REPO_ROOT / "lint-baseline.json"
-    result = run_lint(
-        [SRC],
-        root=REPO_ROOT,
-        baseline_path=baseline if baseline.exists() else None,
-    )
+    result = run_lint([SRC], root=REPO_ROOT)
     assert result.ok, "repro lint found new violations:\n" + result.render_text()
 
 

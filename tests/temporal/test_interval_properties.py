@@ -1,9 +1,9 @@
 """Seeded property tests for the ``(start, end]`` interval algebra.
 
 A replayable randomized sweep (``REPRO_SEED`` selects the sequence, the
-default matches CI) over overlaps/intersection/partition, with the
-adversarial cases the symbolic verifier probes statically -- single-point
-windows, sub-``u`` windows, and ``k·u ± 1`` boundaries -- exercised here
+default matches CI) over overlaps/intersection/partition and the
+scheme's walk and listing laws, with the adversarial cases -- single-point
+windows, sub-``u`` windows, and ``k·u ± 1`` boundaries -- exercised
 against the point-wise membership oracle.
 """
 
@@ -134,3 +134,36 @@ class TestSchemePartitionProperties:
                     home = scheme.interval_for(t)
                     assert home in tiles, (str(window), t)
                     assert home.contains(t)
+
+    def test_previous_interval_walks_down_to_the_timeline_start(self, rng):
+        # M2's GetState-Base probe loop is this walk: from the interval
+        # of t it must visit ceil(t/u) adjacent aligned intervals, each
+        # strictly earlier, and then stop.
+        for _ in range(ROUNDS // 8):
+            for u, scheme in self._schemes(rng):
+                for t in (1, u, u + 1, rng.randrange(1, 6 * u + 1)):
+                    walk = []
+                    interval = scheme.interval_for(t)
+                    while interval is not None:
+                        walk.append(interval)
+                        assert len(walk) <= t, (u, t)  # fail, never spin
+                        interval = scheme.previous_interval(interval)
+                    assert len(walk) == -(-t // u), (u, t)
+                    assert walk[-1].start == 0
+                    for later, earlier in zip(walk, walk[1:]):
+                        assert earlier.end == later.start, (u, t)
+                    for tile in walk:
+                        assert tile.start % u == 0 and tile.length == u
+
+    def test_intervals_overlapping_lists_interval_for_of_every_point(self, rng):
+        for _ in range(ROUNDS // 8):
+            for u, scheme in self._schemes(rng):
+                for window in self._windows(rng, u):
+                    homes = []
+                    for t in sorted(points(window)):
+                        home = scheme.interval_for(t)
+                        if not homes or homes[-1] != home:
+                            homes.append(home)
+                    assert scheme.intervals_overlapping(window) == homes, (
+                        u, str(window)
+                    )
