@@ -142,7 +142,6 @@ _LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"
 _SEAM_FACTORIES = {
     "repro.common.locks.make_lock": "Lock",
     "repro.common.locks.make_rlock": "RLock",
-    "repro.common.locks.make_condition": "Condition",
 }
 
 

@@ -53,23 +53,17 @@ def dataset_config(
 
 
 def query_fabric_config(
-    workers: Optional[int] = None,
     cache_blocks: Optional[int] = None,
     statedb: Optional[str] = None,
 ) -> FabricConfig:
     """A :class:`FabricConfig` with the query-execution knobs applied.
 
-    ``workers`` selects the executor's parallelism (``None`` keeps the
-    ``REPRO_QUERY_WORKERS`` default); ``cache_blocks`` sizes the shared
-    decoded-block LRU (``None`` keeps it off, the paper's cost model);
+    ``cache_blocks`` sizes the shared decoded-block LRU (``None`` keeps
+    it off, the paper's cost model);
     ``statedb`` picks the state-db backend (``None`` keeps the
     ``REPRO_STATEDB`` default).
     """
     config = FabricConfig()
-    if workers is not None:
-        config = dataclasses.replace(
-            config, query=dataclasses.replace(config.query, workers=workers)
-        )
     if statedb is not None:
         config = dataclasses.replace(
             config,
@@ -141,7 +135,6 @@ def run_table1(
     scale: Optional[float] = None,
     entity_scale: Optional[float] = None,
     verify_rows: bool = True,
-    workers: Optional[int] = None,
     cache_blocks: Optional[int] = None,
     statedb: Optional[str] = None,
 ) -> Table1Result:
@@ -150,17 +143,16 @@ def run_table1(
     DS1 additionally gets the u=50K Model M2 column, as in the paper.
     ``verify_rows`` cross-checks that all models return identical join
     rows on every window (a correctness guard, excluded from timings).
-    ``workers``/``cache_blocks``/``statedb`` run the queries through the
-    parallel executor, the shared block cache and/or an alternative
-    state-db backend; all leave the rows (and the verify assertion)
-    untouched.
+    ``cache_blocks``/``statedb`` run the queries through the shared
+    block cache and/or an alternative state-db backend; both leave the
+    rows (and the verify assertion) untouched.
     """
     config = dataset_config(dataset, scale, entity_scale)
     data = generate(config)
     t_max = config.t_max
     small, large = u_small(t_max), u_large(t_max)
     include_large = dataset.lower() == "ds1"
-    fabric_config = query_fabric_config(workers, cache_blocks, statedb=statedb)
+    fabric_config = query_fabric_config(cache_blocks, statedb=statedb)
 
     result = Table1Result(
         dataset=dataset.upper(),
@@ -238,7 +230,6 @@ class Table2Result:
 def run_table2(
     scale: Optional[float] = None,
     entity_scale: Optional[float] = None,
-    workers: Optional[int] = None,
     cache_blocks: Optional[int] = None,
     statedb: Optional[str] = None,
 ) -> Table2Result:
@@ -246,7 +237,7 @@ def run_table2(
     config = dataset_config("ds1", scale, entity_scale)
     data = generate(config)
     t_max = config.t_max
-    fabric_config = query_fabric_config(workers, cache_blocks, statedb=statedb)
+    fabric_config = query_fabric_config(cache_blocks, statedb=statedb)
     late = TimeInterval(2 * t_max // 15, 9 * t_max // 15)
     early = TimeInterval(0, 4 * t_max // 15)
     result = Table2Result(config=config, late_window=late, early_window=early)

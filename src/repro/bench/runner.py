@@ -69,11 +69,7 @@ class ExperimentRunner:
         self.m2_u = m2_u
         self._workdir = workdir
         self._owns_workdir = owns_workdir
-        self.facade = TemporalQueryEngine(
-            network.ledger,
-            network.metrics,
-            workers=network.config.query.workers,
-        )
+        self.facade = TemporalQueryEngine(network.ledger, network.metrics)
         self.ingestion_report: Optional[IngestionReport] = None
         self.indexing_reports: List[IndexingReport] = []
 

@@ -43,13 +43,6 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         help="additionally write the structured result as JSON to PATH",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="query-executor threads (default: REPRO_QUERY_WORKERS or 1 = "
-        "serial; >1 fans per-key fetches out across a thread pool)",
-    )
-    parser.add_argument(
         "--cache-blocks",
         type=int,
         default=None,
@@ -303,7 +296,6 @@ def _run_table1(args: argparse.Namespace):
         dataset=args.dataset,
         scale=args.scale,
         entity_scale=args.entity_scale,
-        workers=args.workers,
         cache_blocks=args.cache_blocks,
         statedb=args.statedb,
     )
@@ -314,7 +306,6 @@ def _run_table2(args: argparse.Namespace):
     result = experiments.run_table2(
         scale=args.scale,
         entity_scale=args.entity_scale,
-        workers=args.workers,
         cache_blocks=args.cache_blocks,
         statedb=args.statedb,
     )
@@ -352,9 +343,7 @@ def _run_verify(args: argparse.Namespace) -> str:
     config = dataclasses.replace(
         ds1(scale=args.scale, entity_scale=args.entity_scale), seed=args.seed
     )
-    fabric_config = query_fabric_config(
-        args.workers, args.cache_blocks, statedb=args.statedb
-    )
+    fabric_config = query_fabric_config(args.cache_blocks, statedb=args.statedb)
     u = u_small(config.t_max)
     lines = [f"verify: {config.key_count} keys, {config.total_events} events, seed={args.seed}"]
     with ExperimentRunner.build(config, "plain", fabric_config=fabric_config) as plain:

@@ -15,11 +15,6 @@ from repro.common.errors import ConfigError
 #: Environment variable controlling default benchmark scale (see DESIGN.md §5).
 SCALE_ENV_VAR = "REPRO_SCALE"
 
-#: Environment variable controlling the default query-executor worker
-#: count (1 = serial).  The CI matrix runs the whole suite once with
-#: ``REPRO_QUERY_WORKERS=8`` so every query path is exercised in parallel.
-QUERY_WORKERS_ENV_VAR = "REPRO_QUERY_WORKERS"
-
 #: Environment variable overriding every replayable seed: the chaos
 #: soak's fault schedule, the sanitizer's fuzzed interleavings, and the
 #: ``repro san`` CLI default.  One variable, recorded in every manifest
@@ -150,134 +145,45 @@ class BlockStoreConfig:
         _require_durability(self.durability)
 
 
-def default_query_workers() -> int:
-    """Query-executor worker count from ``REPRO_QUERY_WORKERS`` (default 1).
-
-    1 keeps the serial executor -- the paper's measurement setup.  Any
-    larger value fans per-key event fetches out across that many threads
-    (see :mod:`repro.temporal.executor`).
-    """
-    raw = os.environ.get(QUERY_WORKERS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
+def require_only(value: object, only: object, name: str) -> None:
+    """Reject every value of a one-value name but the one it still has."""
+    if value != only or type(value) is not type(only):
         raise ConfigError(
-            f"{QUERY_WORKERS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise ConfigError(
-            f"{QUERY_WORKERS_ENV_VAR} must be >= 1, got {workers}"
+            f"{name} accepts only {only!r}, got {value!r}: the mechanism it "
+            "selected was measured, lost and is deleted (DESIGN.md §5)"
         )
-    return workers
-
-
-#: Environment variable controlling GHFK history-read batching: how many
-#: distinct blocks one ``get_history_for_key`` call fetches from the
-#: block store per round trip (1 = the paper's one-block-at-a-time loop).
-GHFK_PREFETCH_ENV_VAR = "REPRO_GHFK_PREFETCH"
-
-
-def default_ghfk_prefetch() -> int:
-    """GHFK block-prefetch depth from ``REPRO_GHFK_PREFETCH`` (default 1).
-
-    1 keeps the paper-faithful hot loop (one block fetched and decoded
-    per distinct history location); larger values fetch that many
-    distinct blocks per ``BlockStore.get_blocks`` call.  A batch saves
-    no IO (a block read opens no file); removal pending, DESIGN.md
-    section 5.
-    """
-    raw = os.environ.get(GHFK_PREFETCH_ENV_VAR, "1")
-    try:
-        prefetch = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{GHFK_PREFETCH_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if not 1 <= prefetch <= 4096:
-        raise ConfigError(
-            f"{GHFK_PREFETCH_ENV_VAR} must be in [1, 4096], got {prefetch}"
-        )
-    return prefetch
 
 
 @dataclass(frozen=True)
 class QueryConfig:
-    """How temporal queries execute (orthogonal to what they compute).
+    """Queries run one per-key fetch at a time, one block per GHFK step.
 
-    ``workers=1`` runs the serial executor; ``workers>1`` fans the
-    per-key ``fetch_events`` calls of a join query out across a thread
-    pool.  Results are byte-identical either way -- the executor only
-    changes wall-clock time, never rows or block counters.
+    Both names exist only because ``benchmarks/spine/harness.py`` spells
+    them; the ``benchmark`` PR that drops its kwargs deletes this class.
     """
 
-    #: Worker threads per query (1 = serial, no thread pool at all).
-    workers: int = field(default_factory=default_query_workers)
-    #: Distinct blocks per GHFK block-store round trip (1 = the paper's
-    #: serial hot loop).  Rows are byte-identical at every setting.
-    ghfk_prefetch: int = field(default_factory=default_ghfk_prefetch)
+    workers: int = 1
+    ghfk_prefetch: int = 1
 
     def __post_init__(self) -> None:
-        _require_positive(self.workers, "workers")
-        if self.workers > 128:
-            raise ConfigError(
-                f"workers must be <= 128, got {self.workers} "
-                "(per-key fan-out saturates well before that)"
-            )
-        if not 1 <= self.ghfk_prefetch <= 4096:
-            raise ConfigError(
-                f"ghfk_prefetch must be in [1, 4096], got {self.ghfk_prefetch}"
-            )
-
-
-#: Environment variable controlling the default commit-validation
-#: worker count (1 = the serial validator, Fabric-faithful).
-COMMIT_WORKERS_ENV_VAR = "REPRO_COMMIT_WORKERS"
-
-
-def default_commit_workers() -> int:
-    """Commit-validation worker count from ``REPRO_COMMIT_WORKERS``.
-
-    1 keeps the serial validator.  Any larger value validates
-    key-disjoint conflict groups of each block concurrently (see
-    :class:`repro.fabric.validator.ParallelValidator`); validation codes
-    are byte-identical either way.
-    """
-    raw = os.environ.get(COMMIT_WORKERS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{COMMIT_WORKERS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    return workers
+        require_only(self.workers, 1, "QueryConfig.workers")
+        require_only(self.ghfk_prefetch, 1, "QueryConfig.ghfk_prefetch")
 
 
 @dataclass(frozen=True)
 class CommitConfig:
-    """Commit-path concurrency: parallel validation + pipelined apply.
+    """Blocks commit serially: validate, append, apply derived state.
 
-    Both default off so the serial, Fabric-v1.0-faithful commit path
-    stays the baseline (and the crash sweeps keep their exact crash-point
-    schedule).  The hash chain, validation codes and state fingerprint
-    are byte-identical under every setting -- concurrency here only
-    changes wall-clock time, never ledger contents.
+    Both names exist only because ``benchmarks/spine/harness.py`` spells
+    them; the ``benchmark`` PR that drops its kwargs deletes this class.
     """
 
-    #: Validation worker threads (1 = serial validator).
-    workers: int = field(default_factory=default_commit_workers)
-    #: Overlap derived-state application (history index, state-db writes,
-    #: savepoint) of block N with validation of block N+1.  The block
-    #: itself is always appended and synced in the foreground, so the
-    #: chain-durable-before-derived-state recovery invariant holds.
+    workers: int = 1
     pipeline: bool = False
 
     def __post_init__(self) -> None:
-        _require_positive(self.workers, "workers")
-        if self.workers > 128:
-            raise ConfigError(
-                f"workers must be <= 128, got {self.workers} "
-                "(per-group fan-out saturates well before that)"
-            )
+        require_only(self.workers, 1, "CommitConfig.workers")
+        require_only(self.pipeline, False, "CommitConfig.pipeline")
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,17 @@
-"""The process-wide concurrency seam: locks and task handoffs.
+"""The process-wide concurrency seam: where every lock comes from.
 
 Every lock-carrying class in the tree (Gateway, BlockCache,
-MetricsRegistry, LSMStore, HistoryDB, the M1 bundle cache, FaultyFile,
-CircuitBreaker) acquires its synchronization primitives from this
-module instead of calling ``threading.Lock()`` directly, and the
-parallel query executor routes its per-key work items through
-:func:`wrap_task` / :func:`join_task`.  That single indirection is what
+MetricsRegistry, LSMStore, HistoryDB, FaultyFile, CircuitBreaker)
+acquires its synchronization primitives from this module instead of
+calling ``threading.Lock()`` directly.  That single indirection is what
 lets the dynamic race sanitizer (:mod:`repro.sanitizer`) observe every
-acquire/release and every fork/join edge in the process without any
-per-call-site instrumentation -- and what lets ``repro-lint`` keep its
+acquire/release in the process without any per-call-site
+instrumentation (thread fork/join edges come from its
+``threading.Thread`` patch) -- and what lets ``repro-lint`` keep its
 static lock model: the analyzer recognizes :func:`make_lock` /
-:func:`make_rlock` / :func:`make_condition` as ``threading`` factory
-calls, so the CONC001-004 rules see exactly the same lock-carrying
-classes they did before the seam existed.
+:func:`make_rlock` as ``threading`` factory calls, so the CONC001-004
+rules see exactly the same lock-carrying classes they did before the
+seam existed.
 
 The default factory hands out plain ``threading`` primitives, so with
 no sanitizer installed the seam costs one function call at lock
@@ -26,23 +25,17 @@ to one at construction.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional, Protocol, TypeVar
+from typing import Any, Protocol
 
 __all__ = [
     "LockLike",
-    "ConditionLike",
     "ConcurrencyFactory",
     "make_lock",
     "make_rlock",
-    "make_condition",
-    "wrap_task",
-    "join_task",
     "install_factory",
     "reset_factory",
     "current_factory",
 ]
-
-CallableT = TypeVar("CallableT", bound=Callable[..., Any])
 
 
 class LockLike(Protocol):
@@ -61,34 +54,6 @@ class LockLike(Protocol):
     def __exit__(self, *exc_info: object) -> Any: ...
 
 
-class ConditionLike(Protocol):
-    """The condition-variable surface (a :class:`LockLike` plus waits)."""
-
-    def acquire(self, blocking: bool = ..., timeout: float = ...) -> bool:
-        """Acquire the underlying lock."""
-        ...
-
-    def release(self) -> None:
-        """Release the underlying lock."""
-        ...
-
-    def __enter__(self) -> bool: ...
-
-    def __exit__(self, *exc_info: object) -> Any: ...
-
-    def wait(self, timeout: Optional[float] = ...) -> bool:
-        """Block until notified (or the timeout elapses)."""
-        ...
-
-    def notify(self, n: int = ...) -> None:
-        """Wake up to ``n`` waiters."""
-        ...
-
-    def notify_all(self) -> None:
-        """Wake every waiter."""
-        ...
-
-
 class ConcurrencyFactory(Protocol):
     """What an installed factory must provide.
 
@@ -105,38 +70,15 @@ class ConcurrencyFactory(Protocol):
         """Build a re-entrant mutex for construction site ``name``."""
         ...
 
-    def make_condition(self, lock: Optional[LockLike], name: str) -> ConditionLike:
-        """Build a condition variable (over ``lock`` when given)."""
-        ...
-
-    def wrap_task(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """Wrap a unit of work being handed to another thread."""
-        ...
-
-    def join_task(self, task: Callable[..., Any]) -> None:
-        """Observe a completed task's result (the join edge)."""
-        ...
-
 
 class _DefaultFactory:
-    """Plain ``threading`` primitives; tasks pass through untouched."""
+    """Plain ``threading`` primitives."""
 
     def make_lock(self, name: str) -> LockLike:
         return threading.Lock()
 
     def make_rlock(self, name: str) -> LockLike:
         return threading.RLock()
-
-    def make_condition(
-        self, lock: Optional[LockLike], name: str
-    ) -> ConditionLike:
-        return threading.Condition(lock)  # type: ignore[arg-type]
-
-    def wrap_task(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        return fn
-
-    def join_task(self, task: Callable[..., Any]) -> None:
-        return None
 
 
 _DEFAULT = _DefaultFactory()
@@ -151,38 +93,6 @@ def make_lock(name: str = "") -> LockLike:
 def make_rlock(name: str = "") -> LockLike:
     """A re-entrant mutex from the installed factory."""
     return _factory.make_rlock(name)
-
-
-def make_condition(lock: Optional[LockLike] = None, name: str = "") -> ConditionLike:
-    """A condition variable from the installed factory.
-
-    With ``lock=None`` the factory supplies the underlying mutex (the
-    ``threading.Condition()`` behaviour).
-    """
-    return _factory.make_condition(lock, name)
-
-
-def wrap_task(fn: CallableT) -> Callable[..., Any]:
-    """Mark ``fn`` as a unit of work handed to another thread.
-
-    Call this once per submission, at submission time: the sanitizer's
-    factory snapshots the submitting thread's vector clock into the
-    wrapper (the *fork* edge), so everything the submitter did before
-    handing the task off happens-before everything the worker does
-    inside it.  The default factory returns ``fn`` unchanged.
-    """
-    return _factory.wrap_task(fn)
-
-
-def join_task(task: Callable[..., Any]) -> None:
-    """Mark ``task``'s result as observed by the current thread.
-
-    The *join* edge: call after the worker's result has been collected
-    (e.g. after ``future.result()``), so everything the worker did
-    happens-before everything the collector does next.  A no-op for
-    tasks that never ran, and under the default factory.
-    """
-    _factory.join_task(task)
 
 
 def install_factory(factory: ConcurrencyFactory) -> ConcurrencyFactory:

@@ -10,13 +10,11 @@ A :class:`MetricsRegistry` is threaded through the storage and fabric
 layers.  Components increment named counters; benchmarks snapshot and diff
 them around each measured region.
 
-The registry is **thread-safe**: the parallel query executor fans GHFK
-scans out across worker threads that all bump the same counters, and an
-unguarded ``dict`` read-modify-write would silently lose updates (the
-classic lost-increment race).  Every mutation and every snapshot takes
-the registry's lock, so counter deltas around a parallel region are
-exact -- which the equivalence tests rely on to assert that the parallel
-executor performs *precisely* the same block accesses as the serial path.
+The registry is **thread-safe**: a query racing a commit (or another
+query) bumps the same counters from another thread, and an unguarded
+``dict`` read-modify-write would silently lose updates (the classic
+lost-increment race).  Every mutation and every snapshot takes the
+registry's lock, so counter deltas stay exact.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ KV_BLOOM_NEGATIVES = "kv.bloom_negatives"
 KV_COMPACTIONS = "kv.compactions"
 WAL_RECORDS = "kv.wal_records"
 STATE_TABLES_QUARANTINED = "kv.tables_quarantined"
-BLOCK_BATCH_READS = "ledger.block_batch_reads"
 #: Transaction segments actually decoded out of block payloads (a block
 #: read is lazy: ``txs_decoded / ghfk_results`` is the decode work per
 #: result).  One tick per segment decoded, whether a GHFK result read the
@@ -98,8 +95,8 @@ class MetricsRegistry:
 
     The registry is deliberately simple -- integer counters and float
     second-accumulators behind one lock -- because it sits on hot paths
-    (every block read bumps a counter) and is shared by every worker
-    thread of the parallel query executor.
+    (every block read bumps a counter) and is shared by every thread
+    that reads or commits through the same ledger.
     """
 
     def __init__(self) -> None:

@@ -1,10 +1,10 @@
 """A thread-safe decoded-block LRU cache with single-flight loading.
 
-The parallel query executor sends concurrent GHFK scans through one
-shared :class:`~repro.fabric.blockstore.BlockStore`.  Co-located keys
-live in the same blocks, so without coordination every worker would
-deserialize the same block independently -- and the plain ``OrderedDict``
-LRU the store used before was racy on top of that (``move_to_end`` on a
+Concurrent readers (queries racing each other or a commit) send GHFK
+scans through one shared :class:`~repro.fabric.blockstore.BlockStore`.
+Co-located keys live in the same blocks, so without coordination every
+reader would deserialize the same block independently -- and a plain
+``OrderedDict`` LRU is racy on top of that (``move_to_end`` on a
 key concurrently evicted raises ``KeyError``; interleaved insert/evict
 pairs can blow past the capacity).
 
@@ -16,8 +16,8 @@ pairs can blow past the capacity).
 * a miss registers an in-flight marker before loading, and concurrent
   readers of the same key **wait for the first loader** instead of
   duplicating the deserialization (single-flight).  Each block is
-  decoded at most once per residency, which is what makes the parallel
-  executor's ``blocks_deserialized`` count *at most* the serial one.
+  decoded at most once per residency, so concurrent readers never
+  deserialize more blocks than one reader would.
 
 Hits, misses and evictions are counted on the shared metrics registry
 (``ledger.block_cache_*``); deserialization counters stay untouched on

@@ -11,9 +11,9 @@ By default there is **no cross-call block cache**: each GHFK call pays
 its own deserialization, matching the paper's cost model (Section V).
 An LRU cache can be switched on (``cache_blocks > 0``, or by injecting a
 shared :class:`~repro.fabric.blockcache.BlockCache`) for the cache
-ablation and for the parallel query executor, whose concurrent GHFK
-scans of co-located keys then deserialize each block once.  The cache is
-thread-safe and single-flight; reads are safe from any number of threads
+ablation: GHFK scans of co-located keys then deserialize each block
+once.  The cache is thread-safe and single-flight (a query may race a
+commit or another query); reads are safe from any number of threads
 (each is one positional read on a per-file descriptor the block-file
 manager opens once; ``pread`` shares no file position).
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.common import metrics as metric_names
 from repro.common.codec import Codec, get_codec
@@ -239,8 +239,7 @@ class BlockStore:
     def _deserialize(self, payload: bytes) -> Block:
         """Count one block deserialization and open ``payload`` as a lazy
         :class:`Block`: the frame is parsed here, a transaction (or the
-        header) is decoded when first asked for.  The one decode call
-        site of the single and the batched read path."""
+        header) is decoded when first asked for."""
         self._metrics.increment(metric_names.BLOCKS_DESERIALIZED)
         self._metrics.increment(metric_names.BLOCK_BYTES_READ, len(payload))
         return Block.from_payload(payload, self._codec, self._metrics)
@@ -248,20 +247,6 @@ class BlockStore:
     def _read_block(self, block_number: int) -> Block:
         """The uncached path: locate, read and deserialize one block."""
         return self._deserialize(self._files.read(self._locate(block_number)))
-
-    def get_blocks(self, block_numbers: Sequence[int]) -> List[Block]:
-        """Read several blocks (the batched GHFK loop's round trip).
-
-        Exactly ``get_block`` per number -- counters, cache accounting
-        and single-flight included -- plus one
-        ``ledger.block_batch_reads`` tick per multi-block uncached batch.
-        There is nothing to coalesce: a block read is already one
-        positional read on a descriptor opened once per file.
-        """
-        blocks = [self.get_block(number) for number in block_numbers]
-        if self._cache is None and len(blocks) > 1:
-            self._metrics.increment(metric_names.BLOCK_BATCH_READS)
-        return blocks
 
     def iter_blocks(self, start: int = 0, end: Optional[int] = None) -> Iterator[Block]:
         """Yield blocks ``start .. end`` (``end`` exclusive, default height).

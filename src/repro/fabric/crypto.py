@@ -4,44 +4,13 @@ Block integrity uses real SHA-256 (header hash chain, data hashes).
 Signatures are HMAC-SHA256 under per-identity secrets -- not public-key
 cryptography, but enough to make endorsement verification a real check
 rather than a stub (the paper's results do not depend on signature
-schemes, only on the commit pipeline's shape).
-
-The one place the scheme *does* matter is commit-phase benchmarking:
-a real Fabric peer spends on the order of 100us of native ECDSA-P256
-work per endorsement check, which is exactly why its validation phase
-parallelizes so well, while a one-shot HMAC costs ~1us and makes
-validation look free.  ``REPRO_SIG_ITERS`` restores that cost ratio:
-setting it to N > 0 swaps the one-shot HMAC for N rounds of
-PBKDF2-HMAC-SHA256 (OpenSSL native code that releases the GIL, like
-real signature verification does).  Signatures remain deterministic
-for a given iteration count; the default of 0 keeps the historical
-byte-identical HMAC scheme.
+schemes, only on the commit path's shape).
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import os
-
-#: Environment variable selecting the signature cost model: 0 (default)
-#: is the plain HMAC scheme, N > 0 models a ~N-iteration public-key
-#: verification cost via PBKDF2 (GIL-releasing, like real ECDSA).
-SIG_ITERS_ENV_VAR = "REPRO_SIG_ITERS"
-
-
-def signature_iterations() -> int:
-    """Current signature cost model (PBKDF2 iterations; 0 = plain HMAC).
-
-    Read per call so benchmarks can flip the model between runs without
-    re-importing; malformed values degrade to the default rather than
-    failing a hot path.
-    """
-    raw = os.environ.get(SIG_ITERS_ENV_VAR, "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 def sha256(payload: bytes) -> bytes:
@@ -55,15 +24,7 @@ def sha256_hex(payload: bytes) -> str:
 
 
 def sign(secret: bytes, payload: bytes) -> bytes:
-    """Signature of ``payload`` under ``secret``.
-
-    Plain HMAC-SHA256 by default; under a nonzero ``REPRO_SIG_ITERS``
-    cost model, a PBKDF2-stretched MAC whose per-call cost approximates
-    real public-key signing/verification.
-    """
-    iterations = signature_iterations()
-    if iterations:
-        return hashlib.pbkdf2_hmac("sha256", payload, secret, iterations)
+    """HMAC-SHA256 signature of ``payload`` under ``secret``."""
     return hmac.new(secret, payload, hashlib.sha256).digest()
 
 

@@ -45,9 +45,8 @@ class HistoryDB:
     Rebuilt from the block store on open (the index is derivable metadata,
     exactly as Fabric can rebuild its history index from the chain).
 
-    The index is shared by every worker thread of the parallel query
-    executor, and queries may also race an ongoing commit (a gateway
-    flushing while a join runs).  All mutations and all location reads
+    Queries may race an ongoing commit (a gateway flushing while a join
+    runs on another thread).  All mutations and all location reads
     take the instance lock; :meth:`get_history_for_key` iterates over a
     locked *snapshot* of the key's location list, so a commit appending
     to the live list mid-iteration can never corrupt a scan.
@@ -80,7 +79,7 @@ class HistoryDB:
         The scan deserializes every block -- real I/O -- so it builds a
         fresh index *outside* the lock and swaps it in atomically at the
         end.  Holding the lock across the whole chain walk would stall
-        every query worker for the duration (and is exactly what CONC003
+        every query for the duration (and is exactly what CONC003
         flags); readers racing the rebuild simply see the old index until
         the swap.
         """
@@ -112,7 +111,7 @@ class HistoryDB:
             return list(self._locations)
 
     def get_history_for_key(
-        self, key: str, block_store: BlockStore, prefetch: int = 1
+        self, key: str, block_store: BlockStore
     ) -> Iterator[HistoryEntry]:
         """Fabric's GHFK: lazily yield all past states of ``key``, oldest first.
 
@@ -122,29 +121,12 @@ class HistoryDB:
         the remaining blocks entirely -- the behaviour the paper's Model M1
         relies on to read an index bundle with exactly one block access.
 
-        ``prefetch`` batches that many *distinct* blocks per
-        :meth:`BlockStore.get_blocks` call; 1 -- the default -- keeps the
-        paper's one-block-at-a-time hot loop and its exact counter
-        sequence.  Rows are identical at every setting, and so are the
-        deserialization totals of a fully consumed iterator.  (A batch
-        saves no IO -- a block read opens no file; the knob is pending
-        removal, see DESIGN.md section 5.)  Laziness is
-        preserved at batch granularity: abandoning the iterator skips
-        every unfetched batch, but the batch in hand has been read (and
-        counted) -- up to ``prefetch - 1`` blocks the serial loop would
-        not have touched, opened lazily and never decoded.
-
         Safe to call from any number of threads against a shared store:
         the location list is snapshotted under the lock, and each
         iterator's single-block cache is private to that iterator.
         """
         self._metrics.increment(metric_names.GHFK_CALLS)
-        locations = self.locations_for_key(key)
-        if prefetch > 1:
-            return self._iterate_history_batched(
-                key, locations, block_store, prefetch
-            )
-        return self._iterate_history(key, locations, block_store)
+        return self._iterate_history(key, self.locations_for_key(key), block_store)
 
     def _iterate_history(
         self,
@@ -159,36 +141,6 @@ class HistoryDB:
                 cached_block = block_store.get_block(block_num)
                 cached_num = block_num
             assert cached_block is not None
-            yield self._entry(key, cached_block, block_num, tx_num)
-
-    def _iterate_history_batched(
-        self,
-        key: str,
-        locations: List[Tuple[int, int]],
-        block_store: BlockStore,
-        prefetch: int,
-    ) -> Iterator[HistoryEntry]:
-        """The prefetching hot loop: fetch ``prefetch`` distinct blocks
-        per round trip, then emit their entries in location order."""
-        distinct: List[int] = []
-        for block_num, _ in locations:
-            if not distinct or distinct[-1] != block_num:
-                distinct.append(block_num)
-        blocks: Dict[int, Block] = {}
-        position = 0  # next index into ``distinct`` to fetch
-        for block_num, tx_num in locations:
-            if block_num not in blocks:
-                batch = distinct[position : position + prefetch]
-                position += len(batch)
-                # Only the current batch is retained: memory stays
-                # bounded by ``prefetch`` blocks, like the single-block
-                # cache it generalizes.
-                blocks = dict(zip(batch, block_store.get_blocks(batch)))
-            yield self._entry(key, blocks[block_num], block_num, tx_num)
-
-    def _entry(
-        self, key: str, block: Block, block_num: int, tx_num: int
-    ) -> HistoryEntry:
-        value, is_delete, timestamp, tx_id = block.history_write(tx_num, key)
-        self._metrics.increment(metric_names.GHFK_RESULTS)
-        return HistoryEntry(key, value, is_delete, timestamp, block_num, tx_num, tx_id)
+            value, is_delete, timestamp, tx_id = cached_block.history_write(tx_num, key)
+            self._metrics.increment(metric_names.GHFK_RESULTS)
+            yield HistoryEntry(key, value, is_delete, timestamp, block_num, tx_num, tx_id)

@@ -10,10 +10,7 @@ the three Fabric calls the paper builds on: ``GetState``,
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Tuple
-
-if TYPE_CHECKING:
-    from repro.fabric.pipeline import CommitPipeline
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.config import FabricConfig
@@ -77,60 +74,14 @@ class Ledger:
             metrics=metrics,
         )
         self.history_db = HistoryDB(metrics=metrics)
-        self._pipeline: Optional["CommitPipeline"] = None
-        self._validator = self._build_validator()
+        self._validator = Validator(self.state_db.get_version)
         self._last_header_hash = GENESIS_PREVIOUS_HASH
         self._recover()
-        if self._config.commit.pipeline:
-            # Engaged only after recovery: replay applies derived state
-            # inline, exactly like the serial path.
-            from repro.fabric.pipeline import CommitPipeline
-
-            self._pipeline = CommitPipeline(self._apply_derived_state)
-
-    def _build_validator(self, signature_check=None) -> Validator:
-        """The validator the commit config asks for (serial or parallel),
-        always looking versions up through the pipeline overlay."""
-        commit = self._config.commit
-        if commit.workers > 1:
-            from repro.fabric.validator import ParallelValidator
-
-            return ParallelValidator(
-                version_lookup=self._version_lookup,
-                signature_check=signature_check,
-                workers=commit.workers,
-            )
-        return Validator(
-            version_lookup=self._version_lookup,
-            signature_check=signature_check,
-        )
 
     def rewire_validator(self, signature_check) -> None:
         """Rebuild the validator with an endorsement-signature check
         (the peer calls this once its endorser exists)."""
-        self._validator = self._build_validator(signature_check)
-
-    def _version_lookup(self, key: str) -> Optional[Version]:
-        """Committed version of ``key`` as MVCC validation must see it:
-        pending pipelined writes included, else the state-db."""
-        if self._pipeline is not None:
-            return self._pipeline.version_lookup(key, self.state_db.get_version)
-        return self.state_db.get_version(key)
-
-    def _drain(self) -> None:
-        """Wait for pipelined derived state before serving a query."""
-        if self._pipeline is not None:
-            self._pipeline.drain()
-
-    def drain(self) -> None:
-        """Block until every pipelined derived-state apply has finished.
-
-        A no-op on the serial path.  Benchmarks call this to put the
-        pipeline's background work inside the timed window; after it
-        returns, the state-db and history-db reflect every committed
-        block.
-        """
-        self._drain()
+        self._validator = Validator(self.state_db.get_version, signature_check)
 
     def _recover(self) -> None:
         """Rebuild derived state after reopening an existing ledger.
@@ -171,17 +122,11 @@ class Ledger:
     def commit_block(self, block: Block) -> int:
         """Validate and commit one block; returns the number of valid txs.
 
-        With the pipeline off (default) the whole sequence runs inline.
-        With it on, the foreground stops after the durable chain append
-        -- derived state (history index, state writes, savepoint) is
-        applied by the pipeline worker while the *next* block validates,
-        reading versions through the pipeline's write overlay.  Either
-        way every block is appended only after validation and the chain
-        never lags the derived stores.
+        Every block is appended only after validation, and the chain is
+        durable before anything derived from it (history index, state
+        writes, savepoint) is applied.
         """
         with self._metrics.timed(metric_names.COMMIT_SECONDS):
-            if self._pipeline is not None:
-                self._pipeline.check()
             if block.header.previous_hash != self._last_header_hash:
                 raise HashChainError(
                     f"block {block.number}: previous hash "
@@ -196,10 +141,13 @@ class Ledger:
             # state-db and history-db are rebuilt from the chain on
             # recovery, so the chain must never lag them.
             self.block_store.sync()
-            if self._pipeline is not None:
-                self._pipeline.submit(block)
-            else:
-                self._apply_derived_state(block)
+            crash_point(LEDGER_PRE_HISTORY)
+            self.history_db.index_block(block)
+            crash_point(LEDGER_PRE_STATE)
+            self._apply_state_writes(block)
+            crash_point(LEDGER_PRE_SAVEPOINT)
+            self.state_db.record_savepoint(block.number)
+            crash_point(LEDGER_POST_COMMIT)
             self._last_header_hash = block.header.hash()
             self._metrics.increment(metric_names.BLOCKS_COMMITTED)
             self._metrics.increment(metric_names.TXS_COMMITTED, valid_count)
@@ -207,17 +155,6 @@ class Ledger:
                 metric_names.TXS_INVALIDATED, len(block.transactions) - valid_count
             )
         return valid_count
-
-    def _apply_derived_state(self, block: Block) -> None:
-        """History index, state writes and savepoint for one block --
-        inline on the serial path, on the worker under the pipeline."""
-        crash_point(LEDGER_PRE_HISTORY)
-        self.history_db.index_block(block)
-        crash_point(LEDGER_PRE_STATE)
-        self._apply_state_writes(block)
-        crash_point(LEDGER_PRE_SAVEPOINT)
-        self.state_db.record_savepoint(block.number)
-        crash_point(LEDGER_POST_COMMIT)
 
     def _apply_state_writes(self, block: Block) -> None:
         applied_one = False
@@ -235,29 +172,23 @@ class Ledger:
 
     def get_state(self, key: str) -> Optional[Any]:
         """Current value of ``key`` (Fabric GetState)."""
-        self._drain()
         state = self.state_db.get_state(key)
         return state.value if state else None
 
     def get_state_entry(self, key: str) -> Optional[StateValue]:
         """Current value *and version* of ``key``."""
-        self._drain()
         return self.state_db.get_state(key)
 
     def get_state_by_range(
         self, start_key: str, end_key: str
     ) -> Iterator[Tuple[str, Any]]:
         """Sorted scan over current states (Fabric GetStateByRange)."""
-        self._drain()
         for key, state in self.state_db.get_state_by_range(start_key, end_key):
             yield key, state.value
 
     def get_history_for_key(self, key: str) -> Iterator[HistoryEntry]:
         """Fabric GHFK: lazy, oldest-first history iterator for ``key``."""
-        self._drain()
-        return self.history_db.get_history_for_key(
-            key, self.block_store, prefetch=self._config.query.ghfk_prefetch
-        )
+        return self.history_db.get_history_for_key(key, self.block_store)
 
     # -- integrity & bookkeeping ------------------------------------------------
 
@@ -278,7 +209,6 @@ class Ledger:
         import hashlib
         import json
 
-        self._drain()
         hasher = hashlib.sha256()
         for key, state in self.state_db.get_state_by_range("", ""):
             hasher.update(
@@ -306,7 +236,5 @@ class Ledger:
             previous = block.header.hash()
 
     def close(self) -> None:
-        if self._pipeline is not None:
-            self._pipeline.close()
         self.block_store.close()
         self.state_db.close()

@@ -48,9 +48,7 @@ class Peer:
         )
         if verify_signatures:
             # Re-wire the ledger's validator with the signature check; the
-            # ledger builds a bare MVCC validator by default.  The rebuild
-            # goes through the ledger so the commit config (parallel
-            # workers, pipeline overlay lookups) is preserved.
+            # ledger builds a bare MVCC validator by default.
             self.ledger.rewire_validator(
                 signature_check or self.endorser.verify_endorsement
             )

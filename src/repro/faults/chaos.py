@@ -517,7 +517,7 @@ def _query_worker(
 ) -> None:
     """Alternate TQF and degraded-mode M1 joins until ingest finishes
     (and at least ``min_queries`` ran, so every round sees queries)."""
-    engine = TemporalQueryEngine(network.ledger, network.metrics, workers=1)
+    engine = TemporalQueryEngine(network.ledger, network.metrics)
     retry = RetryPolicy(max_retries=1, base=0.0)
     models = (FALLBACK_MODEL, "m1")
     count = 0
@@ -738,7 +738,7 @@ def _recover_and_verify(
         # rebuilt store must come back empty.
         invariants["scrub-clean"] = ledger.state_db.scrub() == ()
         if prefix_ok:
-            engine = TemporalQueryEngine(ledger, network.metrics, workers=1)
+            engine = TemporalQueryEngine(ledger, network.metrics)
             tqf_rows = sorted(engine.run_join(FALLBACK_MODEL, reference.window).rows)
             invariants["tqf-matches-reference"] = (
                 tqf_rows == reference.rows_by_height[height]

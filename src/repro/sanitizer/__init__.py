@@ -8,9 +8,8 @@ only exist under some interleavings.  This package is the dynamic
 complement, in the FastTrack + Eraser tradition:
 
 * a **happens-before engine** (:mod:`repro.sanitizer.runtime`) keeps a
-  vector clock per thread, with edges from lock release -> acquire,
-  thread fork/join, and the query executor's task handoffs
-  (:func:`repro.common.locks.wrap_task` / ``join_task``);
+  vector clock per thread, with edges from lock release -> acquire
+  and thread fork/join;
 * **lockset tracking** records which traced locks each thread holds;
   an access pair is a race only when the clocks say *concurrent* AND
   the locksets are *disjoint* -- combining the two kills each one's

@@ -4,17 +4,10 @@
 primitives and report acquire/release to the *active* sanitizer session
 -- looked up dynamically per event, so a lock constructed while no
 session is running still participates in a later one, and a lock that
-outlives a session goes quiet again.  Conditions need no dedicated
-wrapper: ``threading.Condition`` drives its lock through plain
-``acquire``/``release``, so a condition built over a traced lock emits
-the release->reacquire events of ``wait()`` for free.
+outlives a session goes quiet again.
 
-:class:`SanitizerFactory` plugs all of this into the
-:mod:`repro.common.locks` seam, and implements the executor fork/join
-protocol: ``wrap_task`` snapshots the submitter's clock into a
-:class:`_TracedTask` (fork edge), the worker joins that snapshot before
-running and records its finish clock after, and ``join_task`` merges
-the finish clock into the collector (join edge).
+:class:`SanitizerFactory` plugs both into the :mod:`repro.common.locks`
+seam.
 
 One bug is promoted from "detect" to "refuse": a thread re-acquiring a
 plain (non-reentrant) ``TracedLock`` it already holds would deadlock
@@ -26,12 +19,11 @@ test run.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.common.errors import SanitizerError
-from repro.common.locks import ConditionLike, LockLike
+from repro.common.locks import LockLike
 from repro.sanitizer import runtime
-from repro.sanitizer.vectorclock import Clock
 
 
 class TracedLock:
@@ -137,53 +129,6 @@ class TracedRLock:
         return f"<TracedRLock {self.name!r} depth={self._depth}>"
 
 
-class TracedCondition(threading.Condition):
-    """A condition variable over a traced lock.
-
-    All happens-before events come from the underlying traced lock:
-    ``wait()`` releases and re-acquires it through the normal
-    ``acquire``/``release`` surface, which is exactly the HB edge a
-    waiter/notifier pair needs.  The subclass exists to carry the name.
-    """
-
-    def __init__(self, lock: Optional[LockLike] = None, name: str = "") -> None:
-        inner = lock if lock is not None else TracedLock(name or "condition")
-        super().__init__(inner)  # type: ignore[arg-type]
-        self.name = name or getattr(inner, "name", "condition")
-
-
-class _TracedTask:
-    """A unit of work crossing threads, carrying its fork/finish clocks."""
-
-    def __init__(self, fn: Callable[..., Any], sanitizer_id: int, fork: Clock) -> None:
-        self._fn = fn
-        self._sanitizer_id = sanitizer_id
-        self._fork = fork
-        self._finish: Optional[Clock] = None
-
-    def __call__(self, *args: Any, **kwargs: Any) -> Any:
-        sanitizer = runtime.active()
-        traced = sanitizer is not None and id(sanitizer) == self._sanitizer_id
-        if traced and sanitizer is not None:
-            sanitizer.join_clock(self._fork)
-            sanitizer.fuzz_point("task-start")
-        try:
-            return self._fn(*args, **kwargs)
-        finally:
-            if traced and sanitizer is not None:
-                self._finish = sanitizer.finish_clock()
-
-    def observe(self) -> None:
-        """Merge this task's finish clock into the current thread."""
-        sanitizer = runtime.active()
-        if (
-            sanitizer is not None
-            and id(sanitizer) == self._sanitizer_id
-            and self._finish is not None
-        ):
-            sanitizer.join_clock(self._finish)
-
-
 class SanitizerFactory:
     """The :class:`repro.common.locks.ConcurrencyFactory` that traces."""
 
@@ -194,21 +139,3 @@ class SanitizerFactory:
     def make_rlock(self, name: str) -> LockLike:
         """A :class:`TracedRLock` for construction site ``name``."""
         return TracedRLock(name)
-
-    def make_condition(
-        self, lock: Optional[LockLike], name: str
-    ) -> ConditionLike:
-        """A :class:`TracedCondition` (over ``lock`` when given)."""
-        return TracedCondition(lock, name)
-
-    def wrap_task(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """Snapshot the submitter's clock into the task (fork edge)."""
-        sanitizer = runtime.active()
-        if sanitizer is None:
-            return fn
-        return _TracedTask(fn, id(sanitizer), sanitizer.fork_clock())
-
-    def join_task(self, task: Callable[..., Any]) -> None:
-        """Merge a finished task's clock into this thread (join edge)."""
-        if isinstance(task, _TracedTask):
-            task.observe()

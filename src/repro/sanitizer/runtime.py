@@ -4,7 +4,7 @@ One :class:`Sanitizer` instance is a detection *session*.  It keeps
 
 * a vector clock per participating thread (lazily registered on first
   event, inheriting the forking thread's clock via the ``Thread.start``
-  patch or the executor's :func:`repro.common.locks.wrap_task` seam);
+  patch);
 * a clock per traced lock, joined on acquire and updated on release --
   the classic release->acquire happens-before edge;
 * per-thread *locksets* (which traced locks the thread holds right now);

@@ -205,25 +205,6 @@ def _scenario_breaker(workers: int) -> None:
         raise AssertionError("probe success should close the breaker")
 
 
-def _scenario_executor(workers: int) -> None:
-    """The thread-pool executor's fork/join seam over shared metrics."""
-    from repro.common.metrics import MetricsRegistry
-    from repro.temporal.executor import ThreadPoolQueryExecutor
-
-    registry = MetricsRegistry()
-    executor = ThreadPoolQueryExecutor(workers=max(2, workers))
-
-    def fetch(item: int) -> int:
-        registry.increment("scenario.fetches")
-        return item * 2
-
-    results = executor.map(fetch, list(range(24)))
-    if results != [item * 2 for item in range(24)]:
-        raise AssertionError("executor returned out-of-order results")
-    if registry.counter("scenario.fetches") != 24:
-        raise AssertionError("executor lost metric increments")
-
-
 def _scenario_faultyfile(workers: int) -> None:
     """Concurrent writes and flushes through one fault-injected handle."""
     from repro.faults.fs import FaultyFS
@@ -253,7 +234,6 @@ SCENARIOS: Dict[str, Scenario] = {
     "lsm": _scenario_lsm,
     "blockfile": _scenario_blockfile,
     "breaker": _scenario_breaker,
-    "executor": _scenario_executor,
     "faultyfile": _scenario_faultyfile,
 }
 

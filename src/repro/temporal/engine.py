@@ -5,20 +5,16 @@ three models and returns the rows together with :class:`QueryStats` --
 wall-clock join time, time spent inside GHFK iteration, and the
 block/call counters the paper's analysis is phrased in.
 
-Per-key event retrieval is scheduled through a pluggable
-:class:`~repro.temporal.executor.QueryExecutor`: serial by default (the
-paper's setup), or a thread pool (``workers > 1``) that fans the
-independent ``fetch_events`` calls out concurrently.  Rows and counter
-deltas are identical either way -- the executor returns results in key
-order regardless of worker completion order, and every shared structure
+Per-key event retrieval runs one key at a time on the calling thread,
+in ``list_keys`` order -- the paper's setup.  Every shared structure
 underneath (metrics registry, block cache, history index) is
-lock-guarded.
+lock-guarded, because a query may race a commit on another thread.
 
 Resilience (opt-in, never changing default semantics):
 
 * ``run_join(..., deadline=...)`` threads a
-  :class:`~repro.common.resilience.Deadline` through the executor, so a
-  query abandons its remaining per-key fetches once the budget dies
+  :class:`~repro.common.resilience.Deadline` through the per-key loop, so
+  a query abandons its remaining per-key fetches once the budget dies
   instead of draining them all.
 * ``run_join(..., degrade=True)`` turns index-probe failures on M1/M2
   (corrupt index state, quarantined SSTable, window beyond the indexed
@@ -34,17 +30,16 @@ Resilience (opt-in, never changing default semantics):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol
 
 from repro.common import metrics as metric_names
-from repro.common.config import default_query_workers
+from repro.common.config import require_only
 from repro.common.errors import StorageError, TemporalQueryError
 from repro.common.metrics import MetricsRegistry
 from repro.common.resilience import CircuitBreaker, Deadline
 from repro.common.timeutils import Stopwatch
 from repro.fabric.ledger import Ledger
 from repro.temporal.events import Event
-from repro.temporal.executor import QueryExecutor, build_executor
 from repro.temporal.intervals import TimeInterval
 from repro.temporal.join import JoinRow, temporal_join
 from repro.temporal.m1 import M1QueryEngine
@@ -112,8 +107,6 @@ class QueryStats:
     range_scan_calls: int = 0
     events_fetched: int = 0
     keys_queried: int = 0
-    #: Executor parallelism the query ran with (1 = serial).
-    workers: int = 1
 
     def as_row(self) -> Dict[str, object]:
         """Flatten for table rendering."""
@@ -149,19 +142,13 @@ class TemporalQueryEngine:
         ledger: Ledger,
         metrics: MetricsRegistry,
         namespace: EntityNamespace | None = None,
-        executor: Optional[QueryExecutor] = None,
-        workers: Optional[int] = None,
+        workers: int = 1,
     ) -> None:
-        """``executor`` wins over ``workers``; with neither given, the
-        worker count comes from ``REPRO_QUERY_WORKERS`` (default 1,
-        i.e. serial)."""
-        if executor is None:
-            executor = build_executor(
-                workers if workers is not None else default_query_workers()
-            )
+        # ``workers`` exists only because benchmarks/spine/harness.py
+        # spells it; the ``benchmark`` PR that drops the kwarg deletes it.
+        require_only(workers, 1, "TemporalQueryEngine.workers")
         self._ledger = ledger
         self._metrics = metrics
-        self.executor = executor
         self.namespace = namespace or EntityNamespace()
         self._engines: Dict[str, QueryModel] = {
             "tqf": TQFEngine(ledger, metrics=metrics),
@@ -193,11 +180,9 @@ class TemporalQueryEngine:
     ) -> tuple[Dict[str, List[Event]], Dict[str, List[Event]]]:
         """Per-key events inside ``window`` for all shipments and containers.
 
-        The per-key fetches run through the configured executor --
-        possibly on several threads at once -- but the returned dicts
-        are always built in ``list_keys`` order, so result layout is
-        independent of scheduling.  With a ``deadline``, remaining
-        fetches are abandoned once the budget expires and
+        The returned dicts are built in ``list_keys`` order.  With a
+        ``deadline``, the budget is checked before every key: remaining
+        fetches are abandoned once it expires and
         :class:`~repro.common.errors.DeadlineExceededError` propagates.
         """
         engine = self.engine(model)
@@ -205,16 +190,16 @@ class TemporalQueryEngine:
             deadline.check("entity enumeration")
         shipment_keys = engine.list_keys(self.namespace.shipment_prefix)
         container_keys = engine.list_keys(self.namespace.container_prefix)
-        # One fan-out over both entity sets keeps the pool saturated
-        # instead of draining between shipments and containers.
-        results: List[Tuple[str, List[Event]]] = self.executor.map(
-            lambda key: (key, engine.fetch_events(key, window)),
-            shipment_keys + container_keys,
-            deadline=deadline,
-        )
-        shipment_events = dict(results[: len(shipment_keys)])
-        container_events = dict(results[len(shipment_keys):])
-        return shipment_events, container_events
+
+        def fetch(keys: List[str]) -> Dict[str, List[Event]]:
+            events: Dict[str, List[Event]] = {}
+            for key in keys:
+                if deadline is not None:
+                    deadline.check("per-key fetch")
+                events[key] = engine.fetch_events(key, window)
+            return events
+
+        return fetch(shipment_keys), fetch(container_keys)
 
     def run_join(
         self,
@@ -299,7 +284,6 @@ class TemporalQueryEngine:
             events_fetched=sum(len(e) for e in shipment_events.values())
             + sum(len(e) for e in container_events.values()),
             keys_queried=len(shipment_events) + len(container_events),
-            workers=self.executor.workers,
         )
         return JoinResult(
             rows=rows,

@@ -38,9 +38,9 @@ from repro.temporal.tqf import PREFIX_END
 class M2QueryEngine:
     """Temporal queries over Model M2's transformed ledger.
 
-    Stateless between calls (like :class:`~repro.temporal.tqf.TQFEngine`),
-    so concurrent ``fetch_events`` calls from the parallel executor are
-    safe: per-interval GHFK scans share only lock-guarded structures.
+    Stateless between calls (like :class:`~repro.temporal.tqf.TQFEngine`):
+    per-interval GHFK scans share only lock-guarded structures, so a
+    query racing a commit is safe.
     """
 
     model = "m2"

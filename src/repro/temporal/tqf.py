@@ -26,9 +26,9 @@ class TQFEngine:
     """The baseline temporal query engine.
 
     Stateless between calls: ``fetch_events`` holds no per-engine mutable
-    state, so the parallel executor may invoke it for many keys at once.
-    Everything it shares (metrics, history index, block store/cache) is
-    lock-guarded underneath.
+    state, and everything it shares (metrics, history index, block
+    store/cache) is lock-guarded underneath, so a query racing a commit
+    is safe.
     """
 
     #: Identifier used by the facade and benchmark tables.

@@ -108,7 +108,7 @@ class TestSymbolTable:
         assert holder.lock_attrs == {"_lock"}
 
     def test_real_tree_recognizes_query_path_lock_carriers(self, real_analysis):
-        """Every class the parallel query executor made lock-carrying must
+        """Every lock-carrying class on the query path must
         be visible to the symbol table, or CONC001 silently stops policing
         its attribute writes."""
         classes = real_analysis.table.classes

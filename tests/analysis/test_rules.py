@@ -473,7 +473,7 @@ class TestMutationAcceptance:
         assert "retries_attempted" in conc[0].message
 
     def test_unlocked_block_cache_write_fails_the_lint(self, real_tree):
-        # BlockCache became lock-carrying with the parallel executor; a
+        # BlockCache is lock-carrying (readers race each other); a
         # new method rebinding shared state outside the lock must fire
         # CONC001.
         target = real_tree / "src" / "repro" / "fabric" / "blockcache.py"

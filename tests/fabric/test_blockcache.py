@@ -1,9 +1,9 @@
 """Tests for the thread-safe shared block cache and concurrent GHFK.
 
-The old in-store ``OrderedDict`` cache had three races the parallel
-executor exposed: ``move_to_end`` on a concurrently-evicted key raising
+The old in-store ``OrderedDict`` cache had three races concurrent
+readers exposed: ``move_to_end`` on a concurrently-evicted key raising
 ``KeyError``, interleaved insert/evict pairs overshooting the capacity,
-and duplicated deserializations when several workers missed on the same
+and duplicated deserializations when several readers missed on the same
 block at once.  These tests pin the fixed semantics: exact hit/miss/
 eviction accounting, capacity as a hard ceiling, and single-flight
 loading (one loader call per key per residency, shared by all waiters).

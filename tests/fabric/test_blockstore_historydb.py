@@ -16,7 +16,6 @@ from repro.common.config import (
     BlockCuttingConfig,
     BlockStoreConfig,
     FabricConfig,
-    QueryConfig,
     StateDbConfig,
 )
 from repro.common.errors import (
@@ -239,31 +238,9 @@ class TestFramedReads:
             blockfile.write_bytes(bytes(damaged))
             with pytest.raises(BlockFileError, match="checksum mismatch"):
                 store.get_block(0)
-            with pytest.raises(BlockFileError, match="checksum mismatch"):
-                store.get_blocks([0, 0])
             assert spy.decoded == []
         finally:
             store.close()
-
-    def test_single_and_batched_reads_count_and_decode_alike(self, store, metrics):
-        blocks = chain_blocks(
-            [[make_tx(f"t{n}-{i}", {f"k{i}": n}) for i in range(5)] for n in range(4)]
-        )
-        for block in blocks:
-            store.add_block(block)
-        before = metrics.snapshot()
-        one_by_one = [store.get_block(n) for n in (0, 2, 3)]
-        single = metrics.snapshot().diff(before)
-        batched = store.get_blocks([0, 2, 3])
-        batch = metrics.snapshot().diff(before).diff(single)
-        assert batched == one_by_one == [blocks[0], blocks[2], blocks[3]]
-        for name in (metric_names.BLOCKS_DESERIALIZED, metric_names.BLOCK_BYTES_READ):
-            assert batch.counter(name) == single.counter(name) > 0
-        assert single.counter(metric_names.BLOCK_BATCH_READS) == 0
-        assert batch.counter(metric_names.BLOCK_BATCH_READS) == 1
-        for read in (store.get_block, lambda n: store.get_blocks([n, n])):
-            with pytest.raises(BlockNotFoundError, match="beyond height 4"):
-                read(4)
 
     def test_pre_frame_chain_fails_loudly_naming_the_format(self, tmp_path):
         """A chain written before the framed format (one whole-block
@@ -494,15 +471,14 @@ class TestDescriptorLifetime:
 
 
 # --------------------------------------------------------------------------
-# One seeded DS1 (multi-event) ledger, read under every read-path shape
+# One seeded DS1 (multi-event) ledger, read with the block cache off and on
 # --------------------------------------------------------------------------
 
 MAX_MESSAGE_COUNT = 10
 
-#: (ghfk_prefetch, query workers, block cache capacity).  The cache is
-#: far smaller than the chain, so the workers keep loading (lazy) blocks
-#: into it and indexing the same cached block concurrently.
-SHAPES = [(1, 1, 0), (4, 1, 0), (1, 8, 16), (4, 8, 16)]
+#: Block cache capacities.  The cache is far smaller than the chain, so
+#: the query keeps loading (lazy) blocks into it and evicting them.
+CACHE_BLOCKS = [0, 16]
 
 
 def _rows_digest(rows) -> str:
@@ -514,8 +490,8 @@ def _rows_digest(rows) -> str:
 
 @pytest.fixture(scope="module")
 def ds1_reads(tmp_path_factory):
-    """TQF over three windows of one DS1 ledger, once per read-path shape:
-    ``shape -> (row digests, counter deltas)``."""
+    """TQF over three windows of one DS1 ledger, once per cache capacity:
+    ``cache_blocks -> (row digests, counter deltas)``."""
     config = ds1(scale=0.02, entity_scale=0.05, seed=11)
     data = generate(config)
     path = tmp_path_factory.mktemp("ds1")
@@ -523,73 +499,54 @@ def ds1_reads(tmp_path_factory):
     third = config.t_max // 3
     windows = [TimeInterval(i * third, (i + 1) * third) for i in range(3)]
     reads = {}
-    for prefetch, workers, cache_blocks in SHAPES:
+    for cache_blocks in CACHE_BLOCKS:
         network = FabricNetwork(
             path,
             config=FabricConfig(
                 block_cutting=BlockCuttingConfig(max_message_count=MAX_MESSAGE_COUNT),
                 block_store=BlockStoreConfig(cache_blocks=cache_blocks),
-                query=QueryConfig(workers=workers, ghfk_prefetch=prefetch),
             ),
         )
         try:
-            engine = TemporalQueryEngine(network.ledger, network.metrics, workers=workers)
+            engine = TemporalQueryEngine(network.ledger, network.metrics)
             before = network.metrics.snapshot()
             digests = [_rows_digest(engine.run_join("tqf", w).rows) for w in windows]
             counters = network.metrics.snapshot().diff(before)
             network.ledger.verify_chain()
         finally:
             network.close()
-        reads[(prefetch, workers, cache_blocks)] = (digests, counters)
+        reads[cache_blocks] = (digests, counters)
     return reads
 
 
 class TestReadPathShapes:
     def test_rows_and_ghfk_calls_do_not_depend_on_the_shape(self, ds1_reads):
-        digests, counters = ds1_reads[SHAPES[0]]
+        digests, counters = ds1_reads[0]
+        other_digests, other = ds1_reads[16]
         assert counters.counter(metric_names.GHFK_RESULTS) > 0
-        for shape in SHAPES[1:]:
-            other_digests, other = ds1_reads[shape]
-            assert other_digests == digests, shape
-            for name in (metric_names.GHFK_CALLS, metric_names.GHFK_RESULTS):
-                assert other.counter(name) == counters.counter(name), (shape, name)
-
-    def test_prefetch_changes_io_shape_never_what_is_decoded(self, ds1_reads):
-        _, serial = ds1_reads[(1, 1, 0)]
-        _, batched = ds1_reads[(4, 1, 0)]
-        # TQF abandons an iterator past the window's end; a batch already
-        # fetched is then over-read by at most ``prefetch - 1`` blocks --
-        # blocks that are opened (and counted) but never decoded.
-        blocks = serial.counter(metric_names.BLOCKS_DESERIALIZED)
-        over_read = batched.counter(metric_names.BLOCKS_DESERIALIZED) - blocks
-        assert blocks > 0
-        assert 0 <= over_read <= 3 * serial.counter(metric_names.GHFK_CALLS)
-        assert batched.counter(metric_names.TXS_DECODED) == serial.counter(
-            metric_names.TXS_DECODED
-        )
-        assert serial.counter(metric_names.BLOCK_BATCH_READS) == 0
-        assert batched.counter(metric_names.BLOCK_BATCH_READS) > 0
+        assert other_digests == digests
+        for name in (metric_names.GHFK_CALLS, metric_names.GHFK_RESULTS):
+            assert other.counter(name) == counters.counter(name), name
 
     def test_shared_cache_only_absorbs_deserializations(self, ds1_reads):
-        _, serial = ds1_reads[(1, 1, 0)]
-        for shape in SHAPES[2:]:
-            _, cached = ds1_reads[shape]
-            deserialized = cached.counter(metric_names.BLOCKS_DESERIALIZED)
-            assert deserialized <= serial.counter(metric_names.BLOCKS_DESERIALIZED)
-            assert deserialized + cached.counter(
-                metric_names.BLOCK_CACHE_HITS
-            ) >= serial.counter(metric_names.BLOCKS_DESERIALIZED)
-            # A cached block keeps what it decoded: never more decodes
-            # than without the cache.
-            assert cached.counter(metric_names.TXS_DECODED) <= serial.counter(
-                metric_names.TXS_DECODED
-            )
+        _, uncached = ds1_reads[0]
+        _, cached = ds1_reads[16]
+        deserialized = cached.counter(metric_names.BLOCKS_DESERIALIZED)
+        assert deserialized <= uncached.counter(metric_names.BLOCKS_DESERIALIZED)
+        assert deserialized + cached.counter(
+            metric_names.BLOCK_CACHE_HITS
+        ) >= uncached.counter(metric_names.BLOCKS_DESERIALIZED)
+        # A cached block keeps what it decoded: never more decodes
+        # than without the cache.
+        assert cached.counter(metric_names.TXS_DECODED) <= uncached.counter(
+            metric_names.TXS_DECODED
+        )
 
     def test_a_ghfk_result_decodes_one_transaction_not_the_block(self, ds1_reads):
         """The point of the framed payload, from the system's own counters:
         ``txs_decoded / ghfk_results`` is ~1 on a multi-event ledger whose
         blocks hold ``max_message_count`` transactions each."""
-        _, counters = ds1_reads[(1, 1, 0)]
+        _, counters = ds1_reads[0]
         results = counters.counter(metric_names.GHFK_RESULTS)
         blocks = counters.counter(metric_names.BLOCKS_DESERIALIZED)
         decoded = counters.counter(metric_names.TXS_DECODED)

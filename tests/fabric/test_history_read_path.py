@@ -131,14 +131,13 @@ def test_every_entry_equals_the_object_graph_oracle(codec, chain):
             for key in sorted(written):
                 want = oracle_history(history, store, key)
                 assert want, key
-                for prefetch in (1, 2):
-                    before = metrics.counter(metric_names.TXS_DECODED)
-                    got = list(history.get_history_for_key(key, store, prefetch=prefetch))
-                    assert len(got) == len(want)
-                    for mine, theirs in zip(got, want):
-                        assert same_entry(mine, theirs), (mine, theirs)
-                    # One segment decoded per result, never the block.
-                    assert metrics.counter(metric_names.TXS_DECODED) - before == len(want)
+                before = metrics.counter(metric_names.TXS_DECODED)
+                got = list(history.get_history_for_key(key, store))
+                assert len(got) == len(want)
+                for mine, theirs in zip(got, want):
+                    assert same_entry(mine, theirs), (mine, theirs)
+                # One segment decoded per result, never the block.
+                assert metrics.counter(metric_names.TXS_DECODED) - before == len(want)
         finally:
             store.close()
 
@@ -306,12 +305,11 @@ def test_a_bad_history_location_is_a_ledger_error(cached, scanned, location, nam
         list(store.get_block(0).transactions)
     with history._lock:
         history._locations["only-2"] = [(0, 2), location]
-    for prefetch in (1, 4):
-        results = metrics.counter(metric_names.GHFK_RESULTS)
-        iterator = history.get_history_for_key("only-2", store, prefetch=prefetch)
-        assert next(iterator).value == {"tx": 2, "key": "only-2"}
-        with pytest.raises(LedgerError, match=names) as raised:
-            next(iterator)
-        assert "'only-2'" in str(raised.value)
-        # Only the entry that exists counted as a result.
-        assert metrics.counter(metric_names.GHFK_RESULTS) == results + 1
+    results = metrics.counter(metric_names.GHFK_RESULTS)
+    iterator = history.get_history_for_key("only-2", store)
+    assert next(iterator).value == {"tx": 2, "key": "only-2"}
+    with pytest.raises(LedgerError, match=names) as raised:
+        next(iterator)
+    assert "'only-2'" in str(raised.value)
+    # Only the entry that exists counted as a result.
+    assert metrics.counter(metric_names.GHFK_RESULTS) == results + 1

@@ -83,6 +83,49 @@ class TestMVCC:
         assert validator.validate_block(block) == 3
 
 
+class TestEdgeCases:
+    def test_empty_block_counts_zero_valid(self):
+        validator = Validator(version_lookup={}.get)
+        assert validator.validate_block(make_block([])) == 0
+
+    def test_same_key_written_twice_in_one_block_both_valid(self):
+        """Write-write is not a conflict in Fabric: both writers commit,
+        the later transaction's version wins in the state-db."""
+        validator = Validator(version_lookup={}.get)
+        first = make_tx("t0", writes=[("k", "a")])
+        second = make_tx("t1", writes=[("k", "b")])
+        block = make_block([first, second], number=3)
+        assert validator.validate_block(block) == 2
+        assert first.validation_code == VALID
+        assert second.validation_code == VALID
+
+    def test_read_after_duplicate_writes_still_conflicts(self):
+        validator = Validator(version_lookup={"k": (1, 0)}.get)
+        block = make_block(
+            [
+                make_tx("t0", writes=[("k", "a")]),
+                make_tx("t1", writes=[("k", "b")]),
+                make_tx("t2", reads=[("k", (1, 0))]),
+            ],
+            number=4,
+        )
+        assert validator.validate_block(block) == 2
+        assert block.transactions[2].validation_code == MVCC_READ_CONFLICT
+
+    def test_invalid_writer_leaves_no_intra_block_trace(self):
+        """An invalidated transaction's writes must not poison later
+        reads in the same block."""
+        validator = Validator(version_lookup={"k": (2, 0), "j": (1, 0)}.get)
+        stale_writer = make_tx(
+            "t0", reads=[("k", (1, 0))], writes=[("j", "x")]
+        )
+        reader = make_tx("t1", reads=[("j", (1, 0))])
+        block = make_block([stale_writer, reader], number=5)
+        assert validator.validate_block(block) == 1
+        assert stale_writer.validation_code == MVCC_READ_CONFLICT
+        assert reader.validation_code == VALID
+
+
 class TestSignatureCheck:
     def test_bad_signature_rejected(self):
         validator = Validator(

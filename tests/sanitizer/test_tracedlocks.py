@@ -8,12 +8,7 @@ import pytest
 
 from repro.common.errors import SanitizerError
 from repro.sanitizer import runtime
-from repro.sanitizer.locks import (
-    SanitizerFactory,
-    TracedCondition,
-    TracedLock,
-    TracedRLock,
-)
+from repro.sanitizer.locks import TracedLock, TracedRLock
 
 
 def _requires_no_session() -> None:
@@ -69,45 +64,6 @@ def test_traced_rlock_is_reentrant():
                 pass
         with lock:
             pass
-
-
-def test_traced_condition_wait_notify_round_trip():
-    cond = TracedCondition(TracedLock("cv"))
-    ready = []
-    with runtime.sanitized():
-
-        def waiter() -> None:
-            with cond:
-                while not ready:
-                    cond.wait(timeout=5)
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        with cond:
-            ready.append(True)
-            cond.notify()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
-def test_factory_wrap_task_passes_through_without_session():
-    _requires_no_session()
-    factory = SanitizerFactory()
-
-    def fn() -> int:
-        return 42
-
-    assert factory.wrap_task(fn) is fn
-    factory.join_task(fn)  # non-task callables are ignored
-
-
-def test_factory_wrap_task_traces_under_session():
-    factory = SanitizerFactory()
-    with runtime.sanitized():
-        wrapped = factory.wrap_task(lambda: 7)
-        assert wrapped is not None
-        assert wrapped() == 7
-        factory.join_task(wrapped)
 
 
 def test_nested_sessions_shadow_and_restore():

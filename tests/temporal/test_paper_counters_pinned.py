@@ -29,7 +29,6 @@ from repro.common.config import (
     BlockCuttingConfig,
     BlockStoreConfig,
     FabricConfig,
-    QueryConfig,
     StateDbConfig,
 )
 from repro.fabric.network import FabricNetwork
@@ -96,7 +95,6 @@ def fabric_config(cache_blocks: int = 0) -> FabricConfig:
         block_cutting=BlockCuttingConfig(max_message_count=10),
         state_db=StateDbConfig(backend="memory"),
         block_store=BlockStoreConfig(codec="json", cache_blocks=cache_blocks),
-        query=QueryConfig(workers=1, ghfk_prefetch=1),
     )
 
 
@@ -133,7 +131,7 @@ def build_m2(path, workload: WorkloadConfig) -> FabricNetwork:
 
 
 def sweep(network: FabricNetwork, model: str, t_max: int) -> Pinned:
-    engine = TemporalQueryEngine(network.ledger, network.metrics, workers=1)
+    engine = TemporalQueryEngine(network.ledger, network.metrics)
     hasher = hashlib.sha256()
     before = network.metrics.snapshot()
     for window in windows(t_max):

@@ -121,23 +121,25 @@ class TestDeadlines:
         with pytest.raises(DeadlineExceededError, match="fetch|enumeration"):
             facade.fetch_window_events("tqf", WINDOW, deadline=deadline)
 
+    def test_deadline_is_checked_between_keys(self, facade, monkeypatch):
+        clock = FakeClock()
+        deadline = Deadline.after(1.0, clock=clock)
+        tqf = facade.engine("tqf")
+        real_fetch, fetched = tqf.fetch_events, []
+
+        def fetch_then_expire(key, window):
+            fetched.append(key)
+            clock.now = 2.0
+            return real_fetch(key, window)
+
+        monkeypatch.setattr(tqf, "fetch_events", fetch_then_expire)
+        with pytest.raises(DeadlineExceededError, match="per-key fetch"):
+            facade.fetch_window_events("tqf", WINDOW, deadline=deadline)
+        # The first key's fetch ran; the budget died before the second.
+        assert len(fetched) == 1
+
     def test_generous_deadline_changes_nothing(self, facade):
         bounded = facade.run_join("tqf", WINDOW, deadline=Deadline.after(60.0))
         unbounded = facade.run_join("tqf", WINDOW)
         assert sorted(bounded.rows) == sorted(unbounded.rows)
         assert bounded.degraded is None
-
-
-class TestParallelDeadlines:
-    def test_parallel_executor_honours_deadline(self, network):
-        facade = TemporalQueryEngine(network.ledger, network.metrics, workers=4)
-        clock = FakeClock()
-        deadline = Deadline.after(0.5, clock=clock)
-        clock.now = 1.0
-        with pytest.raises(DeadlineExceededError):
-            facade.run_join("tqf", WINDOW, deadline=deadline)
-        # And a live budget still answers correctly on the pool.
-        serial = TemporalQueryEngine(network.ledger, network.metrics)
-        assert sorted(
-            facade.run_join("tqf", WINDOW, deadline=Deadline.after(60.0)).rows
-        ) == sorted(serial.run_join("tqf", WINDOW).rows)
