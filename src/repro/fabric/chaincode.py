@@ -34,8 +34,9 @@ from repro.fabric.statedb import StateDB
 #: code point, so composite keys group correctly under range scans).
 COMPOSITE_DELIMITER = "\x00"
 
-#: Exclusive upper bound of a partial-composite-key scan: Fabric's
-#: ``maxUnicodeRuneValue``, the largest code point an attribute can start with.
+#: Exclusive upper bound of a prefix scan (partial composite keys here, the
+#: temporal engines' ``list_keys``): Fabric's ``maxUnicodeRuneValue``, the
+#: largest code point the text after the prefix can start with.
 MAX_UNICODE_RUNE = "\U0010ffff"
 
 
@@ -142,27 +143,6 @@ class ChaincodeStub:
         """
         prefix = create_composite_key(object_type, attributes)
         return self.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
-
-    def get_state_by_range_with_pagination(
-        self,
-        start_key: str,
-        end_key: str,
-        page_size: int,
-        bookmark: str = "",
-    ) -> Tuple[list, str]:
-        """One page of a range scan plus the bookmark for the next page.
-
-        As in Fabric, paginated queries are read-only (usable from
-        ``evaluate`` flows); the page's keys are still recorded as reads.
-        """
-        results, next_bookmark = self._state_db.get_state_by_range_with_pagination(
-            start_key, end_key, page_size, bookmark
-        )
-        page = []
-        for key, state in results:
-            self.rw_set.add_read(key, state.version)
-            page.append((key, state.value))
-        return page, next_bookmark
 
     def get_history_for_key(self, key: str) -> Iterator[HistoryEntry]:
         """Fabric GHFK: lazy, oldest-first iterator over all past states."""

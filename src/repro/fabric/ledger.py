@@ -10,7 +10,7 @@ the three Fabric calls the paper builds on: ``GetState``,
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional
 
 from repro.common import metrics as metric_names
 from repro.common.config import FabricConfig
@@ -178,13 +178,6 @@ class Ledger:
     def get_state_entry(self, key: str) -> Optional[StateValue]:
         """Current value *and version* of ``key``."""
         return self.state_db.get_state(key)
-
-    def get_state_by_range(
-        self, start_key: str, end_key: str
-    ) -> Iterator[Tuple[str, Any]]:
-        """Sorted scan over current states (Fabric GetStateByRange)."""
-        for key, state in self.state_db.get_state_by_range(start_key, end_key):
-            yield key, state.value
 
     def get_history_for_key(self, key: str) -> Iterator[HistoryEntry]:
         """Fabric GHFK: lazy, oldest-first history iterator for ``key``."""

@@ -9,11 +9,14 @@ current value together with its version (the Fabric "height"
 State keys are strings.  Composite keys used by the temporal models embed
 ``\\x00`` separators, which encode cleanly to UTF-8 and sort correctly
 under the byte-lexicographic order the KV layer provides.
+
+A read hands back the stored bytes wrapped in a :class:`StateValue`,
+decoded on first access (Fabric's ``KV.Value`` contract): the temporal
+engines scan thousands of states per query for their *keys* alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Tuple
 
 from repro.common import metrics as metric_names
@@ -28,12 +31,37 @@ from repro.storage.kv.api import KVStore
 SAVEPOINT_KEY = "\x01savepoint"
 
 
-@dataclass(frozen=True)
 class StateValue:
-    """A committed state: the value and the height that wrote it."""
+    """A committed state: the value and the height that wrote it.
 
-    value: Any
-    version: Version
+    Decoded from the stored bytes on the first read of :attr:`value` or
+    :attr:`version`, once; undecodable bytes raise ``CodecError`` there.
+    The cache is an idempotent unlocked write: racing first reads decode
+    the same immutable bytes and store equal tuples.
+    """
+
+    __slots__ = ("_raw", "_codec", "_fields")
+
+    def __init__(self, raw: bytes, codec: Codec) -> None:
+        self._raw = raw
+        self._codec = codec
+        self._fields: Optional[Tuple[Any, Version]] = None
+
+    def _decoded(self) -> Tuple[Any, Version]:
+        fields = self._fields
+        if fields is None:
+            record = self._codec.decode(self._raw)
+            block_num, tx_num = record["ver"]
+            fields = self._fields = (record["v"], (block_num, tx_num))
+        return fields
+
+    @property
+    def value(self) -> Any:
+        return self._decoded()[0]
+
+    @property
+    def version(self) -> Version:
+        return self._decoded()[1]
 
 
 class StateDB:
@@ -57,14 +85,14 @@ class StateDB:
         raw = self._store.get(self._encode_key(key))
         if raw is None:
             return None
-        return self._decode_state(raw)
+        return StateValue(raw, self._codec)
 
     def get_version(self, key: str) -> Optional[Version]:
         """Version of ``key`` without counting a user-visible GetState."""
         raw = self._store.get(self._encode_key(key))
         if raw is None:
             return None
-        return self._decode_state(raw).version
+        return StateValue(raw, self._codec).version
 
     def get_state_by_range(
         self, start_key: str, end_key: str
@@ -72,7 +100,7 @@ class StateDB:
         """Sorted scan of current states with ``start_key <= key < end_key``.
 
         Empty ``start_key`` / ``end_key`` mean unbounded, as in Fabric's
-        ``GetStateByRange``.
+        ``GetStateByRange``.  Values stay undecoded until read.
         """
         self._metrics.increment(metric_names.RANGE_SCAN_CALLS)
         start = self._encode_key(start_key) if start_key else None
@@ -81,33 +109,7 @@ class StateDB:
             key = raw_key.decode("utf-8")
             if key == SAVEPOINT_KEY:
                 continue
-            yield key, self._decode_state(raw_value)
-
-    def get_state_by_range_with_pagination(
-        self,
-        start_key: str,
-        end_key: str,
-        page_size: int,
-        bookmark: str = "",
-    ) -> Tuple[list, str]:
-        """One page of a range scan, Fabric-style.
-
-        Returns ``(results, next_bookmark)``; pass the bookmark back to
-        resume.  An empty bookmark return value means the scan is done.
-        ``bookmark`` overrides ``start_key`` when present (it is the first
-        key of the next page, exactly as Fabric's pagination works).
-        """
-        if page_size <= 0:
-            raise ValueError(f"page_size must be positive, got {page_size}")
-        effective_start = bookmark if bookmark else start_key
-        results = []
-        next_bookmark = ""
-        for key, state in self.get_state_by_range(effective_start, end_key):
-            if len(results) == page_size:
-                next_bookmark = key
-                break
-            results.append((key, state))
-        return results, next_bookmark
+            yield key, StateValue(raw_value, self._codec)
 
     # -- writes -------------------------------------------------------------
 
@@ -134,7 +136,7 @@ class StateDB:
         raw = self._store.get(self._encode_key(SAVEPOINT_KEY))
         if raw is None:
             return None
-        return self._decode_state(raw).value
+        return StateValue(raw, self._codec).value
 
     # -- quarantine ----------------------------------------------------------
 
@@ -176,8 +178,3 @@ class StateDB:
         if not key:
             raise ValueError("state keys must be non-empty")
         return key.encode("utf-8")
-
-    def _decode_state(self, raw: bytes) -> StateValue:
-        decoded = self._codec.decode(raw)
-        block_num, tx_num = decoded["ver"]
-        return StateValue(value=decoded["v"], version=(block_num, tx_num))

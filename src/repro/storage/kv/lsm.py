@@ -4,8 +4,10 @@ Write path: WAL append -> memtable insert; when the memtable exceeds its
 entry limit it is flushed to a new immutable SSTable and the WAL is
 truncated.  Read path: memtable first, then SSTables newest-first.  Range
 scans merge all sources with newest-wins semantics and tombstone
-suppression.  When the number of SSTables reaches ``compaction_trigger``,
-a full compaction merges them into one table and drops dead entries.
+suppression; a range only one source has entries in is read straight off
+that source, no heap.  When the number of SSTables reaches
+``compaction_trigger``, a full compaction merges them into one table and
+drops dead entries.
 
 On reopen, surviving WAL records are replayed into a fresh memtable, so a
 process crash between flushes loses no acknowledged writes.  Crash
@@ -48,6 +50,9 @@ from repro.storage.kv.api import OP_PUT, KVStore
 from repro.storage.kv.memtable import Memtable
 from repro.storage.kv.sstable import TMP_SUFFIX, SSTableReader, write_sstable
 from repro.storage.kv.wal import WriteAheadLog, replay
+
+#: One source's ``(key, value-or-tombstone-None)`` stream, in key order.
+_Entries = Iterator[Tuple[bytes, Optional[bytes]]]
 
 _SST_PREFIX = "sst-"
 _SST_SUFFIX = ".sst"
@@ -406,27 +411,36 @@ class LSMStore(KVStore):
         earlier ones.  The heap orders by ``(key, -priority)`` so for equal
         keys the newest source surfaces first and older duplicates are
         skipped.
-        """
-        iterators: List[Tuple[int, Iterator[Tuple[bytes, Optional[bytes]]]]] = []
-        for priority, reader in enumerate(sources):
-            iterators.append((priority, reader.scan(start, end)))
-        if memtable is not None:
-            iterators.append((len(sources), memtable.scan(start, end)))
 
-        heap: List[Tuple[bytes, int, Optional[bytes], int]] = []
-        for priority, iterator in iterators:
+        A lone source with entries in ``[start, end)`` -- the steady state
+        after a flush or compaction, or a range one table covers alone --
+        is yielded as it comes, minus tombstones: nothing to merge.
+        """
+        iterators = [reader.scan(start, end) for reader in sources]
+        if memtable is not None:
+            iterators.append(memtable.scan(start, end))
+
+        # One head per source with anything in range (priority = position);
+        # the rest of each source is pulled lazily.
+        heap: List[Tuple[bytes, int, Optional[bytes], _Entries]] = []
+        for priority, iterator in enumerate(iterators):
             for key, value in iterator:
-                heap.append((key, -priority, value, priority))
-                break  # only the first item; rest pulled lazily below
-        # Rebuild with live iterators: store iterator index to pull next.
-        live = {priority: iterator for priority, iterator in iterators}
+                heap.append((key, -priority, value, iterator))
+                break
+        if len(heap) == 1:
+            key, _, value, iterator = heap[0]
+            if value is not None:
+                yield key, value
+            for key, value in iterator:
+                if value is not None:
+                    yield key, value
+            return
         heapq.heapify(heap)
         last_key: Optional[bytes] = None
         while heap:
-            key, neg_priority, value, priority = heapq.heappop(heap)
-            iterator = live[priority]
+            key, neg_priority, value, iterator = heapq.heappop(heap)
             for next_key, next_value in iterator:
-                heapq.heappush(heap, (next_key, -priority, next_value, priority))
+                heapq.heappush(heap, (next_key, neg_priority, next_value, iterator))
                 break
             if key == last_key:
                 continue  # older duplicate, already emitted newest

@@ -97,11 +97,7 @@ class QueryExplainer:
         )
 
     def _explain_m2(self, key: str, window: TimeInterval) -> FetchPlan:
-        intervals = [
-            interval
-            for interval in self._m2.index_intervals(key)
-            if interval.overlaps(window)
-        ]
+        intervals = self._m2.overlapping_intervals(key, window)
         blocks = 0
         for interval in intervals:
             locations = self._ledger.history_db.locations_for_key(

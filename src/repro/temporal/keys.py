@@ -17,7 +17,7 @@ workload's entity ids never do.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.common.errors import TemporalQueryError
 from repro.temporal.intervals import TimeInterval
@@ -36,6 +36,12 @@ def validate_base_key(key: str) -> str:
             f"base key {key!r} contains a reserved separator byte"
         )
     return key
+
+
+def bound_field(timestamp: int) -> str:
+    """An interval bound as spelled inside a composite key: spelled bounds
+    compare as strings exactly as the timestamps compare as numbers."""
+    return f"{timestamp:0{_WIDTH}d}"
 
 
 def encode_interval_key(base_key: str, interval: TimeInterval) -> str:
@@ -67,7 +73,11 @@ def is_interval_key(key: str) -> bool:
     return SEPARATOR in key
 
 
-def interval_key_range(base_key: str) -> Tuple[str, str]:
-    """``(start, end)`` bounds scanning all interval keys of ``base_key``."""
+def interval_key_range(base_key: str, before: Optional[int] = None) -> Tuple[str, str]:
+    """``(start, end)`` bounds scanning the interval keys of ``base_key``:
+    all, or (the start field leads the key) those starting before ``before``."""
     validate_base_key(base_key)
-    return base_key + SEPARATOR, base_key + _RANGE_END
+    prefix = base_key + SEPARATOR
+    if before is None or before >= 10 ** _WIDTH:
+        return prefix, base_key + _RANGE_END
+    return prefix, prefix + bound_field(before)

@@ -28,6 +28,7 @@ from repro.common import metrics as metric_names
 from repro.common.errors import IndexingError, TemporalQueryError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.common.timeutils import Stopwatch
+from repro.fabric.chaincode import MAX_UNICODE_RUNE
 from repro.fabric.gateway import Gateway
 from repro.fabric.ledger import Ledger
 from repro.faults.crashpoints import (
@@ -43,7 +44,7 @@ from repro.temporal.chaincodes import M1IndexChaincode
 from repro.temporal.events import Event, events_to_values
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import encode_interval_key, is_interval_key
-from repro.temporal.tqf import PREFIX_END, TQFEngine
+from repro.temporal.tqf import TQFEngine
 
 
 @dataclass(frozen=True)
@@ -334,11 +335,8 @@ class M1QueryEngine:
 
     def list_keys(self, prefix: str) -> List[str]:
         """Base entity keys (M1 leaves original state-db entries intact)."""
-        return [
-            key
-            for key, _ in self._ledger.get_state_by_range(prefix, prefix + PREFIX_END)
-            if not is_interval_key(key)
-        ]
+        scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
+        return [key for key, _ in scan if not is_interval_key(key)]
 
     def fetch_events(self, key: str, window: TimeInterval) -> List[Event]:
         """Events of ``key`` in ``window`` from index bundles.

@@ -5,10 +5,15 @@ under transformed keys ``(k, θ)``, so the indexing information already
 lives in state-db and history-db.  To answer a temporal query the engine:
 
 1. range-scans state-db for key ``k``'s index intervals overlapping the
-   query window ``τ``,
+   query window ``τ``: the scan is ``[k\\x00, k\\x00<τ.end>)`` (``θ.start <
+   τ.end`` bounds the zero-padded key itself) and intervals below ``τ`` are
+   skipped on their spelled end field, undecoded,
 2. issues one GHFK per overlapping ``(k, θ)``, which touches exactly the
    blocks holding ``k``'s events inside ``θ``,
 3. filters the returned events to ``τ``.
+
+The engine takes no ``u``: it *discovers* the occupied intervals rather
+than computing a grid, and reads only keys off the scan.
 
 Because the transformation breaks ordinary chaincode access to base keys,
 :class:`BaseAccessAPI` emulates ``GetState(k)`` and ``GHFK(k)`` on top of
@@ -23,16 +28,18 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.fabric.chaincode import MAX_UNICODE_RUNE
 from repro.fabric.historydb import HistoryEntry
 from repro.fabric.ledger import Ledger
 from repro.temporal.events import Event
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import (
+    SEPARATOR,
+    bound_field,
     decode_interval_key,
     encode_interval_key,
     interval_key_range,
 )
-from repro.temporal.tqf import PREFIX_END
 
 
 class M2QueryEngine:
@@ -54,23 +61,32 @@ class M2QueryEngine:
 
         State-db holds only transformed ``(k, θ)`` keys; they sort by base
         key first, so one range scan with on-the-fly dedup enumerates the
-        entities.
+        entities.  A key is decoded once per base key: the rest of that
+        key's states are recognised by their ``k\\x00`` prefix.
         """
         keys: List[str] = []
-        last: Optional[str] = None
-        for composite, _ in self._ledger.get_state_by_range(prefix, prefix + PREFIX_END):
+        own: Optional[str] = None  # ``k\x00`` of the base key enumerated last
+        scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
+        for composite, _ in scan:
+            if own is not None and composite.startswith(own):
+                continue
             base_key, _ = decode_interval_key(composite)
-            if base_key != last:
-                keys.append(base_key)
-                last = base_key
+            keys.append(base_key)
+            own = base_key + SEPARATOR
         return keys
 
-    def index_intervals(self, key: str) -> List[TimeInterval]:
-        """All index intervals recorded for ``key``, in temporal order."""
-        start, end = interval_key_range(key)
+    def overlapping_intervals(self, key: str, window: TimeInterval) -> List[TimeInterval]:
+        """Occupied index intervals of ``key`` overlapping ``window``, in
+        temporal order: what :meth:`fetch_events` visits and ``EXPLAIN``
+        predicts.  ``θ`` overlaps ``τ`` iff ``θ.start < τ.end``, which bounds
+        the scan, and ``τ.start < θ.end``, tested on the spelled end field.
+        """
+        start, end = interval_key_range(key, before=window.end)
+        floor = bound_field(window.start)
         return [
             decode_interval_key(composite)[1]
-            for composite, _ in self._ledger.get_state_by_range(start, end)
+            for composite, _ in self._ledger.state_db.get_state_by_range(start, end)
+            if composite[-len(floor):] > floor
         ]
 
     def fetch_events(self, key: str, window: TimeInterval) -> List[Event]:
@@ -83,9 +99,7 @@ class M2QueryEngine:
         """
         with self._metrics.timed(metric_names.GHFK_SECONDS):
             events: List[Event] = []
-            for interval in self.index_intervals(key):
-                if not interval.overlaps(window):
-                    continue
+            for interval in self.overlapping_intervals(key, window):
                 composite = encode_interval_key(key, interval)
                 for entry in self._ledger.get_history_for_key(composite):
                     if entry.is_delete:

@@ -13,13 +13,11 @@ from typing import Iterator, List
 
 from repro.common import metrics as metric_names
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.fabric.chaincode import MAX_UNICODE_RUNE
 from repro.fabric.ledger import Ledger
 from repro.temporal.events import Event
 from repro.temporal.intervals import TimeInterval
 from repro.temporal.keys import is_interval_key
-
-#: Range-scan end sentinel: larger than any printable-ASCII key suffix.
-PREFIX_END = "\x7f"
 
 
 class TQFEngine:
@@ -44,11 +42,8 @@ class TQFEngine:
         This is the paper's first step: "retrieve the list of all shipments
         and containers using a range-scan query".
         """
-        return [
-            key
-            for key, _ in self._ledger.get_state_by_range(prefix, prefix + PREFIX_END)
-            if not is_interval_key(key)
-        ]
+        scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
+        return [key for key, _ in scan if not is_interval_key(key)]
 
     def fetch_events(self, key: str, window: TimeInterval) -> List[Event]:
         """Events of ``key`` inside ``window`` via one full GHFK scan.

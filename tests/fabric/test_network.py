@@ -93,7 +93,7 @@ class TestQueries:
         for key in ("ship-2", "ship-1", "truck-1", "ship-3"):
             gateway.submit_transaction("kv", "put", [key, key], timestamp=1)
         gateway.flush()
-        keys = [k for k, _ in network.ledger.get_state_by_range("ship-", "ship-\xff")]
+        keys = [k for k, _ in network.ledger.state_db.get_state_by_range("ship-", "ship-\xff")]
         assert keys == ["ship-1", "ship-2", "ship-3"]
 
     def test_chaincode_history_query(self, network):

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.common import metrics as metric_names
+from repro.common.codec import JsonCodec
+from repro.common.errors import CodecError
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.block import KVWrite
 from repro.fabric.statedb import StateDB
 from repro.storage.kv.lsm import LSMStore
 from repro.storage.kv.memstore import MemStore
+from tests.helpers import DecodeSpyCodec
 
 
 @pytest.fixture(params=["memory", "lsm"])
@@ -81,6 +84,44 @@ class TestRangeScan:
             for _, state in state_db.get_state_by_range("ship-1\x00", "ship-1\x01")
         ]
         assert result == [0, 2_000, 10_000]
+
+
+class TestLazyValues:
+    """A state's bytes are decoded when its value or version is read."""
+
+    @pytest.fixture
+    def spied(self):
+        store, codec = MemStore(), DecodeSpyCodec()
+        db = StateDB(store, codec=codec)
+        for tx_num, key in enumerate(("a", "b", "c")):
+            db.apply_write(KVWrite(key, {"n": tx_num}), version=(3, tx_num))
+        return db, store, codec
+
+    def test_key_only_range_scan_decodes_nothing(self, spied):
+        db, _, codec = spied
+        assert [key for key, _ in db.get_state_by_range("", "")] == ["a", "b", "c"]
+        assert codec.decoded == []
+
+    def test_first_read_decodes_once_and_equals_the_eager_decode(self, spied):
+        db, store, codec = spied
+        states = dict(db.get_state_by_range("a", "c"))
+        eager = JsonCodec().decode(store.get(b"b"))
+        state = states["b"]
+        assert (state.value, state.version) == (eager["v"], tuple(eager["ver"]))
+        assert (state.version, state.value) == ((3, 1), {"n": 1})
+        assert len(codec.decoded) == 1  # of the two states scanned, one, once
+
+    def test_corrupt_bytes_raise_at_the_read_not_at_the_scan(self, spied):
+        db, store, _ = spied
+        store.put(b"b", b"\xffnot a state record")
+        states = dict(db.get_state_by_range("", ""))
+        point = db.get_state("b")
+        assert states["a"].value == {"n": 0}
+        for state in (states["b"], point):
+            with pytest.raises(CodecError):
+                state.value
+            with pytest.raises(CodecError):
+                state.version
 
 
 class TestSavepoint:

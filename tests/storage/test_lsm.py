@@ -7,6 +7,7 @@ import pytest
 from repro.common import metrics as metric_names
 from repro.common.errors import ClosedStoreError
 from repro.common.metrics import MetricsRegistry
+from repro.storage.kv import lsm
 from repro.storage.kv.lsm import LSMStore
 
 
@@ -116,6 +117,89 @@ class TestScan:
         for i in range(30):
             store.put(f"key{i:03d}".encode(), b"v")
         store.verify_integrity()
+
+
+FLUSH = ("flush",)
+
+#: name -> (operations, scan start, scan end, whether the heap must run).
+#: A scan merges with a heap only when two or more sources have an entry
+#: in range; one source alone is read straight through.
+SCAN_CELLS = {
+    "memtable only": (
+        [("put", b"a", b"1"), ("put", b"c", b"3"), ("put", b"b", b"2"), ("del", b"c")],
+        None, None, False,
+    ),
+    "one table, empty memtable": (
+        [("put", b"b", b"2"), ("put", b"a", b"1"), ("del", b"b"), ("put", b"c", b"3"),
+         FLUSH],
+        None, None, False,
+    ),
+    "one table in range among several": (
+        [("put", b"a1", b"1"), ("put", b"a2", b"2"), FLUSH,
+         ("put", b"m1", b"3"), ("put", b"m2", b"4"), ("del", b"m3"), FLUSH,
+         ("put", b"x1", b"5"), FLUSH,
+         ("put", b"z1", b"6")],
+        b"m", b"n", False,
+    ),
+    "overlapping tables, overwrites and deletes": (
+        [("put", b"k1", b"a"), ("put", b"k2", b"a"), ("put", b"k3", b"a"),
+         ("put", b"k4", b"a"), ("put", b"k5", b"a"), FLUSH,
+         ("put", b"k2", b"b"), ("del", b"k3"), ("put", b"k7", b"b"), FLUSH,
+         ("put", b"k4", b"c"), ("del", b"k1"), ("put", b"k6", b"c"), ("put", b"k3", b"c"),
+         ("del", b"k7")],
+        None, None, True,
+    ),
+    "overlapping tables, bounded range": (
+        [("put", b"k1", b"a"), ("put", b"k5", b"a"), FLUSH,
+         ("put", b"k1", b"b"), ("del", b"k5"), ("put", b"k9", b"b"), FLUSH],
+        b"k1", b"k6", True,
+    ),
+    "first entry in range is a tombstone": (
+        [("put", b"a", b"1"), FLUSH,
+         ("put", b"b", b"2"), ("put", b"c", b"3"), ("del", b"b"), FLUSH],
+        b"b", None, False,
+    ),
+    "first entry of the newest source is a tombstone": (
+        [("put", b"a", b"1"), ("put", b"b", b"2"), FLUSH, ("del", b"a")],
+        None, None, True,
+    ),
+}
+
+
+class TestScanSources:
+    """Every shape of source set against a dict model, and which of the
+    two scan paths (single source / heap merge) answered."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CELLS))
+    def test_scan_equals_the_dict_model(self, tmp_path, monkeypatch, name):
+        operations, start, end, heap_expected = SCAN_CELLS[name]
+        heapified = []
+        real_heapify = lsm.heapq.heapify
+
+        def spy(heap):
+            heapified.append(len(heap))
+            real_heapify(heap)
+
+        model = {}
+        with LSMStore(tmp_path / "db", memtable_limit=64, compaction_trigger=16) as store:
+            for operation in operations:
+                if operation == FLUSH:
+                    store.flush()
+                elif operation[0] == "put":
+                    store.put(operation[1], operation[2])
+                    model[operation[1]] = operation[2]
+                else:
+                    store.delete(operation[1])
+                    model.pop(operation[1], None)
+            monkeypatch.setattr(lsm.heapq, "heapify", spy)
+            scanned = list(store.scan(start, end))
+        assert scanned == sorted(
+            (key, value)
+            for key, value in model.items()
+            if (start is None or key >= start) and (end is None or key < end)
+        )
+        assert bool(heapified) == heap_expected
+        assert all(sources >= 2 for sources in heapified)
 
 
 class TestCompaction:

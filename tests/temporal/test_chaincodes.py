@@ -99,7 +99,7 @@ class TestM2Chaincode:
                 timestamp=time,
             )
         gateway.flush()
-        states = list(network.ledger.get_state_by_range("S00001", "S00002"))
+        states = list(network.ledger.state_db.get_state_by_range("S00001", "S00002"))
         assert len(states) == 3
         intervals = [decode_interval_key(key)[1].start for key, _ in states]
         assert intervals == [0, 100, 300]

@@ -11,11 +11,20 @@ import pytest
 
 from repro.common import metrics as metric_names
 from repro.common.errors import TemporalQueryError
+from repro.fabric.network import FabricNetwork
+from repro.temporal.chaincodes import (
+    M1IndexChaincode,
+    M2SupplyChainChaincode,
+    SupplyChainChaincode,
+)
 from repro.temporal.engine import TemporalQueryEngine
+from repro.temporal.events import LOAD, UNLOAD, Event
 from repro.temporal.intervals import TimeInterval
 from repro.temporal.m1 import M1QueryEngine
 from repro.temporal.m2 import M2QueryEngine
 from repro.temporal.tqf import TQFEngine
+from repro.workload.ingest import ingest
+from tests.helpers import build_m1_index, build_plain_network, fabric_config
 
 
 def oracle_events(workload, key, window):
@@ -33,12 +42,50 @@ WINDOWS = [
     TimeInterval(900, 1_000),
 ]
 
+#: Shipments whose text after the prefix starts at or above U+007F (where
+#: the old ``"\\x7f"`` scan bound ended), and one that is a prefix of another.
+ODD_SHIPMENTS = ["S1", "S10", "S\x7f1", "S\u00e91", "S\U0001f6a2"]
+
+
+@pytest.fixture(scope="module")
+def odd_key_networks(tmp_path_factory):
+    """``(plain + M1 index, M2)`` ledgers: every odd shipment rides
+    container ``C1`` over (10, 90] while ``C1`` is on truck ``T1``."""
+    path = tmp_path_factory.mktemp("odd-keys")
+    events = [Event(5, "C1", "T1", LOAD)]
+    events += [Event(10, key, "C1", LOAD) for key in ODD_SHIPMENTS]
+    events += [Event(90, key, "C1", UNLOAD) for key in ODD_SHIPMENTS]
+    events += [Event(95, "C1", "T1", UNLOAD)]
+    plain = FabricNetwork(path / "plain", config=fabric_config())
+    plain.install(SupplyChainChaincode())
+    plain.install(M1IndexChaincode())
+    m2 = FabricNetwork(path / "m2", config=fabric_config())
+    m2.install(M2SupplyChainChaincode(u=25))
+    for network, chaincode in ((plain, SupplyChainChaincode), (m2, M2SupplyChainChaincode)):
+        ingest(network.gateway("ingestor"), events, chaincode.name, strategy="se")
+    build_m1_index(plain, t1=0, t2=100, u=25)
+    yield plain, m2
+    plain.close()
+    m2.close()
+
+
+def assert_odd_keys_listed_and_joined(network, model):
+    facade = TemporalQueryEngine(network.ledger, network.metrics)
+    assert facade.engine(model).list_keys("S") == sorted(ODD_SHIPMENTS)
+    rows = facade.run_join(model, TimeInterval(0, 100)).rows
+    assert [(row.shipment, row.truck, row.interval) for row in rows] == [
+        (key, "T1", TimeInterval(10, 90)) for key in sorted(ODD_SHIPMENTS)
+    ]
+
 
 class TestTQFEngine:
     def test_list_keys(self, plain_network, workload):
         engine = TQFEngine(plain_network.ledger)
         assert engine.list_keys("S") == workload.shipments
         assert engine.list_keys("C") == workload.containers
+
+    def test_non_ascii_entities_are_listed_and_joined(self, odd_key_networks):
+        assert_odd_keys_listed_and_joined(odd_key_networks[0], "tqf")
 
     @pytest.mark.parametrize("window", WINDOWS, ids=str)
     def test_fetch_matches_oracle(self, plain_network, workload, window):
@@ -77,6 +124,9 @@ class TestM1Engine:
         engine = M1QueryEngine(plain_network.ledger)
         assert engine.list_keys("S") == workload.shipments
 
+    def test_non_ascii_entities_are_listed_and_joined(self, odd_key_networks):
+        assert_odd_keys_listed_and_joined(odd_key_networks[0], "m1")
+
     @pytest.mark.parametrize("window", WINDOWS, ids=str)
     def test_fetch_matches_oracle(self, plain_network, workload, window):
         engine = M1QueryEngine(plain_network.ledger, metrics=plain_network.metrics)
@@ -106,8 +156,6 @@ class TestM1Engine:
             engine.fetch_events(workload.shipments[0], beyond)
 
     def test_unindexed_ledger_rejects_queries(self, tmp_path, workload):
-        from tests.helpers import build_plain_network
-
         network = build_plain_network(tmp_path, workload)
         engine = M1QueryEngine(network.ledger)
         assert engine.indexed_until() == 0
@@ -122,9 +170,21 @@ class TestM2Engine:
         assert engine.list_keys("S") == workload.shipments
         assert engine.list_keys("C") == workload.containers
 
+    def test_non_ascii_entities_are_listed_and_joined(self, odd_key_networks):
+        assert_odd_keys_listed_and_joined(odd_key_networks[1], "m2")
+
+    def test_list_keys_rejects_a_non_composite_key(self, plain_network):
+        """One decode per base key still meets every key that is not a
+        ``(k, θ)`` state: a plain ledger is not silently enumerated."""
+        with pytest.raises(TemporalQueryError, match="not a composite"):
+            M2QueryEngine(plain_network.ledger).list_keys("S")
+
     def test_index_intervals_are_temporal(self, m2_network, workload):
         engine = M2QueryEngine(m2_network.ledger)
-        intervals = engine.index_intervals(workload.shipments[0])
+        intervals = engine.overlapping_intervals(
+            workload.shipments[0], TimeInterval(0, workload.config.t_max)
+        )
+        assert len(intervals) > 1
         assert intervals == sorted(intervals)
         assert all(interval.length == 100 for interval in intervals)
 

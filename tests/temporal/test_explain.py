@@ -6,9 +6,14 @@ import pytest
 
 from repro.common import metrics as metric_names
 from repro.common.errors import TemporalQueryError
+from repro.fabric.network import FabricNetwork
+from repro.temporal.chaincodes import M2SupplyChainChaincode
 from repro.temporal.engine import TemporalQueryEngine
+from repro.temporal.events import Event
 from repro.temporal.explain import QueryExplainer
 from repro.temporal.intervals import TimeInterval
+from repro.workload.ingest import ingest
+from tests.helpers import fabric_config
 
 WINDOWS = [
     TimeInterval(0, 200),
@@ -70,6 +75,58 @@ class TestM2Explain:
             "m2", workload.shipments[0], TimeInterval(0, 1_000)
         )
         assert plan.blocks_exact
+
+
+#: At u=100 these occupy (0,100] (100,200] (400,500] (500,600] for S1,
+#: (100,200] (400,500] for S2 and (0,100] (500,600] for C1: nothing in
+#: (200, 400], nothing past 600.
+GAPPED_EVENTS = [
+    Event(5, "C1", "T1", "l"), Event(10, "S1", "C1", "l"), Event(120, "S2", "C1", "l"),
+    Event(150, "S1", "C1", "ul"), Event(420, "S1", "C1", "l"), Event(480, "S2", "C1", "ul"),
+    Event(560, "S1", "C1", "ul"), Event(590, "C1", "T1", "ul"),
+]
+
+#: window -> GHFK calls of the join over S1, S2, C1.
+GAPPED_WINDOWS = {
+    "aligned": (TimeInterval(100, 200), 2),
+    "unaligned": (TimeInterval(150, 450), 4),
+    "start-0": (TimeInterval(0, 130), 4),
+    "inside-gap": (TimeInterval(220, 380), 0),
+    "exactly-the-gap": (TimeInterval(200, 400), 0),
+    "past-t_max": (TimeInterval(700, 900), 0),
+    "everything": (TimeInterval(0, 1_000), 8),
+}
+
+
+class TestM2ExplainIsTheQuerysOwnScan:
+    """EXPLAIN and ``fetch_events`` list ``k``'s overlapping intervals
+    through one method, so the predicted and the spent GHFK calls agree
+    on every kind of window -- including those that overlap nothing."""
+
+    @pytest.fixture(scope="class")
+    def gapped(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("gapped-m2")
+        with FabricNetwork(path, config=fabric_config()) as network:
+            network.install(M2SupplyChainChaincode(u=100))
+            ingest(
+                network.gateway("ingestor"), GAPPED_EVENTS,
+                M2SupplyChainChaincode.name, strategy="se",
+            )
+            yield network
+
+    @pytest.mark.parametrize("name", sorted(GAPPED_WINDOWS))
+    def test_predicted_ghfk_calls_equal_the_querys(self, gapped, name):
+        window, expected = GAPPED_WINDOWS[name]
+        plans = QueryExplainer(gapped.ledger).explain_join(
+            "m2", window, ["S1", "S2", "C1"]
+        )
+        stats = TemporalQueryEngine(gapped.ledger, gapped.metrics).run_join(
+            "m2", window
+        ).stats
+        assert stats.keys_queried == 3
+        assert sum(plan.ghfk_calls for plan in plans) == stats.ghfk_calls == expected
+        for plan in plans:
+            assert all(interval.overlaps(window) for interval in plan.intervals)
 
 
 class TestTQFExplain:

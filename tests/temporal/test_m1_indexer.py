@@ -62,7 +62,7 @@ class TestIndexState:
         network, _, _ = indexed
         for key in workload.shipments:
             composites = list(
-                network.ledger.get_state_by_range(key + "\x00", key + "\x01")
+                network.ledger.state_db.get_state_by_range(key + "\x00", key + "\x01")
             )
             assert composites == []
 

@@ -49,6 +49,14 @@ WORKLOAD = WorkloadConfig(
 U = WORKLOAD.t_max // 6
 WINDOW = TimeInterval(WORKLOAD.t_max // 4, 3 * WORKLOAD.t_max // 4)
 
+#: ``state_fingerprint`` of the two ledgers, measured on the tree *before*
+#: state values were decoded lazily (PR 21): every cell agreeing with the
+#: reference proves nothing if the reference itself moved.
+STATE_FINGERPRINTS = {
+    "plain": "5502966016309899fc219f9b28c34cbf550a97eae2cdccc48e1f4757303c7932",
+    "m2": "ff969aca35b6d6e4a7051c795de782b4394301ac7c838a1f3e38221e7e9165f5",
+}
+
 #: (state-db backend, block codec, block cache capacity).
 CELLS = list(itertools.product(("memory", "lsm"), ("json", "binary"), (0, 16)))
 REFERENCE = CELLS[0]
@@ -168,6 +176,12 @@ def test_workload_is_non_vacuous(cells):
     for cell, (_, result) in cells.items():
         if cell[0] == "lsm":
             assert result["sstable_reads"] > 0 and result["compactions"] > 0, cell
+
+
+def test_reference_state_is_the_pinned_fingerprint(cells):
+    _, reference = cells[REFERENCE]
+    for ledger, fingerprint in STATE_FINGERPRINTS.items():
+        assert reference[ledger]["state"] == fingerprint, ledger
 
 
 @pytest.mark.parametrize("cell", CELLS[1:], ids=cell_id)
