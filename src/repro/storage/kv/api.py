@@ -35,11 +35,12 @@ class KVStore(ABC):
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, value)`` pairs with ``start <= key < end``, sorted.
+        """``(key, value)`` pairs with ``start <= key < end``, sorted.
 
-        The iterator reflects the store's contents at the time each item is
-        produced; mutating the store while scanning is undefined behaviour
-        (as it is in LevelDB without an explicit snapshot).
+        A closed store raises at the call, not at the first ``next()``.
+        Every key present at the call and not deleted since is yielded; a
+        key put while the scan runs may or may not be (LevelDB without an
+        explicit snapshot promises less).
         """
 
     @abstractmethod

@@ -1,13 +1,15 @@
 """A from-scratch Bloom filter for SSTable key lookups.
 
-Point lookups in an LSM store consult SSTables newest-first; most tables
-don't contain the key, and each miss costs an index search plus a stride
-scan.  A per-table Bloom filter answers "definitely absent" from memory
-first, as in LevelDB.
+Point lookups in an LSM store consult SSTables newest-first and most
+tables don't contain the key.  A per-table Bloom filter answers
+"definitely absent" first, as in LevelDB, so a table that cannot hold the
+key is never searched (nor, on its first read, decoded).
 
 Double hashing (Kirsch-Mitzenmacher): the i-th probe position is
 ``h1 + i*h2 mod m`` with two independent checksums, which preserves the
-asymptotic false-positive rate of k independent hash functions.  The
+asymptotic false-positive rate of k independent hash functions.  The two
+checksums depend on the key alone (:func:`key_hashes`), so one ``get``
+hashes its key once and probes every table's filter with the pair.  The
 encoding is stable across processes (no reliance on ``hash()``), so
 filters persist inside SSTable files.
 """
@@ -17,9 +19,18 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import Iterable
+from typing import Iterable, Tuple
 
 _HEADER = struct.Struct("<II")  # hash_count, bit_count
+
+#: Probe step for a key whose ``h2`` is a multiple of the bit count: a zero
+#: step would probe the same bit k times.
+_FALLBACK_STEP = 0x5BD1E995
+
+
+def key_hashes(key: bytes) -> Tuple[int, int]:
+    """The ``(h1, h2)`` pair every filter derives ``key``'s positions from."""
+    return zlib.crc32(key), zlib.adler32(key)
 
 
 class BloomFilter:
@@ -50,27 +61,30 @@ class BloomFilter:
             bloom._insert(key)
         return bloom
 
-    def _probe_positions(self, key: bytes) -> Iterable[int]:
-        h1 = zlib.crc32(key) & 0xFFFFFFFF
-        h2 = zlib.adler32(key) & 0xFFFFFFFF
-        # A zero step would probe the same bit k times.
-        if h2 % self._bit_count == 0:
-            h2 = 0x5BD1E995
-        for i in range(self._hash_count):
-            yield (h1 + i * h2) % self._bit_count
-
     def _insert(self, key: bytes) -> None:
-        for position in self._probe_positions(key):
+        position, h2 = key_hashes(key)
+        step = h2 if h2 % self._bit_count else _FALLBACK_STEP
+        for _ in range(self._hash_count):
+            position %= self._bit_count
             self._bits[position >> 3] |= 1 << (position & 7)
+            position += step
 
     # -- queries ----------------------------------------------------------
 
     def may_contain(self, key: bytes) -> bool:
         """False means *definitely absent*; True means "probably present"."""
-        return all(
-            self._bits[position >> 3] & (1 << (position & 7))
-            for position in self._probe_positions(key)
-        )
+        return self.may_contain_hashed(*key_hashes(key))
+
+    def may_contain_hashed(self, h1: int, h2: int) -> bool:
+        """:meth:`may_contain` for a key already hashed by :func:`key_hashes`."""
+        bits, bit_count = self._bits, self._bit_count
+        step = h2 if h2 % bit_count else _FALLBACK_STEP
+        for _ in range(self._hash_count):
+            h1 %= bit_count
+            if not bits[h1 >> 3] & (1 << (h1 & 7)):
+                return False
+            h1 += step
+        return True
 
     # -- persistence ------------------------------------------------------
 

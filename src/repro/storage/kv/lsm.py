@@ -2,12 +2,13 @@
 
 Write path: WAL append -> memtable insert; when the memtable exceeds its
 entry limit it is flushed to a new immutable SSTable and the WAL is
-truncated.  Read path: memtable first, then SSTables newest-first.  Range
-scans merge all sources with newest-wins semantics and tombstone
-suppression; a range only one source has entries in is read straight off
-that source, no heap.  When the number of SSTables reaches
-``compaction_trigger``, a full compaction merges them into one table and
-drops dead entries.
+truncated.  Read path: memtable first, then SSTables newest-first, the
+key hashed once for every table's Bloom filter.  Range scans merge all
+sources with newest-wins semantics and tombstone suppression; a table
+with nothing in range costs two bisects and never enters the merge, and a
+range only one source has entries in is read straight off that source, no
+heap.  When the number of SSTables reaches ``compaction_trigger``, a full
+compaction merges them into one table and drops dead entries.
 
 On reopen, surviving WAL records are replayed into a fresh memtable, so a
 process crash between flushes loses no acknowledged writes.  Crash
@@ -37,7 +38,7 @@ import heapq
 import json
 import weakref
 from pathlib import Path
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.errors import QuarantinedError, SSTableError, StorageError
@@ -47,6 +48,7 @@ from repro.sanitizer.shared import sanitize_shared
 from repro.faults.crashpoints import LSM_POST_SSTABLE, LSM_PRE_SSTABLE, crash_point
 from repro.faults.fs import REAL_FS, FileSystem
 from repro.storage.kv.api import OP_PUT, KVStore
+from repro.storage.kv.bloom import key_hashes
 from repro.storage.kv.memtable import Memtable
 from repro.storage.kv.sstable import TMP_SUFFIX, SSTableReader, write_sstable
 from repro.storage.kv.wal import WriteAheadLog, replay
@@ -73,13 +75,14 @@ def _unlink_retired(path: Path, pending: Set[Path]) -> None:
 QUARANTINE_DIR = "quarantine"
 
 
-@sanitize_shared("_memtable", "_tables", "_next_sequence", "_quarantined")
+@sanitize_shared("_memtable", "_tables", "_readers", "_next_sequence", "_quarantined")
 class LSMStore(KVStore):
     """File-backed sorted KV store (memtable + WAL + SSTables).
 
     Readers never hold the lock across I/O: :meth:`get` and :meth:`scan`
-    take it only long enough to snapshot the memtable reference, the
-    table list and the quarantine state, then read from the snapshot.
+    take it only long enough to snapshot the memtable reference (a scan:
+    the memtable's keys in range), the table tuple and the quarantine
+    state, then read from the snapshot.
     :meth:`flush` *rebinds* a fresh memtable instead of clearing the old
     one in place, so a reader's snapshot stays internally consistent (it
     sees either the pre-flush memtable with the old table list, or --
@@ -121,6 +124,9 @@ class LSMStore(KVStore):
         self._fsync = durability == "fsync"
         self._memtable = Memtable()
         self._tables: List[Tuple[int, SSTableReader]] = []  # newest last
+        #: The readers of ``_tables``, as handed to every read: rebound
+        #: with it (:meth:`_set_tables_locked`), never mutated.
+        self._readers: Tuple[SSTableReader, ...] = ()
         self._next_sequence = 0
         self._quarantined: List[str] = []
         #: Paths of compacted-away tables whose deletion is deferred
@@ -207,6 +213,7 @@ class LSMStore(KVStore):
                     self._quarantine_file_locked(file)
                     continue
                 file.unlink()
+        tables: List[Tuple[int, SSTableReader]] = []
         for sequence, file in candidates:
             self._next_sequence = max(self._next_sequence, sequence + 1)
             if not file.exists():
@@ -225,9 +232,13 @@ class LSMStore(KVStore):
                 # rebuild the range acknowledges the loss.
                 self._quarantine_file_locked(file)
                 continue
-            self._tables.append((sequence, reader))
-        self._tables.sort(key=lambda pair: pair[0])
+            tables.append((sequence, reader))
+        self._set_tables_locked(sorted(tables, key=lambda pair: pair[0]))
         self._write_manifest_locked()
+
+    def _set_tables_locked(self, tables: List[Tuple[int, SSTableReader]]) -> None:
+        self._tables = tables
+        self._readers = tuple(reader for _, reader in tables)
 
     def _quarantine_file_locked(self, file: Path) -> None:
         quarantine = self.path / QUARANTINE_DIR
@@ -307,9 +318,9 @@ class LSMStore(KVStore):
             # statements sees the new table *and* the old memtable --
             # duplicated entries are harmless (newest-wins), a window
             # where the records exist nowhere would not be.
-            self._tables = self._tables + [
-                (sequence, SSTableReader(table_path, fs=self._fs))
-            ]
+            self._set_tables_locked(
+                self._tables + [(sequence, SSTableReader(table_path, fs=self._fs))]
+            )
             self._memtable = Memtable()
             # Manifest before WAL truncation: a crash in between leaves
             # the records both listed and replayable -- idempotent.  The
@@ -336,20 +347,15 @@ class LSMStore(KVStore):
         unlink runs leaves only a stray that reopen deletes.
         """
         self._metrics.increment(metric_names.KV_COMPACTIONS)
-        retired = self._tables
-        merged = self._merged_entries(
-            sources=[reader for _, reader in retired],
-            memtable=None,
-            start=None,
-            end=None,
-        )
+        retired = self._readers
+        merged = self._merged_entries(retired, memtable_entries=None, start=None, end=None)
         sequence = self._next_sequence
         self._next_sequence += 1
         table_path = self._table_path(sequence)
         write_sstable(table_path, merged, fs=self._fs, fsync=self._fsync)
-        self._tables = [(sequence, SSTableReader(table_path, fs=self._fs))]
+        self._set_tables_locked([(sequence, SSTableReader(table_path, fs=self._fs))])
         self._write_manifest_locked()
-        for _, reader in retired:
+        for reader in retired:
             self._pending_unlinks.add(reader.path)
             weakref.finalize(reader, _unlink_retired, reader.path,
                              self._pending_unlinks)
@@ -360,11 +366,11 @@ class LSMStore(KVStore):
         """A consistent ``(memtable, tables)`` pair, captured under the
         lock.  Reads then proceed lock-free against the snapshot: the
         memtable object is never cleared in place (flush rebinds a fresh
-        one) and table lists are rebound, never mutated, so the snapshot
+        one) and the table tuple is rebound, never mutated, so the snapshot
         stays coherent however many flushes land mid-read."""
         with self._lock:
             self._check_quarantine()
-            return self._memtable, tuple(reader for _, reader in self._tables)
+            return self._memtable, self._readers
 
     def get(self, key: bytes) -> Optional[bytes]:
         self._check_open()
@@ -373,34 +379,46 @@ class LSMStore(KVStore):
         self._metrics.increment(metric_names.KV_READS)
         memtable, tables = self._read_snapshot()
         found, value = memtable.lookup(key)
-        if found:
+        if found or not tables:
             return value
+        # One hash of the key serves every table's filter, and the two
+        # counters are ticked once, by how many tables said no / maybe.
+        h1, h2 = key_hashes(key)
+        skipped = searched = 0
         for reader in reversed(tables):  # newest first
-            if not reader.may_contain(key):
-                # Bloom says definitely absent: skip the table without
-                # touching its data section (the common case for point
-                # lookups once compaction has layered the key space).
-                self._metrics.increment(metric_names.KV_BLOOM_NEGATIVES)
+            if not reader.bloom.may_contain_hashed(h1, h2):
+                # Definitely absent: the table is not searched (nor, if
+                # nothing has read it yet, decoded).
+                skipped += 1
                 continue
-            self._metrics.increment(metric_names.KV_SSTABLE_READS)
+            searched += 1
             found, value = reader.lookup(key)
             if found:
-                return value
-        return None
+                break
+        if skipped:
+            self._metrics.increment(metric_names.KV_BLOOM_NEGATIVES, skipped)
+        if searched:
+            self._metrics.increment(metric_names.KV_SSTABLE_READS, searched)
+        return value
 
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
+        """Not a generator: a closed or quarantined store raises here, and
+        what is scanned is the store as of this call.  The memtable's keys
+        in range are sliced under the writers' lock, so no ``put`` can
+        shift them between the two bisects and the slice."""
         self._check_open()
-        memtable, tables = self._read_snapshot()
-        yield from self._merged_entries(
-            sources=list(tables), memtable=memtable, start=start, end=end
-        )
+        with self._lock:
+            self._check_quarantine()
+            return self._merged_entries(
+                self._readers, self._memtable.scan(start, end), start, end
+            )
 
     def _merged_entries(
         self,
-        sources: List[SSTableReader],
-        memtable: Optional[Memtable],
+        sources: Sequence[SSTableReader],
+        memtable_entries: Optional[_Entries],
         start: Optional[bytes],
         end: Optional[bytes],
     ) -> Iterator[Tuple[bytes, bytes]]:
@@ -412,13 +430,19 @@ class LSMStore(KVStore):
         keys the newest source surfaces first and older duplicates are
         skipped.
 
-        A lone source with entries in ``[start, end)`` -- the steady state
-        after a flush or compaction, or a range one table covers alone --
-        is yielded as it comes, minus tombstones: nothing to merge.
+        A table is asked for its positions in ``[start, end)`` first -- two
+        bisects -- and one with none contributes no iterator.  A lone
+        source with entries in range -- the steady state after a flush or
+        compaction, or a range one table covers alone -- is yielded as it
+        comes, minus tombstones: nothing to merge.
         """
-        iterators = [reader.scan(start, end) for reader in sources]
-        if memtable is not None:
-            iterators.append(memtable.scan(start, end))
+        iterators: List[_Entries] = []
+        for reader in sources:
+            lo, hi = reader.bounds(start, end)
+            if lo < hi:
+                iterators.append(reader.entries(lo, hi))
+        if memtable_entries is not None:
+            iterators.append(memtable_entries)
 
         # One head per source with anything in range (priority = position);
         # the rest of each source is pulled lazily.
@@ -438,10 +462,12 @@ class LSMStore(KVStore):
         heapq.heapify(heap)
         last_key: Optional[bytes] = None
         while heap:
-            key, neg_priority, value, iterator = heapq.heappop(heap)
+            key, neg_priority, value, iterator = heap[0]
             for next_key, next_value in iterator:
-                heapq.heappush(heap, (next_key, neg_priority, next_value, iterator))
+                heapq.heapreplace(heap, (next_key, neg_priority, next_value, iterator))
                 break
+            else:
+                heapq.heappop(heap)
             if key == last_key:
                 continue  # older duplicate, already emitted newest
             last_key = key
@@ -504,7 +530,7 @@ class LSMStore(KVStore):
                 except SSTableError:
                     self._quarantine_file_locked(reader.path)
                     newly.append(reader.path.name)
-            self._tables = healthy
+            self._set_tables_locked(healthy)
             if newly:
                 self._write_manifest_locked()
             return tuple(newly)

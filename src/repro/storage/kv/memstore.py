@@ -54,17 +54,18 @@ class MemStore(KVStore):
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
+        """Not a generator: a closed store raises here, and the keys
+        scanned are those present at this call."""
         self._check_open()
-        lo = 0 if start is None else bisect.bisect_left(self._sorted_keys, bytes(start))
-        hi = (
-            len(self._sorted_keys)
-            if end is None
-            else bisect.bisect_left(self._sorted_keys, bytes(end))
-        )
-        # Materialize the key slice so concurrent mutation during iteration
-        # fails loudly (KeyError) instead of corrupting the scan silently.
-        for key in self._sorted_keys[lo:hi]:
-            yield key, self._values[key]
+        with self._lock:
+            keys = self._sorted_keys
+            lo = 0 if start is None else bisect.bisect_left(keys, bytes(start))
+            hi = len(keys) if end is None else bisect.bisect_left(keys, bytes(end))
+            # Materialize the key slice so concurrent mutation during
+            # iteration fails loudly (KeyError) instead of corrupting the
+            # scan silently.
+            window = keys[lo:hi]
+        return zip(window, map(self._values.__getitem__, window))
 
     def close(self) -> None:
         with self._lock:

@@ -11,19 +11,16 @@ from __future__ import annotations
 import bisect
 from typing import Iterator, Optional, Tuple
 
-#: Internal marker distinguishing "deleted" from "absent".
-TOMBSTONE = object()
-
 
 class Memtable:
     """A mutable sorted map supporting tombstones.
 
-    Entries map key -> value-bytes or :data:`TOMBSTONE`.  ``approximate_bytes``
-    tracks the memory footprint used for flush decisions.
+    Entries map key -> value-bytes or ``None`` (a tombstone).
+    ``approximate_bytes`` tracks the memory footprint used for flush decisions.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[bytes, object] = {}
+        self._entries: dict[bytes, Optional[bytes]] = {}
         self._sorted_keys: list[bytes] = []
         self.approximate_bytes = 0
 
@@ -36,10 +33,10 @@ class Memtable:
 
     def mark_deleted(self, key: bytes) -> None:
         """Record a tombstone for ``key`` (shadows SSTable values)."""
-        self._insert(key, TOMBSTONE)
+        self._insert(key, None)
         self.approximate_bytes += len(key)
 
-    def _insert(self, key: bytes, value: object) -> None:
+    def _insert(self, key: bytes, value: Optional[bytes]) -> None:
         key = bytes(key)
         if key not in self._entries:
             bisect.insort(self._sorted_keys, key)
@@ -52,31 +49,28 @@ class Memtable:
         older SSTables must not be consulted.  ``(False, None)`` means the
         memtable has no opinion.
         """
-        entry = self._entries.get(bytes(key))
-        if entry is None and bytes(key) not in self._entries:
-            return False, None
-        if entry is TOMBSTONE:
-            return True, None
-        return True, entry  # type: ignore[return-value]
+        key = bytes(key)
+        if key in self._entries:
+            return True, self._entries[key]
+        return False, None
 
     def scan(
         self, start: Optional[bytes], end: Optional[bytes]
     ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """Yield ``(key, value-or-None)`` in key order within ``[start, end)``.
+        """``(key, value-or-None)`` in key order within ``[start, end)``.
 
-        Tombstones are yielded with value ``None`` so the LSM merge can
-        suppress shadowed SSTable entries.
+        Tombstones come with value ``None`` so the LSM merge can suppress
+        shadowed SSTable entries.  The keys are a slice taken by this
+        call, not positions walked in the live list: a ``put`` of a smaller
+        key mid-scan shifts that list, and a walk by position would then
+        repeat one key and never reach the last.  Every key present at the
+        call is yielded, with the value it has when the scan reaches it.
         """
-        lo = 0 if start is None else bisect.bisect_left(self._sorted_keys, bytes(start))
-        hi = (
-            len(self._sorted_keys)
-            if end is None
-            else bisect.bisect_left(self._sorted_keys, bytes(end))
-        )
-        for index in range(lo, hi):
-            key = self._sorted_keys[index]
-            entry = self._entries[key]
-            yield key, (None if entry is TOMBSTONE else entry)  # type: ignore[misc]
+        keys = self._sorted_keys
+        lo = 0 if start is None else bisect.bisect_left(keys, bytes(start))
+        hi = len(keys) if end is None else bisect.bisect_left(keys, bytes(end))
+        window = keys[lo:hi]
+        return zip(window, map(self._entries.__getitem__, window))
 
     def entries_sorted(self) -> Iterator[Tuple[bytes, Optional[bytes]]]:
         """All entries (tombstones as ``None``) in key order, for flushing."""

@@ -7,8 +7,8 @@ a memtable (or produced by compaction).  The file layout is:
 +-------------------+      entry := key_len:uvarint  key  op:u8
 |   data section    |               [value_len:uvarint  value]   (op == PUT)
 |   (sorted entries)|
-+-------------------+      index entry := key_len:uvarint  key  offset:uvarint
-|   sparse index    |
++-------------------+
+|   (index section) |      empty: index_offset == bloom_offset
 +-------------------+
 |   bloom filter    |      (hash_count:u32  bit_count:u32  bits)
 +-------------------+      footer := index_offset:u64  bloom_offset:u64
@@ -16,11 +16,13 @@ a memtable (or produced by compaction).  The file layout is:
 +-------------------+
 ```
 
-The sparse index records every ``INDEX_STRIDE``-th key with its byte offset
-into the data section.  Readers keep the sparse index and the Bloom
-filter in memory; a point lookup consults the Bloom filter first
-("definitely absent" answers never touch the data section), then
-binary-searches the index and scans forward at most one stride.
+A reader holds the whole verified file in memory, so nothing on disk helps
+it seek: the first read of a table decodes its data section once into a
+sorted key list and a parallel value list, and every ``lookup`` and ``scan``
+after that is a ``bisect`` into them.  The index section is where tables
+written up to PR 21 carry a sparse key -> offset index; it is still covered
+by the CRC and never parsed, and the writer leaves it empty.  The Bloom
+filter lets a point read skip a table -- and its decode -- altogether.
 Tombstones are stored so newer tables can shadow older ones.
 
 Durability: tables are written to a ``.tmp`` sibling and atomically
@@ -40,15 +42,18 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from repro.common.codec import read_uvarint, write_uvarint
-from repro.common.errors import SSTableError
+from repro.common.errors import CodecError, SSTableError
 from repro.faults.fs import REAL_FS, FileSystem
 from repro.storage.kv.api import OP_DELETE, OP_PUT
 from repro.storage.kv.bloom import BloomFilter
 
 MAGIC = 0x53535442_52455054  # "SSTB" "REPT" (v3: content CRC in footer)
-INDEX_STRIDE = 16
 BLOOM_BITS_PER_KEY = 10
 _FOOTER = struct.Struct("<QQQIQ")
+
+#: A table's decoded data section: its keys, sorted, and each key's value
+#: (``None`` for a tombstone) at the same position.
+_Decoded = Tuple[List[bytes], List[Optional[bytes]]]
 
 #: Suffix of in-progress table writes; never loaded, deleted on open.
 TMP_SUFFIX = ".tmp"
@@ -71,7 +76,6 @@ def write_sstable(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = bytearray()
-    index: List[Tuple[bytes, int]] = []
     all_keys: List[bytes] = []
     count = 0
     previous_key: Optional[bytes] = None
@@ -83,8 +87,6 @@ def write_sstable(
             )
         previous_key = key
         all_keys.append(key)
-        if count % INDEX_STRIDE == 0:
-            index.append((key, len(data)))
         write_uvarint(len(key), data)
         data.extend(key)
         if value is None:
@@ -95,12 +97,7 @@ def write_sstable(
             data.extend(value)
         count += 1
 
-    index_offset = len(data)
-    for key, offset in index:
-        write_uvarint(len(key), data)
-        data.extend(key)
-        write_uvarint(offset, data)
-    bloom_offset = len(data)
+    index_offset = bloom_offset = len(data)  # no index section: see module doc
     data.extend(BloomFilter.build(all_keys, bits_per_key=BLOOM_BITS_PER_KEY).to_bytes())
     crc = zlib.crc32(data)
     data.extend(_FOOTER.pack(index_offset, bloom_offset, count, crc, MAGIC))
@@ -120,9 +117,12 @@ class SSTableReader:
     """Read-only view over one SSTable file.
 
     The whole file is read once at open, so the footer CRC covers every
-    byte before anything is parsed; the verified bytes then stay in
-    memory and every lookup or scan decodes from them -- LevelDB's block
-    cache at our scale.  The file is never opened again.
+    byte before anything is parsed; the file is never opened again.  The
+    verified data section is decoded by the first ``lookup`` / ``scan`` /
+    ``bounds`` and replaced by the result -- LevelDB's block cache at our
+    scale, already parsed.  That replacement is an idempotent unlocked
+    write: racing first readers decode the same immutable bytes and store
+    equal lists, whichever lands last.
     """
 
     def __init__(self, path: str | Path, fs: FileSystem = REAL_FS) -> None:
@@ -151,98 +151,90 @@ class SSTableReader:
             raise SSTableError(
                 f"{self.path.name}: content checksum mismatch (corrupt table)"
             )
-        if not index_offset <= bloom_offset <= len(raw) - _FOOTER.size:
+        if not index_offset <= bloom_offset <= len(body):
             raise SSTableError(f"{self.path.name}: section offsets out of range")
         self.entry_count = count
-        self._data_end = index_offset
-        self._index_keys: List[bytes] = []
-        self._index_offsets: List[int] = []
-        self._parse_index(raw, index_offset, bloom_offset)
         try:
-            self.bloom = BloomFilter.from_bytes(
-                raw[bloom_offset : len(raw) - _FOOTER.size]
-            )
+            self.bloom = BloomFilter.from_bytes(body[bloom_offset:])
         except (ValueError, struct.error) as exc:
             raise SSTableError(f"{self.path.name}: bad bloom section: {exc}") from exc
-        self._raw = raw
+        #: The data section's bytes until the first read, its entries after.
+        self._table: bytes | _Decoded = body[:index_offset]
 
-    def _parse_index(self, raw: bytes, index_offset: int, end: int) -> None:
-        offset = index_offset
-        while offset < end:
-            key_len, offset = read_uvarint(raw, offset)
-            key = raw[offset : offset + key_len]
-            offset += key_len
-            data_offset, offset = read_uvarint(raw, offset)
-            self._index_keys.append(key)
-            self._index_offsets.append(data_offset)
+    def _decoded(self) -> _Decoded:
+        table = self._table
+        if isinstance(table, bytes):
+            table = self._table = self._decode(table)
+        return table
 
-    # -- entry decoding --------------------------------------------------
-
-    def _read_entry(
-        self, buf: bytes, offset: int
-    ) -> Tuple[bytes, Optional[bytes], int]:
-        """Decode the entry at ``offset``; return ``(key, value, next_offset)``."""
-        key_len, offset = read_uvarint(buf, offset)
-        key = buf[offset : offset + key_len]
-        offset += key_len
-        op = buf[offset]
-        offset += 1
-        if op == OP_PUT:
-            value_len, offset = read_uvarint(buf, offset)
-            value: Optional[bytes] = buf[offset : offset + value_len]
-            offset += value_len
-        elif op == OP_DELETE:
-            value = None
-        else:
-            raise SSTableError(f"{self.path.name}: unknown op {op} at {offset}")
-        return key, value, offset
-
-    def _seek_offset(self, key: bytes) -> int:
-        """Data offset of the last index entry with key <= ``key`` (or 0)."""
-        if not self._index_keys:
-            return self._data_end  # empty table: start == end
-        position = bisect.bisect_right(self._index_keys, key) - 1
-        if position < 0:
-            return self._index_offsets[0]
-        return self._index_offsets[position]
+    def _decode(self, data: bytes) -> _Decoded:
+        """One pass over the data section; lengths under 128 (one varint
+        byte, nearly all of them) are read without a call."""
+        keys: List[bytes] = []
+        values: List[Optional[bytes]] = []
+        offset, end = 0, len(data)
+        try:
+            while offset < end:
+                length = data[offset]
+                offset += 1
+                if length >= 0x80:
+                    length, offset = read_uvarint(data, offset - 1)
+                keys.append(data[offset : offset + length])
+                offset += length
+                op = data[offset]
+                offset += 1
+                if op == OP_PUT:
+                    length = data[offset]
+                    offset += 1
+                    if length >= 0x80:
+                        length, offset = read_uvarint(data, offset - 1)
+                    values.append(data[offset : offset + length])
+                    offset += length
+                elif op == OP_DELETE:
+                    values.append(None)
+                else:
+                    raise SSTableError(
+                        f"{self.path.name}: unknown op {op} at {offset - 1}"
+                    )
+        except (IndexError, CodecError):
+            offset = end + 1  # cut short inside a length or before the op byte
+        if offset != end:  # ... or inside a key or value: one complaint for all
+            raise SSTableError(f"{self.path.name}: data section ends inside an entry")
+        return keys, values
 
     # -- public API -------------------------------------------------------
 
-    def may_contain(self, key: bytes) -> bool:
-        """Bloom pre-check: ``False`` means definitely absent (no data
-        access needed); ``True`` means the data section must be consulted."""
-        return self.bloom.may_contain(key)
-
     def lookup(self, key: bytes) -> Tuple[bool, Optional[bytes]]:
-        """Return ``(found, value)``; ``(True, None)`` means a tombstone."""
-        if not self.bloom.may_contain(key):
-            return False, None  # definitely absent, no data access
-        if not self._index_keys or key < self._index_keys[0]:
-            return False, None
-        buf = self._raw
-        offset = self._seek_offset(key)
-        while offset < self._data_end:
-            entry_key, value, offset = self._read_entry(buf, offset)
-            if entry_key == key:
-                return True, value
-            if entry_key > key:
-                return False, None
+        """Return ``(found, value)``; ``(True, None)`` means a tombstone.
+
+        Exact, and does not consult :attr:`bloom`: that is the caller's
+        pre-check for skipping the table.
+        """
+        keys, values = self._decoded()
+        position = bisect.bisect_left(keys, key)
+        if position < len(keys) and keys[position] == key:
+            return True, values[position]
         return False, None
+
+    def bounds(self, start: Optional[bytes], end: Optional[bytes]) -> Tuple[int, int]:
+        """Positions ``[lo, hi)`` of the entries with ``start <= key < end``."""
+        keys = self._decoded()[0]
+        lo = 0 if start is None else bisect.bisect_left(keys, start)
+        hi = len(keys) if end is None else bisect.bisect_left(keys, end)
+        return lo, hi
+
+    def entries(self, lo: int, hi: int) -> Iterator[Tuple[bytes, Optional[bytes]]]:
+        """The ``(key, value-or-tombstone-None)`` at positions ``[lo, hi)``."""
+        keys, values = self._decoded()
+        return zip(keys[lo:hi], values[lo:hi])
 
     def scan(
         self, start: Optional[bytes], end: Optional[bytes]
     ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """Yield ``(key, value-or-tombstone-None)`` within ``[start, end)``."""
-        buf = self._raw
-        offset = 0 if start is None else self._seek_offset(start)
-        while offset < self._data_end:
-            key, value, offset = self._read_entry(buf, offset)
-            if start is not None and key < start:
-                continue
-            if end is not None and key >= end:
-                return
-            yield bytes(key), None if value is None else bytes(value)
+        """``(key, value-or-tombstone-None)`` within ``[start, end)``."""
+        return self.entries(*self.bounds(start, end))
 
     @property
     def smallest_key(self) -> Optional[bytes]:
-        return self._index_keys[0] if self._index_keys else None
+        keys = self._decoded()[0]
+        return keys[0] if keys else None

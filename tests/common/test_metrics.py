@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
+import pytest
+
+from repro.common import timeutils
 from repro.common.metrics import MetricsRegistry
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The stopwatch's clock, injected: ``clock.now`` is what
+    ``perf_counter`` reads, so a timed block lasts as long as the test
+    says and nothing sleeps."""
+    clock = SimpleNamespace(now=100.0)
+    monkeypatch.setattr(
+        timeutils, "time", SimpleNamespace(perf_counter=lambda: clock.now)
+    )
+    return clock
 
 
 class TestCounters:
@@ -37,21 +52,19 @@ class TestTimers:
         metrics.add_time("t", 0.25)
         assert metrics.timer("t") == 0.75
 
-    def test_timed_context_accumulates(self, metrics: MetricsRegistry):
+    def test_timed_context_accumulates(self, metrics: MetricsRegistry, clock):
         with metrics.timed("t"):
-            time.sleep(0.01)
+            clock.now += 0.25
         with metrics.timed("t"):
-            time.sleep(0.01)
-        assert metrics.timer("t") >= 0.02
+            clock.now += 0.5
+        assert metrics.timer("t") == 0.75
 
-    def test_timed_records_on_exception(self, metrics: MetricsRegistry):
-        try:
+    def test_timed_records_on_exception(self, metrics: MetricsRegistry, clock):
+        with pytest.raises(RuntimeError):
             with metrics.timed("t"):
-                time.sleep(0.005)
+                clock.now += 0.125
                 raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert metrics.timer("t") > 0
+        assert metrics.timer("t") == 0.125
 
 
 class TestSnapshots:
@@ -142,8 +155,10 @@ class TestThreadSafety:
                 metrics.increment(f"w{slot}")
 
         def reader() -> None:
+            # Bounded by work, not by a wall-clock box: 2,000 snapshots
+            # against four spinning writers.
             try:
-                while not stop.is_set():
+                for _ in range(2_000):
                     snap = metrics.snapshot()
                     metrics.as_dict()
                     for slot in range(4):
@@ -151,13 +166,14 @@ class TestThreadSafety:
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [
-            threading.Thread(target=writer, args=(slot,)) for slot in range(4)
-        ] + [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
+        writers = [threading.Thread(target=writer, args=(slot,)) for slot in range(4)]
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        for thread in writers + readers:
             thread.start()
-        time.sleep(0.2)
+        for thread in readers:
+            thread.join(timeout=60)
         stop.set()
-        for thread in threads:
-            thread.join()
+        for thread in writers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in writers + readers)
         assert errors == []

@@ -432,11 +432,13 @@ class TestDescriptorLifetime:
         finally:
             network.close()
 
-    def test_open_read_close_fifty_times_leaks_no_descriptor(self, tmp_path):
+    def test_open_read_close_leaks_no_fd(self, tmp_path):
+        # Every cycle asserts the count is back at the baseline, so a
+        # descriptor leaked per cycle fails the first one; five is plenty.
         height = self._ingest(tmp_path)
         config = FabricConfig(block_store=BlockStoreConfig(max_file_bytes=2048))
         baseline = _open_fds()
-        for _ in range(50):
+        for _ in range(5):
             network = FabricNetwork(tmp_path, config=config)
             try:
                 store = network.ledger.block_store

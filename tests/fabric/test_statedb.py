@@ -86,6 +86,18 @@ class TestRangeScan:
         assert result == [0, 2_000, 10_000]
 
 
+    def test_scan_racing_a_commit_loses_no_state_present_at_the_call(self, state_db):
+        """A write of a smaller key landing mid-scan (a commit racing
+        ``list_keys``) must not cost the scan a state that was there when
+        it began.  The late key itself may or may not appear."""
+        for key in ("b", "c", "d"):
+            state_db.apply_write(KVWrite(key, key), version=(1, 0))
+        scan = state_db.get_state_by_range("", "")
+        assert next(scan)[0] == "b"
+        state_db.apply_write(KVWrite("a", "a"), version=(2, 0))
+        assert [key for key, _ in scan] == ["c", "d"]
+
+
 class TestLazyValues:
     """A state's bytes are decoded when its value or version is read."""
 

@@ -109,6 +109,8 @@ class TestContract:
             store.put(b"k", b"v")
         with pytest.raises(ClosedStoreError):
             store.get(b"k")
+        with pytest.raises(ClosedStoreError):
+            store.scan()  # at the call: no next() needed to find out
 
     def test_reopen_recovers_acknowledged_writes(self, backend, tmp_path):
         if backend == "memory":

@@ -2,12 +2,31 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.kv.bloom import BloomFilter
+from repro.storage.kv.bloom import BloomFilter, key_hashes
 from repro.storage.kv.sstable import SSTableReader, write_sstable
+
+
+def reference_may_contain(bloom: BloomFilter, key: bytes) -> bool:
+    """The probe as the format defines it, read off the persisted bytes:
+    bit ``(h1 + i*h2) mod m`` for ``i < k``, ``h2`` replaced when it is a
+    multiple of ``m``.  What every table already on disk was built with."""
+    payload = bloom.to_bytes()
+    hash_count, bit_count = struct.unpack_from("<II", payload, 0)
+    bits = payload[8:]
+    h1, h2 = zlib.crc32(key), zlib.adler32(key)
+    if h2 % bit_count == 0:
+        h2 = 0x5BD1E995
+    return all(
+        bits[position >> 3] & (1 << (position & 7))
+        for position in ((h1 + i * h2) % bit_count for i in range(hash_count))
+    )
 
 
 class TestBloomFilter:
@@ -59,6 +78,40 @@ class TestBloomFilter:
         bloom = BloomFilter.from_bytes(BloomFilter.build(keys).to_bytes())
         for key in keys:
             assert bloom.may_contain(key)
+
+
+    @settings(max_examples=40)
+    @given(
+        keys=st.sets(st.binary(min_size=1, max_size=12), max_size=60),
+        probes=st.lists(st.binary(min_size=1, max_size=12), max_size=30),
+    )
+    def test_hashed_probe_is_the_probe(self, keys, probes):
+        """One hash per ``get``: the pre-hashed probe, ``may_contain`` and
+        the format's definition agree on members and non-members alike."""
+        bloom = BloomFilter.build(keys)
+        for key in [*keys, *probes]:
+            expected = reference_may_contain(bloom, key)
+            assert bloom.may_contain(key) == expected
+            assert bloom.may_contain_hashed(*key_hashes(key)) == expected
+
+    def test_zero_step_substitution(self):
+        """A key whose ``h2`` is a multiple of the bit count probes with
+        the substitute step, at insert and at both probes."""
+        bloom = BloomFilter.build([b"seed"])  # 64 bits
+        stuck = [
+            key
+            for key in (f"k{i}".encode() for i in range(2_000))
+            if zlib.adler32(key) % bloom.bit_count == 0
+        ]
+        assert stuck
+        bloom = BloomFilter.build(stuck[:3])
+        assert bloom.bit_count == 64
+        for key in stuck:
+            expected = reference_may_contain(bloom, key)
+            assert bloom.may_contain(key) == expected
+            assert bloom.may_contain_hashed(*key_hashes(key)) == expected
+        assert all(bloom.may_contain(key) for key in stuck[:3])
+        assert not all(bloom.may_contain(key) for key in stuck)
 
 
 class TestSSTableBloomIntegration:

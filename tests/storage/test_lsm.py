@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.common import metrics as metric_names
@@ -117,6 +120,66 @@ class TestScan:
         for i in range(30):
             store.put(f"key{i:03d}".encode(), b"v")
         store.verify_integrity()
+
+
+    def test_scan_racing_a_put_loses_no_key_present_at_the_call(self, store):
+        """The memtable walk used to follow positions in the live key
+        list: ``a`` arriving mid-scan shifted it and ``d`` was dropped."""
+        for key in (b"b", b"c", b"d"):
+            store.put(key, key)
+        scan = store.scan()
+        assert next(scan) == (b"b", b"b")
+        store.put(b"a", b"a")
+        assert list(scan) == [(b"c", b"c"), (b"d", b"d")]
+
+    def test_scans_racing_a_writer_never_lose_a_key_present_before(self, tmp_path):
+        """Four reader threads scan while a writer inserts ever-smaller
+        keys (each one shifts the memtable's whole key list): every scan
+        is strictly sorted and holds every key that was there before it."""
+        base = [b"m%03d" % i for i in range(50)]
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    keys = [key for key, _ in store.scan()]
+                    assert all(a < b for a, b in zip(keys, keys[1:]))
+                    assert set(base) <= set(keys)
+            except BaseException as exc:  # noqa: B036 - collected for the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LSMStore(tmp_path / "db", memtable_limit=4096) as store:
+                for key in base:
+                    store.put(key, b"v")
+                readers = [threading.Thread(target=reader) for _ in range(4)]
+                for thread in readers:
+                    thread.start()
+                for i in range(1_500, 0, -1):
+                    store.put(b"a%04d" % i, b"v")
+                done.set()
+                for thread in readers:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in readers)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    def test_scan_is_of_the_store_as_of_the_call(self, store):
+        """The snapshot is the call's, not the first ``next()``'s: a put
+        and a flush in between are not in it."""
+        store.put(b"a", b"1")
+        store.flush()
+        store.put(b"b", b"2")
+        scan = store.scan()
+        store.put(b"c", b"3")
+        store.flush()
+        assert list(scan) == [(b"a", b"1"), (b"b", b"2")]
+        assert list(store.scan()) == [(b"a", b"1"), (b"b", b"2"), (b"c", b"3")]
 
 
 FLUSH = ("flush",)
@@ -278,4 +341,48 @@ class TestMetricsIntegration:
         assert metrics.counter(metric_names.KV_WRITES) == 1
         assert metrics.counter(metric_names.KV_READS) == 1
         assert metrics.counter(metric_names.WAL_RECORDS) == 1
+        store.close()
+
+    def test_read_counters_of_a_fixed_scenario_are_pinned(self, tmp_path):
+        """Four overlapping tables and a memtable, probed with present,
+        overwritten, deleted, never-written and in-between keys.  The
+        three literals were generated on the tree before ``get`` hashed
+        its key once and ticked per call (PR 22's parent): the one-hash
+        ``get`` is count-identical, not only value-identical."""
+        metrics = MetricsRegistry()
+        model = {}
+
+        def put(key, value):
+            store.put(key, value)
+            model[key] = value
+
+        def delete(key):
+            store.delete(key)
+            model.pop(key, None)
+
+        store = LSMStore(
+            tmp_path / "db", memtable_limit=16, compaction_trigger=8, metrics=metrics
+        )
+        for table in range(4):
+            for i in range(14):  # the first two overwrite the table before
+                put(f"key-{table * 12 + i:03d}".encode(), f"v{table}-{i}".encode())
+            delete(f"key-{table * 12 + 5:03d}".encode())  # within the table
+            if table:
+                delete(f"key-{table * 12 - 9:03d}".encode())  # shadows an older table
+            store.flush()
+        put(b"key-002", b"memtable")
+        delete(b"key-030")
+        assert store.sstable_count == 4
+        probes = (
+            [f"key-{i:03d}".encode() for i in range(0, 52, 3)]
+            + [f"key-{i:03d}".encode() for i in (2, 5, 3, 15, 17, 27, 29, 30, 41)]
+            + [f"nope-{i:03d}".encode() for i in range(40)]
+            + [f"key-{i:03d}x".encode() for i in range(0, 50, 7)]
+        )
+        before = metrics.snapshot()
+        assert [store.get(key) for key in probes] == [model.get(key) for key in probes]
+        delta = metrics.snapshot().diff(before)
+        assert delta.counter(metric_names.KV_READS) == 75
+        assert delta.counter(metric_names.KV_SSTABLE_READS) == 23
+        assert delta.counter(metric_names.KV_BLOOM_NEGATIVES) == 225
         store.close()

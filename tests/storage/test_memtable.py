@@ -64,6 +64,28 @@ class TestScan:
         assert list(table.scan(None, b"y")) == [(b"x", b"1")]
 
 
+    def test_scan_racing_a_put_loses_no_key_present_at_the_call(self):
+        """A put of a smaller key mid-scan shifts the sorted key list; a
+        scan walking it by position then repeats one key and never
+        reaches the last."""
+        table = Memtable()
+        for key in (b"b", b"c", b"d"):
+            table.put(key, key)
+        scan = table.scan(None, None)
+        assert next(scan) == (b"b", b"b")
+        table.put(b"a", b"a")
+        assert list(scan) == [(b"c", b"c"), (b"d", b"d")]
+
+    def test_scan_reads_the_value_current_when_it_gets_there(self):
+        table = Memtable()
+        table.put(b"a", b"1")
+        table.put(b"b", b"1")
+        scan = table.scan(None, None)
+        table.put(b"b", b"2")
+        table.mark_deleted(b"a")
+        assert list(scan) == [(b"a", None), (b"b", b"2")]
+
+
 class TestBookkeeping:
     def test_approximate_bytes_grows(self):
         table = Memtable()

@@ -51,6 +51,8 @@ class TestQuarantineAtOpen:
             assert excinfo.value.tables == (victim.name,)
             with pytest.raises(QuarantinedError):
                 list(store.scan())
+            with pytest.raises(QuarantinedError):
+                store.scan()  # at the call, not at the first next()
         finally:
             store.close()
 

@@ -1,17 +1,50 @@
-"""Tests for SSTable write/read, sparse index seeks and tombstones."""
+"""Tests for SSTable write/read, the decoded entry index and tombstones."""
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
+from repro.common.codec import write_uvarint
 from repro.common.errors import SSTableError
-from repro.storage.kv.sstable import INDEX_STRIDE, SSTableReader, write_sstable
+from repro.storage.kv.bloom import BloomFilter
+from repro.storage.kv.sstable import _FOOTER, MAGIC, SSTableReader, write_sstable
 
 
 def build(tmp_path, entries, name="t.sst"):
     path = tmp_path / name
     write_sstable(path, iter(entries))
     return SSTableReader(path)
+
+
+def write_raw_table(path, data: bytes, index: bytes = b"", keys=()) -> None:
+    """A table file around hand-made sections, CRC and footer valid."""
+    body = data + index + BloomFilter.build(list(keys)).to_bytes()
+    footer = _FOOTER.pack(
+        len(data), len(data) + len(index), len(keys), zlib.crc32(body), MAGIC
+    )
+    path.write_bytes(body + footer)
+
+
+def write_pr21_table(path, entries, stride: int = 16) -> None:
+    """The emission every table written up to PR 21 has: a sparse
+    ``key -> data offset`` index section, one entry per ``stride`` keys."""
+    data, index = bytearray(), bytearray()
+    for count, (key, value) in enumerate(entries):
+        if count % stride == 0:
+            write_uvarint(len(key), index)
+            index.extend(key)
+            write_uvarint(len(data), index)
+        write_uvarint(len(key), data)
+        data.extend(key)
+        if value is None:
+            data.append(1)
+        else:
+            data.append(0)
+            write_uvarint(len(value), data)
+            data.extend(value)
+    write_raw_table(path, bytes(data), bytes(index), [key for key, _ in entries])
 
 
 class TestWrite:
@@ -32,6 +65,17 @@ class TestWrite:
         assert reader.entry_count == 0
         assert reader.lookup(b"x") == (False, None)
         assert list(reader.scan(None, None)) == []
+
+
+    def test_index_section_is_empty(self, tmp_path):
+        path = tmp_path / "t.sst"
+        write_sstable(path, iter([(b"k%03d" % i, b"v") for i in range(40)]))
+        raw = path.read_bytes()
+        index_offset, bloom_offset, count, _, _ = _FOOTER.unpack_from(
+            raw, len(raw) - _FOOTER.size
+        )
+        assert index_offset == bloom_offset
+        assert count == 40
 
 
 class TestLookup:
@@ -60,7 +104,8 @@ class TestLookup:
         entries = [(f"key{i:05d}".encode(), f"val{i}".encode()) for i in range(200)]
         reader = build(tmp_path, entries)
         assert reader.entry_count == 200
-        for i in (0, 1, INDEX_STRIDE - 1, INDEX_STRIDE, 57, 199):
+        # 15 / 16: either side of a sparse-index point of the old format.
+        for i in (0, 1, 15, 16, 57, 199):
             assert reader.lookup(f"key{i:05d}".encode()) == (True, f"val{i}".encode())
         assert reader.lookup(b"key99999") == (False, None)
 
@@ -91,6 +136,65 @@ class TestScan:
             (b"b", None),
             (b"c", b"3"),
         ]
+
+
+class TestFormat:
+    """What the decoded entry index reads, beyond the writer's own output."""
+
+    def test_table_with_a_sparse_index_section_reads_identically(self, tmp_path):
+        """Every state-db directory written up to PR 21 holds tables whose
+        index section is not empty; they open and read the same."""
+        entries = [
+            (b"key%05d" % i, None if i % 7 == 3 else b"val%d" % i) for i in range(100)
+        ]
+        write_pr21_table(tmp_path / "old.sst", entries)
+        old = SSTableReader(tmp_path / "old.sst")
+        new = build(tmp_path, entries, name="new.sst")
+        assert (tmp_path / "old.sst").stat().st_size > (tmp_path / "new.sst").stat().st_size
+        assert old.entry_count == new.entry_count == 100
+        assert list(old.scan(None, None)) == list(new.scan(None, None)) == entries
+        bounds = [None, b"a", b"key00015", b"key00016", b"key000160", b"key00099", b"z"]
+        for start in bounds:
+            for end in bounds:
+                assert list(old.scan(start, end)) == list(new.scan(start, end))
+        for key in [key for key, _ in entries] + [b"a", b"key000160", b"z"]:
+            assert old.lookup(key) == new.lookup(key)
+
+    def test_two_byte_lengths(self, tmp_path):
+        """Keys of 128+ bytes and values of 16 KiB+ take a multi-byte
+        varint length; the one-byte fast path must not eat them."""
+        entries = [
+            (b"a", b"x" * 127),
+            (b"b" * 127, b"y" * 128),
+            (b"b" * 128, b""),
+            (b"b" * 129, None),
+            (b"c" * 300, b"z" * 16_384),
+            (b"d", b"w" * 70_000),
+        ]
+        reader = build(tmp_path, entries)
+        assert list(reader.scan(None, None)) == entries
+        for key, value in entries:
+            assert reader.lookup(key) == (True, value)
+        assert reader.lookup(b"b" * 130) == (False, None)
+        assert list(reader.scan(b"b" * 128, b"c")) == entries[2:4]
+
+    def test_unknown_op_byte_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "t.sst"
+        write_raw_table(path, b"\x01a\x00\x01v" + b"\x01b\x07", keys=[b"a", b"b"])
+        reader = SSTableReader(path)  # the CRC holds: the bytes are as written
+        with pytest.raises(SSTableError, match="unknown op 7"):
+            reader.lookup(b"a")
+        with pytest.raises(SSTableError, match="unknown op 7"):
+            list(reader.scan(None, None))
+
+    @pytest.mark.parametrize(
+        "tail", [b"\x05b", b"\x01b", b"\x01b\x00", b"\x01b\x00\x05v", b"\x81"]
+    )
+    def test_entry_cut_short_is_a_typed_error(self, tmp_path, tail):
+        path = tmp_path / "t.sst"
+        write_raw_table(path, b"\x01a\x00\x01v" + tail, keys=[b"a"])
+        with pytest.raises(SSTableError, match="ends inside an entry"):
+            SSTableReader(path).lookup(b"a")
 
 
 class TestCorruption:
