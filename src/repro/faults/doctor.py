@@ -235,16 +235,30 @@ def _check_raw_storage(path: Path, report: DoctorReport) -> None:
 
 
 def _check_m1(ledger, report: DoctorReport) -> None:
-    """M1 invariants: every recorded indexing run is readable; bundle
-    pairs that are missing their ``clear_index`` half are resumable, not
-    fatal."""
+    """M1 invariants: every recorded indexing run is readable; stretches
+    of ``(0, indexed_until]`` no run covers make M1 refuse the windows
+    touching them; bundle pairs that are missing their ``clear_index``
+    half are resumable, not fatal."""
+    from repro.temporal.intervals import TimeInterval
     from repro.temporal.keys import is_interval_key
-    from repro.temporal.m1 import M1QueryEngine
+    from repro.temporal.m1 import M1QueryEngine, uncovered_stretches
 
     try:
-        M1QueryEngine(ledger).indexing_runs()
+        runs = M1QueryEngine(ledger).indexing_runs()
     except IndexingError as exc:
         report.add("error", "m1-run-unreadable", str(exc))
+        runs = []
+    if runs:
+        indexed_until = max(run.t2 for run in runs)
+        gaps = uncovered_stretches(runs, TimeInterval(0, indexed_until))
+        if gaps:
+            report.add(
+                "warning", "m1-index-gap",
+                f"no indexing run covers {', '.join(map(str, gaps))} of "
+                f"(0-{indexed_until}]: M1 queries touching a stretch raise "
+                "TemporalQueryError (degrade=True answers from TQF); index "
+                "it with M1Indexer.run",
+            )
     for key, _ in ledger.state_db.get_state_by_range("", ""):
         if is_interval_key(key):
             report.add(

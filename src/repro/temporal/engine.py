@@ -68,7 +68,13 @@ class QueryModel(Protocol):
 
     def list_keys(self, prefix: str) -> List[str]: ...
 
-    def fetch_events(self, key: str, window: TimeInterval) -> List[Event]: ...
+    def plan(self, window: TimeInterval) -> object:
+        """What the model resolves once per query, for every key's fetch."""
+        ...
+
+    def fetch_events(
+        self, key: str, window: TimeInterval, plan: object = None
+    ) -> List[Event]: ...
 
 
 @dataclass(frozen=True)
@@ -180,23 +186,27 @@ class TemporalQueryEngine:
     ) -> tuple[Dict[str, List[Event]], Dict[str, List[Event]]]:
         """Per-key events inside ``window`` for all shipments and containers.
 
-        The returned dicts are built in ``list_keys`` order.  With a
-        ``deadline``, the budget is checked before every key: remaining
-        fetches are abandoned once it expires and
-        :class:`~repro.common.errors.DeadlineExceededError` propagates.
+        The returned dicts are built in ``list_keys`` order.  The model's
+        key-independent plan (M1: the run list and ``O(Θ, τ)``) is resolved
+        once, after enumeration and only when there is a key to fetch, and
+        handed to every per-key fetch.  With a ``deadline``, the budget is
+        checked before every key: remaining fetches are abandoned once it
+        expires and :class:`~repro.common.errors.DeadlineExceededError`
+        propagates.
         """
         engine = self.engine(model)
         if deadline is not None:
             deadline.check("entity enumeration")
         shipment_keys = engine.list_keys(self.namespace.shipment_prefix)
         container_keys = engine.list_keys(self.namespace.container_prefix)
+        plan = engine.plan(window) if shipment_keys or container_keys else None
 
         def fetch(keys: List[str]) -> Dict[str, List[Event]]:
             events: Dict[str, List[Event]] = {}
             for key in keys:
                 if deadline is not None:
                     deadline.check("per-key fetch")
-                events[key] = engine.fetch_events(key, window)
+                events[key] = engine.fetch_events(key, window, plan)
             return events
 
         return fetch(shipment_keys), fetch(container_keys)

@@ -17,7 +17,7 @@ from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric.ledger import Ledger
 from repro.temporal.intervals import TimeInterval
 from repro.temporal.keys import encode_interval_key
-from repro.temporal.m1 import M1QueryEngine
+from repro.temporal.m1 import M1QueryEngine, M1QueryPlan
 from repro.temporal.m2 import M2QueryEngine
 
 
@@ -56,13 +56,7 @@ class QueryExplainer:
 
     def explain_fetch(self, model: str, key: str, window: TimeInterval) -> FetchPlan:
         """The plan for fetching ``key``'s events in ``window`` on ``model``."""
-        if model == "tqf":
-            return self._explain_tqf(key, window)
-        if model == "m1":
-            return self._explain_m1(key, window)
-        if model == "m2":
-            return self._explain_m2(key, window)
-        raise TemporalQueryError(f"unknown model {model!r}")
+        return self.explain_join(model, window, [key])[0]
 
     def _explain_tqf(self, key: str, window: TimeInterval) -> FetchPlan:
         # One GHFK; it deserializes at most every block holding the key
@@ -76,8 +70,8 @@ class QueryExplainer:
             blocks_exact=False,
         )
 
-    def _explain_m1(self, key: str, window: TimeInterval) -> FetchPlan:
-        intervals = list(self._m1._overlapping_intervals(window))
+    def _explain_m1(self, key: str, plan: M1QueryPlan) -> FetchPlan:
+        intervals = [planned.interval for planned in plan.intervals]
         # Each non-empty bundle costs exactly the one block holding its
         # write; empty candidates cost a GHFK call but zero blocks.
         blocks = 0
@@ -90,7 +84,7 @@ class QueryExplainer:
         return FetchPlan(
             model="m1",
             key=key,
-            window=window,
+            window=plan.window,
             intervals=intervals,
             ghfk_calls=len(intervals),
             blocks=blocks,
@@ -121,5 +115,16 @@ class QueryExplainer:
     def explain_join(
         self, model: str, window: TimeInterval, keys: List[str]
     ) -> List[FetchPlan]:
-        """Plans for every key a join over ``window`` would fetch."""
-        return [self.explain_fetch(model, key, window) for key in keys]
+        """Plans for every key a join over ``window`` would fetch.
+
+        For M1 the query's own :meth:`M1QueryEngine.plan` is resolved once
+        for all keys, as ``run_join`` does, and raises what it raises.
+        """
+        if model == "tqf":
+            return [self._explain_tqf(key, window) for key in keys]
+        if model == "m1":
+            plan = self._m1.plan(window)
+            return [self._explain_m1(key, plan) for key in keys]
+        if model == "m2":
+            return [self._explain_m2(key, window) for key in keys]
+        raise TemporalQueryError(f"unknown model {model!r}")

@@ -44,13 +44,19 @@ def bound_field(timestamp: int) -> str:
     return f"{timestamp:0{_WIDTH}d}"
 
 
-def encode_interval_key(base_key: str, interval: TimeInterval) -> str:
-    """The composite state key for ``(base_key, interval)``."""
-    validate_base_key(base_key)
+def interval_key_suffix(interval: TimeInterval) -> str:
+    """What :func:`encode_interval_key` appends to a base key for
+    ``interval``: the same for every key, so a query visiting one interval
+    under many keys spells it once."""
     return (
-        f"{base_key}{SEPARATOR}{interval.start:0{_WIDTH}d}"
+        f"{SEPARATOR}{interval.start:0{_WIDTH}d}"
         f"{SEPARATOR}{interval.end:0{_WIDTH}d}"
     )
+
+
+def encode_interval_key(base_key: str, interval: TimeInterval) -> str:
+    """The composite state key for ``(base_key, interval)``."""
+    return validate_base_key(base_key) + interval_key_suffix(interval)
 
 
 def decode_interval_key(composite: str) -> Tuple[str, TimeInterval]:

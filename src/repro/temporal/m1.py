@@ -12,17 +12,37 @@ Index intervals are the paper's fixed-length-``u`` partition
 every key, so a query recomputes ``Θ(k)`` from the recorded run metadata
 ``(t1, t2, u)`` alone.
 
-The **query engine** computes the overlapping index intervals, issues one
-GHFK per overlapping interval and reads only the first history entry of
-each -- the bundle -- leaving the deletion marker's block untouched
-(GHFK laziness).
+The **query engine** splits a query in two.  The key-independent half,
+:meth:`M1QueryEngine.plan`, runs once per query: one read of the run
+list, a check that the runs cover the whole window, and the overlapping
+index intervals ``O(Θ, τ)`` in temporal order, each with the tail of its
+composite key already spelled.  The per-key half,
+:meth:`M1QueryEngine.fetch_events`, issues one GHFK per planned interval
+and reads only the first history entry of each -- the bundle -- leaving
+the deletion marker's block untouched (GHFK laziness).
+
+**Coverage rule.**  ``M1Indexer.run`` forbids overlapping runs, not gaps:
+the first run may start after ``t = 0`` and two runs may leave a stretch
+between them.  Events there were never bundled, so a window touching a
+stretch no recorded run covers is refused with a typed
+:class:`~repro.common.errors.TemporalQueryError` naming it -- Model M1
+never answers from half an index (``run_join(..., degrade=True)`` then
+answers from TQF).
+
+**One consistent run list per query.**  A plan is built from a single
+``GetState`` and is valid for that query only; nothing is memoised on
+the engine, by window or by ledger height -- a later run can fill a
+stretch *inside* an earlier window, and ``commit_block`` bumps the height
+before it applies state.  A query racing a ``record_run`` commit
+therefore answers, for every key, from the run list as it stood either
+before or after that commit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.errors import IndexingError, TemporalQueryError
@@ -43,7 +63,12 @@ from repro.faults.manifest import RunManifest
 from repro.temporal.chaincodes import M1IndexChaincode
 from repro.temporal.events import Event, events_to_values
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
-from repro.temporal.keys import encode_interval_key, is_interval_key
+from repro.temporal.keys import (
+    encode_interval_key,
+    interval_key_suffix,
+    is_interval_key,
+    validate_base_key,
+)
 from repro.temporal.tqf import TQFEngine
 
 
@@ -306,8 +331,59 @@ class M1Indexer:
         return written, bundled
 
 
+@dataclass(frozen=True)
+class PlannedInterval:
+    """One member of ``O(Θ, τ)`` with what every key needs from it."""
+
+    interval: TimeInterval
+    #: ``encode_interval_key(k, interval)`` is ``k + key_suffix``.
+    key_suffix: str
+    #: τ cuts the interval: only then can its bundle hold an event outside
+    #: τ, so only then is the bundle filtered through ``window.contains``.
+    clipped: bool
+
+
+@dataclass(frozen=True)
+class M1QueryPlan:
+    """The key-independent half of one M1 query over ``window``: the index
+    intervals overlapping it, in temporal order.  Built by
+    :meth:`M1QueryEngine.plan` from one read of the run list and valid for
+    that query only -- a later indexing run can fill a stretch *inside* a
+    window, so a plan is never kept across queries."""
+
+    window: TimeInterval
+    intervals: Tuple[PlannedInterval, ...]
+
+
+def uncovered_stretches(
+    runs: List[IndexingRun], window: TimeInterval
+) -> List[TimeInterval]:
+    """The parts of ``window`` no run in ``runs`` covers, in temporal order.
+
+    ``M1Indexer.run`` forbids overlapping runs, not gaps between them or
+    before the first, and Model M1 cannot see an event no run bundled.
+    """
+    gaps: List[TimeInterval] = []
+    covered_to = window.start
+    for run in sorted(runs, key=lambda run: run.t1):
+        if run.t2 <= covered_to:
+            continue
+        if run.t1 >= window.end:
+            break
+        if run.t1 > covered_to:
+            gaps.append(TimeInterval(covered_to, run.t1))
+        covered_to = run.t2
+    if covered_to < window.end:
+        gaps.append(TimeInterval(covered_to, window.end))
+    return gaps
+
+
 class M1QueryEngine:
-    """Temporal queries over Model M1 indexes."""
+    """Temporal queries over Model M1 indexes.
+
+    Stateless between calls: everything a query derives from the run list
+    lives in the :class:`M1QueryPlan` of that query.
+    """
 
     model = "m1"
 
@@ -322,7 +398,7 @@ class M1QueryEngine:
     # -- index metadata ---------------------------------------------------
 
     def indexing_runs(self) -> List[IndexingRun]:
-        """All recorded indexing runs, oldest first."""
+        """All recorded indexing runs, oldest first (one ``GetState``)."""
         raw = self._ledger.get_state(M1IndexChaincode.META_KEY) or []
         return [IndexingRun.from_value(item) for item in raw]
 
@@ -338,52 +414,77 @@ class M1QueryEngine:
         scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
         return [key for key, _ in scan if not is_interval_key(key)]
 
-    def fetch_events(self, key: str, window: TimeInterval) -> List[Event]:
-        """Events of ``key`` in ``window`` from index bundles.
+    def plan(self, window: TimeInterval) -> M1QueryPlan:
+        """Resolve ``O(Θ, τ)`` for ``window`` from one read of the run list.
 
-        One GHFK per overlapping index interval; each reads exactly one
-        block (the bundle write), never the deletion marker's block.
-        Raises :class:`TemporalQueryError` if the window extends past the
-        indexed range -- unindexed events are invisible to Model M1.
+        ``Θ(k)`` is the same for every key: per run, the u-aligned
+        intervals clipped to the run's range -- exactly the keys the
+        indexer could have written -- of which the plan keeps those
+        overlapping ``window``, ordered by time across runs.  The one
+        read is also the query's consistency point: a query racing a
+        ``record_run`` commit answers from the run list as it stood
+        before or after that commit, never a mix.
+
+        Raises :class:`TemporalQueryError` naming the first stretch of
+        ``window`` no recorded run covers (before the first run, between
+        two runs, past the last): events there were never bundled and
+        would be silently missing from the answer.
         """
-        if window.end > self.indexed_until():
+        runs = sorted(self.indexing_runs(), key=lambda run: run.t1)
+        gaps = uncovered_stretches(runs, window)
+        if gaps:
             raise TemporalQueryError(
-                f"window {window} extends beyond the indexed range "
-                f"(indexed until {self.indexed_until()}); run the M1 indexer first"
+                f"window {window} extends beyond the indexed range: no "
+                f"indexing run covers {gaps[0]}; run the M1 indexer over it "
+                "first"
             )
-        with self._metrics.timed(metric_names.GHFK_SECONDS):
-            events: List[Event] = []
-            for interval in self._overlapping_intervals(window):
-                events.extend(self._read_bundle(key, interval, window))
-        events.sort()
-        return events
-
-    def _overlapping_intervals(self, window: TimeInterval) -> Iterator[TimeInterval]:
-        """Candidate index intervals ``O(Θ(k), τ)`` across all runs:
-        u-aligned intervals clipped to each run's range -- exactly what the
-        indexer wrote, recomputed with no ledger access beyond the run
-        metadata (``Θ(k)`` is the same for every key)."""
-        for run in self.indexing_runs():
-            clipped = run.window.intersection(window)
-            if clipped is None:
+        planned: List[PlannedInterval] = []
+        for run in runs:
+            overlap = run.window.intersection(window)
+            if overlap is None:
                 continue
             scheme = FixedIntervalScheme(run.u)
-            for interval in scheme.iter_intervals_overlapping(clipped):
-                bounded = interval.intersection(run.window)
-                if bounded is not None:
-                    yield bounded
+            for aligned in scheme.iter_intervals_overlapping(overlap):
+                interval = TimeInterval(
+                    max(aligned.start, run.t1), min(aligned.end, run.t2)
+                )
+                planned.append(
+                    PlannedInterval(
+                        interval=interval,
+                        key_suffix=interval_key_suffix(interval),
+                        clipped=interval.start < window.start
+                        or window.end < interval.end,
+                    )
+                )
+        return M1QueryPlan(window=window, intervals=tuple(planned))
 
-    def _read_bundle(
-        self, key: str, interval: TimeInterval, window: TimeInterval
+    def fetch_events(
+        self, key: str, window: TimeInterval, plan: Optional[M1QueryPlan] = None
     ) -> List[Event]:
-        """Read ``EV(key, interval)`` with one GHFK call / one block,
-        filtered to the query window."""
-        index_key = encode_interval_key(key, interval)
-        return [
-            event
-            for event in self._load_bundle(key, index_key)
-            if window.contains(event.time)
-        ]
+        """Events of ``key`` in ``window`` from index bundles.
+
+        One GHFK per planned interval; each reads exactly one block (the
+        bundle write), never the deletion marker's block.  ``plan`` is
+        :meth:`plan` of the same ``window``, resolved once by a caller
+        fetching many keys; without it the fetch resolves its own, and
+        raises what :meth:`plan` raises.
+        """
+        if plan is None:
+            plan = self.plan(window)
+        elif plan.window != window:
+            raise TemporalQueryError(
+                f"plan resolved for {plan.window} cannot answer {window}"
+            )
+        validate_base_key(key)
+        with self._metrics.timed(metric_names.GHFK_SECONDS):
+            events: List[Event] = []
+            for planned in plan.intervals:
+                bundle = self._load_bundle(key, key + planned.key_suffix)
+                if planned.clipped:
+                    bundle = [e for e in bundle if window.contains(e.time)]
+                events.extend(bundle)
+        events.sort()
+        return events
 
     def _load_bundle(self, key: str, index_key: str) -> List[Event]:
         """The full decoded bundle for ``index_key``."""

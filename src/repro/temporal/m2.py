@@ -89,7 +89,14 @@ class M2QueryEngine:
             if composite[-len(floor):] > floor
         ]
 
-    def fetch_events(self, key: str, window: TimeInterval) -> List[Event]:
+    def plan(self, window: TimeInterval) -> None:
+        """M2 resolves nothing per query: which ``θ`` a key occupies is that
+        key's own state-db scan (:meth:`overlapping_intervals`)."""
+        return None
+
+    def fetch_events(
+        self, key: str, window: TimeInterval, plan: None = None
+    ) -> List[Event]:
         """Events of ``key`` in ``window`` via per-interval GHFK calls.
 
         Unlike Model M1, each GHFK may touch several blocks -- the events

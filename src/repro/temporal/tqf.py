@@ -45,7 +45,13 @@ class TQFEngine:
         scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
         return [key for key, _ in scan if not is_interval_key(key)]
 
-    def fetch_events(self, key: str, window: TimeInterval) -> List[Event]:
+    def plan(self, window: TimeInterval) -> None:
+        """TQF resolves nothing per query: a fetch is one GHFK of its key."""
+        return None
+
+    def fetch_events(
+        self, key: str, window: TimeInterval, plan: None = None
+    ) -> List[Event]:
         """Events of ``key`` inside ``window`` via one full GHFK scan.
 
         The iterator is abandoned as soon as a state past ``window.end``

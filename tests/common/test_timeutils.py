@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.common.timeutils import (
@@ -52,15 +50,15 @@ class TestLogicalClock:
 
 
 class TestStopwatch:
-    def test_context_manager_accumulates(self):
+    def test_context_manager_accumulates(self, clock):
         watch = Stopwatch()
         with watch:
-            time.sleep(0.01)
-        assert watch.elapsed >= 0.01
-        first = watch.elapsed
+            clock.now += 0.25
+        assert watch.elapsed == 0.25
+        clock.now += 8.0  # time between blocks is not counted
         with watch:
-            time.sleep(0.01)
-        assert watch.elapsed > first
+            clock.now += 0.5
+        assert watch.elapsed == 0.75
 
     def test_double_start_rejected(self):
         watch = Stopwatch().start()

@@ -94,8 +94,13 @@ def pytest_unconfigure(config: pytest.Config) -> None:
     if watchdog is not None:
         _, dump = watchdog
         dump.close()
-        if os.path.getsize(dump.name) == 0:
-            os.remove(dump.name)
+        try:
+            if os.path.getsize(dump.name) == 0:
+                os.remove(dump.name)
+        except FileNotFoundError:
+            # A concurrent run in this directory finished first and
+            # removed the empty file the two of them had open.
+            pass
 
 
 def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:

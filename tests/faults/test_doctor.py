@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.faults.doctor import detect_backend, run_doctor
+from repro.temporal.chaincodes import M1IndexChaincode
 from tests.faults.harness import lsm_config
 
 
@@ -122,6 +123,43 @@ def test_unfinished_manifest_is_reported(tmp_path):
     report = run_doctor(tmp_path / "net", config=config, manifest_path=manifest)
     assert report.ok  # resumable, not fatal
     assert "m1-run-in-progress" in codes(report)
+
+
+def record_m1_runs(path, runs):
+    """A closed ledger whose M1 run list is ``runs`` (``(t1, t2, u)``)."""
+    config = lsm_config()
+    with FabricNetwork(path, config=config) as network:
+        network.install(M1IndexChaincode())
+        gateway = network.gateway("indexer")
+        for t1, t2, u in runs:
+            gateway.submit_transaction(
+                M1IndexChaincode.name, "record_run", [{"t1": t1, "t2": t2, "u": u}]
+            )
+            # One block per run: each record_run reads the list it appends to.
+            gateway.flush()
+    return config
+
+
+def test_m1_index_gaps_are_a_warning_listing_every_stretch(tmp_path):
+    # Recorded out of order, starting late, with a hole in the middle.
+    config = record_m1_runs(
+        tmp_path / "net", [(2_500, 3_000, 200), (1_000, 2_000, 200)]
+    )
+    report = run_doctor(tmp_path / "net", config=config)
+    assert report.ok  # M1 refuses the windows involved; nothing is corrupt
+    (gap,) = [f for f in report.findings if f.code == "m1-index-gap"]
+    assert gap.severity == "warning"
+    assert "(0-1000], (2000-2500] of (0-3000]" in gap.detail
+
+
+def test_contiguous_m1_runs_report_no_gap(tmp_path):
+    # Abutting runs with different u, the later one recorded first.
+    config = record_m1_runs(
+        tmp_path / "net", [(1_000, 3_000, 70), (0, 1_000, 200)]
+    )
+    report = run_doctor(tmp_path / "net", config=config)
+    assert report.ok
+    assert "m1-index-gap" not in codes(report)
 
 
 def test_missing_directory_is_an_error_not_scaffolded(tmp_path):

@@ -55,6 +55,32 @@ class TestM1Explain:
         assert "m1 fetch" in plan.render()
 
 
+class TestM1ExplainAcrossRuns:
+    """``explain_join`` resolves the query's own plan, once for all keys:
+    on a ledger indexed by three runs with different ``u``, predicted
+    GHFK calls and blocks are the query's."""
+
+    @pytest.mark.parametrize(
+        "window", [TimeInterval(250, 400), TimeInterval(300, 650)], ids=str
+    )
+    def test_prediction_equals_the_multi_run_query(self, three_runs, workload, window):
+        keys = workload.shipments + workload.containers
+        before = three_runs.metrics.snapshot()
+        plans = QueryExplainer(three_runs.ledger, three_runs.metrics).explain_join(
+            "m1", window, keys
+        )
+        delta = three_runs.metrics.snapshot().diff(before)
+        assert delta.counter(metric_names.GET_STATE_CALLS) == 1
+        stats = TemporalQueryEngine(three_runs.ledger, three_runs.metrics).run_join(
+            "m1", window
+        ).stats
+        assert stats.keys_queried == len(keys)
+        assert sum(plan.ghfk_calls for plan in plans) == stats.ghfk_calls
+        assert sum(plan.blocks for plan in plans) == stats.blocks_deserialized
+        assert len({tuple(plan.intervals) for plan in plans}) == 1
+        assert all(plan.blocks_exact for plan in plans)
+
+
 class TestM2Explain:
     @pytest.mark.parametrize("window", WINDOWS, ids=str)
     def test_prediction_bounds_measurement(self, m2_network, workload, window):

@@ -127,10 +127,10 @@ class TestDeadlines:
         tqf = facade.engine("tqf")
         real_fetch, fetched = tqf.fetch_events, []
 
-        def fetch_then_expire(key, window):
+        def fetch_then_expire(key, window, plan=None):
             fetched.append(key)
             clock.now = 2.0
-            return real_fetch(key, window)
+            return real_fetch(key, window, plan)
 
         monkeypatch.setattr(tqf, "fetch_events", fetch_then_expire)
         with pytest.raises(DeadlineExceededError, match="per-key fetch"):
