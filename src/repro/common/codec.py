@@ -73,29 +73,36 @@ class JsonCodec(Codec):
     The encoder and decoder objects are built once: handing ``default=``
     / ``object_hook=`` to ``json.dumps`` / ``json.loads`` constructs a
     fresh coder on every call, which costs more than a small payload's
-    parse (the per-transaction segments of a framed block, a state-db
-    value).  Like the ``json`` module's own cached coders they hold no
-    per-call state, so one instance serves every thread.
+    parse (the segments of a framed block, a state-db value).  The
+    encoder is the C encoder ``json.JSONEncoder(default=_encode_special,
+    separators=(",", ":"))`` would build on each ``encode`` call, built
+    once: the same bytes without the per-call construction.  It is made
+    with ``markers=None`` -- no cycle-detection dict -- so it holds no
+    per-call state (a shared markers dict would keep the entries an
+    exception left behind and report false cycles) and one instance
+    serves every thread; a cycle ends as a :class:`CodecError` like any
+    value nested too deep.
     """
 
     name = "json"
 
     def __init__(self) -> None:
-        self._encode = json.JSONEncoder(
-            default=_encode_special, separators=(",", ":")
-        ).encode
+        self._encoder = json.encoder.c_make_encoder(
+            None, _encode_special, json.encoder.encode_basestring_ascii,
+            None, ":", ",", False, False, True,
+        )
         self._decode = json.JSONDecoder(object_hook=_decode_special).decode
 
     def encode(self, value: Any) -> bytes:
         try:
-            return self._encode(value).encode("utf-8")
-        except (TypeError, ValueError) as exc:
+            return "".join(self._encoder(value, 0)).encode("utf-8")
+        except (TypeError, ValueError, RecursionError) as exc:
             raise CodecError(f"JSON encode failed: {exc}") from exc
 
     def decode(self, payload: bytes) -> Any:
         try:
             return self._decode(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8
             raise CodecError(f"JSON decode failed: {exc}") from exc
 
     def list_affixes(self, count: int) -> tuple[bytes, bytes, bytes]:
@@ -156,9 +163,13 @@ def read_uvarints(payload: bytes, offset: int, count: int) -> tuple[list[int], i
     """Read ``count`` consecutive varints; return (values, next_offset).
 
     Equal to ``count`` :func:`read_uvarint` calls, same errors, without
-    a call and a tuple per value: a framed block's length table is read
-    on every block read.
+    a call and a tuple per value: a framed block's write counts are read
+    on every block read.  When every value fits one byte -- the common
+    case -- the bytes *are* the values.
     """
+    chunk = payload[offset : offset + count]
+    if len(chunk) == count and (not count or max(chunk) < 0x80):
+        return list(chunk), offset + count
     values = []
     try:
         for _ in range(count):
@@ -190,11 +201,17 @@ class BinaryCodec(Codec):
 
     def encode(self, value: Any) -> bytes:
         out = bytearray()
-        self._encode_into(value, out)
+        try:
+            self._encode_into(value, out)
+        except RecursionError:  # nested too deep, or a cycle
+            raise CodecError("binary encode failed: value nested too deep") from None
         return bytes(out)
 
     def decode(self, payload: bytes) -> Any:
-        value, offset = self._decode_from(payload, 0)
+        try:
+            value, offset = self._decode_from(payload, 0)
+        except RecursionError:
+            raise CodecError("binary decode failed: value nested too deep") from None
         if offset != len(payload):
             raise CodecError(f"trailing bytes after value: {len(payload) - offset}")
         return value

@@ -48,11 +48,11 @@ KV_BLOOM_NEGATIVES = "kv.bloom_negatives"
 KV_COMPACTIONS = "kv.compactions"
 WAL_RECORDS = "kv.wal_records"
 STATE_TABLES_QUARANTINED = "kv.tables_quarantined"
-#: Transaction segments actually decoded out of block payloads (a block
-#: read is lazy: ``txs_decoded / ghfk_results`` is the decode work per
-#: result).  One tick per segment decoded, whether a GHFK result read the
-#: decoded mapping or ``block.transactions[i]`` built a ``Transaction``
-#: from it; the lazy block memoises the mapping, so a segment of a cached
+#: Transactions actually decoded out of block payloads (a block read is
+#: lazy: ``txs_decoded / ghfk_results`` is the decode work per result).
+#: One tick per transaction first decoded, whether a GHFK result read its
+#: head segment or ``block.transactions[i]`` built a ``Transaction``; the
+#: lazy block memoises decoded segments, so a transaction of a cached
 #: block is counted once however many readers use it.
 TXS_DECODED = "ledger.txs_decoded"
 

@@ -16,7 +16,9 @@ Versions are Fabric "heights": ``(block_number, tx_index)``.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import (  # noqa: F401 - Tuple in annotations
     Any,
     Dict,
@@ -261,17 +263,25 @@ class BlockHeader:
 #: First byte of a framed block payload; doubles as the frame's version.
 #: No pre-frame payload starts with it: those were one whole-block value,
 #: ``{`` under the json codec and the dict tag ``0x09`` under binary.
-FRAME_MAGIC = 0xF1
+FRAME_MAGIC = 0xF2
+
+#: The frame before this one: one segment per transaction, a varint
+#: length per segment.  Named when read, never parsed.
+_PER_TRANSACTION_FRAME = 0xF1
 
 
 class _Frame(NamedTuple):
     """A framed payload as parsed by :meth:`Block.from_payload`."""
 
     payload: bytes
-    #: ``payload[body:]`` is the codec-level list ``[header, tx0, ...]``.
+    #: ``payload[body:]`` is the codec-level list of every segment:
+    #: ``[header, head0, body0, write0_0, ..., head1, ...]``.
     body: int
-    #: Byte length of each list element (segment), header first.
-    lengths: List[int]
+    #: Write count of each transaction (``len(writes)`` is the tx count).
+    writes: List[int]
+    #: Cumulative segment lengths, separators excluded: segment ``i``
+    #: spans ``ends[i - 1] .. ends[i]`` plus ``i`` separators.
+    ends: Tuple[int, ...]
     #: Offset of segment 0, and the list separator's length.
     first: int
     step: int
@@ -279,16 +289,74 @@ class _Frame(NamedTuple):
     #: Receives ``ledger.txs_decoded``.
     metrics: MetricsRegistry
 
+    def head(self, tx_index: int) -> int:
+        """Segment index of transaction ``tx_index``'s head; its body
+        follows, then its writes."""
+        return 1 + 2 * tx_index + sum(self.writes[:tx_index])
+
     def segment(self, index: int) -> Any:
         """Decode segment ``index`` alone (0 is the header)."""
-        start = self.first + sum(self.lengths[:index]) + index * self.step
-        return self.codec.decode(self.payload[start : start + self.lengths[index]])
+        start = self.first + index * self.step
+        end = start + self.ends[index]
+        if index:
+            start += self.ends[index - 1]
+        return self.codec.decode(self.payload[start:end])
+
+    def segments(self, index: int, count: int) -> List[Any]:
+        """Decode the ``count`` consecutive segments from ``index`` with
+        one codec call (they are spelled as a list of their own)."""
+        prefix, separator, suffix = self.codec.list_affixes(count)
+        start = self.first + index * self.step
+        end = start + self.ends[index + count - 1] + (count - 1) * self.step
+        if index:
+            start += self.ends[index - 1]
+        return self.codec.decode(prefix + self.payload[start:end] + suffix)
+
+
+def _unreadable_frame(payload: bytes) -> str:
+    """Why ``payload`` is not a :data:`FRAME_MAGIC` frame, naming the
+    older format it is in."""
+    if payload[:1] == bytes((_PER_TRANSACTION_FRAME,)):
+        return (
+            "block payload in the per-transaction frame (0xF1: one segment "
+            f"per transaction, before the write-addressable frame "
+            f"{FRAME_MAGIC:#x}) is not readable; re-ingest the ledger"
+        )
+    return (
+        f"not a framed block payload (starts {bytes(payload[:8])!r}): "
+        "blocks written before the framed format (one whole-block "
+        "json/binary/compact value) are not readable; re-ingest the ledger"
+    )
+
+
+def _transaction_from(parts: List[Any]) -> Transaction:
+    """The transaction whose decoded segments -- head, body, then its
+    writes -- are ``parts``."""
+    (tx_id, timestamp), body, *writes = parts
+    chaincode, creator, reads, signature, validation_code, event_name, event_payload = body
+    rw_set = RWSet()
+    rw_set.reads = [KVRead.from_dict(read) for read in reads]
+    rw_set.writes = {
+        key: KVWrite(key=key, value=value, is_delete=bool(is_delete))
+        for key, value, is_delete in writes
+    }
+    return Transaction(
+        tx_id=tx_id,
+        chaincode=chaincode,
+        creator=creator,
+        timestamp=timestamp,
+        rw_set=rw_set,
+        signature=signature,
+        validation_code=validation_code,
+        event_name=event_name,
+        event_payload=event_payload,
+    )
 
 
 class _LazyTransactions(Sequence):
     """``block.transactions`` while the block's payload is still framed.
 
-    Indexing decodes only the segment asked for; iterating (or slicing,
+    Indexing decodes only that transaction's segments; iterating (or slicing,
     or comparing) decodes the whole block in one codec call.  The view
     points at its block and the block never points back, so dropping the
     block frees its payload at once instead of waiting for the cyclic GC.
@@ -303,7 +371,7 @@ class _LazyTransactions(Sequence):
         frame = self._block._frame
         if frame is None:  # fully decoded since this view was taken
             return len(self._block._materialize())
-        return len(frame.lengths) - 1
+        return len(frame.writes)
 
     def __getitem__(self, index: Any) -> Any:
         if isinstance(index, slice):
@@ -337,7 +405,7 @@ class Block:
     list assigns the list before it clears the frame.
     """
 
-    __slots__ = ("_header", "_txs", "_frame", "_raw", "_decoded")
+    __slots__ = ("_header", "_txs", "_frame", "_segments", "_decoded")
 
     def __init__(
         self, header: BlockHeader, transactions: List[Transaction]
@@ -346,9 +414,10 @@ class Block:
         self._txs: Optional[List[Transaction]] = transactions
         #: Set while lazy; cleared once everything is decoded.
         self._frame: Optional[_Frame] = None
-        #: Transaction segments decoded one at a time, by index, while
-        #: lazy: the codec-level mappings :meth:`history_write` reads.
-        self._raw: Dict[int, Dict[str, Any]] = {}
+        #: Segments decoded one at a time, by segment index, while lazy:
+        #: the heads and writes :meth:`history_write` reads, and the
+        #: segments of every transaction built.
+        self._segments: Dict[int, Any] = {}
         #: The transactions built from them and handed out, by index.
         self._decoded: Dict[int, Transaction] = {}
 
@@ -357,21 +426,49 @@ class Block:
     def to_payload(self, codec: Codec) -> bytes:
         """Serialize as a framed payload.
 
-        Layout: :data:`FRAME_MAGIC`, a varint segment count (header +
-        transactions, so at least 1), one varint length per segment,
-        then the segments laid out as one codec-level list.  The table
-        lets a reader decode any single segment, the list syntax lets it
-        decode all of them with one call (see :meth:`Codec.list_affixes`).
+        Layout: :data:`FRAME_MAGIC`, a varint transaction count, one
+        varint write count per transaction, one little-endian u32 per
+        segment (the cumulative segment lengths), then the segments laid
+        out as one codec-level list.  The segments are the header, then
+        per transaction its *head* ``[tx_id, timestamp]``, its *body*
+        ``[chaincode, creator, reads, signature, validation_code,
+        event_name, event_payload]`` and one ``[key, value, is_delete]``
+        per write in sorted-key order -- the order :meth:`RWSet.to_dict`
+        lists them in and the position :class:`HistoryDB` records.  The
+        table lets a reader decode any single segment, the list syntax
+        lets it decode all of them with one call (see
+        :meth:`Codec.list_affixes`).  Nothing signed or hashed depends on
+        this layout.
         """
-        raw = self.to_dict()
-        segments = [codec.encode(raw["header"])]
-        segments.extend(codec.encode(tx) for tx in raw["transactions"])
-        prefix, separator, suffix = codec.list_affixes(len(segments))
+        encode = codec.encode
+        segments = [encode(self.header.to_dict())]
         table = bytearray((FRAME_MAGIC,))
-        write_uvarint(len(segments), table)
-        for segment in segments:
-            write_uvarint(len(segment), table)
-        return bytes(table) + prefix + separator.join(segments) + suffix
+        txs = self.transactions
+        write_uvarint(len(txs), table)
+        for tx in txs:
+            rw_set = tx.rw_set
+            writes = rw_set.writes
+            keys = sorted(writes)
+            write_uvarint(len(keys), table)
+            segments.append(encode([tx.tx_id, tx.timestamp]))
+            segments.append(encode([
+                tx.chaincode,
+                tx.creator,
+                [read.to_dict() for read in sorted(rw_set.reads, key=_read_order)],
+                tx.signature,
+                tx.validation_code,
+                tx.event_name,
+                tx.event_payload,
+            ]))
+            for key in keys:
+                write = writes[key]
+                segments.append(encode([write.key, write.value, write.is_delete]))
+        ends = list(accumulate(map(len, segments)))
+        prefix, separator, suffix = codec.list_affixes(len(segments))
+        return b"".join((
+            table, struct.pack(f"<{len(ends)}I", *ends),
+            prefix, separator.join(segments), suffix,
+        ))
 
     @staticmethod
     def from_payload(
@@ -379,25 +476,27 @@ class Block:
     ) -> "Block":
         """A lazy block over a payload written by :meth:`to_payload`.
 
-        Only the frame is parsed and validated here (magic, at least the
-        header segment, lengths that end exactly at the payload's end);
-        a malformed frame raises :class:`CodecError`.  ``metrics``
-        receives ``ledger.txs_decoded``.
+        Only the frame is parsed and validated here (magic, a segment
+        table inside the payload whose segments end exactly at the
+        payload's end); a malformed frame, or one of an older format,
+        raises :class:`CodecError`.  ``metrics`` receives
+        ``ledger.txs_decoded``.
         """
         if not payload or payload[0] != FRAME_MAGIC:
+            raise CodecError(_unreadable_frame(payload))
+        tx_count, position = read_uvarint(payload, 1)
+        writes, position = read_uvarints(payload, position, tx_count)
+        count = 1 + 2 * tx_count + sum(writes)
+        body = position + 4 * count
+        if body > len(payload):
             raise CodecError(
-                f"not a framed block payload (starts {bytes(payload[:8])!r}): "
-                "blocks written before the framed format (one whole-block "
-                "json/binary/compact value) are not readable; re-ingest "
-                "the ledger"
+                f"framed block payload: a {count}-segment table needs "
+                f"{body} bytes, payload has {len(payload)}"
             )
-        count, position = read_uvarint(payload, 1)
-        if count < 1:
-            raise CodecError("framed block payload has no header segment")
-        lengths, body = read_uvarints(payload, position, count)
+        ends = struct.unpack_from(f"<{count}I", payload, position)
         prefix, separator, suffix = codec.list_affixes(count)
         first, step = body + len(prefix), len(separator)
-        needed = first + sum(lengths) + (count - 1) * step + len(suffix)
+        needed = first + ends[-1] + (count - 1) * step + len(suffix)
         if needed != len(payload):
             raise CodecError(
                 f"framed block payload: {count} segments need {needed} "
@@ -405,44 +504,50 @@ class Block:
             )
         block = Block.__new__(Block)
         block._header = block._txs = None
-        block._frame = _Frame(payload, body, lengths, first, step, codec, metrics)
-        block._raw = {}
+        block._frame = _Frame(payload, body, writes, ends, first, step, codec, metrics)
+        block._segments = {}
         block._decoded = {}
         return block
 
-    def _segment(self, frame: _Frame, index: int) -> Dict[str, Any]:
-        """Transaction ``index`` of a lazy block as its decoded mapping,
-        decoding only that segment and only once."""
-        raw = self._raw.get(index)
-        if raw is None:
-            raw = self._raw.setdefault(index, frame.segment(index + 1))
-            frame.metrics.increment(metric_names.TXS_DECODED)
-        return raw
-
     def _transaction(self, index: int) -> Transaction:
-        """Transaction ``index``, decoding only its segment."""
+        """Transaction ``index``, decoding only its segments."""
         frame = self._frame
         if frame is None:  # fully decoded since the caller took its view
             return self._materialize()[index]
-        count = len(frame.lengths) - 1
+        count = len(frame.writes)
         if index < 0:
             index += count
         if not 0 <= index < count:
             raise IndexError("block transaction index out of range")
         tx = self._decoded.get(index)
         if tx is None:
-            tx = self._decoded.setdefault(
-                index, Transaction.from_dict(self._segment(frame, index))
-            )
+            head = frame.head(index)
+            known = self._segments
+            if head not in known:
+                frame.metrics.increment(metric_names.TXS_DECODED)
+            # Published segment by segment, so a history read racing this
+            # build and this build end up holding the same values.
+            parts = [
+                known.setdefault(head + offset, part)
+                for offset, part in enumerate(
+                    frame.segments(head, 2 + frame.writes[index])
+                )
+            ]
+            tx = self._decoded.setdefault(index, _transaction_from(parts))
         return tx
 
-    def history_write(self, tx_index: int, key: str) -> Tuple[Any, bool, int, str]:
-        """``(value, is_delete, timestamp, tx_id)`` of the write to
-        ``key`` by transaction ``tx_index``: what one GHFK result needs.
+    def history_write(
+        self, tx_index: int, write_index: int, key: str
+    ) -> Tuple[Any, bool, int, str]:
+        """``(value, is_delete, timestamp, tx_id)`` of write ``write_index``
+        -- the position among transaction ``tx_index``'s writes in sorted
+        key order -- which must be the write to ``key``: what one GHFK
+        result needs.
 
-        On a lazy block this reads the transaction's decoded segment and
-        builds no :class:`Transaction`.  A transaction already handed out
-        through :attr:`transactions` is read instead of its segment, so a
+        On a lazy block this decodes the transaction's head and that one
+        write segment, each at most once, and builds no
+        :class:`Transaction`.  A transaction already handed out through
+        :attr:`transactions` is read instead of its segments, so a
         mutation made through the view is what history reports.  A
         location that names no write to ``key`` raises
         :class:`LedgerError`.
@@ -453,20 +558,35 @@ class Block:
             txs = self._materialize()
             if 0 <= tx_index < len(txs):
                 tx = txs[tx_index]
-        elif 0 <= tx_index < len(frame.lengths) - 1:
+        elif 0 <= tx_index < len(frame.writes):
             tx = self._decoded.get(tx_index)
-            if tx is None:
-                raw = self._segment(frame, tx_index)
-                for write in raw["rw_set"]["writes"]:
-                    if write["k"] == key:
-                        return write["v"], bool(write["d"]), raw["timestamp"], raw["tx_id"]
+            if tx is None and 0 <= write_index < frame.writes[tx_index]:
+                head = frame.head(tx_index)
+                segments = self._segments
+                tx_head = segments.get(head)
+                if tx_head is None:
+                    tx_head = segments.setdefault(head, frame.segment(head))
+                    frame.metrics.increment(metric_names.TXS_DECODED)
+                index = head + 2 + write_index
+                write = segments.get(index)
+                if write is None:
+                    write = segments.setdefault(index, frame.segment(index))
+                written_key, value, is_delete = write
+                if written_key == key:
+                    tx_id, timestamp = tx_head
+                    return value, bool(is_delete), timestamp, tx_id
         if tx is not None:
-            found = tx.rw_set.writes.get(key)
-            if found is not None:
+            writes = tx.rw_set.writes
+            found = writes.get(key)
+            if (
+                found is not None
+                and 0 <= write_index < len(writes)
+                and sorted(writes)[write_index] == key
+            ):
                 return found.value, found.is_delete, tx.timestamp, tx.tx_id
         raise LedgerError(
-            f"history index names block {self.number} tx {tx_index} for key "
-            f"{key!r}, but that transaction writes no such key"
+            f"history index names block {self.number} tx {tx_index} write "
+            f"{write_index} for key {key!r}, but that is not a write to the key"
         )
 
     def _materialize(self) -> List[Transaction]:
@@ -476,21 +596,31 @@ class Block:
         if frame is None:
             assert self._txs is not None
             return self._txs
-        header, *raw_txs = frame.codec.decode(frame.payload[frame.body :])
+        decoded = frame.codec.decode(frame.payload[frame.body :])
         # A segment history already read stays the one its transaction is
         # built from: the values handed out are the ones the hash covers.
-        known = self._raw
-        publish = self._decoded.setdefault  # keeps a transaction already handed out
-        txs = [
-            publish(index, Transaction.from_dict(known.get(index, raw)))
-            for index, raw in enumerate(raw_txs)
-        ]
-        frame.metrics.increment(metric_names.TXS_DECODED, len(txs) - len(known))
+        known = self._segments
+        handed_out = self._decoded
+        txs = []
+        fresh = 0
+        head = 1
+        for index, count in enumerate(frame.writes):
+            tx = handed_out.get(index)
+            if tx is None:
+                parts = decoded[head : head + 2 + count]
+                if head not in known:
+                    fresh += 1
+                if known:
+                    parts = [known.get(head + offset, part) for offset, part in enumerate(parts)]
+                tx = handed_out.setdefault(index, _transaction_from(parts))
+            txs.append(tx)
+            head += 2 + count
+        frame.metrics.increment(metric_names.TXS_DECODED, fresh)
         if self._header is None:
-            self._header = BlockHeader.from_dict(header)
+            self._header = BlockHeader.from_dict(decoded[0])
         self._txs = txs
         self._frame = None
-        self._raw = {}  # dropped with the payload it was decoded from
+        self._segments = {}  # dropped with the payload they were decoded from
         return txs
 
     # -- the parts --------------------------------------------------------------

@@ -4,9 +4,12 @@
 Fabric's peer maintains, per key, the set of block locations containing a
 transaction that wrote that key (Section II).  The index itself is cheap
 metadata; the *values* stay inside the serialized blocks, so reading a
-key's history means deserializing those blocks one by one.  The iterator
-is lazy, oldest-first: callers that stop early (e.g. past a temporal
-query's end timestamp) never pay for the remaining blocks.
+key's history means deserializing those blocks one by one.  A location
+names the block, the transaction and the write, so within a block a
+result decodes only that write and its transaction's ``[tx_id,
+timestamp]`` head.  The iterator is lazy, oldest-first: callers that stop
+early (e.g. past a temporal query's end timestamp) never pay for the
+remaining blocks.
 """
 
 from __future__ import annotations
@@ -19,6 +22,12 @@ from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.sanitizer.shared import sanitize_shared
 from repro.fabric.block import Block, VALID
 from repro.fabric.blockstore import BlockStore
+
+
+#: Where one write lives: ``(block_num, tx_num, write_num)``, ``write_num``
+#: being the write's position among its transaction's writes in sorted
+#: key order -- what :meth:`Block.history_write` decodes by.
+Location = Tuple[int, int, int]
 
 
 class HistoryEntry(NamedTuple):
@@ -40,7 +49,7 @@ class HistoryEntry(NamedTuple):
 
 @sanitize_shared("_locations")
 class HistoryDB:
-    """Per-key index of write locations ``(block_num, tx_num)``.
+    """Per-key index of write locations ``(block_num, tx_num, write_num)``.
 
     Rebuilt from the block store on open (the index is derivable metadata,
     exactly as Fabric can rebuild its history index from the chain).
@@ -54,19 +63,20 @@ class HistoryDB:
 
     def __init__(self, metrics: MetricsRegistry = NULL_REGISTRY) -> None:
         self._lock = make_rlock("HistoryDB._lock")
-        self._locations: Dict[str, List[Tuple[int, int]]] = {}
+        self._locations: Dict[str, List[Location]] = {}
         self._metrics = metrics
 
     @staticmethod
-    def _record(
-        locations: Dict[str, List[Tuple[int, int]]], block: Block
-    ) -> None:
+    def _record(locations: Dict[str, List[Location]], block: Block) -> None:
         """Append ``block``'s valid write locations to ``locations``."""
+        number = block.number
         for tx_num, tx in enumerate(block.transactions):
             if tx.validation_code != VALID:
                 continue
-            for key in tx.rw_set.writes:
-                locations.setdefault(key, []).append((block.number, tx_num))
+            # The write's position is its key's rank in sorted order: the
+            # order the block payload lays a transaction's writes out in.
+            for write_num, key in enumerate(sorted(tx.rw_set.writes)):
+                locations.setdefault(key, []).append((number, tx_num, write_num))
 
     def index_block(self, block: Block) -> None:
         """Record write locations for every *valid* transaction in ``block``."""
@@ -83,13 +93,13 @@ class HistoryDB:
         flags); readers racing the rebuild simply see the old index until
         the swap.
         """
-        fresh: Dict[str, List[Tuple[int, int]]] = {}
+        fresh: Dict[str, List[Location]] = {}
         for block in block_store.iter_blocks():
             self._record(fresh, block)
         with self._lock:
             self._locations = fresh
 
-    def locations_for_key(self, key: str) -> List[Tuple[int, int]]:
+    def locations_for_key(self, key: str) -> List[Location]:
         """All write locations for ``key``, oldest first."""
         with self._lock:
             return list(self._locations.get(key, ()))
@@ -98,7 +108,7 @@ class HistoryDB:
         """Number of distinct blocks containing writes to ``key``."""
         with self._lock:
             return len(
-                {block_num for block_num, _ in self._locations.get(key, ())}
+                {location[0] for location in self._locations.get(key, ())}
             )
 
     def key_count(self) -> int:
@@ -131,16 +141,18 @@ class HistoryDB:
     def _iterate_history(
         self,
         key: str,
-        locations: List[Tuple[int, int]],
+        locations: List[Location],
         block_store: BlockStore,
     ) -> Iterator[HistoryEntry]:
         cached_block: Optional[Block] = None
         cached_num = -1
-        for block_num, tx_num in locations:
+        for block_num, tx_num, write_num in locations:
             if block_num != cached_num:
                 cached_block = block_store.get_block(block_num)
                 cached_num = block_num
             assert cached_block is not None
-            value, is_delete, timestamp, tx_id = cached_block.history_write(tx_num, key)
+            value, is_delete, timestamp, tx_id = cached_block.history_write(
+                tx_num, write_num, key
+            )
             self._metrics.increment(metric_names.GHFK_RESULTS)
             yield HistoryEntry(key, value, is_delete, timestamp, block_num, tx_num, tx_id)

@@ -97,7 +97,7 @@ class QueryExplainer:
             locations = self._ledger.history_db.locations_for_key(
                 encode_interval_key(key, interval)
             )
-            blocks += len({block for block, _ in locations})
+            blocks += len({block for block, _, _ in locations})
         # When the window ends mid-interval the engine's early termination
         # may skip that last interval's tail blocks, so the prediction is
         # an upper bound there.

@@ -225,18 +225,93 @@ def test_list_affixes_spell_the_encoded_list(codec, items):
 
 def test_json_codec_is_shared_across_threads_safely():
     """One cached encoder/decoder pair serves every thread (the registry
-    hands out a single JsonCodec): concurrent round trips of bytes-bearing
-    values -- the object_hook re-enters Python mid-parse -- stay exact."""
+    hands out a single JsonCodec): eight threads encoding at once get the
+    bytes one thread gets (the C encoder is built once and keeps no
+    per-call state), and concurrent round trips of bytes-bearing values --
+    the object_hook re-enters Python mid-parse -- stay exact."""
     from concurrent.futures import ThreadPoolExecutor
 
     codec = get_codec("json")
     values = [
-        {"n": n, "blob": bytes([n % 256]) * 40, "rows": [{"k": f"key{n}", "v": [n, None]}] * 8}
+        {"n": n, "blob": bytes([n % 256]) * 40, "rows": [{"k": f"key{n}", "v": [n, None]}] * 8,
+         "text": "ключ" * (n % 5), "ratio": n / 3}
         for n in range(64)
     ]
+    expected = {id(value): codec.encode(value) for value in values}
 
     def round_trips(value):
-        return all(codec.decode(codec.encode(value)) == value for _ in range(50))
+        return all(
+            codec.encode(value) == expected[id(value)]
+            and codec.decode(codec.encode(value)) == value
+            for _ in range(50)
+        )
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         assert all(pool.map(round_trips, values, timeout=60))
+
+
+# -- the JSON encoder built once ---------------------------------------------
+
+#: The codec's value universe with what plain ``json_values`` leaves out:
+#: any float (``inf``, ``nan``, ``-0.0``), any text (non-ASCII, control
+#: characters) and ints past 2**53.
+encodable = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.binary(max_size=20),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(value=encodable)
+def test_json_encoder_built_once_spells_what_a_fresh_encoder_spells(value):
+    """Byte for byte the output of ``json.JSONEncoder(default=...,
+    separators=(",", ":"))``, which the codec used to build per call."""
+    import json
+
+    from repro.common.codec import _encode_special
+
+    fresh = json.JSONEncoder(default=_encode_special, separators=(",", ":"))
+    assert JsonCodec().encode(value) == fresh.encode(value).encode("utf-8")
+
+
+# -- values too deep to code are a CodecError, not a RecursionError ------------
+
+DEPTH = 5_000
+
+
+def nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=codec_id)
+class TestRecursionIsACodecError:
+    def test_deep_encode(self, codec):
+        with pytest.raises(CodecError):
+            codec.encode(nested(DEPTH))
+
+    def test_deep_decode(self, codec):
+        if codec.name == "json":
+            payload = b"[" * DEPTH + b"]" * DEPTH
+        else:
+            prefix, _, _ = codec.list_affixes(1)
+            payload = prefix * DEPTH + codec.encode([])
+        with pytest.raises(CodecError):
+            codec.decode(payload)
+
+    def test_cyclic_encode(self, codec):
+        cycle: list = []
+        cycle.append({"again": cycle})
+        with pytest.raises(CodecError):
+            codec.encode(cycle)
+        # The codec is still usable, and still stateless, afterwards.
+        assert codec.decode(codec.encode([[1], {"k": b"v"}])) == [[1], {"k": b"v"}]

@@ -71,7 +71,7 @@ class TestDamagedLedger:
         assert any(f.code == "state-missing" for f in report.findings)
 
     def test_corrupted_history_index_detected(self, network):
-        network.ledger.history_db._locations["k3"] = [(0, 0), (0, 0)]
+        network.ledger.history_db._locations["k3"] = [(0, 0, 0), (0, 0, 0)]
         report = audit_ledger(network.ledger)
         assert any(f.code == "history-index-divergent" for f in report.findings)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 import pytest
 from hypothesis import given
@@ -22,7 +23,7 @@ from repro.fabric.block import (
     RWSet,
     Transaction,
 )
-from tests.helpers import DecodeSpyCodec
+from tests.helpers import DecodeSpyCodec, per_transaction_frame
 
 
 def make_tx(tx_id="tx-1", key="k", value="v", timestamp=5) -> Transaction:
@@ -343,6 +344,30 @@ class TestFramedPayload:
         lazy.verify_data_hash()
         assert metrics.counter(metric_names.TXS_DECODED) == 20
 
+    def test_a_history_read_decodes_the_head_and_one_write(self):
+        """What a GHFK result costs: the transaction's ``[tx_id,
+        timestamp]`` head and the one write asked for -- not the body
+        (reads, signature) and not the sibling writes."""
+        tx = make_tx("tx-wide", key="k0", value="v" * 300)
+        for index in range(1, 6):
+            tx.rw_set.add_write(f"k{index}", "v" * 300)
+        payload = make_block(number=3, txs=[tx]).to_payload(JsonCodec())
+        metrics = MetricsRegistry()
+        codec = DecodeSpyCodec()
+        lazy = Block.from_payload(payload, codec, metrics)
+        assert lazy.history_write(0, 4, "k4") == ("v" * 300, False, 5, "tx-wide")
+        assert len(codec.decoded) == 2  # head, then write 4
+        assert codec.decoded[0] < 20 and codec.decoded[1] < 320
+        assert metrics.counter(metric_names.TXS_DECODED) == 1
+        # Another write of the same transaction: its segment alone.
+        assert lazy.history_write(0, 1, "k1")[0] == "v" * 300
+        assert len(codec.decoded) == 3
+        # Both memoised, and shared with the transaction built later.
+        first = lazy.history_write(0, 4, "k4")[0]
+        assert len(codec.decoded) == 3
+        assert lazy.transactions[0].rw_set.writes["k4"].value is first
+        assert metrics.counter(metric_names.TXS_DECODED) == 1
+
     def test_lazy_view_does_not_keep_its_block_in_a_reference_cycle(self):
         """Dropping the last reference frees the block (and the payload
         bytes it holds) at once, without a cyclic-GC pass."""
@@ -415,16 +440,18 @@ class TestMalformedFrames:
         return ten_tx_block().to_payload(JsonCodec())
 
     @staticmethod
-    def frame(lengths: list[int], body: bytes, count: int | None = None) -> bytes:
+    def frame(
+        writes: list[int], ends: list[int], body: bytes, tx_count: int | None = None
+    ) -> bytes:
         table = bytearray((FRAME_MAGIC,))
-        write_uvarint(len(lengths) if count is None else count, table)
-        for length in lengths:
-            write_uvarint(length, table)
-        return bytes(table) + body
+        write_uvarint(len(writes) if tx_count is None else tx_count, table)
+        for count in writes:
+            write_uvarint(count, table)
+        return bytes(table) + struct.pack(f"<{len(ends)}I", *ends) + body
 
     def test_wrong_magic(self, payload):
         with pytest.raises(CodecError, match="not a framed block payload"):
-            Block.from_payload(b"\xf2" + payload[1:], JsonCodec())
+            Block.from_payload(b"\xf3" + payload[1:], JsonCodec())
         with pytest.raises(CodecError, match="not a framed block payload"):
             Block.from_payload(b"", JsonCodec())
 
@@ -435,22 +462,45 @@ class TestMalformedFrames:
         with pytest.raises(CodecError, match="written before the framed format"):
             Block.from_payload(old, codec)
 
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    def test_per_transaction_frame_is_named(self, codec):
+        """The frame before the current one: one segment per transaction, varint
+        lengths.  Named, never parsed by guesswork."""
+        old = per_transaction_frame(ten_tx_block(), codec)
+        assert old[0] == 0xF1
+        with pytest.raises(CodecError, match=r"per-transaction frame \(0xF1"):
+            Block.from_payload(old, codec)
+
     def test_truncated_table(self, payload):
-        for cut in (1, 2, 5, 12):
+        for cut in (1, 2, 5, 12, 40):
             with pytest.raises(CodecError):
                 Block.from_payload(payload[:cut], JsonCodec())
 
     def test_one_two_and_three_byte_lengths_in_one_table(self):
-        """Lengths < 128, >= 128 and >= 16,384 share a table; the frame
-        validates whole, and cut anywhere in the table it is a CodecError."""
-        segments = [b"{}", b'"' + b"m" * 198 + b'"', b'"' + b"l" * 19_998 + b'"']
-        lengths = [len(segment) for segment in segments]
-        assert lengths == [2, 200, 20_000]
-        payload = self.frame(lengths, b"[" + b",".join(segments) + b"]")
-        assert len(Block.from_payload(payload, JsonCodec()).transactions) == 2
-        table_end = 1 + 1 + 1 + 2 + 3  # magic, count, then the three lengths
-        assert payload[table_end:table_end + 3] == b"[{}"
-        for cut in range(table_end):
+        """Write counts < 128, >= 128 and >= 16,384 share a table of
+        one-, two- and three-byte varints; the frame validates whole, and
+        cut anywhere in the table it is a CodecError."""
+        txs = [
+            make_tx("none", key="k"),
+            make_tx("two", key="k"),
+            make_tx("three", key="k"),
+        ]
+        del txs[0].rw_set.writes["k"]
+        for tx, count in zip(txs[1:], (200, 16_384)):
+            for index in range(count):
+                tx.rw_set.add_write(f"w{index:05d}", index)
+        block = make_block(txs=txs)
+        payload = block.to_payload(JsonCodec())
+        counts_end = 1 + 1 + 1 + 2 + 3  # magic, tx count, then the three write counts
+        assert payload[2:counts_end] == b"\x00\xc9\x01\x81\x80\x01"  # 0, 201, 16,385
+        segments = 1 + 2 * 3 + 0 + 201 + 16_385
+        table_end = counts_end + 4 * segments
+        assert payload[table_end:table_end + 3] == b'[{"'
+        lazy = Block.from_payload(payload, JsonCodec())
+        assert len(lazy.transactions) == 3
+        assert lazy.history_write(2, 16_384, "w16383") == (16_383, False, 5, "three")
+        assert Block.from_payload(payload, JsonCodec()) == block
+        for cut in [*range(counts_end + 8), *range(counts_end + 8, table_end, 997)]:
             with pytest.raises(CodecError):
                 Block.from_payload(payload[:cut], JsonCodec())
 
@@ -460,31 +510,130 @@ class TestMalformedFrames:
             Block.from_payload(bad, JsonCodec())
 
     def test_zero_segments(self):
-        with pytest.raises(CodecError, match="no header segment"):
-            Block.from_payload(self.frame([], b"[]"), JsonCodec())
+        """Every frame has its header segment: an empty list is no block."""
+        with pytest.raises(CodecError, match="1-segment table needs"):
+            Block.from_payload(bytes((FRAME_MAGIC, 0)) + b"[]", JsonCodec())
+        header_only = self.frame([], [2], b"[{}]")
+        assert len(Block.from_payload(header_only, JsonCodec()).transactions) == 0
 
     def test_table_runs_past_the_end(self, payload):
         with pytest.raises(CodecError, match="segments need"):
             Block.from_payload(payload[:-1], JsonCodec())
         with pytest.raises(CodecError, match="segments need"):
-            Block.from_payload(self.frame([2, 2**40], b"[{},{}]"), JsonCodec())
+            Block.from_payload(self.frame([0], [2, 4, 2**32 - 1], b"[{},[],[]]"), JsonCodec())
+        with pytest.raises(CodecError, match="table needs"):
+            Block.from_payload(self.frame([0], [2, 4, 6], b"[{},[],[]]", tx_count=9), JsonCodec())
         with pytest.raises(CodecError):
-            Block.from_payload(self.frame([2], b"[{}]", count=2**50), JsonCodec())
+            Block.from_payload(
+                self.frame([0], [2, 4, 6], b"[{},[],[]]", tx_count=2**50), JsonCodec()
+            )
 
     def test_table_stops_short_of_the_end(self, payload):
         with pytest.raises(CodecError, match="segments need"):
             Block.from_payload(payload + b" ", JsonCodec())
         with pytest.raises(CodecError, match="segments need"):
-            Block.from_payload(self.frame([2], b"[{},{}]"), JsonCodec())
+            Block.from_payload(self.frame([0], [2, 4, 5], b"[{},[],[]]"), JsonCodec())
 
     def test_frame_written_by_the_other_codec(self, payload):
         with pytest.raises(CodecError):
             Block.from_payload(payload, BinaryCodec())
 
     def test_well_framed_garbage_fails_as_codec_error_when_decoded(self):
-        lazy = Block.from_payload(self.frame([2, 3], b"[{},nul]"), JsonCodec())
+        lazy = Block.from_payload(self.frame([0], [2, 5, 7], b"[{},nul,[]]"), JsonCodec())
         assert len(lazy.transactions) == 1
         with pytest.raises(CodecError):
             lazy.transactions[0]
         with pytest.raises(CodecError):
             list(lazy.transactions)
+
+
+# --------------------------------------------------------------------------
+# The stored format, pinned
+# --------------------------------------------------------------------------
+
+
+def golden_block() -> Block:
+    """Two transactions: A writes three keys (a delete, a ``bytes`` value,
+    a key holding ``\\x00`` and non-ASCII characters), B writes nothing
+    and reads one key."""
+    writes = RWSet()
+    writes.add_write("shipment\x00ключ-7", {"temp": -3.5, "at": "北"})
+    writes.add_write("blob", b"\x00\xff")
+    writes.add_delete("gone")
+    reads = RWSet()
+    reads.add_read("blob", (6, 0))
+    txs = [
+        Transaction(tx_id="tx-a", chaincode="cc", creator="alice", timestamp=41,
+                    rw_set=writes, signature=b"\x01\x02", validation_code="VALID",
+                    event_name="moved", event_payload=[1, None]),
+        Transaction(tx_id="tx-b", chaincode="cc", creator="bob", timestamp=42,
+                    rw_set=reads, signature=b"", validation_code="MVCC_READ_CONFLICT"),
+    ]
+    return Block(BlockHeader(7, b"\x11" * 32, Block.compute_data_hash(txs)), txs)
+
+
+#: ``golden_block()``'s data hash: a function of the signed transaction
+#: bytes alone, so it did not move when the storage layout did.
+GOLDEN_DATA_HASH = "6d4e54b28f3ffff52b8ec9adaf39c7d85ef6b8f5d0461dd22fe1f0905660581f"
+
+#: ``golden_block().to_payload(codec)``: magic 0xF2, tx count 2, write
+#: counts 3 and 0, eight u32 cumulative segment ends, then the segments
+#: ``[header, head A, body A, "blob", "gone", "shipment\x00ключ-7", head B,
+#: body B]`` as one codec-level list.  A format change shows up here as a
+#: deliberate diff.
+GOLDEN_PAYLOADS = {
+    "json": bytes.fromhex(
+        "f2020300ae000000b9000000fe00000027010000390100008701000092010000"
+        "eb0100005b7b226e756d626572223a372c2270726576696f75735f6861736822"
+        "3a7b225f5f726570726f5f62797465735f5f223a224552455245524552455245"
+        "5245524552455245524552455245524552455245524552455245524552455245"
+        "3d227d2c22646174615f68617368223a7b225f5f726570726f5f62797465735f"
+        "5f223a2262553555736f382f2f2f55726a736d74727a6e483246373275505851"
+        "526833534c2b48776b465a675742383d227d7d2c5b2274782d61222c34315d2c"
+        "5b226363222c22616c696365222c5b5d2c7b225f5f726570726f5f6279746573"
+        "5f5f223a224151493d227d2c2256414c4944222c226d6f766564222c5b312c6e"
+        "756c6c5d5d2c5b22626c6f62222c7b225f5f726570726f5f62797465735f5f22"
+        "3a224150383d227d2c66616c73655d2c5b22676f6e65222c6e756c6c2c747275"
+        "655d2c5b22736869706d656e745c75303030305c75303433615c75303433625c"
+        "75303434655c75303434372d37222c7b2274656d70223a2d332e352c22617422"
+        "3a225c7535333137227d2c66616c73655d2c5b2274782d62222c34325d2c5b22"
+        "6363222c22626f62222c5b7b226b223a22626c6f62222c2276223a5b362c305d"
+        "7d5d2c7b225f5f726570726f5f62797465735f5f223a22227d2c224d5643435f"
+        "524541445f434f4e464c494354222c22222c6e756c6c5d5d"
+    ),
+    "binary": bytes.fromhex(
+        "f2020300670000007100000097000000a4000000ae000000de000000e8000000"
+        "2001000008080903066e756d62657203070d70726576696f75735f6861736807"
+        "2011111111111111111111111111111111111111111111111111111111111111"
+        "1109646174615f6861736807206d4e54b28f3ffff52b8ec9adaf39c7d85ef6b8"
+        "f5d0461dd22fe1f0905660581f0802060474782d610329080706026363060561"
+        "6c696365080007020102060556414c494406056d6f7665640802030100080306"
+        "04626c6f62070200ff0108030604676f6e65000208030613736869706d656e74"
+        "00d0bad0bbd18ed1872d3709020474656d7005c00c0000000000000261740603"
+        "e58c97010802060474782d62032a0807060263630603626f6208010902016b06"
+        "04626c6f620176080203060300070006124d5643435f524541445f434f4e464c"
+        "494354060000"
+    ),
+}
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+class TestGoldenPayload:
+    def test_the_payload_is_the_pinned_bytes(self, codec):
+        block = golden_block()
+        assert block.header.data_hash.hex() == GOLDEN_DATA_HASH
+        assert block.to_payload(codec) == GOLDEN_PAYLOADS[codec.name]
+
+    def test_the_pinned_bytes_read_back_as_the_block(self, codec):
+        payload = GOLDEN_PAYLOADS[codec.name]
+        lazy = Block.from_payload(payload, codec)
+        assert lazy.history_write(0, 0, "blob") == (b"\x00\xff", False, 41, "tx-a")
+        assert lazy.history_write(0, 1, "gone") == (None, True, 41, "tx-a")
+        assert lazy.history_write(0, 2, "shipment\x00ключ-7") == (
+            {"temp": -3.5, "at": "北"}, False, 41, "tx-a"
+        )
+        assert len(lazy.transactions) == 2
+        assert lazy == golden_block()
+        lazy.verify_data_hash()
+        assert lazy.header.data_hash.hex() == GOLDEN_DATA_HASH
+        assert lazy.to_payload(codec) == payload

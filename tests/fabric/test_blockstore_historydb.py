@@ -46,7 +46,7 @@ from repro.temporal.engine import TemporalQueryEngine
 from repro.temporal.intervals import TimeInterval
 from repro.workload.datasets import ds1
 from repro.workload.generator import generate
-from tests.helpers import DecodeSpyCodec, build_plain_network
+from tests.helpers import DecodeSpyCodec, build_plain_network, per_transaction_frame
 
 
 def make_tx(tx_id: str, writes: dict, timestamp: int = 0) -> Transaction:
@@ -138,7 +138,18 @@ class TestHistoryDB:
             store,
             [[make_tx("t0", {"k": "v0"})], [make_tx("t1", {"k": "v1"})]],
         )
-        assert history.locations_for_key("k") == [(0, 0), (1, 0)]
+        assert history.locations_for_key("k") == [(0, 0, 0), (1, 0, 0)]
+
+    def test_a_location_names_the_write_by_its_sorted_key_position(self, store):
+        """Writes are numbered in sorted key order, whatever order the
+        chaincode made them in: the order the block payload lays them out."""
+        history = self.build(
+            store, [[make_tx("t0", {"c": 1, "a": 2}), make_tx("t1", {"b": 3, "a": 4, "c": 5})]]
+        )
+        assert history.locations_for_key("a") == [(0, 0, 0), (0, 1, 0)]
+        assert history.locations_for_key("b") == [(0, 1, 1)]
+        assert history.locations_for_key("c") == [(0, 0, 1), (0, 1, 2)]
+        assert [entry.value for entry in history.get_history_for_key("c", store)] == [1, 5]
 
     def test_ghfk_yields_all_states_oldest_first(self, store):
         history = self.build(
@@ -243,22 +254,30 @@ class TestFramedReads:
             store.close()
 
     def test_pre_frame_chain_fails_loudly_naming_the_format(self, tmp_path):
-        """A chain written before the framed format (one whole-block
-        codec value per record) must not be read by guesswork."""
-        store = BlockStore(tmp_path / "ledger")
+        """A chain written in an older format -- one whole-block codec
+        value per record, or the per-transaction 0xF1 frame -- must not
+        be read by guesswork."""
         block = chain_blocks([[make_tx("t0", {"k": "v"})]])[0]
-        location = store._files.append(JsonCodec().encode(block.to_dict()))
-        store._index.append(location)
-        store.close()
-        reopened = BlockStore(tmp_path / "ledger")
-        try:
-            assert reopened.height == 1  # records and CRCs are intact
-            with pytest.raises(CodecError, match="written before the framed format"):
-                reopened.get_block(0)
-        finally:
-            reopened.close()
-        with pytest.raises(CodecError, match="written before the framed format"):
-            Ledger(tmp_path)
+        codec = JsonCodec()
+        old_formats = {
+            "whole-block": (codec.encode(block.to_dict()), "written before the framed format"),
+            "per-transaction": (
+                per_transaction_frame(block, codec), r"per-transaction frame \(0xF1"
+            ),
+        }
+        for name, (payload, named) in old_formats.items():
+            store = BlockStore(tmp_path / name / "ledger")
+            store._index.append(store._files.append(payload))
+            store.close()
+            reopened = BlockStore(tmp_path / name / "ledger")
+            try:
+                assert reopened.height == 1  # records and CRCs are intact
+                with pytest.raises(CodecError, match=named):
+                    reopened.get_block(0)
+            finally:
+                reopened.close()
+            with pytest.raises(CodecError, match=named):
+                Ledger(tmp_path / name)
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +340,7 @@ class TestReopen:
     ):
         """Torn-tail and mid-chain semantics do not depend on where the
         scan starts."""
-        store = BlockStore(tmp_path, max_file_bytes=1000)
+        store = BlockStore(tmp_path, max_file_bytes=800)
         for block in chain_blocks([[make_tx(f"t{n}", {"k": n})] for n in range(8)]):
             store.add_block(block)
         files = store._files
@@ -344,7 +363,7 @@ class TestReopen:
         damaged = bytearray(blockfile.read_bytes())
         damaged[second.offset + 8 + 4] ^= 0x01
         blockfile.write_bytes(bytes(damaged))
-        files = BlockFileManager(tmp_path / "chains", max_file_bytes=1000)
+        files = BlockFileManager(tmp_path / "chains", max_file_bytes=800)
         try:
             with pytest.raises(
                 BlockFileError,

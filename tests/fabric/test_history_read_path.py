@@ -1,7 +1,8 @@
-"""GHFK's result path: entries built from the decoded segment mapping.
+"""GHFK's result path: entries built from two decoded segments.
 
-``HistoryDB`` reads ``(value, is_delete, timestamp, tx_id)`` for a
-history location straight from the transaction's decoded segment
+``HistoryDB`` records ``(block, tx, write)`` and reads ``(value,
+is_delete, timestamp, tx_id)`` for a history location straight from the
+transaction's decoded head and that one write segment
 (:meth:`Block.history_write`) instead of building the ``Transaction`` /
 ``RWSet`` / ``KVWrite`` graph.  These tests hold that path to the graph
 path's answers: an oracle that *does* build the graph must agree field
@@ -95,10 +96,11 @@ def chains(draw) -> list[Block]:
 def oracle_history(history: HistoryDB, store: BlockStore, key: str) -> list[HistoryEntry]:
     """What GHFK must return, through the full object graph."""
     entries = []
-    for block_num, tx_num in history.locations_for_key(key):
+    for block_num, tx_num, write_num in history.locations_for_key(key):
         block = Block.from_dict(store.get_block(block_num).to_dict())
         tx = block.transactions[tx_num]
         write = tx.rw_set.writes[key]
+        assert sorted(tx.rw_set.writes)[write_num] == key
         entries.append(HistoryEntry(
             key=key, value=write.value, is_delete=write.is_delete, timestamp=tx.timestamp,
             block_num=block_num, tx_num=tx_num, tx_id=tx.tx_id,
@@ -136,7 +138,7 @@ def test_every_entry_equals_the_object_graph_oracle(codec, chain):
                 assert len(got) == len(want)
                 for mine, theirs in zip(got, want):
                     assert same_entry(mine, theirs), (mine, theirs)
-                # One segment decoded per result, never the block.
+                # One transaction head decoded per result, never the block.
                 assert metrics.counter(metric_names.TXS_DECODED) - before == len(want)
         finally:
             store.close()
@@ -293,18 +295,22 @@ def test_a_value_history_handed_out_is_the_one_the_data_hash_covers(cached):
 @pytest.mark.parametrize(
     "location, names",
     [
-        ((0, 3), "block 0 tx 3"),  # a transaction that does not write the key
-        ((0, 10), "block 0 tx 10"),  # past the block's segment table
-        ((0, -1), "block 0 tx -1"),  # never the last transaction, never the header
+        ((0, 3, 3), "block 0 tx 3 write 3"),  # a transaction that does not write the key
+        ((0, 10, 0), "block 0 tx 10"),  # past the block's segment table
+        ((0, -1, 3), "block 0 tx -1"),  # never the last transaction, never the header
+        ((0, 2, 0), "block 0 tx 2 write 0"),  # the right transaction, another of its writes
+        ((0, 2, -1), "block 0 tx 2 write -1"),  # never its last write
+        ((0, 2, 4), "block 0 tx 2 write 4"),  # past its writes: the next transaction's head
     ],
-    ids=["another-tx", "past-the-table", "negative"],
+    ids=["another-tx", "past-the-table", "negative", "wrong-write", "negative-write",
+         "past-the-writes"],
 )
 def test_a_bad_history_location_is_a_ledger_error(cached, scanned, location, names):
     store, history, metrics = cached
     if scanned:
         list(store.get_block(0).transactions)
     with history._lock:
-        history._locations["only-2"] = [(0, 2), location]
+        history._locations["only-2"] = [(0, 2, 3), location]
     results = metrics.counter(metric_names.GHFK_RESULTS)
     iterator = history.get_history_for_key("only-2", store)
     assert next(iterator).value == {"tx": 2, "key": "only-2"}

@@ -36,16 +36,20 @@ def lsm_config(
     max_message_count: int = 4,
     memtable_limit: int = 24,
     durability: str = "flush",
+    codec: str = "json",
+    cache_blocks: int = 0,
 ) -> FabricConfig:
     """A config that exercises every storage layer: the LSM state-db
     with a tiny memtable (frequent WAL and table activity) and small
-    blocks."""
+    blocks, stored under ``codec`` behind a ``cache_blocks`` block cache."""
     return FabricConfig(
         block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
         state_db=StateDbConfig(
             backend="lsm", memtable_limit=memtable_limit, durability=durability
         ),
-        block_store=BlockStoreConfig(durability=durability),
+        block_store=BlockStoreConfig(
+            durability=durability, codec=codec, cache_blocks=cache_blocks
+        ),
     )
 
 

@@ -18,10 +18,34 @@ from tests.faults.harness import (
     run_kv_workload_until_crash,
 )
 
+#: ``(codec, cache_blocks)``: every stored configuration of the block
+#: store (``tests/test_config_matrix.py`` holds the same cells, under both
+#: backends, to one result without a crash).
+STORAGE_CELLS = [(codec, cache) for codec in ("json", "binary") for cache in (0, 16)]
 
-@pytest.mark.parametrize("point", COMMIT_CRASH_POINTS)
-def test_kill_at_every_commit_point(tmp_path, point):
-    config = lsm_config()
+
+def _cells(points=(None,)):
+    """``pytest.param``s of ``(point, codec, cache_blocks)`` for every
+    crash point crossed with every storage cell; ``(codec, cache_blocks)``
+    when there are no points."""
+    params = []
+    for point in points:
+        for codec, cache_blocks in STORAGE_CELLS:
+            # The default cell keeps the bare id the sweep had before it
+            # ran over configurations.
+            cell = "" if (codec, cache_blocks) == ("json", 0) else f"{codec}-cache{cache_blocks}"
+            ident = "-".join(part for part in (point, cell) if part) or "default"
+            values = (codec, cache_blocks) if point is None else (point, codec, cache_blocks)
+            params.append(pytest.param(*values, id=ident))
+    return params
+
+
+@pytest.mark.parametrize("point, codec, cache_blocks", _cells(COMMIT_CRASH_POINTS))
+def test_kill_at_every_commit_point(tmp_path, point, codec, cache_blocks):
+    """Every commit point under every stored configuration: the block a
+    crash half-wrote or half-indexed recovers whatever its codec, and
+    whether or not a block cache held it."""
+    config = lsm_config(codec=codec, cache_blocks=cache_blocks)
     plan = FaultPlan(seed=3).crash_at(point)
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired == point, f"workload never reached {point}"
@@ -55,10 +79,12 @@ def test_power_loss_with_fsync_durability(tmp_path):
     continue_workload(tmp_path / "net", config)
 
 
-def test_torn_blockfile_write_recovers(tmp_path):
+@pytest.mark.parametrize("codec, cache_blocks", _cells())
+def test_torn_blockfile_write_recovers(tmp_path, codec, cache_blocks):
     """A kill mid-write to a block file leaves a torn record; recovery
-    truncates it and the chain stays consistent."""
-    config = lsm_config()
+    truncates it and the chain stays consistent, under every stored
+    configuration."""
+    config = lsm_config(codec=codec, cache_blocks=cache_blocks)
     plan = FaultPlan(seed=7).crash_on_write("blockfile_*", nth=30, torn=True)
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired is not None and outcome.fired.startswith("write:")

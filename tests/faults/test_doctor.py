@@ -100,20 +100,28 @@ def test_torn_index_tail_is_repaired(tmp_path):
 
 
 def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
-    """A ledger whose block records hold the old whole-block payload will
-    not open; the doctor says why instead of calling it corruption."""
+    """A ledger whose block records hold an older payload -- the whole-
+    block value, or the per-transaction 0xF1 frame -- will not open; the
+    doctor says why instead of calling it corruption."""
     from repro.common.codec import get_codec
     from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader
     from repro.fabric.blockstore import BlockStore
+    from tests.helpers import per_transaction_frame
 
-    store = BlockStore(tmp_path / "net" / "ledger")
+    codec = get_codec("json")
     genesis = Block(BlockHeader(0, GENESIS_PREVIOUS_HASH, Block.compute_data_hash([])), [])
-    store._index.append(store._files.append(get_codec("json").encode(genesis.to_dict())))
-    store.close()
-    report = run_doctor(tmp_path / "net")
-    assert not report.ok
-    assert "recovery-failed" in codes(report)
-    assert "written before the framed format" in report.render()
+    old_formats = {
+        "whole-block": (codec.encode(genesis.to_dict()), "written before the framed format"),
+        "per-transaction": (per_transaction_frame(genesis, codec), "per-transaction frame (0xF1"),
+    }
+    for name, (payload, named) in old_formats.items():
+        store = BlockStore(tmp_path / name / "ledger")
+        store._index.append(store._files.append(payload))
+        store.close()
+        report = run_doctor(tmp_path / name)
+        assert not report.ok
+        assert "recovery-failed" in codes(report)
+        assert named in report.render()
 
 
 def test_unfinished_manifest_is_reported(tmp_path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.common.codec import JsonCodec
+from repro.common.codec import JsonCodec, write_uvarint
 from repro.common.config import BlockCuttingConfig, FabricConfig
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import (
@@ -72,6 +72,21 @@ def build_m1_index(network: FabricNetwork, t1: int, t2: int, u: int):
         metrics=network.metrics,
     )
     return indexer.run(t1, t2, u)
+
+
+def per_transaction_frame(block, codec) -> bytes:
+    """``block`` in the superseded 0xF1 frame: a varint segment count, a
+    varint length per segment, then ``[header, tx0, tx1, ...]`` with each
+    transaction one ``Transaction.to_dict`` segment."""
+    raw = block.to_dict()
+    segments = [codec.encode(raw["header"])]
+    segments.extend(codec.encode(tx) for tx in raw["transactions"])
+    prefix, separator, suffix = codec.list_affixes(len(segments))
+    table = bytearray((0xF1,))
+    write_uvarint(len(segments), table)
+    for segment in segments:
+        write_uvarint(len(segment), table)
+    return bytes(table) + prefix + separator.join(segments) + suffix
 
 
 class DecodeSpyCodec(JsonCodec):
