@@ -82,6 +82,19 @@ class JsonCodec(Codec):
     exception left behind and report false cycles) and one instance
     serves every thread; a cycle ends as a :class:`CodecError` like any
     value nested too deep.
+
+    A decode goes straight to the decoder's scanner (the C
+    ``scan_once`` that ``JSONDecoder.decode`` itself calls, built once
+    with the decoder): ``scan(text, 0)`` parses the value at the start,
+    and when it ends exactly at the end of the text that value is the
+    answer.  ``JSONDecoder.decode`` adds only a Python wrapper around
+    the same call -- two whitespace regex matches and an end check --
+    which costs as much as parsing a small segment.  Every other
+    outcome (leading whitespace, nothing parseable at 0, anything left
+    after the value, trailing whitespace included) is handed to
+    ``JSONDecoder.decode``, and an error the scanner raises at 0 is the
+    one ``decode`` would raise from the same call, so accepted inputs,
+    values and error messages are those of ``JSONDecoder.decode``.
     """
 
     name = "json"
@@ -91,7 +104,9 @@ class JsonCodec(Codec):
             None, _encode_special, json.encoder.encode_basestring_ascii,
             None, ":", ",", False, False, True,
         )
-        self._decode = json.JSONDecoder(object_hook=_decode_special).decode
+        decoder = json.JSONDecoder(object_hook=_decode_special)
+        self._decode = decoder.decode
+        self._scan = decoder.scan_once
 
     def encode(self, value: Any) -> bytes:
         try:
@@ -101,7 +116,14 @@ class JsonCodec(Codec):
 
     def decode(self, payload: bytes) -> Any:
         try:
-            return self._decode(payload.decode("utf-8"))
+            text = payload.decode("utf-8")
+            try:
+                value, end = self._scan(text, 0)
+                if end == len(text):
+                    return value
+            except StopIteration:  # no value starts at 0: let decode say why
+                pass
+            return self._decode(text)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8
             raise CodecError(f"JSON decode failed: {exc}") from exc
 
@@ -163,13 +185,10 @@ def read_uvarints(payload: bytes, offset: int, count: int) -> tuple[list[int], i
     """Read ``count`` consecutive varints; return (values, next_offset).
 
     Equal to ``count`` :func:`read_uvarint` calls, same errors, without
-    a call and a tuple per value: a framed block's write counts are read
-    on every block read.  When every value fits one byte -- the common
-    case -- the bytes *are* the values.
+    a call and a tuple per value.  A framed block reads its write counts
+    here only when some count needs more than one byte; otherwise the
+    payload's bytes *are* the counts.
     """
-    chunk = payload[offset : offset + count]
-    if len(chunk) == count and (not count or max(chunk) < 0x80):
-        return list(chunk), offset + count
     values = []
     try:
         for _ in range(count):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Iterator, Mapping, Tuple
 
 from repro.common.locks import make_lock
 from repro.common.timeutils import Stopwatch
@@ -51,7 +51,8 @@ STATE_TABLES_QUARANTINED = "kv.tables_quarantined"
 #: Transactions actually decoded out of block payloads (a block read is
 #: lazy: ``txs_decoded / ghfk_results`` is the decode work per result).
 #: One tick per transaction first decoded, whether a GHFK result read its
-#: head segment or ``block.transactions[i]`` built a ``Transaction``; the
+#: head segment (ticked with the result, before it is handed out) or
+#: ``block.transactions[i]`` built a ``Transaction``; the
 #: lazy block memoises decoded segments, so a transaction of a cached
 #: block is counted once however many readers use it.
 TXS_DECODED = "ledger.txs_decoded"
@@ -110,6 +111,16 @@ class MetricsRegistry:
             value = self._counters.get(name, 0) + amount
             self._counters[name] = value
         return value
+
+    def increment_many(self, *pairs: Tuple[str, int]) -> None:
+        """Add each ``(name, amount)`` of ``pairs``: one :meth:`increment`
+        per pair under a single lock acquisition.  A block read and a
+        GHFK result each bump two counters, once per block and once per
+        result, so they pay for the lock once."""
+        with self._lock:
+            counters = self._counters
+            for name, amount in pairs:
+                counters[name] = counters.get(name, 0) + amount
 
     def counter(self, name: str) -> int:
         with self._lock:
@@ -178,6 +189,9 @@ class _NullMetricsRegistry(MetricsRegistry):
     def increment(self, name: str, amount: int = 1) -> int:
         """Discard the increment; pretend the counter started at zero."""
         return amount
+
+    def increment_many(self, *pairs: Tuple[str, int]) -> None:
+        """Discard the increments."""
 
     def add_time(self, name: str, seconds: float) -> float:
         """Discard the timing; pretend the timer started at zero."""

@@ -270,6 +270,11 @@ FRAME_MAGIC = 0xF2
 _PER_TRANSACTION_FRAME = 0xF1
 
 
+#: One cumulative segment end of the frame's table, and two adjacent ones.
+_END = struct.Struct("<I")
+_END_PAIR = struct.Struct("<II")
+
+
 class _Frame(NamedTuple):
     """A framed payload as parsed by :meth:`Block.from_payload`."""
 
@@ -277,16 +282,18 @@ class _Frame(NamedTuple):
     #: ``payload[body:]`` is the codec-level list of every segment:
     #: ``[header, head0, body0, write0_0, ..., head1, ...]``.
     body: int
-    #: Write count of each transaction (``len(writes)`` is the tx count).
-    writes: List[int]
-    #: Cumulative segment lengths, separators excluded: segment ``i``
-    #: spans ``ends[i - 1] .. ends[i]`` plus ``i`` separators.
-    ends: Tuple[int, ...]
+    #: Write count of each transaction (``len(writes)`` is the tx count):
+    #: the payload's own bytes when every count fits one varint byte.
+    writes: Sequence[int]
+    #: Offset of the u32 table of cumulative segment lengths, separators
+    #: excluded: segment ``i`` spans ``ends[i - 1] .. ends[i]`` plus ``i``
+    #: separators.  An end is unpacked where it is used, not at open.
+    table: int
     #: Offset of segment 0, and the list separator's length.
     first: int
     step: int
     codec: Codec
-    #: Receives ``ledger.txs_decoded``.
+    #: Receives ``ledger.txs_decoded`` for transactions built.
     metrics: MetricsRegistry
 
     def head(self, tx_index: int) -> int:
@@ -296,21 +303,37 @@ class _Frame(NamedTuple):
 
     def segment(self, index: int) -> Any:
         """Decode segment ``index`` alone (0 is the header)."""
+        payload = self.payload
         start = self.first + index * self.step
-        end = start + self.ends[index]
         if index:
-            start += self.ends[index - 1]
-        return self.codec.decode(self.payload[start:end])
+            before, end = _END_PAIR.unpack_from(payload, self.table + 4 * index - 4)
+        else:
+            before, (end,) = 0, _END.unpack_from(payload, self.table)
+        return self.codec.decode(payload[start + before : start + end])
 
     def segments(self, index: int, count: int) -> List[Any]:
         """Decode the ``count`` consecutive segments from ``index`` with
-        one codec call (they are spelled as a list of their own)."""
+        one codec call (they are spelled as a list of their own).
+
+        Only the run's two outer ends are read.  A wrong one can still
+        spell a well-formed list of another length -- under ``json`` an
+        end one short of its predecessor's cuts the run at the segment
+        before -- so the length is checked: a transaction never comes
+        back without a write it has."""
         prefix, separator, suffix = self.codec.list_affixes(count)
+        payload, table = self.payload, self.table
         start = self.first + index * self.step
-        end = start + self.ends[index + count - 1] + (count - 1) * self.step
+        (end,) = _END.unpack_from(payload, table + 4 * (index + count - 1))
+        end += start + (count - 1) * self.step
         if index:
-            start += self.ends[index - 1]
-        return self.codec.decode(prefix + self.payload[start:end] + suffix)
+            start += _END.unpack_from(payload, table + 4 * index - 4)[0]
+        parts: List[Any] = self.codec.decode(prefix + payload[start:end] + suffix)
+        if len(parts) != count:
+            raise CodecError(
+                f"framed block payload: segments {index}..{index + count - 1} "
+                f"decode to {len(parts)} values, not {count}"
+            )
+        return parts
 
 
 def _unreadable_frame(payload: bytes) -> str:
@@ -329,17 +352,25 @@ def _unreadable_frame(payload: bytes) -> str:
     )
 
 
+def _malformed(what: str) -> CodecError:
+    return CodecError(f"framed block payload: {what} is not a segment of its shape")
+
+
 def _transaction_from(parts: List[Any]) -> Transaction:
     """The transaction whose decoded segments -- head, body, then its
-    writes -- are ``parts``."""
-    (tx_id, timestamp), body, *writes = parts
-    chaincode, creator, reads, signature, validation_code, event_name, event_payload = body
-    rw_set = RWSet()
-    rw_set.reads = [KVRead.from_dict(read) for read in reads]
-    rw_set.writes = {
-        key: KVWrite(key=key, value=value, is_delete=bool(is_delete))
-        for key, value, is_delete in writes
-    }
+    writes -- are ``parts``; segments of the wrong shape (a well-framed
+    payload holding other values) are a :class:`CodecError`."""
+    try:
+        (tx_id, timestamp), body, *writes = parts
+        chaincode, creator, reads, signature, validation_code, event_name, event_payload = body
+        rw_set = RWSet()
+        rw_set.reads = [KVRead.from_dict(read) for read in reads]
+        rw_set.writes = {
+            key: KVWrite(key=key, value=value, is_delete=bool(is_delete))
+            for key, value, is_delete in writes
+        }
+    except (TypeError, ValueError, KeyError):
+        raise _malformed("a transaction's head, body or write") from None
     return Transaction(
         tx_id=tx_id,
         chaincode=chaincode,
@@ -478,14 +509,21 @@ class Block:
 
         Only the frame is parsed and validated here (magic, a segment
         table inside the payload whose segments end exactly at the
-        payload's end); a malformed frame, or one of an older format,
-        raises :class:`CodecError`.  ``metrics`` receives
-        ``ledger.txs_decoded``.
+        payload's end -- the table's last entry, the one end read at
+        open); a malformed frame, or one of an older format, raises
+        :class:`CodecError`.  An interior end is read by the segment
+        read that uses it, and a wrong one makes that decode fail.
+        ``metrics`` receives ``ledger.txs_decoded`` for transactions
+        built.
         """
         if not payload or payload[0] != FRAME_MAGIC:
             raise CodecError(_unreadable_frame(payload))
         tx_count, position = read_uvarint(payload, 1)
-        writes, position = read_uvarints(payload, position, tx_count)
+        writes: Sequence[int] = payload[position : position + tx_count]
+        if len(writes) == tx_count and (not tx_count or max(writes) < 0x80):
+            position += tx_count
+        else:
+            writes, position = read_uvarints(payload, position, tx_count)
         count = 1 + 2 * tx_count + sum(writes)
         body = position + 4 * count
         if body > len(payload):
@@ -493,10 +531,10 @@ class Block:
                 f"framed block payload: a {count}-segment table needs "
                 f"{body} bytes, payload has {len(payload)}"
             )
-        ends = struct.unpack_from(f"<{count}I", payload, position)
+        (last,) = _END.unpack_from(payload, body - 4)
         prefix, separator, suffix = codec.list_affixes(count)
         first, step = body + len(prefix), len(separator)
-        needed = first + ends[-1] + (count - 1) * step + len(suffix)
+        needed = first + last + (count - 1) * step + len(suffix)
         if needed != len(payload):
             raise CodecError(
                 f"framed block payload: {count} segments need {needed} "
@@ -504,7 +542,7 @@ class Block:
             )
         block = Block.__new__(Block)
         block._header = block._txs = None
-        block._frame = _Frame(payload, body, writes, ends, first, step, codec, metrics)
+        block._frame = _Frame(payload, body, writes, position, first, step, codec, metrics)
         block._segments = {}
         block._decoded = {}
         return block
@@ -538,19 +576,25 @@ class Block:
 
     def history_write(
         self, tx_index: int, write_index: int, key: str
-    ) -> Tuple[Any, bool, int, str]:
-        """``(value, is_delete, timestamp, tx_id)`` of write ``write_index``
-        -- the position among transaction ``tx_index``'s writes in sorted
-        key order -- which must be the write to ``key``: what one GHFK
-        result needs.
+    ) -> Tuple[Any, bool, int, str, bool]:
+        """``(value, is_delete, timestamp, tx_id, decoded_head)`` of write
+        ``write_index`` -- the position among transaction ``tx_index``'s
+        writes in sorted key order -- which must be the write to ``key``:
+        what one GHFK result needs.
 
         On a lazy block this decodes the transaction's head and that one
         write segment, each at most once, and builds no
-        :class:`Transaction`.  A transaction already handed out through
-        :attr:`transactions` is read instead of its segments, so a
-        mutation made through the view is what history reports.  A
-        location that names no write to ``key`` raises
-        :class:`LedgerError`.
+        :class:`Transaction`.  ``decoded_head`` says whether this call
+        decoded the head, i.e. the transaction's first decode: the block
+        does not tick ``ledger.txs_decoded`` for it, the caller counts it
+        with the result (:class:`~repro.fabric.historydb.HistoryDB` does,
+        in the one registry call it makes per result).  A head is
+        published to the memo only with a result, so a read that fails
+        leaves nothing decoded-but-uncounted behind.  A transaction
+        already handed out through :attr:`transactions` is read instead
+        of its segments, so a mutation made through the view is what
+        history reports.  A location that names no write to ``key``
+        raises :class:`LedgerError`.
         """
         frame = self._frame
         tx: Optional[Transaction] = None
@@ -564,17 +608,22 @@ class Block:
                 head = frame.head(tx_index)
                 segments = self._segments
                 tx_head = segments.get(head)
-                if tx_head is None:
-                    tx_head = segments.setdefault(head, frame.segment(head))
-                    frame.metrics.increment(metric_names.TXS_DECODED)
+                decoded_head = tx_head is None
+                if decoded_head:
+                    tx_head = frame.segment(head)
                 index = head + 2 + write_index
                 write = segments.get(index)
                 if write is None:
                     write = segments.setdefault(index, frame.segment(index))
-                written_key, value, is_delete = write
-                if written_key == key:
+                try:
+                    written_key, value, is_delete = write
                     tx_id, timestamp = tx_head
-                    return value, bool(is_delete), timestamp, tx_id
+                except (TypeError, ValueError):
+                    raise _malformed(f"transaction {tx_index}'s head or write {write_index}") from None
+                if written_key == key:
+                    if decoded_head:
+                        segments.setdefault(head, tx_head)
+                    return value, bool(is_delete), timestamp, tx_id, decoded_head
         if tx is not None:
             writes = tx.rw_set.writes
             found = writes.get(key)
@@ -583,7 +632,7 @@ class Block:
                 and 0 <= write_index < len(writes)
                 and sorted(writes)[write_index] == key
             ):
-                return found.value, found.is_delete, tx.timestamp, tx.tx_id
+                return found.value, found.is_delete, tx.timestamp, tx.tx_id, False
         raise LedgerError(
             f"history index names block {self.number} tx {tx_index} write "
             f"{write_index} for key {key!r}, but that is not a write to the key"

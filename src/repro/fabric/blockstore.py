@@ -240,8 +240,10 @@ class BlockStore:
         """Count one block deserialization and open ``payload`` as a lazy
         :class:`Block`: the frame is parsed here, a transaction (or the
         header) is decoded when first asked for."""
-        self._metrics.increment(metric_names.BLOCKS_DESERIALIZED)
-        self._metrics.increment(metric_names.BLOCK_BYTES_READ, len(payload))
+        self._metrics.increment_many(
+            (metric_names.BLOCKS_DESERIALIZED, 1),
+            (metric_names.BLOCK_BYTES_READ, len(payload)),
+        )
         return Block.from_payload(payload, self._codec, self._metrics)
 
     def _read_block(self, block_number: int) -> Block:

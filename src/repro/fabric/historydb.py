@@ -144,6 +144,10 @@ class HistoryDB:
         locations: List[Location],
         block_store: BlockStore,
     ) -> Iterator[HistoryEntry]:
+        # A result's counters are ticked before it is handed out, in one
+        # registry call: a caller that abandons the iterator (M1 after its
+        # one bundle, TQF past the window) has every result it took
+        # counted at that moment, and nothing else.
         cached_block: Optional[Block] = None
         cached_num = -1
         for block_num, tx_num, write_num in locations:
@@ -151,8 +155,10 @@ class HistoryDB:
                 cached_block = block_store.get_block(block_num)
                 cached_num = block_num
             assert cached_block is not None
-            value, is_delete, timestamp, tx_id = cached_block.history_write(
+            value, is_delete, timestamp, tx_id, decoded_head = cached_block.history_write(
                 tx_num, write_num, key
             )
-            self._metrics.increment(metric_names.GHFK_RESULTS)
+            self._metrics.increment_many(
+                (metric_names.GHFK_RESULTS, 1), (metric_names.TXS_DECODED, decoded_head)
+            )
             yield HistoryEntry(key, value, is_delete, timestamp, block_num, tx_num, tx_id)

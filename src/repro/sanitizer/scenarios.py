@@ -49,7 +49,9 @@ def _run_threads(workers: int, target: Callable[[int], None]) -> None:
 
 
 def _scenario_metrics(workers: int) -> None:
-    """Concurrent counter increments and timer observations."""
+    """Concurrent counter increments -- one at a time and several per
+    call, as a block read and a GHFK result tick them -- and timer
+    observations."""
     from repro.common.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
@@ -57,6 +59,7 @@ def _scenario_metrics(workers: int) -> None:
     def work(index: int) -> None:
         for step in range(40):
             registry.increment("scenario.ops")
+            registry.increment_many(("scenario.ops", 1), ("scenario.bytes", index + step))
             registry.add_time("scenario.latency", 0.001 * ((index + step) % 5))
         registry.counter("scenario.ops")
         registry.snapshot()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -279,6 +281,72 @@ def test_json_encoder_built_once_spells_what_a_fresh_encoder_spells(value):
 
     fresh = json.JSONEncoder(default=_encode_special, separators=(",", ":"))
     assert JsonCodec().encode(value) == fresh.encode(value).encode("utf-8")
+
+
+# -- the decoder's scanner fast path is JSONDecoder.decode ----------------------
+
+
+def reference_decode(payload: bytes) -> Any:
+    """``JsonCodec.decode`` before the scanner fast path: the decoder's
+    ``decode`` on every payload, errors mapped the same way."""
+    import json
+
+    from repro.common.codec import _decode_special
+
+    try:
+        return json.JSONDecoder(object_hook=_decode_special).decode(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CodecError(f"JSON decode failed: {exc}") from exc
+
+
+def outcome(decode: Callable[[bytes], Any], payload: bytes) -> tuple[str, str]:
+    """A decode's value or its CodecError message; ``repr`` tells ``1``
+    from ``1.0`` and ``True`` and makes ``nan`` equal to itself."""
+    try:
+        return "value", repr(decode(payload))
+    except CodecError as exc:
+        return "error", str(exc)
+
+
+@given(
+    value=encodable,
+    before=st.sampled_from([b"", b" ", b"\n\t "]),
+    after=st.sampled_from([b"", b" ", b"\r\n", b"x", b"]", b",1", b"[2]", b"\xff"]),
+)
+def test_json_decode_is_the_decoders_decode(value, before, after):
+    codec = JsonCodec()
+    payload = codec.encode(value)
+    assert repr(codec.decode(payload)) == repr(reference_decode(payload))
+    padded = before + payload + after
+    assert outcome(codec.decode, padded) == outcome(reference_decode, padded)
+
+
+@pytest.mark.parametrize(
+    "payload, kind",
+    [
+        (b"[1] ", "value"),
+        (b" [1]", "value"),
+        (b"[1]x", "error"),
+        (b"[1][2]", "error"),
+        (b"", "error"),
+        (b"  ", "error"),
+        (b"]", "error"),
+        (b"[1, \xff]", "error"),
+        (b"\xc3(", "error"),
+        (b"NaN", "value"),
+        (b"[Infinity,-Infinity]", "value"),
+        (b"[" * 5_000 + b"]" * 5_000, "error"),
+    ],
+    ids=["trailing-space", "leading-space", "trailing-garbage", "two-values", "empty",
+         "blank", "lone-bracket", "bad-utf8", "bad-utf8-start", "nan", "infinities",
+         "deep"],
+)
+def test_json_decode_table(payload, kind):
+    """Each input gives the reference decode's value, or a CodecError
+    with its message."""
+    got = outcome(JsonCodec().decode, payload)
+    assert got == outcome(reference_decode, payload)
+    assert got[0] == kind, got
 
 
 # -- values too deep to code are a CodecError, not a RecursionError ------------

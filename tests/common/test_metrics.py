@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.common.metrics import MetricsRegistry
+from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 
 
 class TestCounters:
@@ -23,6 +23,17 @@ class TestCounters:
 
     def test_unknown_counter_is_zero(self, metrics: MetricsRegistry):
         assert metrics.counter("never-touched") == 0
+
+    def test_increment_many_is_one_increment_per_pair(self, metrics: MetricsRegistry):
+        metrics.increment("a", 2)
+        metrics.increment_many(("a", 1), ("b", 5), ("a", 3), ("c", 0))
+        metrics.increment_many()
+        assert metrics.snapshot().counters == {"a": 6, "b": 5, "c": 0}
+
+    def test_the_null_registry_records_no_increment_many(self):
+        NULL_REGISTRY.increment_many(("a", 1), ("b", 5))
+        assert NULL_REGISTRY.counter("a") == NULL_REGISTRY.counter("b") == 0
+        assert NULL_REGISTRY.snapshot().counters == {}
 
     def test_reset(self, metrics: MetricsRegistry):
         metrics.increment("a")
@@ -83,7 +94,8 @@ class TestSnapshots:
 
 class TestThreadSafety:
     """Queries racing a commit (or each other) increment shared counters
-    from several threads; ``increment`` must be atomic."""
+    from several threads; ``increment`` and ``increment_many`` must be
+    atomic, and must not lose each other's updates."""
 
     THREADS = 8
     ITERATIONS = 2_000
@@ -96,13 +108,15 @@ class TestThreadSafety:
             for _ in range(self.ITERATIONS):
                 metrics.increment("hits")
                 metrics.increment("bytes", 3)
+                metrics.increment_many(("hits", 1), ("bytes", 5), ("pairs", 1))
 
         with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
             for future in [pool.submit(hammer) for _ in range(self.THREADS)]:
                 future.result()
 
-        assert metrics.counter("hits") == self.THREADS * self.ITERATIONS
-        assert metrics.counter("bytes") == 3 * self.THREADS * self.ITERATIONS
+        assert metrics.counter("hits") == 2 * self.THREADS * self.ITERATIONS
+        assert metrics.counter("bytes") == 8 * self.THREADS * self.ITERATIONS
+        assert metrics.counter("pairs") == self.THREADS * self.ITERATIONS
 
     def test_concurrent_timed_blocks_accumulate_exactly(
         self, metrics: MetricsRegistry

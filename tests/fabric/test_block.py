@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -355,18 +356,21 @@ class TestFramedPayload:
         metrics = MetricsRegistry()
         codec = DecodeSpyCodec()
         lazy = Block.from_payload(payload, codec, metrics)
-        assert lazy.history_write(0, 4, "k4") == ("v" * 300, False, 5, "tx-wide")
+        # The last field: this call decoded the head, the transaction's
+        # first decode (the caller counts it, the block does not).
+        assert lazy.history_write(0, 4, "k4") == ("v" * 300, False, 5, "tx-wide", True)
         assert len(codec.decoded) == 2  # head, then write 4
         assert codec.decoded[0] < 20 and codec.decoded[1] < 320
-        assert metrics.counter(metric_names.TXS_DECODED) == 1
         # Another write of the same transaction: its segment alone.
-        assert lazy.history_write(0, 1, "k1")[0] == "v" * 300
+        assert lazy.history_write(0, 1, "k1") == ("v" * 300, False, 5, "tx-wide", False)
         assert len(codec.decoded) == 3
         # Both memoised, and shared with the transaction built later.
-        first = lazy.history_write(0, 4, "k4")[0]
+        first, *_, decoded_head = lazy.history_write(0, 4, "k4")
+        assert not decoded_head
         assert len(codec.decoded) == 3
         assert lazy.transactions[0].rw_set.writes["k4"].value is first
-        assert metrics.counter(metric_names.TXS_DECODED) == 1
+        # Built from the memoised head: not a first decode either.
+        assert metrics.counter(metric_names.TXS_DECODED) == 0
 
     def test_lazy_view_does_not_keep_its_block_in_a_reference_cycle(self):
         """Dropping the last reference frees the block (and the payload
@@ -498,7 +502,7 @@ class TestMalformedFrames:
         assert payload[table_end:table_end + 3] == b'[{"'
         lazy = Block.from_payload(payload, JsonCodec())
         assert len(lazy.transactions) == 3
-        assert lazy.history_write(2, 16_384, "w16383") == (16_383, False, 5, "three")
+        assert lazy.history_write(2, 16_384, "w16383") == (16_383, False, 5, "three", True)
         assert Block.from_payload(payload, JsonCodec()) == block
         for cut in [*range(counts_end + 8), *range(counts_end + 8, table_end, 997)]:
             with pytest.raises(CodecError):
@@ -545,6 +549,144 @@ class TestMalformedFrames:
             lazy.transactions[0]
         with pytest.raises(CodecError):
             list(lazy.transactions)
+
+    # -- the table is read where it is used: one end at open, two per segment --
+
+    @staticmethod
+    def with_ends(payload: bytes, changes: dict[int, int]) -> bytes:
+        """``payload`` with some cumulative segment ends replaced (a table
+        whose transaction count and write counts are one byte each)."""
+        table = bytearray(payload)
+        start = 2 + payload[1]
+        for index, end in changes.items():
+            struct.pack_into("<I", table, start + 4 * index, end)
+        return bytes(table)
+
+    @staticmethod
+    def ends(payload: bytes) -> list[int]:
+        start = 2 + payload[1]
+        count = 1 + 2 * payload[1] + sum(payload[2:start])
+        return list(struct.unpack_from(f"<{count}I", payload, start))
+
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    @pytest.mark.parametrize(
+        "bad",
+        ["past-the-last", "pair-swapped", "one-short-of-its-predecessor"],
+    )
+    def test_a_bad_interior_end_fails_the_reads_that_use_it(self, codec, bad):
+        """Segments 4-6 are tx 1's head, body and write, 7 tx 2's head.
+        ``ends[6]`` bounds tx 1's write and starts tx 2: every read using
+        it fails, every read that does not is right, and the open -- which
+        reads only the last end -- and a whole-block read succeed."""
+        block = ten_tx_block()
+        payload = block.to_payload(codec)
+        ends = self.ends(payload)
+        changes = {
+            "past-the-last": {6: ends[-1] + 100},
+            "pair-swapped": {5: ends[6], 6: ends[5]},
+            "one-short-of-its-predecessor": {6: ends[5] - 1},
+        }[bad]
+        broken = self.with_ends(payload, changes)
+        # Each read on a fresh block, so none is answered from another's memo.
+        for read in (
+            lambda lazy: lazy.history_write(1, 0, "k1"),
+            lambda lazy: lazy.history_write(2, 0, "k2"),
+            lambda lazy: lazy.transactions[1],
+            lambda lazy: lazy.transactions[2],
+        ):
+            with pytest.raises((CodecError, LedgerError)):
+                read(Block.from_payload(broken, codec))
+        lazy = Block.from_payload(broken, codec)
+        assert lazy.history_write(3, 0, "k3") == (3, False, 5, "tx-3", True)
+        assert lazy.transactions[0] == block.transactions[0]
+        assert lazy.transactions[9] == block.transactions[9]
+        assert lazy.header == block.header
+        assert Block.from_payload(broken, codec) == block
+
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    def test_a_zero_transaction_block_reads_its_one_end(self, codec):
+        block = make_block(number=9, txs=[])
+        payload = block.to_payload(codec)
+        assert self.ends(payload) == [len(codec.encode(block.header.to_dict()))]
+        lazy = Block.from_payload(payload, codec)
+        assert len(lazy.transactions) == 0
+        assert lazy.header == block.header and lazy.number == 9
+        assert Block.from_payload(payload, codec) == block
+        for end in (0, self.ends(payload)[0] - 1, self.ends(payload)[0] + 1):
+            with pytest.raises(CodecError, match="segments need"):
+                Block.from_payload(self.with_ends(payload, {0: end}), codec)
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 5])
+    def test_a_three_write_transaction_under_binary(self, index):
+        """One transaction: segments 0 header, 1 head, 2 body, 3-5 its
+        writes.  ``transactions[0]`` reads the run 1-5 with one decode
+        through ``ends[0]`` and ``ends[5]`` alone; a history read of write
+        ``w`` reads ``ends[2 + w]`` and ``ends[3 + w]`` and the head's
+        ``ends[0]`` and ``ends[1]``.  Off by one either way, a bad end
+        fails exactly the reads using it."""
+        codec = BinaryCodec()
+        tx = make_tx("tx-3w", key="a", value=b"\x00\x01")
+        tx.rw_set.add_write("b", {"n": [1, None]})
+        tx.rw_set.add_delete("c")
+        block = make_block(txs=[tx])
+        payload = block.to_payload(codec)
+        ends = self.ends(payload)
+        assert len(ends) == 6
+        history = {
+            0: (b"\x00\x01", False, 5, "tx-3w"),
+            1: ({"n": [1, None]}, False, 5, "tx-3w"),
+            2: (None, True, 5, "tx-3w"),
+        }
+        for delta in (-1, 1):
+            if index == 5:  # the last end: the open rejects it
+                with pytest.raises(CodecError, match="segments need"):
+                    Block.from_payload(self.with_ends(payload, {5: ends[5] + delta}), codec)
+                continue
+            broken = self.with_ends(payload, {index: ends[index] + delta})
+            run = Block.from_payload(broken, codec)
+            if index == 0:  # the header's end, and where the run starts
+                with pytest.raises(CodecError):
+                    run.transactions[0]
+                with pytest.raises(CodecError):
+                    run.header
+            else:  # an end inside the run: not read by segments()
+                assert run.transactions[0] == tx
+            for write, key in enumerate("abc"):
+                lazy = Block.from_payload(broken, codec)
+                uses = {0, 1} | {2 + write, 3 + write}
+                if index in uses:
+                    with pytest.raises((CodecError, LedgerError)):
+                        lazy.history_write(0, write, key)
+                else:
+                    assert lazy.history_write(0, write, key)[:4] == history[write]
+            # The whole list is one decode from the table's end: no end read.
+            whole = Block.from_payload(broken, codec)
+            assert list(whole.transactions) == [tx]
+            assert whole == block
+
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    def test_a_segment_decoding_to_another_shape_is_a_codec_error(self, codec):
+        """Under ``binary`` a write's last byte is a value of its own (its
+        ``is_delete`` flag): an end that leaves a write only that byte
+        decodes cleanly, to ``False``.  Neither a history read nor a
+        transaction built from such segments may leak a ``TypeError``."""
+        block = make_block(txs=[make_tx("tx-w", key="a", value=7)])
+        payload = block.to_payload(codec)
+        ends = self.ends(payload)  # header, head, body, write "a"
+        broken = self.with_ends(payload, {2: ends[3] - 1})
+        with pytest.raises(CodecError):
+            Block.from_payload(broken, codec).history_write(0, 0, "a")
+        garbage = codec.list_affixes(4)
+        values = [block.header.to_dict(), ["tx-w", 5], 3, False]
+        segments = [codec.encode(value) for value in values]
+        framed = self.frame(
+            [1], list(accumulate(map(len, segments))),
+            garbage[0] + garbage[1].join(segments) + garbage[2],
+        )
+        for read in (lambda lazy: lazy.transactions[0], lambda lazy: list(lazy.transactions),
+                     lambda lazy: lazy.history_write(0, 0, "a")):
+            with pytest.raises(CodecError, match="not a segment of its shape"):
+                read(Block.from_payload(framed, codec))
 
 
 # --------------------------------------------------------------------------
@@ -627,10 +769,10 @@ class TestGoldenPayload:
     def test_the_pinned_bytes_read_back_as_the_block(self, codec):
         payload = GOLDEN_PAYLOADS[codec.name]
         lazy = Block.from_payload(payload, codec)
-        assert lazy.history_write(0, 0, "blob") == (b"\x00\xff", False, 41, "tx-a")
-        assert lazy.history_write(0, 1, "gone") == (None, True, 41, "tx-a")
+        assert lazy.history_write(0, 0, "blob") == (b"\x00\xff", False, 41, "tx-a", True)
+        assert lazy.history_write(0, 1, "gone") == (None, True, 41, "tx-a", False)
         assert lazy.history_write(0, 2, "shipment\x00ключ-7") == (
-            {"temp": -3.5, "at": "北"}, False, 41, "tx-a"
+            {"temp": -3.5, "at": "北"}, False, 41, "tx-a", False
         )
         assert len(lazy.transactions) == 2
         assert lazy == golden_block()

@@ -288,6 +288,55 @@ def test_a_value_history_handed_out_is_the_one_the_data_hash_covers(cached):
     assert block.transactions[8].rw_set.writes["C1"].value is entries[8].value
 
 
+# -- counts are exact while an iterator is held open ----------------------------
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_counts_are_exact_when_an_iterator_is_abandoned(codec, tmp_path):
+    """M1 takes one result and drops the iterator; TQF stops past its
+    window.  Every result taken is counted by the time ``next`` returns
+    it -- not when the generator is closed or collected -- and nothing
+    beyond it is."""
+    metrics = MetricsRegistry()
+    store = BlockStore(tmp_path, codec=codec, metrics=metrics)
+    history = HistoryDB(metrics)
+    previous, timestamp = GENESIS_PREVIOUS_HASH, 0
+    for number, writers in enumerate((2, 3, 3, 2)):  # 10 results over 4 blocks
+        txs = []
+        for index in range(writers):
+            timestamp += 1
+            tx = wide_tx(index, timestamp)
+            tx.rw_set.add_write("k", timestamp)
+            txs.append(tx)
+        block = Block(BlockHeader(number, previous, Block.compute_data_hash(txs)), txs)
+        store.add_block(block)
+        history.index_block(block)
+        previous = block.header.hash()
+
+    def counts() -> tuple[int, int, int, int]:
+        return tuple(metrics.counter(name) for name in (
+            metric_names.GHFK_CALLS, metric_names.GHFK_RESULTS,
+            metric_names.TXS_DECODED, metric_names.BLOCKS_DESERIALIZED,
+        ))
+
+    try:
+        iterator = history.get_history_for_key("k", store)
+        taken = [next(iterator) for _ in range(3)]
+        assert [entry.value for entry in taken] == [1, 2, 3]
+        # Kept alive and unclosed: the third result is in block 1.
+        assert counts() == (1, 3, 3, 2)
+        rest = []
+        with pytest.raises(StopIteration):
+            while True:
+                rest.append(next(iterator))
+        assert [entry.value for entry in rest] == list(range(4, 11))
+        assert counts() == (1, 10, 10, 4)
+        del iterator
+        assert counts() == (1, 10, 10, 4)
+    finally:
+        store.close()
+
+
 # -- a history location the block cannot honour ---------------------------------
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import threading
+import traceback
 
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.blockcache import BlockCache
@@ -40,14 +41,29 @@ def _line_of(func, marker: str) -> int:
     return matches[0]
 
 
-def _run_threads(count: int, target) -> None:
+def _run_threads(count: int, target) -> list[BaseException]:
+    """Run ``target(index)`` on ``count`` threads; return what they raised.
+
+    A seeded race can crash a worker as well as be reported, so each
+    caller says which crashes it expects -- none, or exactly its
+    mutant's symptom -- instead of leaving them to the thread
+    excepthook."""
+    raised: list[BaseException] = []
+
+    def run(index: int) -> None:
+        try:
+            target(index)
+        except Exception as exc:  # handed to the caller
+            raised.append(exc)
+
     threads = [
-        threading.Thread(target=target, args=(index,)) for index in range(count)
+        threading.Thread(target=run, args=(index,)) for index in range(count)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
+    return raised
 
 
 def _witness_lines(report, cls: str, attr: str) -> set:
@@ -74,7 +90,7 @@ def test_unlocked_metrics_increment_is_caught_at_exact_line():
     expected = _line_of(UnsafeMetrics.increment, "mutant: unlocked write")
     with runtime.sanitized(seed=11) as sanitizer:
         registry = UnsafeMetrics()
-        _run_threads(4, lambda index: [registry.increment("x") for _ in range(20)])
+        assert _run_threads(4, lambda index: [registry.increment("x") for _ in range(20)]) == []
         report = sanitizer.build_report(source="mutation", workers=4)
     assert report.races, "sanitizer missed the unlocked increment"
     assert expected in _witness_lines(report, "UnsafeMetrics", "_counters")
@@ -118,8 +134,17 @@ def test_unlocked_cache_eviction_is_caught_at_exact_line():
                 cache.get_or_load(key, lambda key=key: key)
                 cache.evict_oldest()
 
-        _run_threads(4, work)
+        crashes = _run_threads(4, work)
         report = sanitizer.build_report(source="mutation", workers=4)
+    # The seeded race's other symptom, and the only crash allowed: the
+    # unlocked eviction removes an entry between get_or_load's locked
+    # lookup and its use of it, a KeyError inside get_or_load.
+    for crash in crashes:
+        frames = traceback.extract_tb(crash.__traceback__)
+        assert isinstance(crash, KeyError) and any(
+            frame.name == "get_or_load" and frame.filename.endswith("blockcache.py")
+            for frame in frames
+        ), "".join(traceback.format_exception(crash))
     assert report.races, "sanitizer missed the unlocked eviction"
     lines = _witness_lines(report, "UnlockedEvictionCache", "_entries")
     assert expected in lines
@@ -204,7 +229,7 @@ def test_mutant_races_do_not_leak_into_an_outer_session():
     registry = UnsafeMetrics()
     with runtime.sanitized(seed=14) as outer:
         with runtime.sanitized(seed=15) as inner:
-            _run_threads(2, lambda index: registry.increment("x"))
+            assert _run_threads(2, lambda index: registry.increment("x")) == []
         inner_report = inner.build_report()
         outer_report = outer.build_report()
     assert inner_report.races
