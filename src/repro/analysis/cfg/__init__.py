@@ -10,13 +10,11 @@ here?", this package answers "what *order* do things happen in?":
   post-dominators (the real footing for TEMP001's "the tombstone always
   follows the write" check);
 * :mod:`~repro.analysis.cfg.lockset` -- which locks are held at each
-  node, propagated interprocedurally through the call graph, plus the
-  project lock-acquisition-order graph behind CONC002/CONC003/CONC004
-  and ``repro lint --lock-graph``.
+  node, and which blocking operations each function reaches through
+  the call graph: the facts CONC003 reads.
 
 Like the dataflow layer, the whole analysis is memoized per project
-(:func:`lockset_for`), so the three CONC rule families and the CLI
-export share one construction.
+(:func:`lockset_for`).
 """
 
 from __future__ import annotations
@@ -26,10 +24,8 @@ from repro.analysis.cfg.dominance import dominators, postdominators
 from repro.analysis.cfg.lockset import (
     BlockingOp,
     FunctionLocks,
-    LockOrderGraph,
     LockRef,
     LocksetAnalysis,
-    LockWitness,
 )
 from repro.analysis.dataflow import dataflow_for
 from repro.analysis.project import Project
@@ -39,9 +35,7 @@ __all__ = [
     "CFGNode",
     "BlockingOp",
     "FunctionLocks",
-    "LockOrderGraph",
     "LockRef",
-    "LockWitness",
     "LocksetAnalysis",
     "build_cfg",
     "dominators",

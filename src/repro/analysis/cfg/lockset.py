@@ -1,6 +1,6 @@
 """Lockset dataflow: which locks are held at each CFG node, project-wide.
 
-The analysis runs in three layers:
+The analysis CONC003 reads runs in two layers:
 
 1. **Per-function** (:func:`analyze_function`): build the CFG, stamp
    every node with the locks held there.  ``with self._lock:`` blocks
@@ -9,38 +9,28 @@ The analysis runs in three layers:
    contribute through a forward may-union dataflow (once a lock *may*
    be held, it stays in the set until a release kills it -- the
    conservative polarity for every rule built on top).  Each function
-   yields a summary: acquisition sites, blocking operations, resolved
-   call sites, and intra-function lock-order edges.
+   yields a summary: blocking operations and resolved call sites, each
+   with the locks held around it.
 
-2. **Interprocedural fixpoint** (:class:`LocksetAnalysis`): acquisition
-   and blocking summaries propagate backwards over the existing
+2. **Interprocedural fixpoint** (:class:`LocksetAnalysis`): blocking
+   summaries propagate backwards over the existing
    :class:`~repro.analysis.dataflow.callgraph.CallGraph` edges until
    stable, keeping the *first* witness chain per fact so findings are
    deterministic.
 
-3. **The lock-order graph** (:class:`LockOrderGraph`): one edge
-   ``A -> B`` whenever some thread may acquire ``B`` while holding
-   ``A``, each edge carrying a :class:`LockWitness` (function, file,
-   line, call chain).  Re-entrant ``RLock`` self-edges are dropped (a
-   thread re-taking its own RLock is fine); a plain ``Lock`` self-edge
-   is a guaranteed self-deadlock and is reported separately.  Cycles
-   across distinct locks are the CONC002 deadlock findings.
-
-Lock identity is ``(defining class, attribute, factory kind)`` -- the
-same abstraction CONC001 uses, extended with the ``threading`` factory
-name so re-entrancy is visible.  Locks that are not ``self.<attr>``
-class attributes (locals, globals) are out of scope; the codebase's
+Lock identity is ``(defining class, attribute)`` -- the same
+abstraction CONC001 uses.  Locks that are not ``self.<attr>`` class
+attributes (locals, globals) are out of scope; the codebase's
 convention puts every shared lock on an instance.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.cfg.builder import CFG, CFGNode, build_cfg
+from repro.analysis.cfg.builder import CFG, build_cfg
 from repro.analysis.dataflow.callgraph import CallGraph, _local_constructions
 from repro.analysis.dataflow.symbols import (
     FunctionInfo,
@@ -59,11 +49,6 @@ class LockRef:
 
     owner: str  #: qualname of the defining class
     attr: str
-    kind: str  #: ``threading`` factory name (``Lock``, ``RLock``, ...)
-
-    @property
-    def reentrant(self) -> bool:
-        return self.kind == "RLock"
 
     @property
     def label(self) -> str:
@@ -85,24 +70,6 @@ class BlockingOp:
     description: str
 
 
-@dataclass(frozen=True)
-class LockWitness:
-    """Where an edge of the lock-order graph was observed."""
-
-    holder: str  #: qualname of the function where the held lock is held
-    path: str  #: relpath of that function's file
-    line: int  #: line of the acquisition (or of the call leading to it)
-    chain: Chain  #: call steps from ``holder`` down to the acquisition
-
-    def describe(self) -> str:
-        """Human-readable witness: ``func (file:line) via a:1 -> b:2``."""
-        base = f"{self.holder} ({self.path}:{self.line})"
-        if len(self.chain) > 1:
-            via = " -> ".join(f"{step}:{line}" for step, line in self.chain[1:])
-            return f"{base} via {via}"
-        return base
-
-
 @dataclass
 class FunctionLocks:
     """The per-function lockset summary."""
@@ -111,14 +78,8 @@ class FunctionLocks:
     cfg: CFG
     #: node index -> locks that may be held when the node starts.
     held_before: Dict[int, FrozenSet[LockRef]]
-    #: node index -> locks that may be held while the node executes.
-    held_at: Dict[int, FrozenSet[LockRef]]
-    #: every acquisition site (``with`` item or ``.acquire()``).
-    acquires: List[Tuple[LockRef, int]] = field(default_factory=list)
     #: blocking ops paired with the locks held around them.
     blocking: List[Tuple[BlockingOp, FrozenSet[LockRef]]] = field(default_factory=list)
-    #: ``(held, acquired, line)`` intra-function order edges.
-    order_edges: List[Tuple[LockRef, LockRef, int]] = field(default_factory=list)
     #: resolved call sites: ``(callee qualname, line, locks held)``.
     calls: List[Tuple[str, int, FrozenSet[LockRef]]] = field(default_factory=list)
 
@@ -141,11 +102,7 @@ def class_locks(table: SymbolTable, class_qualname: str) -> Dict[str, LockRef]:
             continue
         for attr in info.lock_attrs:
             if attr not in result:
-                result[attr] = LockRef(
-                    owner=info.qualname,
-                    attr=attr,
-                    kind=info.lock_kinds.get(attr, "Lock"),
-                )
+                result[attr] = LockRef(owner=info.qualname, attr=attr)
         stack.extend(info.base_qualnames)
     return result
 
@@ -331,44 +288,25 @@ def analyze_function(
         node.index: frozenset(lexical[node.index] | flow_in[node.index])
         for node in cfg.nodes
     }
-    held_at = {
-        node.index: frozenset(
-            lexical[node.index]
-            | (flow_in[node.index] - kill[node.index])
-            | gen[node.index]
-        )
-        for node in cfg.nodes
-    }
-
-    result = FunctionLocks(
-        info=info, cfg=cfg, held_before=held_before, held_at=held_at
-    )
+    result = FunctionLocks(info=info, cfg=cfg, held_before=held_before)
 
     for node in cfg.real_nodes():
-        index = node.index
-        # Acquisition sites and intra-function order edges.  ``with``
-        # headers evaluate their items left to right, so ``with a, b:``
-        # acquires ``b`` while already holding ``a``.
-        prior: Set[LockRef] = set(held_before[index])
+        # A ``with`` header's calls are attributed with its own locks
+        # already held; explicit acquire/release calls update the set in
+        # evaluation order.
+        prior: Set[LockRef] = set(held_before[node.index])
         if node.kind == "with":
             stmt = node.stmt
             assert isinstance(stmt, (ast.With, ast.AsyncWith))
             for item in stmt.items:
                 lock = _with_item_lock(item, locks)
-                if lock is None:
-                    continue
-                result.acquires.append((lock, node.line))
-                for held in sorted(prior):
-                    result.order_edges.append((held, lock, node.line))
-                prior.add(lock)
-        for call in node_calls[index]:
+                if lock is not None:
+                    prior.add(lock)
+        for call in node_calls[node.index]:
             classified = _acquire_release(call, locks)
             if classified is not None:
                 verb, lock = classified
                 if verb == "acquire":
-                    result.acquires.append((lock, call.lineno))
-                    for held in sorted(prior):
-                        result.order_edges.append((held, lock, call.lineno))
                     prior.add(lock)
                 else:
                     prior.discard(lock)
@@ -383,250 +321,27 @@ def analyze_function(
     return result
 
 
-# -- the lock-order graph --------------------------------------------------
-
-
-class LockOrderGraph:
-    """``A -> B`` whenever ``B`` may be acquired while ``A`` is held."""
-
-    def __init__(self) -> None:
-        self.edges: Dict[Tuple[LockRef, LockRef], LockWitness] = {}
-        self.self_deadlocks: Dict[LockRef, LockWitness] = {}
-
-    def add(self, held: LockRef, acquired: LockRef, witness: LockWitness) -> None:
-        """Record one observed acquisition order, keeping the first
-        witness per edge so reports are deterministic."""
-        if held == acquired:
-            # Re-taking a lock you hold: fine for an RLock, guaranteed
-            # deadlock for a plain Lock.
-            if not held.reentrant:
-                self.self_deadlocks.setdefault(held, witness)
-            return
-        self.edges.setdefault((held, acquired), witness)
-
-    def locks(self) -> List[LockRef]:
-        """Every lock appearing in the graph, sorted."""
-        found: Set[LockRef] = set(self.self_deadlocks)
-        for held, acquired in self.edges:
-            found.add(held)
-            found.add(acquired)
-        return sorted(found)
-
-    def successors(self, lock: LockRef) -> List[LockRef]:
-        """Locks that may be acquired while ``lock`` is held, sorted."""
-        return sorted(
-            acquired for held, acquired in self.edges if held == lock
-        )
-
-    def cycles(self) -> List[List[LockRef]]:
-        """Cycles across distinct locks, one representative per SCC.
-
-        Each cycle starts at its smallest lock and lists the members in
-        traversal order, so consecutive pairs (wrapping around) are
-        graph edges with witnesses.
-        """
-        sccs = self._sccs()
-        cycles: List[List[LockRef]] = []
-        for component in sccs:
-            if len(component) < 2:
-                continue
-            start = min(component)
-            cycle = self._cycle_through(start, set(component))
-            if cycle:
-                cycles.append(cycle)
-        return sorted(cycles, key=lambda c: c[0])
-
-    def _sccs(self) -> List[List[LockRef]]:
-        # Iterative Tarjan over the (tiny) lock graph.
-        order: Dict[LockRef, int] = {}
-        low: Dict[LockRef, int] = {}
-        on_stack: Set[LockRef] = set()
-        stack: List[LockRef] = []
-        sccs: List[List[LockRef]] = []
-        counter = [0]
-
-        def strongconnect(root: LockRef) -> None:
-            work: List[Tuple[LockRef, Iterator[LockRef]]] = [
-                (root, iter(self.successors(root)))
-            ]
-            order[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in order:
-                        order[succ] = low[succ] = counter[0]
-                        counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(self.successors(succ))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        low[node] = min(low[node], order[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == order[node]:
-                    component: List[LockRef] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    sccs.append(component)
-
-        for lock in self.locks():
-            if lock not in order:
-                strongconnect(lock)
-        return sccs
-
-    def _cycle_through(
-        self, start: LockRef, component: Set[LockRef]
-    ) -> Optional[List[LockRef]]:
-        """A simple cycle from ``start`` back to itself inside one SCC."""
-        path = [start]
-        seen = {start}
-
-        def walk() -> bool:
-            current = path[-1]
-            for succ in self.successors(current):
-                if succ == start and len(path) > 1:
-                    return True
-                if succ in component and succ not in seen:
-                    path.append(succ)
-                    seen.add(succ)
-                    if walk():
-                        return True
-                    seen.discard(path.pop())
-            return False
-
-        return path if walk() else None
-
-    def witness(self, held: LockRef, acquired: LockRef) -> LockWitness:
-        """The recorded witness of one edge (KeyError when absent)."""
-        return self.edges[(held, acquired)]
-
-    # -- export ------------------------------------------------------------
-
-    def to_dot(self) -> str:
-        """Acquisition-order DOT digraph (the readable deadlock view)."""
-        lines = [
-            "digraph lockorder {",
-            "  rankdir=LR;",
-            '  node [shape=box, fontname="monospace"];',
-        ]
-        for held, acquired in sorted(self.edges):
-            witness = self.edges[(held, acquired)]
-            lines.append(
-                f'  "{held.short}" -> "{acquired.short}" '
-                f'[label="{witness.path}:{witness.line}"];'
-            )
-        for lock, witness in sorted(self.self_deadlocks.items()):
-            lines.append(
-                f'  "{lock.short}" -> "{lock.short}" '
-                f'[label="self-deadlock {witness.path}:{witness.line}", color=red];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        """The full graph with witnesses and cycles, versioned."""
-        return json.dumps(
-            {
-                "version": 1,
-                "locks": [
-                    {
-                        "id": lock.label,
-                        "owner": lock.owner,
-                        "attr": lock.attr,
-                        "kind": lock.kind,
-                    }
-                    for lock in self.locks()
-                ],
-                "edges": [
-                    {
-                        "held": held.label,
-                        "acquired": acquired.label,
-                        "holder": witness.holder,
-                        "path": witness.path,
-                        "line": witness.line,
-                        "chain": [list(step) for step in witness.chain],
-                    }
-                    for (held, acquired), witness in sorted(self.edges.items())
-                ],
-                "self_deadlocks": [
-                    {
-                        "lock": lock.label,
-                        "holder": witness.holder,
-                        "path": witness.path,
-                        "line": witness.line,
-                    }
-                    for lock, witness in sorted(self.self_deadlocks.items())
-                ],
-                "cycles": [
-                    [lock.label for lock in cycle] for cycle in self.cycles()
-                ],
-            },
-            indent=2,
-        )
-
-
 # -- whole-project analysis ------------------------------------------------
 
 
 class LocksetAnalysis:
-    """Locksets for every function plus the project lock-order graph."""
+    """Locksets for every function plus the interprocedural blocking
+    closure CONC003 reads."""
 
-    def __init__(self, table: SymbolTable, graph: CallGraph) -> None:
-        self.table = table
-        self.graph = graph
+    def __init__(self) -> None:
         self.functions: Dict[str, FunctionLocks] = {}
-        self.order = LockOrderGraph()
-        #: qualname -> lock -> first call chain reaching its acquisition.
-        self.transitive_acquires: Dict[str, Dict[LockRef, Chain]] = {}
         #: qualname -> blocking kind -> (first chain, op description).
         self.transitive_blocking: Dict[str, Dict[str, Tuple[Chain, str]]] = {}
 
     @staticmethod
     def build(table: SymbolTable, graph: CallGraph) -> "LocksetAnalysis":
-        analysis = LocksetAnalysis(table, graph)
+        analysis = LocksetAnalysis()
         for qualname in sorted(table.functions):
             analysis.functions[qualname] = analyze_function(
                 table.functions[qualname], table, graph
             )
-        analysis._close_acquires()
         analysis._close_blocking()
-        analysis._build_order()
         return analysis
-
-    def _close_acquires(self) -> None:
-        acq: Dict[str, Dict[LockRef, Chain]] = {}
-        for qualname in sorted(self.functions):
-            summary = self.functions[qualname]
-            acq[qualname] = {}
-            for lock, line in sorted(summary.acquires, key=lambda t: (t[1], t[0])):
-                acq[qualname].setdefault(lock, ((qualname, line),))
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(self.functions):
-                summary = self.functions[qualname]
-                for callee, line, _held in sorted(
-                    summary.calls, key=lambda t: (t[1], t[0])
-                ):
-                    for lock, chain in sorted(acq.get(callee, {}).items()):
-                        if lock not in acq[qualname]:
-                            acq[qualname][lock] = ((qualname, line),) + chain
-                            changed = True
-        self.transitive_acquires = acq
 
     def _close_blocking(self) -> None:
         blocking: Dict[str, Dict[str, Tuple[Chain, str]]] = {}
@@ -657,25 +372,3 @@ class LocksetAnalysis:
                             )
                             changed = True
         self.transitive_blocking = blocking
-
-    def _build_order(self) -> None:
-        for qualname in sorted(self.functions):
-            summary = self.functions[qualname]
-            relpath = summary.info.source.relpath
-            for held, acquired, line in summary.order_edges:
-                self.order.add(
-                    held,
-                    acquired,
-                    LockWitness(qualname, relpath, line, ((qualname, line),)),
-                )
-            for callee, line, held_set in summary.calls:
-                if not held_set:
-                    continue
-                for lock, chain in sorted(
-                    self.transitive_acquires.get(callee, {}).items()
-                ):
-                    witness = LockWitness(
-                        qualname, relpath, line, ((qualname, line),) + chain
-                    )
-                    for held in sorted(held_set):
-                        self.order.add(held, lock, witness)

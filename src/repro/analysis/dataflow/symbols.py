@@ -116,9 +116,6 @@ class ClassInfo:
     attr_types: Dict[str, str] = field(default_factory=dict)
     #: ``self.<attr>`` names bound to a ``threading`` lock in ``__init__``.
     lock_attrs: Set[str] = field(default_factory=set)
-    #: Lock attr -> ``threading`` factory name (``Lock``, ``RLock``, ...),
-    #: so lockset rules can tell re-entrant locks from plain ones.
-    lock_kinds: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -136,12 +133,12 @@ _LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"
 
 #: The project's concurrency seam (``repro.common.locks``): lock-carrying
 #: classes construct their primitives through these factory functions so
-#: the dynamic sanitizer can trace them.  The static model maps each back
-#: to the ``threading`` primitive it hands out, keeping CONC001-004's
-#: view of lock-carrying classes identical to the pre-seam tree.
+#: the dynamic sanitizer can trace them.  The static model treats each as
+#: the ``threading`` primitive it hands out, so CONC001 and CONC003 see
+#: the same lock-carrying classes the sanitizer traces.
 _SEAM_FACTORIES = {
-    "repro.common.locks.make_lock": "Lock",
-    "repro.common.locks.make_rlock": "RLock",
+    "repro.common.locks.make_lock",
+    "repro.common.locks.make_rlock",
 }
 
 
@@ -278,10 +275,8 @@ class SymbolTable:
             callee = self.constructed_class(value, module)
             if callee is not None:
                 info.attr_types[attr] = callee.qualname
-            factory = self._lock_factory_name(value, module)
-            if factory is not None:
+            if self._is_lock_factory(value, module):
                 info.lock_attrs.add(attr)
-                info.lock_kinds[attr] = factory
 
     @staticmethod
     def _is_self_attr(node: ast.expr) -> bool:
@@ -335,34 +330,22 @@ class SymbolTable:
         return self.resolve_class(ref) if ref is not None else None
 
     @staticmethod
-    def _lock_factory_name(call: ast.Call, module: ModuleInfo) -> Optional[str]:
-        """The ``threading`` synchronization-primitive factory ``call``
-        invokes (directly or through a ``from threading import`` alias),
-        or ``None`` when it is not one."""
+    def _is_lock_factory(call: ast.Call, module: ModuleInfo) -> bool:
+        """Whether ``call`` constructs a ``threading`` synchronization
+        primitive (directly, through a ``from threading import`` alias,
+        or through the project's lock seam)."""
         func = call.func
         if isinstance(func, ast.Attribute):
             dotted = dotted_path(func, module.aliases)
-            if dotted is None:
-                return None
-            if dotted.startswith("threading.") and func.attr in _LOCK_FACTORIES:
-                return func.attr
-            return _SEAM_FACTORIES.get(dotted)
-        if isinstance(func, ast.Name):
+        elif isinstance(func, ast.Name):
             dotted = module.aliases.get(func.id)
-            if dotted is None:
-                return None
-            if dotted.startswith("threading."):
-                name = dotted.rsplit(".", 1)[-1]
-                if name in _LOCK_FACTORIES:
-                    return name
-            return _SEAM_FACTORIES.get(dotted)
-        return None
-
-    @classmethod
-    def _is_lock_factory(cls, call: ast.Call, module: ModuleInfo) -> bool:
-        """Whether ``call`` constructs a ``threading`` synchronization
-        primitive (directly or through a ``from threading import`` alias)."""
-        return cls._lock_factory_name(call, module) is not None
+        else:
+            return False
+        if dotted is None:
+            return False
+        if dotted.startswith("threading."):
+            return dotted.rsplit(".", 1)[-1] in _LOCK_FACTORIES
+        return dotted in _SEAM_FACTORIES
 
     # -- lookups ----------------------------------------------------------
 

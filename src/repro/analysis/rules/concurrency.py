@@ -1,42 +1,36 @@
 """Concurrency rules over lock-carrying classes.
 
-Four rule families share one opt-in convention: any class whose
-``__init__`` binds a ``threading`` lock to ``self.<attr>`` is treated
-as shared across threads, project-wide.
+The supported concurrency contract (DESIGN.md §6) is the Fabric peer's:
+one committer (gateway -> orderer -> validator -> ledger commit) and N
+readers (GHFK, GetState, range scans, inspect, audit) on one ledger.
+The classes they share carry a lock -- ``MetricsRegistry``,
+``BlockCache``, ``HistoryDB``, ``BlockFileManager``, ``LSMStore``,
+``MemStore`` and, under the fault seam, ``FaultyFile``; ``Gateway`` and
+``CircuitBreaker`` carry one too.  Each concurrency bug class has one
+owning detector.  Two are static, here:
 
-* **CONC001** (syntactic): attribute writes happen under *a* lock.
-* **CONC002** (lockset): the project-wide lock-*acquisition-order*
-  graph is acyclic -- cycles are static deadlocks, reported with the
-  witness path of every hop; a plain ``Lock`` re-acquired while held is
-  the degenerate one-lock case (self-deadlock).
+* **CONC001** (syntactic): attribute rebinds happen under *a* lock.  A
+  method no threaded test drives is invisible to the sanitizer, so an
+  unlocked ``self.x = ...`` there is this rule's alone.
 * **CONC003** (lockset): no blocking operation (filesystem-seam I/O,
   ``time.sleep``, future ``.result()``, ``queue.get``) runs while a
-  lock is held, directly or through any resolved call chain.  Sites
-  where blocking under the lock is the *point* are allowlisted with a
-  justification (see ``BLOCKING_ALLOWLIST``).
-* **CONC004** (lockset): check-then-act -- a guarded attribute read
-  outside the lock feeding a decision whose locked arm writes that same
-  attribute; the value can change between the check and the act.
+  lock is held, directly or through any resolved call chain.  Latency
+  is not a data race, so nothing dynamic sees it.  Sites where blocking
+  under the lock is the *point* are allowlisted with a justification
+  (see ``BLOCKING_ALLOWLIST``); a row that suppresses nothing is itself
+  a finding.
 
-CONC002-004 are built on :mod:`repro.analysis.cfg`: per-function CFGs,
-a lockset dataflow, and interprocedural propagation over the call
-graph.  The engine over-approximates held locks (may-analysis), so
-these rules can report a lock as held on a path that releases it early;
-they never miss a lexically-held one.
+Unlocked container traffic, check-then-act splits and lock-order cycles
+belong to the dynamic sanitizer (:mod:`repro.sanitizer`), which
+witnesses them at runtime with both sites and their locksets.
 
-The ROADMAP's parallel-ingestion work shares three objects across
-threads: the :class:`~repro.fabric.gateway.Gateway` (concurrent clients
-submitting transactions), and the state-db backends
-:class:`~repro.storage.kv.memstore.MemStore` and
-:class:`~repro.storage.kv.lsm.LSMStore` (reads racing the indexer's
-writes).  Those classes carry a ``threading`` lock for exactly that
-reason -- and a lock only helps if every writer takes it.  A new method
-that rebinds an attribute without the lock is invisible to tests (races
-do not reproduce under pytest) and surfaces as a corrupted table list or
-a lost retry count under real load, which is why the Fabric-tuning
-literature keeps finding these bugs in the validation/commit path.
+CONC003 is built on :mod:`repro.analysis.cfg`: per-function CFGs, a
+lockset dataflow, and interprocedural propagation over the call graph.
+The engine over-approximates held locks (may-analysis), so the rule can
+report a lock as held on a path that releases it early; it never misses
+a lexically-held one.
 
-The rule is convention-driven, not file-driven: any class whose
+CONC001 is convention-driven, not file-driven: any class whose
 ``__init__`` binds a ``threading.Lock``/``RLock``/``Condition``/
 ``Semaphore`` to ``self.<something>`` opts in, project-wide.  Inside
 such a class every ``self.attr = ...`` / ``self.attr += ...`` must be
@@ -48,24 +42,18 @@ lexically inside a ``with self.<lock>:`` block, except:
   whose caller already holds the lock;
 * rebinding the lock attributes themselves.
 
-Reads are deliberately not checked: the codebase tolerates racy reads
-(metrics, ``__len__``) and flagging them would drown the signal.
+Reads and in-place container writes are deliberately not checked: the
+sanitizer convicts those at runtime with both racing sites, where a
+syntactic rule would flag every read on every path.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import lockset_for
-from repro.analysis.cfg.builder import CFGNode
-from repro.analysis.cfg.lockset import (
-    Chain,
-    FunctionLocks,
-    LockRef,
-    LocksetAnalysis,
-    class_locks,
-)
+from repro.analysis.cfg.lockset import Chain, LockRef, LocksetAnalysis
 from repro.analysis.dataflow import dataflow_for
 from repro.analysis.dataflow.symbols import ClassInfo, FunctionInfo
 from repro.analysis.findings import Finding
@@ -199,12 +187,10 @@ def _chain_suffix(chain: Optional[Chain]) -> str:
 #: Sites where blocking while holding the lock is the design, not a bug.
 #: Keyed by function qualname; the value is the set of blocking-op kinds
 #: that site is allowed (anything else still fires) plus the reason the
-#: finding message would otherwise demand.
+#: finding message would otherwise demand.  A row whose function is
+#: analyzed but blocks under a lock in none of the row's kinds is
+#: reported, so the table cannot outlive the code it excuses.
 BLOCKING_ALLOWLIST: Dict[str, Tuple[FrozenSet[str], str]] = {
-    "repro.fabric.blockcache.BlockCache.get_or_load": (
-        frozenset({"future-wait"}),
-        "single-flight rendezvous: waiters block on the loader's future by design",
-    ),
     "repro.storage.kv.lsm.LSMStore.put": (
         frozenset({"io"}),
         "WAL append must precede the memtable write under the lock (recovery order)",
@@ -262,81 +248,22 @@ BLOCKING_ALLOWLIST: Dict[str, Tuple[FrozenSet[str], str]] = {
 
 
 @register
-class LockOrderCycleRule(Rule):
-    """CONC002: the project lock-acquisition order must be acyclic.
-
-    Two threads taking the same pair of locks in opposite orders is the
-    classic deadlock, and it never reproduces under pytest -- the window
-    is microseconds wide.  This rule builds the project-wide graph with
-    one edge ``A -> B`` whenever some code path may acquire ``B`` while
-    holding ``A`` (lexical ``with`` blocks, explicit ``acquire()``, and
-    acquisitions reached through any resolved call chain), then reports
-    every cycle with the witness path of each hop, so the fix -- pick
-    one global order -- is mechanical.  Re-entrant ``RLock`` self-edges
-    are fine and skipped; a plain ``Lock`` re-acquired while already
-    held deadlocks a thread against itself and is reported here too.
-    The same graph is exported by ``repro lint --lock-graph {dot,json}``.
-    """
-
-    rule_id = "CONC002"
-
-    def check_project(self, project: Project) -> List[Finding]:
-        analysis = lockset_for(project)
-        order = analysis.order
-        findings: List[Finding] = []
-        for lock, witness in sorted(order.self_deadlocks.items()):
-            findings.append(
-                Finding(
-                    path=witness.path,
-                    line=witness.line,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"{lock.short} is a plain threading.{lock.kind} "
-                        f"re-acquired while already held in "
-                        f"{witness.describe()}; the thread deadlocks "
-                        "against itself -- use an RLock or drop the "
-                        "nested acquisition"
-                    ),
-                )
-            )
-        for cycle in order.cycles():
-            hops = []
-            for position, lock in enumerate(cycle):
-                following = cycle[(position + 1) % len(cycle)]
-                witness = order.witness(lock, following)
-                hops.append(
-                    f"{lock.short} -> {following.short} in {witness.describe()}"
-                )
-            anchor = order.witness(cycle[0], cycle[1 % len(cycle)])
-            findings.append(
-                Finding(
-                    path=anchor.path,
-                    line=anchor.line,
-                    rule_id=self.rule_id,
-                    message=(
-                        "lock-order cycle (possible deadlock): "
-                        + "; ".join(hops)
-                        + " -- acquire these locks in one global order"
-                    ),
-                )
-            )
-        return findings
-
-
-@register
 class BlockingUnderLockRule(Rule):
     """CONC003: no blocking operation while a lock is held.
 
     A lock held across a filesystem call, ``time.sleep``, a future
     ``.result()`` or a ``queue.get`` serializes every other thread
-    behind that latency -- the parallel query path's speedup quietly
-    collapses to the slowest disk read.  The rule follows resolved call
-    chains, so hiding the I/O two helpers down still fires.  Sites
-    where blocking under the lock *is* the contract (the BlockCache
-    single-flight wait, the LSM store's WAL-before-memtable ordering)
-    are allowlisted by qualname and kind in ``BLOCKING_ALLOWLIST`` with
-    the justification the message would otherwise demand; the allowlist
-    is per-kind, so ``time.sleep`` under the LSM lock still fires.
+    behind that latency -- a reader waits out the committer's slowest
+    disk write.  The rule follows resolved call chains, so hiding the
+    I/O two helpers down still fires.  Sites
+    where blocking under the lock *is* the contract (the LSM store's
+    WAL-before-memtable ordering, the block-file manager's shared
+    append handle) are allowlisted by qualname and kind in
+    ``BLOCKING_ALLOWLIST`` with the justification the message would
+    otherwise demand; the allowlist is per-kind, so ``time.sleep``
+    under the LSM lock still fires.  An allowlist row that suppressed
+    nothing in this run is reported at its function, so the table
+    cannot rot.
     """
 
     rule_id = "CONC003"
@@ -344,6 +271,8 @@ class BlockingUnderLockRule(Rule):
     def check_project(self, project: Project) -> List[Finding]:
         analysis = lockset_for(project)
         findings: List[Finding] = []
+        #: ``(qualname, kind)`` pairs an allowlist row suppressed.
+        used: Set[Tuple[str, str]] = set()
         for qualname in sorted(analysis.functions):
             summary = analysis.functions[qualname]
             if summary.info.name in _EXEMPT_METHODS:
@@ -368,6 +297,7 @@ class BlockingUnderLockRule(Rule):
                 events, key=lambda event: (event[0], event[1])
             ):
                 if kind in allowed:
+                    used.add((qualname, kind))
                     continue
                 for lock in sorted(held):
                     key = (lock.label, kind)
@@ -391,191 +321,27 @@ class BlockingUnderLockRule(Rule):
                             ),
                         )
                     )
+        findings.extend(self._stale_rows(analysis, used))
         return findings
 
-
-def _stmt_written_attrs(stmt: ast.AST) -> Set[str]:
-    """``self.<attr>`` names a simple statement writes (attribute
-    rebinding or item assignment through the attribute)."""
-    targets: List[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    written: Set[str] = set()
-    for target in targets:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            candidates: List[ast.expr] = list(target.elts)
-        else:
-            candidates = [target]
-        for candidate in candidates:
-            if isinstance(candidate, ast.Subscript):
-                candidate = candidate.value
-            if (
-                isinstance(candidate, ast.Attribute)
-                and isinstance(candidate.value, ast.Name)
-                and candidate.value.id == "self"
-            ):
-                written.add(candidate.attr)
-    return written
-
-
-def _guarded_attr_reads(expr: ast.AST, guarded: Set[str]) -> Set[str]:
-    """Guarded ``self.<attr>`` names an expression reads."""
-    return {
-        node.attr
-        for node in ast.walk(expr)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and node.attr in guarded
-    }
-
-
-@register
-class CheckThenActRule(Rule):
-    """CONC004: don't check a guarded attribute outside the lock and act
-    on the answer inside it.
-
-    ``if self.x: with self._lock: self.x = ...`` is atomic-looking code
-    with a race in the gap: another thread can change ``self.x`` between
-    the unlocked read and the locked write, so the write acts on a stale
-    decision.  An attribute counts as *guarded* when some method writes
-    it under the class's lock (or in a ``*_locked`` helper); the rule
-    then flags ``if``/``while`` tests that read a guarded attribute --
-    directly or through a local assigned from one -- with no lock held,
-    when an arm of that same statement writes the attribute under the
-    lock.  Reads that never feed a locked write stay legal (the codebase
-    tolerates racy reads; see CONC001's rationale).
-    """
-
-    rule_id = "CONC004"
-
-    def check_project(self, project: Project) -> List[Finding]:
-        analysis = lockset_for(project)
-        table = analysis.table
-        findings: List[Finding] = []
-        for class_qualname in sorted(table.classes):
-            klass = table.classes[class_qualname]
-            locks = class_locks(table, class_qualname)
-            if not locks:
-                continue
-            lock_refs = frozenset(locks.values())
-            guarded = self._guarded_attrs(analysis, klass, lock_refs)
-            guarded -= set(locks)
-            if not guarded:
-                continue
-            for name in sorted(klass.methods):
-                if name in _EXEMPT_METHODS or name.endswith("_locked"):
-                    continue
-                summary = analysis.functions.get(klass.methods[name].qualname)
-                if summary is not None:
-                    findings.extend(
-                        self._check_method(summary, guarded, lock_refs)
-                    )
-        return findings
-
-    @staticmethod
-    def _guarded_attrs(
-        analysis: LocksetAnalysis,
-        klass: ClassInfo,
-        lock_refs: FrozenSet[LockRef],
-    ) -> Set[str]:
-        guarded: Set[str] = set()
-        for name in sorted(klass.methods):
-            if name in _EXEMPT_METHODS:
-                continue
-            summary = analysis.functions.get(klass.methods[name].qualname)
+    def _stale_rows(
+        self, analysis: LocksetAnalysis, used: Set[Tuple[str, str]]
+    ) -> Iterator[Finding]:
+        """One finding per allowlisted kind that suppressed nothing, for
+        rows naming a function of this project."""
+        for qualname, (kinds, _reason) in sorted(BLOCKING_ALLOWLIST.items()):
+            summary = analysis.functions.get(qualname)
             if summary is None:
                 continue
-            locked_helper = name.endswith("_locked")
-            for node in summary.cfg.real_nodes():
-                if node.kind != "stmt" or node.stmt is None:
-                    continue
-                if locked_helper or (
-                    summary.held_at[node.index] & lock_refs
-                ):
-                    guarded |= _stmt_written_attrs(node.stmt)
-        return guarded
-
-    def _check_method(
-        self,
-        summary: FunctionLocks,
-        guarded: Set[str],
-        lock_refs: FrozenSet[LockRef],
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        stmt_nodes = {
-            id(node.stmt): node
-            for node in summary.cfg.real_nodes()
-            if node.kind == "stmt" and node.stmt is not None
-        }
-        #: local name -> guarded attrs its current value was read from
-        #: without the lock (assignment order approximates flow order).
-        tainted: Dict[str, Set[str]] = {}
-        for node in summary.cfg.real_nodes():
-            held = summary.held_at[node.index] & lock_refs
-            stmt = node.stmt
-            if (
-                node.kind == "stmt"
-                and isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-            ):
-                reads = _guarded_attr_reads(stmt.value, guarded)
-                tainted[stmt.targets[0].id] = reads if not held else set()
-                continue
-            if node.kind not in ("test", "loop"):
-                continue
-            if not isinstance(stmt, (ast.If, ast.While)):
-                continue
-            if held:
-                continue
-            reads = _guarded_attr_reads(stmt.test, guarded)
-            for name_node in ast.walk(stmt.test):
-                if isinstance(name_node, ast.Name):
-                    reads |= tainted.get(name_node.id, set())
-            if not reads:
-                continue
-            finding = self._locked_write_below(
-                summary, node.line, stmt, reads, lock_refs, stmt_nodes
-            )
-            if finding is not None:
-                findings.append(finding)
-        return findings
-
-    def _locked_write_below(
-        self,
-        summary: FunctionLocks,
-        test_line: int,
-        stmt: ast.stmt,
-        reads: Set[str],
-        lock_refs: FrozenSet[LockRef],
-        stmt_nodes: Dict[int, CFGNode],
-    ) -> Optional[Finding]:
-        for sub in ast.walk(stmt):
-            if sub is stmt or not isinstance(sub, ast.stmt):
-                continue
-            written = _stmt_written_attrs(sub) & reads
-            if not written:
-                continue
-            write_node = stmt_nodes.get(id(sub))
-            if write_node is None:
-                continue
-            if not (summary.held_at[write_node.index] & lock_refs):
-                continue
-            attr = sorted(written)[0]
-            lock = sorted(summary.held_at[write_node.index] & lock_refs)[0]
-            return Finding(
-                path=summary.info.source.relpath,
-                line=test_line,
-                rule_id=self.rule_id,
-                message=(
-                    f"self.{attr} is checked here without {lock.short} "
-                    f"but written under it at line {write_node.line} "
-                    f"({summary.info.scope_name}.{summary.info.name}()); "
-                    "the value can change between the check and the act "
-                    "-- move the check inside the locked region"
-                ),
-            )
-        return None
+            for kind in sorted(kind for kind in kinds if (qualname, kind) not in used):
+                yield Finding(
+                    path=summary.info.source.relpath,
+                    line=summary.info.node.lineno,  # type: ignore[attr-defined]
+                    rule_id=self.rule_id,
+                    message=(
+                        f"BLOCKING_ALLOWLIST allows {kind} under a lock in "
+                        f"{summary.info.scope_name}.{summary.info.name}(), "
+                        f"but no {kind} operation runs under a lock there "
+                        "-- delete the stale row"
+                    ),
+                )

@@ -210,15 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rendering; json: full function-level edges) instead of findings",
     )
     lint.add_argument(
-        "--lock-graph",
-        default=None,
-        choices=["dot", "json"],
-        metavar="{dot,json}",
-        help="emit the lock-acquisition-order graph the CONC002-004 "
-        "rules check (dot: digraph with witness file:line edge labels; "
-        "json: full edges, witnesses and cycles) instead of findings",
-    )
-    lint.add_argument(
         "--cache",
         default=".repro-lint-cache.json",
         metavar="PATH",
@@ -229,15 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="always analyze from scratch, ignoring and not writing the cache",
-    )
-    lint.add_argument(
-        "--dynamic-witness",
-        default=None,
-        metavar="REPORT",
-        help="cross-check a race-report.json from 'repro san' (or a "
-        "REPRO_SAN=1 test run) against the CONC rules: classifies each "
-        "race as confirming a static finding or statically invisible, "
-        "and each finding as witnessed or not; exits 1 on any race",
     )
 
     san = subparsers.add_parser(
@@ -440,29 +422,6 @@ def _run_san(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _run_dynamic_witness(args: argparse.Namespace) -> int:
-    """``lint --dynamic-witness``: join a race report with the CONC rules."""
-    from pathlib import Path
-
-    from repro.analysis.dynamic_witness import cross_check
-
-    try:
-        result = cross_check(
-            args.dynamic_witness,
-            [Path(path) for path in args.paths],
-            root=Path(args.root) if args.root else None,
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    print(
-        result.render_json()
-        if args.format == "json"
-        else result.render_text()
-    )
-    return 0 if result.ok else 1
-
-
 def _run_lint(args: argparse.Namespace) -> int:
     """The ``lint`` subcommand; returns the process exit code directly
     (0 clean, 1 findings, 2 usage error)."""
@@ -470,9 +429,6 @@ def _run_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis import all_rules, run_lint
-
-    if args.dynamic_witness:
-        return _run_dynamic_witness(args)
 
     if args.explain:
         rules = all_rules()
@@ -503,22 +459,6 @@ def _run_lint(args: argparse.Namespace) -> int:
             return 2
         graph = CallGraph.build(SymbolTable.build(project))
         print(graph.to_dot() if args.call_graph == "dot" else graph.to_json())
-        return 0
-
-    if args.lock_graph:
-        from repro.analysis.cfg import lockset_for
-        from repro.analysis.project import build_project
-
-        try:
-            project = build_project(
-                [Path(path) for path in args.paths],
-                root=Path(args.root) if args.root else None,
-            )
-        except FileNotFoundError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        order = lockset_for(project).order
-        print(order.to_dot() if args.lock_graph == "dot" else order.to_json())
         return 0
 
     # `--select ""` must reach the validator (blank selection is a usage

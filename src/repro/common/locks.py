@@ -1,17 +1,16 @@
 """The process-wide concurrency seam: where every lock comes from.
 
 Every lock-carrying class in the tree (Gateway, BlockCache,
-MetricsRegistry, LSMStore, HistoryDB, FaultyFile, CircuitBreaker)
-acquires its synchronization primitives from this module instead of
-calling ``threading.Lock()`` directly.  That single indirection is what
-lets the dynamic race sanitizer (:mod:`repro.sanitizer`) observe every
-acquire/release in the process without any per-call-site
-instrumentation (thread fork/join edges come from its
-``threading.Thread`` patch) -- and what lets ``repro-lint`` keep its
-static lock model: the analyzer recognizes :func:`make_lock` /
-:func:`make_rlock` as ``threading`` factory calls, so the CONC001-004
-rules see exactly the same lock-carrying classes they did before the
-seam existed.
+MetricsRegistry, LSMStore, MemStore, BlockFileManager, HistoryDB,
+FaultyFile, CircuitBreaker) acquires its synchronization primitives
+from this module instead of calling ``threading.Lock()`` directly.
+That single indirection is what lets the dynamic race sanitizer
+(:mod:`repro.sanitizer`) observe every acquire/release in the process
+without any per-call-site instrumentation (thread fork/join edges come
+from its ``threading.Thread`` patch) -- and what lets ``repro-lint``
+keep its static lock model: the analyzer recognizes :func:`make_lock` /
+:func:`make_rlock` as ``threading`` factory calls, so CONC001 and
+CONC003 see the same lock-carrying classes the sanitizer traces.
 
 The default factory hands out plain ``threading`` primitives, so with
 no sanitizer installed the seam costs one function call at lock

@@ -1,11 +1,13 @@
 """repro-san: a dynamic happens-before / lockset race sanitizer.
 
-The static CONC001-004 rules (:mod:`repro.analysis.rules.concurrency`)
-prove lock *discipline* -- every write under a lock, no ordering cycles,
-no blocking under a lock.  They cannot see data races on lock-free
-paths, atomicity violations across a release/reacquire, or bugs that
-only exist under some interleavings.  This package is the dynamic
-complement, in the FastTrack + Eraser tradition:
+It owns every concurrency bug class that needs two threads to show:
+unlocked container reads and mutations, check-then-act splits across a
+release/reacquire, lock-order cycles and a plain ``Lock`` re-acquired
+by its holder.  The two static rules
+(:mod:`repro.analysis.rules.concurrency`) own the rest: CONC001, an
+unlocked attribute rebind on a path no threaded test drives, and
+CONC003, blocking under a lock.  DESIGN.md §6 has the owner table.  The
+engine is in the FastTrack + Eraser tradition:
 
 * a **happens-before engine** (:mod:`repro.sanitizer.runtime`) keeps a
   vector clock per thread, with edges from lock release -> acquire
@@ -27,11 +29,9 @@ complement, in the FastTrack + Eraser tradition:
   schedule-dependent bugs the default schedule never hits.
 
 Entry points: ``repro san`` (CLI, runs the built-in concurrency
-scenarios), ``REPRO_SAN=1 pytest`` (whole-suite mode via
-``tests/conftest.py``), and ``repro lint --dynamic-witness
-race-report.json`` (cross-checks dynamic races against static CONC
-findings).  See docs/static-analysis.md for the static<->dynamic
-coverage matrix and the race-report runbook.
+scenarios) and ``REPRO_SAN=1 pytest`` (whole-suite mode via
+``tests/conftest.py``).  See docs/static-analysis.md for the owner
+table and the race-report runbook.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ locksets -- each carrying thread, operation, ``file:line`` site and
 held-lock names; the *second* (detecting) access additionally carries
 its full call stack.  A :class:`SanitizerReport` is the whole-run
 document ``repro san`` and the ``REPRO_SAN=1`` test leg write as
-``race-report.json``, which ``repro lint --dynamic-witness`` then
-cross-checks against the static CONC findings.  Everything round-trips
-through JSON so a report survives the process that produced it.
+``race-report.json``, so a failing run's witnesses outlive the process
+(CI uploads the file either way).
 """
 
 from __future__ import annotations
@@ -73,31 +72,8 @@ class RaceReport:
         return "\n".join(lines)
 
     def to_json(self) -> Dict[str, Any]:
-        """A JSON-ready dict (inverse of :meth:`from_json`)."""
+        """A JSON-ready dict."""
         return asdict(self)
-
-    @staticmethod
-    def from_json(raw: Dict[str, Any]) -> "RaceReport":
-        """Rebuild a race from its :meth:`to_json` dict."""
-
-        def witness(side: Dict[str, Any]) -> AccessWitness:
-            return AccessWitness(
-                thread=str(side["thread"]),
-                op=str(side["op"]),
-                path=str(side["path"]),
-                line=int(side["line"]),
-                function=str(side["function"]),
-                locks=tuple(side.get("locks", ())),
-                stack=tuple(side.get("stack", ())),
-            )
-
-        return RaceReport(
-            kind=str(raw["kind"]),
-            cls=str(raw["cls"]),
-            attr=str(raw["attr"]),
-            first=witness(raw["first"]),
-            second=witness(raw["second"]),
-        )
 
 
 @dataclass
@@ -106,8 +82,8 @@ class SanitizerReport:
 
     ``seed`` and ``fuzz_rounds`` make a failure replayable (the
     ``REPRO_SEED`` contract); ``lock_order_cycles`` is the dynamic
-    acquisition-order graph's verdict (the runtime counterpart of the
-    static CONC002 rule).
+    acquisition-order graph's verdict -- the repository's one
+    lock-order check, built from the acquisitions that really happened.
     """
 
     FORMAT_VERSION = 1
@@ -167,33 +143,3 @@ class SanitizerReport:
         Path(path).write_text(
             json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8"
         )
-
-    @staticmethod
-    def from_json(raw: Dict[str, Any]) -> "SanitizerReport":
-        """Rebuild a report from its :meth:`to_json` dict."""
-        if not isinstance(raw, dict) or raw.get("version") != SanitizerReport.FORMAT_VERSION:
-            raise ValueError(
-                "race report has unsupported format "
-                f"{raw.get('version') if isinstance(raw, dict) else type(raw).__name__!r}"
-            )
-        report = SanitizerReport(
-            seed=int(raw.get("seed", 0)),
-            workers=int(raw.get("workers", 1)),
-            fuzz_rounds=int(raw.get("fuzz_rounds", 0)),
-            source=str(raw.get("source", "scenarios")),
-            scenarios=[str(name) for name in raw.get("scenarios", [])],
-            races=[RaceReport.from_json(entry) for entry in raw.get("races", [])],
-            lock_order_cycles=list(raw.get("lock_order_cycles", [])),
-            events_traced=int(raw.get("events_traced", 0)),
-            duration_seconds=float(raw.get("duration_seconds", 0.0)),
-        )
-        return report
-
-    @staticmethod
-    def load(path: str | Path) -> "SanitizerReport":
-        """Read a report back from ``path`` (inverse of :meth:`save`)."""
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"race report {path} is not valid JSON: {exc}") from exc
-        return SanitizerReport.from_json(raw)

@@ -121,21 +121,27 @@ def _scenario_historydb(workers: int) -> None:
 
 
 def _scenario_lsm(workers: int) -> None:
-    """Writers forcing memtable flushes while readers get/scan."""
+    """State-db writers racing get/scan readers on both backends; the
+    LSM store's writes force memtable flushes."""
     from repro.storage.kv.lsm import LSMStore
+    from repro.storage.kv.memstore import MemStore
 
     with tempfile.TemporaryDirectory(prefix="repro-san-lsm-") as tmp:
-        store = LSMStore(tmp, memtable_limit=8, compaction_trigger=4)
+        stores = (
+            LSMStore(tmp, memtable_limit=8, compaction_trigger=4),
+            MemStore(),
+        )
 
         def work(index: int) -> None:
             for step in range(20):
                 key = f"k{(index + step) % 12:03d}".encode()
-                if index % 2 == 0:
-                    store.put(key, f"v{index}.{step}".encode())
-                else:
-                    store.get(key)
-                    if step % 5 == 0:
-                        list(store.scan(b"k000", b"k006"))
+                for store in stores:
+                    if index % 2 == 0:
+                        store.put(key, f"v{index}.{step}".encode())
+                    else:
+                        store.get(key)
+                        if step % 5 == 0:
+                            list(store.scan(b"k000", b"k006"))
 
         _run_threads(workers, work)
 
@@ -234,7 +240,7 @@ SCENARIOS: Dict[str, Scenario] = {
     "metrics": _scenario_metrics,
     "blockcache": _scenario_blockcache,
     "historydb": _scenario_historydb,
-    "lsm": _scenario_lsm,
+    "lsm": _scenario_lsm,  # both state-db backends
     "blockfile": _scenario_blockfile,
     "breaker": _scenario_breaker,
     "faultyfile": _scenario_faultyfile,

@@ -10,15 +10,16 @@ import bisect
 from typing import Iterator, Optional, Tuple
 
 from repro.common.locks import make_lock
+from repro.sanitizer.shared import sanitize_shared
 from repro.storage.kv.api import KVStore
 
 
+@sanitize_shared("_values", "_sorted_keys")
 class MemStore(KVStore):
     """A sorted in-memory map implementing :class:`KVStore`.
 
-    Writes are serialized by an internal lock so the store can back
-    concurrent ingestion; scans still materialize their key slice, so a
-    racing writer fails a scan loudly instead of corrupting it.
+    Every read and write of the map takes the store's lock, so the
+    committer's writes and any number of readers can share one store.
     """
 
     def __init__(self) -> None:
@@ -29,7 +30,9 @@ class MemStore(KVStore):
     def get(self, key: bytes) -> Optional[bytes]:
         self._check_open()
         self._check_key(key)
-        return self._values.get(bytes(key))
+        key = bytes(key)
+        with self._lock:
+            return self._values.get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
@@ -54,22 +57,22 @@ class MemStore(KVStore):
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
-        """Not a generator: a closed store raises here, and the keys
-        scanned are those present at this call."""
+        """Not a generator: a closed store raises here, and what is
+        scanned is the store as of this call -- the entries in range are
+        copied under the lock, so a racing ``put`` or ``delete`` changes
+        neither the keys nor the values this scan yields."""
         self._check_open()
         with self._lock:
             keys = self._sorted_keys
             lo = 0 if start is None else bisect.bisect_left(keys, bytes(start))
             hi = len(keys) if end is None else bisect.bisect_left(keys, bytes(end))
-            # Materialize the key slice so concurrent mutation during
-            # iteration fails loudly (KeyError) instead of corrupting the
-            # scan silently.
-            window = keys[lo:hi]
-        return zip(window, map(self._values.__getitem__, window))
+            values = self._values
+            return iter([(key, values[key]) for key in keys[lo:hi]])
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
 
     def __len__(self) -> int:
-        return len(self._values)
+        with self._lock:
+            return len(self._values)

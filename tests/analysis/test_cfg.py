@@ -1,9 +1,8 @@
-"""Unit tests for the CFG/lockset layer under the CONC and TEMP rules.
+"""Unit tests for the CFG/lockset layer under CONC003 and TEMP001.
 
 CFG shape and post-dominance are checked on hand-built functions; the
-lockset edge cases named by the issue -- multi-item ``with``, re-entrant
-``RLock``, release in ``finally``, conditional acquire -- run the real
-engine over tiny throwaway projects.
+lockset edge cases -- multi-item ``with``, release in ``finally``,
+conditional acquire -- run the real engine over tiny throwaway projects.
 """
 
 from __future__ import annotations
@@ -176,9 +175,18 @@ def _analysis(tmp_path, source):
 
 
 def _held_attrs(summary, fragment):
-    """Lock attr names held at the stmt node containing ``fragment``."""
+    """Lock attr names held when the stmt node containing ``fragment``
+    starts: the set CONC003 attributes that node's calls to."""
     node = _stmt_node(summary.cfg, fragment)
-    return {lock.attr for lock in summary.held_at[node.index]}
+    return {lock.attr for lock in summary.held_before[node.index]}
+
+
+def _call_held(summary):
+    """Resolved callee -> lock attrs held at the call, as CONC003 reads it."""
+    return {
+        callee: {lock.attr for lock in held}
+        for callee, _line, held in summary.calls
+    }
 
 
 class TestLocksetEdgeCases:
@@ -205,65 +213,6 @@ class TestLocksetEdgeCases:
         )
         summary = analysis.functions["mod.Pair.bump"]
         assert _held_attrs(summary, "self.value += 1") == {"_a", "_b"}
-        refs = {lock.attr: lock for lock in analysis.order.locks()}
-        assert refs["_b"] in analysis.order.successors(refs["_a"])
-        assert analysis.order.successors(refs["_b"]) == []
-        assert analysis.order.cycles() == []
-
-    def test_reentrant_rlock_self_cycle_is_not_a_deadlock(self, tmp_path):
-        analysis = _analysis(
-            tmp_path,
-            """
-            import threading
-
-
-            class Counter:
-                \"\"\"RLock re-taken through a helper: the legal idiom.\"\"\"
-
-                def __init__(self):
-                    self._lock = threading.RLock()
-                    self.value = 0
-
-                def add(self, amount):
-                    \"\"\"Takes the re-entrant lock.\"\"\"
-                    with self._lock:
-                        self.value += amount
-
-                def bump(self):
-                    \"\"\"Holds the lock across add().\"\"\"
-                    with self._lock:
-                        self.add(1)
-            """,
-        )
-        assert analysis.order.self_deadlocks == {}
-        assert analysis.order.cycles() == []
-
-    def test_plain_lock_self_reentry_is_a_deadlock(self, tmp_path):
-        analysis = _analysis(
-            tmp_path,
-            """
-            import threading
-
-
-            class Counter:
-                \"\"\"Same shape with a plain Lock: deadlocks against itself.\"\"\"
-
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.value = 0
-
-                def add(self, amount):
-                    \"\"\"Takes the non-reentrant lock.\"\"\"
-                    with self._lock:
-                        self.value += amount
-
-                def bump(self):
-                    \"\"\"Holds the lock across add().\"\"\"
-                    with self._lock:
-                        self.add(1)
-            """,
-        )
-        assert [lock.attr for lock in analysis.order.self_deadlocks] == ["_lock"]
 
     def test_release_in_finally_clears_the_held_set(self, tmp_path):
         analysis = _analysis(
@@ -298,6 +247,10 @@ class TestLocksetEdgeCases:
         summary = analysis.functions["mod.Guarded.update"]
         assert _held_attrs(summary, "self.tick()") == {"_lock"}
         assert _held_attrs(summary, "self.tail()") == set()
+        assert _call_held(summary) == {
+            "mod.Guarded.tick": {"_lock"},
+            "mod.Guarded.tail": set(),
+        }
 
     def test_conditional_acquire_does_not_leak_past_the_with(self, tmp_path):
         analysis = _analysis(
@@ -333,6 +286,10 @@ class TestLocksetEdgeCases:
         assert _held_attrs(summary, "self.value += 1") == {"_lock"}
         assert _held_attrs(summary, "self.tick()") == set()
         assert _held_attrs(summary, "self.tail()") == set()
+        assert _call_held(summary) == {
+            "mod.Switch.tick": set(),
+            "mod.Switch.tail": set(),
+        }
 
 
 class TestTombstonePostDominance:

@@ -144,25 +144,30 @@ class TestThreadSafety:
     def test_snapshot_under_concurrent_writes_is_consistent(
         self, metrics: MetricsRegistry
     ):
-        # Writers bump two counters in lockstep inside one increment pair;
-        # snapshots taken mid-hammer must never observe a torn dict (the
+        # Writers bump their own counters while readers snapshot
+        # mid-hammer; a snapshot must never observe a torn dict (the
         # pre-lock bug: RuntimeError from dict-changed-during-iteration).
-        stop = threading.Event()
+        # Both sides are bounded by work, so the final counters are exact
+        # and a traced run costs the same events every time; the barrier
+        # starts them together, and untraced the writers' share of work
+        # outlasts the readers'.
+        writes = 10_000
         errors: list[BaseException] = []
+        start = threading.Barrier(6)
 
         def writer(slot: int) -> None:
-            while not stop.is_set():
+            start.wait()
+            for _ in range(writes):
                 metrics.increment(f"w{slot}")
 
         def reader() -> None:
-            # Bounded by work, not by a wall-clock box: 2,000 snapshots
-            # against four spinning writers.
+            start.wait()
             try:
                 for _ in range(2_000):
                     snap = metrics.snapshot()
                     metrics.as_dict()
                     for slot in range(4):
-                        assert snap.counter(f"w{slot}") >= 0
+                        assert 0 <= snap.counter(f"w{slot}") <= writes
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -170,10 +175,10 @@ class TestThreadSafety:
         readers = [threading.Thread(target=reader) for _ in range(2)]
         for thread in writers + readers:
             thread.start()
-        for thread in readers:
-            thread.join(timeout=60)
-        stop.set()
-        for thread in writers:
+        for thread in writers + readers:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in writers + readers)
         assert errors == []
+        assert metrics.snapshot().counters == {
+            f"w{slot}": writes for slot in range(4)
+        }

@@ -1,8 +1,8 @@
 """Mutation acceptance: seeded concurrency bugs the sanitizer must catch.
 
 Each test subclasses a production class and strips one piece of lock
-discipline -- exactly the bug class repro-lint's CONC rules hunt
-statically -- then drives the mutant from concurrent threads inside a
+discipline -- a bug class the sanitizer alone owns (DESIGN.md §6) --
+then drives the mutant from concurrent threads inside a
 scoped sanitizer session and asserts a race is reported **with the
 mutant's exact file and line**.  Detection is edge-based -- two
 accesses race when no happens-before edge connects them and their
@@ -18,6 +18,7 @@ sanitizer's false-negative and false-positive gates.
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import threading
 import traceback
@@ -25,6 +26,7 @@ import traceback
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.blockcache import BlockCache
 from repro.sanitizer import runtime
+from repro.storage.kv.memstore import MemStore
 
 _THIS_FILE = "test_mutation_acceptance.py"
 
@@ -78,7 +80,7 @@ def _witness_lines(report, cls: str, attr: str) -> set:
 
 
 class UnsafeMetrics(MetricsRegistry):
-    """Mutant: increment without the registry lock (CONC001 dynamic twin)."""
+    """Mutant: increment without the registry lock."""
 
     def increment(self, name: str, amount: int = 1) -> int:
         value = self._counters.get(name, 0) + amount
@@ -221,6 +223,36 @@ def test_lsm_check_then_act_memtable_swap_is_caught_at_exact_line(tmp_path):
         for race in races
         for witness in (race.first, race.second)
     )
+
+
+class UnlockedPutStore(MemStore):
+    """Mutant: the state-db ``put`` without the store lock."""
+
+    def put(self, key: bytes, value: bytes) -> None:
+        key = bytes(key)
+        if key not in self._values:
+            bisect.insort(self._sorted_keys, key)
+        self._values[key] = bytes(value)  # mutant: unlocked put
+
+
+def test_unlocked_memstore_put_is_caught_at_exact_line():
+    # Two writers that never take the lock have no happens-before edge
+    # between them, so their writes race whatever the schedule.
+    expected = _line_of(UnlockedPutStore.put, "mutant: unlocked put")
+    with runtime.sanitized(seed=16) as sanitizer:
+        store = UnlockedPutStore()
+
+        def work(index: int) -> None:
+            for step in range(10):
+                key = f"k{step % 4}".encode()
+                if index % 2 == 0:
+                    store.put(key, b"v")
+                else:
+                    store.get(key)
+
+        assert _run_threads(4, work) == []
+        report = sanitizer.build_report(source="mutation", workers=4)
+    assert expected in _witness_lines(report, "UnlockedPutStore", "_values")
 
 
 def test_mutant_races_do_not_leak_into_an_outer_session():
