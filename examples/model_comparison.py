@@ -63,9 +63,10 @@ def main() -> None:
         print(f"  plain state-db  : {plain.state_count()} states")
         print(f"  M2 state-db     : {m2.state_count()} states "
               f"(one per key x occupied interval -- Section VII-B)")
-        print(f"  plain chain     : {plain.storage_bytes():,} bytes "
-              f"(includes M1 index bundles)")
-        print(f"  M2 chain        : {m2.storage_bytes():,} bytes")
+        plain_bytes = plain.network.ledger.block_store.total_bytes()
+        m2_bytes = m2.network.ledger.block_store.total_bytes()
+        print(f"  plain chain     : {plain_bytes:,} bytes (includes M1 index bundles)")
+        print(f"  M2 chain        : {m2_bytes:,} bytes")
 
 
 if __name__ == "__main__":

@@ -89,9 +89,9 @@ def main() -> None:
         print(
             "\nAt this toy scale TQF can still win: with only "
             f"{network.ledger.height} blocks on the chain there is little "
-            "history to skip.  The benchmarks (pytest benchmarks/ or "
-            "python -m repro.cli table1) show the paper's picture -- as "
-            "history grows, TQF's cost grows with it while M1 stays flat."
+            "history to skip.  `python -m repro.cli table1` shows the "
+            "paper's picture -- as history grows, TQF's cost grows with it "
+            "while M1 stays flat."
         )
         network.close()
 

@@ -282,6 +282,8 @@ def run_table3(
     scale: Optional[float] = None,
     entity_scale: Optional[float] = None,
     invocations: int = 6,
+    cache_blocks: Optional[int] = None,
+    statedb: Optional[str] = None,
 ) -> Table3Result:
     """Table III: DS1, M1 indexes built every 25K timestamps (scaled).
 
@@ -289,15 +291,17 @@ def run_table3(
     ``(t-P, t]``, repeat.  Each invocation's GHFK scans start from the
     beginning of history, so index-construction time grows with every
     invocation -- the paper's scalability argument against Model M1.
+    ``cache_blocks``/``statedb`` as in :func:`run_table1`.
     """
     config = dataset_config("ds1", scale, entity_scale)
     data = generate(config)
     t_max = config.t_max
     period = t_max // invocations
     u = u_small(t_max)
+    fabric_config = query_fabric_config(cache_blocks, statedb=statedb)
     result = Table3Result(config=config, u=u, period=period)
     total = 0.0
-    with ExperimentRunner.build(data, "plain") as runner:
+    with ExperimentRunner.build(data, "plain", fabric_config=fabric_config) as runner:
         for invocation in range(1, invocations + 1):
             t1, t2 = (invocation - 1) * period, invocation * period
             ingest_report = runner.ingest(after=t1, until=t2)
@@ -333,6 +337,8 @@ def run_table4(
     get_state_calls: Optional[int] = None,
     ghfk_calls: Optional[int] = None,
     now_factor: float = 1.02,
+    cache_blocks: Optional[int] = None,
+    statedb: Optional[str] = None,
 ) -> Table4Result:
     """Table IV: GetState-Base / GHFK-Base cost for u in {2K,10K,50K,75K}.
 
@@ -340,6 +346,7 @@ def run_table4(
     paper's probe counts (329K probes for 100K calls at u=2K, shrinking to
     exactly 100K at u>=50K) imply its measurement ran at a logical "now"
     a couple of percent past the last event -- see EXPERIMENTS.md.
+    ``cache_blocks``/``statedb`` as in :func:`run_table1`.
     """
     config = dataset_config("ds1", scale, entity_scale)
     data = generate(config)
@@ -352,10 +359,13 @@ def run_table4(
     if ghfk_calls is None:
         ghfk_calls = 4 * key_count
     now = int(t_max * now_factor)
+    fabric_config = query_fabric_config(cache_blocks, statedb=statedb)
 
     result = Table4Result(config=config, now=now)
     for u in (u_small(t_max), u_medium(t_max), u_large(t_max), u_xlarge(t_max)):
-        with ExperimentRunner.build(data, "m2", m2_u=u) as runner:
+        with ExperimentRunner.build(
+            data, "m2", m2_u=u, fabric_config=fabric_config
+        ) as runner:
             runner.ingest()
             result.rows.append(
                 runner.base_access_bench(
@@ -364,7 +374,7 @@ def run_table4(
                     now=now,
                 )
             )
-    with ExperimentRunner.build(data, "plain") as plain:
+    with ExperimentRunner.build(data, "plain", fabric_config=fabric_config) as plain:
         plain.ingest()
         result.baseline = plain.base_data_bench(
             get_state_calls=get_state_calls, ghfk_calls=ghfk_calls

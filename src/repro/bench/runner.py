@@ -243,9 +243,6 @@ class ExperimentRunner:
 
     # -- bookkeeping ---------------------------------------------------------------
 
-    def storage_bytes(self) -> int:
-        return self.network.ledger.block_store.total_bytes()
-
     def state_count(self) -> int:
         return self.network.ledger.state_db.state_count()
 

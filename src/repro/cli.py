@@ -37,12 +37,6 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         help="entity-count scale (default: REPRO_ENTITY_SCALE or 0.1)",
     )
     parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="additionally write the structured result as JSON to PATH",
-    )
-    parser.add_argument(
         "--cache-blocks",
         type=int,
         default=None,
@@ -52,7 +46,7 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--statedb",
         default=None,
-        metavar="BACKEND",
+        choices=sorted(BACKENDS),
         help="state-db backend: memory (in-memory reference) or lsm "
         "(durable LevelDB stand-in); default: REPRO_STATEDB or memory; "
         "the backend changes speed and durability, never query results",
@@ -83,7 +77,7 @@ def _write_json(results: list, path: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (one subcommand per paper table)."""
     parser = argparse.ArgumentParser(
-        prog="repro-bench",
+        prog="repro",
         description="Regenerate the tables of 'Efficiently Processing "
         "Temporal Queries on Hyperledger Fabric' (ICDE 2018)",
     )
@@ -115,6 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     everything = subparsers.add_parser("all", help="run every table")
     _add_scale_args(everything)
+
+    for table in (table1, table2, table3, table4, everything):
+        table.add_argument(
+            "--json",
+            metavar="PATH",
+            default=None,
+            help="additionally write the structured result as JSON to PATH",
+        )
 
     verify = subparsers.add_parser(
         "verify",
@@ -299,6 +301,8 @@ def _run_table3(args: argparse.Namespace):
         scale=args.scale,
         entity_scale=args.entity_scale,
         invocations=args.invocations,
+        cache_blocks=args.cache_blocks,
+        statedb=args.statedb,
     )
     return result, tables.render_table3(result)
 
@@ -310,6 +314,8 @@ def _run_table4(args: argparse.Namespace):
         get_state_calls=args.get_state_calls,
         ghfk_calls=args.ghfk_calls,
         now_factor=args.now_factor,
+        cache_blocks=args.cache_blocks,
+        statedb=args.statedb,
     )
     return result, tables.render_table4(result)
 

@@ -51,6 +51,19 @@ class TestTable1:
         result = experiments.run_table1(dataset="ds1", **SCALE)
         assert result.u_large is not None
         assert all(row.m2_large is not None for row in result.rows)
+        keys = result.config.key_count
+        for row in result.rows:
+            # At the large u a window overlaps one interval per key.
+            assert row.m2_large.ghfk_calls <= keys
+        # The paper's Table I shape on block counters: M1 stays flat
+        # while TQF grows, and on the late window M1 reads fewer blocks
+        # than M2, which reads fewer than TQF.
+        early, late = result.rows[0], result.rows[-1]
+        assert late.m1.blocks_deserialized <= 2 * early.m1.blocks_deserialized
+        assert late.tqf.blocks_deserialized > 2 * early.tqf.blocks_deserialized
+        assert late.m1.blocks_deserialized < late.tqf.blocks_deserialized / 4
+        assert late.m1.blocks_deserialized <= late.m2_small.blocks_deserialized
+        assert late.m2_small.blocks_deserialized < late.tqf.blocks_deserialized
 
     def test_tqf_blocks_grow_across_windows(self):
         result = experiments.run_table1(dataset="ds3", **SCALE)
@@ -65,8 +78,9 @@ class TestTable2:
         result = experiments.run_table2(**SCALE)
         assert len(result.rows) == 3
         assert [row.u for row in result.rows] == sorted(row.u for row in result.rows)
-        blocks = [row.late_window.blocks_deserialized for row in result.rows]
-        assert blocks == sorted(blocks, reverse=True)
+        for window in ("late_window", "early_window"):
+            blocks = [getattr(row, window).blocks_deserialized for row in result.rows]
+            assert blocks == sorted(blocks, reverse=True), window
 
 
 @pytest.mark.slow
@@ -74,6 +88,9 @@ class TestTable3:
     def test_periodic_structure(self):
         result = experiments.run_table3(invocations=3, **SCALE)
         assert len(result.rows) == 3
+        assert [row.timestamp for row in result.rows] == [
+            result.period * i for i in range(1, 4)
+        ]
         assert result.rows[-1].timestamp == result.config.t_max
         totals = [row.total_seconds for row in result.rows]
         assert totals == sorted(totals)
@@ -88,5 +105,9 @@ class TestTable4:
         assert len(result.rows) == 4
         probes = [row.get_state_probes for row in result.rows]
         assert probes == sorted(probes, reverse=True)
+        # The small u pays extra probes; the large u flattens toward the
+        # floor of one empty "now" interval plus one hit per call.
+        assert probes[0] > probes[-1]
+        assert probes[-1] <= 2 * result.rows[0].get_state_calls
         assert result.baseline is not None
         assert result.baseline.get_state_probes == 200

@@ -83,10 +83,9 @@ class TestIngestAndQuery:
             with pytest.raises(ConfigError, match="plain variant"):
                 runner.build_m1_index(u=100)
 
-    def test_storage_and_state_accounting(self, data):
+    def test_state_accounting(self, data):
         with ExperimentRunner.build(data, "m2", m2_u=100) as runner:
             runner.ingest()
-            assert runner.storage_bytes() > 0
             # M2 state-db holds one state per (key, occupied interval).
             assert runner.state_count() > CONFIG.key_count
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import experiments, tables
+from repro.bench.runner import ExperimentRunner
 from repro.cli import build_parser, main
 
 SCALE = dict(scale=0.02, entity_scale=0.1)
@@ -69,6 +70,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "command", ["table1", "table2", "table3", "table4", "all", "verify"]
+    )
+    def test_unknown_statedb_is_a_usage_error(self, command):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--statedb", "bogus"])
+        assert exit_info.value.code == 2
+
+    def test_verify_offers_no_json(self):
+        """``verify`` writes no structured result, so it takes no path."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["verify", "--json", "out.json"])
+        assert exit_info.value.code == 2
+
 
 @pytest.mark.slow
 class TestMain:
@@ -113,3 +128,29 @@ class TestMain:
         )
         assert exit_code == 0
         assert "Table IV" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["table3", "--invocations", "2"],
+            ["table4", "--get-state-calls", "20", "--ghfk-calls", "2"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_statedb_and_cache_blocks_reach_every_ledger(self, monkeypatch, command):
+        built = []
+        build = ExperimentRunner.build.__func__
+
+        def recording_build(cls, *args, **kwargs):
+            runner = build(cls, *args, **kwargs)
+            config = runner.network.config
+            built.append((config.state_db.backend, config.block_store.cache_blocks))
+            return runner
+
+        monkeypatch.setattr(ExperimentRunner, "build", classmethod(recording_build))
+        exit_code = main(
+            [*command, "--scale", "0.02", "--entity-scale", "0.1",
+             "--statedb", "lsm", "--cache-blocks", "8"]
+        )
+        assert exit_code == 0
+        assert built and set(built) == {("lsm", 8)}

@@ -52,8 +52,12 @@ def m2_network(tmp_path):
 class TestPlainChecked:
     def test_checked_ingest_matches_unchecked_history(self, plain_network, workload):
         gateway = plain_network.gateway("ingestor")
+        metrics = plain_network.metrics
+        before = metrics.counter(metric_names.GET_STATE_CALLS)
         report = ingest_checked(gateway, workload.events, "supplychain")
         assert report.transactions == len(workload.events)
+        # On original keys the current state is one GetState per event.
+        assert metrics.counter(metric_names.GET_STATE_CALLS) - before == len(workload.events)
         engine = TQFEngine(plain_network.ledger)
         window = TimeInterval(0, CONFIG.t_max)
         for key in workload.shipments:
@@ -134,14 +138,24 @@ class TestM2Checked:
             expected = sorted(e for e in workload.events if e.key == key)
             assert engine.fetch_events(key, window) == expected
 
-    def test_m2_checked_pays_probing_reads(self, m2_network, workload):
+    def test_m2_checked_pays_probing_reads(self, m2_network, workload, tmp_path_factory):
         """Under M2, every checked transaction runs the GetState-Base loop,
-        so GetState calls exceed one per event."""
-        metrics = m2_network.metrics
-        before = metrics.counter(metric_names.GET_STATE_CALLS)
-        ingest_checked(m2_network.gateway("ingestor"), workload.events, "supplychain-m2")
-        probes = metrics.counter(metric_names.GET_STATE_CALLS) - before
-        assert probes > len(workload.events)
+        so GetState calls exceed one per event -- and more of them the
+        smaller u is, since more empty intervals lie between an event and
+        its entity's latest state."""
+        with FabricNetwork(
+            tmp_path_factory.mktemp("m2-small-u"), config=fabric_config()
+        ) as small_u_network:
+            small_u_network.install(M2SupplyChainChaincode(u=25))
+            probes = {}
+            for u, network in ((100, m2_network), (25, small_u_network)):
+                before = network.metrics.counter(metric_names.GET_STATE_CALLS)
+                report = ingest_checked(
+                    network.gateway("ingestor"), workload.events, "supplychain-m2"
+                )
+                assert report.events == len(workload.events)
+                probes[u] = network.metrics.counter(metric_names.GET_STATE_CALLS) - before
+        assert probes[25] > probes[100] > len(workload.events)
 
     def test_m2_validation_rules_apply(self, m2_network):
         gateway = m2_network.gateway("client")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common import metrics as metric_names
 from repro.common.errors import IndexingError
 from repro.faults.doctor import run_doctor
 from repro.temporal.chaincodes import M1IndexChaincode
@@ -11,6 +12,7 @@ from repro.temporal.intervals import TimeInterval
 from repro.temporal.keys import encode_interval_key
 from repro.temporal.m1 import IndexingRun, M1QueryEngine
 from repro.temporal.tqf import TQFEngine
+from repro.workload.ingest import batch_events_me
 from tests.helpers import (
     build_m1_index,
     build_plain_network,
@@ -48,6 +50,17 @@ class TestIndexingReports:
         max_possible = workload.config.key_count * 5  # 5 intervals per run
         assert 0 < report1.indexes_written <= max_possible
         assert 0 < report2.indexes_written <= max_possible
+
+    def test_indexing_commits_two_transactions_per_bundle_and_one_per_run(
+        self, indexed, workload
+    ):
+        """Section VI-2: on top of ingestion, each bundle is a write and a
+        delete transaction, and each run records itself in one more."""
+        network, report1, report2 = indexed
+        ingested = len(list(batch_events_me(workload.events)))
+        bundles = report1.indexes_written + report2.indexes_written
+        committed = network.metrics.counter(metric_names.TXS_COMMITTED)
+        assert committed == ingested + 2 * bundles + 2
 
     def test_reports_carry_run_descriptors(self, indexed):
         _, report1, report2 = indexed

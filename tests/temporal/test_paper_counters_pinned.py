@@ -34,6 +34,7 @@ runs unchanged against another commit's ``src`` (it passes on PR 17's).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import Dict, NamedTuple
 
@@ -105,11 +106,11 @@ EXPECTED: Dict[str, Dict[str, Pinned]] = {
 }
 
 
-def fabric_config(cache_blocks: int = 0) -> FabricConfig:
+def fabric_config(cache_blocks: int = 0, max_message_count: int = 10) -> FabricConfig:
     """The paper's measurement setup, spelled out so no environment
     variable a CI leg sets can move a literal."""
     return FabricConfig(
-        block_cutting=BlockCuttingConfig(max_message_count=10),
+        block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
         state_db=StateDbConfig(backend="memory"),
         block_store=BlockStoreConfig(codec="json", cache_blocks=cache_blocks),
     )
@@ -121,10 +122,16 @@ def windows(t_max: int):
 
 
 def build_plain(
-    path, workload: WorkloadConfig, index: bool = True, cache_blocks: int = 0
+    path,
+    workload: WorkloadConfig,
+    index: bool = True,
+    cache_blocks: int = 0,
+    max_message_count: int = 10,
 ) -> FabricNetwork:
     """Plain ledger, by default with a full M1 index at ``u = t_max / 15``."""
-    network = FabricNetwork(path / "plain", config=fabric_config(cache_blocks))
+    network = FabricNetwork(
+        path / "plain", config=fabric_config(cache_blocks, max_message_count)
+    )
     network.install(SupplyChainChaincode())
     network.install(M1IndexChaincode())
     ingest(network.gateway("ingestor"), generate(workload).events,
@@ -220,6 +227,40 @@ def test_a_warm_block_cache_decodes_nothing_on_the_second_sweep(tmp_path):
     # Keys written by one transaction share its one decoded segment.
     assert 0 < first.txs_decoded <= uncached.txs_decoded
     assert (second.txs_decoded, second.blocks_deserialized, second.block_bytes_read) == (0, 0, 0)
+
+
+def test_a_smaller_block_cut_spreads_tqf_over_more_blocks(tmp_path):
+    """The orderer's cut decides how many blocks a key's events spread
+    over: TQF reads more of them under a 5-transaction cut than under a
+    50-transaction one.  An M1 bundle is one write, so M1 reads at most
+    one block per GHFK call at any cut, and the rows never move."""
+    workload = LEDGERS["ds1-me"]
+    tqf_blocks = {}
+    for cut in (5, 50):
+        network = build_plain(tmp_path / f"cut{cut}", workload, max_message_count=cut)
+        try:
+            tqf, m1 = (sweep(network, model, workload.t_max) for model in ("tqf", "m1"))
+        finally:
+            network.close()
+        assert tqf.rows == m1.rows == EXPECTED["ds1-me"]["tqf"].rows, cut
+        assert 0 < m1.blocks_deserialized <= m1.ghfk_calls, cut
+        tqf_blocks[cut] = tqf.blocks_deserialized
+    assert tqf_blocks[5] > tqf_blocks[50]
+
+
+def test_single_event_ingest_spreads_tqf_over_more_blocks(tmp_path):
+    """SE spends a transaction per event, ME one per run of distinct
+    keys: the same DS3 events ingested ME put each key's history in
+    fewer blocks, so TQF reads fewer of them for the same rows."""
+    workload = dataclasses.replace(LEDGERS["ds3-se"], ingestion="me")
+    network = build_plain(tmp_path, workload, index=False)
+    try:
+        me = sweep(network, "tqf", workload.t_max)
+    finally:
+        network.close()
+    se = EXPECTED["ds3-se"]["tqf"]
+    assert me.rows == se.rows
+    assert se.blocks_deserialized > me.blocks_deserialized
 
 
 if __name__ == "__main__":  # prints the EXPECTED table for this tree

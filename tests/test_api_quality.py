@@ -52,8 +52,8 @@ CONVENTIONAL_METHODS = {
     "install", "installed", "invoke", "commit", "endorse", "submit",
     "counter", "timer", "add_time", "snapshot", "start", "stop",
     "add_read", "add_write", "add_delete", "key_count", "state_count",
-    "storage_bytes", "run_join", "items", "sample", "plan", "query",
-    "list_keys", "fetch_events", "record_key", "load", "run",
+    "run_join", "items", "sample", "plan", "query",
+    "list_keys", "fetch_events", "load", "run",
 }
 
 

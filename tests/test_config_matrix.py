@@ -84,6 +84,7 @@ def ledger_summary(network: FabricNetwork) -> dict:
         "chain": [block.header.hash() for block in blocks],
         "codes": [tx.validation_code for block in blocks for tx in block.transactions],
         "state": network.ledger.state_fingerprint(),
+        "bytes": network.ledger.block_store.total_bytes(),
     }
 
 
@@ -193,6 +194,19 @@ def test_every_cell_equals_the_reference(cells, cell):
             assert result[ledger][field] == reference[ledger][field], (ledger, field)
     assert result["rows"] == reference["rows"]
     assert result["deleted"] == reference["deleted"]
+
+
+def test_binary_chains_are_smaller_than_json(cells):
+    """The one cell the ``binary`` codec wins (DESIGN.md §5): the same
+    chain in fewer bytes, whatever the backend and the cache."""
+    for (backend, codec, cache_blocks), (_, result) in cells.items():
+        if codec != "binary":
+            continue
+        _, as_json = cells[(backend, "json", cache_blocks)]
+        for ledger in ("plain", "m2"):
+            assert result[ledger]["bytes"] < as_json[ledger]["bytes"], (
+                backend, cache_blocks, ledger
+            )
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])

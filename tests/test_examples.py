@@ -1,7 +1,9 @@
-"""Smoke tests: every example must run to completion.
+"""Smoke tests: every example must run to completion, and every
+benchmark file must be run by CI.
 
 Examples are the first thing a new user executes; these tests keep them
-from rotting as the API evolves.
+from rotting as the API evolves.  A benchmark nobody runs rots the same
+way, silently.
 """
 
 from __future__ import annotations
@@ -12,12 +14,26 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
 def test_examples_exist():
     assert len(EXAMPLES) >= 3, "the repo promises at least three examples"
+
+
+def test_every_benchmark_file_is_run_by_ci():
+    """``pytest`` collects ``benchmarks/`` only when told to, so a
+    ``benchmarks/bench_*.py`` that the CI workflow does not name is a
+    second, unrun measurement path."""
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    benches = [
+        path.relative_to(REPO).as_posix()
+        for path in sorted((REPO / "benchmarks").glob("bench_*.py"))
+    ]
+    assert benches
+    assert [bench for bench in benches if bench not in workflow] == []
 
 
 @pytest.mark.slow

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import metrics as metric_names
 from repro.common.errors import WorkloadError
 from repro.fabric.network import FabricNetwork
-from repro.temporal.chaincodes import SupplyChainChaincode
+from repro.temporal.chaincodes import M2SupplyChainChaincode, SupplyChainChaincode
 from repro.temporal.events import LOAD, UNLOAD, Event
 from repro.workload.generator import WorkloadConfig, generate
 from repro.workload.ingest import batch_events_me, ingest
@@ -89,6 +90,23 @@ class TestIngest:
         gateway = network.gateway("ingestor")
         report = ingest(gateway, workload.events, "supplychain", strategy="me")
         assert report.transactions < len(workload.events)
+
+    @pytest.mark.parametrize("strategy", ["se", "me"])
+    def test_m2_commits_what_plain_commits(
+        self, network, workload, tmp_path_factory, strategy
+    ):
+        """Section VII-B3: M2 adds no transaction -- the key transformation
+        happens inside the one transaction each batch already is."""
+        plain = ingest(network.gateway("ingestor"), workload.events, "supplychain",
+                       strategy=strategy)
+        with FabricNetwork(tmp_path_factory.mktemp("m2"), config=fabric_config()) as m2:
+            m2.install(M2SupplyChainChaincode(u=100))
+            report = ingest(m2.gateway("ingestor"), workload.events,
+                            M2SupplyChainChaincode.name, strategy=strategy)
+            committed = m2.metrics.counter(metric_names.TXS_COMMITTED)
+        assert report.events == plain.events == len(workload.events)
+        assert report.transactions == plain.transactions == committed
+        assert committed == network.metrics.counter(metric_names.TXS_COMMITTED)
 
     def test_history_complete_after_me(self, network, workload):
         gateway = network.gateway("ingestor")
