@@ -152,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="path of the M1 indexer's run manifest, if one is in use",
     )
-    doctor.add_argument(
-        "--soak-manifest",
-        default=None,
-        help="path of a chaos-soak manifest to summarize alongside the "
-        "ledger checks (exit is non-zero if any soak invariant failed)",
-    )
 
     lint = subparsers.add_parser(
         "lint",
@@ -390,14 +384,7 @@ def _run_doctor(args: argparse.Namespace) -> tuple[str, bool]:
         config, state_db=dataclasses.replace(config.state_db, backend=backend)
     )
     report = run_doctor(args.path, config=config, manifest_path=args.manifest)
-    rendered, healthy = report.render(), report.ok
-    if args.soak_manifest is not None:
-        from repro.faults.doctor import check_soak_manifest
-
-        soak = check_soak_manifest(args.soak_manifest)
-        rendered = f"{rendered}\n{soak.render()}"
-        healthy = healthy and soak.ok
-    return rendered, healthy
+    return report.render(), report.ok
 
 
 def _run_san(args: argparse.Namespace) -> int:

@@ -15,10 +15,9 @@ from repro.common.errors import ConfigError
 #: Environment variable controlling default benchmark scale (see DESIGN.md §5).
 SCALE_ENV_VAR = "REPRO_SCALE"
 
-#: Environment variable overriding every replayable seed: the chaos
-#: soak's fault schedule, the sanitizer's fuzzed interleavings, and the
-#: ``repro san`` CLI default.  One variable, recorded in every manifest
-#: and report those runs emit, so a red run is replayable from its
+#: Environment variable overriding the sanitizer's replayable seed: its
+#: fuzzed interleavings and the ``repro san`` CLI default.  Recorded in
+#: every report those runs emit, so a red run is replayable from its
 #: artifact alone: ``REPRO_SEED=<seed from the artifact> <same command>``.
 SEED_ENV_VAR = "REPRO_SEED"
 
@@ -233,10 +232,10 @@ class FabricConfig:
 def repro_seed(default: int) -> int:
     """The run's replay seed: ``REPRO_SEED`` when set, else ``default``.
 
-    Every seeded harness (chaos soak, sanitizer fuzzing, ``repro san``)
-    resolves its seed through this one helper and records the resolved
-    value in its output, so any failure is replayable by exporting the
-    recorded seed and re-running the same command.
+    The sanitizer (fuzzed sessions, ``repro san``) resolves its seed
+    through this one helper and records the resolved value in its
+    output, so any failure is replayable by exporting the recorded seed
+    and re-running the same command.
     """
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:

@@ -78,8 +78,8 @@ def _audit_chain(ledger: Ledger, report: AuditReport) -> Dict[str, tuple]:
     """Walk the chain verifying hashes; returns the replayed state
     ``key -> (value, version)``."""
     expected: Dict[str, tuple] = {}
-    previous = ledger.block_store.base_hash or GENESIS_PREVIOUS_HASH
-    for number in range(ledger.block_store.base_height, ledger.height):
+    previous = GENESIS_PREVIOUS_HASH
+    for number in range(ledger.height):
         try:
             block = ledger.block_store.get_block(number)
         except ReproError as exc:

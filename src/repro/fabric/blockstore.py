@@ -67,7 +67,6 @@ class BlockStore:
             )
         path = Path(path)
         fsync = durability == "fsync"
-        self._fs = fs
         self._files = BlockFileManager(
             path / "chains", max_file_bytes=max_file_bytes, fsync=fsync, fs=fs
         )
@@ -85,8 +84,6 @@ class BlockStore:
             cache = BlockCache(cache_blocks, metrics=metrics)
         self._cache = cache
         self._cache_token = next(_STORE_TOKENS)
-        self._meta_path = path / "index" / "meta.json"
-        self._base_height = self._load_base_height()
         self._reconcile_index()
 
     def _reconcile_index(self) -> None:
@@ -130,66 +127,10 @@ class BlockStore:
             self._index.append(location)
         self._index.sync()
 
-    def _load_base_height(self) -> int:
-        self._base_hash = b""
-        if not self._meta_path.exists():
-            return 0
-        import base64
-        import json
-
-        with open(self._meta_path) as handle:
-            meta = json.load(handle)
-        self._base_hash = base64.b64decode(meta.get("base_hash", ""))
-        return int(meta.get("base_height", 0))
-
-    def set_base_height(self, base_height: int, base_hash: bytes = b"") -> None:
-        """Declare that this store begins at ``base_height`` (snapshot
-        bootstrap): earlier blocks are not available here.  ``base_hash``
-        is the header hash of block ``base_height - 1``, so the next
-        committed block can be chain-verified."""
-        if self._index.height:
-            raise BlockNotFoundError(
-                "cannot set a base height on a store that already has blocks"
-            )
-        if base_height < 0:
-            raise BlockNotFoundError(f"invalid base height {base_height}")
-        import base64
-        import json
-
-        self._base_height = base_height
-        self._base_hash = base_hash
-        self._meta_path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {
-                "base_height": base_height,
-                "base_hash": base64.b64encode(base_hash).decode("ascii"),
-            }
-        ).encode("ascii")
-        tmp_path = self._meta_path.with_name(self._meta_path.name + ".tmp")
-        handle = self._fs.open(tmp_path, "wb")
-        try:
-            handle.write(payload)
-            self._fs.fsync(handle)
-        finally:
-            handle.close()
-        self._fs.replace(tmp_path, self._meta_path)
-
-    @property
-    def base_height(self) -> int:
-        """First block number available in this store (0 unless the peer
-        was bootstrapped from a snapshot)."""
-        return self._base_height
-
-    @property
-    def base_hash(self) -> bytes:
-        """Header hash of the last pre-snapshot block (empty when base 0)."""
-        return self._base_hash
-
     @property
     def height(self) -> int:
-        """Chain height (number of committed blocks, including any the
-        snapshot pruned away)."""
-        return self._base_height + self._index.height
+        """Chain height (number of committed blocks)."""
+        return self._index.height
 
     def add_block(self, block: Block) -> None:
         """Serialize and append ``block``; it must be the next in sequence."""
@@ -224,12 +165,7 @@ class BlockStore:
 
     def _locate(self, block_number: int) -> BlockLocation:
         """Where ``block_number`` lives on disk, or :class:`BlockNotFoundError`."""
-        if block_number < self._base_height:
-            raise BlockNotFoundError(
-                f"block {block_number} predates this store's snapshot base "
-                f"({self._base_height})"
-            )
-        location = self._index.lookup(block_number - self._base_height)
+        location = self._index.lookup(block_number)
         if location is None:
             raise BlockNotFoundError(
                 f"block {block_number} beyond height {self.height}"
@@ -251,13 +187,9 @@ class BlockStore:
         return self._deserialize(self._files.read(self._locate(block_number)))
 
     def iter_blocks(self, start: int = 0, end: Optional[int] = None) -> Iterator[Block]:
-        """Yield blocks ``start .. end`` (``end`` exclusive, default height).
-
-        Blocks before the snapshot base are silently absent (they do not
-        exist on this peer).
-        """
+        """Yield blocks ``start .. end`` (``end`` exclusive, default height)."""
         stop = self.height if end is None else min(end, self.height)
-        for number in range(max(start, self._base_height), stop):
+        for number in range(start, stop):
             yield self.get_block(number)
 
     def total_bytes(self) -> int:

@@ -104,8 +104,8 @@ class Endorser:
         session-global counter: a proposal's id depends only on what was
         proposed and how many times this client proposed it, so a
         workload replayed after a crash produces byte-identical
-        transactions (and therefore byte-identical block hashes) -- the
-        invariant the chaos-soak harness checks.  Within a session an
+        transactions (and therefore byte-identical block hashes), which
+        the faulted-traffic tests check.  Within a session an
         MVCC resubmission of the same proposal still gets a fresh id
         (occurrence 2), as Fabric's nonce-based ids would.
         """

@@ -94,10 +94,6 @@ class Ledger:
         the chain from block 0 -- the chain, not the derived store, is
         authoritative.
         """
-        if self.block_store.base_hash:
-            # Snapshot-bootstrapped ledger: the chain head before any
-            # post-snapshot blocks is the snapshot's recorded hash.
-            self._last_header_hash = self.block_store.base_hash
         if self.block_store.height == 0:
             return
         quarantined = self.state_db.quarantined_tables()
@@ -214,12 +210,8 @@ class Ledger:
         return hasher.hexdigest()
 
     def verify_chain(self) -> None:
-        """Walk the chain verifying hash links and data hashes.
-
-        On a snapshot-bootstrapped peer verification starts from the
-        snapshot's recorded head hash (earlier blocks are not present).
-        """
-        previous = self.block_store.base_hash or GENESIS_PREVIOUS_HASH
+        """Walk the chain verifying hash links and data hashes."""
+        previous = GENESIS_PREVIOUS_HASH
         for block in self.block_store.iter_blocks():
             if block.header.previous_hash != previous:
                 raise HashChainError(

@@ -106,14 +106,6 @@ class FabricNetwork:
         """
         self.orderer.register_consumer(callback)
 
-    def remove_block_listener(self, callback) -> bool:
-        """Deregister a block listener; returns whether it was registered.
-
-        Safe to call from inside a listener: the in-flight delivery
-        completes over a snapshot, removal applies from the next block.
-        """
-        return self.orderer.remove_consumer(callback)
-
     def on_chaincode_event(self, chaincode_name: str, callback) -> None:
         """Register a chaincode-event listener.
 

@@ -47,20 +47,6 @@ class SoloOrderer:
         """Add a block consumer (the committing peer)."""
         self._consumers.append(consumer)
 
-    def remove_consumer(self, consumer: BlockConsumer) -> bool:
-        """Deregister a consumer; returns whether it was registered.
-
-        Removal during an in-flight :meth:`cut_block` delivery takes
-        effect from the *next* block: the current delivery iterates over
-        a snapshot of the consumer list, so unsubscribing from inside a
-        callback never skips or double-delivers to the remaining
-        consumers.
-        """
-        if consumer in self._consumers:
-            self._consumers.remove(consumer)
-            return True
-        return False
-
     # -- ingest -------------------------------------------------------------
 
     def submit(self, tx: Transaction) -> None:

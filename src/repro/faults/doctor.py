@@ -14,16 +14,11 @@ it is not, is the damage repairable?*  It layers four groups of checks:
 4. **M1 index consistency**: every recorded indexing run must be
    readable (a run written with a removed interval scheme is an error),
    half-finished bundle pairs and an unfinished run manifest are flagged
-   as resumable.
+   as resumable (a manifest the indexer could not resume from is an
+   error).
 
 Everything is reported as findings (never an exception for damage), so
 operators see the whole picture in one run.
-
-The doctor also reads chaos-soak manifests
-(:func:`check_soak_manifest`): the record
-:func:`repro.faults.chaos.run_chaos_soak` leaves behind, summarizing the
-injected faults, which invariants held after each one, and the last
-block height that verified against the fault-free reference.
 """
 
 from __future__ import annotations
@@ -60,17 +55,11 @@ class DoctorReport:
 
     def render(self) -> str:
         status = "consistent" if self.ok else "INCONSISTENT"
-        if self.backend == "chaos-soak":
-            lines = [
-                f"doctor: {self.path} [chaos-soak manifest] -> {status}",
-                f"  last verified block height {self.height}",
-            ]
-        else:
-            lines = [
-                f"doctor: {self.path} [{self.backend} state-db] -> {status}",
-                f"  chain height {self.height}, wal records {self.wal_records}, "
-                f"sstables verified {self.sstables_checked}",
-            ]
+        lines = [
+            f"doctor: {self.path} [{self.backend} state-db] -> {status}",
+            f"  chain height {self.height}, wal records {self.wal_records}, "
+            f"sstables verified {self.sstables_checked}",
+        ]
         lines.extend(f"  {finding}" for finding in self.findings)
         return "\n".join(lines)
 
@@ -131,79 +120,37 @@ def run_doctor(
     finally:
         ledger.close()
 
-    if manifest_path is not None and Path(manifest_path).exists():
-        report.add(
-            "warning", "m1-run-in-progress",
-            f"run manifest {manifest_path} exists: an M1 indexing run was "
-            "interrupted; rerun the same range to resume it",
-        )
+    if manifest_path is not None:
+        _check_run_manifest(Path(manifest_path), report)
     return report
 
 
-def check_soak_manifest(manifest_path: str | Path) -> DoctorReport:
-    """Summarize a chaos-soak manifest as doctor findings.
-
-    Every failed per-round invariant becomes an error finding (so the
-    CLI exits non-zero on a soak that observed damage), an interrupted
-    soak becomes a warning, and the injected-event summary plus the last
-    verified block height are reported as info findings.
-    """
-    path = Path(manifest_path)
-    report = DoctorReport(path=str(path), backend="chaos-soak")
+def _check_run_manifest(path: Path, report: DoctorReport) -> None:
+    """An M1 run manifest left by an interrupted run is resumable only
+    if :class:`~repro.temporal.m1.M1Indexer` can read its range back."""
     from repro.faults.manifest import RunManifest
 
     try:
         state = RunManifest(path).load()
     except ReproError as exc:
-        report.add("error", "soak-manifest-corrupt", str(exc))
-        return report
+        report.add("error", "m1-manifest-corrupt", str(exc))
+        return
     if state is None:
-        report.add("error", "no-such-manifest", f"{path} does not exist")
-        return report
-    if state.get("kind") != "chaos-soak":
+        return
+    missing = [field for field in ("t1", "t2", "u") if field not in state]
+    if missing:
         report.add(
-            "error", "not-a-soak-manifest",
-            f"{path} is a {state.get('kind', 'unknown')!r} manifest, "
-            "not a chaos-soak record",
+            "error", "m1-manifest-corrupt",
+            f"run manifest {path} lacks {', '.join(missing)}: the "
+            "interrupted run cannot be resumed",
         )
-        return report
-
-    report.height = int(state.get("last_verified_height", 0))
-    rounds = list(state.get("events") or [])
-    final = state.get("final")
-    by_kind: dict[str, int] = {}
-    observed = 0
-    for record in rounds:
-        kind = str(record.get("kind", "unknown"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        if record.get("fired") or record.get("delays_applied"):
-            observed += 1
-    summary = ", ".join(f"{count}x {kind}" for kind, count in sorted(by_kind.items()))
+        return
     report.add(
-        "info", "soak-summary",
-        f"seed {state.get('seed')}: {len(rounds)} injected events "
-        f"({summary or 'none'}), {observed} observed in-round",
+        "warning", "m1-run-in-progress",
+        f"run manifest {path} records an interrupted M1 indexing run "
+        f"({state['t1']}, {state['t2']}] u={state['u']}; rerun that range "
+        "to resume it",
     )
-    for record in rounds + ([final] if final else []):
-        label = record.get("round", "?")
-        kind = record.get("kind", "fault-free")
-        for name, passed in sorted((record.get("invariants") or {}).items()):
-            if not passed:
-                report.add(
-                    "error", "soak-invariant-failed",
-                    f"round {label} ({kind}): invariant {name!r} failed",
-                )
-    if not state.get("complete", False):
-        report.add(
-            "warning", "soak-incomplete",
-            "the soak never reached its final fault-free verification "
-            "round; rerun it to completion before trusting the ledger",
-        )
-    report.add(
-        "info", "soak-verified-height",
-        f"last block height verified against the reference: {report.height}",
-    )
-    return report
 
 
 def _check_raw_storage(path: Path, report: DoctorReport) -> None:

@@ -5,8 +5,8 @@ most schedule-dependent bugs hide because the same interleaving runs
 every time.  A :class:`FuzzSchedule` injects yields and microsecond
 sleeps at the sanitizer's instrumentation points (lock acquire, shared
 writes, task hand-offs), steering the scheduler somewhere new -- the
-same idea as the chaos runner's seeded fault schedules
-(:mod:`repro.faults.chaos`), applied to thread timing.
+same idea as a seeded :class:`~repro.faults.plan.FaultPlan`, applied to
+thread timing.
 
 Determinism contract: every decision is drawn from a per-thread
 ``random.Random`` derived from ``(seed, thread registration order)``,

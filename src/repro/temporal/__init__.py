@@ -21,7 +21,6 @@ from repro.temporal.engine import JoinResult, QueryStats, TemporalQueryEngine
 from repro.temporal.events import Event, LOAD, UNLOAD
 from repro.temporal.explain import QueryExplainer
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
-from repro.temporal.livequery import LiveJoinQuery
 from repro.temporal.m1 import M1Indexer, M1QueryEngine
 from repro.temporal.m2 import BaseAccessAPI, M2QueryEngine
 from repro.temporal.tqf import TQFEngine
@@ -31,7 +30,6 @@ __all__ = [
     "Event",
     "FixedIntervalScheme",
     "JoinResult",
-    "LiveJoinQuery",
     "LOAD",
     "M1Indexer",
     "M1QueryEngine",

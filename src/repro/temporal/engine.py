@@ -83,8 +83,8 @@ class DegradedResult:
 
     Attached to :class:`JoinResult` when ``degrade=True`` rescued an
     index failure.  Rows are still correct -- they came from the
-    fallback chain scan -- but slower, and callers that care (the chaos
-    soak, dashboards) can tell a degraded answer from a healthy one.
+    fallback chain scan -- but slower, and callers that care can tell a
+    degraded answer from a healthy one.
     """
 
     requested_model: str

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.faults.doctor import detect_backend, run_doctor
+from repro.faults.manifest import RunManifest
 from repro.temporal.chaincodes import M1IndexChaincode
 from tests.faults.harness import lsm_config
 
@@ -127,10 +128,24 @@ def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
 def test_unfinished_manifest_is_reported(tmp_path):
     config = build_ledger_dir(tmp_path / "net")
     manifest = tmp_path / "m1-run.json"
-    manifest.write_text("{}")
+    RunManifest(manifest).save({"t1": 0, "t2": 500, "u": 50, "completed_keys": []})
     report = run_doctor(tmp_path / "net", config=config, manifest_path=manifest)
     assert report.ok  # resumable, not fatal
-    assert "m1-run-in-progress" in codes(report)
+    (finding,) = [f for f in report.findings if f.code == "m1-run-in-progress"]
+    assert "(0, 500] u=50" in finding.detail  # the range to rerun
+
+
+@pytest.mark.parametrize("content", ["{not json", "{}", '{"t1": 0, "t2": 500}'])
+def test_unreadable_manifest_is_an_error_not_resumable(tmp_path, content):
+    """A manifest ``M1Indexer.run`` would refuse is damage, not a run to
+    resume."""
+    config = build_ledger_dir(tmp_path / "net")
+    manifest = tmp_path / "m1-run.json"
+    manifest.write_text(content)
+    report = run_doctor(tmp_path / "net", config=config, manifest_path=manifest)
+    assert not report.ok
+    assert "m1-manifest-corrupt" in codes(report)
+    assert "m1-run-in-progress" not in codes(report)
 
 
 def record_m1_runs(path, runs):
@@ -188,130 +203,3 @@ def test_cli_doctor_exit_codes(tmp_path, capsys):
     tables[0].write_bytes(bytes(raw))
     assert main(["doctor", str(tmp_path / "net")]) == 1
     assert "INCONSISTENT" in capsys.readouterr().out
-
-
-# -- chaos-soak manifests ---------------------------------------------------
-
-
-def soak_state(**overrides):
-    """A minimal healthy chaos-soak manifest payload."""
-    state = {
-        "kind": "chaos-soak",
-        "seed": 3,
-        "events": [
-            {
-                "round": 0,
-                "kind": "crash",
-                "fired": "ledger.pre_savepoint",
-                "invariants": {"chain-verifies": True, "no-acked-tx-lost": True},
-            },
-            {
-                "round": 1,
-                "kind": "readfault",
-                "fired": "read:blockfile_000000",
-                "invariants": {"chain-verifies": True},
-            },
-        ],
-        "final": {
-            "round": "final",
-            "invariants": {"chain-complete": True},
-        },
-        "last_verified_height": 12,
-        "complete": True,
-        "ok": True,
-    }
-    state.update(overrides)
-    return state
-
-
-def write_soak_manifest(path, **overrides):
-    from repro.faults.manifest import RunManifest
-
-    RunManifest(path).save(soak_state(**overrides))
-    return path
-
-
-def test_green_soak_manifest_is_consistent(tmp_path):
-    from repro.faults.doctor import check_soak_manifest
-
-    path = write_soak_manifest(tmp_path / "soak.json")
-    report = check_soak_manifest(path)
-    assert report.ok
-    assert report.height == 12
-    assert "soak-summary" in codes(report)
-    rendered = report.render()
-    assert "chaos-soak manifest" in rendered
-    assert "1x crash" in rendered and "1x readfault" in rendered
-
-
-def test_failed_invariant_is_an_error(tmp_path):
-    from repro.faults.doctor import check_soak_manifest
-
-    path = write_soak_manifest(tmp_path / "soak.json")
-    import json
-
-    state = json.loads(path.read_text())
-    state["events"][1]["invariants"]["chain-verifies"] = False
-    path.write_text(json.dumps(state))
-    report = check_soak_manifest(path)
-    assert not report.ok
-    assert "soak-invariant-failed" in codes(report)
-    assert "round 1 (readfault)" in report.render()
-
-
-def test_failed_final_round_is_an_error(tmp_path):
-    from repro.faults.doctor import check_soak_manifest
-
-    path = write_soak_manifest(
-        tmp_path / "soak.json",
-        final={"round": "final", "invariants": {"chain-complete": False}},
-    )
-    report = check_soak_manifest(path)
-    assert not report.ok
-    assert "round final (fault-free)" in report.render()
-
-
-def test_incomplete_soak_is_a_warning_not_an_error(tmp_path):
-    from repro.faults.doctor import check_soak_manifest
-
-    path = write_soak_manifest(tmp_path / "soak.json", complete=False, final=None)
-    report = check_soak_manifest(path)
-    assert report.ok  # nothing failed; it just never finished
-    assert "soak-incomplete" in codes(report)
-
-
-def test_missing_corrupt_and_foreign_manifests_are_errors(tmp_path):
-    from repro.faults.doctor import check_soak_manifest
-
-    missing = check_soak_manifest(tmp_path / "nope.json")
-    assert not missing.ok and "no-such-manifest" in codes(missing)
-
-    corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text("{torn")
-    report = check_soak_manifest(corrupt)
-    assert not report.ok and "soak-manifest-corrupt" in codes(report)
-
-    foreign = tmp_path / "m1.json"
-    foreign.write_text('{"kind": "m1-index-run"}')
-    report = check_soak_manifest(foreign)
-    assert not report.ok and "not-a-soak-manifest" in codes(report)
-
-
-def test_cli_doctor_gates_on_soak_manifest(tmp_path, capsys):
-    build_ledger_dir(tmp_path / "net")
-    path = write_soak_manifest(tmp_path / "soak.json")
-    assert main(
-        ["doctor", str(tmp_path / "net"), "--soak-manifest", str(path)]
-    ) == 0
-    assert "chaos-soak manifest" in capsys.readouterr().out
-
-    import json
-
-    state = json.loads(path.read_text())
-    state["events"][0]["invariants"]["no-acked-tx-lost"] = False
-    path.write_text(json.dumps(state))
-    assert main(
-        ["doctor", str(tmp_path / "net"), "--soak-manifest", str(path)]
-    ) == 1
-    out = capsys.readouterr().out
-    assert "soak-invariant-failed" in out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 from repro.common.codec import JsonCodec, write_uvarint
@@ -12,6 +13,8 @@ from repro.temporal.chaincodes import (
     M2SupplyChainChaincode,
     SupplyChainChaincode,
 )
+from repro.temporal.engine import TemporalQueryEngine
+from repro.temporal.intervals import TimeInterval
 from repro.temporal.m1 import M1Indexer
 from repro.workload.generator import WorkloadConfig, WorkloadData, generate
 from repro.workload.ingest import ingest
@@ -72,6 +75,35 @@ def build_m1_index(network: FabricNetwork, t1: int, t2: int, u: int):
         metrics=network.metrics,
     )
     return indexer.run(t1, t2, u)
+
+
+#: What two ledgers that committed the same chain agree on, whatever
+#: their configuration (``ledger_summary`` adds the storage-dependent
+#: ``bytes``).
+LEDGER_FIELDS = ("height", "head", "chain", "codes", "state")
+
+
+def ledger_summary(network: FabricNetwork) -> dict:
+    """Height, chain head, header hashes, validation codes, state
+    fingerprint and block-file bytes of ``network``'s ledger."""
+    blocks = list(network.ledger.block_store.iter_blocks())
+    return {
+        "height": network.ledger.height,
+        "head": network.ledger.last_header_hash,
+        "chain": [block.header.hash() for block in blocks],
+        "codes": [tx.validation_code for block in blocks for tx in block.transactions],
+        "state": network.ledger.state_fingerprint(),
+        "bytes": network.ledger.block_store.total_bytes(),
+    }
+
+
+def rows_digest(
+    engine: TemporalQueryEngine, model: str, window: TimeInterval, degrade: bool = False
+) -> str:
+    """SHA-256 of ``model``'s join rows over ``window`` (never empty)."""
+    rows = engine.run_join(model, window, degrade=degrade).rows
+    assert rows, f"{model} join returned nothing"
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
 
 
 def per_transaction_frame(block, codec) -> bytes:

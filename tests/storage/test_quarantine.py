@@ -12,7 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import QuarantinedError
+from repro.fabric.audit import audit_ledger
+from repro.fabric.chaincode import KeyValueChaincode
+from repro.fabric.network import FabricNetwork
 from repro.storage.kv.lsm import QUARANTINE_DIR, LSMStore
+from tests.faults.harness import lsm_config, submit_kv_puts
 
 
 def fill_and_flush(store: LSMStore, prefix: bytes, n: int = 8) -> None:
@@ -118,3 +122,21 @@ class TestScrub:
             assert store.get(b"b000") is None
         finally:
             store.close()
+
+
+def test_a_table_rotting_after_its_wal_is_gone_is_rebuilt_from_the_chain(tmp_path):
+    """Rot in a table whose WAL was truncated long ago: what it held lives
+    only in the chain, so recovery must replay the chain from block 0,
+    not from the savepoint a newer table still holds."""
+    config = lsm_config(memtable_limit=8)
+    with FabricNetwork(tmp_path / "net", config=config) as network:
+        network.install(KeyValueChaincode())
+        submit_kv_puts(network.gateway("writer"), total_txs=48, distinct_keys=48)
+        fingerprint = network.ledger.state_fingerprint()
+    tables = sst_files(tmp_path / "net" / "statedb")
+    assert len(tables) > 1
+    corrupt(tables[0])
+    with FabricNetwork(tmp_path / "net", config=config) as network:
+        assert network.ledger.state_db.quarantined_tables() == ()  # acknowledged
+        assert network.ledger.state_fingerprint() == fingerprint
+        assert audit_ledger(network.ledger).ok

@@ -1,6 +1,7 @@
 """Degraded-mode queries, per-query deadlines and the engine's breakers.
 
-These are the query-side resilience guarantees the chaos soak leans on:
+These are the query-side resilience guarantees
+``tests/faults/test_faulted_traffic.py`` leans on:
 an index that cannot answer degrades to a *correct* TQF result tagged
 with :class:`~repro.temporal.engine.DegradedResult`; repeated failures
 trip the model's circuit breaker so later queries skip the doomed probe;

@@ -11,7 +11,6 @@ chain, validation codes, state fingerprint and join rows.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 
 import pytest
@@ -35,7 +34,7 @@ from repro.temporal.engine import TemporalQueryEngine
 from repro.temporal.intervals import TimeInterval
 from repro.workload.generator import WorkloadConfig, generate
 from repro.workload.ingest import ingest
-from tests.helpers import build_m1_index
+from tests.helpers import LEDGER_FIELDS, build_m1_index, ledger_summary, rows_digest
 
 WORKLOAD = WorkloadConfig(
     name="matrix",
@@ -74,24 +73,6 @@ def fabric_config(backend: str, codec: str, cache_blocks: int) -> FabricConfig:
         state_db=StateDbConfig(backend=backend, memtable_limit=8, compaction_trigger=3),
         block_store=BlockStoreConfig(codec=codec, cache_blocks=cache_blocks),
     )
-
-
-def ledger_summary(network: FabricNetwork) -> dict:
-    blocks = list(network.ledger.block_store.iter_blocks())
-    return {
-        "height": network.ledger.height,
-        "head": network.ledger.last_header_hash,
-        "chain": [block.header.hash() for block in blocks],
-        "codes": [tx.validation_code for block in blocks for tx in block.transactions],
-        "state": network.ledger.state_fingerprint(),
-        "bytes": network.ledger.block_store.total_bytes(),
-    }
-
-
-def rows_digest(engine: TemporalQueryEngine, model: str) -> str:
-    rows = engine.run_join(model, WINDOW).rows
-    assert rows, f"{model} join returned nothing"
-    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
 
 
 def run_workload(path, backend: str, codec: str, cache_blocks: int) -> dict:
@@ -135,7 +116,7 @@ def run_workload(path, backend: str, codec: str, cache_blocks: int) -> dict:
         build_m1_index(network, 0, WORKLOAD.t_max, U)
         engine = TemporalQueryEngine(network.ledger, network.metrics)
         for model in ("tqf", "m1"):
-            result["rows"][model] = rows_digest(engine, model)
+            result["rows"][model] = rows_digest(engine, model, WINDOW)
         result["plain"] = ledger_summary(network)
         result["deleted"] = (
             network.ledger.get_state("k1"),
@@ -147,7 +128,7 @@ def run_workload(path, backend: str, codec: str, cache_blocks: int) -> dict:
         network.install(M2SupplyChainChaincode(u=U))
         ingest(network.gateway("alice"), events, M2SupplyChainChaincode.name, strategy="se")
         engine = TemporalQueryEngine(network.ledger, network.metrics)
-        result["rows"]["m2"] = rows_digest(engine, "m2")
+        result["rows"]["m2"] = rows_digest(engine, "m2", WINDOW)
         result["m2"] = ledger_summary(network)
     return result
 
@@ -190,7 +171,7 @@ def test_every_cell_equals_the_reference(cells, cell):
     _, reference = cells[REFERENCE]
     _, result = cells[cell]
     for ledger in ("plain", "m2"):
-        for field in ("height", "head", "chain", "codes", "state"):
+        for field in LEDGER_FIELDS:
             assert result[ledger][field] == reference[ledger][field], (ledger, field)
     assert result["rows"] == reference["rows"]
     assert result["deleted"] == reference["deleted"]
