@@ -9,9 +9,7 @@ The full hierarchy::
     ReproError
     ├── ConfigError              bad configuration value
     ├── CodecError               payload (de)serialization failed
-    ├── ResilienceError          resilience-layer signals (budget/breaker)
-    │   ├── DeadlineExceededError  a per-call time budget ran out
-    │   └── CircuitOpenError     a circuit breaker is refusing calls
+    ├── DeadlineExceededError    a per-call time budget ran out
     ├── StorageError             storage layer (KV store, block files)
     │   ├── WalCorruptionError   WAL record fails its checksum
     │   ├── SSTableError         malformed SSTable file
@@ -55,23 +53,13 @@ class CodecError(ReproError):
     """Serialization or deserialization of a payload failed."""
 
 
-class ResilienceError(ReproError):
-    """Base class for resilience-layer signals (deadlines, breakers).
+class DeadlineExceededError(ReproError):
+    """A call chain's monotonic time budget ran out before it finished.
 
-    These are not failures of the system under test: they are the
-    resilience layer refusing or abandoning work *on purpose* so callers
-    get a typed, bounded outcome instead of an unbounded wait or a raw
-    ``OSError``.
+    Not a failure of the system under test: the caller's
+    :class:`~repro.common.resilience.Deadline` abandoned the work on
+    purpose, so it never counts as an index failure to degrade from.
     """
-
-
-class DeadlineExceededError(ResilienceError):
-    """A call chain's monotonic time budget ran out before it finished."""
-
-
-class CircuitOpenError(ResilienceError):
-    """A circuit breaker is open: the guarded dependency has been failing
-    and calls are refused without touching it until the reset timeout."""
 
 
 class StorageError(ReproError):

@@ -2,7 +2,7 @@
 
 Every lock-carrying class in the tree (Gateway, BlockCache,
 MetricsRegistry, LSMStore, MemStore, BlockFileManager, HistoryDB,
-FaultyFile, CircuitBreaker) acquires its synchronization primitives
+FaultyFile) acquires its synchronization primitives
 from this module instead of calling ``threading.Lock()`` directly.
 That single indirection is what lets the dynamic race sanitizer
 (:mod:`repro.sanitizer`) observe every acquire/release in the process

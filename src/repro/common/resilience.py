@@ -1,44 +1,29 @@
-"""Resilience primitives: bounded retries, time budgets, circuit breakers.
-
-Three small, composable pieces that every layer above storage shares:
+"""Resilience primitives: bounded retries and time budgets.
 
 * :class:`RetryPolicy` -- bounded exponential backoff with *seeded*
   jitter.  The delay schedule is a pure function of the policy's
-  parameters and seed, so a retry test replays bit-for-bit (the gateway's
-  MVCC backoff used to be ad-hoc arithmetic inline; now it is this).
+  parameters and seed, so a retry test replays bit-for-bit; the
+  gateway's MVCC retry loop follows it.
 * :class:`Deadline` -- a monotonic time budget created once at an API
   boundary and threaded through the call chain.  Anything that might
   block checks it (and raises the typed
   :class:`~repro.common.errors.DeadlineExceededError`) instead of
   letting one slow disk read stall a query forever.
-* :class:`CircuitBreaker` -- the classic closed / open / half-open
-  automaton over a sliding failure-rate window.  A dependency that keeps
-  failing gets *refused* (typed
-  :class:`~repro.common.errors.CircuitOpenError`) instead of hammered,
-  and is re-probed by a single trial call after a reset timeout.
 
-Clocks and sleeps are injected everywhere: production uses
-``time.monotonic`` / ``time.sleep``, tests pass counters and fakes so no
-resilience test ever waits on a wall clock.
+Clocks and sleeps are injected: production uses ``time.monotonic`` /
+``time.sleep``, tests pass counters and fakes so no resilience test ever
+waits on a wall clock.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Callable, Iterator
 
-from repro.common.errors import (
-    CircuitOpenError,
-    ConfigError,
-    DeadlineExceededError,
-)
-from repro.common.locks import make_lock
-from repro.sanitizer.shared import sanitize_shared
+from repro.common.errors import ConfigError, DeadlineExceededError
 
-__all__ = ["RetryPolicy", "Deadline", "CircuitBreaker"]
-
-ResultT = TypeVar("ResultT")
+__all__ = ["RetryPolicy", "Deadline"]
 
 
 class RetryPolicy:
@@ -94,66 +79,33 @@ class RetryPolicy:
         if seconds > 0:
             self._sleep(seconds)
 
-    def call(
-        self,
-        fn: Callable[[], ResultT],
-        retry_on: Tuple[Type[BaseException], ...],
-        deadline: Optional["Deadline"] = None,
-    ) -> ResultT:
-        """Run ``fn`` retrying on ``retry_on`` exceptions.
-
-        The final attempt's exception propagates unchanged.  With a
-        ``deadline``, a retry never starts after the budget has run out
-        (the deadline raises instead, chaining the last failure).
-        """
-        delays = self.delays()
-        attempt = 0
-        while True:
-            try:
-                return fn()
-            except retry_on as exc:
-                if attempt >= self.max_retries:
-                    raise
-                if deadline is not None and deadline.expired:
-                    raise DeadlineExceededError(
-                        f"deadline expired after {attempt + 1} attempt(s): {exc}"
-                    ) from exc
-                attempt += 1
-                self.sleep(next(delays))
-
 
 class Deadline:
     """A monotonic time budget threaded through a call chain.
 
-    Create one at the boundary (:meth:`after`) and pass it down; anything
-    that might block calls :meth:`check` first and bounds its waits with
-    :meth:`remaining`.  The clock is injectable so tests can expire a
-    deadline without sleeping.
+    Create one at the boundary with :meth:`after` and pass it down;
+    anything that might block calls :meth:`check` first.  The clock is
+    injectable so tests can expire a deadline without sleeping.
     """
 
     __slots__ = ("budget", "_expires_at", "_clock")
 
     def __init__(
-        self,
-        budget: float,
-        clock: Callable[[], float] = time.monotonic,
+        self, budget: float, expires_at: float, clock: Callable[[], float]
     ) -> None:
-        if budget <= 0:
-            raise ConfigError(f"deadline budget must be positive, got {budget}")
+        """Hold what :meth:`after` computed; build deadlines with it."""
         self.budget = budget
+        self._expires_at = expires_at
         self._clock = clock
-        self._expires_at = clock() + budget
 
     @classmethod
     def after(
         cls, seconds: float, clock: Callable[[], float] = time.monotonic
     ) -> "Deadline":
         """A deadline ``seconds`` from now on ``clock``."""
-        return cls(seconds, clock=clock)
-
-    def remaining(self) -> float:
-        """Seconds left in the budget (never negative)."""
-        return max(0.0, self._expires_at - self._clock())
+        if seconds <= 0:
+            raise ConfigError(f"deadline budget must be positive, got {seconds}")
+        return cls(seconds, clock() + seconds, clock)
 
     @property
     def expired(self) -> bool:
@@ -165,151 +117,3 @@ class Deadline:
             raise DeadlineExceededError(
                 f"{what} abandoned: deadline of {self.budget:g}s exceeded"
             )
-
-
-#: Circuit breaker states.
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half-open"
-
-
-@sanitize_shared("_state", "_outcomes", "_opened_at", "_probe_in_flight", "trips")
-class CircuitBreaker:
-    """Closed / open / half-open breaker over a failure-rate window.
-
-    *Closed* passes calls through, recording outcomes in a sliding
-    window.  Once at least ``min_calls`` outcomes are in the window and
-    the failure rate reaches ``failure_threshold``, the breaker *opens*:
-    :meth:`allow` answers ``False`` (and :meth:`check` raises the typed
-    :class:`CircuitOpenError`) without touching the dependency.  After
-    ``reset_timeout`` seconds it goes *half-open*: exactly one probe call
-    is allowed through; success closes the breaker, failure re-opens it
-    for another timeout.
-
-    Thread-safe: one breaker is shared by every thread using the guarded
-    dependency, and all state transitions happen under its lock (no
-    blocking work ever runs inside it).
-    """
-
-    def __init__(
-        self,
-        name: str = "",
-        failure_threshold: float = 0.5,
-        min_calls: int = 3,
-        window: int = 10,
-        reset_timeout: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if not 0.0 < failure_threshold <= 1.0:
-            raise ConfigError(
-                f"failure_threshold must be in (0, 1], got {failure_threshold}"
-            )
-        if min_calls < 1:
-            raise ConfigError(f"min_calls must be >= 1, got {min_calls}")
-        if window < min_calls:
-            raise ConfigError(
-                f"window ({window}) must be >= min_calls ({min_calls})"
-            )
-        if reset_timeout <= 0:
-            raise ConfigError(
-                f"reset_timeout must be positive, got {reset_timeout}"
-            )
-        self.name = name
-        self._failure_threshold = failure_threshold
-        self._min_calls = min_calls
-        self._window = window
-        self._reset_timeout = reset_timeout
-        self._clock = clock
-        self._lock = make_lock("CircuitBreaker._lock")
-        self._state = CLOSED
-        self._outcomes: List[bool] = []  # True = success, sliding window
-        self._opened_at = 0.0
-        self._probe_in_flight = False
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        """Current state (``closed`` / ``open`` / ``half-open``),
-        advancing open -> half-open when the reset timeout has elapsed."""
-        with self._lock:
-            self._advance_locked()
-            return self._state
-
-    def allow(self) -> bool:
-        """Whether a call may proceed right now.
-
-        In the half-open state only the first caller gets ``True`` (the
-        probe); everyone else is refused until its outcome is recorded.
-        """
-        with self._lock:
-            self._advance_locked()
-            if self._state == CLOSED:
-                return True
-            if self._state == HALF_OPEN and not self._probe_in_flight:
-                self._probe_in_flight = True
-                return True
-            return False
-
-    def check(self) -> None:
-        """:meth:`allow` as an exception: refuse with :class:`CircuitOpenError`."""
-        if not self.allow():
-            label = self.name or "dependency"
-            with self._lock:
-                failures = self._failures_in_window()
-                total = len(self._outcomes)
-            raise CircuitOpenError(
-                f"circuit breaker for {label} is {OPEN}: "
-                f"{failures}/{total} recent "
-                "calls failed; retry after the reset timeout"
-            )
-
-    def record_success(self) -> None:
-        """Record a successful call (closes a half-open breaker)."""
-        with self._lock:
-            if self._state == HALF_OPEN:
-                self._state = CLOSED
-                self._outcomes = []
-                self._probe_in_flight = False
-                return
-            self._push_locked(True)
-
-    def record_failure(self) -> None:
-        """Record a failed call (may trip the breaker open)."""
-        with self._lock:
-            now = self._clock()
-            if self._state == HALF_OPEN:
-                # The probe failed: straight back to open.
-                self._state = OPEN
-                self._opened_at = now
-                self._probe_in_flight = False
-                self.trips += 1
-                return
-            self._push_locked(False)
-            if self._state == CLOSED and self._should_trip_locked():
-                self._state = OPEN
-                self._opened_at = now
-                self.trips += 1
-
-    # -- internals (callers hold the lock) --------------------------------
-
-    def _advance_locked(self) -> None:
-        if (
-            self._state == OPEN
-            and self._clock() - self._opened_at >= self._reset_timeout
-        ):
-            self._state = HALF_OPEN
-            self._probe_in_flight = False
-
-    def _push_locked(self, ok: bool) -> None:
-        self._outcomes.append(ok)
-        if len(self._outcomes) > self._window:
-            self._outcomes = self._outcomes[-self._window:]
-
-    def _should_trip_locked(self) -> bool:
-        if len(self._outcomes) < self._min_calls:
-            return False
-        failures = sum(1 for ok in self._outcomes if not ok)
-        return failures / len(self._outcomes) >= self._failure_threshold
-
-    def _failures_in_window(self) -> int:
-        return sum(1 for ok in self._outcomes if not ok)

@@ -59,14 +59,11 @@ class Gateway:
         backoff_jitter: float = 0.0,
         backoff_seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        """``retry_policy`` wins over the individual backoff knobs; the
-        knobs exist so config-driven construction stays flat."""
         self._peer = peer
         self._orderer = orderer
         self._identity = identity
-        self._policy = retry_policy or RetryPolicy(
+        self._policy = RetryPolicy(
             max_retries=max_retries,
             base=backoff_base,
             cap=backoff_cap,
@@ -79,11 +76,6 @@ class Gateway:
         # sleep always happens *outside* it (CONC003 polices this).
         self._lock = make_lock("Gateway._lock")
         self.retries_attempted = 0
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The backoff policy resubmissions follow."""
-        return self._policy
 
     def submit_transaction(
         self,

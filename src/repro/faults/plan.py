@@ -18,8 +18,8 @@ Beyond crashes and corruption, a plan can schedule *read-side* faults:
 :meth:`fail_reads` makes the nth read of a matching file raise an
 ``EIO``-style :class:`OSError` (intermittent media errors), and
 :meth:`delay` injects latency into matching reads (a slow disk or a
-saturated peer), which is how deadline and circuit-breaker behaviour is
-exercised deterministically.
+saturated peer), which is how deadline expiry is exercised
+deterministically.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ class FaultPlan:
         matching ``pattern`` (a slow disk / saturated peer).
 
         Latency composes with other schedules; it changes timing, never
-        data.  Deadline expiry and breaker trips under slow storage are
-        driven with this.
+        data.  Deadline expiry under slow storage is driven with this.
         """
         if ms < 0:
             raise ValueError(f"ms must be non-negative, got {ms}")

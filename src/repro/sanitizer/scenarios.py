@@ -178,42 +178,6 @@ def _scenario_blockfile(workers: int) -> None:
             manager.close()
 
 
-def _scenario_breaker(workers: int) -> None:
-    """Half-open probe contention: many threads, one probe allowed."""
-    from repro.common.resilience import CircuitBreaker
-
-    now = [0.0]
-    breaker = CircuitBreaker(
-        name="scenario",
-        failure_threshold=0.5,
-        min_calls=2,
-        window=4,
-        reset_timeout=1.0,
-        clock=lambda: now[0],
-    )
-    for _ in range(4):
-        breaker.record_failure()
-    now[0] = 2.0  # past the reset timeout: next allow() goes half-open
-
-    allowed: List[bool] = [False] * workers
-    barrier = threading.Barrier(workers)
-
-    def work(index: int) -> None:
-        barrier.wait()
-        # No outcome is recorded inside the race: until the probe's
-        # result comes back, every other caller must stay refused.
-        allowed[index] = breaker.allow()
-
-    _run_threads(workers, work)
-    if sum(allowed) != 1:
-        raise AssertionError(
-            f"half-open breaker allowed {sum(allowed)} probes, expected 1"
-        )
-    breaker.record_success()
-    if breaker.state != "closed":
-        raise AssertionError("probe success should close the breaker")
-
-
 def _scenario_faultyfile(workers: int) -> None:
     """Concurrent writes and flushes through one fault-injected handle."""
     from repro.faults.fs import FaultyFS
@@ -242,7 +206,6 @@ SCENARIOS: Dict[str, Scenario] = {
     "historydb": _scenario_historydb,
     "lsm": _scenario_lsm,  # both state-db backends
     "blockfile": _scenario_blockfile,
-    "breaker": _scenario_breaker,
     "faultyfile": _scenario_faultyfile,
 }
 

@@ -20,11 +20,8 @@ Resilience (opt-in, never changing default semantics):
   (corrupt index state, quarantined SSTable, window beyond the indexed
   range) into a *degraded* answer: the query falls back to a TQF chain
   scan -- always correct, since TQF reads only the block chain -- and
-  the result carries a typed :class:`DegradedResult` marker instead of
-  silently pretending the index answered.  A per-index-model
-  :class:`~repro.common.resilience.CircuitBreaker` stops hammering an
-  index that keeps failing; while the breaker is open, queries skip the
-  probe entirely and degrade immediately.
+  the result carries a typed :class:`DegradedResult` naming the failure
+  instead of silently pretending the index answered.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from repro.common import metrics as metric_names
 from repro.common.config import require_only
 from repro.common.errors import StorageError, TemporalQueryError
 from repro.common.metrics import MetricsRegistry
-from repro.common.resilience import CircuitBreaker, Deadline
+from repro.common.resilience import Deadline
 from repro.common.timeutils import Stopwatch
 from repro.fabric.ledger import Ledger
 from repro.temporal.events import Event
@@ -84,15 +81,18 @@ class DegradedResult:
     Attached to :class:`JoinResult` when ``degrade=True`` rescued an
     index failure.  Rows are still correct -- they came from the
     fallback chain scan -- but slower, and callers that care can tell a
-    degraded answer from a healthy one.
+    degraded answer from a healthy one.  The result's :class:`QueryStats`
+    count the failed probe *and* the fallback: every state-db read and
+    block the probe made before it failed is included (an unindexed M1
+    probe adds its run-list ``GetState`` and its key enumeration's range
+    scans to TQF's own).
     """
 
     requested_model: str
     fallback_model: str
-    #: Human-readable cause (breaker open, index probe error message).
+    #: The index probe's error message.
     reason: str
-    #: Class name of the triggering exception, or ``"CircuitOpenError"``
-    #: when the probe was skipped because the breaker was already open.
+    #: Class name of the exception the index probe raised.
     error_type: str
 
 
@@ -136,7 +136,8 @@ class JoinResult:
     shipment_events: Dict[str, List[Event]] = field(default_factory=dict)
     container_events: Dict[str, List[Event]] = field(default_factory=dict)
     #: Set when the query fell back to TQF after an index failure
-    #: (``stats.model`` then names the model that actually executed).
+    #: (``stats.model`` then names the model that actually executed, and
+    #: ``stats`` count the failed probe as well as the fallback).
     degraded: Optional[DegradedResult] = None
 
 
@@ -160,13 +161,6 @@ class TemporalQueryEngine:
             "tqf": TQFEngine(ledger, metrics=metrics),
             "m1": M1QueryEngine(ledger, metrics=metrics),
             "m2": M2QueryEngine(ledger, metrics=metrics),
-        }
-        #: Per-index-model circuit breakers consulted by degraded-mode
-        #: queries.  TQF has none: it is the fallback, not a probe.
-        self.breakers: Dict[str, CircuitBreaker] = {
-            model: CircuitBreaker(name=f"index:{model}")
-            for model in self._engines
-            if model != FALLBACK_MODEL
         }
 
     def engine(self, model: str) -> QueryModel:
@@ -226,52 +220,33 @@ class TemporalQueryEngine:
 
         With ``degrade=True``, an index-probe failure on M1/M2 (typed
         :class:`~repro.common.errors.TemporalQueryError` or
-        :class:`~repro.common.errors.StorageError`) re-runs the query on
-        TQF and tags the result with :class:`DegradedResult` instead of
-        raising; repeated failures trip the model's circuit breaker so
-        later queries skip the doomed probe.  Deadline expiry and
-        injected-fault sentinels are *never* treated as index failures
-        -- they propagate regardless of ``degrade``.
+        :class:`~repro.common.errors.StorageError`) re-runs the query once
+        on TQF and tags the result with a :class:`DegradedResult` naming
+        that failure instead of raising.  An unknown model, a failing TQF
+        query, deadline expiry and injected-fault sentinels are *never*
+        treated as index failures -- they propagate regardless of
+        ``degrade``.
         """
-        requested = model
+        self.engine(model)  # an unknown model is the caller's error
         degraded: Optional[DegradedResult] = None
-        breaker = self.breakers.get(model)
-
-        if degrade and breaker is not None and not breaker.allow():
-            degraded = DegradedResult(
-                requested_model=requested,
-                fallback_model=FALLBACK_MODEL,
-                reason=f"circuit breaker for {requested!r} is open",
-                error_type="CircuitOpenError",
-            )
-            model = FALLBACK_MODEL
-
         before = self._metrics.snapshot()
         watch = Stopwatch().start()
-        if degraded is None and degrade and breaker is not None:
-            try:
-                shipment_events, container_events = self.fetch_window_events(
-                    model, window, deadline=deadline
-                )
-            except (TemporalQueryError, StorageError) as exc:
-                # An index that cannot answer.  Record the failure (the
-                # breaker may trip), then answer from the chain instead.
-                # DeadlineExceededError and the fault harness's crash
-                # sentinel are not StorageErrors and propagate above.
-                breaker.record_failure()
-                degraded = DegradedResult(
-                    requested_model=requested,
-                    fallback_model=FALLBACK_MODEL,
-                    reason=str(exc),
-                    error_type=type(exc).__name__,
-                )
-                model = FALLBACK_MODEL
-                shipment_events, container_events = self.fetch_window_events(
-                    model, window, deadline=deadline
-                )
-            else:
-                breaker.record_success()
-        else:
+        try:
+            shipment_events, container_events = self.fetch_window_events(
+                model, window, deadline=deadline
+            )
+        except (TemporalQueryError, StorageError) as exc:
+            # DeadlineExceededError and the fault harness's crash sentinel
+            # are neither, and propagate above.
+            if not degrade or model == FALLBACK_MODEL:
+                raise
+            degraded = DegradedResult(
+                requested_model=model,
+                fallback_model=FALLBACK_MODEL,
+                reason=str(exc),
+                error_type=type(exc).__name__,
+            )
+            model = FALLBACK_MODEL
             shipment_events, container_events = self.fetch_window_events(
                 model, window, deadline=deadline
             )

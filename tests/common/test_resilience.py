@@ -1,37 +1,18 @@
 """Unit tests for the resilience primitives.
 
-Everything here runs on injected clocks and sleeps: the delay schedules,
-deadline expiry and breaker timeouts are asserted exactly, never sampled
-from a wall clock.
+Everything here runs on injected clocks: the delay schedules and
+deadline expiry are asserted exactly, never sampled from a wall clock.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 
 import pytest
 
-from repro.common.errors import (
-    CircuitOpenError,
-    ConfigError,
-    DeadlineExceededError,
-    StorageError,
-)
-from repro.common.resilience import CircuitBreaker, Deadline, RetryPolicy
-
-
-class FakeClock:
-    """A manually advanced monotonic clock."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from repro.common.errors import ConfigError, DeadlineExceededError
+from repro.common.resilience import Deadline, RetryPolicy
+from tests.helpers import FakeClock
 
 
 # -- RetryPolicy -----------------------------------------------------------
@@ -61,55 +42,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(jitter=0.3, seed=7)
         assert next(policy.delays()) == next(policy.delays())
 
-    def test_call_retries_then_succeeds(self):
-        slept = []
-        policy = RetryPolicy(max_retries=3, base=0.01, sleep=slept.append)
-        attempts = []
-
-        def flaky():
-            attempts.append(len(attempts))
-            if len(attempts) < 3:
-                raise StorageError("transient")
-            return "done"
-
-        assert policy.call(flaky, retry_on=(StorageError,)) == "done"
-        assert len(attempts) == 3
-        assert slept == [0.01, 0.02]
-
-    def test_call_reraises_after_budget_exhausted(self):
-        policy = RetryPolicy(max_retries=1, base=0.0)
-        calls = []
-
-        def always_fails():
-            calls.append(1)
-            raise StorageError("still broken")
-
-        with pytest.raises(StorageError, match="still broken"):
-            policy.call(always_fails, retry_on=(StorageError,))
-        assert len(calls) == 2
-
-    def test_call_never_catches_unlisted_exceptions(self):
-        policy = RetryPolicy(max_retries=5, base=0.0)
-
-        def wrong_kind():
-            raise ValueError("not retryable")
-
-        with pytest.raises(ValueError):
-            policy.call(wrong_kind, retry_on=(StorageError,))
-
-    def test_call_respects_deadline_between_attempts(self):
-        clock = FakeClock()
-        policy = RetryPolicy(max_retries=5, base=0.0)
-        deadline = Deadline(1.0, clock=clock)
-
-        def fail_and_burn():
-            clock.advance(0.6)
-            raise StorageError("slow failure")
-
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            policy.call(fail_and_burn, retry_on=(StorageError,), deadline=deadline)
-        assert isinstance(excinfo.value.__cause__, StorageError)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -129,14 +61,13 @@ class TestRetryPolicy:
 
 
 class TestDeadline:
-    def test_remaining_counts_down_and_clamps_at_zero(self):
+    def test_expires_once_the_budget_has_elapsed(self):
         clock = FakeClock()
         deadline = Deadline.after(2.0, clock=clock)
-        assert deadline.remaining() == 2.0
+        assert deadline.budget == 2.0
         clock.advance(1.5)
-        assert deadline.remaining() == pytest.approx(0.5)
-        clock.advance(5.0)
-        assert deadline.remaining() == 0.0
+        assert not deadline.expired
+        clock.advance(0.5)
         assert deadline.expired
 
     def test_check_raises_typed_error_with_context(self):
@@ -150,138 +81,4 @@ class TestDeadline:
     def test_nonpositive_budget_is_rejected(self):
         for bad in (0, -1.0):
             with pytest.raises(ConfigError):
-                Deadline(bad)
-
-
-# -- CircuitBreaker --------------------------------------------------------
-
-
-def make_breaker(clock, **overrides):
-    defaults = dict(
-        name="m1-index",
-        failure_threshold=0.5,
-        min_calls=3,
-        window=10,
-        reset_timeout=5.0,
-        clock=clock,
-    )
-    defaults.update(overrides)
-    return CircuitBreaker(**defaults)
-
-
-class TestCircuitBreaker:
-    def test_stays_closed_below_min_calls(self):
-        breaker = make_breaker(FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_trips_open_at_failure_threshold(self):
-        breaker = make_breaker(FakeClock())
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()  # 2/3 failed >= 0.5
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 1
-        with pytest.raises(CircuitOpenError, match="m1-index"):
-            breaker.check()
-
-    def test_half_open_allows_exactly_one_probe(self):
-        clock = FakeClock()
-        breaker = make_breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # everyone else waits for its outcome
-
-    def test_half_open_probe_is_single_under_thread_contention(self):
-        # The single-probe guarantee must hold against real threads, not
-        # just sequential calls: _probe_in_flight flips under the breaker
-        # lock, so of N workers released simultaneously into allow()
-        # exactly one wins the probe slot.  No outcome is recorded until
-        # every worker has answered -- a probe success would close the
-        # breaker and let latecomers through legitimately.
-        clock = FakeClock()
-        breaker = make_breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.state == "half-open"
-
-        workers = 16
-        barrier = threading.Barrier(workers)
-        allowed = [False] * workers
-
-        def contend(index: int) -> None:
-            barrier.wait()
-            allowed[index] = breaker.allow()
-
-        threads = [
-            threading.Thread(target=contend, args=(index,))
-            for index in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert sum(allowed) == 1, f"{sum(allowed)} probes escaped"
-        # The winner reports back; only then does traffic resume.
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_probe_success_closes_and_resets_window(self):
-        clock = FakeClock()
-        breaker = make_breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        # The window was cleared: one new failure must not trip it again.
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_probe_failure_reopens_for_another_timeout(self):
-        clock = FakeClock()
-        breaker = make_breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-        clock.advance(4.9)
-        assert not breaker.allow()
-        clock.advance(0.1)
-        assert breaker.allow()
-
-    def test_sliding_window_forgets_old_outcomes(self):
-        breaker = make_breaker(FakeClock(), window=4, min_calls=4)
-        for _ in range(2):
-            breaker.record_failure()
-        for _ in range(4):
-            breaker.record_success()
-        # The two failures slid out of the window: 0/4 recent failures.
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"failure_threshold": 0.0},
-            {"failure_threshold": 1.5},
-            {"min_calls": 0},
-            {"window": 2},  # < min_calls
-            {"reset_timeout": 0.0},
-        ],
-    )
-    def test_invalid_parameters_are_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            make_breaker(FakeClock(), **kwargs)
+                Deadline.after(bad)

@@ -83,6 +83,19 @@ def build_m1_index(network: FabricNetwork, t1: int, t2: int, u: int):
 LEDGER_FIELDS = ("height", "head", "chain", "codes", "state")
 
 
+class FakeClock:
+    """A manually advanced monotonic clock, for ``Deadline.after(clock=)``."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
 def ledger_summary(network: FabricNetwork) -> dict:
     """Height, chain head, header hashes, validation codes, state
     fingerprint and block-file bytes of ``network``'s ledger."""

@@ -1,20 +1,26 @@
-"""Degraded-mode queries, per-query deadlines and the engine's breakers.
+"""Degraded-mode queries and per-query deadlines.
 
 These are the query-side resilience guarantees
 ``tests/faults/test_faulted_traffic.py`` leans on:
 an index that cannot answer degrades to a *correct* TQF result tagged
-with :class:`~repro.temporal.engine.DegradedResult`; repeated failures
-trip the model's circuit breaker so later queries skip the doomed probe;
-a deadline bounds the whole fetch and always surfaces as the typed
-:class:`~repro.common.errors.DeadlineExceededError`, never as a degraded
-answer.
+with a :class:`~repro.temporal.engine.DegradedResult` naming the real
+failure, every time; an unknown model or a failing TQF query is never
+degraded; a deadline bounds the whole fetch and always surfaces as the
+typed :class:`~repro.common.errors.DeadlineExceededError`, never as a
+degraded answer.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.common.errors import DeadlineExceededError, TemporalQueryError
+from repro.common.errors import (
+    DeadlineExceededError,
+    StorageError,
+    TemporalQueryError,
+)
 from repro.common.resilience import Deadline
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import SupplyChainChaincode
@@ -22,7 +28,7 @@ from repro.temporal.engine import FALLBACK_MODEL, TemporalQueryEngine
 from repro.temporal.intervals import TimeInterval
 from repro.workload.generator import WorkloadConfig, generate
 from repro.workload.ingest import ingest
-from tests.helpers import fabric_config
+from tests.helpers import FakeClock, fabric_config
 
 CONFIG = WorkloadConfig(
     name="resilient",
@@ -53,16 +59,6 @@ def facade(network):
     return TemporalQueryEngine(network.ledger, network.metrics)
 
 
-class FakeClock:
-    """Manually advanced monotonic clock."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
 class TestDegradedMode:
     def test_unindexed_m1_raises_without_degrade(self, facade):
         with pytest.raises(TemporalQueryError, match="indexed"):
@@ -80,24 +76,58 @@ class TestDegradedMode:
     def test_fallback_model_never_degrades(self, facade):
         result = facade.run_join(FALLBACK_MODEL, WINDOW, degrade=True)
         assert result.degraded is None
-        assert FALLBACK_MODEL not in facade.breakers
 
-    def test_repeated_failures_trip_the_breaker(self, facade):
-        breaker = facade.breakers["m1"]
-        for _ in range(3):
+    def test_each_degraded_answer_names_its_failure(self, facade):
+        # No failure count, no clock: the fifth query probes the index
+        # and reports its error exactly as the first did.
+        healthy = sorted(facade.run_join(FALLBACK_MODEL, WINDOW).rows)
+        for _ in range(5):
             result = facade.run_join("m1", WINDOW, degrade=True)
             assert result.degraded is not None
-        assert breaker.trips == 1
-        assert breaker.state == "open"
-        # With the breaker open the probe is skipped entirely: the
-        # degraded marker carries the breaker's error type, and the
-        # rows still answer from the fallback.
-        result = facade.run_join("m1", WINDOW, degrade=True)
-        assert result.degraded is not None
-        assert result.degraded.error_type == "CircuitOpenError"
-        assert sorted(result.rows) == sorted(
-            facade.run_join(FALLBACK_MODEL, WINDOW).rows
-        )
+            assert result.degraded.error_type == "TemporalQueryError"
+            assert f"no indexing run covers {WINDOW}" in result.degraded.reason
+            assert sorted(result.rows) == healthy
+
+    def test_unknown_model_raises_even_with_degrade(self, facade):
+        with pytest.raises(TemporalQueryError, match="unknown model"):
+            facade.run_join("m3", WINDOW, degrade=True)
+
+    def test_fallback_model_failure_propagates_under_degrade(
+        self, facade, monkeypatch
+    ):
+        # Only the first read fails: a TQF query that "degraded" to itself
+        # would retry and answer, hiding the failure.
+        tqf = facade.engine(FALLBACK_MODEL)
+        real_fetch, calls = tqf.fetch_events, []
+
+        def unreadable_once(key, window, plan=None):
+            calls.append(key)
+            if len(calls) == 1:
+                raise StorageError("block file unreadable")
+            return real_fetch(key, window, plan)
+
+        monkeypatch.setattr(tqf, "fetch_events", unreadable_once)
+        with pytest.raises(StorageError, match="unreadable"):
+            facade.run_join(FALLBACK_MODEL, WINDOW, degrade=True)
+        assert len(calls) == 1
+
+    def test_degraded_stats_count_the_failed_probe(self, facade):
+        healthy = facade.run_join(FALLBACK_MODEL, WINDOW)
+        degraded = facade.run_join("m1", WINDOW, degrade=True)
+        assert sorted(degraded.rows) == sorted(healthy.rows)
+        assert degraded.stats.model == FALLBACK_MODEL
+        # Before its plan failed, the M1 probe listed both key prefixes
+        # (two range scans) and read the run list (one GetState).
+        probe_only = {"get_state_calls": (0, 1), "range_scan_calls": (2, 4)}
+        for name, (alone, with_probe) in probe_only.items():
+            assert getattr(healthy.stats, name) == alone, name
+            assert getattr(degraded.stats, name) == with_probe, name
+        timers = {"model", "window", "join_seconds", "ghfk_seconds"}
+        for stat in dataclasses.fields(healthy.stats):
+            if stat.name not in timers | probe_only.keys():
+                assert getattr(degraded.stats, stat.name) == getattr(
+                    healthy.stats, stat.name
+                ), stat.name
 
 
 class TestDeadlines:
