@@ -45,7 +45,7 @@ def main() -> None:
         ingest_m2 = m2.ingest()
 
         print("Per-window query performance:")
-        print(f"{'window':>8}  {'model':>5}  join     GHFK calls / blocks")
+        print(f"{'window':>8}  {'model':>5}  query s  GHFK calls / blocks")
         for label, window in probe_windows.items():
             for model, runner in (("tqf", plain), ("m1", plain), ("m2", m2)):
                 stats = runner.run_join(model, window).stats

@@ -160,3 +160,74 @@ class TestTemporalJoin:
             "C1": [ev(20, "C1", "T1", LOAD), ev(30, "C1", "T1", UNLOAD)]
         }
         assert temporal_join(shipment_events, container_events, WINDOW) == []
+
+    def test_truck_ending_at_shipment_start_does_not_join(self):
+        """The bisect boundary: a truck placement ending exactly where the
+        shipment placement starts is skipped, not joined."""
+        shipment_events = {
+            "S1": [ev(20, "S1", "C1", LOAD), ev(30, "S1", "C1", UNLOAD)]
+        }
+        container_events = {
+            "C1": [ev(10, "C1", "T1", LOAD), ev(20, "C1", "T1", UNLOAD)]
+        }
+        assert temporal_join(shipment_events, container_events, WINDOW) == []
+
+    def test_adjacent_trucks_under_one_shipment(self):
+        shipment_events = {
+            "S1": [ev(15, "S1", "C1", LOAD), ev(25, "S1", "C1", UNLOAD)]
+        }
+        container_events = {
+            "C1": [
+                ev(10, "C1", "T1", LOAD),
+                ev(20, "C1", "T1", UNLOAD),
+                ev(20, "C1", "T2", LOAD),
+                ev(30, "C1", "T2", UNLOAD),
+            ]
+        }
+        rows = temporal_join(shipment_events, container_events, WINDOW)
+        assert rows == [
+            JoinRow("S1", "T1", "C1", TimeInterval(15, 20)),
+            JoinRow("S1", "T2", "C1", TimeInterval(20, 25)),
+        ]
+
+    def test_overlapping_truck_placements_from_malformed_stream(self):
+        """An unload of T2 while T1's load is open: T2's placement is
+        clipped to the window start and overlaps T1's."""
+        window = TimeInterval(50, 100)
+        shipment_events = {
+            "S1": [ev(55, "S1", "C1", LOAD), ev(90, "S1", "C1", UNLOAD)]
+        }
+        container_events = {
+            "C1": [ev(60, "C1", "T1", LOAD), ev(70, "C1", "T2", UNLOAD)]
+        }
+        rows = temporal_join(shipment_events, container_events, window)
+        assert rows == [
+            JoinRow("S1", "T1", "C1", TimeInterval(60, 90)),
+            JoinRow("S1", "T2", "C1", TimeInterval(55, 70)),
+        ]
+
+    def test_early_long_truck_placement_covers_later_short_ones(self):
+        """T1's orphan unload at 90 opens at the window start, so its
+        placement (0, 90] covers T2's (20, 30] and T3's (40, 50]: a
+        shipment after both short ones still meets T1, and one across
+        them meets all three."""
+        shipment_events = {
+            "S1": [ev(25, "S1", "C1", LOAD), ev(45, "S1", "C1", UNLOAD)],
+            "S2": [ev(60, "S2", "C1", LOAD), ev(80, "S2", "C1", UNLOAD)],
+        }
+        container_events = {
+            "C1": [
+                ev(20, "C1", "T2", LOAD),
+                ev(30, "C1", "T2", UNLOAD),
+                ev(40, "C1", "T3", LOAD),
+                ev(50, "C1", "T3", UNLOAD),
+                ev(90, "C1", "T1", UNLOAD),
+            ]
+        }
+        rows = temporal_join(shipment_events, container_events, WINDOW)
+        assert rows == [
+            JoinRow("S1", "T1", "C1", TimeInterval(25, 45)),
+            JoinRow("S1", "T2", "C1", TimeInterval(25, 30)),
+            JoinRow("S1", "T3", "C1", TimeInterval(40, 45)),
+            JoinRow("S2", "T1", "C1", TimeInterval(60, 80)),
+        ]

@@ -6,16 +6,24 @@ inside container ``c`` at time ``t`` iff some load/unload pair satisfies
 memberships hold.  The join's interval rows, expanded to points, must
 cover exactly the same set.  This is independent of the placement-pairing
 logic under test.
+
+The point-wise oracle only holds for well-formed streams.  For any event
+list -- random kinds and counterparts, repeated timestamps, unsorted --
+the join must equal :func:`nested_loop_join`, the original
+shipments × trucks loop kept here verbatim as the reference.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from typing import Dict, Iterable, List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.temporal.events import LOAD, UNLOAD, Event
 from repro.temporal.intervals import TimeInterval
-from repro.temporal.join import temporal_join
+from repro.temporal.join import JoinRow, Placement, temporal_join
 
 T_MAX = 40
 
@@ -153,3 +161,147 @@ def test_rows_are_within_window_and_sorted(data):
     for row in rows:
         assert row.interval.start >= window.start
         assert row.interval.end <= window.end
+
+
+# --- The nested-loop reference --------------------------------------------
+# The join as it was before the bisect sweep, copied verbatim (only the
+# names differ) so the new join has an oracle that shares none of its code.
+
+
+def reference_placements(
+    events: Iterable[Event], window: TimeInterval
+) -> List[Placement]:
+    placements: List[Placement] = []
+    open_load: Event | None = None
+    for event in sorted(events):
+        if not window.contains(event.time):
+            continue
+        if event.is_load:
+            # A dangling earlier load (malformed stream) is closed at this
+            # load's time so the data stays interpretable.
+            if open_load is not None and open_load.time < event.time:
+                placements.append(
+                    Placement(
+                        key=open_load.key,
+                        other=open_load.other,
+                        interval=TimeInterval(open_load.time, event.time),
+                    )
+                )
+            open_load = event
+        else:
+            if open_load is not None and open_load.other == event.other:
+                if event.time > open_load.time:
+                    placements.append(
+                        Placement(
+                            key=event.key,
+                            other=event.other,
+                            interval=TimeInterval(open_load.time, event.time),
+                        )
+                    )
+                open_load = None
+            elif event.time > window.start:
+                # Unload of a load that predates the window: clip to start.
+                placements.append(
+                    Placement(
+                        key=event.key,
+                        other=event.other,
+                        interval=TimeInterval(window.start, event.time),
+                    )
+                )
+    if open_load is not None and open_load.time < window.end:
+        placements.append(
+            Placement(
+                key=open_load.key,
+                other=open_load.other,
+                interval=TimeInterval(open_load.time, window.end),
+            )
+        )
+    return placements
+
+
+def nested_loop_join(
+    shipment_events: Dict[str, List[Event]],
+    container_events: Dict[str, List[Event]],
+    window: TimeInterval,
+) -> List[JoinRow]:
+    # Group shipment placements by the container they happened in.
+    in_container: Dict[str, List[Placement]] = defaultdict(list)
+    for key, events in shipment_events.items():
+        for placement in reference_placements(events, window):
+            in_container[placement.other].append(placement)
+
+    rows: List[JoinRow] = []
+    for container, events in container_events.items():
+        shipments_here = in_container.get(container)
+        if not shipments_here:
+            continue
+        truck_placements = reference_placements(events, window)
+        if not truck_placements:
+            continue
+        shipments_here.sort(key=lambda p: p.interval.start)
+        truck_placements.sort(key=lambda p: p.interval.start)
+        for shipment_placement in shipments_here:
+            for truck_placement in truck_placements:
+                if truck_placement.interval.start >= shipment_placement.interval.end:
+                    break
+                shared = shipment_placement.interval.intersection(
+                    truck_placement.interval
+                )
+                if shared is not None:
+                    rows.append(
+                        JoinRow(
+                            shipment=shipment_placement.key,
+                            truck=truck_placement.other,
+                            container=container,
+                            interval=shared,
+                        )
+                    )
+    rows.sort()
+    return rows
+
+
+#: Few distinct instants, so repeated timestamps (zero-length and
+#: same-instant placements) are common.
+T_DENSE = 12
+
+
+def any_key_events(key, counterparts):
+    """Any event list for one key: random kinds and counterparts, repeated
+    timestamps, in no particular order."""
+    return st.lists(
+        st.builds(
+            Event,
+            time=st.integers(min_value=1, max_value=T_DENSE),
+            key=st.just(key),
+            other=st.sampled_from(counterparts),
+            kind=st.sampled_from([LOAD, UNLOAD]),
+        ),
+        max_size=8,
+    )
+
+
+@st.composite
+def malformed_scenario(draw):
+    shipment_events = {
+        key: draw(any_key_events(key, ["C1", "C2"])) for key in ("S1", "S2", "S3")
+    }
+    container_events = {
+        key: draw(any_key_events(key, ["T1", "T2", "T3"])) for key in ("C1", "C2")
+    }
+    return shipment_events, container_events
+
+
+@settings(max_examples=300)
+@given(
+    data=st.one_of(scenario(), malformed_scenario()),
+    start=st.integers(min_value=0, max_value=T_DENSE),
+    length=st.integers(min_value=1, max_value=T_MAX),
+)
+def test_join_equals_nested_loop_reference(data, start, length):
+    """Row for row, on well-formed and malformed streams alike; events
+    outside the window are passed in, so placements are window-clipped."""
+    shipment_events, container_events = data
+    window = TimeInterval(start, start + length)
+    assert temporal_join(
+        shipment_events, container_events, window
+    ) == nested_loop_join(shipment_events, container_events, window)
