@@ -14,13 +14,11 @@ Deliberate approximations (documented so rule authors can rely on them):
 
 * Implicit exceptions (any call may raise) are modeled only *inside*
   ``try`` statements, where every body node gets an edge to each
-  handler.  Outside a ``try`` the graph is normal-flow -- the polarity
-  the tombstone post-dominance check needs.
+  handler.  Outside a ``try`` the graph is normal-flow.
 * A ``finally`` body is built once; when abrupt jumps route through it,
   its exits connect to the union of continuations (normal successor
   plus the abrupt targets).  This over-approximates the path set, which
-  makes post-dominance strictly harder to establish and lock sets
-  strictly larger -- the safe direction for every rule built on top.
+  makes lock sets strictly larger -- the safe direction for CONC003.
 * ``while``/``for`` headers always carry a loop-exit edge, even for
   ``while True:`` -- same over-approximation, same polarity.
 
@@ -106,18 +104,6 @@ class CFG:
         for node in self.nodes:
             if node.kind not in ("entry", "exit"):
                 yield node
-
-    def node_containing(self, target: ast.AST) -> Optional[CFGNode]:
-        """The node at which ``target`` (an expression) is evaluated:
-        the simple statement containing it, or the header whose
-        test/iter/items contain it."""
-        for node in self.real_nodes():
-            for expr in node.header_exprs():
-                if expr is target or any(
-                    child is target for child in ast.walk(expr)
-                ):
-                    return node
-        return None
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Project-wide dataflow analysis: symbols, call graph, taint, caching.
+"""Project-wide dataflow analysis: symbols, call resolution, taint.
 
 PR 2's rules are per-file and syntactic; this package gives rules a
 *project* view so they can reason across function and module boundaries:
@@ -6,20 +6,19 @@ PR 2's rules are per-file and syntactic; this package gives rules a
 * :mod:`~repro.analysis.dataflow.symbols` -- a symbol table over every
   analyzed file: modules, top-level functions, classes (with base-class
   resolution across files), methods, inferred attribute types;
-* :mod:`~repro.analysis.dataflow.callgraph` -- the call graph those
-  symbols induce, with DOT / JSON export for the ``repro lint
-  --call-graph`` CLI;
+* :mod:`~repro.analysis.dataflow.callgraph` -- resolution of a call site
+  to the analyzed function it invokes;
 * :mod:`~repro.analysis.dataflow.taint` -- a forward taint engine:
-  configurable sources propagate through assignments, calls, returns and
-  containers to sinks, summarized per function and joined to a fixpoint
-  so laundering a value through any helper chain is still visible;
-* :mod:`~repro.analysis.dataflow.cache` -- an mtime+SHA keyed result
-  cache so repeated full-tree runs cost one stat per file.
+  nondeterministic sources propagate through assignments, calls, returns
+  and containers to ledger writes, summarized per function and joined to
+  a fixpoint so laundering a value through any helper chain is still
+  visible.
 
 Everything here is derived from the :class:`~repro.analysis.project.Project`
-the runner already builds -- rules never touch the filesystem.  The
-analysis objects are memoized per project (see :func:`dataflow_for`), so
-the four rule families that share them pay for one construction.
+the runner already builds -- rules never touch the filesystem.  Each
+layer is memoized per project and built on first use: the symbol table
+and resolver once for every rule that reads them (:func:`call_graph_for`),
+the taint summaries only when a rule asks for them (:func:`taint_for`).
 """
 
 from __future__ import annotations
@@ -29,16 +28,24 @@ from repro.analysis.dataflow.symbols import SymbolTable
 from repro.analysis.dataflow.taint import TaintAnalysis
 from repro.analysis.project import Project
 
-__all__ = ["CallGraph", "SymbolTable", "TaintAnalysis", "dataflow_for"]
+__all__ = ["CallGraph", "SymbolTable", "TaintAnalysis", "call_graph_for", "taint_for"]
 
 
-def dataflow_for(project: Project) -> TaintAnalysis:
-    """The memoized :class:`TaintAnalysis` (symbols + call graph + taint
-    summaries) for ``project``; built on first use, shared by every rule."""
-    cached = getattr(project, "_dataflow_analysis", None)
+def call_graph_for(project: Project) -> CallGraph:
+    """The memoized call resolver (and, as ``.table``, its symbol table)
+    for ``project``."""
+    cached = getattr(project, "_call_graph", None)
     if cached is None:
-        table = SymbolTable.build(project)
-        graph = CallGraph.build(table)
-        cached = TaintAnalysis.build(table, graph)
-        project._dataflow_analysis = cached  # type: ignore[attr-defined]
+        cached = CallGraph(SymbolTable.build(project))
+        project._call_graph = cached  # type: ignore[attr-defined]
+    return cached
+
+
+def taint_for(project: Project) -> TaintAnalysis:
+    """The memoized taint summaries for ``project``, built on first use."""
+    cached = getattr(project, "_taint_analysis", None)
+    if cached is None:
+        graph = call_graph_for(project)
+        cached = TaintAnalysis.build(graph.table, graph)
+        project._taint_analysis = cached  # type: ignore[attr-defined]
     return cached

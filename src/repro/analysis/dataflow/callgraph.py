@@ -1,6 +1,8 @@
-"""The project call graph, with resolution rules tuned for this codebase.
+"""Call resolution over the project, with rules tuned for this codebase.
 
-A call site resolves to at most one analyzed function, through (in
+The graph is never materialized: the lockset engine and the taint
+engine ask for one call site's callee while they walk a function.  A
+call site resolves to at most one analyzed function, through (in
 order): local names (module functions, ``from``-imports), ``self.method``
 with cross-file base-class lookup, imported-module attributes
 (``mod.func``), constructor calls (edge to ``__init__`` when present,
@@ -12,19 +14,12 @@ Unresolvable calls (stdlib, builtins, duck-typed receivers) simply
 produce no edge -- the graph under-approximates, which is the right
 polarity for the taint engine (an unresolved callee falls back to
 argument-union propagation there).
-
-Exports: :meth:`CallGraph.to_dot` renders the *class-level* aggregation
-(one node per class or module scope -- small enough to read), and
-:meth:`CallGraph.to_json` carries the full function-level edge list plus
-the class-level aggregation for tooling.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Optional
 
 from repro.analysis.dataflow.symbols import (
     ClassInfo,
@@ -34,41 +29,11 @@ from repro.analysis.dataflow.symbols import (
 )
 
 
-@dataclass(frozen=True)
-class CallEdge:
-    """One resolved call site."""
-
-    caller: str
-    callee: str
-    line: int
-
-
 class CallGraph:
-    """Resolved call edges over a :class:`SymbolTable`."""
+    """Resolves call sites to analyzed functions over a :class:`SymbolTable`."""
 
     def __init__(self, table: SymbolTable) -> None:
         self.table = table
-        self.edges: List[CallEdge] = []
-        self._by_caller: Dict[str, List[CallEdge]] = {}
-
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def build(table: SymbolTable) -> "CallGraph":
-        graph = CallGraph(table)
-        for info in table.functions.values():
-            local_types = _local_constructions(info, table)
-            for call in _call_nodes(info.node):
-                callee = graph.resolve_call(info, call, local_types)
-                if callee is not None:
-                    graph._add(CallEdge(info.qualname, callee, call.lineno))
-        return graph
-
-    def _add(self, edge: CallEdge) -> None:
-        self.edges.append(edge)
-        self._by_caller.setdefault(edge.caller, []).append(edge)
-
-    # -- resolution --------------------------------------------------------
 
     def resolve_call(
         self,
@@ -149,89 +114,6 @@ class CallGraph:
     def _constructor_target(self, klass: ClassInfo) -> str:
         init = self.table.method_on(klass.qualname, "__init__")
         return init.qualname if init is not None else klass.qualname
-
-    # -- queries -----------------------------------------------------------
-
-    def callees_of(self, qualname: str) -> List[CallEdge]:
-        """Every resolved call edge out of one function."""
-        return self._by_caller.get(qualname, [])
-
-    def class_edges(self) -> List[Tuple[str, str]]:
-        """Deduplicated scope-level edges (class or module granularity)."""
-        seen: Set[Tuple[str, str]] = set()
-        ordered: List[Tuple[str, str]] = []
-        for edge in self.edges:
-            pair = (self._scope(edge.caller), self._scope(edge.callee))
-            if pair[0] == pair[1] or pair in seen:
-                continue
-            seen.add(pair)
-            ordered.append(pair)
-        return ordered
-
-    def _scope(self, qualname: str) -> str:
-        info = self.table.functions.get(qualname)
-        if info is not None:
-            return info.scope_name
-        klass = self.table.classes.get(qualname)
-        if klass is not None:
-            return klass.name
-        return qualname
-
-    def reachable_scopes(self, start: str) -> Set[str]:
-        """Scopes reachable from ``start`` in the class-level graph."""
-        adjacency: Dict[str, Set[str]] = {}
-        for src, dst in self.class_edges():
-            adjacency.setdefault(src, set()).add(dst)
-        seen: Set[str] = set()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency.get(node, ()))
-        return seen
-
-    # -- export ------------------------------------------------------------
-
-    def to_dot(self) -> str:
-        """Class-level DOT digraph (the readable architecture view)."""
-        lines = [
-            "digraph callgraph {",
-            "  rankdir=LR;",
-            '  node [shape=box, fontname="monospace"];',
-        ]
-        for src, dst in self.class_edges():
-            lines.append(f'  "{src}" -> "{dst}";')
-        lines.append("}")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        """Function-level edges plus the class aggregation, versioned."""
-        return json.dumps(
-            {
-                "version": 1,
-                "functions": sorted(self.table.functions),
-                "edges": [
-                    {"caller": e.caller, "callee": e.callee, "line": e.line}
-                    for e in self.edges
-                ],
-                "class_edges": [[src, dst] for src, dst in self.class_edges()],
-            },
-            indent=2,
-        )
-
-
-def _call_nodes(func_node: ast.AST) -> Iterator[ast.Call]:
-    """Calls in a function body, nested defs and classes excluded."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func_node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _local_constructions(info: FunctionInfo, table: SymbolTable) -> Dict[str, str]:

@@ -427,14 +427,3 @@ class SymbolTable:
             for qualname, info in sorted(self.classes.items())
             if info.name != "Chaincode" and "Chaincode" in self.mro_names(qualname)
         ]
-
-    def owning_function(
-        self, source: SourceFile, node: ast.AST
-    ) -> Optional[FunctionInfo]:
-        """The indexed function whose body contains ``node``, if any."""
-        for info in self.functions.values():
-            if info.source is source and any(
-                candidate is node for candidate in ast.walk(info.node)
-            ):
-                return info
-        return None

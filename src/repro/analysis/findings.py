@@ -24,20 +24,10 @@ class Finding:
         return f"{self.path}:{self.line}: {self.rule_id} {self.message}"
 
     def to_json(self) -> Dict[str, Any]:
-        """JSON-object form used by ``--format json`` and the result cache."""
+        """JSON-object form used by ``--format json``."""
         return {
             "rule": self.rule_id,
             "path": self.path,
             "line": self.line,
             "message": self.message,
         }
-
-    @staticmethod
-    def from_json(raw: Dict[str, Any]) -> "Finding":
-        """Invert :meth:`to_json` (used when replaying the result cache)."""
-        return Finding(
-            path=str(raw["path"]),
-            line=int(raw.get("line", 0)),
-            rule_id=str(raw["rule"]),
-            message=str(raw["message"]),
-        )

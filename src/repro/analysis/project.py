@@ -10,16 +10,19 @@ keeps them unit-testable against fixture trees.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.findings import Finding
 
-#: Per-line suppression comment: ``# repro-lint: disable=DUR001,ERR001``
-#: (or ``disable=all``).  Honored on the flagged line itself or on a
-#: standalone comment line directly above it.
+#: Per-line suppression: a comment that *starts* ``# repro-lint:
+#: disable=DUR001,ERR001`` (or ``disable=all``).  Honored on the flagged
+#: line itself or on a standalone comment line directly above it; the
+#: same text quoted in a docstring or inside another comment is not one.
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 _SKIP_DIR_NAMES = {"__pycache__", ".git", ".venv", "node_modules", ".mypy_cache"}
@@ -76,13 +79,16 @@ def parse_source_file(path: Path, root: Path) -> SourceFile:
     except SyntaxError as exc:
         parse_error = exc
     suppressions: Dict[int, Set[str]] = {}
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
-        if match is None:
-            continue
-        rules = {part.strip() for part in match.group(1).split(",") if part.strip()}
-        if rules:
-            suppressions[line_number] = rules
+    if tree is not None and "repro-lint" in text:
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _SUPPRESS_RE.match(token.string)
+            if match is None:
+                continue
+            rules = {part.strip() for part in match.group(1).split(",") if part.strip()}
+            if rules:
+                suppressions[token.start[0]] = rules
     return SourceFile(
         path=path,
         relpath=relpath,

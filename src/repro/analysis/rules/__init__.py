@@ -10,7 +10,6 @@ from repro.analysis.rules import (
     durability,
     exceptions,
     resources,
-    temporal_model,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "durability",
     "exceptions",
     "resources",
-    "temporal_model",
 ]

@@ -53,7 +53,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import lockset_for
 from repro.analysis.cfg.lockset import Chain, LockRef, LocksetAnalysis
-from repro.analysis.dataflow import dataflow_for
+from repro.analysis.dataflow import call_graph_for
 from repro.analysis.dataflow.symbols import ClassInfo, FunctionInfo
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project
@@ -85,10 +85,10 @@ class LockedAttributeWriteRule(Rule):
     rule_id = "CONC001"
 
     def check_project(self, project: Project) -> List[Finding]:
-        analysis = dataflow_for(project)
+        table = call_graph_for(project).table
         findings: List[Finding] = []
-        for qualname in sorted(analysis.table.classes):
-            klass = analysis.table.classes[qualname]
+        for qualname in sorted(table.classes):
+            klass = table.classes[qualname]
             if not klass.lock_attrs:
                 continue
             for name in sorted(klass.methods):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.analysis.dataflow import dataflow_for
+from repro.analysis.dataflow import taint_for
 from repro.analysis.dataflow.taint import SinkHit
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project
@@ -62,7 +62,7 @@ class InterproceduralDeterminismRule(Rule):
     rule_id = "DET002"
 
     def check_project(self, project: Project) -> List[Finding]:
-        analysis = dataflow_for(project)
+        analysis = taint_for(project)
         findings: List[Finding] = []
         for klass in analysis.table.chaincode_classes():
             for name in sorted(klass.methods):

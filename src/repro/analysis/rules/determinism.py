@@ -43,13 +43,11 @@ from typing import Dict, Iterator, List, Optional, Set
 from repro.analysis.dataflow.symbols import dotted_path, import_aliases
 from repro.analysis.findings import Finding
 from repro.analysis.nondeterminism import (
-    BANNED_ATTRS as _BANNED_ATTRS,
     BANNED_BUILTINS as _BANNED_BUILTINS,
-    BANNED_MODULES as _BANNED_MODULES,
-    DATETIME_CLOCK_ATTRS as _DATETIME_CLOCK_ATTRS,
     WRITE_METHODS as _WRITE_METHODS,
     is_set_expression as _is_set_expression,
     set_typed_names as _set_typed_names,
+    source_kind,
 )
 from repro.analysis.project import Project, SourceFile
 from repro.analysis.registry import Rule, register
@@ -143,14 +141,8 @@ class ChaincodeDeterminismRule(Rule):
 
         for node in _walk_class_scope(class_def):
             dotted = self._resolve(node, aliases)
-            if dotted is not None:
-                root, _, rest = dotted.partition(".")
-                if root in _BANNED_MODULES:
-                    flag(node, f"use of {dotted!r}")
-                elif root in _BANNED_ATTRS and rest.split(".")[0] in _BANNED_ATTRS[root]:
-                    flag(node, f"use of {dotted!r}")
-                elif root == "datetime" and dotted.split(".")[-1] in _DATETIME_CLOCK_ATTRS:
-                    flag(node, f"clock read {dotted!r}")
+            if dotted is not None and source_kind(dotted) is not None:
+                flag(node, f"use of {dotted!r}")
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)

@@ -7,20 +7,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.dataflow.cache import (
-    CachedResult,
-    LintCache,
-    analyzer_digest,
-    compute_stamps,
-    run_fingerprint,
-)
 from repro.analysis.findings import Finding
-from repro.analysis.project import (
-    Project,
-    build_project,
-    discover_files,
-    find_project_root,
-)
+from repro.analysis.project import Project, build_project
 from repro.analysis.registry import instantiate
 
 
@@ -31,9 +19,6 @@ class LintResult:
     project: Project
     #: Findings that survived suppressions: these fail CI.
     new_findings: List[Finding]
-    #: True when this result was replayed from the mtime+SHA cache (its
-    #: ``project`` then carries no parsed files).
-    from_cache: bool = False
     #: Findings silenced by ``# repro-lint: disable=...`` comments.
     suppressed: List[Finding] = field(default_factory=list)
     files_checked: int = 0
@@ -74,45 +59,9 @@ def run_lint(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     select: Sequence[str] = (),
-    cache_path: Optional[Path] = None,
 ) -> LintResult:
-    """Run every (selected) rule over ``paths``.
-
-    ``cache_path`` enables the whole-run mtime+SHA cache: when no input
-    file, the selection or the analyzer's own source changed since the
-    last run, the previous result is replayed without parsing anything
-    (the replayed result's ``project`` is empty).  A relative
-    ``cache_path`` is anchored at the project root.
-    """
-    # Validate the selection *before* the cache lookup: an invalid
-    # --select must be a usage error even when a previous run's result
-    # could be replayed (the cache fingerprint cannot tell a blank
-    # selection from "all rules").
+    """Run every (selected) rule over ``paths``."""
     rules = instantiate(select)
-
-    cache: Optional[LintCache] = None
-    stamps = None
-    fingerprint = None
-    if cache_path is not None:
-        files = discover_files(paths)
-        resolved_root = root if root is not None else find_project_root(paths)
-        if not cache_path.is_absolute():
-            # Anchor at the project root, not the CWD, so every checkout
-            # (and every fixture project in the tests) gets its own cache.
-            cache_path = resolved_root / cache_path
-        cache = LintCache(cache_path)
-        stamps = compute_stamps(files, resolved_root, cache.previous_stamps)
-        fingerprint = run_fingerprint(stamps, select, analyzer_digest())
-        cached = cache.lookup(fingerprint)
-        if cached is not None:
-            return LintResult(
-                project=Project(root=resolved_root, files=[]),
-                new_findings=cached.new_findings,
-                from_cache=True,
-                suppressed=cached.suppressed,
-                files_checked=cached.files_checked,
-            )
-
     project = build_project(paths, root=root)
 
     raw: List[Finding] = list(project.parse_failures())
@@ -132,20 +81,9 @@ def run_lint(
         else:
             active.append(finding)
 
-    result = LintResult(
+    return LintResult(
         project=project,
         new_findings=active,
         suppressed=suppressed,
         files_checked=len(project.files),
     )
-    if cache is not None and stamps is not None and fingerprint is not None:
-        cache.store(
-            fingerprint,
-            stamps,
-            CachedResult(
-                new_findings=result.new_findings,
-                suppressed=result.suppressed,
-                files_checked=result.files_checked,
-            ),
-        )
-    return result

@@ -156,10 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser(
         "lint",
         help="repro-lint: AST & dataflow analysis "
-        "(chaincode determinism incl. interprocedural taint, M1 ingest "
-        "invariants, lock discipline, seam-handle lifetimes, "
-        "FileSystem-seam bypasses, fsync-before-rename, crash-point "
-        "coverage, swallowed exceptions)",
+        "(chaincode determinism incl. interprocedural taint, lock "
+        "discipline, seam-handle lifetimes, FileSystem-seam bypasses, "
+        "fsync-before-rename, crash-point coverage, swallowed exceptions)",
         description="Run the repro-lint static analyzer.",
         epilog="exit codes: 0 = clean, 1 = new findings, "
         "2 = usage error (unknown rule, bad path)",
@@ -196,26 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE",
         help="print a rule's full documentation and exit",
-    )
-    lint.add_argument(
-        "--call-graph",
-        default=None,
-        choices=["dot", "json"],
-        metavar="{dot,json}",
-        help="emit the project call graph (dot: class-level digraph for "
-        "rendering; json: full function-level edges) instead of findings",
-    )
-    lint.add_argument(
-        "--cache",
-        default=".repro-lint-cache.json",
-        metavar="PATH",
-        help="mtime+SHA result cache so an unchanged tree replays the "
-        "previous run (default: .repro-lint-cache.json)",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always analyze from scratch, ignoring and not writing the cache",
     )
 
     san = subparsers.add_parser(
@@ -438,22 +417,6 @@ def _run_lint(args: argparse.Namespace) -> int:
         print(f"{rule.rule_id}: {(rule.__doc__ or '').strip()}\n\n{module_doc.strip()}")
         return 0
 
-    if args.call_graph:
-        from repro.analysis.dataflow import CallGraph, SymbolTable
-        from repro.analysis.project import build_project
-
-        try:
-            project = build_project(
-                [Path(path) for path in args.paths],
-                root=Path(args.root) if args.root else None,
-            )
-        except FileNotFoundError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        graph = CallGraph.build(SymbolTable.build(project))
-        print(graph.to_dot() if args.call_graph == "dot" else graph.to_json())
-        return 0
-
     # `--select ""` must reach the validator (blank selection is a usage
     # error), so test against None, not truthiness.
     select = (
@@ -461,13 +424,11 @@ def _run_lint(args: argparse.Namespace) -> int:
         if args.select is not None
         else []
     )
-    cache_path = None if args.no_cache else Path(args.cache)
     try:
         result = run_lint(
             [Path(path) for path in args.paths],
             root=Path(args.root) if args.root else None,
             select=select,
-            cache_path=cache_path,
         )
     except (FileNotFoundError, KeyError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)

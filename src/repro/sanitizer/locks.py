@@ -88,7 +88,7 @@ class TracedRLock:
         self._inner = threading.RLock()
         self.name = name or f"rlock@{id(self):#x}"
         self._owner: Optional[int] = None
-        self._depth = 0  # repro-lint: disable=CONC001
+        self._depth = 0
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         """Acquire; only the outermost acquire is a sanitizer event."""

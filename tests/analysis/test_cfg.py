@@ -1,6 +1,6 @@
-"""Unit tests for the CFG/lockset layer under CONC003 and TEMP001.
+"""Unit tests for the CFG/lockset layer under CONC003.
 
-CFG shape and post-dominance are checked on hand-built functions; the
+CFG shape is checked on hand-built functions; the
 lockset edge cases -- multi-item ``with``, release in ``finally``,
 conditional acquire -- run the real engine over tiny throwaway projects.
 """
@@ -10,11 +10,9 @@ from __future__ import annotations
 import ast
 import textwrap
 
-from repro.analysis import run_lint
-from repro.analysis.cfg import build_cfg, lockset_for, postdominators
+from repro.analysis.cfg import build_cfg, lockset_for
 from repro.analysis.cfg.builder import EXIT
 from repro.analysis.project import build_project
-from tests.analysis.helpers import find_lines
 
 
 def _cfg(source):
@@ -117,54 +115,6 @@ class TestCFGShape:
         risky = _stmt_node(cfg, "risky()")
         handler = _kind_node(cfg, "handler")
         assert handler.index in risky.succs
-
-    def test_node_containing_finds_with_header_expressions(self):
-        cfg = _cfg(
-            """
-            def f(lock):
-                with lock:
-                    work()
-            """
-        )
-        func = cfg.func
-        with_stmt = func.body[0]
-        header = cfg.node_containing(with_stmt.items[0].context_expr)
-        assert header is not None and header.kind == "with"
-
-
-class TestPostDominance:
-    def test_join_point_postdominates_the_branch(self):
-        cfg = _cfg(
-            """
-            def f(x):
-                if x:
-                    a = 1
-                else:
-                    b = 2
-                tail = 3
-            """
-        )
-        pdom = postdominators(cfg)
-        test = _kind_node(cfg, "test")
-        tail = _stmt_node(cfg, "tail = 3")
-        arm = _stmt_node(cfg, "a = 1")
-        assert tail.index in pdom[test.index]
-        assert arm.index not in pdom[test.index]
-
-    def test_statement_after_an_early_return_does_not_postdominate(self):
-        cfg = _cfg(
-            """
-            def f(x):
-                first = 1
-                if x:
-                    return None
-                tail = 3
-            """
-        )
-        pdom = postdominators(cfg)
-        first = _stmt_node(cfg, "first = 1")
-        tail = _stmt_node(cfg, "tail = 3")
-        assert tail.index not in pdom[first.index]
 
 
 def _analysis(tmp_path, source):
@@ -290,36 +240,3 @@ class TestLocksetEdgeCases:
             "mod.Switch.tick": set(),
             "mod.Switch.tail": set(),
         }
-
-
-class TestTombstonePostDominance:
-    def test_conditional_early_return_between_write_and_clear_fires(self, tmp_path):
-        # The rewrite's headline catch: the old same-block scan saw the
-        # clear below the write and accepted; on the CFG the early
-        # return means the clear does not post-dominate the write.
-        temporal = tmp_path / "temporal"
-        temporal.mkdir()
-        source = textwrap.dedent(
-            """
-            \"\"\"Ingest with an early return between write and tombstone.\"\"\"
-
-
-            def ingest(gateway, key, theta, bundle, budget):
-                \"\"\"The write escapes its tombstone when the budget runs out.\"\"\"
-                gateway.submit("index", "write_index", key, theta, bundle)
-                if budget.exhausted():
-                    return None
-                gateway.submit("index", "clear_index", key, theta)
-            """
-        )
-        (temporal / "m1.py").write_text(source, encoding="utf-8")
-        write_line = _only(
-            [
-                number
-                for number, line in enumerate(source.splitlines(), start=1)
-                if "write_index" in line
-            ],
-            "expected exactly one write in the fixture",
-        )
-        result = run_lint([temporal], root=tmp_path)
-        assert find_lines(result.new_findings, "TEMP001") == [write_line]

@@ -1,28 +1,20 @@
-"""The interprocedural engine itself: symbols, call graph, taint, cache.
+"""The interprocedural engine itself: symbols, call resolution, taint.
 
 The rule-level behavior is covered by the fixture trees in
 test_rules.py; these tests pin down the engine's building blocks --
 cross-file base resolution, call edges through attributes and
-constructors, taint summaries, and the mtime+SHA result cache -- so a
-regression is reported at the layer that broke, not as a mysterious
-missing finding three layers up.
+constructors, and taint summaries -- so a regression is reported at the
+layer that broke, not as a mysterious missing finding three layers up.
 """
 
 from __future__ import annotations
 
-import json
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_lint
-from repro.analysis.dataflow import CallGraph, SymbolTable, dataflow_for
-from repro.analysis.dataflow.cache import (
-    CACHE_SCHEMA,
-    LintCache,
-    compute_stamps,
-    run_fingerprint,
-)
+from repro.analysis.dataflow import CallGraph, SymbolTable, taint_for
 from repro.analysis.project import build_project
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -38,11 +30,11 @@ def project_from(tmp_path, files):
 
 
 @pytest.fixture(scope="module")
-def real_analysis():
-    """One shared analysis of the actual source tree (it is immutable
-    from the tests' point of view, and building it costs ~2s)."""
+def real_table():
+    """One shared symbol table of the actual source tree (it is immutable
+    from the tests' point of view)."""
     project = build_project([REPO_SRC], root=REPO_SRC.parent)
-    return dataflow_for(project)
+    return SymbolTable.build(project)
 
 
 class TestSymbolTable:
@@ -107,11 +99,11 @@ class TestSymbolTable:
         assert holder.attr_types["_spare"] == "wires.Engine"
         assert holder.lock_attrs == {"_lock"}
 
-    def test_real_tree_recognizes_query_path_lock_carriers(self, real_analysis):
+    def test_real_tree_recognizes_query_path_lock_carriers(self, real_table):
         """Every lock-carrying class on the query path must
         be visible to the symbol table, or CONC001 silently stops policing
         its attribute writes."""
-        classes = real_analysis.table.classes
+        classes = real_table.classes
         expectations = {
             "repro.common.metrics.MetricsRegistry": "_lock",
             "repro.fabric.blockcache.BlockCache": "_lock",
@@ -169,43 +161,25 @@ class TestCallGraph:
                 },
             )
         )
-        graph = CallGraph.build(table)
-        callees = {edge.callee for edge in graph.callees_of("app.Indexer.run")}
+        graph = CallGraph(table)
+        run = table.functions["app.Indexer.run"]
+        callees = {
+            graph.resolve_call(run, call)
+            for call in ast.walk(run.node)
+            if isinstance(call, ast.Call)
+        }
         assert callees == {
             "app.helper",
             "core.Ledger.append",
             "core.Ledger",  # local Ledger() construction, no __init__
             "app.Indexer.run_once",
         }
-        assert ("Indexer", "Ledger") in graph.class_edges()
-
-    def test_real_tree_has_the_indexer_to_ledger_chain(self, real_analysis):
-        graph = real_analysis.graph
-        class_edges = set(graph.class_edges())
-        assert ("M1Indexer", "Gateway") in class_edges
-        reachable = graph.reachable_scopes("M1Indexer")
-        assert "Ledger" in reachable, (
-            "the indexer must reach the ledger through the gateway/peer chain"
-        )
-
-    def test_dot_export_is_a_digraph_with_the_chain(self, real_analysis):
-        dot = real_analysis.graph.to_dot()
-        assert dot.startswith("digraph callgraph {")
-        assert '"M1Indexer" -> "Gateway";' in dot
-
-    def test_json_export_round_trips(self, real_analysis):
-        document = json.loads(real_analysis.graph.to_json())
-        assert document["version"] == 1
-        assert ["M1Indexer", "Gateway"] in document["class_edges"]
-        edges = {(e["caller"], e["callee"]) for e in document["edges"]}
-        assert all(isinstance(e["line"], int) for e in document["edges"])
-        assert len(edges) > 100  # the real tree resolves a dense graph
 
 
 class TestTaint:
     def build(self, tmp_path, files):
         project = project_from(tmp_path, files)
-        return dataflow_for(project)
+        return taint_for(project)
 
     def test_two_hop_return_chain_reaches_the_sink(self, tmp_path):
         analysis = self.build(
@@ -297,114 +271,3 @@ class TestTaint:
         analysis = self.build(tmp_path, {"empty.py": "x = 1\n"})
         summary = analysis.summary("nowhere.f")
         assert not summary.sink_hits and not summary.tainted_returns
-
-
-class TestResultCache:
-    FILES = {
-        "src/app.py": (
-            "import time\n\n"
-            "from repro.fabric.chaincode import Chaincode\n\n\n"
-            "class CC(Chaincode):\n"
-            "    def invoke(self, stub, key):\n"
-            "        stub.put_state(key, time.time())\n"
-        ),
-    }
-
-    def seed(self, tmp_path):
-        for relpath, text in self.FILES.items():
-            target = tmp_path / relpath
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text)
-        return tmp_path / "src", tmp_path / "cache.json"
-
-    def run(self, src, cache, **kwargs):
-        return run_lint([src], root=src.parent, cache_path=cache, **kwargs)
-
-    def test_second_run_replays_from_cache(self, tmp_path):
-        src, cache = self.seed(tmp_path)
-        first = self.run(src, cache)
-        assert not first.from_cache and not first.ok
-        second = self.run(src, cache)
-        assert second.from_cache
-        assert [f.to_json() for f in second.new_findings] == [
-            f.to_json() for f in first.new_findings
-        ]
-        assert second.files_checked == first.files_checked
-
-    def test_edited_file_invalidates(self, tmp_path):
-        src, cache = self.seed(tmp_path)
-        self.run(src, cache)
-        (src / "app.py").write_text('"""All clean now."""\n')
-        rerun = self.run(src, cache)
-        assert not rerun.from_cache and rerun.ok
-
-    def test_selection_change_invalidates(self, tmp_path):
-        src, cache = self.seed(tmp_path)
-        self.run(src, cache)
-        selected = self.run(src, cache, select=["CHAIN"])
-        assert not selected.from_cache
-
-    def test_analyzer_edit_invalidates(self, tmp_path, monkeypatch):
-        """The analyzer's own source is an input of the run: editing a
-        rule (or a table a rule reads) must not replay the old result."""
-        from repro.analysis import runner
-
-        src, cache = self.seed(tmp_path)
-        self.run(src, cache)
-        assert self.run(src, cache).from_cache
-        monkeypatch.setattr(runner, "analyzer_digest", lambda: "edited")
-        assert not self.run(src, cache).from_cache
-        assert self.run(src, cache).from_cache
-
-    def test_analyzer_digest_covers_nested_analysis_modules(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.analysis.dataflow import cache as cache_module
-
-        assert cache_module.analyzer_digest() == cache_module.analyzer_digest()
-        # Point the function at a stand-in package: <pkg>/dataflow/cache.py.
-        package = tmp_path / "analysis"
-        table = package / "rules" / "tables.py"
-        for path in (package / "dataflow" / "cache.py", table):
-            path.parent.mkdir(parents=True)
-            path.write_text("ROWS = ('a',)\n")
-        monkeypatch.setattr(
-            cache_module, "__file__", str(package / "dataflow" / "cache.py")
-        )
-        before = cache_module.analyzer_digest()
-        table.write_text("ROWS = ()\n")
-        assert cache_module.analyzer_digest() != before
-
-    def test_fingerprint_tracks_the_analyzer(self, tmp_path):
-        src, _ = self.seed(tmp_path)
-        stamps = compute_stamps(sorted(src.rglob("*.py")), src.parent)
-        assert run_fingerprint(stamps, [], "a") != run_fingerprint(stamps, [], "b")
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        src, cache = self.seed(tmp_path)
-        self.run(src, cache)
-        cache.write_text("{not json")
-        rerun = self.run(src, cache)
-        assert not rerun.from_cache and not rerun.ok
-
-    def test_stale_schema_is_ignored(self, tmp_path):
-        src, cache = self.seed(tmp_path)
-        self.run(src, cache)
-        payload = json.loads(cache.read_text())
-        payload["schema"] = CACHE_SCHEMA - 1
-        cache.write_text(json.dumps(payload))
-        assert LintCache(cache).lookup(payload["fingerprint"]) is None
-
-    def test_fingerprint_tracks_content_not_mtime(self, tmp_path):
-        src, cache = self.seed(tmp_path)
-        files = sorted(src.rglob("*.py"))
-        stamps = compute_stamps(files, src.parent)
-        fp = run_fingerprint(stamps, [], "a")
-        # Touch without changing content: same fingerprint.
-        (src / "app.py").touch()
-        stamps2 = compute_stamps(files, src.parent)
-        assert run_fingerprint(stamps2, [], "a") == fp
-        # Change content: different fingerprint.
-        (src / "app.py").write_text("x = 2\n")
-        stamps3 = compute_stamps(files, src.parent)
-        assert run_fingerprint(stamps3, [], "a") != fp

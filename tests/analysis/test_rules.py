@@ -31,7 +31,6 @@ def test_registry_exposes_the_documented_rule_families():
         "CRASH001",
         "ERR001",
         "DET002",
-        "TEMP001",
         "CONC001",
         "CONC003",
         "RES001",
@@ -107,26 +106,6 @@ class TestInterproceduralDeterminism:
         assert "time.time" in messages
         assert "clock -> stamp" in messages
         assert "commit" in messages
-
-
-class TestTemporalModelInvariants:
-    def test_ingest_and_interval_fixtures_match_expectations(self):
-        result = lint_fixture_tree("temporal_model")
-        assert_matches_expectations(
-            result,
-            FIXTURES / "temporal_model" / "temporal" / "m1.py",
-            FIXTURES / "temporal_model" / "temporal" / "queries.py",
-            FIXTURES / "temporal_model" / "temporal" / "intervals.py",
-        )
-
-    def test_rule_only_polices_temporal_paths(self, tmp_path):
-        elsewhere = tmp_path / "tools"
-        elsewhere.mkdir()
-        shutil.copy(
-            FIXTURES / "temporal_model" / "temporal" / "queries.py", elsewhere
-        )
-        result = run_lint([elsewhere], root=tmp_path)
-        assert not find_lines(result.new_findings, "TEMP001")
 
 
 class TestLockedAttributeWrites:
@@ -220,19 +199,6 @@ class TestSelectValidation:
     def test_unknown_prefix_is_a_usage_error(self, tiny_project):
         with pytest.raises(KeyError, match="NOPE999"):
             run_lint([tiny_project], root=tiny_project, select=["NOPE999"])
-
-    def test_blank_selection_rejected_even_on_a_warm_cache(self, tiny_project):
-        # The validation must run before the cache lookup: a fingerprint
-        # cannot tell a blank selection from "all rules".
-        cache = tiny_project / "cache.json"
-        first = run_lint([tiny_project], root=tiny_project, cache_path=cache)
-        assert not first.from_cache
-        warm = run_lint([tiny_project], root=tiny_project, cache_path=cache)
-        assert warm.from_cache
-        with pytest.raises(KeyError, match="empty --select"):
-            run_lint(
-                [tiny_project], root=tiny_project, select=[""], cache_path=cache
-            )
 
 
 class TestSeamHandleLifetimes:
@@ -361,168 +327,191 @@ def _clone_real_tree(dest):
     return clone
 
 
-def _seed(target, anchor, insertion, marker):
-    """Insert ``insertion`` before the first ``anchor`` in ``target`` and
-    return the line the inserted ``marker`` lands on."""
+def _edit(target, old, new):
+    """Replace the first occurrence of ``old`` in ``target`` with ``new``."""
     text = target.read_text()
-    position = text.index(anchor)
-    target.write_text(text[:position] + insertion + text[position:])
-    before = text[:position] + insertion[: insertion.index(marker)]
-    return before.count("\n") + 1
+    assert old in text, old
+    target.write_text(text.replace(old, new, 1))
 
 
-def _assert_conc001(result, expected, attr):
-    """The CONC clone's findings are exactly the seeded CONC001 sites,
-    and ``attr``'s lands at its exact ``file:line``."""
-    found = {
-        (finding.rule_id, finding.path, finding.line)
-        for finding in result.new_findings
-    }
-    assert found == {
-        ("CONC001", path, line) for path, line in expected.values()
-    }, result.render_text()
-    path, line = expected[attr]
-    message = next(
-        finding.message
-        for finding in result.new_findings
-        if (finding.path, finding.line) == (path, line)
-    )
-    assert f"self.{attr}" in message
+def _line_of(target, marker):
+    """The line number of the one line of ``target`` holding ``marker``."""
+    hits = [
+        number
+        for number, line in enumerate(target.read_text().splitlines(), start=1)
+        if marker in line
+    ]
+    assert len(hits) == 1, (marker, hits)
+    return hits[0]
+
+
+_NAPPING_CACHE = (
+    '"""A cache that backs off while holding its lock."""\n\n'
+    "import threading\n"
+    "import time\n\n\n"
+    "class NappingCache:\n"
+    '    """Serializes writers, then sleeps on their time."""\n\n'
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self._data = {}\n\n"
+    "    def put(self, key, value):\n"
+    '        """Stores after an in-lock settle delay."""\n'
+    "        with self._lock:\n"
+    "            time.sleep(0.05)\n"
+    "            self._data[key] = value\n"
+)
 
 
 class TestMutationAcceptance:
-    """The acceptance criteria from the issue, verbatim: injecting a raw
-    open() into src/repro/storage/ or an unregistered crash point must
-    turn the lint red."""
-
-    @pytest.fixture()
-    def real_tree(self, tmp_path):
-        return _clone_real_tree(tmp_path)
+    """For each rule, the mutant from DESIGN.md §5's mutant tables that
+    only that rule convicts (plus a few more shapes of the same bugs),
+    seeded together into one clone of the real ``src/`` tree, which is
+    linted once with every rule.  Each finding must land at its
+    mutant's exact ``file:line``, and nothing else may fire."""
 
     @pytest.fixture(scope="class")
-    def conc001_mutants(self, tmp_path_factory):
-        """One clone carrying every CONC001 mutant, linted once: three
-        new methods that rebind shared state without the class lock."""
-        clone = _clone_real_tree(tmp_path_factory.mktemp("conc001"))
-        fabric = clone / "src" / "repro" / "fabric"
-        expected = {
-            "retries_attempted": (
-                "src/repro/fabric/gateway.py",
-                _seed(
-                    fabric / "gateway.py",
-                    "    def evaluate_transaction(",
-                    "    def reset_retries(self):\n"
-                    '        """Racy counter reset (deliberately unlocked)."""\n'
-                    "        self.retries_attempted = 0\n\n",
-                    "self.retries_attempted = 0",
-                ),
-            ),
-            "capacity": (
-                "src/repro/fabric/blockcache.py",
-                _seed(
-                    fabric / "blockcache.py",
-                    "    def invalidate(self",
-                    "    def resize(self, capacity):\n"
-                    '        """Racy capacity rebind (deliberately unlocked)."""\n'
-                    "        self.capacity = capacity\n\n",
-                    "self.capacity = capacity",
-                ),
-            ),
-            # MetricsRegistry was converted from a dataclass to an
-            # explicit __init__ precisely so its lock is visible to the
-            # symbol table; this mutant proves CONC001 polices it.
-            "_counters": (
-                "src/repro/common/metrics.py",
-                _seed(
-                    clone / "src" / "repro" / "common" / "metrics.py",
-                    "    def increment(self",
-                    "    def hard_reset(self):\n"
-                    '        """Racy rebind of the counter dict (unlocked)."""\n'
-                    "        self._counters = {}\n\n",
-                    "self._counters = {}",
-                ),
-            ),
-        }
-        result = run_lint([clone / "src"], root=clone, select=("CONC",))
-        return result, expected
+    def mutants(self, tmp_path_factory):
+        """``(result, expected, sleep_chain)``: the one run, each
+        mutant's ``(rule, path, line)``, and the call-chain text every
+        CONC003 finding raised by the ``MetricsRegistry`` sleep names."""
+        clone = _clone_real_tree(tmp_path_factory.mktemp("mutants"))
+        repro = clone / "src" / "repro"
+        gateway = repro / "fabric" / "gateway.py"
+        blockcache = repro / "fabric" / "blockcache.py"
+        metrics = repro / "common" / "metrics.py"
+        napping = repro / "storage" / "napping.py"
+        sstable = repro / "storage" / "kv" / "sstable.py"
+        ledger = repro / "fabric" / "ledger.py"
+        registry = repro / "faults" / "crashpoints.py"
+        chaincodes = repro / "temporal" / "chaincodes.py"
+        manifest = repro / "faults" / "manifest.py"
+        lsm = repro / "storage" / "kv" / "lsm.py"
 
-    @pytest.fixture(scope="class")
-    def conc003_mutants(self, tmp_path_factory):
-        """One clone carrying both CONC003 mutants, linted once: a new
-        cache that naps under its lock, and a sleep inside
-        ``MetricsRegistry.increment``'s locked region."""
-        clone = _clone_real_tree(tmp_path_factory.mktemp("conc003"))
-        # The resilience layer's contract: backoff sleeps happen outside
-        # any lock.  A helper that naps while holding its lock -- the
-        # classic way one slow retry stalls every other thread.
-        (clone / "src" / "repro" / "storage" / "napping.py").write_text(
-            '"""A cache that backs off while holding its lock."""\n\n'
-            "import threading\n"
-            "import time\n\n\n"
-            "class NappingCache:\n"
-            '    """Serializes writers, then sleeps on their time."""\n\n'
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._data = {}\n\n"
-            "    def put(self, key, value):\n"
-            '        """Stores after an in-lock settle delay."""\n'
-            "        with self._lock:\n"
-            "            time.sleep(0.05)\n"
-            "            self._data[key] = value\n"
-        )
-        # The counter hot path would serialize every worker thread.
-        metrics = clone / "src" / "repro" / "common" / "metrics.py"
-        _seed(
-            metrics,
-            "from contextlib import contextmanager\n",
-            "import time\n\n",
-            "import time",
-        )
-        sleep_line = _seed(
+        # CONC001: three new methods that rebind shared state without the
+        # class lock.  MetricsRegistry has an explicit __init__ precisely
+        # so its lock is visible to the symbol table.
+        for target, anchor, method, rebind in (
+            (gateway, "    def evaluate_transaction(", "reset_retries(self)",
+             "self.retries_attempted = 0  # mutant: gateway"),
+            (blockcache, "    def invalidate(self", "resize(self, capacity)",
+             "self.capacity = capacity  # mutant: cache"),
+            (metrics, "    def increment(self", "hard_reset(self)",
+             "self._counters = {}  # mutant: metrics"),
+        ):
+            _edit(target, anchor, f"    def {method}:\n        {rebind}\n\n{anchor}")
+        # CONC003: a new cache that naps under its lock, and
+        # a sleep inside MetricsRegistry.increment's locked region, which
+        # every caller holding its own lock across increment() inherits.
+        napping.write_text(_NAPPING_CACHE)
+        _edit(metrics, "from contextlib import", "import time\nfrom contextlib import")
+        _edit(
             metrics,
             "            value = self._counters.get(name, 0) + amount\n",
-            "            time.sleep(0.001)\n",
-            "time.sleep(0.001)",
+            "            time.sleep(0.001)\n"
+            "            value = self._counters.get(name, 0) + amount\n",
         )
-        result = run_lint([clone / "src"], root=clone, select=("CONC",))
-        return result, sleep_line
-
-    def test_clean_clone_is_clean(self, real_tree):
-        result = run_lint([real_tree / "src"], root=real_tree)
-        assert result.ok, result.render_text()
-
-    def test_injected_raw_open_fails_the_lint(self, real_tree):
-        bad = real_tree / "src" / "repro" / "storage" / "sneaky.py"
-        bad.write_text(
+        # DUR002 (mutant B): the SSTable writer flushes its temp file but
+        # never fsyncs it before the rename.
+        _edit(sstable, "            fs.fsync(handle)\n", "            handle.flush()\n")
+        # DUR001: the M1 run manifest written straight to its final name,
+        # bypassing the seam (FaultyFS can neither tear nor drop it).
+        _edit(
+            manifest,
+            "        handle = self._fs.open(tmp_path, \"wb\")\n"
+            "        try:\n"
+            "            handle.write(payload)\n"
+            "            self._fs.fsync(handle)\n"
+            "        finally:\n"
+            "            handle.close()\n"
+            "        self._fs.replace(tmp_path, self.path)\n",
+            "        self.path.write_bytes(payload)  # mutant: raw write\n",
+        )
+        (repro / "storage" / "sneaky.py").write_text(
             '"""A write path added without the seam."""\n\n\n'
             "def persist(path, data):\n"
             '    """Writes directly -- invisible to the fault harness."""\n'
             '    with open(path, "wb") as handle:\n'
             "        handle.write(data)\n"
         )
-        result = run_lint([real_tree / "src"], root=real_tree, select=("DUR",))
-        assert find_lines(result.new_findings, "DUR001") == [6]
-
-    def test_unregistered_crash_point_fails_the_lint(self, real_tree):
-        target = real_tree / "src" / "repro" / "fabric" / "orderer.py"
-        text = target.read_text()
-        text = text.replace(
-            "crash_point(ORDERER_BLOCK_CUT)",
-            'crash_point(ORDERER_BLOCK_CUT)\n        crash_point("orderer.rogue_point")',
+        # RES001: the LSM manifest's temp handle closed only on the happy
+        # path, so a failed write or fsync leaks it.
+        _edit(
+            lsm,
+            "        handle = self._fs.open(tmp, \"wb\")\n"
+            "        try:\n"
+            "            handle.write(payload)\n"
+            "            if self._fsync:\n"
+            "                self._fs.fsync(handle)\n"
+            "        finally:\n"
+            "            handle.close()\n",
+            "        handle = self._fs.open(tmp, \"wb\")  # mutant: leak\n"
+            "        handle.write(payload)\n"
+            "        if self._fsync:\n"
+            "            self._fs.fsync(handle)\n"
+            "        handle.close()\n",
         )
-        target.write_text(text)
-        result = run_lint([real_tree / "src"], root=real_tree, select=("CRASH",))
-        assert find_lines(result.new_findings, "CRASH001"), result.render_text()
+        # ERR001: the endorser's two handlers collapsed into one broad
+        # catch that wraps everything, SimulatedCrashError included.
+        _edit(
+            repro / "fabric" / "endorser.py",
+            "        except (FaultInjectionError, EndorsementError):\n"
+            "            # SimulatedCrashError must reach the fault harness untouched;\n"
+            "            # wrapping it here would let chaincode survive its own crash.\n"
+            "            raise\n"
+            "        except (ReproError, ValueError, TypeError, KeyError, IndexError, "
+            "AttributeError) as exc:\n",
+            "        except Exception as exc:  # mutant: broad catch\n",
+        )
+        # CRASH001: a crash point added to the commit path but never
+        # registered, so the kill-point sweep never fires it; and a
+        # registered point whose call site was dropped.
+        _edit(
+            ledger,
+            "            crash_point(LEDGER_PRE_SAVEPOINT)\n",
+            "            crash_point(LEDGER_PRE_SAVEPOINT)\n"
+            '            crash_point("ledger.pre_savepoint_record")\n',
+        )
+        _edit(
+            ledger,
+            "            crash_point(LEDGER_PRE_STATE)\n",
+            "            pass  # instrumentation dropped\n",
+        )
 
-    def test_two_hop_helper_chain_is_caught_by_det002_not_chain001(self, real_tree):
-        # A chaincode whose nondeterminism is laundered through two
-        # module-level helpers: invisible to the per-file rule, fatal to
-        # the interprocedural one.
-        target = real_tree / "src" / "repro" / "temporal" / "chaincodes.py"
-        target.write_text(
-            target.read_text()
-            + "\n\nimport time\n\n\n"
-            "def _clock():\n"
+        # CHAIN001: an audit write gated on the peer's environment -- a
+        # branch around a constant, so no value carries taint to the write.
+        _edit(
+            chaincodes,
+            "            stub.put_state(event.key, event.to_value())\n"
+            "            return {\"key\": event.key, \"t\": event.time}\n"
+            "        if fn == \"record_events\":",
+            "            stub.put_state(event.key, event.to_value())\n"
+            "            if os.environ.get(\"REPRO_AUDIT_EVENTS\"):  # mutant: env branch\n"
+            "                stub.put_state(\"\\x03audit\", event.key)\n"
+            "            return {\"key\": event.key, \"t\": event.time}\n"
+            "        if fn == \"record_events\":",
+        )
+        # DET002: the M1 bundle deduplicated through a set, so the stored
+        # event order follows per-process string hashing -- identical
+        # within one process, which is all tier-1 ever compares; and a
+        # wall clock laundered through two module-level helpers.
+        _edit(chaincodes, "from typing import", "import json\nimport os\nimport time\nfrom typing import")
+        _edit(
+            chaincodes,
+            "\n\ndef validate_transition(",
+            "\n\ndef _distinct(values):\n"
+            '    """Drop duplicate events from a bundle."""\n'
+            "    return [json.loads(text) for text in "
+            "{json.dumps(value, sort_keys=True) for value in values}]\n"
+            "\n\ndef validate_transition(",
+        )
+        _edit(
+            chaincodes,
+            "            stub.put_state(index_key, event_values)\n",
+            "            stub.put_state(index_key, _distinct(event_values))  # mutant: set order\n",
+        )
+        chaincodes.write_text(
+            chaincodes.read_text()
+            + "\n\ndef _clock():\n"
             '    """Hop two."""\n'
             "    return time.time()\n\n\n"
             "def _stamp():\n"
@@ -533,111 +522,196 @@ class TestMutationAcceptance:
             '    name = "sneaky"\n\n'
             "    def invoke(self, stub, fn, args):\n"
             '        """Commits a laundered wall-clock reading."""\n'
-            "        stub.put_state(args[0], _stamp())\n"
+            "        stub.put_state(args[0], _stamp())  # mutant: two hops\n"
             "        return []\n"
         )
-        result = run_lint([real_tree / "src"], root=real_tree, select=("DET", "CHAIN"))
-        det_hits = [
-            finding
-            for finding in result.new_findings
-            if finding.rule_id == "DET002"
-            and finding.path.endswith("chaincodes.py")
-        ]
-        assert det_hits, result.render_text()
-        assert all("time.time" in finding.message for finding in det_hits)
-        assert "_clock -> _stamp" in det_hits[0].message
-        assert not find_lines(result.new_findings, "CHAIN001"), (
-            "the laundered flow must be invisible to the per-file rule"
+
+        def at(rule, target, marker):
+            return (rule, target.relative_to(clone).as_posix(), _line_of(target, marker))
+
+        expected = {
+            "retries_attempted": at("CONC001", gateway, "# mutant: gateway"),
+            "capacity": at("CONC001", blockcache, "# mutant: cache"),
+            "_counters": at("CONC001", metrics, "# mutant: metrics"),
+            "napping": at("CONC003", napping, "time.sleep(0.05)"),
+            "metrics_sleep": at("CONC003", metrics, "time.sleep(0.001)"),
+            "sstable_fsync": at("DUR002", sstable, "fs.replace(tmp_path, path)"),
+            "raw_manifest": at("DUR001", manifest, "# mutant: raw write"),
+            "raw_open": at("DUR001", repro / "storage" / "sneaky.py", "open(path"),
+            "leaked_handle": at("RES001", lsm, "# mutant: leak"),
+            "env_branch": at("CHAIN001", chaincodes, "# mutant: env branch"),
+            "broad_catch": at("ERR001", repro / "fabric" / "endorser.py", "# mutant: broad catch"),
+            "unregistered_point": at("CRASH001", ledger, "ledger.pre_savepoint_record"),
+            "dropped_point": at("CRASH001", registry, "LEDGER_PRE_STATE = "),
+            "set_order": at("DET002", chaincodes, "# mutant: set order"),
+            "two_hops": at("DET002", chaincodes, "# mutant: two hops"),
+        }
+        sleep_chain = (
+            "repro.common.metrics.MetricsRegistry.increment:"
+            f"{expected['metrics_sleep'][2]}"
         )
+        result = run_lint([clone / "src"], root=clone)
+        return result, expected, sleep_chain
 
-    def test_dropped_tombstone_fails_the_lint(self, real_tree):
-        # Remove the clear_index submission from the indexer's ingest
-        # loop: the bundle write loses its tombstone and TEMP001 fires.
-        target = real_tree / "src" / "repro" / "temporal" / "m1.py"
-        text = target.read_text()
-        assert '"clear_index", [index_key],' in text
-        target.write_text(
-            text.replace('"clear_index", [index_key],', '"noop", [index_key],')
-        )
-        result = run_lint([real_tree / "src"], root=real_tree, select=("TEMP",))
-        temp_hits = find_lines(result.new_findings, "TEMP001")
-        assert temp_hits, result.render_text()
-
-    def test_unlocked_gateway_write_fails_the_lint(self, conc001_mutants):
-        _assert_conc001(*conc001_mutants, attr="retries_attempted")
-
-    def test_unlocked_block_cache_write_fails_the_lint(self, conc001_mutants):
-        # BlockCache is lock-carrying (readers race each other).
-        _assert_conc001(*conc001_mutants, attr="capacity")
-
-    def test_unlocked_metrics_write_fails_the_lint(self, conc001_mutants):
-        _assert_conc001(*conc001_mutants, attr="_counters")
-
-    def test_sleep_under_lock_fails_the_lint(self, conc003_mutants):
-        result, _ = conc003_mutants
-        conc = [
-            finding
-            for finding in result.new_findings
-            if finding.path == "src/repro/storage/napping.py"
-        ]
-        assert [(finding.rule_id, finding.line) for finding in conc] == [
-            ("CONC003", 17)
-        ], result.render_text()
-        assert "time.sleep" in conc[0].message
-
-    def test_leaked_seam_handle_fails_the_lint(self, real_tree):
-        leaky = real_tree / "src" / "repro" / "common" / "leaky.py"
-        leaky.write_text(
-            '"""A helper that leaks its seam handle on exceptions."""\n\n\n'
-            "def dump(fs, path, data):\n"
-            '    """Writes, but only closes on the happy path."""\n'
-            "    handle = fs.open(path, 'wb')\n"
-            "    handle.write(data)\n"
-            "    handle.close()\n"
-        )
-        result = run_lint([real_tree / "src"], root=real_tree, select=("RES",))
-        assert find_lines(result.new_findings, "RES001") == [6], (
-            result.render_text()
-        )
-
-    def test_seeded_sleep_under_metrics_lock_fails_the_lint(self, conc003_mutants):
-        result, sleep_line = conc003_mutants
-        local_hits = [
-            finding
-            for finding in result.new_findings
-            if finding.path == "src/repro/common/metrics.py"
-        ]
-        assert [(finding.rule_id, finding.line) for finding in local_hits] == [
-            ("CONC003", sleep_line)
-        ], result.render_text()
-        assert "time.sleep" in local_hits[0].message
-        assert "MetricsRegistry._lock" in local_hits[0].message
-        # No other CONC finding: every hit outside the two mutants is a
-        # caller holding its own lock across increment(), and names the
-        # seeded sleep at its exact line.
-        chain = f"repro.common.metrics.MetricsRegistry.increment:{sleep_line}"
-        others = [
-            finding
-            for finding in result.new_findings
-            if finding.path
-            not in ("src/repro/common/metrics.py", "src/repro/storage/napping.py")
-        ]
-        assert others, result.render_text()
-        for finding in others:
-            assert finding.rule_id == "CONC003", finding.render()
-            assert chain in finding.message, finding.render()
-
-    def test_deregistered_crash_point_fails_the_lint(self, real_tree):
-        registry = real_tree / "src" / "repro" / "fabric" / "ledger.py"
-        text = registry.read_text()
-        assert "crash_point(LEDGER_PRE_STATE)" in text
-        registry.write_text(
-            text.replace("crash_point(LEDGER_PRE_STATE)", "pass  # instrumentation dropped")
-        )
-        result = run_lint([real_tree / "src"], root=real_tree, select=("CRASH",))
+    @staticmethod
+    def _message(result, key):
+        """The message of the finding at ``key`` = (rule, path, line)."""
         messages = [
             finding.message
             for finding in result.new_findings
-            if finding.rule_id == "CRASH001"
+            if (finding.rule_id, finding.path, finding.line) == key
         ]
-        assert any("LEDGER_PRE_STATE" in message for message in messages)
+        assert messages, f"nothing at {key}:\n{result.render_text()}"
+        return messages[0]
+
+    def test_nothing_but_the_seeded_lines_fires(self, mutants):
+        # The unmutated rest of the tree stays clean; the only findings
+        # away from a mutant are callers that hold their own lock across
+        # MetricsRegistry.increment(), and they name the seeded sleep.
+        result, expected, sleep_chain = mutants
+        seeded = set(expected.values())
+        assert seeded <= {
+            (finding.rule_id, finding.path, finding.line)
+            for finding in result.new_findings
+        }, result.render_text()
+        for finding in result.new_findings:
+            if (finding.rule_id, finding.path, finding.line) not in seeded:
+                assert finding.rule_id == "CONC003", finding.render()
+                assert sleep_chain in finding.message, finding.render()
+
+    def _assert_conc001(self, mutants, attr):
+        """The CONC001 findings are exactly the three seeded rebinds, and
+        ``attr``'s names the attribute."""
+        result, expected, _ = mutants
+        conc001 = {
+            (finding.rule_id, finding.path, finding.line)
+            for finding in result.new_findings
+            if finding.rule_id == "CONC001"
+        }
+        assert conc001 == {
+            expected[name] for name in ("retries_attempted", "capacity", "_counters")
+        }, result.render_text()
+        assert f"self.{attr}" in self._message(result, expected[attr])
+
+    def test_unlocked_gateway_write_fails_the_lint(self, mutants):
+        self._assert_conc001(mutants, "retries_attempted")
+
+    def test_unlocked_block_cache_write_fails_the_lint(self, mutants):
+        # BlockCache is lock-carrying (readers race each other).
+        self._assert_conc001(mutants, "capacity")
+
+    def test_unlocked_metrics_write_fails_the_lint(self, mutants):
+        self._assert_conc001(mutants, "_counters")
+
+    def test_sleep_under_lock_fails_the_lint(self, mutants):
+        result, expected, _ = mutants
+        hits = [
+            (finding.rule_id, finding.path, finding.line)
+            for finding in result.new_findings
+            if finding.path == "src/repro/storage/napping.py"
+        ]
+        assert hits == [expected["napping"]], result.render_text()
+        assert "time.sleep" in self._message(result, expected["napping"])
+
+    def test_seeded_sleep_under_metrics_lock_fails_the_lint(self, mutants):
+        result, expected, sleep_chain = mutants
+        local = [
+            (finding.rule_id, finding.path, finding.line)
+            for finding in result.new_findings
+            if finding.path == "src/repro/common/metrics.py"
+            and finding.rule_id == "CONC003"
+        ]
+        assert local == [expected["metrics_sleep"]], result.render_text()
+        message = self._message(result, expected["metrics_sleep"])
+        assert "time.sleep" in message
+        assert "MetricsRegistry._lock" in message
+        callers = [
+            finding
+            for finding in result.new_findings
+            if sleep_chain in finding.message
+            and finding.path != "src/repro/common/metrics.py"
+        ]
+        assert callers, result.render_text()
+
+    def test_dropped_sstable_fsync_fails_the_lint(self, mutants):
+        # The bug no other detector convicts: FaultyFS drops unsynced
+        # bytes only on a kill, and nothing in tier-1 kills right after
+        # an SSTable's rename (DESIGN.md §5, the lint-rule mutant table).
+        result, expected, _ = mutants
+        assert expected["sstable_fsync"][1:] == ("src/repro/storage/kv/sstable.py", 112)
+        assert "never fsynced" in self._message(result, expected["sstable_fsync"])
+
+    def test_unregistered_crash_point_fails_the_lint(self, mutants):
+        result, expected, _ = mutants
+        message = self._message(result, expected["unregistered_point"])
+        assert "registry does not know" in message
+
+    def test_deregistered_crash_point_fails_the_lint(self, mutants):
+        result, expected, _ = mutants
+        message = self._message(result, expected["dropped_point"])
+        assert "LEDGER_PRE_STATE" in message
+        assert "no crash_point() call site fires it" in message
+
+    def test_set_ordered_bundle_fails_the_lint(self, mutants):
+        # The bug no other detector convicts: set iteration order varies
+        # only across processes (string hashing), and tier-1 compares
+        # every ledger with a reference built in the same process.
+        result, expected, _ = mutants
+        message = self._message(result, expected["set_order"])
+        assert "set iteration order" in message
+        assert "_distinct" in message
+
+    def test_two_hop_helper_chain_is_caught_by_det002_not_chain001(self, mutants):
+        # A chaincode whose nondeterminism is laundered through two
+        # module-level helpers: invisible to the per-file rule, fatal to
+        # the interprocedural one.
+        result, expected, _ = mutants
+        message = self._message(result, expected["two_hops"])
+        assert "time.time" in message
+        assert "_clock -> _stamp" in message
+        path = expected["two_hops"][1]
+        chain001 = {
+            finding.line
+            for finding in result.new_findings
+            if finding.rule_id == "CHAIN001" and finding.path == path
+        }
+        assert chain001 <= {
+            line for rule, _, line in expected.values() if rule == "CHAIN001"
+        }, "the laundered flow must be invisible to the per-file rule"
+
+    def test_raw_manifest_write_fails_the_lint(self, mutants):
+        # Tier-1 stays green: a write FaultyFS never sees is one it can
+        # never tear, so every crash test recovers.
+        result, expected, _ = mutants
+        assert ".write_bytes() bypasses the FileSystem seam" in self._message(
+            result, expected["raw_manifest"]
+        )
+
+    def test_injected_raw_open_fails_the_lint(self, mutants):
+        result, expected, _ = mutants
+        assert expected["raw_open"][2] == 6
+        assert "raw open() with mode 'wb'" in self._message(result, expected["raw_open"])
+
+    def test_leaked_seam_handle_fails_the_lint(self, mutants):
+        result, expected, _ = mutants
+        assert "only closed on the happy path" in self._message(
+            result, expected["leaked_handle"]
+        )
+
+    def test_environment_gated_write_fails_the_lint(self, mutants):
+        # A branch around a constant carries no taint, so DET002 is
+        # silent; tier-1 never sets the variable.
+        result, expected, _ = mutants
+        rules = {
+            finding.rule_id
+            for finding in result.new_findings
+            if (finding.path, finding.line) == expected["env_branch"][1:]
+        }
+        assert rules == {"CHAIN001"}, result.render_text()
+        assert "os.environ" in self._message(result, expected["env_branch"])
+
+    def test_broad_endorser_catch_fails_the_lint(self, mutants):
+        # Tier-1 stays green: no test drives a fault-harness error
+        # through a chaincode invocation, so nothing sees it wrapped.
+        result, expected, _ = mutants
+        assert "broad except Exception" in self._message(result, expected["broad_catch"])

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis import run_lint
 
@@ -22,20 +24,46 @@ def repo_layout_present() -> bool:
     return (SRC / "repro").is_dir() and (REPO_ROOT / "pyproject.toml").exists()
 
 
-def test_source_tree_is_lint_clean():
+@pytest.fixture(scope="module")
+def src_result():
+    """One full-tree run, shared by the tests that read it."""
     if not repo_layout_present():
-        import pytest
-
         pytest.skip("not running from a source checkout")
-    result = run_lint([SRC], root=REPO_ROOT)
-    assert result.ok, "repro lint found new violations:\n" + result.render_text()
+    return run_lint([SRC], root=REPO_ROOT)
+
+
+def test_source_tree_is_lint_clean(src_result):
+    assert src_result.ok, "repro lint found new violations:\n" + src_result.render_text()
+
+
+def test_every_inline_suppression_silences_a_finding(src_result):
+    """A ``# repro-lint: disable=`` comment that silences nothing is an
+    exemption without a reason: the code it excused changed, or its rule
+    was deleted.  Each one must still suppress a finding of a rule it
+    names, on its own line or (from a comment-only line) the line below."""
+    silenced = [
+        (finding.path, finding.line, finding.rule_id)
+        for finding in src_result.suppressed
+    ]
+    idle = []
+    for source in src_result.project.files:
+        for line, rules in sorted(source.suppressions.items()):
+            targets = {line}
+            if source.lines[line - 1].lstrip().startswith("#"):
+                targets.add(line + 1)
+            if not any(
+                path == source.relpath
+                and hit in targets
+                and ("all" in rules or rule_id in rules)
+                for path, hit, rule_id in silenced
+            ):
+                idle.append(f"{source.relpath}:{line}: disable={','.join(sorted(rules))}")
+    assert not idle, "suppressions that silence nothing:\n" + "\n".join(idle)
 
 
 def test_crash_point_registry_is_consistent():
     """CRASH001 alone, with the real tests/faults sweep cross-check."""
     if not repo_layout_present():
-        import pytest
-
         pytest.skip("not running from a source checkout")
     result = run_lint([SRC], root=REPO_ROOT, select=["CRASH001"])
     assert result.ok, result.render_text()
