@@ -54,7 +54,10 @@ STATE_TABLES_QUARANTINED = "kv.tables_quarantined"
 #: head segment (ticked with the result, before it is handed out) or
 #: ``block.transactions[i]`` built a ``Transaction``; the
 #: lazy block memoises decoded segments, so a transaction of a cached
-#: block is counted once however many readers use it.
+#: block is counted once however many readers use it.  The history-index
+#: walk (``Block.history_keys``, at commit, on reopen and in an audit
+#: rebuild) builds and memoises no transaction and ticks nothing: a
+#: reopen that replays no block counts zero.
 TXS_DECODED = "ledger.txs_decoded"
 
 GHFK_SECONDS = "query.ghfk_seconds"

@@ -311,6 +311,19 @@ class _Frame(NamedTuple):
             before, (end,) = 0, _END.unpack_from(payload, self.table)
         return self.codec.decode(payload[start + before : start + end])
 
+    def all_segments(self) -> List[Any]:
+        """Decode every segment, header included, with one codec call;
+        a payload that decodes to anything but a list of the table's
+        segment count is a :class:`CodecError`."""
+        decoded = self.codec.decode(self.payload[self.body :])
+        count = 1 + 2 * len(self.writes) + sum(self.writes)
+        if type(decoded) is not list or len(decoded) != count:
+            raise CodecError(
+                f"framed block payload: the segment list does not decode "
+                f"to a list of its {count} segments"
+            )
+        return decoded
+
     def segments(self, index: int, count: int) -> List[Any]:
         """Decode the ``count`` consecutive segments from ``index`` with
         one codec call (they are spelled as a list of their own).
@@ -356,6 +369,14 @@ def _malformed(what: str) -> CodecError:
     return CodecError(f"framed block payload: {what} is not a segment of its shape")
 
 
+def _header_from(raw: Any) -> BlockHeader:
+    """The header whose decoded segment is ``raw``."""
+    try:
+        return BlockHeader.from_dict(raw)
+    except (TypeError, KeyError):
+        raise _malformed("the header") from None
+
+
 def _transaction_from(parts: List[Any]) -> Transaction:
     """The transaction whose decoded segments -- head, body, then its
     writes -- are ``parts``; segments of the wrong shape (a well-framed
@@ -369,7 +390,7 @@ def _transaction_from(parts: List[Any]) -> Transaction:
             key: KVWrite(key=key, value=value, is_delete=bool(is_delete))
             for key, value, is_delete in writes
         }
-    except (TypeError, ValueError, KeyError):
+    except (TypeError, ValueError, KeyError, AttributeError):
         raise _malformed("a transaction's head, body or write") from None
     return Transaction(
         tx_id=tx_id,
@@ -638,6 +659,58 @@ class Block:
             f"{write_index} for key {key!r}, but that is not a write to the key"
         )
 
+    def history_keys(self) -> Tuple[int, List[Tuple[int, List[str]]]]:
+        """``(number, [(tx_index, keys), ...])``: for each VALID
+        transaction, in block order, the keys it wrote in sorted order --
+        a key's position in ``keys`` is its write's position, the
+        ``write`` of a history location.  What
+        :class:`~repro.fabric.historydb.HistoryDB` indexes.
+
+        On a lazy block this is one codec call over the segment list,
+        which yields the header too; it builds no :class:`Transaction`,
+        memoises no segment and ticks no ``ledger.txs_decoded``.  A
+        transaction already handed out through :attr:`transactions` is
+        read instead of its segments, as is every transaction of an eager
+        or fully decoded block.  Segments of the wrong shape raise
+        :class:`CodecError` wherever building the transactions would.
+        """
+        frame = self._frame
+        if frame is None:
+            txs = self._materialize()
+            return self.header.number, [
+                (tx_num, sorted(tx.rw_set.writes))
+                for tx_num, tx in enumerate(txs)
+                if tx.validation_code == VALID
+            ]
+        decoded = frame.all_segments()
+        header = self._header
+        if header is None:
+            header = self._header = _header_from(decoded[0])
+        handed_out = self._decoded
+        written = []
+        head = 1
+        try:
+            for tx_num, count in enumerate(frame.writes):
+                end = head + 2 + count
+                tx = handed_out.get(tx_num)
+                if tx is not None:
+                    if tx.validation_code == VALID:
+                        written.append((tx_num, sorted(tx.rw_set.writes)))
+                else:
+                    # The shape checks building the transaction makes: its
+                    # reads parse and its write keys hash.
+                    (_, _), (_, _, reads, _, code, _, _), *writes = decoded[head:end]
+                    for read in reads:
+                        KVRead.from_dict(read)
+                    keys = [key for key, _, _ in writes]
+                    hash(tuple(keys))
+                    if code == VALID:
+                        written.append((tx_num, keys))
+                head = end
+        except (TypeError, ValueError, KeyError, AttributeError):
+            raise _malformed("a transaction's head, body or write") from None
+        return header.number, written
+
     def _materialize(self) -> List[Transaction]:
         """Decode everything still framed -- header included -- with one
         codec call, keeping the transactions already handed out."""
@@ -645,7 +718,7 @@ class Block:
         if frame is None:
             assert self._txs is not None
             return self._txs
-        decoded = frame.codec.decode(frame.payload[frame.body :])
+        decoded = frame.all_segments()
         # A segment history already read stays the one its transaction is
         # built from: the values handed out are the ones the hash covers.
         known = self._segments
@@ -666,7 +739,7 @@ class Block:
             head += 2 + count
         frame.metrics.increment(metric_names.TXS_DECODED, fresh)
         if self._header is None:
-            self._header = BlockHeader.from_dict(decoded[0])
+            self._header = _header_from(decoded[0])
         self._txs = txs
         self._frame = None
         self._segments = {}  # dropped with the payload they were decoded from
@@ -682,7 +755,7 @@ class Block:
             if frame is None:  # a concurrent reader just decoded everything
                 assert self._header is not None
                 return self._header
-            header = self._header = BlockHeader.from_dict(frame.segment(0))
+            header = self._header = _header_from(frame.segment(0))
         return header
 
     @property

@@ -20,7 +20,7 @@ from repro.common import metrics as metric_names
 from repro.common.locks import make_rlock
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.sanitizer.shared import sanitize_shared
-from repro.fabric.block import Block, VALID
+from repro.fabric.block import Block
 from repro.fabric.blockstore import BlockStore
 
 
@@ -69,13 +69,9 @@ class HistoryDB:
     @staticmethod
     def _record(locations: Dict[str, List[Location]], block: Block) -> None:
         """Append ``block``'s valid write locations to ``locations``."""
-        number = block.number
-        for tx_num, tx in enumerate(block.transactions):
-            if tx.validation_code != VALID:
-                continue
-            # The write's position is its key's rank in sorted order: the
-            # order the block payload lays a transaction's writes out in.
-            for write_num, key in enumerate(sorted(tx.rw_set.writes)):
+        number, written = block.history_keys()
+        for tx_num, keys in written:
+            for write_num, key in enumerate(keys):
                 locations.setdefault(key, []).append((number, tx_num, write_num))
 
     def index_block(self, block: Block) -> None:

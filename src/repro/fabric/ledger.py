@@ -106,11 +106,14 @@ class Ledger:
         else:
             savepoint = self.state_db.savepoint()
         replay_from = 0 if savepoint is None else savepoint + 1
-        for block in self.block_store.iter_blocks():
-            self.history_db.index_block(block)
-            if block.number >= replay_from:
+        for number, block in enumerate(self.block_store.iter_blocks()):
+            # A replayed block is decoded whole for its state writes, and
+            # the history walk then reads those transactions; any other
+            # block is walked from its frame, building no transaction.
+            if number >= replay_from:
                 self._apply_state_writes(block)
                 self.state_db.record_savepoint(block.number)
+            self.history_db.index_block(block)
             self._last_header_hash = block.header.hash()
 
     # -- commit path ---------------------------------------------------------

@@ -19,13 +19,15 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.sanitizer import runtime
 from repro.sanitizer.fuzz import FuzzSchedule, derive_seed
 from repro.sanitizer.report import RaceReport, SanitizerReport
+
+if TYPE_CHECKING:
+    from repro.fabric.block import Block
 
 #: A scenario takes the worker count and runs its workload to completion.
 Scenario = Callable[[int], None]
@@ -81,23 +83,31 @@ def _scenario_blockcache(workers: int) -> None:
     _run_threads(workers, work)
 
 
-def _fake_block(number: int, keys: Sequence[str]) -> SimpleNamespace:
-    """A structurally Block-like object for index-only traffic.
+def _fake_block(number: int, keys: Sequence[str]) -> Block:
+    """An eager block of one VALID single-write transaction per key,
+    for index-only traffic: nothing is serialized or signed."""
+    from repro.fabric.block import (
+        GENESIS_PREVIOUS_HASH,
+        VALID,
+        Block,
+        BlockHeader,
+        RWSet,
+        Transaction,
+    )
 
-    ``HistoryDB.index_block`` only reads ``number``, ``transactions``,
-    each transaction's ``validation_code`` and ``rw_set.writes`` keys --
-    a namespace is enough, and keeps the scenario free of serialization.
-    """
-    from repro.fabric.block import VALID
-
-    transactions = [
-        SimpleNamespace(
+    transactions = []
+    for key in keys:
+        rw_set = RWSet()
+        rw_set.add_write(key, number)
+        transactions.append(Transaction(
+            tx_id=f"san-{number}-{key}",
+            chaincode="kv",
+            creator="san",
+            timestamp=number,
+            rw_set=rw_set,
             validation_code=VALID,
-            rw_set=SimpleNamespace(writes={key: None}),
-        )
-        for key in keys
-    ]
-    return SimpleNamespace(number=number, transactions=transactions)
+        ))
+    return Block(BlockHeader(number, GENESIS_PREVIOUS_HASH, b""), transactions)
 
 
 def _scenario_historydb(workers: int) -> None:

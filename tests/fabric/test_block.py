@@ -17,6 +17,7 @@ from repro.common.metrics import MetricsRegistry
 from repro.fabric.block import (
     FRAME_MAGIC,
     GENESIS_PREVIOUS_HASH,
+    VALID,
     Block,
     BlockHeader,
     KVRead,
@@ -210,12 +211,12 @@ values = st.none() | st.integers(-5, 5) | st.text(max_size=6) | st.binary(max_si
 
 
 @st.composite
-def transactions(draw, index: int) -> Transaction:
+def transactions(draw, index: int, max_writes: int = 4) -> Transaction:
     rw_set = RWSet()
     for key in draw(st.lists(st.sampled_from("abcdef"), max_size=3, unique=True)):
         rw_set.add_read(key, draw(st.none() | st.tuples(st.integers(0, 9), st.integers(0, 9))))
     # Possibly empty write set; deletes mixed with writes.
-    for key in draw(st.lists(st.sampled_from("uvwxyz"), max_size=4, unique=True)):
+    for key in draw(st.lists(st.sampled_from("uvwxyz"), max_size=max_writes, unique=True)):
         if draw(st.booleans()):
             rw_set.add_delete(key)
         else:
@@ -227,19 +228,28 @@ def transactions(draw, index: int) -> Transaction:
         timestamp=draw(st.integers(0, 1000)),
         rw_set=rw_set,
         signature=draw(st.binary(max_size=8)),
-        validation_code=draw(st.sampled_from(["VALID", "MVCC_READ_CONFLICT"])),
+        validation_code=draw(st.sampled_from(["VALID", "MVCC_READ_CONFLICT", "BAD_SIGNATURE"])),
         event_name=draw(st.sampled_from(["", "shipped"])),
         event_payload=draw(values),
     )
 
 
 @st.composite
-def blocks(draw) -> Block:
-    count = draw(st.integers(0, 6))
+def blocks(draw, max_txs: int = 6, max_writes: int = 4) -> Block:
+    count = draw(st.integers(0, max_txs))
     return make_block(
         number=draw(st.integers(0, 2**40)),
-        txs=[draw(transactions(index)) for index in range(count)],
+        txs=[draw(transactions(index, max_writes)) for index in range(count)],
     )
+
+
+#: Decoded values of any shape, for segments that are not what they claim.
+junk = st.recursive(
+    values | st.booleans(),
+    lambda inner: st.lists(inner, max_size=8)
+    | st.dictionaries(st.sampled_from(["k", "v", "number", "data_hash"]), inner, max_size=3),
+    max_leaves=10,
+)
 
 
 class TestFramedPayload:
@@ -677,16 +687,94 @@ class TestMalformedFrames:
         with pytest.raises(CodecError):
             Block.from_payload(broken, codec).history_write(0, 0, "a")
         garbage = codec.list_affixes(4)
-        values = [block.header.to_dict(), ["tx-w", 5], 3, False]
-        segments = [codec.encode(value) for value in values]
-        framed = self.frame(
-            [1], list(accumulate(map(len, segments))),
-            garbage[0] + garbage[1].join(segments) + garbage[2],
+        body = ["cc", "alice", ["k"], b"", "VALID", "", None]  # a read that is no mapping
+        for values in (
+            [block.header.to_dict(), ["tx-w", 5], 3, False],
+            [block.header.to_dict(), ["tx-w", 5], body, ["a", 7, False]],
+        ):
+            segments = [codec.encode(value) for value in values]
+            framed = self.frame(
+                [1], list(accumulate(map(len, segments))),
+                garbage[0] + garbage[1].join(segments) + garbage[2],
+            )
+            reads = [lambda lazy: lazy.transactions[0], lambda lazy: list(lazy.transactions),
+                     Block.history_keys]
+            if values[3] is False:  # no write segment to read
+                reads.append(lambda lazy: lazy.history_write(0, 0, "a"))
+            for read in reads:
+                with pytest.raises(CodecError, match="not a segment of its shape"):
+                    read(Block.from_payload(framed, codec))
+
+
+class TestHistoryKeys:
+    """``Block.history_keys`` -- what the history index is built from --
+    read from a frame equals the eager block's, and fails on a malformed
+    frame exactly where building the block's transactions does."""
+
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    @given(block=blocks(max_txs=12, max_writes=5))
+    def test_the_walk_of_a_frame_is_the_eager_blocks(self, codec, block):
+        expected = (block.number, [
+            (tx_num, sorted(tx.rw_set.writes))
+            for tx_num, tx in enumerate(block.transactions)
+            if tx.validation_code == VALID
+        ])
+        assert block.history_keys() == expected
+        payload = block.to_payload(codec)
+        metrics = MetricsRegistry()
+        lazy = Block.from_payload(payload, codec, metrics)
+        assert lazy.history_keys() == expected
+        assert metrics.counter(metric_names.TXS_DECODED) == 0
+        # A transaction handed out first is read instead of its segments.
+        partly = Block.from_payload(payload, codec)
+        if block.transactions:
+            assert partly.transactions[-1].tx_id == block.transactions[-1].tx_id
+        assert partly.history_keys() == expected
+        assert partly.number == block.number
+
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    @given(data=st.data())
+    def test_a_misshapen_segment_fails_the_walk_where_it_fails_the_build(self, codec, data):
+        """One segment of the golden block's frame replaced -- by another
+        value, by its own value with one element at some depth swapped (a
+        read inside a body, say), or by two values.  The walk raises
+        :class:`CodecError` exactly when decoding the whole block does,
+        and nothing else."""
+
+        def swapped(value):
+            if not isinstance(value, list) or not value or not data.draw(st.integers(0, 3)):
+                return data.draw(junk, label="swapped in")
+            value = list(value)
+            at = data.draw(st.integers(0, len(value) - 1), label="at")
+            value[at] = swapped(value[at])
+            return value
+
+        payload = golden_block().to_payload(codec)
+        start = 2 + payload[1]
+        writes = list(payload[2:start])
+        count = 1 + 2 * len(writes) + sum(writes)
+        decoded = codec.decode(payload[start + 4 * count :])
+        segments = [codec.encode(value) for value in decoded]
+        index = data.draw(st.integers(0, count - 1), label="segment")
+        prefix, separator, suffix = codec.list_affixes(count)
+        if data.draw(st.booleans(), label="two values"):
+            segments[index] += separator + codec.encode(data.draw(junk, label="extra"))
+        else:
+            segments[index] = codec.encode(swapped(decoded[index]))
+        framed = TestMalformedFrames.frame(
+            writes, list(accumulate(map(len, segments))),
+            prefix + separator.join(segments) + suffix,
         )
-        for read in (lambda lazy: lazy.transactions[0], lambda lazy: list(lazy.transactions),
-                     lambda lazy: lazy.history_write(0, 0, "a")):
-            with pytest.raises(CodecError, match="not a segment of its shape"):
+
+        def fails(read) -> bool:
+            try:
                 read(Block.from_payload(framed, codec))
+            except CodecError:
+                return True
+            return False
+
+        built = fails(lambda lazy: (list(lazy.transactions), lazy.header))
+        assert fails(Block.history_keys) == built
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from repro.fabric.block import (
     RWSet,
     Transaction,
 )
+from repro.fabric import block as block_module
+from repro.fabric import blockstore as blockstore_module
 from repro.fabric.blockstore import BlockStore
 from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.historydb import HistoryDB
@@ -427,6 +429,52 @@ class TestReopen:
                 ledger.close()
         for name, content in strays.items():
             assert (statedb / name).read_bytes() == content
+
+
+class TestReopenDecodes:
+    """What reopening a ledger decodes: the savepoint decides whether a
+    block is replayed into the state-db (decoded whole, its transactions
+    built) or only walked for the history index (its segment list
+    decoded, no transaction built).  Either way one decode per block."""
+
+    @pytest.mark.parametrize("backend", ["lsm", "memory"])
+    def test_reopen_decodes_each_block_once(self, tmp_path, monkeypatch, backend):
+        config = FabricConfig(
+            block_cutting=BlockCuttingConfig(max_message_count=3),
+            state_db=StateDbConfig(backend=backend, memtable_limit=4),
+        )
+        network = FabricNetwork(tmp_path, config=config)
+        network.install(KeyValueChaincode())
+        gateway = network.gateway("writer")
+        for i in range(20):
+            gateway.submit_transaction("kv", "put", [f"k{i % 7}", i], timestamp=i + 1)
+        gateway.submit_transaction("kv", "delete", ["k3"], timestamp=30)
+        gateway.flush()
+        history = network.ledger.history_db
+        index = {key: history.locations_for_key(key) for key in history.keys()}
+        height, txs = network.ledger.height, 21
+        network.close()
+
+        spy = DecodeSpyCodec()
+        monkeypatch.setattr(blockstore_module, "get_codec", lambda name: spy)
+        built = []
+        real = block_module._transaction_from
+        monkeypatch.setattr(
+            block_module, "_transaction_from", lambda parts: built.append(1) or real(parts)
+        )
+        metrics = MetricsRegistry()
+        ledger = Ledger(tmp_path, config=config, metrics=metrics)
+        try:
+            assert len(spy.decoded) == height
+            history = ledger.history_db
+            assert {key: history.locations_for_key(key) for key in history.keys()} == index
+            # ``lsm`` kept its savepoint: nothing replayed, no transaction
+            # built or counted.  ``memory`` replays every block.
+            replayed = txs if backend == "memory" else 0
+            assert len(built) == replayed
+            assert metrics.counter(metric_names.TXS_DECODED) == replayed
+        finally:
+            ledger.close()
 
 
 class TestDescriptorLifetime:

@@ -75,6 +75,12 @@ def fabric_config(backend: str, codec: str, cache_blocks: int) -> FabricConfig:
     )
 
 
+def history_index(network: FabricNetwork) -> dict:
+    """Every key's history locations, as the ledger's index holds them."""
+    history = network.ledger.history_db
+    return {key: history.locations_for_key(key) for key in history.keys()}
+
+
 def run_workload(path, backend: str, codec: str, cache_blocks: int) -> dict:
     """Drive the workload through a plain and an M2 network under one
     configuration; return what every configuration must agree on."""
@@ -118,6 +124,7 @@ def run_workload(path, backend: str, codec: str, cache_blocks: int) -> dict:
         for model in ("tqf", "m1"):
             result["rows"][model] = rows_digest(engine, model, WINDOW)
         result["plain"] = ledger_summary(network)
+        result["history"] = {"plain": history_index(network)}
         result["deleted"] = (
             network.ledger.get_state("k1"),
             [entry.is_delete for entry in network.ledger.get_history_for_key("k1")],
@@ -130,6 +137,7 @@ def run_workload(path, backend: str, codec: str, cache_blocks: int) -> dict:
         engine = TemporalQueryEngine(network.ledger, network.metrics)
         result["rows"]["m2"] = rows_digest(engine, "m2", WINDOW)
         result["m2"] = ledger_summary(network)
+        result["history"]["m2"] = history_index(network)
     return result
 
 
@@ -196,10 +204,27 @@ def test_reopen_under_the_other_backend_recovers_the_state(
     cells, written, reopened, codec
 ):
     """Recovery replays the chain: a ledger written under one backend and
-    reopened under the other lands on the same height and fingerprint."""
+    reopened under the other lands on the same height and fingerprint,
+    and rebuilds the history index its commits built -- the invalidated
+    transaction, the delete and the M1 bundles included."""
     path, result = cells[(written, codec, 0)]
     for ledger in ("plain", "m2"):
         with FabricNetwork(path / ledger, config=fabric_config(reopened, codec, 16)) as network:
             assert network.ledger.height == result[ledger]["height"]
             assert network.ledger.state_fingerprint() == result[ledger]["state"]
+            assert history_index(network) == result["history"][ledger]
             network.ledger.verify_chain()
+
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+@pytest.mark.parametrize("cache_blocks", [0, 16])
+def test_reopen_under_lsm_rebuilds_the_index_from_the_frames(cells, codec, cache_blocks):
+    """Reopened under the backend that wrote it, an ``lsm`` ledger replays
+    no block: the history index is rebuilt from block frames alone, and
+    is the one its commits built."""
+    path, result = cells[("lsm", codec, cache_blocks)]
+    for ledger in ("plain", "m2"):
+        with FabricNetwork(path / ledger, config=fabric_config("lsm", codec, cache_blocks)) as network:
+            assert network.metrics.counter(metric_names.TXS_DECODED) == 0
+            assert history_index(network) == result["history"][ledger]
+            assert network.ledger.state_fingerprint() == result[ledger]["state"]
