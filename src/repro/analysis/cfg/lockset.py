@@ -52,12 +52,12 @@ class LockRef:
 
     @property
     def label(self) -> str:
-        """Globally unique id: ``repro.fabric.blockcache.BlockCache._lock``."""
+        """Globally unique id: ``repro.fabric.historydb.HistoryDB._lock``."""
         return f"{self.owner}.{self.attr}"
 
     @property
     def short(self) -> str:
-        """Display name: ``BlockCache._lock``."""
+        """Display name: ``HistoryDB._lock``."""
         return f"{self.owner.rsplit('.', 1)[-1]}.{self.attr}"
 
 

@@ -4,8 +4,8 @@ The supported concurrency contract (DESIGN.md §6) is the Fabric peer's:
 one committer (gateway -> orderer -> validator -> ledger commit) and N
 readers (GHFK, GetState, range scans, inspect, audit) on one ledger.
 The classes they share carry a lock -- ``MetricsRegistry``,
-``BlockCache``, ``HistoryDB``, ``BlockFileManager``, ``LSMStore``,
-``MemStore`` and, under the fault seam, ``FaultyFile``; ``Gateway``
+``HistoryDB``, ``BlockFileManager``, ``LSMStore``, ``MemStore`` and,
+under the fault seam, ``FaultyFile``; ``Gateway``
 carries one too.  Each concurrency bug class has one owning detector.  Two are static, here:
 
 * **CONC001** (syntactic): attribute rebinds happen under *a* lock.  A

@@ -52,29 +52,14 @@ def dataset_config(
     return factory(scale=scale, entity_scale=entity_scale)
 
 
-def query_fabric_config(
-    cache_blocks: Optional[int] = None,
-    statedb: Optional[str] = None,
-) -> FabricConfig:
-    """A :class:`FabricConfig` with the query-execution knobs applied.
-
-    ``cache_blocks`` sizes the shared decoded-block LRU (``None`` keeps
-    it off, the paper's cost model);
-    ``statedb`` picks the state-db backend (``None`` keeps the
-    ``REPRO_STATEDB`` default).
-    """
+def query_fabric_config(statedb: Optional[str] = None) -> FabricConfig:
+    """A :class:`FabricConfig` on the state-db backend ``statedb``
+    (``None`` keeps the ``REPRO_STATEDB`` default)."""
     config = FabricConfig()
     if statedb is not None:
         config = dataclasses.replace(
             config,
             state_db=dataclasses.replace(config.state_db, backend=statedb),
-        )
-    if cache_blocks is not None:
-        config = dataclasses.replace(
-            config,
-            block_store=dataclasses.replace(
-                config.block_store, cache_blocks=cache_blocks
-            ),
         )
     return config
 
@@ -135,7 +120,6 @@ def run_table1(
     scale: Optional[float] = None,
     entity_scale: Optional[float] = None,
     verify_rows: bool = True,
-    cache_blocks: Optional[int] = None,
     statedb: Optional[str] = None,
 ) -> Table1Result:
     """Regenerate one dataset's section of Table I.
@@ -143,16 +127,15 @@ def run_table1(
     DS1 additionally gets the u=50K Model M2 column, as in the paper.
     ``verify_rows`` cross-checks that all models return identical join
     rows on every window (a correctness guard, excluded from timings).
-    ``cache_blocks``/``statedb`` run the queries through the shared
-    block cache and/or an alternative state-db backend; both leave the
-    rows (and the verify assertion) untouched.
+    ``statedb`` runs the queries on an alternative state-db backend; it
+    leaves the rows (and the verify assertion) untouched.
     """
     config = dataset_config(dataset, scale, entity_scale)
     data = generate(config)
     t_max = config.t_max
     small, large = u_small(t_max), u_large(t_max)
     include_large = dataset.lower() == "ds1"
-    fabric_config = query_fabric_config(cache_blocks, statedb=statedb)
+    fabric_config = query_fabric_config(statedb)
 
     result = Table1Result(
         dataset=dataset.upper(),
@@ -230,14 +213,13 @@ class Table2Result:
 def run_table2(
     scale: Optional[float] = None,
     entity_scale: Optional[float] = None,
-    cache_blocks: Optional[int] = None,
     statedb: Optional[str] = None,
 ) -> Table2Result:
     """Table II: DS1, M1 indexes with u in {2K, 10K, 50K} (scaled)."""
     config = dataset_config("ds1", scale, entity_scale)
     data = generate(config)
     t_max = config.t_max
-    fabric_config = query_fabric_config(cache_blocks, statedb=statedb)
+    fabric_config = query_fabric_config(statedb)
     late = TimeInterval(2 * t_max // 15, 9 * t_max // 15)
     early = TimeInterval(0, 4 * t_max // 15)
     result = Table2Result(config=config, late_window=late, early_window=early)
@@ -282,7 +264,6 @@ def run_table3(
     scale: Optional[float] = None,
     entity_scale: Optional[float] = None,
     invocations: int = 6,
-    cache_blocks: Optional[int] = None,
     statedb: Optional[str] = None,
 ) -> Table3Result:
     """Table III: DS1, M1 indexes built every 25K timestamps (scaled).
@@ -291,14 +272,14 @@ def run_table3(
     ``(t-P, t]``, repeat.  Each invocation's GHFK scans start from the
     beginning of history, so index-construction time grows with every
     invocation -- the paper's scalability argument against Model M1.
-    ``cache_blocks``/``statedb`` as in :func:`run_table1`.
+    ``statedb`` as in :func:`run_table1`.
     """
     config = dataset_config("ds1", scale, entity_scale)
     data = generate(config)
     t_max = config.t_max
     period = t_max // invocations
     u = u_small(t_max)
-    fabric_config = query_fabric_config(cache_blocks, statedb=statedb)
+    fabric_config = query_fabric_config(statedb)
     result = Table3Result(config=config, u=u, period=period)
     total = 0.0
     with ExperimentRunner.build(data, "plain", fabric_config=fabric_config) as runner:
@@ -337,7 +318,6 @@ def run_table4(
     get_state_calls: Optional[int] = None,
     ghfk_calls: Optional[int] = None,
     now_factor: float = 1.02,
-    cache_blocks: Optional[int] = None,
     statedb: Optional[str] = None,
 ) -> Table4Result:
     """Table IV: GetState-Base / GHFK-Base cost for u in {2K,10K,50K,75K}.
@@ -346,7 +326,7 @@ def run_table4(
     paper's probe counts (329K probes for 100K calls at u=2K, shrinking to
     exactly 100K at u>=50K) imply its measurement ran at a logical "now"
     a couple of percent past the last event -- see EXPERIMENTS.md.
-    ``cache_blocks``/``statedb`` as in :func:`run_table1`.
+    ``statedb`` as in :func:`run_table1`.
     """
     config = dataset_config("ds1", scale, entity_scale)
     data = generate(config)
@@ -359,7 +339,7 @@ def run_table4(
     if ghfk_calls is None:
         ghfk_calls = 4 * key_count
     now = int(t_max * now_factor)
-    fabric_config = query_fabric_config(cache_blocks, statedb=statedb)
+    fabric_config = query_fabric_config(statedb)
 
     result = Table4Result(config=config, now=now)
     for u in (u_small(t_max), u_medium(t_max), u_large(t_max), u_xlarge(t_max)):

@@ -37,13 +37,6 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         help="entity-count scale (default: REPRO_ENTITY_SCALE or 0.1)",
     )
     parser.add_argument(
-        "--cache-blocks",
-        type=int,
-        default=None,
-        help="shared decoded-block LRU capacity (default: 0 = off, the "
-        "paper's cost model; see docs/temporal-models.md on accounting)",
-    )
-    parser.add_argument(
         "--statedb",
         default=None,
         choices=sorted(BACKENDS),
@@ -253,7 +246,6 @@ def _run_table1(args: argparse.Namespace):
         dataset=args.dataset,
         scale=args.scale,
         entity_scale=args.entity_scale,
-        cache_blocks=args.cache_blocks,
         statedb=args.statedb,
     )
     return result, tables.render_table1(result)
@@ -263,7 +255,6 @@ def _run_table2(args: argparse.Namespace):
     result = experiments.run_table2(
         scale=args.scale,
         entity_scale=args.entity_scale,
-        cache_blocks=args.cache_blocks,
         statedb=args.statedb,
     )
     return result, tables.render_table2(result)
@@ -274,7 +265,6 @@ def _run_table3(args: argparse.Namespace):
         scale=args.scale,
         entity_scale=args.entity_scale,
         invocations=args.invocations,
-        cache_blocks=args.cache_blocks,
         statedb=args.statedb,
     )
     return result, tables.render_table3(result)
@@ -287,7 +277,6 @@ def _run_table4(args: argparse.Namespace):
         get_state_calls=args.get_state_calls,
         ghfk_calls=args.ghfk_calls,
         now_factor=args.now_factor,
-        cache_blocks=args.cache_blocks,
         statedb=args.statedb,
     )
     return result, tables.render_table4(result)
@@ -304,7 +293,7 @@ def _run_verify(args: argparse.Namespace) -> str:
     config = dataclasses.replace(
         ds1(scale=args.scale, entity_scale=args.entity_scale), seed=args.seed
     )
-    fabric_config = query_fabric_config(args.cache_blocks, statedb=args.statedb)
+    fabric_config = query_fabric_config(statedb=args.statedb)
     u = u_small(config.t_max)
     lines = [f"verify: {config.key_count} keys, {config.total_events} events, seed={args.seed}"]
     with ExperimentRunner.build(config, "plain", fabric_config=fabric_config) as plain:

@@ -123,10 +123,6 @@ class BlockStoreConfig:
     max_file_bytes: int = 4 * 1024 * 1024
     #: Codec used to serialize blocks (``json`` or ``binary``).
     codec: str = "json"
-    #: Decoded-block LRU cache capacity.  0 (the default) disables caching,
-    #: matching the paper's cost model where every GHFK call pays its own
-    #: block deserializations.
-    cache_blocks: int = 0
     #: ``flush`` (default) or ``fsync``: whether the per-commit block file
     #: and block index sync calls ``os.fsync``.
     durability: str = "flush"
@@ -136,10 +132,6 @@ class BlockStoreConfig:
         if self.codec not in ("json", "binary"):
             raise ConfigError(
                 f"block codec must be 'json' or 'binary', got {self.codec!r}"
-            )
-        if self.cache_blocks < 0:
-            raise ConfigError(
-                f"cache_blocks must be non-negative, got {self.cache_blocks}"
             )
         _require_durability(self.durability)
 

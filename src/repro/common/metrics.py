@@ -31,9 +31,6 @@ from repro.sanitizer.shared import sanitize_shared
 # silently creating new counters.
 BLOCKS_DESERIALIZED = "ledger.blocks_deserialized"
 BLOCK_BYTES_READ = "ledger.block_bytes_read"
-BLOCK_CACHE_HITS = "ledger.block_cache_hits"
-BLOCK_CACHE_MISSES = "ledger.block_cache_misses"
-BLOCK_CACHE_EVICTIONS = "ledger.block_cache_evictions"
 BLOCKS_COMMITTED = "ledger.blocks_committed"
 TXS_COMMITTED = "ledger.txs_committed"
 TXS_INVALIDATED = "ledger.txs_invalidated"

@@ -450,11 +450,12 @@ class Block:
     decoded it drops the payload and is indistinguishable from an eager
     block.
 
-    Lazy decoding is safe under concurrent readers of one cached block:
-    a decoded segment and the transaction built from it are each
-    published with ``dict.setdefault`` (atomic; the first writer wins and
-    every reader gets that object), and the switch to the fully decoded
-    list assigns the list before it clears the frame.
+    Lazy decoding is safe under concurrent readers of one block object
+    (a caller may hand one block to several threads): a decoded segment
+    and the transaction built from it are each published with
+    ``dict.setdefault`` (atomic; the first writer wins and every reader
+    gets that object), and the switch to the fully decoded list assigns
+    the list before it clears the frame.
     """
 
     __slots__ = ("_header", "_txs", "_frame", "_segments", "_decoded")

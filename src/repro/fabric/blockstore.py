@@ -7,20 +7,15 @@ asked for) and bumps the ``ledger.blocks_deserialized`` /
 ``ledger.block_bytes_read`` counters -- the quantities the paper's entire
 analysis is expressed in: a block touched counts once, however much of it
 is decoded.
-By default there is **no cross-call block cache**: each GHFK call pays
-its own deserialization, matching the paper's cost model (Section V).
-An LRU cache can be switched on (``cache_blocks > 0``, or by injecting a
-shared :class:`~repro.fabric.blockcache.BlockCache`) for the cache
-ablation: GHFK scans of co-located keys then deserialize each block
-once.  The cache is thread-safe and single-flight (a query may race a
-commit or another query); reads are safe from any number of threads
-(each is one positional read on a per-file descriptor the block-file
-manager opens once; ``pread`` shares no file position).
+There is **no cross-call block cache**: each GHFK call pays its own
+deserialization, matching the paper's cost model (Section V).  Reads are
+safe from any number of threads (each is one positional read on a
+per-file descriptor the block-file manager opens once; ``pread`` shares
+no file position).
 """
 
 from __future__ import annotations
 
-import itertools
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -29,16 +24,10 @@ from repro.common.codec import Codec, get_codec
 from repro.common.errors import BlockFileError, BlockNotFoundError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric.block import Block
-from repro.fabric.blockcache import BlockCache
 from repro.faults.crashpoints import BLOCKSTORE_MID_ADD, crash_point
 from repro.faults.fs import REAL_FS, FileSystem
 from repro.storage.blockfile import BlockFileManager
 from repro.storage.blockindex import BlockIndex, BlockLocation
-
-#: Per-store namespace tokens, so several stores can share one
-#: process-wide :class:`BlockCache` without block-number collisions.
-_STORE_TOKENS = itertools.count()
-
 
 class BlockStore:
     """Append-only block storage with an on-disk location index.
@@ -56,10 +45,8 @@ class BlockStore:
         codec: str | Codec = "json",
         max_file_bytes: int = 4 * 1024 * 1024,
         metrics: MetricsRegistry = NULL_REGISTRY,
-        cache_blocks: int = 0,
         durability: str = "flush",
         fs: FileSystem = REAL_FS,
-        cache: Optional[BlockCache] = None,
     ) -> None:
         if durability not in ("flush", "fsync"):
             raise ValueError(
@@ -80,10 +67,6 @@ class BlockStore:
             self._index = BlockIndex(index_path, fsync=fsync, fs=fs)
         self._codec = codec if isinstance(codec, Codec) else get_codec(codec)
         self._metrics = metrics
-        if cache is None and cache_blocks:
-            cache = BlockCache(cache_blocks, metrics=metrics)
-        self._cache = cache
-        self._cache_token = next(_STORE_TOKENS)
         self._reconcile_index()
 
     def _reconcile_index(self) -> None:
@@ -144,24 +127,8 @@ class BlockStore:
         self._index.append(location)
 
     def get_block(self, block_number: int) -> Block:
-        """Read and deserialize one block (counted, real file IO).
-
-        With a cache configured, a hit serves the decoded block from the
-        thread-safe LRU instead (hits/misses/evictions are counted
-        separately; the deserialization counters are untouched so the
-        paper's cost metric stays honest).  Concurrent readers of the
-        same uncached block share one deserialization (single-flight),
-        and a bad block number raises :class:`BlockNotFoundError`
-        identically with and without the cache.
-        """
-        if self._cache is not None:
-            block = self._cache.get_or_load(
-                (self._cache_token, block_number),
-                lambda: self._read_block(block_number),
-            )
-            assert isinstance(block, Block)
-            return block
-        return self._read_block(block_number)
+        """Read and deserialize one block (counted, real file IO)."""
+        return self._deserialize(self._files.read(self._locate(block_number)))
 
     def _locate(self, block_number: int) -> BlockLocation:
         """Where ``block_number`` lives on disk, or :class:`BlockNotFoundError`."""
@@ -181,10 +148,6 @@ class BlockStore:
             (metric_names.BLOCK_BYTES_READ, len(payload)),
         )
         return Block.from_payload(payload, self._codec, self._metrics)
-
-    def _read_block(self, block_number: int) -> Block:
-        """The uncached path: locate, read and deserialize one block."""
-        return self._deserialize(self._files.read(self._locate(block_number)))
 
     def iter_blocks(self, start: int = 0, end: Optional[int] = None) -> Iterator[Block]:
         """Yield blocks ``start .. end`` (``end`` exclusive, default height)."""

@@ -54,7 +54,6 @@ class Ledger:
             codec=self._config.block_store.codec,
             max_file_bytes=self._config.block_store.max_file_bytes,
             metrics=metrics,
-            cache_blocks=self._config.block_store.cache_blocks,
             durability=self._config.block_store.durability,
             fs=fs,
         )

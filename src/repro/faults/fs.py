@@ -138,15 +138,6 @@ class FaultyFile:
                 self._flushed_size += len(self._buffer)
                 self._buffer.clear()
 
-    def force_partial_flush(self, keep: int) -> None:
-        """Flush only the first ``keep`` buffered bytes (a torn write)."""
-        with self._lock:
-            torn = bytes(self._buffer[:keep])
-            if torn:
-                self._real.write(torn)
-                self._flushed_size += len(torn)
-            self._buffer.clear()
-
     def mark_synced(self) -> None:
         """Record the current flushed size as the power-loss-safe mark."""
         with self._lock:

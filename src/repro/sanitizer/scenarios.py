@@ -69,20 +69,6 @@ def _scenario_metrics(workers: int) -> None:
     _run_threads(workers, work)
 
 
-def _scenario_blockcache(workers: int) -> None:
-    """Overlapping single-flight loads with eviction pressure."""
-    from repro.fabric.blockcache import BlockCache
-
-    cache = BlockCache(capacity=4)
-
-    def work(index: int) -> None:
-        for step in range(30):
-            key = (index + step) % 10
-            cache.get_or_load(key, lambda key=key: f"block-{key}")
-
-    _run_threads(workers, work)
-
-
 def _fake_block(number: int, keys: Sequence[str]) -> Block:
     """An eager block of one VALID single-write transaction per key,
     for index-only traffic: nothing is serialized or signed."""
@@ -212,7 +198,6 @@ def _scenario_faultyfile(workers: int) -> None:
 #: Name -> workload; ``repro san --list`` prints these with docstrings.
 SCENARIOS: Dict[str, Scenario] = {
     "metrics": _scenario_metrics,
-    "blockcache": _scenario_blockcache,
     "historydb": _scenario_historydb,
     "lsm": _scenario_lsm,  # both state-db backends
     "blockfile": _scenario_blockfile,

@@ -3,8 +3,8 @@
 Classes whose instances are shared across threads declare their hot
 attributes::
 
-    @sanitize_shared("_entries", "_inflight")
-    class BlockCache: ...
+    @sanitize_shared("_values", "_sorted_keys")
+    class MemStore: ...
 
 Decoration only *registers* the class.  When a sanitizer session is
 installed (:func:`instrument_all`), each registered class gets its
@@ -29,7 +29,6 @@ the unmutated tree stays race-clean without weakening write checking.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -119,13 +118,8 @@ class _ContainerMeta:
         sanitizer.record(owner, self.cls, self.attr, op, is_write, self.racy_ok)
 
 
-class TracedDict(OrderedDict):  # type: ignore[type-arg]
-    """An ``OrderedDict`` whose operations feed the owner's shadow cell.
-
-    Subclassing ``OrderedDict`` (not ``dict``) lets one proxy stand in
-    for both: insertion order and ``move_to_end``/``popitem(last=...)``
-    keep working for LRU-style users.
-    """
+class TracedDict(dict):  # type: ignore[type-arg]
+    """A ``dict`` whose operations feed the owner's shadow cell."""
 
     _san: Optional[_ContainerMeta] = None
 
@@ -156,9 +150,9 @@ class TracedDict(OrderedDict):  # type: ignore[type-arg]
         self._emit("dict.pop", True)
         return super().pop(*args)
 
-    def popitem(self, last: bool = True) -> Tuple[Any, Any]:
+    def popitem(self) -> Tuple[Any, Any]:
         self._emit("dict.popitem", True)
-        return super().popitem(last)
+        return super().popitem()
 
     def clear(self) -> None:
         self._emit("dict.clear", True)
@@ -171,10 +165,6 @@ class TracedDict(OrderedDict):  # type: ignore[type-arg]
     def setdefault(self, key: Any, default: Any = None) -> Any:
         self._emit("dict.setdefault", True)
         return super().setdefault(key, default)
-
-    def move_to_end(self, key: Any, last: bool = True) -> None:
-        self._emit("dict.move_to_end", True)
-        super().move_to_end(key, last)
 
     # reads -------------------------------------------------------------
 
@@ -288,10 +278,9 @@ def _wrap_value(
     """Replace plain dict/list values with traced proxies.
 
     Only exact builtin types are wrapped -- a user subclass carries
-    behaviour a proxy copy would drop.  ``OrderedDict`` maps to
-    :class:`TracedDict`, which preserves its ordering contract.
+    behaviour a proxy copy would drop.
     """
-    if type(value) is dict or type(value) is OrderedDict:
+    if type(value) is dict:
         return TracedDict.wrap(value, owner, cls, attr, racy_ok)
     if type(value) is list:
         return TracedList.wrap(value, owner, cls, attr, racy_ok)
@@ -337,7 +326,7 @@ def _make_getattribute(
                 # plain containers; adopt them into a traced proxy on
                 # first sight (object.__setattr__ avoids a write event
                 # for what is sanitizer bookkeeping, not program state).
-                if type(value) in (dict, OrderedDict, list):
+                if type(value) in (dict, list):
                     value = _wrap_value(
                         value, self, type(self).__name__, name, racy_ok
                     )

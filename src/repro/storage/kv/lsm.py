@@ -541,11 +541,6 @@ class LSMStore(KVStore):
         with self._lock:
             return len(self._tables)
 
-    @property
-    def memtable_size(self) -> int:
-        with self._lock:
-            return len(self._memtable)
-
     def verify_integrity(self) -> None:
         """Cheap invariant check used by tests: scan yields sorted keys."""
         previous: Optional[bytes] = None

@@ -7,7 +7,7 @@ block/call counters the paper's analysis is phrased in.
 
 Per-key event retrieval runs one key at a time on the calling thread,
 in ``list_keys`` order -- the paper's setup.  Every shared structure
-underneath (metrics registry, block cache, history index) is
+underneath (metrics registry, history index, block files) is
 lock-guarded, because a query may race a commit on another thread.
 
 Resilience (opt-in, never changing default semantics):
@@ -107,24 +107,10 @@ class QueryStats:
     ghfk_calls: int = 0
     blocks_deserialized: int = 0
     block_bytes_read: int = 0
-    block_cache_hits: int = 0
-    block_cache_misses: int = 0
     get_state_calls: int = 0
     range_scan_calls: int = 0
     events_fetched: int = 0
     keys_queried: int = 0
-
-    def as_row(self) -> Dict[str, object]:
-        """Flatten for table rendering."""
-        return {
-            "model": self.model,
-            "window": str(self.window),
-            "join_s": round(self.join_seconds, 4),
-            "ghfk_s": round(self.ghfk_seconds, 4),
-            "ghfk_calls": self.ghfk_calls,
-            "blocks": self.blocks_deserialized,
-            "events": self.events_fetched,
-        }
 
 
 @dataclass
@@ -262,8 +248,6 @@ class TemporalQueryEngine:
             ghfk_calls=delta.counter(metric_names.GHFK_CALLS),
             blocks_deserialized=delta.counter(metric_names.BLOCKS_DESERIALIZED),
             block_bytes_read=delta.counter(metric_names.BLOCK_BYTES_READ),
-            block_cache_hits=delta.counter(metric_names.BLOCK_CACHE_HITS),
-            block_cache_misses=delta.counter(metric_names.BLOCK_CACHE_MISSES),
             get_state_calls=delta.counter(metric_names.GET_STATE_CALLS),
             range_scan_calls=delta.counter(metric_names.RANGE_SCAN_CALLS),
             events_fetched=sum(len(e) for e in shipment_events.values())

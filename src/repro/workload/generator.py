@@ -92,10 +92,6 @@ class WorkloadData:
     containers: List[str] = field(default_factory=list)
     trucks: List[str] = field(default_factory=list)
 
-    def events_for_key(self, key: str) -> List[Event]:
-        """This key's events, in time order."""
-        return [event for event in self.events if event.key == key]
-
     def events_by_key(self) -> Dict[str, List[Event]]:
         """All events grouped per key, preserving time order."""
         grouped: Dict[str, List[Event]] = {}

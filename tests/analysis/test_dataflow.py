@@ -106,8 +106,8 @@ class TestSymbolTable:
         classes = real_table.classes
         expectations = {
             "repro.common.metrics.MetricsRegistry": "_lock",
-            "repro.fabric.blockcache.BlockCache": "_lock",
             "repro.fabric.historydb.HistoryDB": "_lock",
+            "repro.storage.blockfile.BlockFileManager": "_lock",
         }
         for qualname, lock_attr in expectations.items():
             assert qualname in classes, qualname

@@ -377,7 +377,7 @@ class TestMutationAcceptance:
         clone = _clone_real_tree(tmp_path_factory.mktemp("mutants"))
         repro = clone / "src" / "repro"
         gateway = repro / "fabric" / "gateway.py"
-        blockcache = repro / "fabric" / "blockcache.py"
+        historydb = repro / "fabric" / "historydb.py"
         metrics = repro / "common" / "metrics.py"
         napping = repro / "storage" / "napping.py"
         sstable = repro / "storage" / "kv" / "sstable.py"
@@ -393,8 +393,8 @@ class TestMutationAcceptance:
         for target, anchor, method, rebind in (
             (gateway, "    def evaluate_transaction(", "reset_retries(self)",
              "self.retries_attempted = 0  # mutant: gateway"),
-            (blockcache, "    def invalidate(self", "resize(self, capacity)",
-             "self.capacity = capacity  # mutant: cache"),
+            (historydb, "    def locations_for_key(self", "forget_all(self)",
+             "self._locations = {}  # mutant: history"),
             (metrics, "    def increment(self", "hard_reset(self)",
              "self._counters = {}  # mutant: metrics"),
         ):
@@ -531,7 +531,7 @@ class TestMutationAcceptance:
 
         expected = {
             "retries_attempted": at("CONC001", gateway, "# mutant: gateway"),
-            "capacity": at("CONC001", blockcache, "# mutant: cache"),
+            "_locations": at("CONC001", historydb, "# mutant: history"),
             "_counters": at("CONC001", metrics, "# mutant: metrics"),
             "napping": at("CONC003", napping, "time.sleep(0.05)"),
             "metrics_sleep": at("CONC003", metrics, "time.sleep(0.001)"),
@@ -589,16 +589,16 @@ class TestMutationAcceptance:
             if finding.rule_id == "CONC001"
         }
         assert conc001 == {
-            expected[name] for name in ("retries_attempted", "capacity", "_counters")
+            expected[name] for name in ("retries_attempted", "_locations", "_counters")
         }, result.render_text()
         assert f"self.{attr}" in self._message(result, expected[attr])
 
     def test_unlocked_gateway_write_fails_the_lint(self, mutants):
         self._assert_conc001(mutants, "retries_attempted")
 
-    def test_unlocked_block_cache_write_fails_the_lint(self, mutants):
-        # BlockCache is lock-carrying (readers race each other).
-        self._assert_conc001(mutants, "capacity")
+    def test_unlocked_history_index_write_fails_the_lint(self, mutants):
+        # HistoryDB is lock-carrying (GHFK readers race the committer).
+        self._assert_conc001(mutants, "_locations")
 
     def test_unlocked_metrics_write_fails_the_lint(self, mutants):
         self._assert_conc001(mutants, "_counters")

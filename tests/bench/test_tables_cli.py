@@ -137,20 +137,20 @@ class TestMain:
         ],
         ids=lambda command: command[0],
     )
-    def test_statedb_and_cache_blocks_reach_every_ledger(self, monkeypatch, command):
+    def test_statedb_reaches_every_ledger(self, monkeypatch, command):
         built = []
         build = ExperimentRunner.build.__func__
 
         def recording_build(cls, *args, **kwargs):
             runner = build(cls, *args, **kwargs)
             config = runner.network.config
-            built.append((config.state_db.backend, config.block_store.cache_blocks))
+            built.append(config.state_db.backend)
             return runner
 
         monkeypatch.setattr(ExperimentRunner, "build", classmethod(recording_build))
         exit_code = main(
             [*command, "--scale", "0.02", "--entity-scale", "0.1",
-             "--statedb", "lsm", "--cache-blocks", "8"]
+             "--statedb", "lsm"]
         )
         assert exit_code == 0
-        assert built and set(built) == {("lsm", 8)}
+        assert built and set(built) == {"lsm"}

@@ -403,8 +403,8 @@ class TestFramedPayload:
             gc.enable()
 
     def test_concurrent_readers_of_one_lazy_block_see_one_object_per_index(self):
-        """Shared-cache shape: many GHFK iterators index (and some scan)
-        the same cached block.  Whoever decodes first, every reader must
+        """Many GHFK iterators index (and some scan) the same lazy block
+        object.  Whoever decodes first, every reader must
         end up with the same Transaction objects -- a second copy would
         hide a mutation from verify_data_hash."""
         import sys

@@ -163,22 +163,36 @@ def ten_tx_block() -> Block:
     return Block(BlockHeader(0, GENESIS_PREVIOUS_HASH, Block.compute_data_hash(txs)), txs)
 
 
+class OneBlock:
+    """Hands every reader the one lazy ``Block`` that ``store.get_block(0)``
+    returned, so GHFK iterators (``block.history_write``) and
+    ``block.transactions[i]`` readers share its decoded segments."""
+
+    def __init__(self, store: BlockStore) -> None:
+        self.block = store.get_block(0)
+
+    def get_block(self, number: int) -> Block:
+        assert number == 0, number
+        return self.block
+
+
 @pytest.fixture(params=CODECS)
-def cached(request, tmp_path):
-    """``(store, history, metrics)``: one ten-transaction block behind a
-    block cache, so every reader gets the same lazy ``Block`` object."""
+def shared(request, tmp_path):
+    """``(store, history, metrics)``: one stored ten-transaction block,
+    read through a :class:`OneBlock` so every reader gets the same lazy
+    ``Block`` object."""
     metrics = MetricsRegistry()
-    store = BlockStore(tmp_path, codec=request.param, metrics=metrics, cache_blocks=4)
+    store = BlockStore(tmp_path, codec=request.param, metrics=metrics)
     history = HistoryDB(metrics)
     block = ten_tx_block()
     store.add_block(block)
     history.index_block(block)
-    yield store, history, metrics
+    yield OneBlock(store), history, metrics
     store.close()
 
 
-def test_history_reads_share_the_segments_the_view_decodes(cached):
-    store, history, metrics = cached
+def test_history_reads_share_the_segments_the_view_decodes(shared):
+    store, history, metrics = shared
     entries = list(history.get_history_for_key("S1", store))
     assert [entry.tx_num for entry in entries] == list(range(10))
     assert metrics.counter(metric_names.TXS_DECODED) == 10
@@ -201,8 +215,8 @@ def test_history_reads_share_the_segments_the_view_decodes(cached):
 
 
 @pytest.mark.parametrize("scan_first", [False, True], ids=["lazy", "scanned"])
-def test_a_mutation_through_the_view_is_what_history_reports(cached, scan_first):
-    store, history, _ = cached
+def test_a_mutation_through_the_view_is_what_history_reports(shared, scan_first):
+    store, history, _ = shared
     block = store.get_block(0)
     if scan_first:
         block.verify_data_hash()
@@ -218,9 +232,10 @@ def test_a_mutation_through_the_view_is_what_history_reports(cached, scan_first)
 
 
 def test_concurrent_history_and_view_readers_of_one_cached_block(tmp_path):
-    """Shared-cache shape: GHFK iterators and ``transactions[i]`` readers
-    (and a scan) race on one lazy block.  Every reader must see the same
-    ``Transaction`` per index and every history the same entries."""
+    """GHFK iterators and ``transactions[i]`` readers (and a scan) race on
+    one lazy block, the one ``store.get_block(0)`` returned.  Every reader
+    must see the same ``Transaction`` per index and every history the
+    same entries."""
     workers, rounds = 8, 40
     reference = ten_tx_block()
     want = {
@@ -232,10 +247,11 @@ def test_concurrent_history_and_view_readers_of_one_cached_block(tmp_path):
     failures: list[str] = []
     try:
         for round_number in range(rounds):
-            store = BlockStore(tmp_path / f"round-{round_number}", cache_blocks=4)
+            stored = BlockStore(tmp_path / f"round-{round_number}")
             history = HistoryDB()
-            store.add_block(reference)
+            stored.add_block(reference)
             history.index_block(reference)
+            store = OneBlock(stored)
             seen: list[list[Transaction]] = [[] for _ in range(workers)]
             barrier = threading.Barrier(workers)
 
@@ -268,16 +284,16 @@ def test_concurrent_history_and_view_readers_of_one_cached_block(tmp_path):
                 if [id(tx) for tx in seen[slot]] != [id(tx) for tx in final]:
                     failures.append(f"reader {slot} holds a private copy")
             block.verify_data_hash()
-            store.close()
+            stored.close()
     finally:
         sys.setswitchinterval(interval)
     assert not failures, failures[:3]
 
 
-def test_a_value_history_handed_out_is_the_one_the_data_hash_covers(cached):
+def test_a_value_history_handed_out_is_the_one_the_data_hash_covers(shared):
     """Values are returned by reference; scribbling on one is tampering
-    with the cached block, whichever way the block is decoded later."""
-    store, history, _ = cached
+    with the block it came from, whichever way the block is decoded later."""
+    store, history, _ = shared
     entries = list(history.get_history_for_key("C1", store))
     block = store.get_block(0)
     entries[6].value["key"] = "tampered"
@@ -354,8 +370,8 @@ def test_counts_are_exact_when_an_iterator_is_abandoned(codec, tmp_path):
     ids=["another-tx", "past-the-table", "negative", "wrong-write", "negative-write",
          "past-the-writes"],
 )
-def test_a_bad_history_location_is_a_ledger_error(cached, scanned, location, names):
-    store, history, metrics = cached
+def test_a_bad_history_location_is_a_ledger_error(shared, scanned, location, names):
+    store, history, metrics = shared
     if scanned:
         list(store.get_block(0).transactions)
     with history._lock:

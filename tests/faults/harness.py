@@ -39,19 +39,16 @@ def lsm_config(
     memtable_limit: int = 24,
     durability: str = "flush",
     codec: str = "json",
-    cache_blocks: int = 0,
 ) -> FabricConfig:
     """A config that exercises every storage layer: the LSM state-db
     with a tiny memtable (frequent WAL and table activity) and small
-    blocks, stored under ``codec`` behind a ``cache_blocks`` block cache."""
+    blocks, stored under ``codec``."""
     return FabricConfig(
         block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
         state_db=StateDbConfig(
             backend="lsm", memtable_limit=memtable_limit, durability=durability
         ),
-        block_store=BlockStoreConfig(
-            durability=durability, codec=codec, cache_blocks=cache_blocks
-        ),
+        block_store=BlockStoreConfig(durability=durability, codec=codec),
     )
 
 

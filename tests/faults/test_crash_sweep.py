@@ -20,57 +20,51 @@ from tests.faults.harness import (
     run_kv_workload_until_crash,
 )
 
-#: ``(codec, cache_blocks)``: every stored configuration of the block
-#: store (``tests/test_config_matrix.py`` holds the same cells, under both
+#: Every block codec: the stored configurations of the block store
+#: (``tests/test_config_matrix.py`` holds the same codecs, under both
 #: backends, to one result without a crash).
-STORAGE_CELLS = [(codec, cache) for codec in ("json", "binary") for cache in (0, 16)]
+CODECS = ("json", "binary")
 
 
 def _cells(points=(None,)):
-    """``pytest.param``s of ``(point, codec, cache_blocks)`` for every
-    crash point crossed with every storage cell; ``(codec, cache_blocks)``
-    when there are no points."""
+    """``pytest.param``s of ``(point, codec)`` for every crash point
+    crossed with every codec; ``codec`` alone when there are no points."""
     params = []
     for point in points:
-        for codec, cache_blocks in STORAGE_CELLS:
-            # The default cell keeps the bare id the sweep had before it
-            # ran over configurations.
-            cell = "" if (codec, cache_blocks) == ("json", 0) else f"{codec}-cache{cache_blocks}"
+        for codec in CODECS:
+            # The json cell keeps the bare id the sweep had before it ran
+            # over configurations.
+            cell = "" if codec == "json" else codec
             ident = "-".join(part for part in (point, cell) if part) or "default"
-            values = (codec, cache_blocks) if point is None else (point, codec, cache_blocks)
+            values = (codec,) if point is None else (point, codec)
             params.append(pytest.param(*values, id=ident))
     return params
 
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """``(codec, cache_blocks) -> HeightRecord``: the fault-free KV
-    workload under each storage cell, recorded at every height."""
+    """``codec -> HeightRecord``: the fault-free KV workload under each
+    codec, recorded at every height."""
     return {
-        (codec, cache_blocks): kv_reference(
-            tmp_path_factory.mktemp(f"reference-{codec}-{cache_blocks}"),
-            lsm_config(codec=codec, cache_blocks=cache_blocks),
+        codec: kv_reference(
+            tmp_path_factory.mktemp(f"reference-{codec}"), lsm_config(codec=codec)
         )
-        for codec, cache_blocks in STORAGE_CELLS
+        for codec in CODECS
     }
 
 
 def _recovers(path, config, outcome, reference) -> None:
     reopen_and_verify(
-        path,
-        config,
-        outcome.acked_tx_ids,
-        reference[(config.block_store.codec, config.block_store.cache_blocks)],
+        path, config, outcome.acked_tx_ids, reference[config.block_store.codec]
     )
     continue_workload(path, config)
 
 
-@pytest.mark.parametrize("point, codec, cache_blocks", _cells(COMMIT_CRASH_POINTS))
-def test_kill_at_every_commit_point(tmp_path, reference, point, codec, cache_blocks):
-    """Every commit point under every stored configuration: the block a
-    crash half-wrote or half-indexed recovers whatever its codec, and
-    whether or not a block cache held it."""
-    config = lsm_config(codec=codec, cache_blocks=cache_blocks)
+@pytest.mark.parametrize("point, codec", _cells(COMMIT_CRASH_POINTS))
+def test_kill_at_every_commit_point(tmp_path, reference, point, codec):
+    """Every commit point under every codec: the block a crash half-wrote
+    or half-indexed recovers whatever its codec."""
+    config = lsm_config(codec=codec)
     plan = FaultPlan(seed=3).crash_at(point)
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired == point, f"workload never reached {point}"
@@ -101,12 +95,11 @@ def test_power_loss_with_fsync_durability(tmp_path, reference):
     _recovers(tmp_path / "net", config, outcome, reference)
 
 
-@pytest.mark.parametrize("codec, cache_blocks", _cells())
-def test_torn_blockfile_write_recovers(tmp_path, reference, codec, cache_blocks):
+@pytest.mark.parametrize("codec", _cells())
+def test_torn_blockfile_write_recovers(tmp_path, reference, codec):
     """A kill mid-write to a block file leaves a torn record; recovery
-    truncates it and the chain stays consistent, under every stored
-    configuration."""
-    config = lsm_config(codec=codec, cache_blocks=cache_blocks)
+    truncates it and the chain stays consistent, under every codec."""
+    config = lsm_config(codec=codec)
     plan = FaultPlan(seed=7).crash_on_write("blockfile_*", nth=30, torn=True)
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired is not None and outcome.fired.startswith("write:")

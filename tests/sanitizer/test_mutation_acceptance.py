@@ -21,11 +21,11 @@ from __future__ import annotations
 import bisect
 import inspect
 import threading
-import traceback
 
 from repro.common.metrics import MetricsRegistry
-from repro.fabric.blockcache import BlockCache
+from repro.fabric.historydb import HistoryDB
 from repro.sanitizer import runtime
+from repro.sanitizer.scenarios import _fake_block
 from repro.storage.kv.memstore import MemStore
 
 _THIS_FILE = "test_mutation_acceptance.py"
@@ -107,55 +107,35 @@ def test_unlocked_metrics_increment_is_caught_at_exact_line():
     )
 
 
-class UnlockedEvictionCache(BlockCache):
-    """Mutant: LRU eviction outside the cache lock."""
+class UnlockedTrimHistory(HistoryDB):
+    """Mutant: drop a key's locations outside the index lock."""
 
-    def evict_oldest(self) -> None:
-        """The pre-BlockCache idiom: trim the OrderedDict unlocked."""
-        try:
-            if self._entries:
-                self._entries.popitem(last=False)  # mutant: unlocked eviction
-        except KeyError:
-            # The mutant's own check-then-act bug: a concurrent eviction
-            # emptied the dict between the check and the pop.  Swallow
-            # it -- the sanitizer event was already emitted, and a crash
-            # in a worker thread would only add noise to the test run.
-            pass
+    def forget(self, key: str) -> None:
+        self._locations.pop(key, None)  # mutant: unlocked trim
 
 
-def test_unlocked_cache_eviction_is_caught_at_exact_line():
-    expected = _line_of(
-        UnlockedEvictionCache.evict_oldest, "mutant: unlocked eviction"
-    )
+def test_unlocked_history_trim_is_caught_at_exact_line():
+    expected = _line_of(UnlockedTrimHistory.forget, "mutant: unlocked trim")
     with runtime.sanitized(seed=12) as sanitizer:
-        cache = UnlockedEvictionCache(capacity=2)
+        history = UnlockedTrimHistory()
 
         def work(index: int) -> None:
             for step in range(15):
-                key = (index * 7 + step) % 8
-                cache.get_or_load(key, lambda key=key: key)
-                cache.evict_oldest()
+                key = f"key-{(index * 7 + step) % 8}"
+                history.index_block(_fake_block(index * 100 + step, [key]))
+                history.forget(key)
 
-        crashes = _run_threads(4, work)
+        assert _run_threads(4, work) == []
         report = sanitizer.build_report(source="mutation", workers=4)
-    # The seeded race's other symptom, and the only crash allowed: the
-    # unlocked eviction removes an entry between get_or_load's locked
-    # lookup and its use of it, a KeyError inside get_or_load.
-    for crash in crashes:
-        frames = traceback.extract_tb(crash.__traceback__)
-        assert isinstance(crash, KeyError) and any(
-            frame.name == "get_or_load" and frame.filename.endswith("blockcache.py")
-            for frame in frames
-        ), "".join(traceback.format_exception(crash))
-    assert report.races, "sanitizer missed the unlocked eviction"
-    lines = _witness_lines(report, "UnlockedEvictionCache", "_entries")
+    assert report.races, "sanitizer missed the unlocked trim"
+    lines = _witness_lines(report, "UnlockedTrimHistory", "_locations")
     assert expected in lines
-    # The racing partner holds BlockCache._lock (the locked fast path),
+    # The racing partner holds HistoryDB._lock (the locked index write),
     # proving the lockset-disjointness logic, not just "no locks at all".
     assert any(
-        "BlockCache._lock" in (race.first.locks + race.second.locks)
+        "HistoryDB._lock" in (race.first.locks + race.second.locks)
         for race in report.races
-        if race.attr == "_entries"
+        if race.attr == "_locations"
     )
 
 

@@ -106,13 +106,13 @@ EXPECTED: Dict[str, Dict[str, Pinned]] = {
 }
 
 
-def fabric_config(cache_blocks: int = 0, max_message_count: int = 10) -> FabricConfig:
+def fabric_config(max_message_count: int = 10) -> FabricConfig:
     """The paper's measurement setup, spelled out so no environment
     variable a CI leg sets can move a literal."""
     return FabricConfig(
         block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
         state_db=StateDbConfig(backend="memory"),
-        block_store=BlockStoreConfig(codec="json", cache_blocks=cache_blocks),
+        block_store=BlockStoreConfig(codec="json"),
     )
 
 
@@ -125,13 +125,10 @@ def build_plain(
     path,
     workload: WorkloadConfig,
     index: bool = True,
-    cache_blocks: int = 0,
     max_message_count: int = 10,
 ) -> FabricNetwork:
     """Plain ledger, by default with a full M1 index at ``u = t_max / 15``."""
-    network = FabricNetwork(
-        path / "plain", config=fabric_config(cache_blocks, max_message_count)
-    )
+    network = FabricNetwork(path / "plain", config=fabric_config(max_message_count))
     network.install(SupplyChainChaincode())
     network.install(M1IndexChaincode())
     ingest(network.gateway("ingestor"), generate(workload).events,
@@ -202,31 +199,6 @@ def test_the_models_agree_and_the_ledgers_are_not_trivial(measured):
     assert sweeps["tqf"].blocks_deserialized > sweeps["m2"].blocks_deserialized > 0
     for pinned in sweeps.values():
         assert pinned.blocks_deserialized <= pinned.txs_decoded <= pinned.ghfk_results
-
-
-def test_a_warm_block_cache_decodes_nothing_on_the_second_sweep(tmp_path):
-    """A cached block keeps what it decoded: the second identical TQF
-    sweep over a cache that holds the whole chain reads no block and
-    decodes no transaction segment, and returns the same rows.
-
-    Ingested in this process and not indexed, so the cache holds only
-    the lazy blocks the first sweep itself read (reopening a ledger, or
-    an M1 indexing run, would have decoded every transaction already)."""
-    workload = LEDGERS["ds1-me"]
-    network = build_plain(tmp_path, workload, index=False, cache_blocks=4096)
-    try:
-        first = sweep(network, "tqf", workload.t_max)
-        second = sweep(network, "tqf", workload.t_max)
-    finally:
-        network.close()
-    uncached = EXPECTED["ds1-me"]["tqf"]
-    for warm in (first, second):
-        assert (warm.ghfk_calls, warm.ghfk_results, warm.rows) == (
-            uncached.ghfk_calls, uncached.ghfk_results, uncached.rows
-        )
-    # Keys written by one transaction share its one decoded segment.
-    assert 0 < first.txs_decoded <= uncached.txs_decoded
-    assert (second.txs_decoded, second.blocks_deserialized, second.block_bytes_read) == (0, 0, 0)
 
 
 def test_a_smaller_block_cut_spreads_tqf_over_more_blocks(tmp_path):

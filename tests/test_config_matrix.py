@@ -1,7 +1,7 @@
 """Configuration-matrix oracle: one workload, every supported configuration.
 
-The knobs that change *how* a ledger is stored -- state-db backend,
-block codec, block cache -- must never change *what* it holds.  One
+The knobs that change *how* a ledger is stored -- state-db backend and
+block codec -- must never change *what* it holds.  One
 seeded workload (blind supply-chain writes, ``kv`` traffic, a
 back-to-back checked pair that yields one ``MVCC_READ_CONFLICT``, a
 delete, an M1 indexing run and one join per model) runs under the full
@@ -56,8 +56,8 @@ STATE_FINGERPRINTS = {
     "m2": "ff969aca35b6d6e4a7051c795de782b4394301ac7c838a1f3e38221e7e9165f5",
 }
 
-#: (state-db backend, block codec, block cache capacity).
-CELLS = list(itertools.product(("memory", "lsm"), ("json", "binary"), (0, 16)))
+#: (state-db backend, block codec).
+CELLS = list(itertools.product(("memory", "lsm"), ("json", "binary")))
 REFERENCE = CELLS[0]
 
 
@@ -65,13 +65,13 @@ def cell_id(cell) -> str:
     return "-".join(str(part) for part in cell)
 
 
-def fabric_config(backend: str, codec: str, cache_blocks: int) -> FabricConfig:
+def fabric_config(backend: str, codec: str) -> FabricConfig:
     """Small blocks, and an LSM memtable far smaller than the key set, so
     the ``lsm`` cells answer from SSTables and compact them."""
     return FabricConfig(
         block_cutting=BlockCuttingConfig(max_message_count=5),
         state_db=StateDbConfig(backend=backend, memtable_limit=8, compaction_trigger=3),
-        block_store=BlockStoreConfig(codec=codec, cache_blocks=cache_blocks),
+        block_store=BlockStoreConfig(codec=codec),
     )
 
 
@@ -81,10 +81,10 @@ def history_index(network: FabricNetwork) -> dict:
     return {key: history.locations_for_key(key) for key in history.keys()}
 
 
-def run_workload(path, backend: str, codec: str, cache_blocks: int) -> dict:
+def run_workload(path, backend: str, codec: str) -> dict:
     """Drive the workload through a plain and an M2 network under one
     configuration; return what every configuration must agree on."""
-    config = fabric_config(backend, codec, cache_blocks)
+    config = fabric_config(backend, codec)
     events = generate(WORKLOAD).events
     result: dict = {"rows": {}}
     with FabricNetwork(path / "plain", config=config) as network:
@@ -187,14 +187,14 @@ def test_every_cell_equals_the_reference(cells, cell):
 
 def test_binary_chains_are_smaller_than_json(cells):
     """The one cell the ``binary`` codec wins (DESIGN.md §5): the same
-    chain in fewer bytes, whatever the backend and the cache."""
-    for (backend, codec, cache_blocks), (_, result) in cells.items():
+    chain in fewer bytes, whatever the backend."""
+    for (backend, codec), (_, result) in cells.items():
         if codec != "binary":
             continue
-        _, as_json = cells[(backend, "json", cache_blocks)]
+        _, as_json = cells[(backend, "json")]
         for ledger in ("plain", "m2"):
             assert result[ledger]["bytes"] < as_json[ledger]["bytes"], (
-                backend, cache_blocks, ledger
+                backend, ledger
             )
 
 
@@ -207,9 +207,9 @@ def test_reopen_under_the_other_backend_recovers_the_state(
     reopened under the other lands on the same height and fingerprint,
     and rebuilds the history index its commits built -- the invalidated
     transaction, the delete and the M1 bundles included."""
-    path, result = cells[(written, codec, 0)]
+    path, result = cells[(written, codec)]
     for ledger in ("plain", "m2"):
-        with FabricNetwork(path / ledger, config=fabric_config(reopened, codec, 16)) as network:
+        with FabricNetwork(path / ledger, config=fabric_config(reopened, codec)) as network:
             assert network.ledger.height == result[ledger]["height"]
             assert network.ledger.state_fingerprint() == result[ledger]["state"]
             assert history_index(network) == result["history"][ledger]
@@ -217,14 +217,13 @@ def test_reopen_under_the_other_backend_recovers_the_state(
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])
-@pytest.mark.parametrize("cache_blocks", [0, 16])
-def test_reopen_under_lsm_rebuilds_the_index_from_the_frames(cells, codec, cache_blocks):
+def test_reopen_under_lsm_rebuilds_the_index_from_the_frames(cells, codec):
     """Reopened under the backend that wrote it, an ``lsm`` ledger replays
     no block: the history index is rebuilt from block frames alone, and
     is the one its commits built."""
-    path, result = cells[("lsm", codec, cache_blocks)]
+    path, result = cells[("lsm", codec)]
     for ledger in ("plain", "m2"):
-        with FabricNetwork(path / ledger, config=fabric_config("lsm", codec, cache_blocks)) as network:
+        with FabricNetwork(path / ledger, config=fabric_config("lsm", codec)) as network:
             assert network.metrics.counter(metric_names.TXS_DECODED) == 0
             assert history_index(network) == result["history"][ledger]
             assert network.ledger.state_fingerprint() == result[ledger]["state"]
