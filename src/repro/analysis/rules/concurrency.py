@@ -190,13 +190,11 @@ def _chain_suffix(chain: Optional[Chain]) -> str:
 #: analyzed but blocks under a lock in none of the row's kinds is
 #: reported, so the table cannot outlive the code it excuses.
 BLOCKING_ALLOWLIST: Dict[str, Tuple[FrozenSet[str], str]] = {
-    "repro.storage.kv.lsm.LSMStore.put": (
+    "repro.storage.kv.lsm.LSMStore.write_batch": (
         frozenset({"io"}),
-        "WAL append must precede the memtable write under the lock (recovery order)",
-    ),
-    "repro.storage.kv.lsm.LSMStore.delete": (
-        frozenset({"io"}),
-        "WAL append must precede the memtable delete under the lock (recovery order)",
+        "each run's WAL append must precede its memtable writes, and a "
+        "flush falling inside the batch must happen between two runs, "
+        "under the lock (recovery order)",
     ),
     "repro.storage.kv.lsm.LSMStore.flush": (
         frozenset({"io"}),

@@ -18,7 +18,10 @@ Both also expose their *list syntax* (:meth:`Codec.list_affixes`), so a
 caller can lay several encoded values out as one encoded list whose
 elements stay individually decodable -- the framed block payload of
 :mod:`repro.fabric.block` decodes either one element or the whole list
-with a single :meth:`Codec.decode` call.
+with a single :meth:`Codec.decode` call -- and their *map syntax*
+(:meth:`Codec.map_affixes`), so a value encoded once can be spliced into
+a map: the commit path encodes a write's value once for the block's
+write segment and the state-db record.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import base64
 import json
 import struct
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
 
 from repro.common.errors import CodecError
 
@@ -53,6 +56,13 @@ class Codec(ABC):
         """The codec's list syntax for ``count`` items, as ``(prefix,
         separator, suffix)``: ``prefix + separator.join(encode(x) for x
         in items) + suffix == encode(items)``."""
+
+    @abstractmethod
+    def map_affixes(self, keys: Sequence[str]) -> list[bytes]:
+        """The codec's map syntax for a map with ``keys``, in that order,
+        as the ``len(keys) + 1`` pieces around its values:
+        ``pieces[0] + encode(v0) + pieces[1] + ... + encode(vn) +
+        pieces[n + 1] == encode(dict(zip(keys, values)))``."""
 
 
 def _encode_special(value: Any) -> Any:
@@ -129,6 +139,14 @@ class JsonCodec(Codec):
 
     def list_affixes(self, count: int) -> tuple[bytes, bytes, bytes]:
         return b"[", b",", b"]"
+
+    def map_affixes(self, keys: Sequence[str]) -> list[bytes]:
+        pieces = [b"{"]
+        for index, key in enumerate(keys):
+            pieces[-1] += (b"," if index else b"") + self.encode(key) + b":"
+            pieces.append(b"")
+        pieces[-1] += b"}"
+        return pieces
 
 
 # --- Binary codec ----------------------------------------------------------
@@ -239,6 +257,18 @@ class BinaryCodec(Codec):
         prefix = bytearray((_T_LIST,))
         write_uvarint(count, prefix)
         return bytes(prefix), b"", b""
+
+    def map_affixes(self, keys: Sequence[str]) -> list[bytes]:
+        head = bytearray((_T_DICT,))
+        write_uvarint(len(keys), head)
+        pieces = [bytes(head)]
+        for key in keys:
+            raw = key.encode("utf-8")
+            name = bytearray()
+            write_uvarint(len(raw), name)
+            pieces[-1] += bytes(name) + raw
+            pieces.append(b"")
+        return pieces
 
     def _encode_into(self, value: Any, out: bytearray) -> None:
         if value is None:

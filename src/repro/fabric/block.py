@@ -16,6 +16,7 @@ Versions are Fabric "heights": ``(block_number, tx_index)``.
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -39,6 +40,21 @@ from repro.fabric import crypto
 
 #: A committed value's version: (block number, transaction index).
 Version = Tuple[int, int]
+
+#: Each transaction's write values encoded by one codec, by key: what
+#: :meth:`Block.to_payload` splices into the write segments and, when the
+#: state-db uses the same codec, into the state records.
+WriteValues = List[Dict[str, bytes]]
+
+#: ``json.dumps(payload, sort_keys=True, default=repr)``'s C encoder,
+#: built once (as :class:`~repro.common.codec.JsonCodec` builds its own):
+#: the same bytes without constructing an encoder per call.  No markers
+#: dict, so it holds no per-call state and serves every thread; a cyclic
+#: payload ends as a ``RecursionError``, as one nested too deep does.
+_SIGNING_ENCODER = json.encoder.c_make_encoder(
+    None, repr, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", True, False, True,
+)
 
 # Validation codes (subset of Fabric's TxValidationCode).
 VALID = "VALID"
@@ -213,9 +229,7 @@ class Transaction:
             and self._payload_cache[0] == self.rw_set._rev
         ):
             return self._payload_cache[1]
-        import json
-
-        payload = json.dumps(
+        payload = "".join(_SIGNING_ENCODER(
             {
                 "rw_set": self.rw_set.to_dict(),
                 "creator": self.creator,
@@ -223,9 +237,8 @@ class Transaction:
                 "chaincode": self.chaincode,
                 "event": [self.event_name, self.event_payload],
             },
-            sort_keys=True,
-            default=repr,
-        ).encode("utf-8")
+            0,
+        )).encode("utf-8")
         self._payload_cache = (self.rw_set._rev, payload)
         return payload
 
@@ -476,7 +489,18 @@ class Block:
 
     # -- framed payload -------------------------------------------------------
 
-    def to_payload(self, codec: Codec) -> bytes:
+    def write_values(self, codec: Codec) -> WriteValues:
+        """Every transaction's write values encoded with ``codec`` (a
+        deletion's ``None`` too), by key: encoded once, spliced into the
+        write segments by :meth:`to_payload` and -- when the state-db's
+        codec is ``codec`` -- into the state records."""
+        encode = codec.encode
+        return [
+            {key: encode(write.value) for key, write in tx.rw_set.writes.items()}
+            for tx in self.transactions
+        ]
+
+    def to_payload(self, codec: Codec, values: Optional[WriteValues] = None) -> bytes:
         """Serialize as a framed payload.
 
         Layout: :data:`FRAME_MAGIC`, a varint transaction count, one
@@ -492,13 +516,23 @@ class Block:
         lets it decode all of them with one call (see
         :meth:`Codec.list_affixes`).  Nothing signed or hashed depends on
         this layout.
+
+        A write segment is spelled from its parts with the same list
+        syntax, its value taken from ``values`` (:meth:`write_values`,
+        computed here when not given): the bytes of encoding the segment
+        whole.
         """
         encode = codec.encode
+        if values is None:
+            values = self.write_values(codec)
+        write_prefix, write_separator, write_suffix = codec.list_affixes(3)
+        live = write_separator + encode(False) + write_suffix
+        deleted = write_separator + encode(True) + write_suffix
         segments = [encode(self.header.to_dict())]
         table = bytearray((FRAME_MAGIC,))
         txs = self.transactions
         write_uvarint(len(txs), table)
-        for tx in txs:
+        for tx, encoded in zip(txs, values):
             rw_set = tx.rw_set
             writes = rw_set.writes
             keys = sorted(writes)
@@ -515,7 +549,10 @@ class Block:
             ]))
             for key in keys:
                 write = writes[key]
-                segments.append(encode([write.key, write.value, write.is_delete]))
+                segments.append(
+                    write_prefix + encode(write.key) + write_separator + encoded[key]
+                    + (deleted if write.is_delete else live)
+                )
         ends = list(accumulate(map(len, segments)))
         prefix, separator, suffix = codec.list_affixes(len(segments))
         return b"".join((

@@ -23,7 +23,7 @@ from repro.common import metrics as metric_names
 from repro.common.codec import Codec, get_codec
 from repro.common.errors import BlockFileError, BlockNotFoundError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.fabric.block import Block
+from repro.fabric.block import Block, WriteValues
 from repro.faults.crashpoints import BLOCKSTORE_MID_ADD, crash_point
 from repro.faults.fs import REAL_FS, FileSystem
 from repro.storage.blockfile import BlockFileManager
@@ -115,13 +115,21 @@ class BlockStore:
         """Chain height (number of committed blocks)."""
         return self._index.height
 
-    def add_block(self, block: Block) -> None:
-        """Serialize and append ``block``; it must be the next in sequence."""
+    @property
+    def codec(self) -> Codec:
+        """The codec blocks are stored in."""
+        return self._codec
+
+    def add_block(self, block: Block, values: Optional[WriteValues] = None) -> None:
+        """Serialize and append ``block``; it must be the next in sequence.
+
+        ``values`` are its write values already encoded with :attr:`codec`
+        (:meth:`Block.write_values`), when the caller has them."""
         if block.number != self.height:
             raise BlockNotFoundError(
                 f"expected block {self.height}, got {block.number}"
             )
-        payload = block.to_payload(self._codec)
+        payload = block.to_payload(self._codec, values)
         location = self._files.append(payload)
         crash_point(BLOCKSTORE_MID_ADD)
         self._index.append(location)

@@ -71,9 +71,9 @@ class Gateway:
             seed=backoff_seed,
             sleep=sleep,
         )
-        # One gateway is shared by concurrent client threads (parallel
-        # ingestion); the lock covers the mutable statistics.  The retry
-        # sleep always happens *outside* it (CONC003 polices this).
+        # A gateway may be shared by client threads; the lock covers the
+        # mutable statistics.  The retry sleep always happens *outside*
+        # it (CONC003 polices this).
         self._lock = make_lock("Gateway._lock")
         self.retries_attempted = 0
 

@@ -10,16 +10,16 @@ the three Fabric calls the paper builds on: ``GetState``,
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, List, Optional
 
 from repro.common import metrics as metric_names
 from repro.common.config import FabricConfig
 from repro.common.errors import HashChainError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.fabric.block import GENESIS_PREVIOUS_HASH, VALID, Block, Version
+from repro.fabric.block import GENESIS_PREVIOUS_HASH, VALID, Block, Version, WriteValues
 from repro.fabric.blockstore import BlockStore
 from repro.fabric.historydb import HistoryDB, HistoryEntry
-from repro.fabric.statedb import StateDB, StateValue
+from repro.fabric.statedb import BatchWrite, StateDB, StateValue
 from repro.fabric.validator import Validator
 from repro.faults.crashpoints import (
     LEDGER_MID_STATE,
@@ -72,6 +72,12 @@ class Ledger:
             ),
             metrics=metrics,
         )
+        #: Whether a write value encoded for the block frame is also the
+        #: state record's value: the two codecs are one (``json``, the
+        #: default); under any other block codec the state-db encodes its own.
+        self._shared_values = (
+            self.block_store.codec.name == self.state_db.codec.name
+        )
         self.history_db = HistoryDB(metrics=metrics)
         self._validator = Validator(self.state_db.get_version)
         self._last_header_hash = GENESIS_PREVIOUS_HASH
@@ -122,7 +128,9 @@ class Ledger:
 
         Every block is appended only after validation, and the chain is
         durable before anything derived from it (history index, state
-        writes, savepoint) is applied.
+        writes, savepoint) is applied.  Each write's value is encoded
+        once, for the block's write segment and -- under one codec -- the
+        state record.
         """
         with self._metrics.timed(metric_names.COMMIT_SECONDS):
             if block.header.previous_hash != self._last_header_hash:
@@ -133,8 +141,9 @@ class Ledger:
                 )
             block.verify_data_hash()
             valid_count = self._validator.validate_block(block)
+            values = block.write_values(self.block_store.codec)
             crash_point(LEDGER_PRE_APPEND)
-            self.block_store.add_block(block)
+            self.block_store.add_block(block, values)
             # Make the block durable before anything derived from it: the
             # state-db and history-db are rebuilt from the chain on
             # recovery, so the chain must never lag them.
@@ -142,7 +151,7 @@ class Ledger:
             crash_point(LEDGER_PRE_HISTORY)
             self.history_db.index_block(block)
             crash_point(LEDGER_PRE_STATE)
-            self._apply_state_writes(block)
+            self._apply_state_writes(block, values if self._shared_values else None)
             crash_point(LEDGER_PRE_SAVEPOINT)
             self.state_db.record_savepoint(block.number)
             crash_point(LEDGER_POST_COMMIT)
@@ -154,17 +163,30 @@ class Ledger:
             )
         return valid_count
 
-    def _apply_state_writes(self, block: Block) -> None:
+    def _apply_state_writes(
+        self, block: Block, values: Optional[WriteValues] = None
+    ) -> None:
+        """The VALID transactions' writes, each in its transaction's
+        write order, as two state-db batches: the first VALID
+        transaction's, then the rest (:data:`LEDGER_MID_STATE` falls
+        between them).  ``values`` are the encoded write values to
+        splice, when they are in the state-db's codec."""
+        batch: List[BatchWrite] = []
         applied_one = False
         for tx_num, tx in enumerate(block.transactions):
             if tx.validation_code != VALID:
                 continue
             version: Version = (block.number, tx_num)
-            for write in tx.rw_set.writes.values():
-                self.state_db.apply_write(write, version)
+            encoded = None if values is None else values[tx_num]
+            for key, write in tx.rw_set.writes.items():
+                batch.append((write, version, None if encoded is None else encoded[key]))
             if not applied_one:
                 applied_one = True
+                self.state_db.apply_write(batch)
+                batch = []
                 crash_point(LEDGER_MID_STATE)
+        if batch:
+            self.state_db.apply_write(batch)
 
     # -- queries --------------------------------------------------------------
 

@@ -17,18 +17,23 @@ engines scan thousands of states per query for their *keys* alone.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.codec import Codec, JsonCodec
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric.block import KVWrite, Version
-from repro.storage.kv.api import KVStore
+from repro.storage.kv.api import BatchItem, KVStore
 
 #: Reserved state key holding the last committed block number, used to
 #: detect whether state must be rebuilt from the block store on open
 #: (Fabric calls this the savepoint).
 SAVEPOINT_KEY = "\x01savepoint"
+
+#: One write of a batch: the write, the version it commits at, and its
+#: value already encoded with the state-db's codec, or ``None`` when the
+#: state-db is to encode it.
+BatchWrite = Tuple[KVWrite, Version, Optional[bytes]]
 
 
 class StateValue:
@@ -76,6 +81,14 @@ class StateDB:
         self._store = store
         self._codec = codec or JsonCodec()
         self._metrics = metrics
+        #: The record ``{"v": value, "ver": version}`` spelled around its
+        #: two values, so a value encoded once is spliced in.
+        self._record = self._codec.map_affixes(("v", "ver"))
+
+    @property
+    def codec(self) -> Codec:
+        """The codec state records are stored in."""
+        return self._codec
 
     # -- reads -------------------------------------------------------------
 
@@ -113,16 +126,33 @@ class StateDB:
 
     # -- writes -------------------------------------------------------------
 
-    def apply_write(self, write: KVWrite, version: Version) -> None:
-        """Apply one validated write at ``version``."""
-        encoded_key = self._encode_key(write.key)
-        if write.is_delete:
-            self._store.delete(encoded_key)
-        else:
-            self._store.put(
-                encoded_key,
-                self._codec.encode({"v": write.value, "ver": list(version)}),
-            )
+    def apply_write(self, writes: Iterable[BatchWrite]) -> None:
+        """Apply validated writes, in order, as one KV write batch.
+
+        Each ``(write, version, value)`` stores the record ``{"v":
+        write.value, "ver": [block, tx]}`` (a deletion removes the key).
+        ``value`` is ``write.value`` already encoded with :attr:`codec` --
+        the commit path hands in the bytes it encoded for the block's
+        write segment -- or ``None`` to encode it here; either way it is
+        spliced between the record's map pieces, which spells the bytes
+        of encoding the record whole.
+        """
+        encode = self._codec.encode
+        head, middle, tail = self._record
+        batch: List[BatchItem] = []
+        version: Optional[Version] = None
+        encoded_version = b""
+        for write, at, value in writes:
+            key = self._encode_key(write.key)
+            if write.is_delete:
+                batch.append((key, None))
+                continue
+            if at is not version:
+                version, encoded_version = at, encode(list(at))
+            if value is None:
+                value = encode(write.value)
+            batch.append((key, head + value + middle + encoded_version + tail))
+        self._store.write_batch(batch)
 
     def record_savepoint(self, block_number: int) -> None:
         """Persist the last fully-applied block number."""

@@ -4,14 +4,21 @@ Keys and values are ``bytes``.  Iteration order is bytewise-lexicographic
 on keys, which is what makes composite-key range scans (``GetStateByRange``
 in the Fabric layer) work.  Range bounds follow the conventional
 half-open ``[start, end)`` contract with ``None`` meaning unbounded.
+
+Every write is a :meth:`KVStore.write_batch` -- ``put`` and ``delete`` are
+one-item batches -- as in LevelDB, where ``Put`` and ``Delete`` are a
+``WriteBatch`` of one.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ClosedStoreError
+
+#: One batch item: ``(key, value)`` puts, ``(key, None)`` deletes.
+BatchItem = Tuple[bytes, Optional[bytes]]
 
 
 class KVStore(ABC):
@@ -24,12 +31,26 @@ class KVStore(ABC):
         """Return the value for ``key`` or ``None`` if absent."""
 
     @abstractmethod
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert or overwrite ``key``."""
+    def write_batch(self, items: Iterable[BatchItem]) -> None:
+        """Apply ``items`` in order: ``(key, value)`` inserts or overwrites
+        ``key``, ``(key, None)`` removes it (removing an absent key is a
+        no-op).
 
-    @abstractmethod
+        The result is that of the items applied one at a time, a key
+        repeated in the batch included.  Every item is checked before any
+        is applied, so a bad one (a key that is not non-empty bytes, a
+        value that is neither bytes nor ``None``) raises and leaves the
+        store untouched.
+        """
+
+    def put(self, key: bytes, value: bytes) -> None:
+        """Insert or overwrite ``key``: a one-item :meth:`write_batch`."""
+        self._check_value(value)
+        self.write_batch(((key, value),))
+
     def delete(self, key: bytes) -> None:
-        """Remove ``key``.  Deleting an absent key is a no-op."""
+        """Remove ``key`` (a no-op when absent): a one-item :meth:`write_batch`."""
+        self.write_batch(((key, None),))
 
     @abstractmethod
     def scan(
@@ -64,6 +85,19 @@ class KVStore(ABC):
     def _check_value(value: bytes) -> None:
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError(f"value must be bytes, got {type(value).__name__}")
+
+    @classmethod
+    def _checked_batch(cls, items: Iterable[BatchItem]) -> List[BatchItem]:
+        """``items`` as immutable ``bytes``, each checked: the first bad
+        item raises before anything is written."""
+        batch: List[BatchItem] = []
+        for key, value in items:
+            cls._check_key(key)
+            if value is not None:
+                cls._check_value(value)
+                value = bytes(value)
+            batch.append((bytes(key), value))
+        return batch
 
     def __enter__(self) -> "KVStore":
         return self

@@ -1,8 +1,9 @@
 """The LevelDB-like LSM key-value store.
 
-Write path: WAL append -> memtable insert; when the memtable exceeds its
-entry limit it is flushed to a new immutable SSTable and the WAL is
-truncated.  Read path: memtable first, then SSTables newest-first, the
+Write path: every write is a batch (``put`` and ``delete`` are batches
+of one): its WAL records are appended, then its entries enter the
+memtable; when the memtable reaches its entry limit -- mid-batch too -- it
+is flushed to a new immutable SSTable and the WAL is truncated.  Read path: memtable first, then SSTables newest-first, the
 key hashed once for every table's Bloom filter.  Range scans merge all
 sources with newest-wins semantics and tombstone suppression; a table
 with nothing in range costs two bisects and never enters the merge, and a
@@ -38,7 +39,7 @@ import heapq
 import json
 import weakref
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.errors import QuarantinedError, SSTableError, StorageError
@@ -47,7 +48,7 @@ from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.sanitizer.shared import sanitize_shared
 from repro.faults.crashpoints import LSM_POST_SSTABLE, LSM_PRE_SSTABLE, crash_point
 from repro.faults.fs import REAL_FS, FileSystem
-from repro.storage.kv.api import OP_PUT, KVStore
+from repro.storage.kv.api import BatchItem, KVStore
 from repro.storage.kv.bloom import key_hashes
 from repro.storage.kv.memtable import Memtable
 from repro.storage.kv.sstable import TMP_SUFFIX, SSTableReader, write_sstable
@@ -111,9 +112,9 @@ class LSMStore(KVStore):
             raise ValueError(
                 f"durability must be 'flush' or 'fsync', got {durability!r}"
             )
-        # One store instance serves concurrent readers and writers
-        # (parallel ingestion); the reentrant lock serializes every
-        # structural mutation (memtable swap, table list, sequences).
+        # One store instance serves the committer and any number of
+        # readers; the reentrant lock serializes every structural
+        # mutation (memtable swap, table list, sequences).
         self._lock = make_rlock("LSMStore._lock")
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
@@ -256,41 +257,33 @@ class LSMStore(KVStore):
             )
 
     def _replay_wal(self) -> None:
-        for op, key, value in replay(self.path / _WAL_NAME):
-            if op == OP_PUT:
-                assert value is not None
-                self._memtable.put(key, value)
-            else:
-                self._memtable.mark_deleted(key)
+        self._memtable.write([(key, value) for _, key, value in replay(self.path / _WAL_NAME)])
 
     # -- write path -------------------------------------------------------
 
-    def put(self, key: bytes, value: bytes) -> None:
+    def write_batch(self, items: Iterable[BatchItem]) -> None:
+        """Every item is checked before the lock is taken.  The batch is
+        then written in *runs*: each run's WAL records go to the log in
+        one file write, then into the memtable.  A run ends where a put
+        per item would have flushed -- the memtable reaching its limit --
+        and the flush happens there, so the WAL records, SSTables and
+        manifest are byte for byte those of item-by-item writes."""
         self._check_open()
-        self._check_key(key)
-        self._check_value(value)
-        key, value = bytes(key), bytes(value)
+        batch = self._checked_batch(items)
         with self._lock:
-            self._wal.append_put(key, value)
-            self._metrics.increment(metric_names.WAL_RECORDS)
-            self._metrics.increment(metric_names.KV_WRITES)
-            self._memtable.put(key, value)
-            self._maybe_flush()
-
-    def delete(self, key: bytes) -> None:
-        self._check_open()
-        self._check_key(key)
-        key = bytes(key)
-        with self._lock:
-            self._wal.append_delete(key)
-            self._metrics.increment(metric_names.WAL_RECORDS)
-            self._metrics.increment(metric_names.KV_WRITES)
-            self._memtable.mark_deleted(key)
-            self._maybe_flush()
-
-    def _maybe_flush(self) -> None:
-        if len(self._memtable) >= self._memtable_limit:
-            self.flush()
+            start = 0
+            while start < len(batch):
+                stop = self._memtable.fill_point(batch, start, self._memtable_limit)
+                run = batch[start:stop]
+                self._wal.append(run)
+                self._metrics.increment_many(
+                    (metric_names.WAL_RECORDS, len(run)),
+                    (metric_names.KV_WRITES, len(run)),
+                )
+                self._memtable.write(run)
+                if len(self._memtable) >= self._memtable_limit:
+                    self.flush()
+                start = stop
 
     def flush(self) -> None:
         """Flush the memtable to a new SSTable and truncate the WAL.

@@ -7,11 +7,11 @@ test; keeps benchmark setup fast while preserving ordering semantics.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.common.locks import make_lock
 from repro.sanitizer.shared import sanitize_shared
-from repro.storage.kv.api import KVStore
+from repro.storage.kv.api import BatchItem, KVStore
 
 
 @sanitize_shared("_values", "_sorted_keys")
@@ -34,25 +34,19 @@ class MemStore(KVStore):
         with self._lock:
             return self._values.get(key)
 
-    def put(self, key: bytes, value: bytes) -> None:
+    def write_batch(self, items: Iterable[BatchItem]) -> None:
         self._check_open()
-        self._check_key(key)
-        self._check_value(value)
-        key = bytes(key)
+        batch = self._checked_batch(items)
         with self._lock:
-            if key not in self._values:
-                bisect.insort(self._sorted_keys, key)
-            self._values[key] = bytes(value)
-
-    def delete(self, key: bytes) -> None:
-        self._check_open()
-        self._check_key(key)
-        key = bytes(key)
-        with self._lock:
-            if key in self._values:
-                del self._values[key]
-                index = bisect.bisect_left(self._sorted_keys, key)
-                del self._sorted_keys[index]
+            values, sorted_keys = self._values, self._sorted_keys
+            for key, value in batch:
+                if value is not None:
+                    if key not in values:
+                        bisect.insort(sorted_keys, key)
+                    values[key] = value
+                elif key in values:
+                    del values[key]
+                    del sorted_keys[bisect.bisect_left(sorted_keys, key)]
 
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None

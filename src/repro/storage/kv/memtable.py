@@ -9,7 +9,9 @@ keeps a dict for O(1) point lookups and a sorted key list (maintained with
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
+
+from repro.storage.kv.api import BatchItem
 
 
 class Memtable:
@@ -27,20 +29,33 @@ class Memtable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self._insert(key, bytes(value))
-        self.approximate_bytes += len(key) + len(value)
+    def write(self, items: Sequence[BatchItem]) -> None:
+        """Apply ``(key, value)`` items in order, ``None`` values as
+        tombstones; keys and values must already be ``bytes``."""
+        entries, sorted_keys = self._entries, self._sorted_keys
+        added = 0
+        for key, value in items:
+            if key not in entries:
+                bisect.insort(sorted_keys, key)
+            entries[key] = value
+            added += len(key) if value is None else len(key) + len(value)
+        self.approximate_bytes += added
 
-    def mark_deleted(self, key: bytes) -> None:
-        """Record a tombstone for ``key`` (shadows SSTable values)."""
-        self._insert(key, None)
-        self.approximate_bytes += len(key)
-
-    def _insert(self, key: bytes, value: Optional[bytes]) -> None:
-        key = bytes(key)
-        if key not in self._entries:
-            bisect.insort(self._sorted_keys, key)
-        self._entries[key] = value
+    def fill_point(self, items: Sequence[BatchItem], start: int, limit: int) -> int:
+        """One past the item of ``items[start:]`` whose write would bring
+        this table to ``limit`` entries, or ``len(items)`` if none would:
+        where a writer applying the items one by one would flush."""
+        entries = self._entries
+        size = len(entries)
+        fresh: set[bytes] = set()
+        for index in range(start, len(items)):
+            key = items[index][0]
+            if key not in entries and key not in fresh:
+                fresh.add(key)
+                size += 1
+            if size >= limit:
+                return index + 1
+        return len(items)
 
     def lookup(self, key: bytes) -> Tuple[bool, Optional[bytes]]:
         """Return ``(found, value)``.

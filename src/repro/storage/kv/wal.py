@@ -24,12 +24,12 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.common.codec import read_uvarint, write_uvarint
 from repro.common.errors import WalCorruptionError
 from repro.faults.fs import REAL_FS, FileSystem
-from repro.storage.kv.api import OP_DELETE, OP_PUT
+from repro.storage.kv.api import OP_DELETE, OP_PUT, BatchItem
 
 _HEADER = struct.Struct("<II")
 
@@ -87,19 +87,18 @@ class WriteAheadLog:
         self._file = fs.open(self.path, "ab")
         self.record_count = 0
 
-    def append_put(self, key: bytes, value: bytes) -> None:
-        """Log one put before it reaches the memtable."""
-        self._append(_encode_payload(OP_PUT, key, value))
-
-    def append_delete(self, key: bytes) -> None:
-        """Log one deletion before it reaches the memtable."""
-        self._append(_encode_payload(OP_DELETE, key, None))
-
-    def _append(self, payload: bytes) -> None:
-        crc = zlib.crc32(payload)
-        self._file.write(_HEADER.pack(len(payload), crc))
-        self._file.write(payload)
-        self.record_count += 1
+    def append(self, items: Sequence[BatchItem]) -> None:
+        """Log ``(key, value)`` puts and ``(key, None)`` deletions, one
+        record each, before they reach the memtable: the records are the
+        ones item-by-item appends would write, handed to the file in one
+        write."""
+        out = bytearray()
+        for key, value in items:
+            payload = _encode_payload(OP_DELETE if value is None else OP_PUT, key, value)
+            out += _HEADER.pack(len(payload), zlib.crc32(payload))
+            out += payload
+        self._file.write(out)
+        self.record_count += len(items)
 
     def sync(self) -> None:
         """Make appended records durable.

@@ -225,6 +225,20 @@ def test_list_affixes_spell_the_encoded_list(codec, items):
     assert codec.decode(joined) == [codec.decode(codec.encode(item)) for item in items]
 
 
+@pytest.mark.parametrize("codec", CODECS, ids=codec_id)
+@given(record=st.dictionaries(st.text(max_size=4), json_values, max_size=4))
+def test_map_affixes_spell_the_encoded_map(codec, record):
+    """Values encoded one by one and placed between the map's pieces *are*
+    the encoded map: how the commit path splices a write's value, encoded
+    once, into its state-db record."""
+    pieces = codec.map_affixes(list(record))
+    assert len(pieces) == len(record) + 1
+    spliced = pieces[0] + b"".join(
+        codec.encode(value) + piece for value, piece in zip(record.values(), pieces[1:])
+    )
+    assert spliced == codec.encode(record)
+
+
 def test_json_codec_is_shared_across_threads_safely():
     """One cached encoder/decoder pair serves every thread (the registry
     hands out a single JsonCodec): eight threads encoding at once get the

@@ -49,24 +49,20 @@ class TestHealthyLedger:
 
 class TestDamagedLedger:
     def test_tampered_state_value_detected(self, network):
-        network.ledger.state_db.apply_write(KVWrite("k3", "evil"), version=(0, 0))
+        network.ledger.state_db.apply_write([(KVWrite("k3", "evil"), (0, 0), None)])
         report = audit_ledger(network.ledger)
         assert not report.ok
         codes = {finding.code for finding in report.findings}
         assert "state-mismatch" in codes
 
     def test_extra_state_detected(self, network):
-        network.ledger.state_db.apply_write(
-            KVWrite("planted", "value"), version=(0, 0)
-        )
+        network.ledger.state_db.apply_write([(KVWrite("planted", "value"), (0, 0), None)])
         report = audit_ledger(network.ledger)
         assert not report.ok
         assert any(f.code == "state-extra" for f in report.findings)
 
     def test_missing_state_detected(self, network):
-        network.ledger.state_db.apply_write(
-            KVWrite("k5", None, is_delete=True), version=(0, 0)
-        )
+        network.ledger.state_db.apply_write([(KVWrite("k5", None, is_delete=True), (0, 0), None)])
         report = audit_ledger(network.ledger)
         assert any(f.code == "state-missing" for f in report.findings)
 
@@ -82,7 +78,7 @@ class TestDamagedLedger:
         assert any(f.code == "savepoint-stale" for f in report.findings)
 
     def test_findings_render(self, network):
-        network.ledger.state_db.apply_write(KVWrite("k3", "evil"), version=(0, 0))
+        network.ledger.state_db.apply_write([(KVWrite("k3", "evil"), (0, 0), None)])
         rendered = audit_ledger(network.ledger).render()
         assert "state-mismatch" in rendered
         assert "finding" in rendered

@@ -104,7 +104,7 @@ class TestFingerprint:
         put_many(network, 8)
         from repro.fabric.block import KVWrite
 
-        peer1.ledger.state_db.apply_write(KVWrite("k3", "tampered"), version=(0, 0))
+        peer1.ledger.state_db.apply_write([(KVWrite("k3", "tampered"), (0, 0), None)])
         assert (
             peer1.ledger.state_fingerprint()
             != network.peer.ledger.state_fingerprint()

@@ -147,8 +147,8 @@ def test_lsm_check_then_act_memtable_swap_is_caught_at_exact_line(tmp_path):
 
         def put(self, key: bytes, value: bytes) -> None:
             with self._lock:
-                self._wal.append_put(key, value)
-                self._memtable.put(key, value)
+                self._wal.append([(key, value)])
+                self._memtable.write([(key, value)])
             # mutant: check-then-act -- the read below races a flush's
             # memtable rebind happening under the lock in another thread.
             if len(self._memtable) >= self._memtable_limit:  # mutant: unlocked check

@@ -12,27 +12,27 @@ class TestLookup:
 
     def test_put_then_lookup(self):
         table = Memtable()
-        table.put(b"k", b"v")
+        table.write([(b"k", b"v")])
         assert table.lookup(b"k") == (True, b"v")
 
     def test_overwrite(self):
         table = Memtable()
-        table.put(b"k", b"v1")
-        table.put(b"k", b"v2")
+        table.write([(b"k", b"v1")])
+        table.write([(b"k", b"v2")])
         assert table.lookup(b"k") == (True, b"v2")
         assert len(table) == 1
 
     def test_tombstone_distinguished_from_absent(self):
         table = Memtable()
-        table.mark_deleted(b"k")
+        table.write([(b"k", None)])
         found, value = table.lookup(b"k")
         assert found is True
         assert value is None
 
     def test_put_after_tombstone_resurrects(self):
         table = Memtable()
-        table.mark_deleted(b"k")
-        table.put(b"k", b"back")
+        table.write([(b"k", None)])
+        table.write([(b"k", b"back")])
         assert table.lookup(b"k") == (True, b"back")
 
 
@@ -40,27 +40,27 @@ class TestScan:
     def test_scan_is_sorted(self):
         table = Memtable()
         for key in (b"m", b"a", b"z", b"c"):
-            table.put(key, b"v-" + key)
+            table.write([(key, b"v-" + key)])
         keys = [key for key, _ in table.scan(None, None)]
         assert keys == sorted(keys)
 
     def test_scan_range_half_open(self):
         table = Memtable()
         for key in (b"a", b"b", b"c", b"d"):
-            table.put(key, key)
+            table.write([(key, key)])
         keys = [key for key, _ in table.scan(b"b", b"d")]
         assert keys == [b"b", b"c"]
 
     def test_scan_yields_tombstones_as_none(self):
         table = Memtable()
-        table.put(b"a", b"1")
-        table.mark_deleted(b"b")
+        table.write([(b"a", b"1")])
+        table.write([(b"b", None)])
         entries = dict(table.scan(None, None))
         assert entries == {b"a": b"1", b"b": None}
 
     def test_scan_unbounded_start(self):
         table = Memtable()
-        table.put(b"x", b"1")
+        table.write([(b"x", b"1")])
         assert list(table.scan(None, b"y")) == [(b"x", b"1")]
 
 
@@ -70,19 +70,19 @@ class TestScan:
         reaches the last."""
         table = Memtable()
         for key in (b"b", b"c", b"d"):
-            table.put(key, key)
+            table.write([(key, key)])
         scan = table.scan(None, None)
         assert next(scan) == (b"b", b"b")
-        table.put(b"a", b"a")
+        table.write([(b"a", b"a")])
         assert list(scan) == [(b"c", b"c"), (b"d", b"d")]
 
     def test_scan_reads_the_value_current_when_it_gets_there(self):
         table = Memtable()
-        table.put(b"a", b"1")
-        table.put(b"b", b"1")
+        table.write([(b"a", b"1")])
+        table.write([(b"b", b"1")])
         scan = table.scan(None, None)
-        table.put(b"b", b"2")
-        table.mark_deleted(b"a")
+        table.write([(b"b", b"2")])
+        table.write([(b"a", None)])
         assert list(scan) == [(b"a", None), (b"b", b"2")]
 
 
@@ -90,12 +90,12 @@ class TestBookkeeping:
     def test_approximate_bytes_grows(self):
         table = Memtable()
         assert table.approximate_bytes == 0
-        table.put(b"key", b"value")
+        table.write([(b"key", b"value")])
         assert table.approximate_bytes == 8
 
     def test_clear(self):
         table = Memtable()
-        table.put(b"a", b"1")
+        table.write([(b"a", b"1")])
         table.clear()
         assert len(table) == 0
         assert table.approximate_bytes == 0

@@ -27,10 +27,10 @@ def build_wal(path):
     for i in range(24):
         key, value = f"key{i:03d}".encode(), f"value{i}".encode()
         if i % 5 == 4:
-            wal.append_delete(key)
+            wal.append([(key, None)])
             records.append((key, None))
         else:
-            wal.append_put(key, value)
+            wal.append([(key, value)])
             records.append((key, value))
     wal.close()
     return records

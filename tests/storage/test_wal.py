@@ -15,9 +15,9 @@ def test_replay_missing_file_yields_nothing(tmp_path):
 
 def test_round_trip_puts_and_deletes(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal.log")
-    wal.append_put(b"k1", b"v1")
-    wal.append_delete(b"k2")
-    wal.append_put(b"k1", b"v2")
+    wal.append([(b"k1", b"v1")])
+    wal.append([(b"k2", None)])
+    wal.append([(b"k1", b"v2")])
     wal.close()
     records = list(replay(tmp_path / "wal.log"))
     assert records == [
@@ -29,16 +29,16 @@ def test_round_trip_puts_and_deletes(tmp_path):
 
 def test_empty_values_and_binary_keys(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal.log")
-    wal.append_put(b"\x00\xff", b"")
+    wal.append([(b"\x00\xff", b"")])
     wal.close()
     assert list(replay(tmp_path / "wal.log")) == [(OP_PUT, b"\x00\xff", b"")]
 
 
 def test_truncate_discards_records(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal.log")
-    wal.append_put(b"k", b"v")
+    wal.append([(b"k", b"v")])
     wal.truncate()
-    wal.append_put(b"k2", b"v2")
+    wal.append([(b"k2", b"v2")])
     wal.close()
     assert list(replay(tmp_path / "wal.log")) == [(OP_PUT, b"k2", b"v2")]
 
@@ -46,8 +46,8 @@ def test_truncate_discards_records(tmp_path):
 def test_torn_tail_is_dropped(tmp_path):
     path = tmp_path / "wal.log"
     wal = WriteAheadLog(path)
-    wal.append_put(b"good", b"record")
-    wal.append_put(b"torn", b"record")
+    wal.append([(b"good", b"record")])
+    wal.append([(b"torn", b"record")])
     wal.close()
     data = path.read_bytes()
     path.write_bytes(data[:-4])  # simulate crash mid-append
@@ -57,8 +57,8 @@ def test_torn_tail_is_dropped(tmp_path):
 def test_corrupt_tail_record_is_dropped(tmp_path):
     path = tmp_path / "wal.log"
     wal = WriteAheadLog(path)
-    wal.append_put(b"good", b"record")
-    wal.append_put(b"bad", b"record")
+    wal.append([(b"good", b"record")])
+    wal.append([(b"bad", b"record")])
     wal.close()
     data = bytearray(path.read_bytes())
     data[-1] ^= 0xFF  # flip a payload bit in the final record
@@ -69,8 +69,8 @@ def test_corrupt_tail_record_is_dropped(tmp_path):
 def test_corrupt_middle_record_raises(tmp_path):
     path = tmp_path / "wal.log"
     wal = WriteAheadLog(path)
-    wal.append_put(b"first", b"v")
-    wal.append_put(b"second", b"v")
+    wal.append([(b"first", b"v")])
+    wal.append([(b"second", b"v")])
     wal.close()
     data = bytearray(path.read_bytes())
     data[12] ^= 0xFF  # corrupt inside the first record's payload
@@ -82,10 +82,10 @@ def test_corrupt_middle_record_raises(tmp_path):
 def test_reopen_appends_after_existing_records(tmp_path):
     path = tmp_path / "wal.log"
     wal = WriteAheadLog(path)
-    wal.append_put(b"a", b"1")
+    wal.append([(b"a", b"1")])
     wal.close()
     wal = WriteAheadLog(path)
-    wal.append_put(b"b", b"2")
+    wal.append([(b"b", b"2")])
     wal.close()
     keys = [key for _, key, _ in replay(path)]
     assert keys == [b"a", b"b"]
@@ -94,6 +94,6 @@ def test_reopen_appends_after_existing_records(tmp_path):
 def test_size_bytes_grows(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal.log")
     initial = wal.size_bytes
-    wal.append_put(b"key", b"value")
+    wal.append([(b"key", b"value")])
     assert wal.size_bytes > initial
     wal.close()

@@ -1,0 +1,81 @@
+"""The bytes a committed ledger leaves on disk, pinned.
+
+The commit path may change how it builds what it stores -- encode a
+write's value once and splice it, hand the state-db one batch per block
+-- but never *what* it stores.  A small DS1 ingest (plus a ``kv`` put and
+delete, so the frame and the state-db both see a deletion) runs under
+each block codec with an LSM memtable small enough that flushes fall
+inside a block's state writes (five of them here) and the tables
+compact.  A SHA-256 over every file the ledger directory holds after a
+clean close -- block files, block index, SSTables, manifest -- must
+equal the digest measured before the batched commit path existed.  (A
+clean close truncates the WAL; ``tests/storage/test_write_batch.py``
+holds its bytes to the put-per-item path.)  The MSP secrets are
+the one random input: they are fixed here, so signatures, hashes and
+every stored byte are a function of the code alone.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+from pathlib import Path
+
+import pytest
+
+from repro.common import metrics as metric_names
+from repro.common.config import BlockStoreConfig, FabricConfig, StateDbConfig
+from repro.common.metrics import MetricsRegistry
+from repro.fabric.chaincode import KeyValueChaincode
+from repro.fabric.network import FabricNetwork
+from repro.temporal.chaincodes import SupplyChainChaincode
+from repro.workload import datasets
+from repro.workload.generator import generate
+from repro.workload.ingest import ingest
+
+WORKLOAD = datasets.ds1(scale=0.004, entity_scale=0.1, seed=11)
+
+#: SHA-256 over the ledger directory, by block codec, measured on the
+#: commit path that encoded every write three times and put it alone.
+DIGESTS = {
+    "json": "54f3e40ca0dda25286bdb20ee3a55c58caa545a096e980b672e16032cd3a97fd",
+    "binary": "dd4a160f130eda2da8742deb4ad3c55d160071ac80f4de3f4e55fc223acf241b",
+}
+
+
+def directory_digest(root: Path) -> str:
+    """SHA-256 over every file under ``root``: relative path, size, bytes."""
+    hasher = hashlib.sha256()
+    for file in sorted(path for path in root.rglob("*") if path.is_file()):
+        data = file.read_bytes()
+        hasher.update(f"{file.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        hasher.update(data)
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("codec", sorted(DIGESTS))
+def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch, codec):
+    secrets = itertools.count()
+    monkeypatch.setattr(
+        "repro.fabric.identity.os.urandom",
+        lambda size: hashlib.sha256(b"msp-%d" % next(secrets)).digest()[:size],
+    )
+    config = FabricConfig(
+        state_db=StateDbConfig(backend="lsm", memtable_limit=37, compaction_trigger=3),
+        block_store=BlockStoreConfig(codec=codec),
+    )
+    metrics = MetricsRegistry()
+    network = FabricNetwork(tmp_path / "net", config=config, metrics=metrics)
+    network.install(SupplyChainChaincode())
+    network.install(KeyValueChaincode())
+    ingest(network.gateway("ingestor"), generate(WORKLOAD).events,
+           SupplyChainChaincode.name, strategy=WORKLOAD.ingestion)
+    client = network.gateway("client")
+    client.submit_transaction("kv", "put_many", [["a", 1], ["b", {"x": b"\x00"}]], timestamp=1)
+    client.flush()
+    client.submit_transaction("kv", "delete", ["a"], timestamp=2)
+    client.flush()
+    network.close()
+    # Tables were flushed and compacted: SSTables and manifest are covered.
+    assert metrics.counter(metric_names.KV_COMPACTIONS) > 0
+    assert directory_digest(tmp_path / "net") == DIGESTS[codec]
