@@ -95,7 +95,9 @@ class StateDB:
     def get_state(self, key: str) -> Optional[StateValue]:
         """Current state of ``key`` or ``None`` (counts a GetState call)."""
         self._metrics.increment(metric_names.GET_STATE_CALLS)
-        raw = self._store.get(self._encode_key(key))
+        if not key:  # the check of :meth:`_encode_key`, inline on the point read
+            raise ValueError("state keys must be non-empty")
+        raw = self._store.get(key.encode("utf-8"))
         if raw is None:
             return None
         return StateValue(raw, self._codec)

@@ -50,7 +50,7 @@ from repro.faults.crashpoints import LSM_POST_SSTABLE, LSM_PRE_SSTABLE, crash_po
 from repro.faults.fs import REAL_FS, FileSystem
 from repro.storage.kv.api import BatchItem, KVStore
 from repro.storage.kv.bloom import key_hashes
-from repro.storage.kv.memtable import Memtable
+from repro.storage.kv.memtable import ABSENT, Memtable
 from repro.storage.kv.sstable import TMP_SUFFIX, SSTableReader, write_sstable
 from repro.storage.kv.wal import WriteAheadLog, replay
 
@@ -362,37 +362,55 @@ class LSMStore(KVStore):
         one) and the table tuple is rebound, never mutated, so the snapshot
         stays coherent however many flushes land mid-read."""
         with self._lock:
-            self._check_quarantine()
+            if self._quarantined:
+                self._check_quarantine()
             return self._memtable, self._readers
 
     def get(self, key: bytes) -> Optional[bytes]:
+        """The value of ``key``, or ``None``: one lock acquisition (the
+        snapshot) and one registry call.  Every read, one that raises
+        included, ticks ``kv.reads`` once, together with the filters that
+        said no and the tables searched."""
         self._check_open()
-        self._check_key(key)
-        key = bytes(key)
-        self._metrics.increment(metric_names.KV_READS)
-        memtable, tables = self._read_snapshot()
-        found, value = memtable.lookup(key)
-        if found or not tables:
-            return value
-        # One hash of the key serves every table's filter, and the two
-        # counters are ticked once, by how many tables said no / maybe.
-        h1, h2 = key_hashes(key)
+        if not key or key.__class__ is not bytes:
+            self._check_key(key)
+            key = bytes(key)
         skipped = searched = 0
-        for reader in reversed(tables):  # newest first
-            if not reader.bloom.may_contain_hashed(h1, h2):
-                # Definitely absent: the table is not searched (nor, if
-                # nothing has read it yet, decoded).
-                skipped += 1
-                continue
-            searched += 1
-            found, value = reader.lookup(key)
-            if found:
-                break
-        if skipped:
-            self._metrics.increment(metric_names.KV_BLOOM_NEGATIVES, skipped)
-        if searched:
-            self._metrics.increment(metric_names.KV_SSTABLE_READS, searched)
-        return value
+        try:
+            memtable, tables = self._read_snapshot()
+            value = memtable.lookup(key)
+            if value is not ABSENT:
+                return value
+            if not tables:
+                return None
+            # One hash of the key serves every table's filter.
+            h1, h2 = key_hashes(key)
+            for reader in reversed(tables):  # newest first
+                if not reader.bloom.may_contain_hashed(h1, h2):
+                    # Definitely absent: the table is not searched (nor, if
+                    # nothing has read it yet, decoded).
+                    skipped += 1
+                    continue
+                searched += 1
+                found, table_value = reader.lookup(key)
+                if found:
+                    return table_value
+            return None
+        finally:
+            read = (metric_names.KV_READS, 1)
+            if skipped and searched:
+                counts: Tuple[Tuple[str, int], ...] = (
+                    read,
+                    (metric_names.KV_BLOOM_NEGATIVES, skipped),
+                    (metric_names.KV_SSTABLE_READS, searched),
+                )
+            elif skipped:
+                counts = (read, (metric_names.KV_BLOOM_NEGATIVES, skipped))
+            elif searched:
+                counts = (read, (metric_names.KV_SSTABLE_READS, searched))
+            else:
+                counts = (read,)
+            self._metrics.increment_many(*counts)
 
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None

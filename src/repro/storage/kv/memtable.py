@@ -9,9 +9,20 @@ keeps a dict for O(1) point lookups and a sorted key list (maintained with
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional, Sequence, Tuple
+import enum
+from typing import Final, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.storage.kv.api import BatchItem
+
+
+class Absent(enum.Enum):
+    """The type of :data:`ABSENT` (an enum, so ``is`` narrows it away)."""
+
+    ABSENT = 0
+
+
+#: What :meth:`Memtable.lookup` returns for a key it holds no entry for.
+ABSENT: Final = Absent.ABSENT
 
 
 class Memtable:
@@ -57,17 +68,15 @@ class Memtable:
                 return index + 1
         return len(items)
 
-    def lookup(self, key: bytes) -> Tuple[bool, Optional[bytes]]:
-        """Return ``(found, value)``.
+    def lookup(self, key: bytes) -> Union[bytes, None, Absent]:
+        """The value of ``key``, ``None`` for a tombstone, :data:`ABSENT`
+        when the memtable holds no entry for it: one dict lookup.
 
-        ``(True, None)`` means a tombstone: the key is *known deleted* and
-        older SSTables must not be consulted.  ``(False, None)`` means the
-        memtable has no opinion.
+        ``None`` means the key is *known deleted* and older SSTables must
+        not be consulted; :data:`ABSENT` means the memtable has no opinion.
+        ``key`` must be ``bytes`` (a ``bytearray`` is unhashable).
         """
-        key = bytes(key)
-        if key in self._entries:
-            return True, self._entries[key]
-        return False, None
+        return self._entries.get(key, ABSENT)
 
     def scan(
         self, start: Optional[bytes], end: Optional[bytes]

@@ -20,7 +20,8 @@ from repro.common.errors import ChaincodeError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
 from repro.temporal.events import LOAD, UNLOAD, Event
 from repro.temporal.intervals import FixedIntervalScheme
-from repro.temporal.keys import encode_interval_key, validate_base_key
+from repro.temporal.keys import interval_key_suffix, validate_base_key
+from repro.temporal.m2 import walk_back
 
 
 def validate_transition(current: Any, event: Event) -> None:
@@ -111,8 +112,9 @@ class M2SupplyChainChaincode(Chaincode):
         return self.scheme.u
 
     def _transformed_key(self, key: str, time: int) -> str:
-        interval = self.scheme.interval_for(time)
-        return encode_interval_key(validate_base_key(key), interval)
+        return validate_base_key(key) + interval_key_suffix(
+            *self.scheme.bounds_for(time)
+        )
 
     def invoke(self, stub: ChaincodeStub, fn: str, args: List[Any]) -> Any:
         if fn == "record_event":
@@ -139,29 +141,15 @@ class M2SupplyChainChaincode(Chaincode):
             # RWSet.
             key, other, time, kind = args
             event = Event(time=time, key=validate_base_key(key), other=other, kind=kind)
-            current, _probes = self._get_state_base(stub, key, now=time)
+            current, _probes = walk_back(stub.get_state, self.scheme, key, time)
             validate_transition(current, event)
             stub.put_state(self._transformed_key(key, time), event.to_value())
             return {"key": key, "t": time}
         if fn == "get_current_base":
             key, now = args
-            value, probes = self._get_state_base(stub, key, now=now)
+            value, probes = walk_back(stub.get_state, self.scheme, key, now)
             return {"value": value, "probes": probes}
         raise ChaincodeError(f"unknown function {fn!r} on {self.name!r}")
-
-    def _get_state_base(
-        self, stub: ChaincodeStub, key: str, now: int
-    ) -> tuple[Any, int]:
-        """GetState-Base probing against the stub (reads are recorded)."""
-        interval = self.scheme.interval_for(now)
-        probes = 0
-        while interval is not None:
-            probes += 1
-            value = stub.get_state(encode_interval_key(key, interval))
-            if value is not None:
-                return value, probes
-            interval = self.scheme.previous_interval(interval)
-        return None, probes
 
 
 class M1IndexChaincode(Chaincode):

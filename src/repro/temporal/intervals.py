@@ -13,7 +13,7 @@ the timeline).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.common.errors import TemporalQueryError
 from repro.common.timeutils import Timestamp
@@ -73,7 +73,12 @@ class FixedIntervalScheme:
         self.u = u
 
     def interval_for(self, timestamp: Timestamp) -> TimeInterval:
-        """The index interval containing ``timestamp``.
+        """The index interval containing ``timestamp`` (see :meth:`bounds_for`)."""
+        return TimeInterval(*self.bounds_for(timestamp))
+
+    def bounds_for(self, timestamp: Timestamp) -> Tuple[int, int]:
+        """``(start, end)`` of the index interval containing ``timestamp``,
+        as integers: what a loop spelling one key per interval steps from.
 
         ``timestamp`` must be ``> 0``: under the paper's ``(start, end]``
         convention no interval contains 0, so an event stamped exactly at
@@ -90,16 +95,7 @@ class FixedIntervalScheme:
                 "ingesting (e.g. stamp the first event at 1, not 0)"
             )
         bucket = (timestamp + self.u - 1) // self.u  # ceil(t / u)
-        return TimeInterval((bucket - 1) * self.u, bucket * self.u)
-
-    def previous_interval(self, interval: TimeInterval) -> "TimeInterval | None":
-        """The adjacent earlier interval, or ``None`` at the timeline start.
-
-        Used by Model M2's ``GetState-Base`` probing loop (Section VII-B1).
-        """
-        if interval.start == 0:
-            return None
-        return TimeInterval(interval.start - self.u, interval.start)
+        return (bucket - 1) * self.u, bucket * self.u
 
     def intervals_overlapping(self, window: TimeInterval) -> List[TimeInterval]:
         """All index intervals that overlap the query window."""

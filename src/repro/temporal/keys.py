@@ -12,7 +12,10 @@ temporal order -- the operation Model M2's query planner relies on
 (Section VII-1).
 
 Base keys must not contain ``\\x00``/``\\x01`` themselves; the supply-chain
-workload's entity ids never do.
+workload's entity ids never do.  A bound spelled into a key must be below
+:data:`BOUND_CAP` (``10**12``): a thirteen-digit bound would sort before
+smaller ones, so :func:`interval_key_suffix` refuses it.  Query windows
+are never spelled as keys and take any bound.
 """
 
 from __future__ import annotations
@@ -25,6 +28,15 @@ from repro.temporal.intervals import TimeInterval
 SEPARATOR = "\x00"
 _RANGE_END = "\x01"
 _WIDTH = 12
+
+#: Every interval bound spelled into a ``(k, θ)`` key is below this: the
+#: bound field is ``_WIDTH`` digits wide.
+BOUND_CAP = 10 ** _WIDTH
+
+#: One bound field, and the ``(k, θ)`` suffix of two; ``%``-formatting
+#: spells an integer field in half the time an f-string's format spec does.
+_FIELD = f"%0{_WIDTH}d"
+_SUFFIX = SEPARATOR + _FIELD + SEPARATOR + _FIELD
 
 
 def validate_base_key(key: str) -> str:
@@ -41,22 +53,29 @@ def validate_base_key(key: str) -> str:
 def bound_field(timestamp: int) -> str:
     """An interval bound as spelled inside a composite key: spelled bounds
     compare as strings exactly as the timestamps compare as numbers."""
-    return f"{timestamp:0{_WIDTH}d}"
+    return _FIELD % timestamp
 
 
-def interval_key_suffix(interval: TimeInterval) -> str:
-    """What :func:`encode_interval_key` appends to a base key for
-    ``interval``: the same for every key, so a query visiting one interval
-    under many keys spells it once."""
-    return (
-        f"{SEPARATOR}{interval.start:0{_WIDTH}d}"
-        f"{SEPARATOR}{interval.end:0{_WIDTH}d}"
-    )
+def interval_key_suffix(start: int, end: int) -> str:
+    """What a ``(k, θ)`` key appends to its base key for ``θ = (start,
+    end]``: the same for every key, so a query visiting one interval under
+    many keys spells it once.  The one spelling of an interval key, from
+    integers; raises :class:`TemporalQueryError` unless ``0 <= start < end
+    < BOUND_CAP``."""
+    if not 0 <= start < end < BOUND_CAP:
+        raise TemporalQueryError(
+            f"index interval ({start}, {end}] cannot be spelled as a key: "
+            f"bounds must satisfy 0 <= start < end < {BOUND_CAP} (the "
+            f"{_WIDTH}-digit bound field)"
+        )
+    return _SUFFIX % (start, end)
 
 
 def encode_interval_key(base_key: str, interval: TimeInterval) -> str:
     """The composite state key for ``(base_key, interval)``."""
-    return validate_base_key(base_key) + interval_key_suffix(interval)
+    return validate_base_key(base_key) + interval_key_suffix(
+        interval.start, interval.end
+    )
 
 
 def decode_interval_key(composite: str) -> Tuple[str, TimeInterval]:
@@ -84,6 +103,6 @@ def interval_key_range(base_key: str, before: Optional[int] = None) -> Tuple[str
     all, or (the start field leads the key) those starting before ``before``."""
     validate_base_key(base_key)
     prefix = base_key + SEPARATOR
-    if before is None or before >= 10 ** _WIDTH:
+    if before is None or before >= BOUND_CAP:
         return prefix, base_key + _RANGE_END
     return prefix, prefix + bound_field(before)

@@ -64,6 +64,7 @@ from repro.temporal.chaincodes import M1IndexChaincode
 from repro.temporal.events import Event, events_to_values
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import (
+    BOUND_CAP,
     encode_interval_key,
     interval_key_suffix,
     is_interval_key,
@@ -171,6 +172,12 @@ class M1Indexer:
         scheme = FixedIntervalScheme(u)
         if t2 <= t1:
             raise IndexingError(f"indexing range ({t1}, {t2}] is empty")
+        if t2 >= BOUND_CAP:
+            # Every bundle key spells its interval's end, which reaches t2.
+            raise IndexingError(
+                f"indexing range ({t1}, {t2}] ends past the key cap: index "
+                f"interval bounds must be below {BOUND_CAP}"
+            )
         window = TimeInterval(t1, t2)
         watch = Stopwatch().start()
 
@@ -451,7 +458,7 @@ class M1QueryEngine:
                 planned.append(
                     PlannedInterval(
                         interval=interval,
-                        key_suffix=interval_key_suffix(interval),
+                        key_suffix=interval_key_suffix(interval.start, interval.end),
                         clipped=interval.start < window.start
                         or window.end < interval.end,
                     )

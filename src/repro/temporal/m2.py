@@ -24,7 +24,7 @@ index interval for the former and unioning all intervals for the latter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.common import metrics as metric_names
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
@@ -39,7 +39,13 @@ from repro.temporal.keys import (
     decode_interval_key,
     encode_interval_key,
     interval_key_range,
+    interval_key_suffix,
+    validate_base_key,
 )
+
+#: What a point read hands back: a ``StateValue`` from the state-db, a
+#: decoded value from a chaincode stub.
+S = TypeVar("S")
 
 
 class M2QueryEngine:
@@ -131,6 +137,32 @@ class BaseAccessResult:
     probes: int
 
 
+def walk_back(
+    get_state: Callable[[str], Optional[S]],
+    scheme: FixedIntervalScheme,
+    key: str,
+    now: int,
+) -> Tuple[Optional[S], int]:
+    """GetState-Base's probe loop (Section VII-B1): ``get_state`` of ``(key,
+    θ)`` for ``θ`` from the interval containing ``now`` back to ``(0, u]``,
+    stopping at the first state found.  Returns that state (``None`` when
+    every probe missed) and the number of probes.
+
+    The one walk: :meth:`BaseAccessAPI.get_state_base` runs it on the
+    state-db, the M2 chaincode on its stub (every probe enters the read
+    set).  The base key is validated once; each probe's key is spelled
+    from the interval's integer bounds.
+    """
+    validate_base_key(key)
+    u = scheme.u
+    first = scheme.bounds_for(now)[0]
+    for start in range(first, -1, -u):
+        state = get_state(key + interval_key_suffix(start, start + u))
+        if state is not None:
+            return state, (first - start) // u + 1
+    return None, first // u + 1
+
+
 class BaseAccessAPI:
     """Emulated base-data access on a Model M2 ledger (Section VII-B).
 
@@ -159,35 +191,24 @@ class BaseAccessAPI:
 
         Starting from the index interval containing ``now``, issue GetState
         on ``(k, θ)`` and step to the previous interval until a state is
-        found (Section VII-B1's second option).
+        found (Section VII-B1's second option; :func:`walk_back`).
         """
-        interval: Optional[TimeInterval] = self._scheme.interval_for(now)
-        probes = 0
-        while interval is not None:
-            probes += 1
-            state = self._ledger.get_state_entry(
-                encode_interval_key(key, interval)
-            )
-            if state is not None:
-                return BaseAccessResult(value=state.value, probes=probes)
-            interval = self._scheme.previous_interval(interval)
-        return BaseAccessResult(value=None, probes=probes)
+        state, probes = walk_back(
+            self._ledger.state_db.get_state, self._scheme, key, now
+        )
+        return BaseAccessResult(
+            value=None if state is None else state.value, probes=probes
+        )
 
     def ghfk_base(self, key: str, now: int) -> Iterator[HistoryEntry]:
         """``GHFK(k)`` emulation: union of GHFK over every index interval
         from ``(0, u]`` up to the one containing ``now``, oldest first."""
-        last = self._scheme.interval_for(now)
-        start = 0
-        while start < last.end:
-            interval = TimeInterval(start, start + self._scheme.u)
-            composite = encode_interval_key(key, interval)
-            yield from self._ledger.get_history_for_key(composite)
-            start += self._scheme.u
-
-    def history_values_base(self, key: str, now: int) -> List[Tuple[int, Any]]:
-        """Convenience: ``(timestamp, value)`` list from :meth:`ghfk_base`."""
-        return [
-            (entry.timestamp, entry.value)
-            for entry in self.ghfk_base(key, now)
-            if not entry.is_delete
-        ]
+        validate_base_key(key)
+        u = self._scheme.u
+        end = self._scheme.bounds_for(now)[1]
+        # Spell the last interval first: past the cap, fail before any GHFK
+        # rather than after every interval below it.
+        interval_key_suffix(end - u, end)
+        history = self._ledger.get_history_for_key
+        for start in range(0, end, u):
+            yield from history(key + interval_key_suffix(start, start + u))

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.common import metrics as metric_names
-from repro.common.errors import ClosedStoreError
+from repro.common.errors import ClosedStoreError, QuarantinedError
 from repro.common.metrics import MetricsRegistry
 from repro.storage.kv import lsm
 from repro.storage.kv.lsm import LSMStore
@@ -386,3 +386,25 @@ class TestMetricsIntegration:
         assert delta.counter(metric_names.KV_SSTABLE_READS) == 23
         assert delta.counter(metric_names.KV_BLOOM_NEGATIVES) == 225
         store.close()
+
+    def test_a_quarantined_read_ticks_kv_reads_once_then_raises(self, tmp_path):
+        """The read is counted before the quarantine check can raise, as
+        every other read is: once, and with no filter or table counted."""
+        root = tmp_path / "db"
+        with LSMStore(root) as store:
+            store.put(b"k", b"v")
+            store.flush()
+        (table,) = root.glob("sst-*.sst")
+        blob = bytearray(table.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF  # the CRC check at open catches this
+        table.write_bytes(bytes(blob))
+        metrics = MetricsRegistry()
+        store = LSMStore(root, metrics=metrics)
+        try:
+            assert store.quarantined_tables() == (table.name,)
+            with pytest.raises(QuarantinedError):
+                store.get(b"k")
+            counters = metrics.snapshot().counters
+            assert counters == {metric_names.KV_READS: 1}
+        finally:
+            store.close()

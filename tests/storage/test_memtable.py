@@ -2,38 +2,36 @@
 
 from __future__ import annotations
 
-from repro.storage.kv.memtable import Memtable
+from repro.storage.kv.memtable import ABSENT, Memtable
 
 
 class TestLookup:
     def test_absent_key(self):
         table = Memtable()
-        assert table.lookup(b"k") == (False, None)
+        assert table.lookup(b"k") is ABSENT
 
     def test_put_then_lookup(self):
         table = Memtable()
         table.write([(b"k", b"v")])
-        assert table.lookup(b"k") == (True, b"v")
+        assert table.lookup(b"k") == b"v"
 
     def test_overwrite(self):
         table = Memtable()
         table.write([(b"k", b"v1")])
         table.write([(b"k", b"v2")])
-        assert table.lookup(b"k") == (True, b"v2")
+        assert table.lookup(b"k") == b"v2"
         assert len(table) == 1
 
     def test_tombstone_distinguished_from_absent(self):
         table = Memtable()
         table.write([(b"k", None)])
-        found, value = table.lookup(b"k")
-        assert found is True
-        assert value is None
+        assert table.lookup(b"k") is None
 
     def test_put_after_tombstone_resurrects(self):
         table = Memtable()
         table.write([(b"k", None)])
         table.write([(b"k", b"back")])
-        assert table.lookup(b"k") == (True, b"back")
+        assert table.lookup(b"k") == b"back"
 
 
 class TestScan:

@@ -123,14 +123,14 @@ class TestEdgeCases:
         assert result.probes == 3  # (200,300], (100,200], (0,100]
 
     def test_empty_ledger_history_is_empty(self, empty_api):
-        assert empty_api.history_values_base("S1", now=300) == []
+        assert list(empty_api.ghfk_base("S1", now=300)) == []
 
     def test_key_first_written_after_the_probed_interval(self, sparse_api):
         # S2 first appears at t=460; at now=300 it must look unborn.
         result = sparse_api.get_state_base("S2", now=300)
         assert result.value is None
         assert result.probes == 3
-        assert sparse_api.history_values_base("S2", now=300) == []
+        assert list(sparse_api.ghfk_base("S2", now=300)) == []
 
     def test_probe_crosses_empty_intervals_to_the_previous_state(
         self, sparse_api
@@ -150,27 +150,28 @@ class TestEdgeCases:
         assert result.value["t"] == 450
 
     def test_history_excludes_intervals_after_now(self, sparse_api):
-        values = sparse_api.history_values_base("S1", now=350)
-        assert [value["t"] for _, value in values] == [50, 80]
-        everything = sparse_api.history_values_base("S1", now=500)
-        assert [value["t"] for _, value in everything] == [50, 80, 450]
+        history = list(sparse_api.ghfk_base("S1", now=350))
+        assert [entry.value["t"] for entry in history] == [50, 80]
+        everything = list(sparse_api.ghfk_base("S1", now=500))
+        assert [entry.value["t"] for entry in everything] == [50, 80, 450]
+        assert not any(entry.is_delete for entry in everything)
 
 
 class TestGhfkBase:
     def test_full_history_reconstructed(self, api, workload):
         for key in workload.shipments[:2] + workload.containers[:1]:
             expected = sorted(e.time for e in workload.events if e.key == key)
-            values = api.history_values_base(key, now=workload.config.t_max)
-            assert [value["t"] for _, value in values] == expected
+            history = api.ghfk_base(key, now=workload.config.t_max)
+            assert [entry.value["t"] for entry in history] == expected
 
     def test_oldest_first(self, api, workload):
         key = workload.containers[0]
-        values = api.history_values_base(key, now=workload.config.t_max)
-        times = [value["t"] for _, value in values]
+        history = api.ghfk_base(key, now=workload.config.t_max)
+        times = [entry.value["t"] for entry in history]
         assert times == sorted(times)
 
     def test_unknown_key_empty(self, api, workload):
-        assert api.history_values_base("S99999", now=workload.config.t_max) == []
+        assert list(api.ghfk_base("S99999", now=workload.config.t_max)) == []
 
     def test_u_property(self, api):
         assert api.u == 100

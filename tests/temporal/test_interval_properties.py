@@ -15,6 +15,8 @@ import pytest
 
 from repro.common.config import repro_seed
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
+from repro.temporal.keys import decode_interval_key
+from repro.temporal.m2 import walk_back
 
 ROUNDS = 200
 T_MAX = 400
@@ -135,25 +137,28 @@ class TestSchemePartitionProperties:
                     assert home in tiles, (str(window), t)
                     assert home.contains(t)
 
-    def test_previous_interval_walks_down_to_the_timeline_start(self, rng):
-        # M2's GetState-Base probe loop is this walk: from the interval
-        # of t it must visit ceil(t/u) adjacent aligned intervals, each
-        # strictly earlier, and then stop.
+    def test_get_state_base_walk(self, rng):
+        # M2's GetState-Base probe loop spells every interval down to the
+        # timeline start: from the interval of t it must visit ceil(t/u)
+        # adjacent aligned intervals, each strictly earlier, and then stop
+        # -- or stop at the first state found.
         for _ in range(ROUNDS // 8):
             for u, scheme in self._schemes(rng):
                 for t in (1, u, u + 1, rng.randrange(1, 6 * u + 1)):
-                    walk = []
-                    interval = scheme.interval_for(t)
-                    while interval is not None:
-                        walk.append(interval)
-                        assert len(walk) <= t, (u, t)  # fail, never spin
-                        interval = scheme.previous_interval(interval)
-                    assert len(walk) == -(-t // u), (u, t)
-                    assert walk[-1].start == 0
-                    for later, earlier in zip(walk, walk[1:]):
+                    probed = []  # every probe misses: list.append returns None
+                    assert walk_back(probed.append, scheme, "k", t) == (None, -(-t // u))
+                    walk = [decode_interval_key(key) for key in probed]
+                    assert walk[0] == ("k", scheme.interval_for(t))
+                    assert walk[-1][1].start == 0
+                    for (_, later), (_, earlier) in zip(walk, walk[1:]):
                         assert earlier.end == later.start, (u, t)
-                    for tile in walk:
+                    for _, tile in walk:
                         assert tile.start % u == 0 and tile.length == u
+                    hit = rng.randrange(len(probed))
+                    found = walk_back(
+                        {probed[hit]: "state"}.get, scheme, "k", t
+                    )
+                    assert found == ("state", hit + 1), (u, t)
 
     def test_intervals_overlapping_lists_interval_for_of_every_point(self, rng):
         for _ in range(ROUNDS // 8):

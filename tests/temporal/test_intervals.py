@@ -113,10 +113,13 @@ class TestIntervalForBoundaries:
         assert scheme.interval_for(1) == TimeInterval(0, 1)
         assert scheme.interval_for(42) == TimeInterval(41, 42)
 
-    def test_previous_interval(self):
+    def test_bounds_for_is_interval_for_as_integers(self):
         scheme = FixedIntervalScheme(100)
-        assert scheme.previous_interval(TimeInterval(100, 200)) == TimeInterval(0, 100)
-        assert scheme.previous_interval(TimeInterval(0, 100)) is None
+        for t in (1, 99, 100, 101, 250):
+            interval = scheme.interval_for(t)
+            assert scheme.bounds_for(t) == (interval.start, interval.end)
+        with pytest.raises(TemporalQueryError, match="no \\(start, end\\]"):
+            scheme.bounds_for(0)
 
     def test_intervals_overlapping_paper_example(self):
         """Query (10K, 20K] with u=2K touches exactly the 5 intervals the

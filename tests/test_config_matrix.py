@@ -4,13 +4,15 @@ The knobs that change *how* a ledger is stored -- state-db backend and
 block codec -- must never change *what* it holds.  One
 seeded workload (blind supply-chain writes, ``kv`` traffic, a
 back-to-back checked pair that yields one ``MVCC_READ_CONFLICT``, a
-delete, an M1 indexing run and one join per model) runs under the full
-cross product, and every cell must produce the same head hash, hash
-chain, validation codes, state fingerprint and join rows.
+delete, an M1 indexing run, one join per model and M2's base access)
+runs under the full cross product, and every cell must produce the same
+head hash, hash chain, validation codes, state fingerprint, join rows
+and GetState-Base / GHFK-Base answers.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -32,6 +34,7 @@ from repro.temporal.chaincodes import (
 )
 from repro.temporal.engine import TemporalQueryEngine
 from repro.temporal.intervals import TimeInterval
+from repro.temporal.m2 import BaseAccessAPI
 from repro.workload.generator import WorkloadConfig, generate
 from repro.workload.ingest import ingest
 from tests.helpers import LEDGER_FIELDS, build_m1_index, ledger_summary, rows_digest
@@ -47,6 +50,8 @@ WORKLOAD = WorkloadConfig(
 )
 U = WORKLOAD.t_max // 6
 WINDOW = TimeInterval(WORKLOAD.t_max // 4, 3 * WORKLOAD.t_max // 4)
+#: GetState-Base clocks: mid-timeline, and two empty intervals past its end.
+BASE_CLOCKS = (WORKLOAD.t_max // 2 + 1, WORKLOAD.t_max + 2 * U)
 
 #: ``state_fingerprint`` of the two ledgers, measured on the tree *before*
 #: state values were decoded lazily (PR 21): every cell agreeing with the
@@ -138,7 +143,29 @@ def run_workload(path, backend: str, codec: str) -> dict:
         result["rows"]["m2"] = rows_digest(engine, "m2", WINDOW)
         result["m2"] = ledger_summary(network)
         result["history"]["m2"] = history_index(network)
+        result["base"] = base_access(network, sorted({event.key for event in events}))
     return result
+
+
+def base_access(network: FabricNetwork, keys) -> dict:
+    """GetState-Base ``(value, probes)`` of every key at two clocks -- the
+    ``lsm`` cells answer through their SSTables' Bloom filters -- and a
+    digest of every key's GHFK-Base entries."""
+    api = BaseAccessAPI(network.ledger, u=U, metrics=network.metrics)
+    get_state = {}
+    for now in BASE_CLOCKS:
+        for key in keys:
+            result = api.get_state_base(key, now)
+            get_state[key, now] = (result.value, result.probes)
+    entries = [
+        (key, [(entry.timestamp, entry.value, entry.is_delete)
+               for entry in api.ghfk_base(key, BASE_CLOCKS[-1])])
+        for key in keys
+    ]
+    return {
+        "get_state": get_state,
+        "ghfk": hashlib.sha256(repr(entries).encode("utf-8")).hexdigest(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +189,11 @@ def test_workload_is_non_vacuous(cells):
     assert value is None and history[-1] is True and not all(history)
     # All three models answered, with the same rows.
     assert len(set(reference["rows"].values())) == 1
+    # GetState-Base found states, some past empty intervals; GHFK-Base
+    # found history.
+    probes = reference["base"]["get_state"].values()
+    assert any(value is not None for value, _ in probes)
+    assert max(count for _, count in probes) > 2
     # The ``lsm`` cells were answered from (and compacted) SSTables.
     for cell, (_, result) in cells.items():
         if cell[0] == "lsm":
@@ -183,6 +215,7 @@ def test_every_cell_equals_the_reference(cells, cell):
             assert result[ledger][field] == reference[ledger][field], (ledger, field)
     assert result["rows"] == reference["rows"]
     assert result["deleted"] == reference["deleted"]
+    assert result["base"] == reference["base"]
 
 
 def test_binary_chains_are_smaller_than_json(cells):
