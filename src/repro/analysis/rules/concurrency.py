@@ -5,8 +5,8 @@ one committer (gateway -> orderer -> validator -> ledger commit) and N
 readers (GHFK, GetState, range scans, inspect, audit) on one ledger.
 The classes they share carry a lock -- ``MetricsRegistry``,
 ``HistoryDB``, ``BlockFileManager``, ``LSMStore``, ``MemStore`` and,
-under the fault seam, ``FaultyFile``; ``Gateway``
-carries one too.  Each concurrency bug class has one owning detector.  Two are static, here:
+under the fault seam, ``FaultyFile``.  Each concurrency bug class has
+one owning detector.  Two are static, here:
 
 * **CONC001** (syntactic): attribute rebinds happen under *a* lock.  A
   method no threaded test drives is invisible to the sanitizer, so an

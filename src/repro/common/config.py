@@ -188,37 +188,10 @@ class FabricConfig:
     commit: CommitConfig = field(default_factory=CommitConfig)
     #: Channel name (cosmetic, appears in block headers).
     channel: str = "supply-chain"
-    #: How many times a gateway re-endorses and resubmits a transaction
-    #: that commits with ``MVCC_READ_CONFLICT``.  0 (the default) keeps
-    #: Fabric's raw behaviour: the conflicted transaction stays in the
-    #: block, invalidated, and the client sees it via the submit result.
-    max_retries: int = 0
-    #: Base delay (seconds) of the gateway's bounded exponential backoff
-    #: between retries: attempt ``n`` sleeps ``base * 2**(n-1)``, capped
-    #: at ``retry_backoff_cap``.
-    retry_backoff_base: float = 0.01
-    retry_backoff_cap: float = 0.5
-    #: Jitter fraction of the backoff delay (0 = none).  Jitter is drawn
-    #: from a ``random.Random(retry_backoff_seed)``, so the delay
-    #: schedule is deterministic for a given seed -- retry tests replay
-    #: exactly instead of being timing-flaky.
-    retry_backoff_jitter: float = 0.0
-    retry_backoff_seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.channel:
             raise ConfigError("channel name must be non-empty")
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.retry_backoff_base < 0 or self.retry_backoff_cap < 0:
-            raise ConfigError("retry backoff values must be non-negative")
-        if not 0.0 <= self.retry_backoff_jitter < 1.0:
-            raise ConfigError(
-                f"retry_backoff_jitter must be in [0, 1), got "
-                f"{self.retry_backoff_jitter}"
-            )
 
 
 def repro_seed(default: int) -> int:

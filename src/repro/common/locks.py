@@ -1,8 +1,8 @@
 """The process-wide concurrency seam: where every lock comes from.
 
-Every lock-carrying class in the tree (Gateway, MetricsRegistry,
-LSMStore, MemStore, BlockFileManager, HistoryDB, FaultyFile) acquires
-its synchronization primitives from this module instead of calling
+Every lock-carrying class in the tree (MetricsRegistry, LSMStore,
+MemStore, BlockFileManager, HistoryDB, FaultyFile) acquires its
+synchronization primitives from this module instead of calling
 ``threading.Lock()`` directly.
 That single indirection is what lets the dynamic race sanitizer
 (:mod:`repro.sanitizer`) observe every acquire/release in the process

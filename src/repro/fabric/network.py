@@ -126,27 +126,12 @@ class FabricNetwork:
 
         self.orderer.register_consumer(deliver)
 
-    def gateway(self, client_name: str = "client", **overrides) -> Gateway:
-        """Open a gateway for ``client_name`` (enrolled on first use).
-
-        Keyword ``overrides`` replace the config-derived retry settings
-        for this one gateway -- e.g. ``max_retries`` or an injectable
-        ``sleep`` so tests can observe backoff without waiting.
-        """
-        identity = self.msp.enroll(client_name)
-        kwargs = {
-            "max_retries": self.config.max_retries,
-            "backoff_base": self.config.retry_backoff_base,
-            "backoff_cap": self.config.retry_backoff_cap,
-            "backoff_jitter": self.config.retry_backoff_jitter,
-            "backoff_seed": self.config.retry_backoff_seed,
-        }
-        kwargs.update(overrides)
+    def gateway(self, client_name: str = "client") -> Gateway:
+        """Open a gateway for ``client_name`` (enrolled on first use)."""
         return Gateway(
             peer=self.peer,
             orderer=self.orderer,
-            identity=identity,
-            **kwargs,
+            identity=self.msp.enroll(client_name),
         )
 
     @property

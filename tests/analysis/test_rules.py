@@ -376,7 +376,6 @@ class TestMutationAcceptance:
         CONC003 finding raised by the ``MetricsRegistry`` sleep names."""
         clone = _clone_real_tree(tmp_path_factory.mktemp("mutants"))
         repro = clone / "src" / "repro"
-        gateway = repro / "fabric" / "gateway.py"
         historydb = repro / "fabric" / "historydb.py"
         metrics = repro / "common" / "metrics.py"
         napping = repro / "storage" / "napping.py"
@@ -387,12 +386,10 @@ class TestMutationAcceptance:
         manifest = repro / "faults" / "manifest.py"
         lsm = repro / "storage" / "kv" / "lsm.py"
 
-        # CONC001: three new methods that rebind shared state without the
+        # CONC001: two new methods that rebind shared state without the
         # class lock.  MetricsRegistry has an explicit __init__ precisely
         # so its lock is visible to the symbol table.
         for target, anchor, method, rebind in (
-            (gateway, "    def evaluate_transaction(", "reset_retries(self)",
-             "self.retries_attempted = 0  # mutant: gateway"),
             (historydb, "    def locations_for_key(self", "forget_all(self)",
              "self._locations = {}  # mutant: history"),
             (metrics, "    def increment(self", "hard_reset(self)",
@@ -530,7 +527,6 @@ class TestMutationAcceptance:
             return (rule, target.relative_to(clone).as_posix(), _line_of(target, marker))
 
         expected = {
-            "retries_attempted": at("CONC001", gateway, "# mutant: gateway"),
             "_locations": at("CONC001", historydb, "# mutant: history"),
             "_counters": at("CONC001", metrics, "# mutant: metrics"),
             "napping": at("CONC003", napping, "time.sleep(0.05)"),
@@ -580,7 +576,7 @@ class TestMutationAcceptance:
                 assert sleep_chain in finding.message, finding.render()
 
     def _assert_conc001(self, mutants, attr):
-        """The CONC001 findings are exactly the three seeded rebinds, and
+        """The CONC001 findings are exactly the two seeded rebinds, and
         ``attr``'s names the attribute."""
         result, expected, _ = mutants
         conc001 = {
@@ -589,12 +585,9 @@ class TestMutationAcceptance:
             if finding.rule_id == "CONC001"
         }
         assert conc001 == {
-            expected[name] for name in ("retries_attempted", "_locations", "_counters")
+            expected["_locations"], expected["_counters"]
         }, result.render_text()
         assert f"self.{attr}" in self._message(result, expected[attr])
-
-    def test_unlocked_gateway_write_fails_the_lint(self, mutants):
-        self._assert_conc001(mutants, "retries_attempted")
 
     def test_unlocked_history_index_write_fails_the_lint(self, mutants):
         # HistoryDB is lock-carrying (GHFK readers race the committer).

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 import pytest
 
 from repro.common.config import (
@@ -81,6 +84,26 @@ class TestFabricConfig:
     def test_empty_channel_rejected(self):
         with pytest.raises(ConfigError):
             FabricConfig(channel="")
+
+    def test_settable_value_census(self):
+        """Every leaf field under ``FabricConfig`` is one settable value."""
+
+        def leaves(cls, prefix=""):
+            hints = typing.get_type_hints(cls)
+            for field in dataclasses.fields(cls):
+                kind = hints[field.name]
+                if dataclasses.is_dataclass(kind):
+                    yield from leaves(kind, f"{prefix}{field.name}.")
+                else:
+                    yield prefix + field.name
+
+        names = list(leaves(FabricConfig))
+        assert len(names) == 15, (
+            f"FabricConfig has {len(names)} settable values, not 15: {names}. "
+            "ROADMAP aim 2 is one concept, one implementation, one config "
+            "knob: a new knob needs two existing callers that need different "
+            "values."
+        )
 
 
 #: The five names ``benchmarks/spine/harness.py`` spells, each with the

@@ -3,11 +3,19 @@ pipeline, ledger queries, recovery, and identity handling."""
 
 from __future__ import annotations
 
+from typing import List
+
 import pytest
 
 from repro.common.config import BlockCuttingConfig, FabricConfig, StateDbConfig
 from repro.common.errors import EndorsementError, LedgerError
-from repro.fabric.chaincode import KeyValueChaincode
+from repro.fabric.block import MVCC_READ_CONFLICT
+from repro.fabric.chaincode import (
+    Chaincode,
+    ChaincodeError,
+    ChaincodeStub,
+    KeyValueChaincode,
+)
 from repro.fabric.identity import MSP
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
@@ -191,3 +199,42 @@ class _ReadModifyWriteChaincode:
             stub.put_state(key, current + 1)
             return current + 1
         raise ValueError(fn)
+
+
+class CounterChaincode(Chaincode):
+    """Read-modify-write: the shape that actually conflicts under MVCC."""
+
+    name = "counter"
+
+    def invoke(self, stub: ChaincodeStub, fn: str, args: List) -> object:
+        if fn == "incr":
+            (key,) = args
+            current = stub.get_state(key) or 0
+            stub.put_state(key, current + 1)
+            return current + 1
+        if fn == "get":
+            (key,) = args
+            return stub.get_state(key)
+        raise ChaincodeError(f"unknown function {fn!r}")
+
+
+def test_conflict_without_retries_stays_invalid(tmp_path):
+    """Two clients incrementing the same counter inside one block:
+    both endorse against the same committed version and only the first
+    survives validation; the loser stays in its block, invalidated."""
+    config = FabricConfig(block_cutting=BlockCuttingConfig(max_message_count=2))
+    network = FabricNetwork(tmp_path / "net", config=config)
+    network.install(CounterChaincode())
+    writer_a = network.gateway("alice")
+    writer_b = network.gateway("bob")
+    writer_a.submit_transaction("counter", "incr", ["c"], timestamp=1)
+    # Both endorsed against version None; this submit cuts the block.
+    result = writer_b.submit_transaction("counter", "incr", ["c"], timestamp=2)
+    codes = {
+        tx.tx_id: tx.validation_code
+        for block in network.ledger.block_store.iter_blocks()
+        for tx in block.transactions
+    }
+    assert codes[result.tx_id] == MVCC_READ_CONFLICT
+    assert writer_b.evaluate_transaction("counter", "get", ["c"]) == 1
+    network.close()

@@ -96,7 +96,7 @@ def run_workload(path, backend: str, codec: str) -> dict:
         network.install(SupplyChainChaincode())
         network.install(KeyValueChaincode())
         network.install(M1IndexChaincode())
-        gateway = network.gateway("alice", max_retries=0)
+        gateway = network.gateway("alice")
         gateway.submit_transaction(
             "supplychain", "record_event", ["c", "ship", 1, "l"], timestamp=1
         )
