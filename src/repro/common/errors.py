@@ -9,7 +9,6 @@ The full hierarchy::
     ReproError
     ├── ConfigError              bad configuration value
     ├── CodecError               payload (de)serialization failed
-    ├── DeadlineExceededError    a per-call time budget ran out
     ├── StorageError             storage layer (KV store, block files)
     │   ├── WalCorruptionError   WAL record fails its checksum
     │   ├── SSTableError         malformed SSTable file
@@ -51,15 +50,6 @@ class ConfigError(ReproError):
 
 class CodecError(ReproError):
     """Serialization or deserialization of a payload failed."""
-
-
-class DeadlineExceededError(ReproError):
-    """A call chain's monotonic time budget ran out before it finished.
-
-    Not a failure of the system under test: the caller's
-    :class:`~repro.common.resilience.Deadline` abandoned the work on
-    purpose, so it never counts as an index failure to degrade from.
-    """
 
 
 class StorageError(ReproError):

@@ -203,8 +203,8 @@ def _check_m1(ledger, report: DoctorReport) -> None:
                 "warning", "m1-index-gap",
                 f"no indexing run covers {', '.join(map(str, gaps))} of "
                 f"(0-{indexed_until}]: M1 queries touching a stretch raise "
-                "TemporalQueryError (degrade=True answers from TQF); index "
-                "it with M1Indexer.run",
+                "TemporalQueryError; index the stretch with M1Indexer.run, "
+                "or query it on TQF",
             )
     for key, _ in ledger.state_db.get_state_by_range("", ""):
         if is_interval_key(key):

@@ -166,11 +166,10 @@ class FaultyReadFile:
     """A read handle consulting the fault plan before every read.
 
     This is how intermittent ``EIO``-style media errors
-    (:meth:`FaultPlan.fail_reads`) and slow-disk latency
-    (:meth:`FaultPlan.delay`) reach the storage layer: the plan's
+    (:meth:`FaultPlan.fail_reads`) reach the storage layer: the plan's
     :meth:`~repro.faults.plan.FaultPlan.on_read` hook runs before each
     ``read`` (and each :meth:`FaultyFS.pread` on this handle) and may
-    sleep or raise ``OSError``.  Everything else passes
+    raise ``OSError``.  Everything else passes
     straight through to a real handle -- read handles hold no buffered
     state, so a kill only forbids further use.
     """
@@ -225,7 +224,7 @@ class FaultyFS(FileSystem):
 
     Binary write/append handles become :class:`FaultyFile`; plain read
     handles become :class:`FaultyReadFile` so the plan can inject
-    latency and intermittent read errors.  (Read-side *corruption* is
+    intermittent read errors.  (Read-side *corruption* is
     still injected by flipping bits in the write path -- detection by
     checksum is the property under test.)  After :meth:`kill` the
     filesystem is dead: any further I/O raises

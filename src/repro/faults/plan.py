@@ -16,10 +16,7 @@ The plan is consulted from two directions:
 
 Beyond crashes and corruption, a plan can schedule *read-side* faults:
 :meth:`fail_reads` makes the nth read of a matching file raise an
-``EIO``-style :class:`OSError` (intermittent media errors), and
-:meth:`delay` injects latency into matching reads (a slow disk or a
-saturated peer), which is how deadline expiry is exercised
-deterministically.
+``EIO``-style :class:`OSError` (intermittent media errors).
 """
 
 from __future__ import annotations
@@ -27,10 +24,9 @@ from __future__ import annotations
 import errno as errno_module
 import os
 import random
-import time
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulatedCrashError
 
@@ -40,7 +36,7 @@ __all__ = ["FaultPlan"]
 class FaultPlan:
     """A seeded, explicit schedule of crashes and corruptions."""
 
-    def __init__(self, seed: int = 0, sleep: Optional[Callable[[float], None]] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
         self._crash_point_target: Optional[Tuple[str, int]] = None
         self._write_crash: Optional[Tuple[str, int, bool]] = None
@@ -48,16 +44,11 @@ class FaultPlan:
         self._bit_flips: List[Tuple[str, int]] = []
         # (pattern, errno, nth, per-file counts when scheduled)
         self._read_faults: List[Tuple[str, int, int, Dict[str, int]]] = []
-        self._read_delays: List[Tuple[str, float]] = []  # (pattern, seconds)
-        # Injectable so tests observe scheduled latency without waiting.
-        self._sleep = sleep if sleep is not None else time.sleep
         #: How often each crash point was reached (observability for tests).
         self.point_counts: Dict[str, int] = {}
         self._write_counts: Dict[str, int] = {}
         self._replace_counts: Dict[str, int] = {}
         self._read_counts: Dict[str, int] = {}
-        #: How many scheduled delays have been applied so far.
-        self.delays_applied = 0
         #: Set once a scheduled fault has fired.
         self.fired: Optional[str] = None
 
@@ -124,18 +115,6 @@ class FaultPlan:
         self._read_faults.append((pattern, errno, nth, dict(self._read_counts)))
         return self
 
-    def delay(self, pattern: str, ms: float) -> "FaultPlan":
-        """Inject ``ms`` milliseconds of latency into every read of files
-        matching ``pattern`` (a slow disk / saturated peer).
-
-        Latency composes with other schedules; it changes timing, never
-        data.  Deadline expiry under slow storage is driven with this.
-        """
-        if ms < 0:
-            raise ValueError(f"ms must be non-negative, got {ms}")
-        self._read_delays.append((pattern, ms / 1000.0))
-        return self
-
     # -- hooks ------------------------------------------------------------
 
     def on_crash_point(self, name: str) -> None:
@@ -174,15 +153,11 @@ class FaultPlan:
         crash-point hooks cover every schedule the harness needs."""
 
     def on_read(self, path: Path) -> None:
-        """Apply scheduled latency, then fail if this is the scheduled
-        read of ``path`` (called by the seam before each read)."""
+        """Fail if this is the scheduled read of ``path`` (called by the
+        seam before each read)."""
         name = path.name
         count = self._read_counts.get(name, 0) + 1
         self._read_counts[name] = count
-        for pattern, seconds in self._read_delays:
-            if seconds > 0 and fnmatch(name, pattern):
-                self.delays_applied += 1
-                self._sleep(seconds)
         for pattern, code, nth, baseline in self._read_faults:
             if fnmatch(name, pattern) and count - baseline.get(name, 0) == nth:
                 self.fired = f"read:{name}"

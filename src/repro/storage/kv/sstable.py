@@ -134,7 +134,7 @@ class SSTableReader:
         except OSError as exc:
             # An injected or genuine I/O fault (EIO) while loading the
             # table surfaces as the same typed error as corruption: the
-            # caller's quarantine/degrade handling covers both.
+            # caller's quarantine handling covers both.
             raise SSTableError(f"{self.path.name}: read failed: {exc}") from exc
         finally:
             if handle is not None:

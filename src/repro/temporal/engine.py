@@ -10,30 +10,21 @@ in ``list_keys`` order -- the paper's setup.  Every shared structure
 underneath (metrics registry, history index, block files) is
 lock-guarded, because a query may race a commit on another thread.
 
-Resilience (opt-in, never changing default semantics):
-
-* ``run_join(..., deadline=...)`` threads a
-  :class:`~repro.common.resilience.Deadline` through the per-key loop, so
-  a query abandons its remaining per-key fetches once the budget dies
-  instead of draining them all.
-* ``run_join(..., degrade=True)`` turns index-probe failures on M1/M2
-  (corrupt index state, quarantined SSTable, window beyond the indexed
-  range) into a *degraded* answer: the query falls back to a TQF chain
-  scan -- always correct, since TQF reads only the block chain -- and
-  the result carries a typed :class:`DegradedResult` naming the failure
-  instead of silently pretending the index answered.
+A model that cannot answer -- an M1 window no indexing run covers, a
+quarantined SSTable, corrupt index state -- raises its typed error
+(:class:`~repro.common.errors.TemporalQueryError` or
+:class:`~repro.common.errors.StorageError`); no model answers for another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol
+from dataclasses import dataclass
+from typing import Dict, List, Protocol
 
 from repro.common import metrics as metric_names
 from repro.common.config import require_only
-from repro.common.errors import StorageError, TemporalQueryError
+from repro.common.errors import TemporalQueryError
 from repro.common.metrics import MetricsRegistry
-from repro.common.resilience import Deadline
 from repro.common.timeutils import Stopwatch
 from repro.fabric.ledger import Ledger
 from repro.temporal.events import Event
@@ -42,11 +33,6 @@ from repro.temporal.join import JoinRow, temporal_join
 from repro.temporal.m1 import M1QueryEngine
 from repro.temporal.m2 import M2QueryEngine
 from repro.temporal.tqf import TQFEngine
-
-#: The model every degraded query falls back to.  TQF derives answers
-#: from the block chain alone -- no auxiliary index to be corrupt -- so
-#: it stays correct whenever the ledger itself is intact.
-FALLBACK_MODEL = "tqf"
 
 
 @dataclass(frozen=True)
@@ -74,28 +60,6 @@ class QueryModel(Protocol):
     ) -> List[Event]: ...
 
 
-@dataclass(frozen=True)
-class DegradedResult:
-    """Typed marker: the query answered, but not on the requested model.
-
-    Attached to :class:`JoinResult` when ``degrade=True`` rescued an
-    index failure.  Rows are still correct -- they came from the
-    fallback chain scan -- but slower, and callers that care can tell a
-    degraded answer from a healthy one.  The result's :class:`QueryStats`
-    count the failed probe *and* the fallback: every state-db read and
-    block the probe made before it failed is included (an unindexed M1
-    probe adds its run-list ``GetState`` and its key enumeration's range
-    scans to TQF's own).
-    """
-
-    requested_model: str
-    fallback_model: str
-    #: The index probe's error message.
-    reason: str
-    #: Class name of the exception the index probe raised.
-    error_type: str
-
-
 @dataclass
 class QueryStats:
     """Per-query instrumentation (the columns of the paper's Table I)."""
@@ -119,12 +83,6 @@ class JoinResult:
 
     rows: List[JoinRow]
     stats: QueryStats
-    shipment_events: Dict[str, List[Event]] = field(default_factory=dict)
-    container_events: Dict[str, List[Event]] = field(default_factory=dict)
-    #: Set when the query fell back to TQF after an index failure
-    #: (``stats.model`` then names the model that actually executed, and
-    #: ``stats`` count the failed probe as well as the fallback).
-    degraded: Optional[DegradedResult] = None
 
 
 class TemporalQueryEngine:
@@ -159,83 +117,34 @@ class TemporalQueryEngine:
             ) from None
 
     def fetch_window_events(
-        self,
-        model: str,
-        window: TimeInterval,
-        deadline: Optional[Deadline] = None,
+        self, model: str, window: TimeInterval
     ) -> tuple[Dict[str, List[Event]], Dict[str, List[Event]]]:
         """Per-key events inside ``window`` for all shipments and containers.
 
         The returned dicts are built in ``list_keys`` order.  The model's
         key-independent plan (M1: the run list and ``O(Θ, τ)``) is resolved
         once, after enumeration and only when there is a key to fetch, and
-        handed to every per-key fetch.  With a ``deadline``, the budget is
-        checked before every key: remaining fetches are abandoned once it
-        expires and :class:`~repro.common.errors.DeadlineExceededError`
-        propagates.
+        handed to every per-key fetch.
         """
         engine = self.engine(model)
-        if deadline is not None:
-            deadline.check("entity enumeration")
         shipment_keys = engine.list_keys(self.namespace.shipment_prefix)
         container_keys = engine.list_keys(self.namespace.container_prefix)
         plan = engine.plan(window) if shipment_keys or container_keys else None
 
         def fetch(keys: List[str]) -> Dict[str, List[Event]]:
-            events: Dict[str, List[Event]] = {}
-            for key in keys:
-                if deadline is not None:
-                    deadline.check("per-key fetch")
-                events[key] = engine.fetch_events(key, window, plan)
-            return events
+            return {key: engine.fetch_events(key, window, plan) for key in keys}
 
         return fetch(shipment_keys), fetch(container_keys)
 
-    def run_join(
-        self,
-        model: str,
-        window: TimeInterval,
-        keep_events: bool = False,
-        deadline: Optional[Deadline] = None,
-        degrade: bool = False,
-    ) -> JoinResult:
+    def run_join(self, model: str, window: TimeInterval) -> JoinResult:
         """Run query Q on ``model`` over ``window``, fully instrumented.
 
         The measured region covers exactly what the paper measures: entity
         enumeration, event retrieval and the in-memory join.
-
-        With ``degrade=True``, an index-probe failure on M1/M2 (typed
-        :class:`~repro.common.errors.TemporalQueryError` or
-        :class:`~repro.common.errors.StorageError`) re-runs the query once
-        on TQF and tags the result with a :class:`DegradedResult` naming
-        that failure instead of raising.  An unknown model, a failing TQF
-        query, deadline expiry and injected-fault sentinels are *never*
-        treated as index failures -- they propagate regardless of
-        ``degrade``.
         """
-        self.engine(model)  # an unknown model is the caller's error
-        degraded: Optional[DegradedResult] = None
         before = self._metrics.snapshot()
         watch = Stopwatch().start()
-        try:
-            shipment_events, container_events = self.fetch_window_events(
-                model, window, deadline=deadline
-            )
-        except (TemporalQueryError, StorageError) as exc:
-            # DeadlineExceededError and the fault harness's crash sentinel
-            # are neither, and propagate above.
-            if not degrade or model == FALLBACK_MODEL:
-                raise
-            degraded = DegradedResult(
-                requested_model=model,
-                fallback_model=FALLBACK_MODEL,
-                reason=str(exc),
-                error_type=type(exc).__name__,
-            )
-            model = FALLBACK_MODEL
-            shipment_events, container_events = self.fetch_window_events(
-                model, window, deadline=deadline
-            )
+        shipment_events, container_events = self.fetch_window_events(model, window)
         rows = temporal_join(shipment_events, container_events, window)
         join_seconds = watch.stop()
         delta = self._metrics.snapshot().diff(before)
@@ -254,10 +163,4 @@ class TemporalQueryEngine:
             + sum(len(e) for e in container_events.values()),
             keys_queried=len(shipment_events) + len(container_events),
         )
-        return JoinResult(
-            rows=rows,
-            stats=stats,
-            shipment_events=shipment_events if keep_events else {},
-            container_events=container_events if keep_events else {},
-            degraded=degraded,
-        )
+        return JoinResult(rows=rows, stats=stats)

@@ -3,8 +3,9 @@
 The history index already knows where every key's writes live, so the
 block-deserialization cost of a fetch can be *predicted exactly* for the
 index models (and bounded for TQF) before touching a single block file.
-Benchmarks use this to sanity-check measured counters; operators use it
-to choose u before committing to an indexing run.
+Its only callers are tests; ROADMAP item 2 (``repro query [--analyze]``)
+is the CLI reader that would set each prediction beside the measured
+counters.
 """
 
 from __future__ import annotations
@@ -118,11 +119,14 @@ class QueryExplainer:
         """Plans for every key a join over ``window`` would fetch.
 
         For M1 the query's own :meth:`M1QueryEngine.plan` is resolved once
-        for all keys, as ``run_join`` does, and raises what it raises.
+        for all keys, as ``run_join`` does -- only when there is a key --
+        and raises what it raises.
         """
         if model == "tqf":
             return [self._explain_tqf(key, window) for key in keys]
         if model == "m1":
+            if not keys:
+                return []
             plan = self._m1.plan(window)
             return [self._explain_m1(key, plan) for key in keys]
         if model == "m2":

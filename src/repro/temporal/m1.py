@@ -26,8 +26,7 @@ the first run may start after ``t = 0`` and two runs may leave a stretch
 between them.  Events there were never bundled, so a window touching a
 stretch no recorded run covers is refused with a typed
 :class:`~repro.common.errors.TemporalQueryError` naming it -- Model M1
-never answers from half an index (``run_join(..., degrade=True)`` then
-answers from TQF).
+never answers from half an index.
 
 **One consistent run list per query.**  A plan is built from a single
 ``GetState`` and is valid for that query only; nothing is memoised on

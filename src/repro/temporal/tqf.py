@@ -25,7 +25,7 @@ class TQFEngine:
 
     Stateless between calls: ``fetch_events`` holds no per-engine mutable
     state, and everything it shares (metrics, history index, block
-    store/cache) is lock-guarded underneath, so a query racing a commit
+    store) is lock-guarded underneath, so a query racing a commit
     is safe.
     """
 

@@ -1,10 +1,11 @@
 """Queries racing a faulted committer: a typed error or exactly the right rows.
 
 Four rounds grow one ``lsm`` ledger by single-event supply-chain ingest on
-a :class:`FaultyFS`, each under one fault, while a reader thread alternates
-TQF joins and ``degrade=True`` M1 joins (no M1 index exists, so M1 must
-answer ``degraded``).  Every answer is a typed error, a deadline, or the
-oracle's rows at a height no commit was crossing.  After each round the
+a :class:`FaultyFS`, three of them under one fault each, while a reader
+thread alternates TQF and M1 joins (no M1 index exists, so at any height
+above 0 M1 must refuse with a typed error, never answer rows).  Every
+answer is a typed error or the oracle's rows at a height no commit was
+crossing.  After each round the
 directory, reopened on the real filesystem, equals a fault-free reference
 at the height it recovered to; a fault-free round then completes it.  The
 oracle, :func:`temporal_join` over the events a height holds, is checked
@@ -21,8 +22,7 @@ from typing import List, NamedTuple, Optional
 
 import pytest
 
-from repro.common.errors import DeadlineExceededError, ReproError
-from repro.common.resilience import Deadline
+from repro.common.errors import ReproError, TemporalQueryError
 from repro.fabric.network import FabricNetwork
 from repro.faults import FaultPlan, FaultyFS, active_plan
 from repro.faults.crashpoints import BLOCKSTORE_MID_ADD
@@ -49,18 +49,16 @@ CONFIG = lsm_config()
 BLOCK = CONFIG.block_cutting.max_message_count
 CLIENT = "writer"
 
-#: ``(fault, arm, evidence it happened, per-query budget in seconds)``;
-#: the last round completes the stream fault-free.
+#: ``(fault, arm, evidence it happened)``; the last round completes the
+#: stream fault-free.
 ROUNDS = [
     ("crash", lambda plan: plan.crash_at(BLOCKSTORE_MID_ADD, occurrence=3),
-     lambda plan, path: plan.fired == BLOCKSTORE_MID_ADD, 2.0),
+     lambda plan, path: plan.fired == BLOCKSTORE_MID_ADD),
     ("bitflip", lambda plan: plan.flip_bit("sst-*"),
-     lambda plan, path: any((path / "statedb" / QUARANTINE_DIR).glob("*.sst")), 2.0),
+     lambda plan, path: any((path / "statedb" / QUARANTINE_DIR).glob("*.sst"))),
     ("readfault", lambda plan: plan.fail_reads("blockfile_*", nth=1),
-     lambda plan, path: (plan.fired or "").startswith("read:"), 2.0),
-    ("delay", lambda plan: plan.delay("blockfile_*", ms=5.0),
-     lambda plan, path: plan.delays_applied > 0, 0.05),
-    ("none", lambda plan: plan, lambda plan, path: plan.fired is None, 2.0),
+     lambda plan, path: (plan.fired or "").startswith("read:")),
+    ("none", lambda plan: plan, lambda plan, path: plan.fired is None),
 ]
 
 
@@ -97,8 +95,8 @@ def settled_height(ledger) -> Optional[int]:
     return height if ledger.state_db.savepoint() == (height - 1 if height else None) else None
 
 
-def read_until(started, done, network, budget, rows, answers) -> None:
-    """Alternate TQF and degraded M1 joins -- the first before ingest
+def read_until(started, done, network, rows, answers) -> None:
+    """Alternate TQF and M1 joins -- the first before ingest
     starts, so the round's fault meets a pinned query -- until ``done``,
     then ask each once more of the ledger the round left behind."""
     ledger, engine = network.ledger, TemporalQueryEngine(network.ledger, network.metrics)
@@ -106,17 +104,13 @@ def read_until(started, done, network, budget, rows, answers) -> None:
     def ask(model: str) -> str:
         try:
             height = settled_height(ledger)
-            result = engine.run_join(
-                model, WINDOW, deadline=Deadline.after(budget), degrade=model == "m1"
-            )
+            result = engine.run_join(model, WINDOW)
             if height is None or settled_height(ledger) != height:
                 return "unpinned"
-        except DeadlineExceededError:
-            return "deadline"
         except ReproError as exc:
             return f"error:{type(exc).__name__}"
-        if model == "m1" and height and result.degraded is None:
-            return f"WRONG: m1 answered at height {height} with no index and no degraded marker"
+        if model == "m1" and height:
+            return f"WRONG: m1 answered at height {height} with no index"
         if result.rows != rows[height]:
             return f"WRONG: {model} rows at height {height} differ from the oracle's"
         return "verified"
@@ -131,7 +125,7 @@ def read_until(started, done, network, budget, rows, answers) -> None:
     answers += [ask("tqf"), ask("m1")]
 
 
-def run_round(path, reference, acked, target, arm, budget):
+def run_round(path, reference, acked, target, arm):
     """Ingest up to ``target`` events under ``arm``'s fault with the reader
     racing; returns the plan and a tally of the reader's answers."""
     plan = FaultPlan(seed=target)
@@ -142,7 +136,7 @@ def run_round(path, reference, acked, target, arm, budget):
     start = reference.record.txs_at(network.ledger.height)
     arm(plan)  # only now: recovery reads must not consume the round's read faults
     started, done, answers = threading.Event(), threading.Event(), []
-    args = (started, done, network, budget, reference.rows, answers)
+    args = (started, done, network, reference.rows, answers)
     reader = threading.Thread(target=read_until, args=args, daemon=True)
     with active_plan(plan):
         reader.start()
@@ -174,21 +168,18 @@ def check_recovered(path, reference, acked) -> int:
         assert network.ledger.state_db.scrub() == ()
         engine = TemporalQueryEngine(network.ledger, network.metrics)
         assert engine.run_join("tqf", WINDOW).rows == reference.rows[height]
-        m1 = engine.run_join("m1", WINDOW, degrade=True)
-        assert m1.rows == reference.rows[height] and m1.degraded is not None
+        with pytest.raises(TemporalQueryError, match="no indexing run covers"):
+            engine.run_join("m1", WINDOW)
     return height
 
 
 def test_queries_racing_a_faulted_committer_are_right_or_typed(tmp_path, reference):
     path, acked, blocks = tmp_path / "ledger", set(), len(EVENTS) // BLOCK
-    for number, (fault, arm, observed, budget) in enumerate(ROUNDS):
+    for number, (fault, arm, observed) in enumerate(ROUNDS):
         target = BLOCK * (blocks * (number + 1) // len(ROUNDS))
-        plan, answers = run_round(path, reference, acked, target, arm, budget)
+        plan, answers = run_round(path, reference, acked, target, arm)
         assert not [a for a in answers if a.startswith("WRONG")], (fault, answers)
-        if fault == "delay":
-            assert set(answers) == {"deadline"}, answers
-        else:
-            assert "verified" in answers, (fault, answers)
+        assert "verified" in answers, (fault, answers)
         height = check_recovered(path, reference, acked)
         assert observed(plan, path), f"the {fault} fault never happened"
 
@@ -196,4 +187,3 @@ def test_queries_racing_a_faulted_committer_are_right_or_typed(tmp_path, referen
     with FabricNetwork(path, config=CONFIG) as network:
         engine = TemporalQueryEngine(network.ledger, network.metrics)
         assert rows_digest(engine, "tqf", WINDOW) == reference.digest
-        assert rows_digest(engine, "m1", WINDOW, degrade=True) == reference.digest

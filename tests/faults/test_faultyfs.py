@@ -241,26 +241,11 @@ def test_fail_reads_ignores_non_matching_files(tmp_path):
             handle.read()
 
 
-def test_delay_sleeps_every_matching_read_without_changing_data(tmp_path):
-    path = tmp_path / "blockfile_000000"
-    path.write_bytes(b"abcdef")
-    naps = []
-    plan = FaultPlan(sleep=naps.append).delay("blockfile_*", ms=5.0)
-    fs = FaultyFS(plan)
-    with fs.open(path, "rb") as handle:
-        assert handle.read(3) == b"abc"
-        assert handle.read(3) == b"def"
-    assert naps == [0.005, 0.005]
-    assert plan.delays_applied == 2
-    assert plan.fired is None  # latency is not a data fault
-
-
 def test_pread_consults_the_plan_once_and_shares_no_position(tmp_path):
     path = tmp_path / "blockfile_000000"
     path.write_bytes(b"0123456789")
-    naps = []
-    plan = FaultPlan(sleep=naps.append).delay("blockfile_*", ms=5.0)
-    plan.fail_reads("blockfile_*", nth=2)
+    # nth=2 fails the second pread only if the first consulted the plan once.
+    plan = FaultPlan().fail_reads("blockfile_*", nth=2)
     fs = FaultyFS(plan)
     handle = fs.open(path, "rb")
     assert fs.pread(handle, 4, 3) == b"3456"
@@ -269,7 +254,6 @@ def test_pread_consults_the_plan_once_and_shares_no_position(tmp_path):
         fs.pread(handle, 4, 0)
     assert excinfo.value.errno == 5  # EIO
     assert fs.pread(handle, 100, 8) == b"89"  # short at end of file
-    assert naps == [0.005] * 3
     fs.kill()
     with pytest.raises(FaultInjectionError):
         fs.pread(handle, 1, 0)
@@ -306,16 +290,6 @@ def test_fail_reads_fails_exactly_the_kth_block_read(tmp_path, k):
         else:
             assert manager.read(target) == payloads[0]
     assert plan.fired == "read:blockfile_000000"
-    manager.close()
-
-
-def test_delay_sleeps_once_per_block_read(tmp_path):
-    naps = []
-    plan = FaultPlan(sleep=naps.append).delay("blockfile_*", ms=5.0)
-    fs, manager, locations, payloads = _block_files(tmp_path, plan)
-    for location, payload in zip(locations, payloads):
-        assert manager.read(location) == payload
-    assert naps == [0.005] * len(locations)
     manager.close()
 
 

@@ -83,19 +83,6 @@ def build_m1_index(network: FabricNetwork, t1: int, t2: int, u: int):
 LEDGER_FIELDS = ("height", "head", "chain", "codes", "state")
 
 
-class FakeClock:
-    """A manually advanced monotonic clock, for ``Deadline.after(clock=)``."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 def ledger_summary(network: FabricNetwork) -> dict:
     """Height, chain head, header hashes, validation codes, state
     fingerprint and block-file bytes of ``network``'s ledger."""
@@ -110,11 +97,9 @@ def ledger_summary(network: FabricNetwork) -> dict:
     }
 
 
-def rows_digest(
-    engine: TemporalQueryEngine, model: str, window: TimeInterval, degrade: bool = False
-) -> str:
+def rows_digest(engine: TemporalQueryEngine, model: str, window: TimeInterval) -> str:
     """SHA-256 of ``model``'s join rows over ``window`` (never empty)."""
-    rows = engine.run_join(model, window, degrade=degrade).rows
+    rows = engine.run_join(model, window).rows
     assert rows, f"{model} join returned nothing"
     return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
 

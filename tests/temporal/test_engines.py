@@ -217,6 +217,8 @@ class TestFacade:
         facade = TemporalQueryEngine(plain_network.ledger, plain_network.metrics)
         with pytest.raises(TemporalQueryError, match="unknown model"):
             facade.engine("m3")
+        with pytest.raises(TemporalQueryError, match="unknown model"):
+            facade.run_join("m3", TimeInterval(0, 100))
 
     def test_run_join_stats_populated(self, plain_network, workload):
         facade = TemporalQueryEngine(plain_network.ledger, plain_network.metrics)
@@ -250,11 +252,3 @@ class TestFacade:
         rows_m2 = m2_facade.run_join("m2", window).rows
         assert rows_tqf == rows_m1 == rows_m2
         assert rows_tqf  # the window is wide enough to produce rows
-
-    def test_keep_events_flag(self, plain_network):
-        facade = TemporalQueryEngine(plain_network.ledger, plain_network.metrics)
-        window = TimeInterval(100, 400)
-        without = facade.run_join("tqf", window)
-        with_events = facade.run_join("tqf", window, keep_events=True)
-        assert without.shipment_events == {}
-        assert with_events.shipment_events

@@ -189,6 +189,13 @@ class TestExplainJoin:
         total_calls = sum(plan.ghfk_calls for plan in plans)
         assert total_calls == len(workload.shipments) * 3
 
+    def test_no_keys_needs_no_plan(self, tmp_path):
+        """With no key to fetch the M1 join never plans, so it answers
+        (no rows) over a window no run covers; explaining it must too."""
+        with FabricNetwork(tmp_path, config=fabric_config()) as network:
+            explainer = QueryExplainer(network.ledger)
+            assert explainer.explain_join("m1", TimeInterval(0, 100), []) == []
+
     def test_unknown_model(self, plain_network):
         with pytest.raises(TemporalQueryError):
             QueryExplainer(plain_network.ledger).explain_fetch(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.common.errors import TemporalQueryError
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import M1IndexChaincode, SupplyChainChaincode
-from repro.temporal.engine import FALLBACK_MODEL, TemporalQueryEngine
+from repro.temporal.engine import TemporalQueryEngine
 from repro.temporal.explain import QueryExplainer
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import encode_interval_key
@@ -141,30 +141,43 @@ def gapped(tmp_path_factory):
     network.close()
 
 
-def rows(network, model, window, **options):
-    result = TemporalQueryEngine(network.ledger, network.metrics).run_join(
-        model, window, **options
+@pytest.fixture(scope="module")
+def unindexed(tmp_path_factory):
+    """The same chain with no indexing run at all."""
+    network = build_plain_network(
+        tmp_path_factory.mktemp("unindexed-m1"), generate(GAPPED), strategy=GAPPED.ingestion
     )
+    yield network
+    network.close()
+
+
+def rows(network, model, window):
+    result = TemporalQueryEngine(network.ledger, network.metrics).run_join(model, window)
     return sorted(result.rows), result
 
 
 class TestUnindexedStretchIsNeverSilentlyShort:
     @pytest.mark.parametrize(
-        "window, stretch",
-        [(BEFORE_FIRST_RUN, "(500-1000]"), (ACROSS_THE_GAP, "(2000-2500]")],
-        ids=["before-first-run", "gap-between-runs"],
+        "ledger, window, stretch",
+        [
+            ("gapped", BEFORE_FIRST_RUN, "(500-1000]"),
+            ("gapped", ACROSS_THE_GAP, "(2000-2500]"),
+            ("unindexed", BEFORE_FIRST_RUN, "(500-1500]"),
+        ],
+        ids=["before-first-run", "gap-between-runs", "no-run-at-all"],
     )
     def test_query_raises_naming_the_first_uncovered_stretch(
-        self, gapped, window, stretch
+        self, ledger, window, stretch, request
     ):
-        facade = TemporalQueryEngine(gapped.ledger, gapped.metrics)
+        network = request.getfixturevalue(ledger)
+        facade = TemporalQueryEngine(network.ledger, network.metrics)
         with pytest.raises(TemporalQueryError, match="no indexing run covers") as raised:
             facade.run_join("m1", window)
         assert stretch in str(raised.value)
         with pytest.raises(TemporalQueryError, match="no indexing run covers"):
             facade.engine("m1").fetch_events("S00000", window)
         with pytest.raises(TemporalQueryError, match="no indexing run covers"):
-            QueryExplainer(gapped.ledger).explain_join("m1", window, ["S00000"])
+            QueryExplainer(network.ledger).explain_join("m1", window, ["S00000"])
 
     @pytest.mark.parametrize(
         "window, events, row_count",
@@ -173,22 +186,16 @@ class TestUnindexedStretchIsNeverSilentlyShort:
         [(BEFORE_FIRST_RUN, 331, 139), (ACROSS_THE_GAP, 492, 190)],
         ids=["before-first-run", "gap-between-runs"],
     )
-    def test_degrade_answers_from_tqf_and_says_so(self, gapped, window, events, row_count):
-        expected = rows(gapped, "tqf", window)[0]
-        got, result = rows(gapped, "m1", window, degrade=True)
-        assert got == expected
+    def test_tqf_answers_where_m1_refuses(self, gapped, window, events, row_count):
+        got, result = rows(gapped, "tqf", window)
         assert (result.stats.events_fetched, len(got)) == (events, row_count)
-        assert result.stats.model == FALLBACK_MODEL
-        assert result.degraded is not None
-        assert result.degraded.requested_model == "m1"
-        assert result.degraded.error_type == "TemporalQueryError"
-        assert "no indexing run covers" in result.degraded.reason
+        with pytest.raises(TemporalQueryError, match="no indexing run covers"):
+            rows(gapped, "m1", window)
 
     def test_a_window_inside_one_run_still_answers_on_m1(self, gapped):
         window = TimeInterval(1_100, 1_900)
-        got, result = rows(gapped, "m1", window, degrade=True)
+        got = rows(gapped, "m1", window)[0]
         assert got == rows(gapped, "tqf", window)[0] and got
-        assert result.degraded is None and result.stats.model == "m1"
 
 
 class TestRunsWithDifferentU:
@@ -196,9 +203,8 @@ class TestRunsWithDifferentU:
         self, three_runs
     ):
         window = TimeInterval(330, 1_000)  # runs two and three, nothing else
-        got, result = rows(three_runs, "m1", window, degrade=True)
+        got = rows(three_runs, "m1", window)[0]
         assert got == rows(three_runs, "tqf", window)[0] and got
-        assert result.degraded is None and result.stats.model == "m1"
 
     @pytest.mark.parametrize(
         "window",
@@ -213,9 +219,8 @@ class TestRunsWithDifferentU:
         ids=str,
     )
     def test_rows_equal_tqfs_across_every_run_boundary(self, three_runs, window):
-        got, result = rows(three_runs, "m1", window)
+        got = rows(three_runs, "m1", window)[0]
         assert got == rows(three_runs, "tqf", window)[0]
-        assert result.degraded is None
 
 
 class TestOneRunListReadPerQuery:
