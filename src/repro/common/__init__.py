@@ -5,7 +5,7 @@ This subpackage holds the pieces every other layer builds on:
 * :mod:`repro.common.errors` -- the exception hierarchy.
 * :mod:`repro.common.timeutils` -- logical timestamps and stopwatches.
 * :mod:`repro.common.config` -- typed configuration dataclasses.
-* :mod:`repro.common.codec` -- pluggable serialization codecs.
+* :mod:`repro.common.codec` -- the block and state-record codec and its varints.
 * :mod:`repro.common.metrics` -- counters and timers used to instrument
   the ledger (blocks deserialized, GHFK calls, bytes read, ...).
 """

@@ -1,34 +1,33 @@
-"""Pluggable serialization codecs for ledger payloads.
+"""The serialization codec of ledger payloads, and the varints framing them.
 
 Blocks on the simulated file system are stored as *bytes* and must be
-decoded on every read -- that decode cost is the paper's central cost
-driver, so it has to be real work, not a pointer copy.  Two codecs are
-provided:
+decoded on every read -- that decode cost is the paper's central cost,
+so it has to be real work, not a pointer copy.  Blocks and state
+records are stored in one codec, :class:`JsonCodec` (UTF-8 JSON, the
+parse runs in C); :class:`Codec` is its interface, the seam a test
+substitutes a counting subclass through.
 
-* :class:`JsonCodec` -- human-inspectable, the default for block storage
-  (fastest decode: the parse runs in C).
-* :class:`BinaryCodec` -- a compact from-scratch tag-length-value format
-  (varint lengths, type tags): the smallest payloads.
-
-Both codecs round-trip the JSON-ish value universe: ``None``, ``bool``,
+The codec round-trips the JSON-ish value universe: ``None``, ``bool``,
 ``int``, ``float``, ``str``, ``bytes``, ``list`` and ``dict`` with string
-keys.  ``bytes`` survive a JSON round trip via a tagged base64 wrapper.
+keys.  ``bytes`` survive the round trip via a tagged base64 wrapper.
 
-Both also expose their *list syntax* (:meth:`Codec.list_affixes`), so a
+It also exposes its *list syntax* (:meth:`Codec.list_affixes`), so a
 caller can lay several encoded values out as one encoded list whose
 elements stay individually decodable -- the framed block payload of
 :mod:`repro.fabric.block` decodes either one element or the whole list
-with a single :meth:`Codec.decode` call -- and their *map syntax*
+with a single :meth:`Codec.decode` call -- and its *map syntax*
 (:meth:`Codec.map_affixes`), so a value encoded once can be spliced into
 a map: the commit path encodes a write's value once for the block's
 write segment and the state-db record.
+
+The unsigned LEB128 varints (:func:`write_uvarint`, :func:`read_uvarint`,
+:func:`read_uvarints`) frame the block payload, the WAL and SSTables.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import struct
 from abc import ABC, abstractmethod
 from typing import Any, Sequence
 
@@ -40,9 +39,6 @@ _BYTES_TAG = "__repro_bytes__"
 class Codec(ABC):
     """Serialize Python values to bytes and back."""
 
-    #: Short identifier used in file headers and configs.
-    name: str = "abstract"
-
     @abstractmethod
     def encode(self, value: Any) -> bytes:
         """Serialize ``value``; raises :class:`CodecError` on failure."""
@@ -52,10 +48,10 @@ class Codec(ABC):
         """Deserialize ``payload``; raises :class:`CodecError` on failure."""
 
     @abstractmethod
-    def list_affixes(self, count: int) -> tuple[bytes, bytes, bytes]:
-        """The codec's list syntax for ``count`` items, as ``(prefix,
-        separator, suffix)``: ``prefix + separator.join(encode(x) for x
-        in items) + suffix == encode(items)``."""
+    def list_affixes(self) -> tuple[bytes, bytes, bytes]:
+        """The codec's list syntax, as ``(prefix, separator, suffix)``:
+        ``prefix + separator.join(encode(x) for x in items) + suffix ==
+        encode(items)``."""
 
     @abstractmethod
     def map_affixes(self, keys: Sequence[str]) -> list[bytes]:
@@ -107,8 +103,6 @@ class JsonCodec(Codec):
     values and error messages are those of ``JSONDecoder.decode``.
     """
 
-    name = "json"
-
     def __init__(self) -> None:
         self._encoder = json.encoder.c_make_encoder(
             None, _encode_special, json.encoder.encode_basestring_ascii,
@@ -137,7 +131,7 @@ class JsonCodec(Codec):
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8
             raise CodecError(f"JSON decode failed: {exc}") from exc
 
-    def list_affixes(self, count: int) -> tuple[bytes, bytes, bytes]:
+    def list_affixes(self) -> tuple[bytes, bytes, bytes]:
         return b"[", b",", b"]"
 
     def map_affixes(self, keys: Sequence[str]) -> list[bytes]:
@@ -149,22 +143,7 @@ class JsonCodec(Codec):
         return pieces
 
 
-# --- Binary codec ----------------------------------------------------------
-#
-# Layout: one type-tag byte, then a type-specific body.  Variable-length
-# payloads are prefixed with an unsigned LEB128 varint length.  Containers
-# are a varint count followed by the encoded items.
-
-_T_NONE = 0x00
-_T_FALSE = 0x01
-_T_TRUE = 0x02
-_T_INT_POS = 0x03
-_T_INT_NEG = 0x04
-_T_FLOAT = 0x05
-_T_STR = 0x06
-_T_BYTES = 0x07
-_T_LIST = 0x08
-_T_DICT = 0x09
+# --- Varints ---------------------------------------------------------------
 
 
 def write_uvarint(value: int, out: bytearray) -> None:
@@ -229,157 +208,3 @@ def read_uvarints(payload: bytes, offset: int, count: int) -> tuple[list[int], i
     except IndexError:
         raise CodecError("truncated varint") from None
     return values, offset
-
-
-class BinaryCodec(Codec):
-    """Compact tag-length-value binary encoding (no stdlib pickle)."""
-
-    name = "binary"
-
-    def encode(self, value: Any) -> bytes:
-        out = bytearray()
-        try:
-            self._encode_into(value, out)
-        except RecursionError:  # nested too deep, or a cycle
-            raise CodecError("binary encode failed: value nested too deep") from None
-        return bytes(out)
-
-    def decode(self, payload: bytes) -> Any:
-        try:
-            value, offset = self._decode_from(payload, 0)
-        except RecursionError:
-            raise CodecError("binary decode failed: value nested too deep") from None
-        if offset != len(payload):
-            raise CodecError(f"trailing bytes after value: {len(payload) - offset}")
-        return value
-
-    def list_affixes(self, count: int) -> tuple[bytes, bytes, bytes]:
-        prefix = bytearray((_T_LIST,))
-        write_uvarint(count, prefix)
-        return bytes(prefix), b"", b""
-
-    def map_affixes(self, keys: Sequence[str]) -> list[bytes]:
-        head = bytearray((_T_DICT,))
-        write_uvarint(len(keys), head)
-        pieces = [bytes(head)]
-        for key in keys:
-            raw = key.encode("utf-8")
-            name = bytearray()
-            write_uvarint(len(raw), name)
-            pieces[-1] += bytes(name) + raw
-            pieces.append(b"")
-        return pieces
-
-    def _encode_into(self, value: Any, out: bytearray) -> None:
-        if value is None:
-            out.append(_T_NONE)
-        elif value is True:
-            out.append(_T_TRUE)
-        elif value is False:
-            out.append(_T_FALSE)
-        elif isinstance(value, int):
-            if value >= 0:
-                out.append(_T_INT_POS)
-                write_uvarint(value, out)
-            else:
-                out.append(_T_INT_NEG)
-                write_uvarint(-value, out)
-        elif isinstance(value, float):
-            out.append(_T_FLOAT)
-            out.extend(struct.pack(">d", value))
-        elif isinstance(value, str):
-            raw = value.encode("utf-8")
-            out.append(_T_STR)
-            write_uvarint(len(raw), out)
-            out.extend(raw)
-        elif isinstance(value, (bytes, bytearray)):
-            out.append(_T_BYTES)
-            write_uvarint(len(value), out)
-            out.extend(value)
-        elif isinstance(value, (list, tuple)):
-            out.append(_T_LIST)
-            write_uvarint(len(value), out)
-            for item in value:
-                self._encode_into(item, out)
-        elif isinstance(value, dict):
-            out.append(_T_DICT)
-            write_uvarint(len(value), out)
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise CodecError(
-                        f"dict keys must be str, got {type(key).__name__}"
-                    )
-                raw = key.encode("utf-8")
-                write_uvarint(len(raw), out)
-                out.extend(raw)
-                self._encode_into(item, out)
-        else:
-            raise CodecError(f"unsupported type: {type(value).__name__}")
-
-    def _decode_from(self, payload: bytes, offset: int) -> tuple[Any, int]:
-        if offset >= len(payload):
-            raise CodecError("truncated payload")
-        tag = payload[offset]
-        offset += 1
-        if tag == _T_NONE:
-            return None, offset
-        if tag == _T_TRUE:
-            return True, offset
-        if tag == _T_FALSE:
-            return False, offset
-        if tag == _T_INT_POS:
-            return read_uvarint(payload, offset)
-        if tag == _T_INT_NEG:
-            value, offset = read_uvarint(payload, offset)
-            return -value, offset
-        if tag == _T_FLOAT:
-            if offset + 8 > len(payload):
-                raise CodecError("truncated float")
-            (value,) = struct.unpack_from(">d", payload, offset)
-            return value, offset + 8
-        if tag == _T_STR:
-            length, offset = read_uvarint(payload, offset)
-            end = offset + length
-            if end > len(payload):
-                raise CodecError("truncated string")
-            return payload[offset:end].decode("utf-8"), end
-        if tag == _T_BYTES:
-            length, offset = read_uvarint(payload, offset)
-            end = offset + length
-            if end > len(payload):
-                raise CodecError("truncated bytes")
-            return payload[offset:end], end
-        if tag == _T_LIST:
-            count, offset = read_uvarint(payload, offset)
-            items = []
-            for _ in range(count):
-                item, offset = self._decode_from(payload, offset)
-                items.append(item)
-            return items, offset
-        if tag == _T_DICT:
-            count, offset = read_uvarint(payload, offset)
-            result: dict[str, Any] = {}
-            for _ in range(count):
-                key_len, offset = read_uvarint(payload, offset)
-                end = offset + key_len
-                if end > len(payload):
-                    raise CodecError("truncated dict key")
-                key = payload[offset:end].decode("utf-8")
-                item, end = self._decode_from(payload, end)
-                result[key] = item
-                offset = end
-            return result, offset
-        raise CodecError(f"unknown type tag: {tag:#04x}")
-
-
-_CODECS = {codec.name: codec for codec in (JsonCodec(), BinaryCodec())}
-
-
-def get_codec(name: str) -> Codec:
-    """Look up a codec by its :attr:`Codec.name` (``json`` or ``binary``)."""
-    try:
-        return _CODECS[name]
-    except KeyError:
-        raise CodecError(
-            f"unknown codec {name!r}; available: {sorted(_CODECS)}"
-        ) from None

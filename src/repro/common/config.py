@@ -121,18 +121,12 @@ class BlockStoreConfig:
 
     #: Block files roll over once they exceed this many bytes.
     max_file_bytes: int = 4 * 1024 * 1024
-    #: Codec used to serialize blocks (``json`` or ``binary``).
-    codec: str = "json"
     #: ``flush`` (default) or ``fsync``: whether the per-commit block file
     #: and block index sync calls ``os.fsync``.
     durability: str = "flush"
 
     def __post_init__(self) -> None:
         _require_positive(self.max_file_bytes, "max_file_bytes")
-        if self.codec not in ("json", "binary"):
-            raise ConfigError(
-                f"block codec must be 'json' or 'binary', got {self.codec!r}"
-            )
         _require_durability(self.durability)
 
 

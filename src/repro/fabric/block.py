@@ -41,9 +41,9 @@ from repro.fabric import crypto
 #: A committed value's version: (block number, transaction index).
 Version = Tuple[int, int]
 
-#: Each transaction's write values encoded by one codec, by key: what
-#: :meth:`Block.to_payload` splices into the write segments and, when the
-#: state-db uses the same codec, into the state records.
+#: Each transaction's write values encoded, by key: what
+#: :meth:`Block.to_payload` splices into the write segments and the
+#: commit path into the state records.
 WriteValues = List[Dict[str, bytes]]
 
 #: ``json.dumps(payload, sort_keys=True, default=repr)``'s C encoder,
@@ -342,11 +342,11 @@ class _Frame(NamedTuple):
         one codec call (they are spelled as a list of their own).
 
         Only the run's two outer ends are read.  A wrong one can still
-        spell a well-formed list of another length -- under ``json`` an
-        end one short of its predecessor's cuts the run at the segment
-        before -- so the length is checked: a transaction never comes
-        back without a write it has."""
-        prefix, separator, suffix = self.codec.list_affixes(count)
+        spell a well-formed list of another length -- an end one short
+        of its predecessor's cuts the run at the segment before -- so the
+        length is checked: a transaction never comes back without a write
+        it has."""
+        prefix, separator, suffix = self.codec.list_affixes()
         payload, table = self.payload, self.table
         start = self.first + index * self.step
         (end,) = _END.unpack_from(payload, table + 4 * (index + count - 1))
@@ -492,8 +492,7 @@ class Block:
     def write_values(self, codec: Codec) -> WriteValues:
         """Every transaction's write values encoded with ``codec`` (a
         deletion's ``None`` too), by key: encoded once, spliced into the
-        write segments by :meth:`to_payload` and -- when the state-db's
-        codec is ``codec`` -- into the state records."""
+        write segments by :meth:`to_payload` and into the state records."""
         encode = codec.encode
         return [
             {key: encode(write.value) for key, write in tx.rw_set.writes.items()}
@@ -525,9 +524,9 @@ class Block:
         encode = codec.encode
         if values is None:
             values = self.write_values(codec)
-        write_prefix, write_separator, write_suffix = codec.list_affixes(3)
-        live = write_separator + encode(False) + write_suffix
-        deleted = write_separator + encode(True) + write_suffix
+        prefix, separator, suffix = codec.list_affixes()
+        live = separator + encode(False) + suffix
+        deleted = separator + encode(True) + suffix
         segments = [encode(self.header.to_dict())]
         table = bytearray((FRAME_MAGIC,))
         txs = self.transactions
@@ -550,11 +549,10 @@ class Block:
             for key in keys:
                 write = writes[key]
                 segments.append(
-                    write_prefix + encode(write.key) + write_separator + encoded[key]
+                    prefix + encode(write.key) + separator + encoded[key]
                     + (deleted if write.is_delete else live)
                 )
         ends = list(accumulate(map(len, segments)))
-        prefix, separator, suffix = codec.list_affixes(len(segments))
         return b"".join((
             table, struct.pack(f"<{len(ends)}I", *ends),
             prefix, separator.join(segments), suffix,
@@ -591,7 +589,7 @@ class Block:
                 f"{body} bytes, payload has {len(payload)}"
             )
         (last,) = _END.unpack_from(payload, body - 4)
-        prefix, separator, suffix = codec.list_affixes(count)
+        prefix, separator, suffix = codec.list_affixes()
         first, step = body + len(prefix), len(separator)
         needed = first + last + (count - 1) * step + len(suffix)
         if needed != len(payload):

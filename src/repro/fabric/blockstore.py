@@ -2,7 +2,7 @@
 
 Every read fetches the whole CRC-checked record, opens it as a lazy
 :class:`~repro.fabric.block.Block` (framed payload: the transaction a
-caller indexes is decoded through the configured codec, the rest only if
+caller indexes is decoded through the block codec, the rest only if
 asked for) and bumps the ``ledger.blocks_deserialized`` /
 ``ledger.block_bytes_read`` counters -- the quantities the paper's entire
 analysis is expressed in: a block touched counts once, however much of it
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.common import metrics as metric_names
-from repro.common.codec import Codec, get_codec
+from repro.common.codec import Codec, JsonCodec
 from repro.common.errors import BlockFileError, BlockNotFoundError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric.block import Block, WriteValues
@@ -37,12 +37,15 @@ class BlockStore:
     to the intact records, an index that lags the files (crash between
     file append and index append) is extended by scanning the files, and
     a corrupt index is rebuilt from scratch the same way.
+
+    Blocks are stored in :class:`JsonCodec`; ``codec`` is there for a
+    test to substitute a counting subclass.
     """
 
     def __init__(
         self,
         path: str | Path,
-        codec: str | Codec = "json",
+        codec: Optional[Codec] = None,
         max_file_bytes: int = 4 * 1024 * 1024,
         metrics: MetricsRegistry = NULL_REGISTRY,
         durability: str = "flush",
@@ -65,7 +68,7 @@ class BlockStore:
             # Corrupt index: it is derived data, rebuild it from the files.
             index_path.unlink(missing_ok=True)
             self._index = BlockIndex(index_path, fsync=fsync, fs=fs)
-        self._codec = codec if isinstance(codec, Codec) else get_codec(codec)
+        self._codec = codec or JsonCodec()
         self._metrics = metrics
         self._reconcile_index()
 

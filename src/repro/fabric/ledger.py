@@ -51,7 +51,6 @@ class Ledger:
         path = Path(path)
         self.block_store = BlockStore(
             path / "ledger",
-            codec=self._config.block_store.codec,
             max_file_bytes=self._config.block_store.max_file_bytes,
             metrics=metrics,
             durability=self._config.block_store.durability,
@@ -71,12 +70,6 @@ class Ledger:
                 fs=fs,
             ),
             metrics=metrics,
-        )
-        #: Whether a write value encoded for the block frame is also the
-        #: state record's value: the two codecs are one (``json``, the
-        #: default); under any other block codec the state-db encodes its own.
-        self._shared_values = (
-            self.block_store.codec.name == self.state_db.codec.name
         )
         self.history_db = HistoryDB(metrics=metrics)
         self._validator = Validator(self.state_db.get_version)
@@ -129,8 +122,7 @@ class Ledger:
         Every block is appended only after validation, and the chain is
         durable before anything derived from it (history index, state
         writes, savepoint) is applied.  Each write's value is encoded
-        once, for the block's write segment and -- under one codec -- the
-        state record.
+        once, for the block's write segment and the state record.
         """
         with self._metrics.timed(metric_names.COMMIT_SECONDS):
             if block.header.previous_hash != self._last_header_hash:
@@ -151,7 +143,7 @@ class Ledger:
             crash_point(LEDGER_PRE_HISTORY)
             self.history_db.index_block(block)
             crash_point(LEDGER_PRE_STATE)
-            self._apply_state_writes(block, values if self._shared_values else None)
+            self._apply_state_writes(block, values)
             crash_point(LEDGER_PRE_SAVEPOINT)
             self.state_db.record_savepoint(block.number)
             crash_point(LEDGER_POST_COMMIT)
@@ -170,7 +162,7 @@ class Ledger:
         write order, as two state-db batches: the first VALID
         transaction's, then the rest (:data:`LEDGER_MID_STATE` falls
         between them).  ``values`` are the encoded write values to
-        splice, when they are in the state-db's codec."""
+        splice; replay passes none and the state-db encodes them."""
         batch: List[BatchWrite] = []
         applied_one = False
         for tx_num, tx in enumerate(block.transactions):

@@ -70,7 +70,10 @@ class StateValue:
 
 
 class StateDB:
-    """Versioned current-state store over a sorted KV backend."""
+    """Versioned current-state store over a sorted KV backend.
+
+    Records are stored in :class:`JsonCodec`; ``codec`` is there for a
+    test to substitute a counting subclass."""
 
     def __init__(
         self,
@@ -84,11 +87,6 @@ class StateDB:
         #: The record ``{"v": value, "ver": version}`` spelled around its
         #: two values, so a value encoded once is spliced in.
         self._record = self._codec.map_affixes(("v", "ver"))
-
-    @property
-    def codec(self) -> Codec:
-        """The codec state records are stored in."""
-        return self._codec
 
     # -- reads -------------------------------------------------------------
 
@@ -133,7 +131,7 @@ class StateDB:
 
         Each ``(write, version, value)`` stores the record ``{"v":
         write.value, "ver": [block, tx]}`` (a deletion removes the key).
-        ``value`` is ``write.value`` already encoded with :attr:`codec` --
+        ``value`` is ``write.value`` already encoded with the codec --
         the commit path hands in the bytes it encoded for the block's
         write segment -- or ``None`` to encode it here; either way it is
         spliced between the record's map pieces, which spells the bytes

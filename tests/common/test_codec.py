@@ -1,4 +1,4 @@
-"""Unit and property tests for the serialization codecs."""
+"""Unit and property tests for the serialization codec and its varints."""
 
 from __future__ import annotations
 
@@ -8,24 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.codec import (
-    BinaryCodec,
-    JsonCodec,
-    get_codec,
-    read_uvarint,
-    read_uvarints,
-    write_uvarint,
-)
+from repro.common.codec import JsonCodec, read_uvarint, read_uvarints, write_uvarint
 from repro.common.errors import CodecError
 
-CODECS = [JsonCodec(), BinaryCodec()]
+CODECS = [JsonCodec()]
+CODEC_IDS = ["json"]
 
 
-def codec_id(codec) -> str:
-    return codec.name
-
-
-@pytest.mark.parametrize("codec", CODECS, ids=codec_id)
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
 class TestRoundTrip:
     def test_scalars(self, codec):
         for value in (None, True, False, 0, 1, -1, 2**40, -(2**40), 0.5, -3.25):
@@ -61,28 +51,6 @@ class TestRoundTrip:
     def test_garbage_decode_raises(self, codec):
         with pytest.raises(CodecError):
             codec.decode(b"\xff\xfe\x00garbage that is not valid")
-
-
-class TestBinaryCodecDetails:
-    def test_trailing_bytes_rejected(self):
-        codec = BinaryCodec()
-        payload = codec.encode(42) + b"\x00"
-        with pytest.raises(CodecError, match="trailing"):
-            codec.decode(payload)
-
-    def test_truncated_payload_rejected(self):
-        codec = BinaryCodec()
-        payload = codec.encode("hello world")
-        with pytest.raises(CodecError):
-            codec.decode(payload[:-3])
-
-    def test_non_string_dict_key_rejected(self):
-        with pytest.raises(CodecError, match="keys must be str"):
-            BinaryCodec().encode({1: "x"})
-
-    def test_empty_payload_rejected(self):
-        with pytest.raises(CodecError):
-            BinaryCodec().decode(b"")
 
 
 class TestUvarint:
@@ -166,20 +134,6 @@ class TestUvarintTable:
         assert read_uvarints(b"\xff", 1, 0) == ([], 1)
 
 
-class TestRegistry:
-    def test_lookup_by_name(self):
-        assert get_codec("json").name == "json"
-        assert get_codec("binary").name == "binary"
-
-    def test_unknown_codec(self):
-        with pytest.raises(CodecError, match="unknown codec"):
-            get_codec("msgpack")
-
-    def test_removed_compact_codec_is_unknown(self):
-        with pytest.raises(CodecError, match="unknown codec"):
-            get_codec("compact")
-
-
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -198,34 +152,19 @@ def test_json_codec_round_trip_property(value):
     assert codec.decode(codec.encode(value)) == value
 
 
-@given(value=json_values)
-def test_binary_codec_round_trip_property(value):
-    codec = BinaryCodec()
-    assert codec.decode(codec.encode(value)) == value
-
-
-@given(value=json_values)
-def test_codecs_agree(value):
-    """Every codec must decode to the same in-memory value."""
-    reference = JsonCodec()
-    expected = reference.decode(reference.encode(value))
-    codec = BinaryCodec()
-    assert codec.decode(codec.encode(value)) == expected
-
-
-@pytest.mark.parametrize("codec", CODECS, ids=codec_id)
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
 @given(items=st.lists(json_values, max_size=6))
 def test_list_affixes_spell_the_encoded_list(codec, items):
     """The identity the framed block payload rests on: elements encoded
     one by one and joined with the affixes *are* the encoded list, so the
     whole decodes in one call and each element decodes from its slice."""
-    prefix, separator, suffix = codec.list_affixes(len(items))
+    prefix, separator, suffix = codec.list_affixes()
     joined = prefix + separator.join(codec.encode(item) for item in items) + suffix
     assert joined == codec.encode(items)
     assert codec.decode(joined) == [codec.decode(codec.encode(item)) for item in items]
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=codec_id)
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
 @given(record=st.dictionaries(st.text(max_size=4), json_values, max_size=4))
 def test_map_affixes_spell_the_encoded_map(codec, record):
     """Values encoded one by one and placed between the map's pieces *are*
@@ -240,14 +179,14 @@ def test_map_affixes_spell_the_encoded_map(codec, record):
 
 
 def test_json_codec_is_shared_across_threads_safely():
-    """One cached encoder/decoder pair serves every thread (the registry
-    hands out a single JsonCodec): eight threads encoding at once get the
+    """One cached encoder/decoder pair serves every thread (a block store
+    and a state-db each hold a single JsonCodec): eight threads encoding at once get the
     bytes one thread gets (the C encoder is built once and keeps no
     per-call state), and concurrent round trips of bytes-bearing values --
     the object_hook re-enters Python mid-parse -- stay exact."""
     from concurrent.futures import ThreadPoolExecutor
 
-    codec = get_codec("json")
+    codec = JsonCodec()
     values = [
         {"n": n, "blob": bytes([n % 256]) * 40, "rows": [{"k": f"key{n}", "v": [n, None]}] * 8,
          "text": "ключ" * (n % 5), "ratio": n / 3}
@@ -375,18 +314,14 @@ def nested(depth: int) -> list:
     return value
 
 
-@pytest.mark.parametrize("codec", CODECS, ids=codec_id)
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
 class TestRecursionIsACodecError:
     def test_deep_encode(self, codec):
         with pytest.raises(CodecError):
             codec.encode(nested(DEPTH))
 
     def test_deep_decode(self, codec):
-        if codec.name == "json":
-            payload = b"[" * DEPTH + b"]" * DEPTH
-        else:
-            prefix, _, _ = codec.list_affixes(1)
-            payload = prefix * DEPTH + codec.encode([])
+        payload = b"[" * DEPTH + b"]" * DEPTH
         with pytest.raises(CodecError):
             codec.decode(payload)
 

@@ -53,11 +53,6 @@ class TestStateDbConfig:
 
 
 class TestBlockStoreConfig:
-    def test_codec_validation(self):
-        assert BlockStoreConfig(codec="binary").codec == "binary"
-        with pytest.raises(ConfigError):
-            BlockStoreConfig(codec="protobuf")
-
     def test_rejects_zero_file_size(self):
         with pytest.raises(ConfigError):
             BlockStoreConfig(max_file_bytes=0)
@@ -98,8 +93,8 @@ class TestFabricConfig:
                     yield prefix + field.name
 
         names = list(leaves(FabricConfig))
-        assert len(names) == 15, (
-            f"FabricConfig has {len(names)} settable values, not 15: {names}. "
+        assert len(names) == 14, (
+            f"FabricConfig has {len(names)} settable values, not 14: {names}. "
             "ROADMAP aim 2 is one concept, one implementation, one config "
             "knob: a new knob needs two existing callers that need different "
             "values."

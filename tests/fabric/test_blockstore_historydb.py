@@ -49,7 +49,12 @@ from repro.temporal.engine import TemporalQueryEngine
 from repro.temporal.intervals import TimeInterval
 from repro.workload.datasets import ds1
 from repro.workload.generator import generate
-from tests.helpers import DecodeSpyCodec, build_plain_network, per_transaction_frame
+from tests.helpers import (
+    BINARY_GOLDEN_PAYLOAD,
+    DecodeSpyCodec,
+    build_plain_network,
+    per_transaction_frame,
+)
 
 
 def make_tx(tx_id: str, writes: dict, timestamp: int = 0) -> Transaction:
@@ -350,8 +355,9 @@ class TestFramedReads:
 
     def test_pre_frame_chain_fails_loudly_naming_the_format(self, tmp_path):
         """A chain written in an older format -- one whole-block codec
-        value per record, or the per-transaction 0xF1 frame -- must not
-        be read by guesswork."""
+        value per record, the per-transaction 0xF1 frame, or the current
+        frame under the removed ``binary`` codec -- must not be read by
+        guesswork."""
         block = chain_blocks([[make_tx("t0", {"k": "v"})]])[0]
         codec = JsonCodec()
         old_formats = {
@@ -359,6 +365,7 @@ class TestFramedReads:
             "per-transaction": (
                 per_transaction_frame(block, codec), r"per-transaction frame \(0xF1"
             ),
+            "binary-codec": (BINARY_GOLDEN_PAYLOAD, "8 segments need 333 bytes"),
         }
         for name, (payload, named) in old_formats.items():
             store = BlockStore(tmp_path / name / "ledger")
@@ -549,7 +556,7 @@ class TestReopenDecodes:
         network.close()
 
         spy = DecodeSpyCodec()
-        monkeypatch.setattr(blockstore_module, "get_codec", lambda name: spy)
+        monkeypatch.setattr(blockstore_module, "JsonCodec", lambda: spy)
         built = []
         real = block_module._transaction_from
         monkeypatch.setattr(

@@ -38,17 +38,16 @@ def lsm_config(
     max_message_count: int = 4,
     memtable_limit: int = 24,
     durability: str = "flush",
-    codec: str = "json",
 ) -> FabricConfig:
     """A config that exercises every storage layer: the LSM state-db
     with a tiny memtable (frequent WAL and table activity) and small
-    blocks, stored under ``codec``."""
+    blocks."""
     return FabricConfig(
         block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
         state_db=StateDbConfig(
             backend="lsm", memtable_limit=memtable_limit, durability=durability
         ),
-        block_store=BlockStoreConfig(durability=durability, codec=codec),
+        block_store=BlockStoreConfig(durability=durability),
     )
 
 

@@ -20,51 +20,22 @@ from tests.faults.harness import (
     run_kv_workload_until_crash,
 )
 
-#: Every block codec: the stored configurations of the block store
-#: (``tests/test_config_matrix.py`` holds the same codecs, under both
-#: backends, to one result without a crash).
-CODECS = ("json", "binary")
-
-
-def _cells(points=(None,)):
-    """``pytest.param``s of ``(point, codec)`` for every crash point
-    crossed with every codec; ``codec`` alone when there are no points."""
-    params = []
-    for point in points:
-        for codec in CODECS:
-            # The json cell keeps the bare id the sweep had before it ran
-            # over configurations.
-            cell = "" if codec == "json" else codec
-            ident = "-".join(part for part in (point, cell) if part) or "default"
-            values = (codec,) if point is None else (point, codec)
-            params.append(pytest.param(*values, id=ident))
-    return params
-
-
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """``codec -> HeightRecord``: the fault-free KV workload under each
-    codec, recorded at every height."""
-    return {
-        codec: kv_reference(
-            tmp_path_factory.mktemp(f"reference-{codec}"), lsm_config(codec=codec)
-        )
-        for codec in CODECS
-    }
+    """The fault-free KV workload, recorded at every height."""
+    return kv_reference(tmp_path_factory.mktemp("reference"), lsm_config())
 
 
 def _recovers(path, config, outcome, reference) -> None:
-    reopen_and_verify(
-        path, config, outcome.acked_tx_ids, reference[config.block_store.codec]
-    )
+    reopen_and_verify(path, config, outcome.acked_tx_ids, reference)
     continue_workload(path, config)
 
 
-@pytest.mark.parametrize("point, codec", _cells(COMMIT_CRASH_POINTS))
-def test_kill_at_every_commit_point(tmp_path, reference, point, codec):
-    """Every commit point under every codec: the block a crash half-wrote
-    or half-indexed recovers whatever its codec."""
-    config = lsm_config(codec=codec)
+@pytest.mark.parametrize("point", COMMIT_CRASH_POINTS)
+def test_kill_at_every_commit_point(tmp_path, reference, point):
+    """Every commit point: the block a crash half-wrote or half-indexed
+    recovers."""
+    config = lsm_config()
     plan = FaultPlan(seed=3).crash_at(point)
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired == point, f"workload never reached {point}"
@@ -95,11 +66,10 @@ def test_power_loss_with_fsync_durability(tmp_path, reference):
     _recovers(tmp_path / "net", config, outcome, reference)
 
 
-@pytest.mark.parametrize("codec", _cells())
-def test_torn_blockfile_write_recovers(tmp_path, reference, codec):
+def test_torn_blockfile_write_recovers(tmp_path, reference):
     """A kill mid-write to a block file leaves a torn record; recovery
-    truncates it and the chain stays consistent, under every codec."""
-    config = lsm_config(codec=codec)
+    truncates it and the chain stays consistent."""
+    config = lsm_config()
     plan = FaultPlan(seed=7).crash_on_write("blockfile_*", nth=30, torn=True)
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired is not None and outcome.fired.startswith("write:")

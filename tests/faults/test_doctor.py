@@ -102,18 +102,20 @@ def test_torn_index_tail_is_repaired(tmp_path):
 
 def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
     """A ledger whose block records hold an older payload -- the whole-
-    block value, or the per-transaction 0xF1 frame -- will not open; the
-    doctor says why instead of calling it corruption."""
-    from repro.common.codec import get_codec
+    block value, the per-transaction 0xF1 frame, or the frame under the
+    removed ``binary`` codec -- will not open; the doctor says why
+    instead of calling it corruption."""
+    from repro.common.codec import JsonCodec
     from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader
     from repro.fabric.blockstore import BlockStore
-    from tests.helpers import per_transaction_frame
+    from tests.helpers import BINARY_GOLDEN_PAYLOAD, per_transaction_frame
 
-    codec = get_codec("json")
+    codec = JsonCodec()
     genesis = Block(BlockHeader(0, GENESIS_PREVIOUS_HASH, Block.compute_data_hash([])), [])
     old_formats = {
         "whole-block": (codec.encode(genesis.to_dict()), "written before the framed format"),
         "per-transaction": (per_transaction_frame(genesis, codec), "per-transaction frame (0xF1"),
+        "binary-codec": (BINARY_GOLDEN_PAYLOAD, "8 segments need 333 bytes"),
     }
     for name, (payload, named) in old_formats.items():
         store = BlockStore(tmp_path / name / "ledger")

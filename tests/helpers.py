@@ -111,12 +111,30 @@ def per_transaction_frame(block, codec) -> bytes:
     raw = block.to_dict()
     segments = [codec.encode(raw["header"])]
     segments.extend(codec.encode(tx) for tx in raw["transactions"])
-    prefix, separator, suffix = codec.list_affixes(len(segments))
+    prefix, separator, suffix = codec.list_affixes()
     table = bytearray((0xF1,))
     write_uvarint(len(segments), table)
     for segment in segments:
         write_uvarint(len(segment), table)
     return bytes(table) + prefix + separator.join(segments) + suffix
+
+
+#: ``tests.fabric.test_block.golden_block()`` as the removed ``binary``
+#: block codec stored it: the same frame table, each segment a
+#: tag-length-value encoding.
+BINARY_GOLDEN_PAYLOAD = bytes.fromhex(
+    "f2020300670000007100000097000000a4000000ae000000de000000e8000000"
+    "2001000008080903066e756d62657203070d70726576696f75735f6861736807"
+    "2011111111111111111111111111111111111111111111111111111111111111"
+    "1109646174615f6861736807206d4e54b28f3ffff52b8ec9adaf39c7d85ef6b8"
+    "f5d0461dd22fe1f0905660581f0802060474782d610329080706026363060561"
+    "6c696365080007020102060556414c494406056d6f7665640802030100080306"
+    "04626c6f62070200ff0108030604676f6e65000208030613736869706d656e74"
+    "00d0bad0bbd18ed1872d3709020474656d7005c00c0000000000000261740603"
+    "e58c97010802060474782d62032a0807060263630603626f6208010902016b06"
+    "04626c6f620176080203060300070006124d5643435f524541445f434f4e464c"
+    "494354060000"
+)
 
 
 class DecodeSpyCodec(JsonCodec):

@@ -41,12 +41,7 @@ from typing import Dict, NamedTuple
 import pytest
 
 from repro.common import metrics as metric_names
-from repro.common.config import (
-    BlockCuttingConfig,
-    BlockStoreConfig,
-    FabricConfig,
-    StateDbConfig,
-)
+from repro.common.config import BlockCuttingConfig, FabricConfig, StateDbConfig
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import (
     M1IndexChaincode,
@@ -112,7 +107,6 @@ def fabric_config(max_message_count: int = 10) -> FabricConfig:
     return FabricConfig(
         block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
         state_db=StateDbConfig(backend="memory"),
-        block_store=BlockStoreConfig(codec="json"),
     )
 
 

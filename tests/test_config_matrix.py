@@ -1,29 +1,22 @@
 """Configuration-matrix oracle: one workload, every supported configuration.
 
-The knobs that change *how* a ledger is stored -- state-db backend and
-block codec -- must never change *what* it holds.  One
-seeded workload (blind supply-chain writes, ``kv`` traffic, a
-back-to-back checked pair that yields one ``MVCC_READ_CONFLICT``, a
-delete, an M1 indexing run, one join per model and M2's base access)
-runs under the full cross product, and every cell must produce the same
-head hash, hash chain, validation codes, state fingerprint, join rows
-and GetState-Base / GHFK-Base answers.
+The knob that changes *how* a ledger is stored -- the state-db backend
+-- must never change *what* it holds.  One seeded workload (blind
+supply-chain writes, ``kv`` traffic, a back-to-back checked pair that
+yields one ``MVCC_READ_CONFLICT``, a delete, an M1 indexing run, one join
+per model and M2's base access) runs under each backend, and every cell
+must produce the same head hash, hash chain, validation codes, state
+fingerprint, join rows and GetState-Base / GHFK-Base answers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import pytest
 
 from repro.common import metrics as metric_names
-from repro.common.config import (
-    BlockCuttingConfig,
-    BlockStoreConfig,
-    FabricConfig,
-    StateDbConfig,
-)
+from repro.common.config import BlockCuttingConfig, FabricConfig, StateDbConfig
 from repro.fabric.block import MVCC_READ_CONFLICT, VALID
 from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
@@ -61,22 +54,17 @@ STATE_FINGERPRINTS = {
     "m2": "ff969aca35b6d6e4a7051c795de782b4394301ac7c838a1f3e38221e7e9165f5",
 }
 
-#: (state-db backend, block codec).
-CELLS = list(itertools.product(("memory", "lsm"), ("json", "binary")))
+#: State-db backends.
+CELLS = ["memory", "lsm"]
 REFERENCE = CELLS[0]
 
 
-def cell_id(cell) -> str:
-    return "-".join(str(part) for part in cell)
-
-
-def fabric_config(backend: str, codec: str) -> FabricConfig:
+def fabric_config(backend: str) -> FabricConfig:
     """Small blocks, and an LSM memtable far smaller than the key set, so
     the ``lsm`` cells answer from SSTables and compact them."""
     return FabricConfig(
         block_cutting=BlockCuttingConfig(max_message_count=5),
         state_db=StateDbConfig(backend=backend, memtable_limit=8, compaction_trigger=3),
-        block_store=BlockStoreConfig(codec=codec),
     )
 
 
@@ -86,10 +74,10 @@ def history_index(network: FabricNetwork) -> dict:
     return {key: history.locations_for_key(key) for key in history.keys()}
 
 
-def run_workload(path, backend: str, codec: str) -> dict:
+def run_workload(path, backend: str) -> dict:
     """Drive the workload through a plain and an M2 network under one
     configuration; return what every configuration must agree on."""
-    config = fabric_config(backend, codec)
+    config = fabric_config(backend)
     events = generate(WORKLOAD).events
     result: dict = {"rows": {}}
     with FabricNetwork(path / "plain", config=config) as network:
@@ -170,11 +158,11 @@ def base_access(network: FabricNetwork, keys) -> dict:
 
 @pytest.fixture(scope="module")
 def cells(tmp_path_factory):
-    """``cell -> (ledger directory, result)`` for the whole cross product."""
+    """``cell -> (ledger directory, result)`` for every cell."""
     built = {}
     for cell in CELLS:
-        path = tmp_path_factory.mktemp(cell_id(cell))
-        built[cell] = (path, run_workload(path, *cell))
+        path = tmp_path_factory.mktemp(cell)
+        built[cell] = (path, run_workload(path, cell))
     return built
 
 
@@ -196,7 +184,7 @@ def test_workload_is_non_vacuous(cells):
     assert max(count for _, count in probes) > 2
     # The ``lsm`` cells were answered from (and compacted) SSTables.
     for cell, (_, result) in cells.items():
-        if cell[0] == "lsm":
+        if cell == "lsm":
             assert result["sstable_reads"] > 0 and result["compactions"] > 0, cell
 
 
@@ -206,7 +194,7 @@ def test_reference_state_is_the_pinned_fingerprint(cells):
         assert reference[ledger]["state"] == fingerprint, ledger
 
 
-@pytest.mark.parametrize("cell", CELLS[1:], ids=cell_id)
+@pytest.mark.parametrize("cell", CELLS[1:])
 def test_every_cell_equals_the_reference(cells, cell):
     _, reference = cells[REFERENCE]
     _, result = cells[cell]
@@ -218,45 +206,28 @@ def test_every_cell_equals_the_reference(cells, cell):
     assert result["base"] == reference["base"]
 
 
-def test_binary_chains_are_smaller_than_json(cells):
-    """The one cell the ``binary`` codec wins (DESIGN.md §5): the same
-    chain in fewer bytes, whatever the backend."""
-    for (backend, codec), (_, result) in cells.items():
-        if codec != "binary":
-            continue
-        _, as_json = cells[(backend, "json")]
-        for ledger in ("plain", "m2"):
-            assert result[ledger]["bytes"] < as_json[ledger]["bytes"], (
-                backend, ledger
-            )
-
-
-@pytest.mark.parametrize("codec", ["json", "binary"])
 @pytest.mark.parametrize("written, reopened", [("lsm", "memory"), ("memory", "lsm")])
-def test_reopen_under_the_other_backend_recovers_the_state(
-    cells, written, reopened, codec
-):
+def test_reopen_under_the_other_backend_recovers_the_state(cells, written, reopened):
     """Recovery replays the chain: a ledger written under one backend and
     reopened under the other lands on the same height and fingerprint,
     and rebuilds the history index its commits built -- the invalidated
     transaction, the delete and the M1 bundles included."""
-    path, result = cells[(written, codec)]
+    path, result = cells[written]
     for ledger in ("plain", "m2"):
-        with FabricNetwork(path / ledger, config=fabric_config(reopened, codec)) as network:
+        with FabricNetwork(path / ledger, config=fabric_config(reopened)) as network:
             assert network.ledger.height == result[ledger]["height"]
             assert network.ledger.state_fingerprint() == result[ledger]["state"]
             assert history_index(network) == result["history"][ledger]
             network.ledger.verify_chain()
 
 
-@pytest.mark.parametrize("codec", ["json", "binary"])
-def test_reopen_under_lsm_rebuilds_the_index_from_the_frames(cells, codec):
+def test_reopen_under_lsm_rebuilds_the_index_from_the_frames(cells):
     """Reopened under the backend that wrote it, an ``lsm`` ledger replays
     no block: the history index is rebuilt from block frames alone, and
     is the one its commits built."""
-    path, result = cells[("lsm", codec)]
+    path, result = cells["lsm"]
     for ledger in ("plain", "m2"):
-        with FabricNetwork(path / ledger, config=fabric_config("lsm", codec)) as network:
+        with FabricNetwork(path / ledger, config=fabric_config("lsm")) as network:
             assert network.metrics.counter(metric_names.TXS_DECODED) == 0
             assert history_index(network) == result["history"][ledger]
             assert network.ledger.state_fingerprint() == result[ledger]["state"]

@@ -3,8 +3,8 @@
 The commit path may change how it builds what it stores -- encode a
 write's value once and splice it, hand the state-db one batch per block
 -- but never *what* it stores.  A small DS1 ingest (plus a ``kv`` put and
-delete, so the frame and the state-db both see a deletion) runs under
-each block codec with an LSM memtable small enough that flushes fall
+delete, so the frame and the state-db both see a deletion) runs with an
+LSM memtable small enough that flushes fall
 inside a block's state writes (five of them here) and the tables
 compact.  A SHA-256 over every file the ledger directory holds after a
 clean close -- block files, block index, SSTables, manifest -- must
@@ -21,10 +21,8 @@ import hashlib
 import itertools
 from pathlib import Path
 
-import pytest
-
 from repro.common import metrics as metric_names
-from repro.common.config import BlockStoreConfig, FabricConfig, StateDbConfig
+from repro.common.config import FabricConfig, StateDbConfig
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
@@ -35,12 +33,9 @@ from repro.workload.ingest import ingest
 
 WORKLOAD = datasets.ds1(scale=0.004, entity_scale=0.1, seed=11)
 
-#: SHA-256 over the ledger directory, by block codec, measured on the
-#: commit path that encoded every write three times and put it alone.
-DIGESTS = {
-    "json": "54f3e40ca0dda25286bdb20ee3a55c58caa545a096e980b672e16032cd3a97fd",
-    "binary": "dd4a160f130eda2da8742deb4ad3c55d160071ac80f4de3f4e55fc223acf241b",
-}
+#: SHA-256 over the ledger directory, measured on the commit path that
+#: encoded every write three times and put it alone.
+DIGEST = "54f3e40ca0dda25286bdb20ee3a55c58caa545a096e980b672e16032cd3a97fd"
 
 
 def directory_digest(root: Path) -> str:
@@ -53,8 +48,7 @@ def directory_digest(root: Path) -> str:
     return hasher.hexdigest()
 
 
-@pytest.mark.parametrize("codec", sorted(DIGESTS))
-def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch, codec):
+def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch):
     secrets = itertools.count()
     monkeypatch.setattr(
         "repro.fabric.identity.os.urandom",
@@ -62,7 +56,6 @@ def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch, codec):
     )
     config = FabricConfig(
         state_db=StateDbConfig(backend="lsm", memtable_limit=37, compaction_trigger=3),
-        block_store=BlockStoreConfig(codec=codec),
     )
     metrics = MetricsRegistry()
     network = FabricNetwork(tmp_path / "net", config=config, metrics=metrics)
@@ -78,4 +71,4 @@ def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch, codec):
     network.close()
     # Tables were flushed and compacted: SSTables and manifest are covered.
     assert metrics.counter(metric_names.KV_COMPACTIONS) > 0
-    assert directory_digest(tmp_path / "net") == DIGESTS[codec]
+    assert directory_digest(tmp_path / "net") == DIGEST
