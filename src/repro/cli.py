@@ -16,6 +16,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -123,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inspect.add_argument("path", help="ledger directory (FabricNetwork path)")
 
-    audit = subparsers.add_parser(
-        "audit", help="cross-check a ledger's derived structures against its chain"
-    )
-    audit.add_argument("path", help="ledger directory (FabricNetwork path)")
-
     doctor = subparsers.add_parser(
         "doctor",
         help="check a (possibly crashed) ledger directory for damage: "
@@ -139,11 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *BACKENDS],
         default="auto",
         help="state-db backend of the ledger (default: detect from files)",
-    )
-    doctor.add_argument(
-        "--manifest",
-        default=None,
-        help="path of the M1 indexer's run manifest, if one is in use",
     )
 
     lint = subparsers.add_parser(
@@ -327,17 +318,6 @@ def _run_inspect(args: argparse.Namespace) -> str:
         ledger.close()
 
 
-def _run_audit(args: argparse.Namespace) -> str:
-    from repro.fabric.audit import audit_ledger
-    from repro.fabric.ledger import Ledger
-
-    ledger = Ledger(args.path)
-    try:
-        return audit_ledger(ledger).render()
-    finally:
-        ledger.close()
-
-
 def _run_doctor(args: argparse.Namespace) -> tuple[str, bool]:
     import dataclasses
 
@@ -351,7 +331,7 @@ def _run_doctor(args: argparse.Namespace) -> tuple[str, bool]:
     config = dataclasses.replace(
         config, state_db=dataclasses.replace(config.state_db, backend=backend)
     )
-    report = run_doctor(args.path, config=config, manifest_path=args.manifest)
+    report = run_doctor(args.path, config=config)
     return report.render(), report.ok
 
 
@@ -448,9 +428,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "verify":
         outputs.append(_run_verify(args))
     elif args.command == "inspect":
+        if not os.path.isdir(args.path):
+            # Ledger() would scaffold an empty ledger here.
+            print(f"repro inspect: {args.path} is not a directory", file=sys.stderr)
+            return 1
         outputs.append(_run_inspect(args))
-    elif args.command == "audit":
-        outputs.append(_run_audit(args))
     elif args.command == "doctor":
         rendered, healthy = _run_doctor(args)
         print(rendered)

@@ -52,18 +52,9 @@ class BlockCuttingConfig:
     """
 
     max_message_count: int = 10
-    max_batch_bytes: int = 512 * 1024
-    #: Logical-time batch timeout: a block is cut when the oldest queued
-    #: transaction is this much older (in logical time) than the newest.
-    batch_timeout: int = 0
 
     def __post_init__(self) -> None:
         _require_positive(self.max_message_count, "max_message_count")
-        _require_positive(self.max_batch_bytes, "max_batch_bytes")
-        if self.batch_timeout < 0:
-            raise ConfigError(
-                f"batch_timeout must be non-negative, got {self.batch_timeout}"
-            )
 
 
 #: Valid values for the ``durability`` knobs: ``flush`` pushes writes to

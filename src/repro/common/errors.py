@@ -14,8 +14,7 @@ The full hierarchy::
     │   ├── SSTableError         malformed SSTable file
     │   ├── BlockFileError       malformed block file / bad block location
     │   ├── ClosedStoreError     operation on a closed store
-    │   ├── QuarantinedError     reads refused: a corrupt SSTable was isolated
-    │   └── RecoveryError        crash recovery could not restore consistency
+    │   └── QuarantinedError     reads refused: a corrupt SSTable was isolated
     ├── LedgerError              Fabric-simulator failures
     │   ├── BlockNotFoundError
     │   ├── TransactionValidationError
@@ -85,15 +84,6 @@ class QuarantinedError(StorageError):
         super().__init__(message)
         #: File names of the quarantined tables, for diagnostics.
         self.tables = tuple(tables)
-
-
-class RecoveryError(StorageError):
-    """Crash recovery found damage it could not repair.
-
-    Raised when reopening a store whose surviving files are mutually
-    inconsistent beyond what torn-tail truncation and index rebuilds can
-    fix -- e.g. a corrupt block record with intact records after it.
-    """
 
 
 class LedgerError(ReproError):

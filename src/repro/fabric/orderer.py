@@ -1,10 +1,10 @@
 """The solo ordering service: batch cutting and the block hash chain.
 
 Endorsed transactions queue at the orderer; a block is cut when the batch
-hits ``max_message_count``, exceeds ``max_batch_bytes``, or (in logical
-time) the oldest queued transaction is ``batch_timeout`` older than the
-newest.  These are Fabric's ``BatchSize``/``BatchTimeout`` semantics with
-logical time standing in for wall time.
+hits ``max_message_count`` (Fabric's ``BatchSize.MaxMessageCount``) or
+when a client flushes.  Fabric's byte cap and batch timeout are not
+modelled: no table of the paper fills a batch past 136 KB, a quarter of
+Fabric's 512 KB default, so neither rule ever cut a block here.
 
 Blocks are chained: each header carries the hash of the previous header.
 """
@@ -37,7 +37,6 @@ class SoloOrderer:
     ) -> None:
         self._config = config or BlockCuttingConfig()
         self._pending: List[Transaction] = []
-        self._pending_bytes = 0
         self._next_number = next_block_number
         self._previous_hash = previous_hash
         self._consumers: List[BlockConsumer] = []
@@ -53,25 +52,8 @@ class SoloOrderer:
         """Queue one endorsed transaction, cutting a block if the batch
         is full."""
         self._pending.append(tx)
-        self._pending_bytes += self._estimate_size(tx)
-        if self._should_cut():
-            self.cut_block()
-
-    def _should_cut(self) -> bool:
         if len(self._pending) >= self._config.max_message_count:
-            return True
-        if self._pending_bytes >= self._config.max_batch_bytes:
-            return True
-        if self._config.batch_timeout and len(self._pending) > 1:
-            oldest = self._pending[0].timestamp
-            newest = self._pending[-1].timestamp
-            if newest - oldest >= self._config.batch_timeout:
-                return True
-        return False
-
-    @staticmethod
-    def _estimate_size(tx: Transaction) -> int:
-        return len(tx.signable_payload())
+            self.cut_block()
 
     # -- block production -----------------------------------------------------
 
@@ -84,7 +66,6 @@ class SoloOrderer:
             return None
         transactions = self._pending
         self._pending = []
-        self._pending_bytes = 0
         header = BlockHeader(
             number=self._next_number,
             previous_hash=self._previous_hash,

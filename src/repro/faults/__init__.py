@@ -14,9 +14,6 @@ The subsystem has four parts:
 * :mod:`repro.faults.doctor` -- offline consistency checker for a
   (possibly crashed) ledger directory; import it explicitly, it pulls in
   the whole fabric layer.
-
-:mod:`repro.faults.manifest` provides the atomic JSON run manifest that
-makes the M1 indexing process resumable.
 """
 
 from repro.faults.crashpoints import (
@@ -27,7 +24,6 @@ from repro.faults.crashpoints import (
     crash_point,
 )
 from repro.faults.fs import REAL_FS, FaultyFS, FaultyReadFile, FileSystem
-from repro.faults.manifest import RunManifest
 from repro.faults.plan import FaultPlan
 
 __all__ = [
@@ -40,6 +36,5 @@ __all__ = [
     "FaultyFS",
     "FaultyReadFile",
     "FileSystem",
-    "RunManifest",
     "FaultPlan",
 ]

@@ -54,11 +54,11 @@ LSM_POST_SSTABLE = "lsm.post_sstable_write"
 M1_PRE_BUNDLE = "m1.pre_bundle_write"
 #: M1 indexer: bundle written, before its clear_index tombstone.
 M1_MID_BUNDLE = "m1.between_write_and_clear"
-#: M1 indexer: a key fully bundled, before the manifest records it done.
+#: M1 indexer: a key's bundles submitted (the last may still be pending).
 M1_POST_KEY = "m1.post_key"
 #: M1 indexer: all keys done, before the record_run metadata transaction.
 M1_PRE_RECORD_RUN = "m1.pre_record_run"
-#: M1 indexer: run recorded on the ledger, before manifest cleanup.
+#: M1 indexer: run recorded on the ledger, before ``run`` returns.
 M1_POST_RECORD_RUN = "m1.post_record_run"
 
 #: Commit-pipeline points (swept against ingestion workloads on the
@@ -76,7 +76,7 @@ COMMIT_CRASH_POINTS = (
     LSM_POST_SSTABLE,
 )
 
-#: M1 indexing points (swept against indexing runs, recovered via resume).
+#: M1 indexing points (swept against indexing runs, recovered by a rerun).
 M1_CRASH_POINTS = (
     M1_PRE_BUNDLE,
     M1_MID_BUNDLE,

@@ -12,10 +12,10 @@ it is not, is the damage repairable?*  It layers four groups of checks:
    hash chain, data hashes, state-db vs an independent chain replay,
    history index, savepoint.
 4. **M1 index consistency**: every recorded indexing run must be
-   readable (a run written with a removed interval scheme is an error),
-   half-finished bundle pairs and an unfinished run manifest are flagged
-   as resumable (a manifest the indexer could not resume from is an
-   error).
+   readable (a run written with a removed interval scheme is an error);
+   gaps between runs, bundles no recorded run covers and bundles still
+   in state-db are flagged -- rerunning the interrupted indexing run
+   finishes it.
 
 Everything is reported as findings (never an exception for damage), so
 operators see the whole picture in one run.
@@ -76,15 +76,12 @@ def detect_backend(path: str | Path) -> str:
 
 
 def run_doctor(
-    path: str | Path,
-    config: Optional[FabricConfig] = None,
-    manifest_path: Optional[str | Path] = None,
+    path: str | Path, config: Optional[FabricConfig] = None
 ) -> DoctorReport:
     """Run every check against the ledger directory at ``path``.
 
     ``config`` defaults to a :class:`FabricConfig` with the state-db
-    backend auto-detected from the directory.  ``manifest_path`` points
-    at the M1 indexer's run manifest, if one is in use.
+    backend auto-detected from the directory.
     """
     path = Path(path)
     if not path.is_dir():
@@ -119,38 +116,7 @@ def run_doctor(
         _check_m1(ledger, report)
     finally:
         ledger.close()
-
-    if manifest_path is not None:
-        _check_run_manifest(Path(manifest_path), report)
     return report
-
-
-def _check_run_manifest(path: Path, report: DoctorReport) -> None:
-    """An M1 run manifest left by an interrupted run is resumable only
-    if :class:`~repro.temporal.m1.M1Indexer` can read its range back."""
-    from repro.faults.manifest import RunManifest
-
-    try:
-        state = RunManifest(path).load()
-    except ReproError as exc:
-        report.add("error", "m1-manifest-corrupt", str(exc))
-        return
-    if state is None:
-        return
-    missing = [field for field in ("t1", "t2", "u") if field not in state]
-    if missing:
-        report.add(
-            "error", "m1-manifest-corrupt",
-            f"run manifest {path} lacks {', '.join(missing)}: the "
-            "interrupted run cannot be resumed",
-        )
-        return
-    report.add(
-        "warning", "m1-run-in-progress",
-        f"run manifest {path} records an interrupted M1 indexing run "
-        f"({state['t1']}, {state['t2']}] u={state['u']}; rerun that range "
-        "to resume it",
-    )
 
 
 def _check_raw_storage(path: Path, report: DoctorReport) -> None:
@@ -184,10 +150,12 @@ def _check_raw_storage(path: Path, report: DoctorReport) -> None:
 def _check_m1(ledger, report: DoctorReport) -> None:
     """M1 invariants: every recorded indexing run is readable; stretches
     of ``(0, indexed_until]`` no run covers make M1 refuse the windows
-    touching them; bundle pairs that are missing their ``clear_index``
-    half are resumable, not fatal."""
+    touching them.  What an interrupted indexing run leaves -- bundles in
+    history-db no recorded run covers, bundles still in state-db -- is
+    read off the ledger and reported as resumable, not fatal."""
+    from repro.common.errors import TemporalQueryError
     from repro.temporal.intervals import TimeInterval
-    from repro.temporal.keys import is_interval_key
+    from repro.temporal.keys import decode_interval_key, is_interval_key
     from repro.temporal.m1 import M1QueryEngine, uncovered_stretches
 
     try:
@@ -206,10 +174,40 @@ def _check_m1(ledger, report: DoctorReport) -> None:
                 "TemporalQueryError; index the stretch with M1Indexer.run, "
                 "or query it on TQF",
             )
-    for key, _ in ledger.state_db.get_state_by_range("", ""):
-        if is_interval_key(key):
+
+    def bundle_interval(key: str) -> Optional[TimeInterval]:
+        """The interval of an M1 bundle key, else ``None``.  M1 indexes
+        keys listed from state-db, so its bundles' base keys are there;
+        an M2 ledger stores ``(k, θ)`` keys but never ``k``."""
+        if not is_interval_key(key):
+            return None
+        try:
+            base_key, interval = decode_interval_key(key)
+        except TemporalQueryError:
+            return None
+        return interval if ledger.state_db.get_state(base_key) is not None else None
+
+    unrecorded: List[TimeInterval] = []
+    for key in ledger.history_db.keys():
+        interval = bundle_interval(key)
+        if interval is not None and uncovered_stretches(runs, interval):
+            unrecorded.append(interval)
+    if unrecorded:
+        span = TimeInterval(
+            min(interval.start for interval in unrecorded),
+            max(interval.end for interval in unrecorded),
+        )
+        report.add(
+            "warning", "m1-run-in-progress",
+            f"history-db holds {len(unrecorded)} M1 bundles over {span} that "
+            "no recorded indexing run covers: an indexing run was "
+            "interrupted; rerun M1Indexer.run over that range to finish it",
+        )
+    for key in [key for key, _ in ledger.state_db.get_state_by_range("", "")]:
+        if bundle_interval(key) is not None:
             report.add(
                 "warning", "m1-unfinished-bundle",
                 f"{key!r} still in state-db: its clear_index transaction "
-                "never committed (resuming the indexing run repairs this)",
+                "never committed (rerunning the interrupted indexing run "
+                "clears it)",
             )

@@ -1,7 +1,7 @@
 """The filesystem seam: real pass-through and the fault-injecting wrapper.
 
 Every durable write the simulator performs (WAL, SSTable, block files,
-block index, M1 run manifests) goes through a :class:`FileSystem` object
+block index, LSM manifest) goes through a :class:`FileSystem` object
 instead of the ``open``/``os.replace`` builtins.  The default
 :data:`REAL_FS` singleton delegates straight to the builtins -- the hot
 path pays one attribute lookup per *file open*, nothing per write -- while

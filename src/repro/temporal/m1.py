@@ -40,7 +40,6 @@ before or after that commit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.common import metrics as metric_names
@@ -58,12 +57,12 @@ from repro.faults.crashpoints import (
     M1_PRE_RECORD_RUN,
     crash_point,
 )
-from repro.faults.manifest import RunManifest
 from repro.temporal.chaincodes import M1IndexChaincode
 from repro.temporal.events import Event, events_to_values
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import (
     BOUND_CAP,
+    decode_interval_key,
     encode_interval_key,
     interval_key_suffix,
     is_interval_key,
@@ -138,22 +137,12 @@ class M1Indexer:
         gateway: Gateway,
         key_prefixes: List[str],
         metrics: MetricsRegistry = NULL_REGISTRY,
-        manifest_path: Optional[str | Path] = None,
     ) -> None:
-        """``manifest_path`` enables crash-safe indexing: progress is
-        checkpointed to an atomic JSON manifest after each key (the
-        pending batch is flushed first, so "checkpointed" always means
-        "committed"), and a rerun of the same range resumes -- skipping
-        completed keys and re-verifying partially indexed ones against
-        the ledger instead of double-writing their bundles."""
         self._ledger = ledger
         self._gateway = gateway
         self._prefixes = list(key_prefixes)
         self._metrics = metrics
         self._scanner = TQFEngine(ledger, metrics=metrics)
-        self._manifest = (
-            RunManifest(manifest_path) if manifest_path is not None else None
-        )
 
     def run(self, t1: int, t2: int, u: int) -> IndexingReport:
         """Index ``(t1, t2]`` with the paper's fixed-length-``u`` strategy.
@@ -167,6 +156,14 @@ class M1Indexer:
         would bundle the same events twice and queries would return
         duplicates.  Periodic indexing therefore always picks
         ``t1 = previous run's t2``.
+
+        **Recovery is a rerun.**  A bundle depends only on ``(k, θ)``, and
+        the ledger records which bundles and clears committed, so a run
+        killed at any point is finished by calling ``run`` again, with
+        the same ``u`` or another: bundles left in state-db are cleared,
+        bundles already in history-db are not rewritten, and a run
+        already recorded as exactly ``(t1, t2, u)`` returns at once with
+        zero counts.
         """
         scheme = FixedIntervalScheme(u)
         if t2 <= t1:
@@ -177,38 +174,15 @@ class M1Indexer:
                 f"indexing range ({t1}, {t2}] ends past the key cap: index "
                 f"interval bounds must be below {BOUND_CAP}"
             )
-        window = TimeInterval(t1, t2)
+        run = IndexingRun(t1=t1, t2=t2, u=u)
+        window = run.window
         watch = Stopwatch().start()
 
-        manifest_state = None
-        if self._manifest is not None:
-            manifest_state = self._manifest.load()
-            # ``u`` is part of the run's identity: keys completed before
-            # the crash were bundled under the manifest's ``u``, and a
-            # query recomputes every key's intervals from the one
-            # recorded ``u``.
-            if manifest_state is not None and (
-                manifest_state.get("t1") != t1
-                or manifest_state.get("t2") != t2
-                or manifest_state.get("u") != u
-            ):
-                raise IndexingError(
-                    f"run manifest {self._manifest.path} records an unfinished "
-                    f"({manifest_state.get('t1')}, {manifest_state.get('t2')}] "
-                    f"u={manifest_state.get('u')} run; resume it with the same "
-                    "range and u, or clear it, before starting a different run"
-                )
-        resuming = manifest_state is not None
-        completed_keys = set(manifest_state["completed_keys"]) if resuming else set()
-
         for previous in M1QueryEngine(self._ledger).indexing_runs():
-            if resuming and previous.t1 == t1 and previous.t2 == t2:
-                # The crashed run got as far as committing record_run;
-                # only the manifest cleanup is left.
-                assert self._manifest is not None
-                self._manifest.clear()
+            if previous == run:
+                # A rerun of a run that got as far as record_run.
                 return IndexingReport(
-                    run=previous,
+                    run=run,
                     keys_scanned=0,
                     indexes_written=0,
                     events_bundled=0,
@@ -220,46 +194,27 @@ class M1Indexer:
                     f"{previous.window}; events would be double-indexed"
                 )
 
-        if self._manifest is not None:
-            # Persist the run's identity up front so a crash at any later
-            # point is recognizably *this* run when it resumes.
-            self._save_manifest(t1, t2, u, completed_keys)
-
+        for prefix in self._prefixes:
+            self._clear_interrupted(prefix, window)
         intervals = scheme.partition_clipped(window)
         keys_scanned = 0
         indexes_written = 0
         events_bundled = 0
         for prefix in self._prefixes:
             for key in self._scanner.list_keys(prefix):
-                if key in completed_keys:
-                    continue
                 keys_scanned += 1
                 events = self._scanner.fetch_events(key, window)
-                written, bundled = self._write_bundles(
-                    key, events, intervals,
-                    verify_existing=self._manifest is not None,
-                )
+                written, bundled = self._write_bundles(key, events, intervals)
                 indexes_written += written
                 events_bundled += bundled
-                if self._manifest is not None:
-                    # Flush first: a manifest checkpoint must never claim
-                    # transactions that were still pending (and would be
-                    # lost) at a kill.
-                    self._gateway.flush()
                 crash_point(M1_POST_KEY)
-                if self._manifest is not None:
-                    completed_keys.add(key)
-                    self._save_manifest(t1, t2, u, completed_keys)
 
-        run = IndexingRun(t1=t1, t2=t2, u=u)
         crash_point(M1_PRE_RECORD_RUN)
         self._gateway.submit_transaction(
             M1IndexChaincode.name, "record_run", [run.to_value()]
         )
         self._gateway.flush()
         crash_point(M1_POST_RECORD_RUN)
-        if self._manifest is not None:
-            self._manifest.clear()
         return IndexingReport(
             run=run,
             keys_scanned=keys_scanned,
@@ -268,32 +223,34 @@ class M1Indexer:
             seconds=watch.stop(),
         )
 
-    def _save_manifest(
-        self, t1: int, t2: int, u: int, completed_keys: set
-    ) -> None:
-        assert self._manifest is not None
-        self._manifest.save(
-            {
-                "t1": t1,
-                "t2": t2,
-                "u": u,
-                "completed_keys": sorted(completed_keys),
-            }
-        )
+    def _clear_interrupted(self, prefix: str, window: TimeInterval) -> None:
+        """Submit ``clear_index`` for every bundle under ``prefix`` still in
+        state-db that overlaps ``window``.
+
+        No recorded run overlaps ``window``, so such a bundle was written
+        by an interrupted run -- under this ``u`` or another -- whose
+        ``clear_index`` never committed.
+        """
+        scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
+        # Listed before the first submit: a submit may commit a block.
+        left = [key for key, _ in scan if is_interval_key(key)]
+        for index_key in left:
+            _, interval = decode_interval_key(index_key)
+            if interval.overlaps(window):
+                self._gateway.submit_transaction(
+                    M1IndexChaincode.name, "clear_index", [index_key],
+                    timestamp=interval.end,
+                )
 
     def _write_bundles(
         self,
         key: str,
         events: List[Event],
         intervals: List[TimeInterval],
-        verify_existing: bool = False,
     ) -> tuple[int, int]:
-        """Submit the two indexing transactions per non-empty interval.
+        """Submit the two indexing transactions per non-empty interval
+        whose bundle is not yet in history-db.
 
-        With ``verify_existing`` (manifest mode) each interval is first
-        checked against the ledger: a bundle a crashed run already
-        committed is not rewritten, and a committed bundle whose
-        ``clear_index`` went missing in the crash gets just the clear.
         Returns the number of intervals holding bundles (pre-existing
         included) and the number of events newly bundled.
         """
@@ -308,32 +265,23 @@ class M1Indexer:
                 position += 1
             if not bundle:
                 continue  # pairs are ingested only if EV(k, θ) is non-empty
-            index_key = encode_interval_key(key, interval)
-            have_bundle = have_clear = False
-            if verify_existing:
-                have_bundle = bool(
-                    self._ledger.history_db.locations_for_key(index_key)
-                )
-                if have_bundle:
-                    have_clear = (
-                        self._ledger.get_state_entry(index_key) is None
-                    )
-            if not have_bundle:
-                crash_point(M1_PRE_BUNDLE)
-                self._gateway.submit_transaction(
-                    M1IndexChaincode.name,
-                    "write_index",
-                    [index_key, events_to_values(bundle)],
-                    timestamp=interval.end,
-                )
-                bundled += len(bundle)
-            if not have_clear:
-                crash_point(M1_MID_BUNDLE)
-                self._gateway.submit_transaction(
-                    M1IndexChaincode.name, "clear_index", [index_key],
-                    timestamp=interval.end,
-                )
             written += 1
+            index_key = encode_interval_key(key, interval)
+            if self._ledger.history_db.locations_for_key(index_key):
+                continue  # committed by an interrupted run
+            crash_point(M1_PRE_BUNDLE)
+            self._gateway.submit_transaction(
+                M1IndexChaincode.name,
+                "write_index",
+                [index_key, events_to_values(bundle)],
+                timestamp=interval.end,
+            )
+            bundled += len(bundle)
+            crash_point(M1_MID_BUNDLE)
+            self._gateway.submit_transaction(
+                M1IndexChaincode.name, "clear_index", [index_key],
+                timestamp=interval.end,
+            )
         return written, bundled
 
 

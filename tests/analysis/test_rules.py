@@ -383,7 +383,6 @@ class TestMutationAcceptance:
         ledger = repro / "fabric" / "ledger.py"
         registry = repro / "faults" / "crashpoints.py"
         chaincodes = repro / "temporal" / "chaincodes.py"
-        manifest = repro / "faults" / "manifest.py"
         lsm = repro / "storage" / "kv" / "lsm.py"
 
         # CONC001: two new methods that rebind shared state without the
@@ -410,18 +409,13 @@ class TestMutationAcceptance:
         # DUR002 (mutant B): the SSTable writer flushes its temp file but
         # never fsyncs it before the rename.
         _edit(sstable, "            fs.fsync(handle)\n", "            handle.flush()\n")
-        # DUR001: the M1 run manifest written straight to its final name,
-        # bypassing the seam (FaultyFS can neither tear nor drop it).
+        # DUR001: the LSM manifest written straight to its final name
+        # instead of renaming the staged copy, bypassing the seam
+        # (FaultyFS can neither tear nor drop it).
         _edit(
-            manifest,
-            "        handle = self._fs.open(tmp_path, \"wb\")\n"
-            "        try:\n"
-            "            handle.write(payload)\n"
-            "            self._fs.fsync(handle)\n"
-            "        finally:\n"
-            "            handle.close()\n"
-            "        self._fs.replace(tmp_path, self.path)\n",
-            "        self.path.write_bytes(payload)  # mutant: raw write\n",
+            lsm,
+            "        self._fs.replace(tmp, manifest)\n",
+            "        manifest.write_bytes(payload)  # mutant: raw write\n",
         )
         (repro / "storage" / "sneaky.py").write_text(
             '"""A write path added without the seam."""\n\n\n'
@@ -532,7 +526,7 @@ class TestMutationAcceptance:
             "napping": at("CONC003", napping, "time.sleep(0.05)"),
             "metrics_sleep": at("CONC003", metrics, "time.sleep(0.001)"),
             "sstable_fsync": at("DUR002", sstable, "fs.replace(tmp_path, path)"),
-            "raw_manifest": at("DUR001", manifest, "# mutant: raw write"),
+            "raw_manifest": at("DUR001", lsm, "# mutant: raw write"),
             "raw_open": at("DUR001", repro / "storage" / "sneaky.py", "open(path"),
             "leaked_handle": at("RES001", lsm, "# mutant: leak"),
             "env_branch": at("CHAIN001", chaincodes, "# mutant: env branch"),

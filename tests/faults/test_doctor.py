@@ -8,7 +8,6 @@ from repro.cli import main
 from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.faults.doctor import detect_backend, run_doctor
-from repro.faults.manifest import RunManifest
 from repro.temporal.chaincodes import M1IndexChaincode
 from tests.faults.harness import lsm_config
 
@@ -127,27 +126,53 @@ def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
         assert named in report.render()
 
 
-def test_unfinished_manifest_is_reported(tmp_path):
-    config = build_ledger_dir(tmp_path / "net")
-    manifest = tmp_path / "m1-run.json"
-    RunManifest(manifest).save({"t1": 0, "t2": 500, "u": 50, "completed_keys": []})
-    report = run_doctor(tmp_path / "net", config=config, manifest_path=manifest)
+def test_interrupted_m1_run_is_reported_until_rerun(tmp_path):
+    """The doctor reads an interrupted indexing run off the ledger alone:
+    bundles in history-db no recorded run covers, named by their span."""
+    from repro.common.errors import SimulatedCrashError
+    from repro.faults import FaultPlan, FaultyFS, active_plan
+    from repro.faults.crashpoints import M1_POST_KEY
+    from repro.temporal.chaincodes import SupplyChainChaincode
+    from repro.temporal.m1 import M1Indexer
+    from repro.workload.ingest import ingest
+    from tests.helpers import SMALL_CONFIG, small_workload
+
+    config = lsm_config()
+    plan = FaultPlan(seed=25).crash_at(M1_POST_KEY)
+    fs = FaultyFS(plan)
+    network = FabricNetwork(tmp_path / "net", config=config, fs=fs)
+    network.install(SupplyChainChaincode())
+    network.install(M1IndexChaincode())
+    ingest(network.gateway("ingestor"), small_workload().events, SupplyChainChaincode.name)
+    indexer = M1Indexer(network.ledger, network.gateway("indexer"), ["S", "C"])
+    with pytest.raises(SimulatedCrashError), active_plan(plan):
+        indexer.run(0, SMALL_CONFIG.t_max, 100)
+    fs.kill()
+
+    report = run_doctor(tmp_path / "net", config=config)
     assert report.ok  # resumable, not fatal
     (finding,) = [f for f in report.findings if f.code == "m1-run-in-progress"]
-    assert "(0, 500] u=50" in finding.detail  # the range to rerun
+    assert finding.severity == "warning"
+    assert "holds 8 M1 bundles over (0-900] that no recorded indexing run covers" in finding.detail
+
+    with FabricNetwork(tmp_path / "net", config=config) as network:
+        network.install(SupplyChainChaincode())
+        network.install(M1IndexChaincode())
+        M1Indexer(network.ledger, network.gateway("indexer"), ["S", "C"]).run(
+            0, SMALL_CONFIG.t_max, 100
+        )
+    report = run_doctor(tmp_path / "net", config=config)
+    assert report.findings == [], report.render()
 
 
-@pytest.mark.parametrize("content", ["{not json", "{}", '{"t1": 0, "t2": 500}'])
-def test_unreadable_manifest_is_an_error_not_resumable(tmp_path, content):
-    """A manifest ``M1Indexer.run`` would refuse is damage, not a run to
-    resume."""
-    config = build_ledger_dir(tmp_path / "net")
-    manifest = tmp_path / "m1-run.json"
-    manifest.write_text(content)
-    report = run_doctor(tmp_path / "net", config=config, manifest_path=manifest)
-    assert not report.ok
-    assert "m1-manifest-corrupt" in codes(report)
-    assert "m1-run-in-progress" not in codes(report)
+def test_m2_interval_keys_are_not_m1_bundles(tmp_path):
+    """An M2 ledger keeps its ``(k, θ)`` keys in state-db and history-db
+    by design; none of them is an interrupted M1 run."""
+    from tests.helpers import build_m2_network, small_workload
+
+    build_m2_network(tmp_path / "net", small_workload(), 100).close()
+    report = run_doctor(tmp_path / "net")
+    assert report.findings == [], report.render()
 
 
 def record_m1_runs(path, runs):
