@@ -20,7 +20,8 @@ The full hierarchy::
     │   ├── TransactionValidationError
     │   ├── EndorsementError
     │   ├── ChaincodeError
-    │   └── HashChainError
+    │   ├── HashChainError
+    │   └── OrdererHaltedError   submits refused: a cut block failed to commit
     ├── TemporalQueryError
     │   └── IndexingError
     ├── WorkloadError
@@ -108,6 +109,11 @@ class ChaincodeError(LedgerError):
 
 class HashChainError(LedgerError):
     """A block's previous-hash link does not match the chain."""
+
+
+class OrdererHaltedError(LedgerError):
+    """The orderer refuses every submit since a block it cut failed to
+    commit; reopening the network resumes from the ledger's head."""
 
 
 class TemporalQueryError(ReproError):

@@ -287,6 +287,8 @@ _PER_TRANSACTION_FRAME = 0xF1
 _END = struct.Struct("<I")
 _END_PAIR = struct.Struct("<II")
 
+_new_frame = tuple.__new__
+
 
 class _Frame(NamedTuple):
     """A framed payload as parsed by :meth:`Block.from_payload`."""
@@ -599,7 +601,11 @@ class Block:
             )
         block = Block.__new__(Block)
         block._header = block._txs = None
-        block._frame = _Frame(payload, body, writes, position, first, step, codec, metrics)
+        # ``tuple.__new__`` directly: the named tuple's own ``__new__`` is a
+        # Python function that only repeats it, once per block read.
+        block._frame = _new_frame(
+            _Frame, (payload, body, writes, position, first, step, codec, metrics)
+        )
         block._segments = {}
         block._decoded = {}
         return block

@@ -47,6 +47,9 @@ class HistoryEntry(NamedTuple):
     tx_id: str
 
 
+_new_entry = tuple.__new__
+
+
 @sanitize_shared("_locations")
 class HistoryDB:
     """Per-key index of write locations ``(block_num, tx_num, write_num)``.
@@ -121,18 +124,27 @@ class HistoryDB:
     ) -> Iterator[HistoryEntry]:
         """Fabric's GHFK: lazily yield all past states of ``key``, oldest first.
 
-        Each new block touched is deserialized through ``block_store`` (and
-        counted); consecutive writes living in the same block reuse the
-        iterator's single-block cache.  Abandoning the iterator early skips
-        the remaining blocks entirely -- the behaviour the paper's Model M1
-        relies on to read an index bundle with exactly one block access.
+        Every call ticks ``query.ghfk_calls``.  A key with no write
+        location -- an M1 or M2 ``(k, θ)`` key whose interval held no
+        event -- gets an exhausted iterator: no generator, no list copy,
+        no block read.  Otherwise each new block touched is deserialized
+        through ``block_store`` (and counted); consecutive writes living in
+        the same block reuse the iterator's single-block cache.  Abandoning
+        the iterator early skips the remaining blocks entirely -- the
+        behaviour the paper's Model M1 relies on to read an index bundle
+        with exactly one block access.
 
         Safe to call from any number of threads against a shared store:
         the location list is snapshotted under the lock, and each
         iterator's single-block cache is private to that iterator.
         """
         self._metrics.increment(metric_names.GHFK_CALLS)
-        return self._iterate_history(key, self.locations_for_key(key), block_store)
+        with self._lock:
+            locations = self._locations.get(key)
+            if not locations:
+                return iter(())
+            locations = list(locations)
+        return self._iterate_history(key, locations, block_store)
 
     def _iterate_history(
         self,
@@ -143,7 +155,10 @@ class HistoryDB:
         # A result's counters are ticked before it is handed out, in one
         # registry call: a caller that abandons the iterator (M1 after its
         # one bundle, TQF past the window) has every result it took
-        # counted at that moment, and nothing else.
+        # counted at that moment, and nothing else.  Entries are built
+        # with ``tuple.__new__``: the named tuple's own ``__new__`` is a
+        # Python function that only repeats it.
+        increment_many = self._metrics.increment_many
         cached_block: Optional[Block] = None
         cached_num = -1
         for block_num, tx_num, write_num in locations:
@@ -154,7 +169,10 @@ class HistoryDB:
             value, is_delete, timestamp, tx_id, decoded_head = cached_block.history_write(
                 tx_num, write_num, key
             )
-            self._metrics.increment_many(
+            increment_many(
                 (metric_names.GHFK_RESULTS, 1), (metric_names.TXS_DECODED, decoded_head)
             )
-            yield HistoryEntry(key, value, is_delete, timestamp, block_num, tx_num, tx_id)
+            yield _new_entry(
+                HistoryEntry,
+                (key, value, is_delete, timestamp, block_num, tx_num, tx_id),
+            )

@@ -9,35 +9,52 @@ load (``"l"``) or unload (``"ul"``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, NamedTuple
 
 from repro.common.errors import TemporalQueryError
 from repro.common.timeutils import Timestamp
 
 LOAD = "l"
 UNLOAD = "ul"
+_KINDS = (LOAD, UNLOAD)
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """One load/unload event.  Orders by ``(time, key, kind)``."""
-
+class _EventFields(NamedTuple):
     time: Timestamp
     key: str
     other: str
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in (LOAD, UNLOAD):
+
+class Event(_EventFields):
+    """One load/unload event: a validated named tuple.
+
+    Orders, compares and hashes as ``(time, key, other, kind)``.  Every
+    way of building one -- the constructor, :meth:`_make`, ``_replace``,
+    unpickling, copying -- goes through ``__new__`` and its kind and time
+    checks.  A tuple, not a frozen dataclass: one is built per GHFK
+    result, and a frozen dataclass pays an ``object.__setattr__`` per
+    field and a ``__post_init__`` call on top.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, time: Timestamp, key: str, other: str, kind: str) -> "Event":
+        if kind not in _KINDS:
             raise TemporalQueryError(
-                f"event kind must be {LOAD!r} or {UNLOAD!r}, got {self.kind!r}"
+                f"event kind must be {LOAD!r} or {UNLOAD!r}, got {kind!r}"
             )
-        if self.time <= 0:
+        if time <= 0:
             raise TemporalQueryError(
                 f"event time must be positive (no (start, end] interval "
-                f"contains {self.time})"
+                f"contains {time})"
             )
+        return _new_tuple(cls, (time, key, other, kind))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "Event":
+        return cls(*iterable)
 
     @property
     def is_load(self) -> bool:
@@ -50,7 +67,7 @@ class Event:
     @staticmethod
     def from_value(key: str, value: Dict[str, Any]) -> "Event":
         try:
-            return Event(time=value["t"], key=key, other=value["o"], kind=value["e"])
+            return Event(value["t"], key, value["o"], value["e"])
         except (KeyError, TypeError) as exc:
             raise TemporalQueryError(
                 f"malformed event value for key {key!r}: {value!r}"

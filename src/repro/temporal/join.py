@@ -33,15 +33,11 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 from typing import Dict, Iterable, List, Tuple
 
 from repro.common.timeutils import Timestamp
 from repro.temporal.events import Event
 from repro.temporal.intervals import TimeInterval
-
-#: ``Event``'s dataclass order, as a sort key instead of its ``__lt__``.
-_EVENT_ORDER = attrgetter("time", "key", "other", "kind")
 
 #: A placement ``(start, end, other, key)``: ``key`` was inside/on
 #: ``other`` during ``(start, end]``.
@@ -90,7 +86,7 @@ def _spans(events: Iterable[Event], window: TimeInterval) -> List[_Span]:
     spans: List[_Span] = []
     window_start, window_end = window.start, window.end
     open_load: Event | None = None
-    for event in sorted(events, key=_EVENT_ORDER):
+    for event in sorted(events):
         time = event.time
         if not window_start < time <= window_end:
             continue

@@ -58,7 +58,7 @@ from repro.faults.crashpoints import (
     crash_point,
 )
 from repro.temporal.chaincodes import M1IndexChaincode
-from repro.temporal.events import Event, events_to_values
+from repro.temporal.events import Event, events_from_values, events_to_values
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import (
     BOUND_CAP,
@@ -430,22 +430,19 @@ class M1QueryEngine:
                 f"plan resolved for {plan.window} cannot answer {window}"
             )
         validate_base_key(key)
+        start, end = window.start, window.end
+        get_history = self._ledger.get_history_for_key
+        events: List[Event] = []
         with self._metrics.timed(metric_names.GHFK_SECONDS):
-            events: List[Event] = []
             for planned in plan.intervals:
-                bundle = self._load_bundle(key, key + planned.key_suffix)
-                if planned.clipped:
-                    bundle = [e for e in bundle if window.contains(e.time)]
-                events.extend(bundle)
+                # The first (oldest) entry is the bundle; stop there so the
+                # deletion marker's block is never deserialized.
+                for entry in get_history(key + planned.key_suffix):
+                    if not entry.is_delete and entry.value:
+                        bundle = events_from_values(key, entry.value)
+                        if planned.clipped:
+                            bundle = [e for e in bundle if start < e.time <= end]
+                        events.extend(bundle)
+                    break
         events.sort()
         return events
-
-    def _load_bundle(self, key: str, index_key: str) -> List[Event]:
-        """The full decoded bundle for ``index_key``."""
-        for entry in self._ledger.get_history_for_key(index_key):
-            # The first (oldest) entry is the bundle; stop immediately so
-            # the deletion marker's block is never deserialized.
-            if entry.is_delete:
-                break
-            return [Event.from_value(key, value) for value in (entry.value or [])]
-        return []

@@ -110,8 +110,9 @@ class M2QueryEngine:
         only blocks holding events *inside* ``θ``, never the ``(0, t_s]``
         prefix TQF pays for.
         """
+        start, end = window.start, window.end
+        events: List[Event] = []
         with self._metrics.timed(metric_names.GHFK_SECONDS):
-            events: List[Event] = []
             for interval in self.overlapping_intervals(key, window):
                 composite = encode_interval_key(key, interval)
                 for entry in self._ledger.get_history_for_key(composite):
@@ -120,9 +121,9 @@ class M2QueryEngine:
                     # Filter on the event's own time (ME batches stamp every
                     # event with the batch's newest transaction time).
                     event = Event.from_value(key, entry.value)
-                    if event.time > window.end:
+                    if event.time > end:
                         break
-                    if window.contains(event.time):
+                    if event.time > start:
                         events.append(event)
         events.sort()
         return events

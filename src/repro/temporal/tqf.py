@@ -9,7 +9,7 @@ the key's events in ``(0, t_e]`` -- the bottleneck both models attack.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from repro.common import metrics as metric_names
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
@@ -59,19 +59,19 @@ class TQFEngine:
         proportional to the key's blocks in ``(0, t_e]`` -- exactly the
         paper's cost model.
         """
-        with self._metrics.timed(metric_names.GHFK_SECONDS):
-            return list(self._iter_events(key, window))
-
-    def _iter_events(self, key: str, window: TimeInterval) -> Iterator[Event]:
         # Filter on the *event's own* timestamp, not the transaction's: an
         # ME batch stamps every event with the batch's newest time.  Per-key
         # event times are strictly increasing in history order (ingestion is
         # time-sorted), so stopping at the first too-late event is exact.
-        for entry in self._ledger.get_history_for_key(key):
-            if entry.is_delete:
-                continue
-            event = Event.from_value(key, entry.value)
-            if event.time > window.end:
-                break
-            if window.contains(event.time):
-                yield event
+        start, end = window.start, window.end
+        events: List[Event] = []
+        with self._metrics.timed(metric_names.GHFK_SECONDS):
+            for entry in self._ledger.get_history_for_key(key):
+                if entry.is_delete:
+                    continue
+                event = Event.from_value(key, entry.value)
+                if event.time > end:
+                    break
+                if event.time > start:
+                    events.append(event)
+        return events

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import io
 import os
 import shutil
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +216,60 @@ class TestHistoryDB:
         before = metrics.counter(metric_names.GHFK_CALLS)
         list(history.get_history_for_key("k", store))
         assert metrics.counter(metric_names.GHFK_CALLS) == before + 1
+
+    def counts(self, metrics) -> tuple[int, int, int, int]:
+        return tuple(metrics.counter(name) for name in (
+            metric_names.GHFK_CALLS, metric_names.GHFK_RESULTS,
+            metric_names.TXS_DECODED, metric_names.BLOCKS_DESERIALIZED,
+        ))
+
+    def test_ghfk_on_a_key_never_written_is_one_call_and_nothing_else(
+        self, store, metrics
+    ):
+        """An M1 / M2 ``(k, θ)`` key whose interval held no event: the call
+        is counted, nothing is yielded and no block is read."""
+        history = self.build(store, [[make_tx("t0", {"k": "v"})]])
+        before = self.counts(metrics)
+        assert list(history.get_history_for_key("never-written", store)) == []
+        assert self.counts(metrics) == (before[0] + 1, *before[1:])
+
+    def test_the_trace_seam_sees_a_ghfk_on_a_key_never_written(
+        self, store, monkeypatch
+    ):
+        """The spine's ``historydb.ghfk_iter`` seam wraps the call and each
+        ``__next__``; a key with no location still passes through it."""
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / "spine" / "trace.py"
+        spec = importlib.util.spec_from_file_location("spine_trace", path)
+        trace = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "spine_trace", trace)
+        spec.loader.exec_module(trace)
+        history = self.build(store, [[make_tx("t0", {"k": "v"})]])
+        recorder = trace.Recorder()
+        installed = trace.install(recorder)
+        try:
+            assert "historydb.ghfk_iter" not in installed.missing
+            recorder.begin_region("ghfk")
+            assert list(history.get_history_for_key("never-written", store)) == []
+            recorder.pause()
+        finally:
+            trace.uninstall(installed)
+        # One span for the call, one for the ``__next__`` that finds the
+        # iterator exhausted.
+        assert recorder.end_round().get("historydb.ghfk_iter").count == 2
+
+    def test_an_iterator_abandoned_after_one_result_counted_only_it(
+        self, store, metrics
+    ):
+        history = self.build(
+            store, [[make_tx(f"t{i}", {"k": f"v{i}"}, timestamp=i)] for i in range(3)]
+        )
+        before = self.counts(metrics)
+        iterator = history.get_history_for_key("k", store)
+        assert next(iterator).value == "v0"
+        expected = tuple(b + 1 for b in before)
+        assert self.counts(metrics) == expected
+        del iterator
+        assert self.counts(metrics) == expected
 
     def test_block_count_for_key(self, store):
         history = self.build(

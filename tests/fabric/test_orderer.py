@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.common.config import BlockCuttingConfig
+from repro.common.errors import CodecError, OrdererHaltedError
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, RWSet, Transaction
+from repro.fabric.chaincode import KeyValueChaincode
+from repro.fabric.network import FabricNetwork
 from repro.fabric.orderer import SoloOrderer
 
 
@@ -74,3 +79,46 @@ class TestHashChain:
         orderer.register_consumer(received_b.append)
         orderer.submit(make_tx("t0"))
         assert len(received_a) == len(received_b) == 1
+
+
+class TestFailedCommit:
+    """A block that fails to commit halts the orderer: no later block is
+    cut against a head the ledger never committed."""
+
+    def test_consumer_failure_refuses_every_later_submit(self):
+        def refuse(block):
+            raise ValueError("commit failed")
+
+        orderer = SoloOrderer(BlockCuttingConfig(max_message_count=1))
+        orderer.register_consumer(refuse)
+        with pytest.raises(ValueError, match="commit failed"):
+            orderer.submit(make_tx("t0"))
+        for tx_id in ("t1", "t2"):
+            with pytest.raises(OrdererHaltedError, match="block 0 failed to commit"):
+                orderer.submit(make_tx(tx_id))
+        assert orderer.pending_count == 0
+        assert orderer.flush() is None
+
+    def test_unencodable_value_does_not_wedge_later_submits(self, tmp_path):
+        """A set is endorsed (it signs its repr) and fails at commit with
+        CodecError; the next submit used to fail with HashChainError
+        against a block the ledger never committed."""
+        with FabricNetwork(tmp_path) as network:
+            network.install(KeyValueChaincode())
+            gateway = network.gateway("writer")
+            gateway.submit_transaction("kv", "put", ["a", {1, 2}], timestamp=1)
+            with pytest.raises(CodecError):
+                gateway.flush()
+            with pytest.raises(OrdererHaltedError, match="reopen the network"):
+                gateway.submit_transaction("kv", "put", ["b", 1], timestamp=2)
+            assert network.ledger.height == 0
+
+        with FabricNetwork(tmp_path) as network:
+            network.install(KeyValueChaincode())
+            gateway = network.gateway("writer")
+            gateway.submit_transaction("kv", "put", ["b", 1], timestamp=2)
+            gateway.flush()
+            assert network.ledger.height == 1
+            assert network.ledger.get_state("b") == 1
+            assert network.ledger.get_state("a") is None
+            network.ledger.verify_chain()

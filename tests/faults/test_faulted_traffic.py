@@ -14,7 +14,6 @@ against TQF on the reference at every height.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 from collections import Counter, defaultdict
@@ -43,7 +42,7 @@ WORKLOAD = WorkloadConfig(
 #: Re-timed to unique timestamps: a transaction id derives from (creator,
 #: timestamp), so only then does a resumed round rebuild the reference's
 #: blocks byte for byte.
-EVENTS = [dataclasses.replace(e, time=i + 1) for i, e in enumerate(generate(WORKLOAD).events)]
+EVENTS = [e._replace(time=i + 1) for i, e in enumerate(generate(WORKLOAD).events)]
 WINDOW = TimeInterval(0, len(EVENTS) + 1)
 CONFIG = lsm_config()
 BLOCK = CONFIG.block_cutting.max_message_count

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -114,3 +117,86 @@ class TestEvents:
             Event(time=5, key="k", other="a", kind=UNLOAD),
         ]
         assert events_from_values("k", events_to_values(events)) == events
+
+
+events = st.builds(
+    Event,
+    time=st.integers(min_value=1, max_value=40),
+    key=st.sampled_from(["S1", "S2", "C1"]),
+    other=st.sampled_from(["C1", "T1", "T2"]),
+    kind=st.sampled_from([LOAD, UNLOAD]),
+)
+
+
+class TestEventContract:
+    """``Event`` is a validated named tuple: it orders, compares, hashes,
+    prints and pickles as the frozen dataclass it replaced, and no way of
+    building one skips its checks."""
+
+    @given(st.lists(events, max_size=30))
+    def test_sorting_orders_by_time_key_other_kind(self, batch):
+        by_fields = sorted(batch, key=lambda e: (e.time, e.key, e.other, e.kind))
+        assert sorted(batch) == by_fields
+
+    @given(events)
+    def test_equality_and_hash_follow_the_fields(self, event):
+        twin = Event(time=event.time, key=event.key, other=event.other, kind=event.kind)
+        assert twin == event and hash(twin) == hash(event)
+        assert len({event, twin}) == 1
+        assert event != event._replace(time=event.time + 1)
+        assert event != event._replace(other=event.other + "x")
+
+    @given(events)
+    def test_pickle_and_copy_round_trip(self, event):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(event, protocol))
+            assert restored == event and type(restored) is Event
+        assert copy.copy(event) == event
+        assert copy.deepcopy(event) == event
+
+    def test_repr_and_fields(self):
+        event = Event(time=3, key="S1", other="C2", kind=LOAD)
+        assert repr(event) == "Event(time=3, key='S1', other='C2', kind='l')"
+        assert (event.time, event.key, event.other, event.kind) == (3, "S1", "C2", LOAD)
+        assert Event._fields == ("time", "key", "other", "kind")
+
+    def test_attributes_cannot_be_assigned(self):
+        event = Event(time=3, key="S1", other="C2", kind=LOAD)
+        with pytest.raises(AttributeError):
+            event.time = 4
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        assert event.time == 3
+
+    def test_replace_and_make_validate(self):
+        event = Event(time=3, key="S1", other="C2", kind=LOAD)
+        assert event._replace(kind=UNLOAD) == Event(3, "S1", "C2", UNLOAD)
+        assert type(Event._make([4, "S1", "C2", LOAD])) is Event
+        with pytest.raises(TemporalQueryError, match="must be positive"):
+            event._replace(time=0)
+        with pytest.raises(TemporalQueryError, match="must be positive"):
+            event._replace(time=-3)
+        with pytest.raises(TemporalQueryError, match="event kind must be"):
+            event._replace(kind="bogus")
+        with pytest.raises(TemporalQueryError, match="event kind must be"):
+            Event._make([1, "k", "o", "bogus"])
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"t": 0, "o": "x", "e": LOAD},
+             "event time must be positive (no (start, end] interval contains 0)"),
+            ({"t": 1, "o": "x", "e": "q"}, "event kind must be 'l' or 'ul', got 'q'"),
+            ({"t": 0, "o": "x", "e": "q"}, "event kind must be 'l' or 'ul', got 'q'"),
+            ({"o": "x", "e": LOAD}, "malformed event value for key 'k': {'o': 'x', 'e': 'l'}"),
+            ({"t": 1, "e": LOAD}, "malformed event value for key 'k': {'t': 1, 'e': 'l'}"),
+            ({"t": 1, "e": "q"}, "malformed event value for key 'k': {'t': 1, 'e': 'q'}"),
+            ({"t": None, "o": "x", "e": LOAD},
+             "malformed event value for key 'k': {'t': None, 'o': 'x', 'e': 'l'}"),
+            (None, "malformed event value for key 'k': None"),
+        ],
+    )
+    def test_from_value_error_messages(self, value, message):
+        with pytest.raises(TemporalQueryError) as raised:
+            Event.from_value("k", value)
+        assert str(raised.value) == message
