@@ -15,10 +15,9 @@ PR 2's rules are per-file and syntactic; this package gives rules a
   visible.
 
 Everything here is derived from the :class:`~repro.analysis.project.Project`
-the runner already builds -- rules never touch the filesystem.  Each
-layer is memoized per project and built on first use: the symbol table
-and resolver once for every rule that reads them (:func:`call_graph_for`),
-the taint summaries only when a rule asks for them (:func:`taint_for`).
+the runner already builds -- rules never touch the filesystem.  The
+whole stack is memoized per project and built only when a rule asks for
+the taint summaries (:func:`taint_for`).
 """
 
 from __future__ import annotations
@@ -28,24 +27,14 @@ from repro.analysis.dataflow.symbols import SymbolTable
 from repro.analysis.dataflow.taint import TaintAnalysis
 from repro.analysis.project import Project
 
-__all__ = ["CallGraph", "SymbolTable", "TaintAnalysis", "call_graph_for", "taint_for"]
-
-
-def call_graph_for(project: Project) -> CallGraph:
-    """The memoized call resolver (and, as ``.table``, its symbol table)
-    for ``project``."""
-    cached = getattr(project, "_call_graph", None)
-    if cached is None:
-        cached = CallGraph(SymbolTable.build(project))
-        project._call_graph = cached  # type: ignore[attr-defined]
-    return cached
+__all__ = ["CallGraph", "SymbolTable", "TaintAnalysis", "taint_for"]
 
 
 def taint_for(project: Project) -> TaintAnalysis:
     """The memoized taint summaries for ``project``, built on first use."""
     cached = getattr(project, "_taint_analysis", None)
     if cached is None:
-        graph = call_graph_for(project)
+        graph = CallGraph(SymbolTable.build(project))
         cached = TaintAnalysis.build(graph.table, graph)
         project._taint_analysis = cached  # type: ignore[attr-defined]
     return cached

@@ -1,9 +1,8 @@
 """Call resolution over the project, with rules tuned for this codebase.
 
-The graph is never materialized: the lockset engine and the taint
-engine ask for one call site's callee while they walk a function.  A
-call site resolves to at most one analyzed function, through (in
-order): local names (module functions, ``from``-imports), ``self.method``
+The graph is never materialized: the taint engine asks for one call
+site's callee while it walks a function.  A call site resolves to at
+most one analyzed function, through (in order): local names (module functions, ``from``-imports), ``self.method``
 with cross-file base-class lookup, imported-module attributes
 (``mod.func``), constructor calls (edge to ``__init__`` when present,
 else to the class itself as a node), methods on ``self.<attr>`` whose

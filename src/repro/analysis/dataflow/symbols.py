@@ -114,8 +114,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: ``self.<attr>`` -> class qualname, inferred from ``__init__``.
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: ``self.<attr>`` names bound to a ``threading`` lock in ``__init__``.
-    lock_attrs: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -127,19 +125,6 @@ class ModuleInfo:
     aliases: Dict[str, str]
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-
-
-_LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
-
-#: The project's concurrency seam (``repro.common.locks``): lock-carrying
-#: classes construct their primitives through these factory functions so
-#: the dynamic sanitizer can trace them.  The static model treats each as
-#: the ``threading`` primitive it hands out, so CONC001 and CONC003 see
-#: the same lock-carrying classes the sanitizer traces.
-_SEAM_FACTORIES = {
-    "repro.common.locks.make_lock",
-    "repro.common.locks.make_rlock",
-}
 
 
 class SymbolTable:
@@ -271,12 +256,9 @@ class SymbolTable:
         if isinstance(value, ast.Name) and value.id in annotations:
             info.attr_types[attr] = annotations[value.id]
         elif isinstance(value, ast.Call):
-            module = self.modules[info.module]
-            callee = self.constructed_class(value, module)
+            callee = self.constructed_class(value, self.modules[info.module])
             if callee is not None:
                 info.attr_types[attr] = callee.qualname
-            if self._is_lock_factory(value, module):
-                info.lock_attrs.add(attr)
 
     @staticmethod
     def _is_self_attr(node: ast.expr) -> bool:
@@ -328,24 +310,6 @@ class SymbolTable:
         elif isinstance(call.func, ast.Attribute):
             ref = dotted_path(call.func, module.aliases)
         return self.resolve_class(ref) if ref is not None else None
-
-    @staticmethod
-    def _is_lock_factory(call: ast.Call, module: ModuleInfo) -> bool:
-        """Whether ``call`` constructs a ``threading`` synchronization
-        primitive (directly, through a ``from threading import`` alias,
-        or through the project's lock seam)."""
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            dotted = dotted_path(func, module.aliases)
-        elif isinstance(func, ast.Name):
-            dotted = module.aliases.get(func.id)
-        else:
-            return False
-        if dotted is None:
-            return False
-        if dotted.startswith("threading."):
-            return dotted.rsplit(".", 1)[-1] in _LOCK_FACTORIES
-        return dotted in _SEAM_FACTORIES
 
     # -- lookups ----------------------------------------------------------
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.analysis.rules import (
-    concurrency,
     crashpoints,
     dataflow_determinism,
     determinism,
@@ -13,7 +12,6 @@ from repro.analysis.rules import (
 )
 
 __all__ = [
-    "concurrency",
     "crashpoints",
     "dataflow_determinism",
     "determinism",

@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser(
         "lint",
         help="repro-lint: AST & dataflow analysis "
-        "(chaincode determinism incl. interprocedural taint, lock "
-        "discipline, seam-handle lifetimes, FileSystem-seam bypasses, "
+        "(chaincode determinism incl. interprocedural taint, "
+        "seam-handle lifetimes, FileSystem-seam bypasses, "
         "fsync-before-rename, crash-point coverage, swallowed exceptions)",
         description="Run the repro-lint static analyzer.",
         epilog="exit codes: 0 = clean, 1 = new findings, "
@@ -179,54 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE",
         help="print a rule's full documentation and exit",
-    )
-
-    san = subparsers.add_parser(
-        "san",
-        help="repro-san: dynamic happens-before/lockset race sanitizer "
-        "(runs canned concurrency scenarios over the instrumented "
-        "classes and reports data races and lock-order cycles)",
-        description="Run the dynamic race sanitizer's scenario suite.",
-        epilog="exit codes: 0 = race-free, 1 = races or lock-order "
-        "cycles found, 2 = usage error (unknown scenario)",
-    )
-    san.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario to run (repeatable; default: all; see --list)",
-    )
-    san.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="threads per scenario (default: 8)",
-    )
-    san.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="base seed for fuzzed interleavings "
-        "(default: REPRO_SEED or 0)",
-    )
-    san.add_argument(
-        "--fuzz",
-        type=int,
-        default=0,
-        metavar="ROUNDS",
-        help="extra rounds with seeded schedule perturbation (default: 0)",
-    )
-    san.add_argument(
-        "--json",
-        default="race-report.json",
-        metavar="PATH",
-        help="where to write the race report (default: race-report.json)",
-    )
-    san.add_argument(
-        "--list",
-        action="store_true",
-        help="list available scenarios and exit",
     )
 
     return parser
@@ -335,34 +287,6 @@ def _run_doctor(args: argparse.Namespace) -> tuple[str, bool]:
     return report.render(), report.ok
 
 
-def _run_san(args: argparse.Namespace) -> int:
-    """The ``san`` subcommand: run scenarios, write the race report."""
-    from repro.common.config import repro_seed
-    from repro.common.errors import ConfigError
-    from repro.sanitizer.scenarios import SCENARIOS, run_scenarios
-
-    if args.list:
-        for name, scenario in sorted(SCENARIOS.items()):
-            summary = (scenario.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:12} {summary}")
-        return 0
-    seed = args.seed if args.seed is not None else repro_seed(0)
-    try:
-        report = run_scenarios(
-            names=args.scenario,
-            workers=args.workers,
-            seed=seed,
-            fuzz_rounds=args.fuzz,
-        )
-    except ConfigError as exc:
-        print(f"repro san: {exc}", file=sys.stderr)
-        return 2
-    report.save(args.json)
-    print(report.render())
-    print(f"(race report written to {args.json})")
-    return 0 if report.ok else 1
-
-
 def _run_lint(args: argparse.Namespace) -> int:
     """The ``lint`` subcommand; returns the process exit code directly
     (0 clean, 1 findings, 2 usage error)."""
@@ -439,8 +363,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if healthy else 1
     elif args.command == "lint":
         return _run_lint(args)
-    elif args.command == "san":
-        return _run_san(args)
     elif args.command == "all":
         for dataset in ("ds1", "ds2", "ds3"):
             args.dataset = dataset

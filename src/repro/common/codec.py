@@ -85,9 +85,8 @@ class JsonCodec(Codec):
     once: the same bytes without the per-call construction.  It is made
     with ``markers=None`` -- no cycle-detection dict -- so it holds no
     per-call state (a shared markers dict would keep the entries an
-    exception left behind and report false cycles) and one instance
-    serves every thread; a cycle ends as a :class:`CodecError` like any
-    value nested too deep.
+    exception left behind and report false cycles); a cycle ends as a
+    :class:`CodecError` like any value nested too deep.
 
     A decode goes straight to the decoder's scanner (the C
     ``scan_once`` that ``JSONDecoder.decode`` itself calls, built once

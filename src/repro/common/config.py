@@ -15,10 +15,8 @@ from repro.common.errors import ConfigError
 #: Environment variable controlling default benchmark scale (see DESIGN.md §5).
 SCALE_ENV_VAR = "REPRO_SCALE"
 
-#: Environment variable overriding the sanitizer's replayable seed: its
-#: fuzzed interleavings and the ``repro san`` CLI default.  Recorded in
-#: every report those runs emit, so a red run is replayable from its
-#: artifact alone: ``REPRO_SEED=<seed from the artifact> <same command>``.
+#: Environment variable overriding a randomized test's replay seed (see
+#: :func:`repro_seed`).
 SEED_ENV_VAR = "REPRO_SEED"
 
 #: Environment variable selecting the default state-db backend
@@ -182,10 +180,9 @@ class FabricConfig:
 def repro_seed(default: int) -> int:
     """The run's replay seed: ``REPRO_SEED`` when set, else ``default``.
 
-    The sanitizer (fuzzed sessions, ``repro san``) resolves its seed
-    through this one helper and records the resolved value in its
-    output, so any failure is replayable by exporting the recorded seed
-    and re-running the same command.
+    A randomized sweep resolves its seed through this one helper, so a
+    failure replays by exporting the seed and re-running the same
+    command.
     """
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:

@@ -25,7 +25,6 @@ The full hierarchy::
     ├── TemporalQueryError
     │   └── IndexingError
     ├── WorkloadError
-    ├── SanitizerError           the race sanitizer (misuse / certain deadlock)
     └── FaultInjectionError      the fault-injection subsystem itself
         └── SimulatedCrashError  a scheduled crash point fired
 
@@ -126,13 +125,6 @@ class IndexingError(TemporalQueryError):
 
 class WorkloadError(ReproError):
     """The synthetic workload generator was given unsatisfiable parameters."""
-
-
-class SanitizerError(ReproError):
-    """The dynamic race sanitizer was misused, or detected an error that
-    would otherwise hang the process (e.g. a thread re-acquiring a plain
-    ``Lock`` it already holds -- a certain deadlock, surfaced as a typed
-    error instead of a frozen test run)."""
 
 
 class FaultInjectionError(ReproError):

@@ -6,15 +6,10 @@ hardware will not match a 2017 ThinkPad, but these counters let every
 benchmark verify the paper's block-level arguments exactly (e.g. "Model M1
 makes 2500 GHFK calls but each call deserializes only one block").
 
-A :class:`MetricsRegistry` is threaded through the storage and fabric
+A :class:`MetricsRegistry` is passed through the storage and fabric
 layers.  Components increment named counters; benchmarks snapshot and diff
-them around each measured region.
-
-The registry is **thread-safe**: a query racing a commit (or another
-query) bumps the same counters from another thread, and an unguarded
-``dict`` read-modify-write would silently lose updates (the classic
-lost-increment race).  Every mutation and every snapshot takes the
-registry's lock, so counter deltas stay exact.
+them around each measured region.  Like the ledger it instruments, a
+registry is used from one thread (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -23,9 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Tuple
 
-from repro.common.locks import make_lock
 from repro.common.timeutils import Stopwatch
-from repro.sanitizer.shared import sanitize_shared
 
 # Canonical metric names.  Keeping them in one place avoids typo'd strings
 # silently creating new counters.
@@ -90,59 +83,50 @@ class MetricsSnapshot:
         )
 
 
-@sanitize_shared("_counters", "_timers", racy_ok=("__repr__",))
 class MetricsRegistry:
     """A mutable bag of named counters and accumulated timers.
 
     The registry is deliberately simple -- integer counters and float
-    second-accumulators behind one lock -- because it sits on hot paths
-    (every block read bumps a counter) and is shared by every thread
-    that reads or commits through the same ledger.
+    second-accumulators in two dicts -- because it sits on hot paths
+    (every block read bumps a counter).
     """
 
     def __init__(self) -> None:
-        self._lock = make_lock("MetricsRegistry._lock")
         self._counters: Dict[str, int] = {}
         self._timers: Dict[str, float] = {}
 
     def increment(self, name: str, amount: int = 1) -> int:
         """Add ``amount`` to counter ``name`` and return the new value."""
-        with self._lock:
-            value = self._counters.get(name, 0) + amount
-            self._counters[name] = value
+        value = self._counters.get(name, 0) + amount
+        self._counters[name] = value
         return value
 
     def increment_many(self, *pairs: Tuple[str, int]) -> None:
         """Add each ``(name, amount)`` of ``pairs``: one :meth:`increment`
-        per pair under a single lock acquisition.  A block read and a
-        GHFK result each bump two counters, once per block and once per
-        result, so they pay for the lock once."""
-        with self._lock:
-            counters = self._counters
-            for name, amount in pairs:
-                counters[name] = counters.get(name, 0) + amount
+        per pair in one call.  A block read and a GHFK result each bump
+        two counters, once per block and once per result, so they pay
+        for one call."""
+        counters = self._counters
+        for name, amount in pairs:
+            counters[name] = counters.get(name, 0) + amount
 
     def counter(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
+        return self._counters.get(name, 0)
 
     def add_time(self, name: str, seconds: float) -> float:
-        with self._lock:
-            value = self._timers.get(name, 0.0) + seconds
-            self._timers[name] = value
+        value = self._timers.get(name, 0.0) + seconds
+        self._timers[name] = value
         return value
 
     def timer(self, name: str) -> float:
-        with self._lock:
-            return self._timers.get(name, 0.0)
+        return self._timers.get(name, 0.0)
 
     @contextmanager
     def timed(self, name: str) -> Iterator[Stopwatch]:
         """Context manager accumulating wall time into timer ``name``.
 
         Each ``timed`` block owns its private :class:`Stopwatch`, so
-        concurrent workers timing the same name never share mutable
-        state; only the final ``add_time`` is serialized.
+        nested blocks timing the same name each add their own time.
         """
         watch = Stopwatch().start()
         try:
@@ -152,23 +136,19 @@ class MetricsRegistry:
             self.add_time(name, watch.elapsed)
 
     def snapshot(self) -> MetricsSnapshot:
-        """A consistent copy: no increment can land between the counter
-        and timer copies (both happen under the lock)."""
-        with self._lock:
-            return MetricsSnapshot(
-                counters=dict(self._counters), timers=dict(self._timers)
-            )
+        """A copy of every counter and timer."""
+        return MetricsSnapshot(
+            counters=dict(self._counters), timers=dict(self._timers)
+        )
 
     def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._timers.clear()
+        self._counters.clear()
+        self._timers.clear()
 
     def as_dict(self) -> Dict[str, float]:
         """Flatten counters and timers into one report-friendly mapping."""
-        with self._lock:
-            merged: Dict[str, float] = dict(self._counters)
-            merged.update(self._timers)
+        merged: Dict[str, float] = dict(self._counters)
+        merged.update(self._timers)
         return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -180,10 +160,9 @@ class _NullMetricsRegistry(MetricsRegistry):
 
     The old default was a plain shared :class:`MetricsRegistry`: a
     process-global accumulator nobody ever read, whose counters bled
-    across tests and whose lock -- created at import time, before any
-    sanitizer session -- was invisible to the race sanitizer.  A null
-    sink has no mutable traffic at all: increments and timings return
-    their would-be values and drop them, reads always see zero.
+    across tests.  A null sink has no mutable traffic at all: increments
+    and timings return their would-be values and drop them, reads always
+    see zero.
     """
 
     def increment(self, name: str, amount: int = 1) -> int:

@@ -34,7 +34,7 @@ from typing import (  # noqa: F401 - Tuple in annotations
 
 from repro.common import metrics as metric_names
 from repro.common.codec import Codec, read_uvarint, read_uvarints, write_uvarint
-from repro.common.errors import CodecError, LedgerError
+from repro.common.errors import ChaincodeError, CodecError, LedgerError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric import crypto
 
@@ -46,13 +46,26 @@ Version = Tuple[int, int]
 #: commit path into the state records.
 WriteValues = List[Dict[str, bytes]]
 
-#: ``json.dumps(payload, sort_keys=True, default=repr)``'s C encoder,
+def _sign_bytes(value: Any) -> str:
+    """The signing encoder's fallback: ``bytes`` are signed as their
+    ``repr``; any other value outside JSON cannot be stored, so it is
+    refused here, at endorsement, before it can reach the orderer."""
+    if isinstance(value, bytes):
+        return repr(value)
+    raise ChaincodeError(
+        f"cannot store a value of type {type(value).__name__}: values are "
+        "int, float, str, bytes, bool, None, list and dict"
+    )
+
+
+#: ``json.dumps(payload, sort_keys=True, default=...)``'s C encoder,
 #: built once (as :class:`~repro.common.codec.JsonCodec` builds its own):
-#: the same bytes without constructing an encoder per call.  No markers
-#: dict, so it holds no per-call state and serves every thread; a cyclic
-#: payload ends as a ``RecursionError``, as one nested too deep does.
+#: the same bytes without constructing an encoder per call, and no
+#: markers dict, so a cyclic payload ends as a ``RecursionError``, as one
+#: nested too deep does.  Its fallback runs only for values JSON cannot
+#: spell, so legal values pay nothing for :func:`_sign_bytes`.
 _SIGNING_ENCODER = json.encoder.c_make_encoder(
-    None, repr, json.encoder.encode_basestring_ascii,
+    None, _sign_bytes, json.encoder.encode_basestring_ascii,
     None, ": ", ", ", True, False, True,
 )
 
@@ -223,22 +236,30 @@ class Transaction:
         outside the signed payload).  RWSet mutations bump the set's
         revision counter and invalidate the cache, so post-signing
         tampering is still reflected.
+
+        A value the ledger cannot store raises :class:`ChaincodeError`:
+        one outside JSON (:func:`_sign_bytes`), or a dict whose keys do
+        not sort (``{1: "a", "1": "b"}``).
         """
         if (
             self._payload_cache is not None
             and self._payload_cache[0] == self.rw_set._rev
         ):
             return self._payload_cache[1]
-        payload = "".join(_SIGNING_ENCODER(
-            {
-                "rw_set": self.rw_set.to_dict(),
-                "creator": self.creator,
-                "timestamp": self.timestamp,
-                "chaincode": self.chaincode,
-                "event": [self.event_name, self.event_payload],
-            },
-            0,
-        )).encode("utf-8")
+        try:
+            chunks = _SIGNING_ENCODER(
+                {
+                    "rw_set": self.rw_set.to_dict(),
+                    "creator": self.creator,
+                    "timestamp": self.timestamp,
+                    "chaincode": self.chaincode,
+                    "event": [self.event_name, self.event_payload],
+                },
+                0,
+            )
+        except TypeError as exc:
+            raise ChaincodeError(f"cannot store transaction {self.tx_id}'s values: {exc}") from None
+        payload = "".join(chunks).encode("utf-8")
         self._payload_cache = (self.rw_set._rev, payload)
         return payload
 
@@ -465,12 +486,10 @@ class Block:
     decoded it drops the payload and is indistinguishable from an eager
     block.
 
-    Lazy decoding is safe under concurrent readers of one block object
-    (a caller may hand one block to several threads): a decoded segment
-    and the transaction built from it are each published with
-    ``dict.setdefault`` (atomic; the first writer wins and every reader
-    gets that object), and the switch to the fully decoded list assigns
-    the list before it clears the frame.
+    Readers of one block object may take turns on it (a GHFK iterator
+    keeps its block across results): a segment a history read decoded is
+    the one its transaction is later built from, and a transaction built
+    once is the one every later reader gets.
     """
 
     __slots__ = ("_header", "_txs", "_frame", "_segments", "_decoded")
@@ -626,15 +645,15 @@ class Block:
             known = self._segments
             if head not in known:
                 frame.metrics.increment(metric_names.TXS_DECODED)
-            # Published segment by segment, so a history read racing this
-            # build and this build end up holding the same values.
+            # A segment history already read is the one the transaction
+            # is built from: the values handed out stay the ones it read.
             parts = [
-                known.setdefault(head + offset, part)
+                known.get(head + offset, part)
                 for offset, part in enumerate(
                     frame.segments(head, 2 + frame.writes[index])
                 )
             ]
-            tx = self._decoded.setdefault(index, _transaction_from(parts))
+            tx = self._decoded[index] = _transaction_from(parts)
         return tx
 
     def history_write(
@@ -677,7 +696,7 @@ class Block:
                 index = head + 2 + write_index
                 write = segments.get(index)
                 if write is None:
-                    write = segments.setdefault(index, frame.segment(index))
+                    write = segments[index] = frame.segment(index)
                 try:
                     written_key, value, is_delete = write
                     tx_id, timestamp = tx_head
@@ -685,7 +704,7 @@ class Block:
                     raise _malformed(f"transaction {tx_index}'s head or write {write_index}") from None
                 if written_key == key:
                     if decoded_head:
-                        segments.setdefault(head, tx_head)
+                        segments[head] = tx_head
                     return value, bool(is_delete), timestamp, tx_id, decoded_head
         if tx is not None:
             writes = tx.rw_set.writes
@@ -776,7 +795,7 @@ class Block:
                     fresh += 1
                 if known:
                     parts = [known.get(head + offset, part) for offset, part in enumerate(parts)]
-                tx = handed_out.setdefault(index, _transaction_from(parts))
+                tx = handed_out[index] = _transaction_from(parts)
             txs.append(tx)
             head += 2 + count
         frame.metrics.increment(metric_names.TXS_DECODED, fresh)
@@ -793,11 +812,10 @@ class Block:
     def header(self) -> BlockHeader:
         header = self._header
         if header is None:
-            frame = self._frame
-            if frame is None:  # a concurrent reader just decoded everything
-                assert self._header is not None
-                return self._header
-            header = self._header = _header_from(frame.segment(0))
+            # Only a framed block lacks its header: decoding everything
+            # sets the header before it drops the frame.
+            assert self._frame is not None
+            header = self._header = _header_from(self._frame.segment(0))
         return header
 
     @property

@@ -8,10 +8,9 @@ asked for) and bumps the ``ledger.blocks_deserialized`` /
 analysis is expressed in: a block touched counts once, however much of it
 is decoded.
 There is **no cross-call block cache**: each GHFK call pays its own
-deserialization, matching the paper's cost model (Section V).  Reads are
-safe from any number of threads (each is one positional read on a
-per-file descriptor the block-file manager opens once; ``pread`` shares
-no file position).
+deserialization, matching the paper's cost model (Section V).  A read is
+one positional read on a per-file descriptor the block-file manager
+opens once (``pread`` shares no file position with the appends).
 """
 
 from __future__ import annotations

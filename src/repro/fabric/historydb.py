@@ -17,9 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common import metrics as metric_names
-from repro.common.locks import make_rlock
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.sanitizer.shared import sanitize_shared
 from repro.fabric.block import Block
 from repro.fabric.blockstore import BlockStore
 
@@ -50,22 +48,20 @@ class HistoryEntry(NamedTuple):
 _new_entry = tuple.__new__
 
 
-@sanitize_shared("_locations")
 class HistoryDB:
     """Per-key index of write locations ``(block_num, tx_num, write_num)``.
 
     Rebuilt from the block store on open (the index is derivable metadata,
     exactly as Fabric can rebuild its history index from the chain).
 
-    Queries may race an ongoing commit (a gateway flushing while a join
-    runs on another thread).  All mutations and all location reads
-    take the instance lock; :meth:`get_history_for_key` iterates over a
-    locked *snapshot* of the key's location list, so a commit appending
-    to the live list mid-iteration can never corrupt a scan.
+    A GHFK iterator may be held across a commit (a gateway flushing
+    between two results): :meth:`get_history_for_key` iterates over a
+    *snapshot* of the key's location list, and :meth:`keys` returns one,
+    so a commit appending to the live index mid-iteration changes
+    neither.
     """
 
     def __init__(self, metrics: MetricsRegistry = NULL_REGISTRY) -> None:
-        self._lock = make_rlock("HistoryDB._lock")
         self._locations: Dict[str, List[Location]] = {}
         self._metrics = metrics
 
@@ -79,45 +75,33 @@ class HistoryDB:
 
     def index_block(self, block: Block) -> None:
         """Record write locations for every *valid* transaction in ``block``."""
-        with self._lock:
-            self._record(self._locations, block)
+        self._record(self._locations, block)
 
     def rebuild(self, block_store: BlockStore) -> None:
         """Reconstruct the index by scanning the whole chain.
 
-        The scan deserializes every block -- real I/O -- so it builds a
-        fresh index *outside* the lock and swaps it in atomically at the
-        end.  Holding the lock across the whole chain walk would stall
-        every query for the duration (and is exactly what CONC003
-        flags); readers racing the rebuild simply see the old index until
-        the swap.
+        The scan builds a fresh index and swaps it in at the end, so a
+        scan that fails part-way leaves the old index in place.
         """
         fresh: Dict[str, List[Location]] = {}
         for block in block_store.iter_blocks():
             self._record(fresh, block)
-        with self._lock:
-            self._locations = fresh
+        self._locations = fresh
 
     def locations_for_key(self, key: str) -> List[Location]:
         """All write locations for ``key``, oldest first."""
-        with self._lock:
-            return list(self._locations.get(key, ()))
+        return list(self._locations.get(key, ()))
 
     def block_count_for_key(self, key: str) -> int:
         """Number of distinct blocks containing writes to ``key``."""
-        with self._lock:
-            return len(
-                {location[0] for location in self._locations.get(key, ())}
-            )
+        return len({location[0] for location in self._locations.get(key, ())})
 
     def key_count(self) -> int:
-        with self._lock:
-            return len(self._locations)
+        return len(self._locations)
 
     def keys(self) -> List[str]:
         """A snapshot of every key with at least one write location."""
-        with self._lock:
-            return list(self._locations)
+        return list(self._locations)
 
     def get_history_for_key(
         self, key: str, block_store: BlockStore
@@ -132,19 +116,15 @@ class HistoryDB:
         the same block reuse the iterator's single-block cache.  Abandoning
         the iterator early skips the remaining blocks entirely -- the
         behaviour the paper's Model M1 relies on to read an index bundle
-        with exactly one block access.
-
-        Safe to call from any number of threads against a shared store:
-        the location list is snapshotted under the lock, and each
-        iterator's single-block cache is private to that iterator.
+        with exactly one block access.  The iterator walks a copy of the
+        key's location list: writes committed while it is held are not
+        part of this history.
         """
         self._metrics.increment(metric_names.GHFK_CALLS)
-        with self._lock:
-            locations = self._locations.get(key)
-            if not locations:
-                return iter(())
-            locations = list(locations)
-        return self._iterate_history(key, locations, block_store)
+        locations = self._locations.get(key)
+        if not locations:
+            return iter(())
+        return self._iterate_history(key, list(locations), block_store)
 
     def _iterate_history(
         self,

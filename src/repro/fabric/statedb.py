@@ -41,8 +41,8 @@ class StateValue:
 
     Decoded from the stored bytes on the first read of :attr:`value` or
     :attr:`version`, once; undecodable bytes raise ``CodecError`` there.
-    The cache is an idempotent unlocked write: racing first reads decode
-    the same immutable bytes and store equal tuples.
+    The cache is an idempotent write: every first read would decode the
+    same immutable bytes into equal tuples.
     """
 
     __slots__ = ("_raw", "_codec", "_fields")

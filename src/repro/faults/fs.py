@@ -27,8 +27,6 @@ from pathlib import Path
 from typing import IO, Dict, List, Union
 
 from repro.common.errors import FaultInjectionError
-from repro.common.locks import make_rlock
-from repro.sanitizer.shared import sanitize_shared
 
 __all__ = ["FileSystem", "FaultyFS", "FaultyFile", "FaultyReadFile", "REAL_FS"]
 
@@ -43,7 +41,7 @@ class FileSystem:
     def pread(self, handle: IO[bytes], size: int, offset: int) -> bytes:
         """Read up to ``size`` bytes at ``offset`` of a handle opened for
         reading, without moving (or depending on) its position, so
-        threads can share one handle (``os.pread``)."""
+        readers can share one handle (``os.pread``)."""
         return os.pread(handle.fileno(), size, offset)
 
     def replace(self, src: Union[str, Path], dst: Union[str, Path]) -> None:
@@ -64,7 +62,6 @@ class FileSystem:
 REAL_FS = FileSystem()
 
 
-@sanitize_shared("_buffer", "_flushed_size", "synced_size", "closed")
 class FaultyFile:
     """A write handle whose buffer the harness can destroy.
 
@@ -83,13 +80,6 @@ class FaultyFile:
         # simulated OS has; Python adds no hidden second buffer.
         self._real = open(path, mode, buffering=0)
         self._buffer = bytearray()
-        # The kernel serializes operations on one file description, and
-        # CPython's buffered writer holds an internal lock, so a reader
-        # thread forcing a visibility flush while the committer appends
-        # is safe on a real handle.  This userspace buffer must give the
-        # same guarantee; RLock because the plan's write hook may drain
-        # re-entrantly (torn-write injection).
-        self._lock = make_rlock("FaultyFile._lock")
         self._flushed_size = self._real.seek(0, os.SEEK_END)
         self.synced_size = self._flushed_size
         self.closed = False
@@ -98,62 +88,55 @@ class FaultyFile:
 
     def write(self, data: bytes) -> int:
         """Buffer ``data`` (after the fault plan's mutations, if any)."""
-        with self._lock:
-            self._check_alive()
-            data = self._fs.plan.on_write(self, bytes(data))
-            self._buffer.extend(data)
-            return len(data)
+        self._check_alive()
+        data = self._fs.plan.on_write(self, bytes(data))
+        self._buffer.extend(data)
+        return len(data)
 
     def tell(self) -> int:
         """Logical end-of-file position (flushed bytes + buffered bytes)."""
-        with self._lock:
-            self._check_alive()
-            return self._flushed_size + len(self._buffer)
+        self._check_alive()
+        return self._flushed_size + len(self._buffer)
 
     def flush(self) -> None:
-        with self._lock:
-            self._check_alive()
-            self._fs.plan.on_flush(self)
-            self._drain_buffer()
+        self._check_alive()
+        self._fs.plan.on_flush(self)
+        self._drain_buffer()
 
     def fileno(self) -> int:
         """The underlying OS file descriptor."""
         return self._real.fileno()
 
     def close(self) -> None:
-        with self._lock:
-            if self.closed:
-                return
-            self._drain_buffer()
-            self._real.close()
-            self.closed = True
+        if self.closed:
+            return
+        self._drain_buffer()
+        self._real.close()
+        self.closed = True
         self._fs.forget(self)
 
     # -- harness hooks ----------------------------------------------------
 
     def _drain_buffer(self) -> None:
-        with self._lock:
-            if self._buffer:
-                self._real.write(bytes(self._buffer))
-                self._flushed_size += len(self._buffer)
-                self._buffer.clear()
+        if self._buffer:
+            self._real.write(bytes(self._buffer))
+            self._flushed_size += len(self._buffer)
+            self._buffer.clear()
 
     def mark_synced(self) -> None:
         """Record the current flushed size as the power-loss-safe mark."""
-        with self._lock:
-            self.synced_size = self._flushed_size
+        self.synced_size = self._flushed_size
 
     def kill(self, power_loss: bool) -> None:
         """Simulate the process dying: buffered bytes vanish; on power
         loss the file is also truncated back to its fsync watermark."""
-        with self._lock:
-            if self.closed:
-                return
-            self._buffer.clear()
-            if power_loss and self._flushed_size > self.synced_size:
-                self._real.truncate(self.synced_size)
-            self._real.close()
-            self.closed = True
+        if self.closed:
+            return
+        self._buffer.clear()
+        if power_loss and self._flushed_size > self.synced_size:
+            self._real.truncate(self.synced_size)
+        self._real.close()
+        self.closed = True
 
     def _check_alive(self) -> None:
         if self.closed:

@@ -12,15 +12,10 @@ of the index.  :meth:`BlockFileManager.scan_records` walks records
 forward from any offset, which is how the block store rebuilds a missing
 or torn block index straight from the files.
 
-The manager is shared between the committer thread (appending) and query
-worker threads (reading), so every access to the append handle and the
-current-file number goes through one lock: the reader-side visibility
-flush used to call ``flush()`` on the shared handle with no lock at all,
-racing the committer's ``write()`` mid-append.  Reads themselves stay
-outside the lock: a block read is one positional read (``pread``) of the
-whole record on a per-file descriptor opened once and shared by every
-thread -- ``pread`` carries its own offset, so readers neither seek nor
-serialize behind each other or the committer.
+A block read is one positional read (``pread``) of the whole record on a
+per-file descriptor opened once and kept until :meth:`close`: ``pread``
+carries its own offset, so reads neither seek nor disturb the append
+handle.
 """
 
 from __future__ import annotations
@@ -32,9 +27,7 @@ from pathlib import Path
 from typing import IO, Dict, Iterator, Optional, Tuple
 
 from repro.common.errors import BlockFileError
-from repro.common.locks import make_rlock
 from repro.faults.fs import REAL_FS, FileSystem
-from repro.sanitizer.shared import sanitize_shared
 from repro.storage.blockindex import BlockLocation
 
 _HEADER = struct.Struct("<II")
@@ -51,7 +44,6 @@ def _parse_file_num(file: Path) -> Optional[int]:
     return int(suffix)
 
 
-@sanitize_shared("_writer", "_current_num", "_readers")
 class BlockFileManager:
     """Manages the directory of append-only block files."""
 
@@ -69,13 +61,9 @@ class BlockFileManager:
         self._max_file_bytes = max_file_bytes
         self._fs = fs
         self._fsync = fsync
-        #: Serializes every touch of the shared append handle and the
-        #: current-file number (committer appends vs reader flushes).
-        self._lock = make_rlock("BlockFileManager._lock")
         #: One read handle per block file ever read, kept until
-        #: :meth:`close`.  Never evicted: another thread may be mid-
-        #: ``pread`` on it, and roll-over and tail truncation keep the
-        #: inode, so a cached descriptor never goes stale.
+        #: :meth:`close`.  Never evicted: roll-over and tail truncation
+        #: keep the inode, so a cached descriptor never goes stale.
         self._readers: Dict[int, IO[bytes]] = {}
         self._current_num = self._latest_file_num()
         self._writer = fs.open(self._file_path(self._current_num), "ab")
@@ -109,46 +97,35 @@ class BlockFileManager:
         if not payload:
             raise BlockFileError("refusing to append an empty block payload")
         crc = zlib.crc32(payload)
-        with self._lock:
-            if self._writer.tell() >= self._max_file_bytes:
-                self._roll_over()
-            offset = self._writer.tell()
-            self._writer.write(_HEADER.pack(len(payload), crc))
-            self._writer.write(payload)
-            return BlockLocation(
-                file_num=self._current_num, offset=offset, length=len(payload)
-            )
+        if self._writer.tell() >= self._max_file_bytes:
+            self._roll_over()
+        offset = self._writer.tell()
+        self._writer.write(_HEADER.pack(len(payload), crc))
+        self._writer.write(payload)
+        return BlockLocation(
+            file_num=self._current_num, offset=offset, length=len(payload)
+        )
 
     def _roll_over(self) -> None:
-        with self._lock:
-            self._writer.flush()
-            self._writer.close()
-            self._current_num += 1
-            self._writer = self._fs.open(self._file_path(self._current_num), "ab")
+        self._writer.flush()
+        self._writer.close()
+        self._current_num += 1
+        self._writer = self._fs.open(self._file_path(self._current_num), "ab")
 
     def _flush_for_read(self, file_num: int) -> None:
         """Make appended-but-buffered data visible before reading the
-        *current* file.  Must hold the lock: the committer may be midway
-        through the two writes of one record on the same handle."""
-        with self._lock:
-            if file_num == self._current_num:
-                self._writer.flush()
+        *current* file."""
+        if file_num == self._current_num:
+            self._writer.flush()
 
     def _reader(self, file_num: int) -> IO[bytes]:
-        """The cached read handle for ``file_num``, opened on first use.
-
-        One critical section per block read: the visibility flush (the
-        append handle buffers, and only a flush makes the tail record
-        preadable) and the get-or-open both need the lock.
-        """
-        with self._lock:
-            if file_num == self._current_num:
-                self._writer.flush()
-            if file_num not in self._readers:
-                self._readers[file_num] = self._fs.open(
-                    self._file_path(file_num), "rb"
-                )
-            return self._readers[file_num]
+        """The cached read handle for ``file_num``, opened on first use,
+        after the visibility flush (the append handle buffers, and only a
+        flush makes the tail record preadable)."""
+        self._flush_for_read(file_num)
+        if file_num not in self._readers:
+            self._readers[file_num] = self._fs.open(self._file_path(file_num), "rb")
+        return self._readers[file_num]
 
     def read(self, location: BlockLocation) -> bytes:
         """Read the serialized block payload at ``location``.
@@ -210,9 +187,8 @@ class BlockFileManager:
         the same damage with data after it raises :class:`BlockFileError`
         because bytes beyond the corruption cannot be trusted.
         """
-        with self._lock:
-            self._writer.flush()
-            last_file_num = self._current_num
+        self._writer.flush()
+        last_file_num = self._current_num
         while True:
             file_path = self._file_path(file_num)
             # Read from ``offset`` on, not the whole file: the block store
@@ -266,19 +242,18 @@ class BlockFileManager:
     def truncate_tail(self, location: BlockLocation) -> None:
         """Cut the *last* block file back so ``location`` is its next
         append position (drops a torn record left by a crash)."""
-        with self._lock:
-            if location.file_num != self._current_num:
-                raise BlockFileError(
-                    f"refusing to truncate non-tail file {location.file_num}"
-                )
-            self._writer.flush()
-            self._writer.close()
-            file_path = self._file_path(location.file_num)
-            # "r+" passes through the seam untouched (only write/append
-            # modes are buffered) but still hits the dead-filesystem check.
-            with self._fs.open(file_path, "r+b") as handle:
-                handle.truncate(location.offset)
-            self._writer = self._fs.open(file_path, "ab")
+        if location.file_num != self._current_num:
+            raise BlockFileError(
+                f"refusing to truncate non-tail file {location.file_num}"
+            )
+        self._writer.flush()
+        self._writer.close()
+        file_path = self._file_path(location.file_num)
+        # "r+" passes through the seam untouched (only write/append
+        # modes are buffered) but still hits the dead-filesystem check.
+        with self._fs.open(file_path, "r+b") as handle:
+            handle.truncate(location.offset)
+        self._writer = self._fs.open(file_path, "ab")
 
     def file_size(self, file_num: int) -> int:
         """Current byte size of one block file (0 when absent)."""
@@ -287,25 +262,22 @@ class BlockFileManager:
         return file_path.stat().st_size if file_path.exists() else 0
 
     def sync(self) -> None:
-        with self._lock:
-            if self._fsync:
-                self._fs.fsync(self._writer)
-            else:
-                self._writer.flush()
+        if self._fsync:
+            self._fs.fsync(self._writer)
+        else:
+            self._writer.flush()
 
     def close(self) -> None:
-        with self._lock:
-            if not self._writer.closed:
-                self._writer.flush()
-                self._writer.close()
-            for handle in self._readers.values():
-                handle.close()
-            self._readers.clear()
+        if not self._writer.closed:
+            self._writer.flush()
+            self._writer.close()
+        for handle in self._readers.values():
+            handle.close()
+        self._readers.clear()
 
     @property
     def current_file_num(self) -> int:
-        with self._lock:
-            return self._current_num
+        return self._current_num
 
     def total_bytes(self) -> int:
         """Total bytes across all block files (for storage-cost reporting)."""

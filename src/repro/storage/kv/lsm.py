@@ -21,8 +21,8 @@ The live table set is recorded in a ``MANIFEST.json`` sibling (written
 via the same staged-rename discipline) after every table-set change.  On
 open, the manifest is authoritative: listed tables load, ``.sst`` files
 *not* listed are deleted as strays.  That matters because compaction
-does not unlink its victims inline -- lock-free readers may still hold a
-snapshot that references them, so victims are retired via a GC finalizer
+does not unlink its victims inline -- a scan held across the compaction
+may still hold a snapshot that references them, so victims are retired via a GC finalizer
 that deletes the file only once the last reader reference drains.
 Readers hold a table's verified bytes in memory and never reopen its
 file, so this snapshot-lifetime guarantee is about file lifetime only: a
@@ -43,9 +43,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.errors import QuarantinedError, SSTableError, StorageError
-from repro.common.locks import make_rlock
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.sanitizer.shared import sanitize_shared
 from repro.faults.crashpoints import LSM_POST_SSTABLE, LSM_PRE_SSTABLE, crash_point
 from repro.faults.fs import REAL_FS, FileSystem
 from repro.storage.kv.api import BatchItem, KVStore
@@ -76,21 +74,15 @@ def _unlink_retired(path: Path, pending: Set[Path]) -> None:
 QUARANTINE_DIR = "quarantine"
 
 
-@sanitize_shared("_memtable", "_tables", "_readers", "_next_sequence", "_quarantined")
 class LSMStore(KVStore):
     """File-backed sorted KV store (memtable + WAL + SSTables).
 
-    Readers never hold the lock across I/O: :meth:`get` and :meth:`scan`
-    take it only long enough to snapshot the memtable reference (a scan:
-    the memtable's keys in range), the table tuple and the quarantine
-    state, then read from the snapshot.
-    :meth:`flush` *rebinds* a fresh memtable instead of clearing the old
-    one in place, so a reader's snapshot stays internally consistent (it
-    sees either the pre-flush memtable with the old table list, or --
-    on its next operation -- the fresh pair); the previous check-then-act
-    pattern (unlocked reads of ``_memtable``/``_tables`` racing the
-    flush's ``clear()``) could observe an empty memtable *and* miss the
-    not-yet-appended table, dropping acknowledged writes from a read.
+    A :meth:`scan` reads a snapshot taken when it is called: the
+    memtable's keys in range and the table tuple.  A scan may be held
+    across writes, flushes and compactions: :meth:`flush` *rebinds* a
+    fresh memtable instead of clearing the old one in place, and the
+    table tuple is rebound, never mutated, so the snapshot stays
+    internally consistent.
     """
 
     def __init__(
@@ -112,10 +104,6 @@ class LSMStore(KVStore):
             raise ValueError(
                 f"durability must be 'flush' or 'fsync', got {durability!r}"
             )
-        # One store instance serves the committer and any number of
-        # readers; the reentrant lock serializes every structural
-        # mutation (memtable swap, table list, sequences).
-        self._lock = make_rlock("LSMStore._lock")
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self._memtable_limit = memtable_limit
@@ -126,7 +114,7 @@ class LSMStore(KVStore):
         self._memtable = Memtable()
         self._tables: List[Tuple[int, SSTableReader]] = []  # newest last
         #: The readers of ``_tables``, as handed to every read: rebound
-        #: with it (:meth:`_set_tables_locked`), never mutated.
+        #: with it (:meth:`_set_tables`), never mutated.
         self._readers: Tuple[SSTableReader, ...] = ()
         self._next_sequence = 0
         self._quarantined: List[str] = []
@@ -134,8 +122,7 @@ class LSMStore(KVStore):
         #: until their last reader reference drains (see
         #: :func:`_unlink_retired`); ``close`` force-deletes leftovers.
         self._pending_unlinks: Set[Path] = set()
-        with self._lock:
-            self._load_tables_locked()
+        self._load_tables()
         self._wal = WriteAheadLog(self.path / _WAL_NAME, fsync=self._fsync, fs=fs)
         self._replay_wal()
 
@@ -159,7 +146,7 @@ class LSMStore(KVStore):
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def _write_manifest_locked(self) -> None:
+    def _write_manifest(self) -> None:
         """Record the current live table set, staged + atomically renamed
         (same durability discipline as the tables themselves)."""
         payload = json.dumps(
@@ -176,7 +163,7 @@ class LSMStore(KVStore):
             handle.close()
         self._fs.replace(tmp, manifest)
 
-    def _load_tables_locked(self) -> None:
+    def _load_tables(self) -> None:
         for stray in self.path.glob(f"*{TMP_SUFFIX}"):
             # A crash mid-flush (or mid-manifest-write) left a staged file
             # that was never renamed live; drop it.
@@ -211,7 +198,7 @@ class LSMStore(KVStore):
                 try:
                     SSTableReader(file, fs=self._fs)
                 except SSTableError:
-                    self._quarantine_file_locked(file)
+                    self._quarantine_file(file)
                     continue
                 file.unlink()
         tables: List[Tuple[int, SSTableReader]] = []
@@ -231,17 +218,17 @@ class LSMStore(KVStore):
                 # served from or silently dropped.  Reads raise
                 # QuarantinedError until a recovery layer that can
                 # rebuild the range acknowledges the loss.
-                self._quarantine_file_locked(file)
+                self._quarantine_file(file)
                 continue
             tables.append((sequence, reader))
-        self._set_tables_locked(sorted(tables, key=lambda pair: pair[0]))
-        self._write_manifest_locked()
+        self._set_tables(sorted(tables, key=lambda pair: pair[0]))
+        self._write_manifest()
 
-    def _set_tables_locked(self, tables: List[Tuple[int, SSTableReader]]) -> None:
+    def _set_tables(self, tables: List[Tuple[int, SSTableReader]]) -> None:
         self._tables = tables
         self._readers = tuple(reader for _, reader in tables)
 
-    def _quarantine_file_locked(self, file: Path) -> None:
+    def _quarantine_file(self, file: Path) -> None:
         quarantine = self.path / QUARANTINE_DIR
         quarantine.mkdir(exist_ok=True)
         file.rename(quarantine / file.name)
@@ -262,7 +249,7 @@ class LSMStore(KVStore):
     # -- write path -------------------------------------------------------
 
     def write_batch(self, items: Iterable[BatchItem]) -> None:
-        """Every item is checked before the lock is taken.  The batch is
+        """Every item is checked before anything is written.  The batch is
         then written in *runs*: each run's WAL records go to the log in
         one file write, then into the memtable.  A run ends where a put
         per item would have flushed -- the memtable reaching its limit --
@@ -270,20 +257,19 @@ class LSMStore(KVStore):
         manifest are byte for byte those of item-by-item writes."""
         self._check_open()
         batch = self._checked_batch(items)
-        with self._lock:
-            start = 0
-            while start < len(batch):
-                stop = self._memtable.fill_point(batch, start, self._memtable_limit)
-                run = batch[start:stop]
-                self._wal.append(run)
-                self._metrics.increment_many(
-                    (metric_names.WAL_RECORDS, len(run)),
-                    (metric_names.KV_WRITES, len(run)),
-                )
-                self._memtable.write(run)
-                if len(self._memtable) >= self._memtable_limit:
-                    self.flush()
-                start = stop
+        start = 0
+        while start < len(batch):
+            stop = self._memtable.fill_point(batch, start, self._memtable_limit)
+            run = batch[start:stop]
+            self._wal.append(run)
+            self._metrics.increment_many(
+                (metric_names.WAL_RECORDS, len(run)),
+                (metric_names.KV_WRITES, len(run)),
+            )
+            self._memtable.write(run)
+            if len(self._memtable) >= self._memtable_limit:
+                self.flush()
+            start = stop
 
     def flush(self) -> None:
         """Flush the memtable to a new SSTable and truncate the WAL.
@@ -294,45 +280,41 @@ class LSMStore(KVStore):
         crash between the last two steps leaves the same records in both
         places -- replay is idempotent, so reopen converges.
         """
-        with self._lock:
-            if not len(self._memtable):
-                return
-            self._wal.sync()
-            sequence = self._next_sequence
-            self._next_sequence += 1
-            table_path = self._table_path(sequence)
-            crash_point(LSM_PRE_SSTABLE)
-            write_sstable(
-                table_path, self._memtable.entries_sorted(),
-                fs=self._fs, fsync=self._fsync,
-            )
-            crash_point(LSM_POST_SSTABLE)
-            # Append-then-rebind: a reader snapshotting between these
-            # statements sees the new table *and* the old memtable --
-            # duplicated entries are harmless (newest-wins), a window
-            # where the records exist nowhere would not be.
-            self._set_tables_locked(
-                self._tables + [(sequence, SSTableReader(table_path, fs=self._fs))]
-            )
-            self._memtable = Memtable()
-            # Manifest before WAL truncation: a crash in between leaves
-            # the records both listed and replayable -- idempotent.  The
-            # reverse order could truncate the WAL while the manifest
-            # still omits the table, deleting it as a stray on reopen.
-            self._write_manifest_locked()
-            self._wal.truncate()
-            if len(self._tables) >= self._compaction_trigger:
-                self._merge_tables_locked()
+        if not len(self._memtable):
+            return
+        self._wal.sync()
+        sequence = self._next_sequence
+        self._next_sequence += 1
+        table_path = self._table_path(sequence)
+        crash_point(LSM_PRE_SSTABLE)
+        write_sstable(
+            table_path, self._memtable.entries_sorted(),
+            fs=self._fs, fsync=self._fsync,
+        )
+        crash_point(LSM_POST_SSTABLE)
+        self._set_tables(
+            self._tables + [(sequence, SSTableReader(table_path, fs=self._fs))]
+        )
+        self._memtable = Memtable()
+        # Manifest before WAL truncation: a crash in between leaves
+        # the records both listed and replayable -- idempotent.  The
+        # reverse order could truncate the WAL while the manifest
+        # still omits the table, deleting it as a stray on reopen.
+        self._write_manifest()
+        self._wal.truncate()
+        if len(self._tables) >= self._compaction_trigger:
+            self._merge_tables()
 
     def _table_path(self, sequence: int) -> Path:
         return self.path / f"{_SST_PREFIX}{sequence:08d}{_SST_SUFFIX}"
 
-    def _merge_tables_locked(self) -> None:
+    def _merge_tables(self) -> None:
         """Full compaction: merge every table into one and drop dead
         entries (no older table survives for a tombstone to shadow).
 
-        Victim files are *not* deleted here: a lock-free reader may hold
-        a pre-compaction snapshot that still consults them.  Each
+        Victim files are *not* deleted here: a scan held across the
+        compaction may hold a pre-compaction snapshot that still consults
+        them.  Each
         victim is instead scheduled for deletion when its reader object
         is garbage-collected -- i.e. once the table-list rebind below and
         every outstanding snapshot have dropped their references.  The
@@ -346,8 +328,8 @@ class LSMStore(KVStore):
         self._next_sequence += 1
         table_path = self._table_path(sequence)
         write_sstable(table_path, merged, fs=self._fs, fsync=self._fsync)
-        self._set_tables_locked([(sequence, SSTableReader(table_path, fs=self._fs))])
-        self._write_manifest_locked()
+        self._set_tables([(sequence, SSTableReader(table_path, fs=self._fs))])
+        self._write_manifest()
         for reader in retired:
             self._pending_unlinks.add(reader.path)
             weakref.finalize(reader, _unlink_retired, reader.path,
@@ -355,32 +337,22 @@ class LSMStore(KVStore):
 
     # -- read path ---------------------------------------------------------
 
-    def _read_snapshot(self) -> Tuple[Memtable, Tuple[SSTableReader, ...]]:
-        """A consistent ``(memtable, tables)`` pair, captured under the
-        lock.  Reads then proceed lock-free against the snapshot: the
-        memtable object is never cleared in place (flush rebinds a fresh
-        one) and the table tuple is rebound, never mutated, so the snapshot
-        stays coherent however many flushes land mid-read."""
-        with self._lock:
-            if self._quarantined:
-                self._check_quarantine()
-            return self._memtable, self._readers
-
     def get(self, key: bytes) -> Optional[bytes]:
-        """The value of ``key``, or ``None``: one lock acquisition (the
-        snapshot) and one registry call.  Every read, one that raises
-        included, ticks ``kv.reads`` once, together with the filters that
-        said no and the tables searched."""
+        """The value of ``key``, or ``None``, and one registry call.  Every
+        read, one that raises included, ticks ``kv.reads`` once, together
+        with the filters that said no and the tables searched."""
         self._check_open()
         if not key or key.__class__ is not bytes:
             self._check_key(key)
             key = bytes(key)
         skipped = searched = 0
         try:
-            memtable, tables = self._read_snapshot()
-            value = memtable.lookup(key)
+            if self._quarantined:
+                self._check_quarantine()
+            value = self._memtable.lookup(key)
             if value is not ABSENT:
                 return value
+            tables = self._readers
             if not tables:
                 return None
             # One hash of the key serves every table's filter.
@@ -416,15 +388,14 @@ class LSMStore(KVStore):
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
         """Not a generator: a closed or quarantined store raises here, and
-        what is scanned is the store as of this call.  The memtable's keys
-        in range are sliced under the writers' lock, so no ``put`` can
-        shift them between the two bisects and the slice."""
+        what is scanned is the store as of this call: the memtable's keys
+        in range are sliced and the table tuple taken here, so a key
+        written while the scan is held does not reach it."""
         self._check_open()
-        with self._lock:
-            self._check_quarantine()
-            return self._merged_entries(
-                self._readers, self._memtable.scan(start, end), start, end
-            )
+        self._check_quarantine()
+        return self._merged_entries(
+            self._readers, self._memtable.scan(start, end), start, end
+        )
 
     def _merged_entries(
         self,
@@ -489,26 +460,24 @@ class LSMStore(KVStore):
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self.flush()
-            self._wal.close()
-            self._closed = True
-            # Backstop for deferred compaction-victim deletion: any
-            # finalizer that has not fired yet (a snapshot tuple kept a
-            # reader alive, or a reference cycle delayed collection) is
-            # forced now -- the store owns the directory and no new
-            # readers can start after close.
-            for retired in list(self._pending_unlinks):
-                retired.unlink(missing_ok=True)
-            self._pending_unlinks.clear()
+        if self._closed:
+            return
+        self.flush()
+        self._wal.close()
+        self._closed = True
+        # Backstop for deferred compaction-victim deletion: any
+        # finalizer that has not fired yet (a snapshot tuple kept a
+        # reader alive, or a reference cycle delayed collection) is
+        # forced now -- the store owns the directory and no new
+        # readers can start after close.
+        for retired in list(self._pending_unlinks):
+            retired.unlink(missing_ok=True)
+        self._pending_unlinks.clear()
 
     # -- quarantine --------------------------------------------------------
 
     def quarantined_tables(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._quarantined)
+        return tuple(self._quarantined)
 
     def acknowledge_quarantine(self) -> Tuple[str, ...]:
         """Accept the loss of quarantined tables and resume serving.
@@ -518,10 +487,9 @@ class LSMStore(KVStore):
         store itself cannot conjure them back.  Returns the names that
         were quarantined.
         """
-        with self._lock:
-            lost = tuple(self._quarantined)
-            self._quarantined = []
-            return lost
+        lost = tuple(self._quarantined)
+        self._quarantined = []
+        return lost
 
     def scrub(self) -> Tuple[str, ...]:
         """Re-verify every live table's checksum; quarantine failures.
@@ -530,27 +498,25 @@ class LSMStore(KVStore):
         healthy).  A non-empty result leaves the store in the same
         read-blocked state as corruption found at open.
         """
-        with self._lock:
-            healthy: List[Tuple[int, SSTableReader]] = []
-            newly: List[str] = []
-            for sequence, reader in self._tables:
-                try:
-                    healthy.append(
-                        (sequence, SSTableReader(reader.path, fs=self._fs))
-                    )
-                except SSTableError:
-                    self._quarantine_file_locked(reader.path)
-                    newly.append(reader.path.name)
-            self._set_tables_locked(healthy)
-            if newly:
-                self._write_manifest_locked()
-            return tuple(newly)
+        healthy: List[Tuple[int, SSTableReader]] = []
+        newly: List[str] = []
+        for sequence, reader in self._tables:
+            try:
+                healthy.append(
+                    (sequence, SSTableReader(reader.path, fs=self._fs))
+                )
+            except SSTableError:
+                self._quarantine_file(reader.path)
+                newly.append(reader.path.name)
+        self._set_tables(healthy)
+        if newly:
+            self._write_manifest()
+        return tuple(newly)
 
     @property
     def sstable_count(self) -> int:
         """Number of live SSTables (exposed for tests and ablations)."""
-        with self._lock:
-            return len(self._tables)
+        return len(self._tables)
 
     def verify_integrity(self) -> None:
         """Cheap invariant check used by tests: scan yields sorted keys."""

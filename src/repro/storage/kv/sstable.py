@@ -120,9 +120,7 @@ class SSTableReader:
     byte before anything is parsed; the file is never opened again.  The
     verified data section is decoded by the first ``lookup`` / ``scan`` /
     ``bounds`` and replaced by the result -- LevelDB's block cache at our
-    scale, already parsed.  That replacement is an idempotent unlocked
-    write: racing first readers decode the same immutable bytes and store
-    equal lists, whichever lands last.
+    scale, already parsed.
     """
 
     def __init__(self, path: str | Path, fs: FileSystem = REAL_FS) -> None:

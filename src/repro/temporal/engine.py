@@ -6,9 +6,9 @@ wall-clock join time, time spent inside GHFK iteration, and the
 block/call counters the paper's analysis is phrased in.
 
 Per-key event retrieval runs one key at a time on the calling thread,
-in ``list_keys`` order -- the paper's setup.  Every shared structure
-underneath (metrics registry, history index, block files) is
-lock-guarded, because a query may race a commit on another thread.
+in ``list_keys`` order -- the paper's setup.  A ledger and everything
+under it is used from one thread (DESIGN.md §6); a query may still be
+interleaved with commits on that thread.
 
 A model that cannot answer -- an M1 window no indexing run covers, a
 quarantined SSTable, corrupt index state -- raises its typed error

@@ -32,8 +32,8 @@ never answers from half an index.
 ``GetState`` and is valid for that query only; nothing is memoised on
 the engine, by window or by ledger height -- a later run can fill a
 stretch *inside* an earlier window, and ``commit_block`` bumps the height
-before it applies state.  A query racing a ``record_run`` commit
-therefore answers, for every key, from the run list as it stood either
+before it applies state.  A query whose keys are fetched across a
+``record_run`` commit therefore answers, for every key, from the run list as it stood either
 before or after that commit.
 """
 
@@ -375,8 +375,8 @@ class M1QueryEngine:
         intervals clipped to the run's range -- exactly the keys the
         indexer could have written -- of which the plan keeps those
         overlapping ``window``, ordered by time across runs.  The one
-        read is also the query's consistency point: a query racing a
-        ``record_run`` commit answers from the run list as it stood
+        read is also the query's consistency point: a query held across
+        a ``record_run`` commit answers from the run list as it stood
         before or after that commit, never a mix.
 
         Raises :class:`TemporalQueryError` naming the first stretch of

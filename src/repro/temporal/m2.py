@@ -52,8 +52,7 @@ class M2QueryEngine:
     """Temporal queries over Model M2's transformed ledger.
 
     Stateless between calls (like :class:`~repro.temporal.tqf.TQFEngine`):
-    per-interval GHFK scans share only lock-guarded structures, so a
-    query racing a commit is safe.
+    it holds no per-engine mutable state.
     """
 
     model = "m2"

@@ -24,9 +24,7 @@ class TQFEngine:
     """The baseline temporal query engine.
 
     Stateless between calls: ``fetch_events`` holds no per-engine mutable
-    state, and everything it shares (metrics, history index, block
-    store) is lock-guarded underneath, so a query racing a commit
-    is safe.
+    state.
     """
 
     #: Identifier used by the facade and benchmark tables.

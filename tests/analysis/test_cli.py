@@ -92,5 +92,5 @@ def test_explain_prints_rule_documentation(capsys):
 
 
 def test_explain_matches_case_insensitively_like_select(capsys):
-    assert main(["lint", "--explain", "conc001"]) == 0
-    assert capsys.readouterr().out.startswith("CONC001:")
+    assert main(["lint", "--explain", "dur001"]) == 0
+    assert capsys.readouterr().out.startswith("DUR001:")

@@ -10,14 +10,9 @@ layer that broke, not as a mysterious missing finding three layers up.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-
-import pytest
 
 from repro.analysis.dataflow import CallGraph, SymbolTable, taint_for
 from repro.analysis.project import build_project
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def project_from(tmp_path, files):
@@ -27,14 +22,6 @@ def project_from(tmp_path, files):
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
     return build_project([tmp_path], root=tmp_path)
-
-
-@pytest.fixture(scope="module")
-def real_table():
-    """One shared symbol table of the actual source tree (it is immutable
-    from the tests' point of view)."""
-    project = build_project([REPO_SRC], root=REPO_SRC.parent)
-    return SymbolTable.build(project)
 
 
 class TestSymbolTable:
@@ -81,7 +68,6 @@ class TestSymbolTable:
                 tmp_path,
                 {
                     "wires.py": (
-                        "import threading\n\n\n"
                         "class Engine:\n"
                         "    def go(self):\n"
                         "        return 1\n\n\n"
@@ -89,7 +75,6 @@ class TestSymbolTable:
                         "    def __init__(self, engine: Engine):\n"
                         "        self._engine = engine\n"
                         "        self._spare = Engine()\n"
-                        "        self._lock = threading.Lock()\n"
                     ),
                 },
             )
@@ -97,21 +82,6 @@ class TestSymbolTable:
         holder = table.classes["wires.Holder"]
         assert holder.attr_types["_engine"] == "wires.Engine"
         assert holder.attr_types["_spare"] == "wires.Engine"
-        assert holder.lock_attrs == {"_lock"}
-
-    def test_real_tree_recognizes_query_path_lock_carriers(self, real_table):
-        """Every lock-carrying class on the query path must
-        be visible to the symbol table, or CONC001 silently stops policing
-        its attribute writes."""
-        classes = real_table.classes
-        expectations = {
-            "repro.common.metrics.MetricsRegistry": "_lock",
-            "repro.fabric.historydb.HistoryDB": "_lock",
-            "repro.storage.blockfile.BlockFileManager": "_lock",
-        }
-        for qualname, lock_attr in expectations.items():
-            assert qualname in classes, qualname
-            assert lock_attr in classes[qualname].lock_attrs, qualname
 
     def test_method_lookup_follows_bases(self, tmp_path):
         table = SymbolTable.build(

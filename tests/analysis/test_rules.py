@@ -12,7 +12,6 @@ import shutil
 import pytest
 
 from repro.analysis import all_rules, run_lint
-from repro.analysis.rules.concurrency import BLOCKING_ALLOWLIST
 from tests.analysis.helpers import (
     FIXTURES,
     assert_matches_expectations,
@@ -31,8 +30,6 @@ def test_registry_exposes_the_documented_rule_families():
         "CRASH001",
         "ERR001",
         "DET002",
-        "CONC001",
-        "CONC003",
         "RES001",
     } == set(rules)
     for rule_id, rule_class in rules.items():
@@ -108,80 +105,9 @@ class TestInterproceduralDeterminism:
         assert "commit" in messages
 
 
-class TestLockedAttributeWrites:
-    def test_concurrency_fixtures_match_expectations(self):
-        result = lint_fixture_tree("concurrency")
-        assert_matches_expectations(
-            result, FIXTURES / "concurrency" / "workers.py"
-        )
-
-    def test_message_offers_both_escapes(self):
-        result = lint_fixture_tree("concurrency")
-        message = next(
-            finding.message
-            for finding in result.new_findings
-            if finding.rule_id == "CONC001"
-        )
-        assert "with self._lock" in message
-        assert "_locked" in message
-
-
-class TestLockOrderAndBlocking:
-    """CONC003: the CFG+lockset rule."""
-
-    def test_lockorder_fixtures_match_expectations(self):
-        result = lint_fixture_tree("lockorder")
-        assert_matches_expectations(
-            result, FIXTURES / "lockorder" / "blocking.py"
-        )
-
-    def test_blocking_message_names_the_call_chain(self):
-        # The helper-hidden sleep must report the chain down to the
-        # sleeping callee, not just the innocent-looking call line.
-        result = lint_fixture_tree("lockorder")
-        message = next(
-            finding.message
-            for finding in result.new_findings
-            if finding.rule_id == "CONC003" and finding.line == 52
-        )
-        assert "via" in message
-        assert "_retry" in message
-
-    def test_allowlist_row_that_suppresses_nothing_is_a_finding(self, monkeypatch):
-        # A row naming a function that blocks only after releasing its
-        # lock excuses nothing: the rule reports the row at the function,
-        # so the table cannot outlive the code it was written for.  A
-        # row that does suppress a blocking call stays silent.
-        monkeypatch.setitem(
-            BLOCKING_ALLOWLIST,
-            "lockorder.blocking.Worker.nap_after_lock",
-            (frozenset({"sleep"}), "fixture: sleeps after the release"),
-        )
-        monkeypatch.setitem(
-            BLOCKING_ALLOWLIST,
-            "lockorder.blocking.Worker.nap_under_lock",
-            (frozenset({"sleep"}), "fixture: sleeps under the lock"),
-        )
-        fixture = FIXTURES / "lockorder" / "blocking.py"
-        lines = fixture.read_text().splitlines()
-        stale_line = 1 + lines.index("    def nap_after_lock(self):")
-        nap_line = 1 + lines.index("            time.sleep(0.1)  # expect: CONC003")
-        result = lint_fixture_tree("lockorder")
-        found = {
-            (finding.line, finding.message)
-            for finding in result.new_findings
-            if finding.rule_id == "CONC003"
-        }
-        stale = [message for line, message in found if line == stale_line]
-        assert len(stale) == 1, sorted(found)
-        assert "Worker.nap_after_lock()" in stale[0]
-        assert "delete the stale row" in stale[0]
-        assert nap_line not in {line for line, _ in found}
-
-
 class TestSelectValidation:
     """A --select that matches nothing must be a usage error, not a
-    vacuous pass (the CI gate runs `repro lint --select CONC`)."""
+    vacuous pass."""
 
     @pytest.fixture()
     def tiny_project(self, tmp_path):
@@ -345,23 +271,6 @@ def _line_of(target, marker):
     return hits[0]
 
 
-_NAPPING_CACHE = (
-    '"""A cache that backs off while holding its lock."""\n\n'
-    "import threading\n"
-    "import time\n\n\n"
-    "class NappingCache:\n"
-    '    """Serializes writers, then sleeps on their time."""\n\n'
-    "    def __init__(self):\n"
-    "        self._lock = threading.Lock()\n"
-    "        self._data = {}\n\n"
-    "    def put(self, key, value):\n"
-    '        """Stores after an in-lock settle delay."""\n'
-    "        with self._lock:\n"
-    "            time.sleep(0.05)\n"
-    "            self._data[key] = value\n"
-)
-
-
 class TestMutationAcceptance:
     """For each rule, the mutant from DESIGN.md §5's mutant tables that
     only that rule convicts (plus a few more shapes of the same bugs),
@@ -371,41 +280,16 @@ class TestMutationAcceptance:
 
     @pytest.fixture(scope="class")
     def mutants(self, tmp_path_factory):
-        """``(result, expected, sleep_chain)``: the one run, each
-        mutant's ``(rule, path, line)``, and the call-chain text every
-        CONC003 finding raised by the ``MetricsRegistry`` sleep names."""
+        """``(result, expected)``: the one run and each mutant's
+        ``(rule, path, line)``."""
         clone = _clone_real_tree(tmp_path_factory.mktemp("mutants"))
         repro = clone / "src" / "repro"
-        historydb = repro / "fabric" / "historydb.py"
-        metrics = repro / "common" / "metrics.py"
-        napping = repro / "storage" / "napping.py"
         sstable = repro / "storage" / "kv" / "sstable.py"
         ledger = repro / "fabric" / "ledger.py"
         registry = repro / "faults" / "crashpoints.py"
         chaincodes = repro / "temporal" / "chaincodes.py"
         lsm = repro / "storage" / "kv" / "lsm.py"
 
-        # CONC001: two new methods that rebind shared state without the
-        # class lock.  MetricsRegistry has an explicit __init__ precisely
-        # so its lock is visible to the symbol table.
-        for target, anchor, method, rebind in (
-            (historydb, "    def locations_for_key(self", "forget_all(self)",
-             "self._locations = {}  # mutant: history"),
-            (metrics, "    def increment(self", "hard_reset(self)",
-             "self._counters = {}  # mutant: metrics"),
-        ):
-            _edit(target, anchor, f"    def {method}:\n        {rebind}\n\n{anchor}")
-        # CONC003: a new cache that naps under its lock, and
-        # a sleep inside MetricsRegistry.increment's locked region, which
-        # every caller holding its own lock across increment() inherits.
-        napping.write_text(_NAPPING_CACHE)
-        _edit(metrics, "from contextlib import", "import time\nfrom contextlib import")
-        _edit(
-            metrics,
-            "            value = self._counters.get(name, 0) + amount\n",
-            "            time.sleep(0.001)\n"
-            "            value = self._counters.get(name, 0) + amount\n",
-        )
         # DUR002 (mutant B): the SSTable writer flushes its temp file but
         # never fsyncs it before the rename.
         _edit(sstable, "            fs.fsync(handle)\n", "            handle.flush()\n")
@@ -521,10 +405,6 @@ class TestMutationAcceptance:
             return (rule, target.relative_to(clone).as_posix(), _line_of(target, marker))
 
         expected = {
-            "_locations": at("CONC001", historydb, "# mutant: history"),
-            "_counters": at("CONC001", metrics, "# mutant: metrics"),
-            "napping": at("CONC003", napping, "time.sleep(0.05)"),
-            "metrics_sleep": at("CONC003", metrics, "time.sleep(0.001)"),
             "sstable_fsync": at("DUR002", sstable, "fs.replace(tmp_path, path)"),
             "raw_manifest": at("DUR001", lsm, "# mutant: raw write"),
             "raw_open": at("DUR001", repro / "storage" / "sneaky.py", "open(path"),
@@ -536,12 +416,8 @@ class TestMutationAcceptance:
             "set_order": at("DET002", chaincodes, "# mutant: set order"),
             "two_hops": at("DET002", chaincodes, "# mutant: two hops"),
         }
-        sleep_chain = (
-            "repro.common.metrics.MetricsRegistry.increment:"
-            f"{expected['metrics_sleep'][2]}"
-        )
         result = run_lint([clone / "src"], root=clone)
-        return result, expected, sleep_chain
+        return result, expected
 
     @staticmethod
     def _message(result, key):
@@ -555,86 +431,28 @@ class TestMutationAcceptance:
         return messages[0]
 
     def test_nothing_but_the_seeded_lines_fires(self, mutants):
-        # The unmutated rest of the tree stays clean; the only findings
-        # away from a mutant are callers that hold their own lock across
-        # MetricsRegistry.increment(), and they name the seeded sleep.
-        result, expected, sleep_chain = mutants
-        seeded = set(expected.values())
-        assert seeded <= {
+        # The unmutated rest of the tree stays clean.
+        result, expected = mutants
+        assert set(expected.values()) == {
             (finding.rule_id, finding.path, finding.line)
             for finding in result.new_findings
         }, result.render_text()
-        for finding in result.new_findings:
-            if (finding.rule_id, finding.path, finding.line) not in seeded:
-                assert finding.rule_id == "CONC003", finding.render()
-                assert sleep_chain in finding.message, finding.render()
-
-    def _assert_conc001(self, mutants, attr):
-        """The CONC001 findings are exactly the two seeded rebinds, and
-        ``attr``'s names the attribute."""
-        result, expected, _ = mutants
-        conc001 = {
-            (finding.rule_id, finding.path, finding.line)
-            for finding in result.new_findings
-            if finding.rule_id == "CONC001"
-        }
-        assert conc001 == {
-            expected["_locations"], expected["_counters"]
-        }, result.render_text()
-        assert f"self.{attr}" in self._message(result, expected[attr])
-
-    def test_unlocked_history_index_write_fails_the_lint(self, mutants):
-        # HistoryDB is lock-carrying (GHFK readers race the committer).
-        self._assert_conc001(mutants, "_locations")
-
-    def test_unlocked_metrics_write_fails_the_lint(self, mutants):
-        self._assert_conc001(mutants, "_counters")
-
-    def test_sleep_under_lock_fails_the_lint(self, mutants):
-        result, expected, _ = mutants
-        hits = [
-            (finding.rule_id, finding.path, finding.line)
-            for finding in result.new_findings
-            if finding.path == "src/repro/storage/napping.py"
-        ]
-        assert hits == [expected["napping"]], result.render_text()
-        assert "time.sleep" in self._message(result, expected["napping"])
-
-    def test_seeded_sleep_under_metrics_lock_fails_the_lint(self, mutants):
-        result, expected, sleep_chain = mutants
-        local = [
-            (finding.rule_id, finding.path, finding.line)
-            for finding in result.new_findings
-            if finding.path == "src/repro/common/metrics.py"
-            and finding.rule_id == "CONC003"
-        ]
-        assert local == [expected["metrics_sleep"]], result.render_text()
-        message = self._message(result, expected["metrics_sleep"])
-        assert "time.sleep" in message
-        assert "MetricsRegistry._lock" in message
-        callers = [
-            finding
-            for finding in result.new_findings
-            if sleep_chain in finding.message
-            and finding.path != "src/repro/common/metrics.py"
-        ]
-        assert callers, result.render_text()
 
     def test_dropped_sstable_fsync_fails_the_lint(self, mutants):
         # The bug no other detector convicts: FaultyFS drops unsynced
         # bytes only on a kill, and nothing in tier-1 kills right after
         # an SSTable's rename (DESIGN.md §5, the lint-rule mutant table).
-        result, expected, _ = mutants
+        result, expected = mutants
         assert expected["sstable_fsync"][1:] == ("src/repro/storage/kv/sstable.py", 112)
         assert "never fsynced" in self._message(result, expected["sstable_fsync"])
 
     def test_unregistered_crash_point_fails_the_lint(self, mutants):
-        result, expected, _ = mutants
+        result, expected = mutants
         message = self._message(result, expected["unregistered_point"])
         assert "registry does not know" in message
 
     def test_deregistered_crash_point_fails_the_lint(self, mutants):
-        result, expected, _ = mutants
+        result, expected = mutants
         message = self._message(result, expected["dropped_point"])
         assert "LEDGER_PRE_STATE" in message
         assert "no crash_point() call site fires it" in message
@@ -643,7 +461,7 @@ class TestMutationAcceptance:
         # The bug no other detector convicts: set iteration order varies
         # only across processes (string hashing), and tier-1 compares
         # every ledger with a reference built in the same process.
-        result, expected, _ = mutants
+        result, expected = mutants
         message = self._message(result, expected["set_order"])
         assert "set iteration order" in message
         assert "_distinct" in message
@@ -652,7 +470,7 @@ class TestMutationAcceptance:
         # A chaincode whose nondeterminism is laundered through two
         # module-level helpers: invisible to the per-file rule, fatal to
         # the interprocedural one.
-        result, expected, _ = mutants
+        result, expected = mutants
         message = self._message(result, expected["two_hops"])
         assert "time.time" in message
         assert "_clock -> _stamp" in message
@@ -669,18 +487,18 @@ class TestMutationAcceptance:
     def test_raw_manifest_write_fails_the_lint(self, mutants):
         # Tier-1 stays green: a write FaultyFS never sees is one it can
         # never tear, so every crash test recovers.
-        result, expected, _ = mutants
+        result, expected = mutants
         assert ".write_bytes() bypasses the FileSystem seam" in self._message(
             result, expected["raw_manifest"]
         )
 
     def test_injected_raw_open_fails_the_lint(self, mutants):
-        result, expected, _ = mutants
+        result, expected = mutants
         assert expected["raw_open"][2] == 6
         assert "raw open() with mode 'wb'" in self._message(result, expected["raw_open"])
 
     def test_leaked_seam_handle_fails_the_lint(self, mutants):
-        result, expected, _ = mutants
+        result, expected = mutants
         assert "only closed on the happy path" in self._message(
             result, expected["leaked_handle"]
         )
@@ -688,7 +506,7 @@ class TestMutationAcceptance:
     def test_environment_gated_write_fails_the_lint(self, mutants):
         # A branch around a constant carries no taint, so DET002 is
         # silent; tier-1 never sets the variable.
-        result, expected, _ = mutants
+        result, expected = mutants
         rules = {
             finding.rule_id
             for finding in result.new_findings
@@ -700,5 +518,5 @@ class TestMutationAcceptance:
     def test_broad_endorser_catch_fails_the_lint(self, mutants):
         # Tier-1 stays green: no test drives a fault-harness error
         # through a chaincode invocation, so nothing sees it wrapped.
-        result, expected, _ = mutants
+        result, expected = mutants
         assert "broad except Exception" in self._message(result, expected["broad_catch"])

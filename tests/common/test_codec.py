@@ -178,33 +178,6 @@ def test_map_affixes_spell_the_encoded_map(codec, record):
     assert spliced == codec.encode(record)
 
 
-def test_json_codec_is_shared_across_threads_safely():
-    """One cached encoder/decoder pair serves every thread (a block store
-    and a state-db each hold a single JsonCodec): eight threads encoding at once get the
-    bytes one thread gets (the C encoder is built once and keeps no
-    per-call state), and concurrent round trips of bytes-bearing values --
-    the object_hook re-enters Python mid-parse -- stay exact."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    codec = JsonCodec()
-    values = [
-        {"n": n, "blob": bytes([n % 256]) * 40, "rows": [{"k": f"key{n}", "v": [n, None]}] * 8,
-         "text": "ключ" * (n % 5), "ratio": n / 3}
-        for n in range(64)
-    ]
-    expected = {id(value): codec.encode(value) for value in values}
-
-    def round_trips(value):
-        return all(
-            codec.encode(value) == expected[id(value)]
-            and codec.decode(codec.encode(value)) == value
-            for _ in range(50)
-        )
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        assert all(pool.map(round_trips, values, timeout=60))
-
-
 # -- the JSON encoder built once ---------------------------------------------
 
 #: The codec's value universe with what plain ``json_values`` leaves out:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
@@ -90,95 +87,3 @@ class TestSnapshots:
         merged = metrics.as_dict()
         assert merged["a"] == 1
         assert merged["t"] == 2.0
-
-
-class TestThreadSafety:
-    """Queries racing a commit (or each other) increment shared counters
-    from several threads; ``increment`` and ``increment_many`` must be
-    atomic, and must not lose each other's updates."""
-
-    THREADS = 8
-    ITERATIONS = 2_000
-
-    def test_concurrent_increment_is_exact(self, metrics: MetricsRegistry):
-        barrier = threading.Barrier(self.THREADS)
-
-        def hammer() -> None:
-            barrier.wait()
-            for _ in range(self.ITERATIONS):
-                metrics.increment("hits")
-                metrics.increment("bytes", 3)
-                metrics.increment_many(("hits", 1), ("bytes", 5), ("pairs", 1))
-
-        with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
-            for future in [pool.submit(hammer) for _ in range(self.THREADS)]:
-                future.result()
-
-        assert metrics.counter("hits") == 2 * self.THREADS * self.ITERATIONS
-        assert metrics.counter("bytes") == 8 * self.THREADS * self.ITERATIONS
-        assert metrics.counter("pairs") == self.THREADS * self.ITERATIONS
-
-    def test_concurrent_timed_blocks_accumulate_exactly(
-        self, metrics: MetricsRegistry
-    ):
-        # ``timed`` must keep per-block state private (no shared stopwatch):
-        # overlapping blocks on one registry would otherwise double-count
-        # or lose time.  add_time feeds a known quantum alongside to check
-        # the accumulated total is exact, not merely monotone.
-        barrier = threading.Barrier(self.THREADS)
-
-        def hammer() -> None:
-            barrier.wait()
-            for _ in range(200):
-                with metrics.timed("ghfk"):
-                    pass
-                metrics.add_time("fixed", 0.25)
-
-        with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
-            for future in [pool.submit(hammer) for _ in range(self.THREADS)]:
-                future.result()
-
-        assert metrics.timer("fixed") == 0.25 * 200 * self.THREADS
-        assert metrics.timer("ghfk") >= 0.0
-
-    def test_snapshot_under_concurrent_writes_is_consistent(
-        self, metrics: MetricsRegistry
-    ):
-        # Writers bump their own counters while readers snapshot
-        # mid-hammer; a snapshot must never observe a torn dict (the
-        # pre-lock bug: RuntimeError from dict-changed-during-iteration).
-        # Both sides are bounded by work, so the final counters are exact
-        # and a traced run costs the same events every time; the barrier
-        # starts them together, and untraced the writers' share of work
-        # outlasts the readers'.
-        writes = 10_000
-        errors: list[BaseException] = []
-        start = threading.Barrier(6)
-
-        def writer(slot: int) -> None:
-            start.wait()
-            for _ in range(writes):
-                metrics.increment(f"w{slot}")
-
-        def reader() -> None:
-            start.wait()
-            try:
-                for _ in range(2_000):
-                    snap = metrics.snapshot()
-                    metrics.as_dict()
-                    for slot in range(4):
-                        assert 0 <= snap.counter(f"w{slot}") <= writes
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        writers = [threading.Thread(target=writer, args=(slot,)) for slot in range(4)]
-        readers = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in writers + readers:
-            thread.start()
-        for thread in writers + readers:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in writers + readers)
-        assert errors == []
-        assert metrics.snapshot().counters == {
-            f"w{slot}": writes for slot in range(4)
-        }

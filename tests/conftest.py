@@ -1,16 +1,4 @@
-"""Shared pytest fixtures and the opt-in sanitizer session mode.
-
-``REPRO_SAN=1`` runs the whole test session inside one dynamic race
-sanitizer session: every lock built through the
-:mod:`repro.common.locks` seam is traced, every ``@sanitize_shared``
-class's attribute traffic feeds the happens-before/lockset engine, and
-at session end the combined race report is written (default
-``race-report.json``; override with ``REPRO_SAN_REPORT``).  Any race
-turns a green test run red -- this is the CI leg that catches
-interleaving bugs the assertions themselves never look for.
-
-``REPRO_SEED`` seeds the session (recorded in the report) so a failing
-run replays.
+"""Shared pytest fixtures, the hypothesis profile and the hang watchdog.
 
 Two things make a run a function of the code alone.  Every hypothesis
 test runs under the one ``repro`` profile: no wall-clock deadline or
@@ -34,8 +22,6 @@ from hypothesis import HealthCheck, settings
 
 from repro.common.metrics import MetricsRegistry
 
-_SAN_ENABLED = os.environ.get("REPRO_SAN") == "1"
-
 settings.register_profile(
     "repro",
     deadline=None,
@@ -55,19 +41,12 @@ def metrics() -> MetricsRegistry:
 
 
 def pytest_configure(config: pytest.Config) -> None:
-    """Open the hang dump; start the session-wide sanitizer when
-    ``REPRO_SAN=1``."""
+    """Open the hang dump."""
     timeout = float(config.getini("faulthandler_timeout") or 0.0)
     if timeout > 0:
         # Appended, never truncated: the next run must not erase a hang's evidence.
         dump = open(Path("hang-dump.txt").resolve(), "a")
         config.stash[_HANG_WATCHDOG] = (timeout, dump)
-    if not _SAN_ENABLED:
-        return
-    from repro.common.config import repro_seed
-    from repro.sanitizer import runtime
-
-    runtime.enable(seed=repro_seed(0))
 
 
 @pytest.hookimpl(tryfirst=True)
@@ -102,23 +81,3 @@ def pytest_unconfigure(config: pytest.Config) -> None:
             # removed the empty file the two of them had open.
             pass
 
-
-def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
-    """Write the race report and fail the session on any race."""
-    if not _SAN_ENABLED:
-        return
-    from repro.sanitizer import runtime
-
-    sanitizer = runtime.active()
-    if sanitizer is None:
-        # A test left the session disabled (the lifecycle tests manage
-        # their own sessions and restore ours; if one failed mid-way
-        # there is nothing to report).
-        return
-    runtime.disable()
-    report = sanitizer.build_report(source="pytest", workers=1)
-    report.save(os.environ.get("REPRO_SAN_REPORT", "race-report.json"))
-    if not report.ok:
-        print()
-        print(report.render())
-        session.exitstatus = 1

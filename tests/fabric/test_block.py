@@ -402,47 +402,29 @@ class TestFramedPayload:
         finally:
             gc.enable()
 
-    def test_concurrent_readers_of_one_lazy_block_see_one_object_per_index(self):
-        """Many GHFK iterators index (and some scan) the same lazy block
-        object.  Whoever decodes first, every reader must
-        end up with the same Transaction objects -- a second copy would
-        hide a mutation from verify_data_hash."""
-        import sys
-        import threading
-
+    def test_interleaved_readers_share_one_object_per_index(self):
+        """Several readers of one lazy block object -- history reads,
+        indexing in either order, a full scan -- take turns on it.
+        Whichever decodes first, every reader ends up with the same
+        Transaction objects: a second copy would hide a mutation from
+        verify_data_hash."""
         codec = JsonCodec()
         payload = ten_tx_block().to_payload(codec)
-        workers, rounds = 8, 60
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        failures: list[str] = []
-        try:
-            for _ in range(rounds):
-                lazy = Block.from_payload(payload, codec)
-                seen: list[list[Transaction]] = [[] for _ in range(workers)]
-                barrier = threading.Barrier(workers)
-
-                def read(slot: int, lazy=lazy, seen=seen, barrier=barrier) -> None:
-                    barrier.wait(timeout=30)
-                    order = range(10) if slot % 2 else reversed(range(10))
-                    picked = {i: lazy.transactions[i] for i in order}
-                    if slot % 4 == 0:
-                        picked = dict(enumerate(lazy.transactions))
-                    seen[slot] = [picked[i] for i in range(10)]
-
-                threads = [threading.Thread(target=read, args=(slot,)) for slot in range(workers)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                    assert not thread.is_alive()
-                final = list(lazy.transactions)
-                for slot in range(workers):
-                    if [id(tx) for tx in seen[slot]] != [id(tx) for tx in final]:
-                        failures.append(f"reader {slot} holds a private copy")
-        finally:
-            sys.setswitchinterval(interval)
-        assert not failures, failures[:3]
+        for order in (list(range(10)), list(range(9, -1, -1)), [i * 3 % 10 for i in range(10)]):
+            lazy = Block.from_payload(payload, codec)
+            picked: dict[int, Transaction] = {}
+            for turn, index in enumerate(order):
+                # A history read of the next transaction, then an index
+                # read of this one, then (half way) a full scan.
+                following = order[(turn + 1) % len(order)]
+                assert lazy.history_write(following, 0, f"k{following}")[0] == following
+                picked[index] = lazy.transactions[index]
+                if turn == len(order) // 2:
+                    scanned = list(lazy.transactions)
+            final = list(lazy.transactions)
+            assert [id(picked[i]) for i in range(10)] == [id(tx) for tx in final]
+            assert [id(tx) for tx in scanned] == [id(tx) for tx in final]
+            assert [tx.rw_set.writes[f"k{i}"].value for i, tx in enumerate(final)] == list(range(10))
 
 
 class TestMalformedFrames:

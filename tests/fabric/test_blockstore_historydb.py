@@ -5,11 +5,10 @@ from __future__ import annotations
 import gc
 import importlib.util
 import io
+import itertools
 import os
 import shutil
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -295,10 +294,12 @@ class TestHistoryDB:
 
 
 class TestConcurrentGHFK:
-    def test_parallel_history_scans_shared_store(self, tmp_path, metrics):
-        """Many threads GHFK-scan overlapping keys through one store; every
-        scan sees the full, ordered history and pays for every block it
-        touches."""
+    """GHFK iterators taking turns on one store, and held across commits."""
+
+    def test_interleaved_scans_shared_store(self, tmp_path, metrics):
+        """Eight GHFK scans of overlapping keys through one store, each
+        advanced one result per turn; every scan sees the full, ordered
+        history and pays for every block it touches."""
         keys = [f"k{i}" for i in range(4)]
         writes_per_key = 12
         groups = []
@@ -316,22 +317,19 @@ class TestConcurrentGHFK:
                 store.add_block(block)
                 history.index_block(block)
 
-            barrier = threading.Barrier(8)
-
-            def scan(slot: int):
-                barrier.wait()
-                key = keys[slot % len(keys)]
-                entries = list(history.get_history_for_key(key, store))
+            scans = [
+                (history.get_history_for_key(keys[slot % len(keys)], store), [])
+                for slot in range(8)
+            ]
+            for _ in range(writes_per_key):
+                for iterator, entries in scans:
+                    entries.append(next(iterator))
+            for iterator, entries in scans:
+                assert next(iterator, None) is None
                 assert [e.value for e in entries] == list(range(writes_per_key))
                 assert [e.timestamp for e in entries] == sorted(
                     e.timestamp for e in entries
                 )
-                return key
-
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(scan, slot) for slot in range(8)]
-                for future in futures:
-                    future.result(timeout=30)
 
             # No cross-call reuse: each of the 8 scans reads all 12 blocks.
             assert metrics.counter(metric_names.BLOCKS_DESERIALIZED) == 8 * len(blocks)
@@ -339,8 +337,10 @@ class TestConcurrentGHFK:
             store.close()
 
     def test_scan_survives_concurrent_commits(self, tmp_path, metrics):
-        """A commit appending locations mid-scan must not corrupt the scan
-        (the pre-lock bug: list mutation during iteration)."""
+        """A commit appending locations while a scan is held must not
+        corrupt it: each scan yields the history as of its call -- a
+        clean, gap-free prefix of the final history -- however many
+        commits land between its results."""
         store = BlockStore(tmp_path, metrics=metrics)
         history = HistoryDB(metrics=metrics)
         groups = [[make_tx(f"t{i}", {"k": i}, timestamp=i)] for i in range(40)]
@@ -350,38 +350,18 @@ class TestConcurrentGHFK:
                 store.add_block(block)
                 history.index_block(block)
 
-            stop = threading.Event()
-            errors: list[BaseException] = []
-
-            def committer():
-                for block in blocks[20:]:
-                    store.add_block(block)
-                    history.index_block(block)
-                stop.set()
-
-            def scanner():
-                try:
-                    while not stop.is_set():
-                        values = [
-                            e.value
-                            for e in history.get_history_for_key("k", store)
-                        ]
-                        # Prefix property: a snapshot is always a clean,
-                        # gap-free prefix of the final history.
-                        assert values == list(range(len(values)))
-                        assert len(values) >= 20
-                except BaseException as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=scanner) for _ in range(4)]
-            commit_thread = threading.Thread(target=committer)
-            for thread in threads:
-                thread.start()
-            commit_thread.start()
-            commit_thread.join()
-            for thread in threads:
-                thread.join()
-            assert errors == []
+            scans = []  # (iterator, height at the call, values yielded)
+            for number, block in enumerate(blocks[20:], start=20):
+                if number % 5 == 0:
+                    scans.append((history.get_history_for_key("k", store), number, []))
+                for iterator, _, values in scans:
+                    values.extend(entry.value for entry in itertools.islice(iterator, 2))
+                store.add_block(block)
+                history.index_block(block)
+            for iterator, height, values in scans:
+                values.extend(entry.value for entry in iterator)
+                assert values == list(range(height))
+            assert [height for _, height, _ in scans] == [20, 25, 30, 35]
         finally:
             store.close()
 

@@ -13,9 +13,7 @@ a :class:`LedgerError`, not a stray ``KeyError``.
 
 from __future__ import annotations
 
-import sys
 import tempfile
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -233,63 +231,41 @@ def test_a_mutation_through_the_view_is_what_history_reports(shared, scan_first)
         store.get_block(0).verify_data_hash()
 
 
-def test_concurrent_history_and_view_readers_of_one_cached_block(tmp_path):
-    """GHFK iterators and ``transactions[i]`` readers (and a scan) race on
-    one lazy block, the one ``store.get_block(0)`` returned.  Every reader
-    must see the same ``Transaction`` per index and every history the
-    same entries."""
-    workers, rounds = 8, 40
+def test_interleaved_history_and_view_readers_of_one_cached_block(tmp_path):
+    """GHFK iterators and ``transactions[i]`` readers (and a scan) take
+    turns on one lazy block, the one ``store.get_block(0)`` returned: each
+    iterator advances one result per turn between the view's reads, which
+    go forward in one round and backward in the other.  Every reader sees
+    the same ``Transaction`` per index and every history the same
+    entries."""
     reference = ten_tx_block()
     want = {
         key: [(index, {"tx": index, "key": key}, 100 + index, f"tx-{index}") for index in range(10)]
         for key in ("S1", "S2", "C1")
     }
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    failures: list[str] = []
-    try:
-        for round_number in range(rounds):
-            stored = BlockStore(tmp_path / f"round-{round_number}")
-            history = HistoryDB()
-            stored.add_block(reference)
-            history.index_block(reference)
-            store = OneBlock(stored)
-            seen: list[list[Transaction]] = [[] for _ in range(workers)]
-            barrier = threading.Barrier(workers)
-
-            def read(slot: int, store=store, history=history, seen=seen, barrier=barrier) -> None:
-                barrier.wait(timeout=30)
-                if slot % 2:
-                    for key in ("S1", "S2", "C1")[slot % 3:] + ("S1",):
-                        got = [
-                            (entry.tx_num, entry.value, entry.timestamp, entry.tx_id)
-                            for entry in history.get_history_for_key(key, store)
-                        ]
-                        if got != want[key]:
-                            failures.append(f"reader {slot}: wrong history of {key}")
-                block = store.get_block(0)
-                order = range(10) if slot % 4 else reversed(range(10))
-                picked = {index: block.transactions[index] for index in order}
-                if slot == 0:
-                    picked = dict(enumerate(block.transactions))
-                seen[slot] = [picked[index] for index in range(10)]
-
-            threads = [threading.Thread(target=read, args=(slot,)) for slot in range(workers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            block = store.get_block(0)
-            final = list(block.transactions)
-            for slot in range(workers):
-                if [id(tx) for tx in seen[slot]] != [id(tx) for tx in final]:
-                    failures.append(f"reader {slot} holds a private copy")
-            block.verify_data_hash()
-            stored.close()
-    finally:
-        sys.setswitchinterval(interval)
-    assert not failures, failures[:3]
+    for round_number, order in enumerate((range(10), range(9, -1, -1))):
+        stored = BlockStore(tmp_path / f"round-{round_number}")
+        history = HistoryDB()
+        stored.add_block(reference)
+        history.index_block(reference)
+        store = OneBlock(stored)
+        iterators = {key: history.get_history_for_key(key, store) for key in want}
+        got: dict[str, list] = {key: [] for key in want}
+        block = store.get_block(0)
+        picked = {}
+        for turn, index in enumerate(order):
+            for key, iterator in iterators.items():
+                entry = next(iterator)
+                got[key].append((entry.tx_num, entry.value, entry.timestamp, entry.tx_id))
+            picked[index] = block.transactions[index]
+            if turn == 5:
+                scanned = list(block.transactions)
+        assert got == want
+        final = list(block.transactions)
+        assert [id(picked[index]) for index in range(10)] == [id(tx) for tx in final]
+        assert [id(tx) for tx in scanned] == [id(tx) for tx in final]
+        block.verify_data_hash()
+        stored.close()
 
 
 def test_a_value_history_handed_out_is_the_one_the_data_hash_covers(shared):
@@ -376,8 +352,7 @@ def test_a_bad_history_location_is_a_ledger_error(shared, scanned, location, nam
     store, history, metrics = shared
     if scanned:
         list(store.get_block(0).transactions)
-    with history._lock:
-        history._locations["only-2"] = [(0, 2, 3), location]
+    history._locations["only-2"] = [(0, 2, 3), location]
     results = metrics.counter(metric_names.GHFK_RESULTS)
     iterator = history.get_history_for_key("only-2", store)
     assert next(iterator).value == {"tx": 2, "key": "only-2"}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import BlockCuttingConfig
-from repro.common.errors import CodecError, OrdererHaltedError
+from repro.common.errors import ChaincodeError, OrdererHaltedError
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, RWSet, Transaction
 from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
@@ -100,23 +100,19 @@ class TestFailedCommit:
         assert orderer.flush() is None
 
     def test_unencodable_value_does_not_wedge_later_submits(self, tmp_path):
-        """A set is endorsed (it signs its repr) and fails at commit with
-        CodecError; the next submit used to fail with HashChainError
-        against a block the ledger never committed."""
+        """A value the ledger cannot store -- a set, an ``object()``, a
+        dict whose keys do not sort -- is refused at submit, before it
+        reaches the orderer: the height does not move and the next submit
+        commits with no reopen."""
         with FabricNetwork(tmp_path) as network:
             network.install(KeyValueChaincode())
             gateway = network.gateway("writer")
-            gateway.submit_transaction("kv", "put", ["a", {1, 2}], timestamp=1)
-            with pytest.raises(CodecError):
+            for timestamp, value in enumerate([{1, 2}, object(), {1: "a", "1": "b"}], start=1):
+                with pytest.raises(ChaincodeError, match="cannot store"):
+                    gateway.submit_transaction("kv", "put", ["a", value], timestamp=timestamp)
                 gateway.flush()
-            with pytest.raises(OrdererHaltedError, match="reopen the network"):
-                gateway.submit_transaction("kv", "put", ["b", 1], timestamp=2)
-            assert network.ledger.height == 0
-
-        with FabricNetwork(tmp_path) as network:
-            network.install(KeyValueChaincode())
-            gateway = network.gateway("writer")
-            gateway.submit_transaction("kv", "put", ["b", 1], timestamp=2)
+                assert network.ledger.height == 0
+            gateway.submit_transaction("kv", "put", ["b", 1], timestamp=4)
             gateway.flush()
             assert network.ledger.height == 1
             assert network.ledger.get_state("b") == 1

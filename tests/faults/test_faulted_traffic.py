@@ -1,11 +1,14 @@
-"""Queries racing a faulted committer: a typed error or exactly the right rows.
+"""Queries between the commits of a faulted committer: a typed error or
+exactly the right rows.
 
 Four rounds grow one ``lsm`` ledger by single-event supply-chain ingest on
-a :class:`FaultyFS`, three of them under one fault each, while a reader
-thread alternates TQF and M1 joins (no M1 index exists, so at any height
-above 0 M1 must refuse with a typed error, never answer rows).  Every
-answer is a typed error or the oracle's rows at a height no commit was
-crossing.  After each round the
+a :class:`FaultyFS`, three of them under one fault each.  A reader on the
+same thread alternates TQF and M1 joins -- one before the round's ingest,
+one after every commit (a block listener) and one of each on the ledger
+the round left behind -- (no M1 index exists, so at any height above 0 M1
+must refuse with a typed error, never answer rows).  Every answer is a
+typed error or the oracle's rows at the height it read: a verified
+prefix of the stream.  After each round the
 directory, reopened on the real filesystem, equals a fault-free reference
 at the height it recovered to; a fault-free round then completes it.  The
 oracle, :func:`temporal_join` over the events a height holds, is checked
@@ -15,7 +18,6 @@ against TQF on the reference at every height.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import Counter, defaultdict
 from typing import List, NamedTuple, Optional
 
@@ -94,39 +96,39 @@ def settled_height(ledger) -> Optional[int]:
     return height if ledger.state_db.savepoint() == (height - 1 if height else None) else None
 
 
-def read_until(started, done, network, rows, answers) -> None:
-    """Alternate TQF and M1 joins -- the first before ingest
-    starts, so the round's fault meets a pinned query -- until ``done``,
-    then ask each once more of the ledger the round left behind."""
-    ledger, engine = network.ledger, TemporalQueryEngine(network.ledger, network.metrics)
+class Reader:
+    """Alternates TQF and M1 joins on ``network``'s ledger, recording how
+    each answer checks against the oracle's ``rows``."""
 
-    def ask(model: str) -> str:
+    def __init__(self, network, rows) -> None:
+        self.ledger = network.ledger
+        self.engine = TemporalQueryEngine(network.ledger, network.metrics)
+        self.rows = rows
+        self.models = itertools.cycle(("tqf", "m1"))
+        self.answers: List[str] = []
+
+    def ask(self, model: Optional[str] = None) -> None:
+        self.answers.append(self._check(model or next(self.models)))
+
+    def _check(self, model: str) -> str:
         try:
-            height = settled_height(ledger)
-            result = engine.run_join(model, WINDOW)
-            if height is None or settled_height(ledger) != height:
+            height = settled_height(self.ledger)
+            result = self.engine.run_join(model, WINDOW)
+            if height is None:  # a commit the fault cut short
                 return "unpinned"
         except ReproError as exc:
             return f"error:{type(exc).__name__}"
         if model == "m1" and height:
             return f"WRONG: m1 answered at height {height} with no index"
-        if result.rows != rows[height]:
+        if result.rows != self.rows[height]:
             return f"WRONG: {model} rows at height {height} differ from the oracle's"
         return "verified"
 
-    models = itertools.cycle(("tqf", "m1"))
-    try:
-        answers.append(ask(next(models)))
-    finally:
-        started.set()
-    while not done.is_set():
-        answers.append(ask(next(models)))
-    answers += [ask("tqf"), ask("m1")]
-
 
 def run_round(path, reference, acked, target, arm):
-    """Ingest up to ``target`` events under ``arm``'s fault with the reader
-    racing; returns the plan and a tally of the reader's answers."""
+    """Ingest up to ``target`` events under ``arm``'s fault with a query
+    between every two commits; returns the plan and a tally of the
+    reader's answers."""
     plan = FaultPlan(seed=target)
     fs = FaultyFS(plan)
     network = FabricNetwork(path, config=CONFIG, fs=fs)
@@ -134,21 +136,17 @@ def run_round(path, reference, acked, target, arm):
     round_acked = acked_tx_ids(network)
     start = reference.record.txs_at(network.ledger.height)
     arm(plan)  # only now: recovery reads must not consume the round's read faults
-    started, done, answers = threading.Event(), threading.Event(), []
-    args = (started, done, network, reference.rows, answers)
-    reader = threading.Thread(target=read_until, args=args, daemon=True)
+    reader = Reader(network, reference.rows)
+    network.on_block(lambda block: reader.ask())
     with active_plan(plan):
-        reader.start()
-        assert started.wait(timeout=60), "the reader never answered"
+        reader.ask()  # before ingest, so the round's fault meets a query
         try:
             ingest(network.gateway(CLIENT), EVENTS[start:target], SupplyChainChaincode.name, strategy="se")
             crashed = False
         except ReproError:  # the crash, or a commit the fault broke
             crashed = True
-        finally:
-            done.set()
-            reader.join(timeout=60)
-        assert not reader.is_alive(), "the reader outlived the round"
+        reader.ask("tqf")
+        reader.ask("m1")
         try:
             if not crashed:
                 network.close()
@@ -157,7 +155,7 @@ def run_round(path, reference, acked, target, arm):
     if crashed:
         fs.kill(power_loss=False)
     acked |= round_acked
-    return plan, Counter(answers)
+    return plan, Counter(reader.answers)
 
 
 def check_recovered(path, reference, acked) -> int:
@@ -172,7 +170,7 @@ def check_recovered(path, reference, acked) -> int:
     return height
 
 
-def test_queries_racing_a_faulted_committer_are_right_or_typed(tmp_path, reference):
+def test_queries_between_faulted_commits_are_right_or_typed(tmp_path, reference):
     path, acked, blocks = tmp_path / "ledger", set(), len(EVENTS) // BLOCK
     for number, (fault, arm, observed) in enumerate(ROUNDS):
         target = BLOCK * (blocks * (number + 1) // len(ROUNDS))

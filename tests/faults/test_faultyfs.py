@@ -319,50 +319,3 @@ def test_faulty_read_file_protocol_passthrough(tmp_path):
     # Iteration also passes through to the real handle.
     with fs.open(path, "rb") as handle:
         assert list(handle) == [b"line-1\n", b"line-2\n"]
-
-
-# -- thread-safety of the userspace write buffer ---------------------------
-
-
-def test_concurrent_writes_and_flushes_never_corrupt_the_file(tmp_path):
-    """A reader thread forcing a visibility flush while the committer
-    appends is exactly what the block store does under concurrent
-    queries; the kernel makes that safe on a real handle, so FaultyFile
-    must too.  Without the handle's internal lock this loses or
-    duplicates buffered bytes."""
-    import threading
-
-    plan = FaultPlan()
-    fs = FaultyFS(plan)
-    handle = fs.open(tmp_path / "blockfile_000000", "ab")
-    records = 400
-    payload = b"R" * 64
-
-    def writer():
-        for index in range(records):
-            handle.write(index.to_bytes(4, "big") + payload)
-
-    def flusher(stop):
-        while not stop.is_set():
-            handle.flush()
-
-    stop = threading.Event()
-    write_thread = threading.Thread(target=writer)
-    flush_threads = [
-        threading.Thread(target=flusher, args=(stop,)) for _ in range(2)
-    ]
-    write_thread.start()
-    for thread in flush_threads:
-        thread.start()
-    write_thread.join()
-    stop.set()
-    for thread in flush_threads:
-        thread.join()
-    handle.close()
-
-    blob = read_bytes(tmp_path / "blockfile_000000")
-    record_size = 4 + len(payload)
-    assert len(blob) == records * record_size
-    for index in range(records):
-        chunk = blob[index * record_size:(index + 1) * record_size]
-        assert chunk == index.to_bytes(4, "big") + payload

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+from typing import Sequence
 
 from repro.common.codec import JsonCodec, write_uvarint
 from repro.common.config import BlockCuttingConfig, FabricConfig
+from repro.fabric.block import GENESIS_PREVIOUS_HASH, VALID, Block, BlockHeader, RWSet, Transaction
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import (
     M1IndexChaincode,
@@ -35,6 +37,24 @@ SMALL_CONFIG = WorkloadConfig(
 
 def small_workload() -> WorkloadData:
     return generate(SMALL_CONFIG)
+
+
+def index_only_block(number: int, keys: Sequence[str]) -> Block:
+    """An eager block of one VALID single-write transaction per key, for
+    history-index traffic: nothing is serialized or signed."""
+    transactions = []
+    for key in keys:
+        rw_set = RWSet()
+        rw_set.add_write(key, number)
+        transactions.append(Transaction(
+            tx_id=f"idx-{number}-{key}",
+            chaincode="kv",
+            creator="indexer",
+            timestamp=number,
+            rw_set=rw_set,
+            validation_code=VALID,
+        ))
+    return Block(BlockHeader(number, GENESIS_PREVIOUS_HASH, b""), transactions)
 
 
 def fabric_config(max_message_count: int = 10) -> FabricConfig:

@@ -1,7 +1,7 @@
-"""Regression tests for the compaction-vs-reader unlink race.
+"""Regression tests for compaction unlinking tables a held scan reads.
 
-``_merge_tables_locked`` used to ``unlink`` its victim SSTables inline,
-while :meth:`LSMStore.get`/``scan`` read lock-free from a snapshot that
+``_merge_tables`` used to ``unlink`` its victim SSTables inline, while a
+``scan`` iterator held across the compaction reads from a snapshot that
 may still reference those readers.  Victims are now retired through a GC
 finalizer that deletes the file only once the last reader reference
 drains (plus a ``MANIFEST.json`` so a crash before the finalizer cannot
@@ -13,10 +13,9 @@ collected, and is gone after ``close()`` whatever is still alive.
 from __future__ import annotations
 
 import gc
-import threading
 
-import pytest
-
+from repro.common import metrics as metric_names
+from repro.common.metrics import MetricsRegistry
 from repro.storage.kv import open_kv_store
 from repro.storage.kv.lsm import LSMStore
 
@@ -40,7 +39,7 @@ class TestDeferredVictimDeletion:
         try:
             _fill(store, 0, 8)  # two flushed tables, below the trigger
             assert store.sstable_count == 2
-            _memtable, tables = store._read_snapshot()
+            _memtable, tables = store._memtable, store._readers
             victim_paths = [reader.path for reader in tables]
             assert all(path.exists() for path in victim_paths)
 
@@ -74,7 +73,7 @@ class TestDeferredVictimDeletion:
         )
         _memtable = tables = None
         _fill(store, 0, 8)
-        _memtable, tables = store._read_snapshot()
+        _memtable, tables = store._memtable, store._readers
         victim_paths = [reader.path for reader in tables]
         _fill(store, 8, 4)
         assert all(path.exists() for path in victim_paths)
@@ -97,7 +96,7 @@ class TestDeferredVictimDeletion:
         store.put(b"pad", b"v")  # flush 2 -> compaction drops nothing yet
         # Keep a victim alive artificially, simulating a crash before
         # the finalizer fires.
-        pinned, tables = store._read_snapshot()
+        pinned, tables = store._memtable, store._readers
         victim = tables[0].path
         store.put(b"x1", b"v")
         store.put(b"x2", b"v")  # flush 3 -> compaction retires victims
@@ -121,45 +120,36 @@ class TestDeferredVictimDeletion:
             reopened.close()
 
 
-@pytest.mark.parametrize("backend", ["lsm"])
-def test_scan_iterators_survive_compactions_hammer(tmp_path, backend):
-    """Eight reader threads hold ``scan()`` iterators open across forced
-    compactions while a writer pumps keys through tiny tables.  Any
-    reader failure surfaces in ``errors``."""
+def test_scan_iterators_survive_compactions_interleaved(tmp_path):
+    """Eight ``scan()`` iterators are held open, each advanced a few
+    entries per turn, while a writer pumps keys through tiny tables and
+    forces compactions between the turns.  Each scan yields exactly the
+    store as of its call: sorted, complete, and none of the later keys."""
+    metrics = MetricsRegistry()
     store = open_kv_store(
-        backend, path=tmp_path / "db",
-        memtable_limit=8, compaction_trigger=3,
+        "lsm", path=tmp_path / "db",
+        memtable_limit=8, compaction_trigger=3, metrics=metrics,
     )
     _fill(store, 0, 64)
-    stop = threading.Event()
-    errors: list[BaseException] = []
-
-    def reader() -> None:
-        try:
-            while not stop.is_set():
-                iterator = store.scan()
-                previous = b""
-                for count, (key, value) in enumerate(iterator):
-                    assert key > previous
-                    assert value.startswith(b"value-")
-                    previous = key
-                    if count == 16:
-                        # Mid-scan pause: let compactions land while the
-                        # iterator still references the old tables.
-                        stop.wait(0.001)
-                assert count >= 16
-        except BaseException as exc:  # noqa: B036 - collected for the assert
-            errors.append(exc)
-
-    threads = [threading.Thread(target=reader) for _ in range(8)]
-    for thread in threads:
-        thread.start()
+    written = 64
+    scans = []  # (iterator, the keys it must yield, the keys it yielded)
     try:
         for round_num in range(30):
-            _fill(store, 64 + round_num * 16, 16)
+            if round_num < 8:
+                expected = [f"key-{i:04d}".encode() for i in range(written)]
+                scans.append((store.scan(), expected, []))
+            for iterator, _, seen in scans:
+                for _ in range(16):
+                    entry = next(iterator, None)
+                    if entry is not None:
+                        key, value = entry
+                        assert value == f"value-{int(key[len(b'key-'):])}".encode()
+                        seen.append(key)
+            _fill(store, written, 16)
+            written += 16
+        for iterator, expected, seen in scans:
+            seen.extend(key for key, _ in iterator)
+            assert seen == expected
+        assert metrics.counter(metric_names.KV_COMPACTIONS) >= 8
     finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
         store.close()
-    assert errors == []

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-import threading
-
 import pytest
 
 from repro.common import metrics as metric_names
@@ -132,42 +129,32 @@ class TestScan:
         store.put(b"a", b"a")
         assert list(scan) == [(b"c", b"c"), (b"d", b"d")]
 
-    def test_scans_racing_a_writer_never_lose_a_key_present_before(self, tmp_path):
-        """Four reader threads scan while a writer inserts ever-smaller
-        keys (each one shifts the memtable's whole key list): every scan
-        is strictly sorted and holds every key that was there before it."""
+    def test_scans_between_writes_never_lose_a_key_present_before(self, tmp_path):
+        """Four scans are held while a writer inserts ever-smaller keys
+        (each one shifts the memtable's whole key list), each scan
+        advanced one entry per insert: every scan is strictly sorted and
+        yields exactly the keys there at its call."""
         base = [b"m%03d" % i for i in range(50)]
-        errors: list[BaseException] = []
-        done = threading.Event()
-
-        def reader() -> None:
-            try:
-                while not done.is_set():
-                    keys = [key for key, _ in store.scan()]
-                    assert all(a < b for a, b in zip(keys, keys[1:]))
-                    assert set(base) <= set(keys)
-            except BaseException as exc:  # noqa: B036 - collected for the assert
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with LSMStore(tmp_path / "db", memtable_limit=4096) as store:
-                for key in base:
-                    store.put(key, b"v")
-                readers = [threading.Thread(target=reader) for _ in range(4)]
-                for thread in readers:
-                    thread.start()
-                for i in range(1_500, 0, -1):
-                    store.put(b"a%04d" % i, b"v")
-                done.set()
-                for thread in readers:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in readers)
-        finally:
-            done.set()
-            sys.setswitchinterval(interval)
-        assert errors == []
+        with LSMStore(tmp_path / "db", memtable_limit=4096) as store:
+            for key in base:
+                store.put(key, b"v")
+            written = list(base)
+            scans = []  # (iterator, keys at the call, keys yielded)
+            for i in range(400, 0, -1):
+                if i % 100 == 0:
+                    scans.append((store.scan(), sorted(written), []))
+                for scan, _, seen in scans:
+                    entry = next(scan, None)
+                    if entry is not None:
+                        seen.append(entry[0])
+                store.put(b"a%04d" % i, b"v")
+                written.append(b"a%04d" % i)
+            assert len(scans) == 4
+            for scan, present, seen in scans:
+                seen.extend(key for key, _ in scan)
+                assert seen == present
+                assert set(base) <= set(seen)
+                assert all(a < b for a, b in zip(seen, seen[1:]))
 
     def test_scan_is_of_the_store_as_of_the_call(self, store):
         """The snapshot is the call's, not the first ``next()``'s: a put

@@ -84,25 +84,59 @@ def test_public_classes_and_functions_documented(module_name):
 RUNTIME_PACKAGES = ("common", "storage", "fabric", "temporal", "workload", "faults")
 
 
+def imported_names(module_name):
+    """Every module (and ``module.name``) that ``module_name`` imports,
+    at module level or inside a function."""
+    module = importlib.import_module(module_name)
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return imported
+
+
 def test_no_runtime_module_imports_the_analyzer():
     offending = {}
     for module_name in MODULES:
         if module_name.split(".")[1] not in RUNTIME_PACKAGES:
             continue
-        module = importlib.import_module(module_name)
-        imported = set()
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                imported.add(node.module)
-                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
         analyzer = sorted(
-            name for name in imported if (name + ".").startswith("repro.analysis.")
+            name
+            for name in imported_names(module_name)
+            if (name + ".").startswith("repro.analysis.")
         )
         if analyzer:
             offending[module_name] = analyzer
     assert not offending
+
+
+#: What starts a second thread, process or event loop.
+CONCURRENCY_MODULES = ("threading", "_thread", "concurrent.futures", "multiprocessing", "asyncio")
+
+
+def test_no_module_imports_a_concurrency_primitive():
+    """The contract is one thread per ledger: nothing in the package
+    starts a thread, a process or an event loop, and nothing locks.  A
+    module that needs one changes the contract first (DESIGN.md §6)."""
+    offending = {}
+    for module_name in MODULES:
+        found = sorted(
+            name
+            for name in imported_names(module_name)
+            if any(
+                name == banned or name.startswith(banned + ".")
+                for banned in CONCURRENCY_MODULES
+            )
+        )
+        if found:
+            offending[module_name] = found
+    assert not offending, (
+        f"{offending}: the package runs one thread per ledger; see DESIGN.md §6 "
+        "before adding a thread, a process, an event loop or a lock"
+    )
 
 
 def test_package_exposes_version():

@@ -26,13 +26,13 @@ def test_examples_exist():
 def test_every_benchmark_file_is_run_by_ci():
     """``pytest`` collects ``benchmarks/`` only when told to, so a
     ``benchmarks/bench_*.py`` that the CI workflow does not name is a
-    second, unrun measurement path."""
+    second, unrun measurement path (the spine, ``benchmarks/spine/``,
+    is the one timing harness; there may be no bench file at all)."""
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     benches = [
         path.relative_to(REPO).as_posix()
         for path in sorted((REPO / "benchmarks").glob("bench_*.py"))
     ]
-    assert benches
     assert [bench for bench in benches if bench not in workflow] == []
 
 

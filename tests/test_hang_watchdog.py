@@ -15,7 +15,7 @@ def run_pytest(tmp_path, test_body, *options):
     """One pytest run of ``test_body`` under a copy of the suite's conftest."""
     shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path / "conftest.py")
     (tmp_path / "test_body.py").write_text(test_body)
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_SAN"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *options,
