@@ -27,6 +27,7 @@ The unsigned LEB128 varints (:func:`write_uvarint`, :func:`read_uvarint`,
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 from abc import ABC, abstractmethod
 from typing import Any, Sequence
@@ -34,6 +35,7 @@ from typing import Any, Sequence
 from repro.common.errors import CodecError
 
 _BYTES_TAG = "__repro_bytes__"
+_encode_string = json.encoder.encode_basestring_ascii
 
 
 class Codec(ABC):
@@ -63,7 +65,7 @@ class Codec(ABC):
 
 def _encode_special(value: Any) -> Any:
     if isinstance(value, bytes):
-        return {_BYTES_TAG: base64.b64encode(value).decode("ascii")}
+        return {_BYTES_TAG: binascii.b2a_base64(value, newline=False).decode("ascii")}
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
@@ -112,6 +114,8 @@ class JsonCodec(Codec):
         self._scan = decoder.scan_once
 
     def encode(self, value: Any) -> bytes:
+        if type(value) is str:  # a key: the encoder's spelling, without its call
+            return _encode_string(value).encode("utf-8")
         try:
             return "".join(self._encoder(value, 0)).encode("utf-8")
         except (TypeError, ValueError, RecursionError) as exc:

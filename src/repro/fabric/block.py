@@ -16,6 +16,7 @@ Versions are Fabric "heights": ``(block_number, tx_index)``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -58,6 +59,8 @@ def _sign_bytes(value: Any) -> str:
     )
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
 #: ``json.dumps(payload, sort_keys=True, default=...)``'s C encoder,
 #: built once (as :class:`~repro.common.codec.JsonCodec` builds its own):
 #: the same bytes without constructing an encoder per call, and no
@@ -65,9 +68,35 @@ def _sign_bytes(value: Any) -> str:
 #: nested too deep does.  Its fallback runs only for values JSON cannot
 #: spell, so legal values pay nothing for :func:`_sign_bytes`.
 _SIGNING_ENCODER = json.encoder.c_make_encoder(
-    None, _sign_bytes, json.encoder.encode_basestring_ascii,
-    None, ": ", ", ", True, False, True,
+    None, _sign_bytes, _encode_string, None, ": ", ", ", True, False, True,
 )
+
+
+def _signing_leaf(value: Any) -> str:
+    """``value`` as :data:`_SIGNING_ENCODER` spells it: a ``str``, an
+    exact ``int``, ``None`` or a ``bool`` directly, anything else (a
+    write value, an event payload, a float, a subclass such as
+    ``IntEnum``) through the encoder."""
+    kind = type(value)
+    if kind is str:
+        return _encode_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return "".join(_SIGNING_ENCODER(value, 0))
+
+
+def _signing_read(read: KVRead) -> str:
+    """``read.to_dict()`` as :data:`_SIGNING_ENCODER` spells it."""
+    version = read.version
+    spelled = f"[{', '.join(map(_signing_leaf, version))}]" if version else "null"
+    return f'{{"k": {_signing_leaf(read.key)}, "v": {spelled}}}'
+
 
 # Validation codes (subset of Fabric's TxValidationCode).
 VALID = "VALID"
@@ -190,11 +219,11 @@ class Transaction:
     event_name: str = ""
     event_payload: Any = None
     #: Memoized ``(rw_set revision, bytes)`` for :meth:`signable_payload`.
-    #: The payload is consumed five times per transaction (endorser
-    #: signature, orderer size estimate, data hash at cut, data-hash
-    #: verify and signature verify at commit) but its inputs are frozen
-    #: once endorsement signs them, so recomputing it is pure waste on
-    #: the ingest hot path.  The cache is keyed by the RWSet's mutation
+    #: The payload is consumed four times per transaction (the signature
+    #: at endorsement, the data hash at cut, and the data-hash check and
+    #: signature check at commit) but its inputs are frozen once
+    #: endorsement signs them, so recomputing it is pure waste on the
+    #: ingest hot path.  The cache is keyed by the RWSet's mutation
     #: counter so tampering through the RWSet API still changes the
     #: payload (and therefore breaks the data hash, as it must).
     _payload_cache: Optional[Tuple[int, bytes]] = field(
@@ -231,6 +260,12 @@ class Transaction:
     def signable_payload(self) -> bytes:
         """The bytes an endorser signs (RWSet + identity + timestamp).
 
+        They are :data:`_SIGNING_ENCODER`'s spelling of ``{"chaincode",
+        "creator", "event": [name, payload], "rw_set": RWSet.to_dict(),
+        "timestamp"}``, written from the leaves (:func:`_signing_leaf`)
+        into the fixed skeleton of that sorted-key JSON, without
+        building the dicts.
+
         Memoized: every field it covers is immutable once the endorser
         has signed (``validation_code`` mutates later but is deliberately
         outside the signed payload).  RWSet mutations bump the set's
@@ -241,26 +276,33 @@ class Transaction:
         one outside JSON (:func:`_sign_bytes`), or a dict whose keys do
         not sort (``{1: "a", "1": "b"}``).
         """
-        if (
-            self._payload_cache is not None
-            and self._payload_cache[0] == self.rw_set._rev
-        ):
-            return self._payload_cache[1]
+        rw_set = self.rw_set
+        cache = self._payload_cache
+        if cache is not None and cache[0] == rw_set._rev:
+            return cache[1]
+        leaf = _signing_leaf
         try:
-            chunks = _SIGNING_ENCODER(
-                {
-                    "rw_set": self.rw_set.to_dict(),
-                    "creator": self.creator,
-                    "timestamp": self.timestamp,
-                    "chaincode": self.chaincode,
-                    "event": [self.event_name, self.event_payload],
-                },
-                0,
+            # Leaves in the order the encoder meets them, so a transaction
+            # with two bad values names the one it always named.
+            chaincode, creator = leaf(self.chaincode), leaf(self.creator)
+            name, event = leaf(self.event_name), leaf(self.event_payload)
+            reads = ", ".join(
+                [_signing_read(read) for read in sorted(rw_set.reads, key=_read_order)]
+            ) if rw_set.reads else ""
+            writes = rw_set.writes
+            written = ", ".join([
+                f'{{"d": {leaf(write.is_delete)}, "k": {leaf(write.key)}, "v": {leaf(write.value)}}}'
+                for write in map(writes.__getitem__, sorted(writes))
+            ])
+            text = (
+                f'{{"chaincode": {chaincode}, "creator": {creator}, "event": [{name}, {event}], '
+                f'"rw_set": {{"reads": [{reads}], "writes": [{written}]}}, '
+                f'"timestamp": {leaf(self.timestamp)}}}'
             )
         except TypeError as exc:
             raise ChaincodeError(f"cannot store transaction {self.tx_id}'s values: {exc}") from None
-        payload = "".join(chunks).encode("utf-8")
-        self._payload_cache = (self.rw_set._rev, payload)
+        payload = text.encode("utf-8")
+        self._payload_cache = (rw_set._rev, payload)
         return payload
 
 
@@ -569,10 +611,10 @@ class Block:
             ]))
             for key in keys:
                 write = writes[key]
-                segments.append(
-                    prefix + encode(write.key) + separator + encoded[key]
-                    + (deleted if write.is_delete else live)
-                )
+                segments.append(b"".join((
+                    prefix, encode(write.key), separator, encoded[key],
+                    deleted if write.is_delete else live,
+                )))
         ends = list(accumulate(map(len, segments)))
         return b"".join((
             table, struct.pack(f"<{len(ends)}I", *ends),
@@ -863,12 +905,14 @@ class Block:
 
     @staticmethod
     def compute_data_hash(transactions: Iterable[Transaction]) -> bytes:
-        """Deterministic hash over the ordered transaction ids + payloads."""
-        hasher_input = bytearray()
+        """Deterministic hash over the ordered transaction ids + payloads,
+        fed to one SHA-256 as they come."""
+        hasher = hashlib.sha256()
+        update = hasher.update
         for tx in transactions:
-            hasher_input.extend(tx.tx_id.encode("utf-8"))
-            hasher_input.extend(tx.signable_payload())
-        return crypto.sha256(bytes(hasher_input))
+            update(tx.tx_id.encode("utf-8"))
+            update(tx.signable_payload())
+        return hasher.digest()
 
     def verify_data_hash(self) -> None:
         """Raise :class:`LedgerError` if transactions don't match the header."""

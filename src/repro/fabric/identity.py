@@ -22,12 +22,20 @@ class Identity:
     name: str
     msp_id: str
     secret: bytes = field(repr=False, default=b"")
+    #: ``secret`` keyed once, so a signature does not re-key HMAC.
+    _key: crypto.HmacKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", crypto.HmacKey(self.secret))
 
     def sign(self, payload: bytes) -> bytes:
-        return crypto.sign(self.secret, payload)
+        """HMAC-SHA256 signature of ``payload`` under this identity's secret."""
+        return self._key.sign(payload)
 
-    def verify(self, payload: bytes, signature: bytes) -> bool:
-        return crypto.verify(self.secret, payload, signature)
+    def verify(self, payload: bytes, signature: object) -> bool:
+        """Whether ``signature`` is this identity's over ``payload``; one
+        that is not ``bytes`` is not."""
+        return self._key.verify(payload, signature)
 
 
 class MSP:

@@ -143,7 +143,10 @@ class StateDB:
         version: Optional[Version] = None
         encoded_version = b""
         for write, at, value in writes:
-            key = self._encode_key(write.key)
+            key = write.key
+            if not key:  # the check of :meth:`_encode_key`, inline per write
+                raise ValueError("state keys must be non-empty")
+            key = key.encode("utf-8")
             if write.is_delete:
                 batch.append((key, None))
                 continue
@@ -151,7 +154,7 @@ class StateDB:
                 version, encoded_version = at, encode(list(at))
             if value is None:
                 value = encode(write.value)
-            batch.append((key, head + value + middle + encoded_version + tail))
+            batch.append((key, b"".join((head, value, middle, encoded_version, tail))))
         self._store.write_batch(batch)
 
     def record_savepoint(self, block_number: int) -> None:

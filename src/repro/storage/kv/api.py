@@ -89,9 +89,14 @@ class KVStore(ABC):
     @classmethod
     def _checked_batch(cls, items: Iterable[BatchItem]) -> List[BatchItem]:
         """``items`` as immutable ``bytes``, each checked: the first bad
-        item raises before anything is written."""
+        item raises before anything is written.  An item that is already
+        a non-empty ``bytes`` key with a ``bytes`` value or ``None`` (every
+        item the state-db writes) passes as it is."""
         batch: List[BatchItem] = []
         for key, value in items:
+            if type(key) is bytes and key and (value is None or type(value) is bytes):
+                batch.append((key, value))
+                continue
             cls._check_key(key)
             if value is not None:
                 cls._check_value(value)

@@ -33,6 +33,12 @@ from repro.storage.kv.api import OP_DELETE, OP_PUT, BatchItem
 
 _HEADER = struct.Struct("<II")
 
+#: One-byte varints, by value: the length of a key or value shorter than
+#: 128 bytes, and a record's op followed by such a key length.
+_SHORT = [bytes((length,)) for length in range(128)]
+_PUT_SHORT = [bytes((OP_PUT, length)) for length in range(128)]
+_DELETE_SHORT = [bytes((OP_DELETE, length)) for length in range(128)]
+
 
 def _encode_payload(op: int, key: bytes, value: Optional[bytes]) -> bytes:
     out = bytearray()
@@ -91,11 +97,21 @@ class WriteAheadLog:
         """Log ``(key, value)`` puts and ``(key, None)`` deletions, one
         record each, before they reach the memtable: the records are the
         ones item-by-item appends would write, handed to the file in one
-        write."""
+        write.  A key and value shorter than 128 bytes take their length
+        varints from a table; the bytes are :func:`_encode_payload`'s."""
         out = bytearray()
+        pack, crc32 = _HEADER.pack, zlib.crc32
         for key, value in items:
-            payload = _encode_payload(OP_DELETE if value is None else OP_PUT, key, value)
-            out += _HEADER.pack(len(payload), zlib.crc32(payload))
+            if value is None:
+                if len(key) < 128:
+                    payload = _DELETE_SHORT[len(key)] + key
+                else:
+                    payload = _encode_payload(OP_DELETE, key, None)
+            elif len(key) < 128 and len(value) < 128:
+                payload = b"".join((_PUT_SHORT[len(key)], key, _SHORT[len(value)], value))
+            else:
+                payload = _encode_payload(OP_PUT, key, value)
+            out += pack(len(payload), crc32(payload))
             out += payload
         self._file.write(out)
         self.record_count += len(items)

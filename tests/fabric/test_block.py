@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import struct
 from itertools import accumulate
 
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from repro.common import metrics as metric_names
 from repro.common.codec import JsonCodec, write_uvarint
-from repro.common.errors import CodecError, LedgerError
+from repro.common.errors import ChaincodeError, CodecError, LedgerError
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.block import (
+    _SIGNING_ENCODER,
     FRAME_MAGIC,
     GENESIS_PREVIOUS_HASH,
     VALID,
@@ -154,6 +156,92 @@ class TestSerialization:
             # Non-default on the way in, so a field ``from_dict`` drops shows.
             assert getattr(tx, name) != getattr(blank, name)
             assert getattr(restored, name) == getattr(tx, name)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 20
+
+
+#: State keys: ASCII, non-ASCII and ``\x00``-separated composites.
+signing_keys = st.text(min_size=1, max_size=6) | st.text(
+    alphabet=st.sampled_from("ab\x00\x01é北ключ"), min_size=1, max_size=6
+)
+signing_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | st.binary(max_size=6)
+    | st.builds(_Str, st.text(max_size=4))
+    | st.builds(_Int, st.integers(-9, 9))
+    | st.sampled_from(list(_Level))
+)
+signing_values = st.recursive(
+    signing_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(signing_keys, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def signed_transactions(draw) -> Transaction:
+    rw_set = RWSet()
+    for key in draw(st.lists(signing_keys, max_size=3)):
+        version = draw(st.none() | st.tuples(st.integers(0, 2**40), st.integers(0, 99)))
+        rw_set.add_read(key, version)
+    for key in draw(st.lists(signing_keys, max_size=4, unique=True)):
+        if draw(st.booleans()):
+            rw_set.add_delete(key)
+        else:
+            rw_set.add_write(key, draw(signing_values))
+    return Transaction(
+        tx_id="tx",
+        chaincode=draw(st.sampled_from(["cc", _Str("cc")])),
+        creator=draw(signing_keys),
+        timestamp=draw(st.integers(0, 2**70) | st.builds(_Int, st.integers(0, 9))),
+        rw_set=rw_set,
+        event_name=draw(st.sampled_from(["", "shipped", "é"])),
+        event_payload=draw(signing_values),
+    )
+
+
+class TestSigningBytes:
+    """``signable_payload`` spells its JSON from the leaves; the bytes
+    are the signing encoder's over the transaction's dict form."""
+
+    @given(signed_transactions())
+    def test_the_leaf_spelling_is_the_encoders(self, tx):
+        dict_form = {
+            "rw_set": tx.rw_set.to_dict(),
+            "creator": tx.creator,
+            "timestamp": tx.timestamp,
+            "chaincode": tx.chaincode,
+            "event": [tx.event_name, tx.event_payload],
+        }
+        assert tx.signable_payload() == "".join(_SIGNING_ENCODER(dict_form, 0)).encode()
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, object(), {1: "a", "1": "b"}], ids=["set", "object", "unsortable-keys"]
+    )
+    @pytest.mark.parametrize("where", ["write", "nested", "event"])
+    def test_an_unstorable_value_raises_chaincode_error(self, value, where):
+        tx = make_tx(value=[1, {"x": value}] if where == "nested" else value)
+        if where == "event":
+            tx = make_tx()
+            tx.event_payload = value
+        with pytest.raises(ChaincodeError, match="cannot store"):
+            tx.signable_payload()
 
 
 class TestHashes:

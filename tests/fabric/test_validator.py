@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.fabric.block import (
     BAD_SIGNATURE,
     GENESIS_PREVIOUS_HASH,
@@ -12,6 +14,8 @@ from repro.fabric.block import (
     RWSet,
     Transaction,
 )
+from repro.fabric.chaincode import KeyValueChaincode
+from repro.fabric.network import FabricNetwork
 from repro.fabric.validator import Validator
 
 
@@ -137,3 +141,23 @@ class TestSignatureCheck:
         assert validator.validate_block(block) == 1
         assert good.validation_code == VALID
         assert bad.validation_code == BAD_SIGNATURE
+
+    @pytest.mark.parametrize("signature", ["abc", None, 5], ids=["str", "none", "int"])
+    def test_a_signature_that_is_not_bytes_is_a_bad_signature(self, tmp_path, signature):
+        """A well-framed block can carry a signature of any decoded type
+        (``Peer.sync_from``, ``commit_block``): the endorser's check says
+        no instead of raising out of ``hmac.compare_digest``."""
+        with FabricNetwork(tmp_path) as network:
+            network.install(KeyValueChaincode())
+            endorser = network.peer.endorser
+            good, _ = endorser.endorse("kv", "put", ["a", 1], creator="writer", timestamp=1)
+            bad, _ = endorser.endorse("kv", "put", ["b", 2], creator="writer", timestamp=2)
+            bad.signature = signature
+            assert endorser.verify_endorsement(bad) is False
+            ledger = network.ledger
+            assert ledger.commit_block(make_block([good, bad])) == 1
+            assert good.validation_code == VALID
+            assert bad.validation_code == BAD_SIGNATURE
+            assert ledger.get_state("a") == 1
+            assert ledger.get_state("b") is None
+            ledger.verify_chain()

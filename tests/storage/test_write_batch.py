@@ -12,6 +12,7 @@ before anything is applied or logged.
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 from hypothesis import given
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.common import metrics as metric_names
 from repro.common.metrics import MetricsRegistry
+from repro.storage.kv.api import OP_DELETE, OP_PUT
 from repro.storage.kv.lsm import LSMStore
 from repro.storage.kv.memstore import MemStore
+from repro.storage.kv.wal import _HEADER, WriteAheadLog, _encode_payload, replay
 
 # Few distinct keys, so batches repeat keys and overwrite earlier batches.
 keys = st.sampled_from([b"a", b"b", b"c", b"d", b"e", b"f", b"g"])
@@ -171,3 +174,48 @@ class TestMemory:
             store.write_batch([(b"x", b"1"), bad, (b"old", None)])
         assert list(store.scan()) == [(b"old", b"1")]
         assert store.get(b"x") is None
+
+
+class TestWalRecords:
+    """A record whose key and value are shorter than 128 bytes is framed
+    from a table of one-byte varints; every record is still the bytes of
+    :func:`_encode_payload`, and :func:`replay` reads them back."""
+
+    LENGTHS = [0, 1, 127, 128, 300]
+
+    @staticmethod
+    def framed(key, value):
+        payload = _encode_payload(OP_DELETE if value is None else OP_PUT, key, value)
+        return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+    def test_records_are_the_encoded_payloads(self, tmp_path):
+        items = []
+        for key_length in self.LENGTHS[1:]:
+            key = bytes([0x61 + key_length % 26]) * key_length
+            items.append((key, None))
+            for value_length in self.LENGTHS:
+                items.append((key, bytes([value_length % 256]) * value_length))
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        wal.append(items[:7])
+        wal.append(items[7:])
+        wal.close()
+        assert (tmp_path / "wal.log").read_bytes() == b"".join(
+            self.framed(key, value) for key, value in items
+        )
+        assert list(replay(tmp_path / "wal.log")) == [
+            (OP_DELETE if value is None else OP_PUT, key, value) for key, value in items
+        ]
+        assert wal.record_count == len(items)
+
+
+def test_bytes_like_items_are_stored_as_copies(tmp_path):
+    """Only items that are exactly ``bytes`` pass unchanged; a
+    ``bytearray`` is copied, so mutating it later changes nothing."""
+    key, value = bytearray(b"k"), bytearray(b"v")
+    for store in (MemStore(), LSMStore(tmp_path / "db")):
+        store.write_batch([(key, value)])
+        key[0], value[0] = ord("j"), ord("w")
+        assert store.get(b"k") == b"v" and type(store.get(b"k")) is bytes
+        assert list(store.scan()) == [(b"k", b"v")]
+        key[0], value[0] = ord("k"), ord("v")
+        store.close()
