@@ -9,7 +9,10 @@ substitutes a counting subclass through.
 
 The codec round-trips the JSON-ish value universe: ``None``, ``bool``,
 ``int``, ``float``, ``str``, ``bytes``, ``list`` and ``dict`` with string
-keys.  ``bytes`` survive the round trip via a tagged base64 wrapper.
+keys.  ``bytes`` survive the round trip via a tagged base64 wrapper: a
+one-key dict ``{BYTES_TAG: base64 str}``, which is therefore not itself
+a storable value (endorsement refuses it, and a tag holding anything but
+a ``str`` does not decode).
 
 It also exposes its *list syntax* (:meth:`Codec.list_affixes`), so a
 caller can lay several encoded values out as one encoded list whose
@@ -26,7 +29,6 @@ The unsigned LEB128 varints (:func:`write_uvarint`, :func:`read_uvarint`,
 
 from __future__ import annotations
 
-import base64
 import binascii
 import json
 from abc import ABC, abstractmethod
@@ -34,7 +36,8 @@ from typing import Any, Sequence
 
 from repro.common.errors import CodecError
 
-_BYTES_TAG = "__repro_bytes__"
+#: The key of the one-key dict a ``bytes`` value is encoded as.
+BYTES_TAG = "__repro_bytes__"
 _encode_string = json.encoder.encode_basestring_ascii
 
 
@@ -65,13 +68,22 @@ class Codec(ABC):
 
 def _encode_special(value: Any) -> Any:
     if isinstance(value, bytes):
-        return {_BYTES_TAG: binascii.b2a_base64(value, newline=False).decode("ascii")}
+        return {BYTES_TAG: binascii.b2a_base64(value, newline=False).decode("ascii")}
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
 def _decode_special(obj: dict) -> Any:
-    if len(obj) == 1 and _BYTES_TAG in obj:
-        return base64.b64decode(obj[_BYTES_TAG])
+    """A bytes tag's value decoded by ``binascii.a2b_base64``, which is
+    what ``base64.b64decode`` calls after its own ASCII check (the same
+    check ``a2b_base64`` makes): the same bytes and error classes,
+    without the Python wrapper.  A tag holding anything but a ``str`` is
+    a ``ValueError``, so :meth:`JsonCodec.decode` raises
+    :class:`CodecError` for it."""
+    if len(obj) == 1 and BYTES_TAG in obj:
+        text = obj[BYTES_TAG]
+        if type(text) is not str:
+            raise ValueError(f"a bytes tag holds a value of type {type(text).__name__}, not base64 text")
+        return binascii.a2b_base64(text)
     return obj
 
 

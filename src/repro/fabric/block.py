@@ -34,7 +34,7 @@ from typing import (  # noqa: F401 - Tuple in annotations
 )
 
 from repro.common import metrics as metric_names
-from repro.common.codec import Codec, read_uvarint, read_uvarints, write_uvarint
+from repro.common.codec import BYTES_TAG, Codec, read_uvarint, read_uvarints, write_uvarint
 from repro.common.errors import ChaincodeError, CodecError, LedgerError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric import crypto
@@ -89,6 +89,26 @@ def _signing_leaf(value: Any) -> str:
     if value is False:
         return "false"
     return "".join(_SIGNING_ENCODER(value, 0))
+
+
+#: The bytes tag as the signing JSON spells it: a payload without this
+#: text holds no one-key dict keyed by it.
+_SPELLED_BYTES_TAG = _encode_string(BYTES_TAG)
+
+
+def _holds_bytes_tag(value: Any) -> bool:
+    """Whether ``value`` holds, at any depth, a one-key dict keyed by the
+    codec's bytes tag: what the codec stores ``bytes`` as, so such a
+    value would read back as ``bytes`` or not decode at all."""
+    if isinstance(value, dict):
+        if len(value) == 1 and BYTES_TAG in value:
+            return True
+        inner: Iterable[Any] = value.values()
+    elif isinstance(value, (list, tuple)):
+        inner = value
+    else:
+        return False
+    return any(map(_holds_bytes_tag, inner))
 
 
 def _signing_read(read: KVRead) -> str:
@@ -273,8 +293,10 @@ class Transaction:
         tampering is still reflected.
 
         A value the ledger cannot store raises :class:`ChaincodeError`:
-        one outside JSON (:func:`_sign_bytes`), or a dict whose keys do
-        not sort (``{1: "a", "1": "b"}``).
+        one outside JSON (:func:`_sign_bytes`), a dict whose keys do not
+        sort (``{1: "a", "1": "b"}``), or a write value or event payload
+        holding the codec's bytes tag (:func:`_holds_bytes_tag`; looked
+        for only when the spelled payload contains the tag's text).
         """
         rw_set = self.rw_set
         cache = self._payload_cache
@@ -301,6 +323,13 @@ class Transaction:
             )
         except TypeError as exc:
             raise ChaincodeError(f"cannot store transaction {self.tx_id}'s values: {exc}") from None
+        if _SPELLED_BYTES_TAG in text and any(map(
+            _holds_bytes_tag, [self.event_payload, *(write.value for write in writes.values())]
+        )):
+            raise ChaincodeError(
+                f"cannot store transaction {self.tx_id}'s values: a one-key dict "
+                f"keyed {BYTES_TAG!r} is how the codec stores bytes"
+            )
         payload = text.encode("utf-8")
         self._payload_cache = (rw_set._rev, payload)
         return payload
@@ -800,13 +829,21 @@ class Block:
                     if tx.validation_code == VALID:
                         written.append((tx_num, sorted(tx.rw_set.writes)))
                 else:
-                    # The shape checks building the transaction makes: its
+                    # The shape checks building the transaction makes, read
+                    # off the segments in place: head and body unpack, its
                     # reads parse and its write keys hash.
-                    (_, _), (_, _, reads, _, code, _, _), *writes = decoded[head:end]
-                    for read in reads:
-                        KVRead.from_dict(read)
-                    keys = [key for key, _, _ in writes]
-                    hash(tuple(keys))
+                    _, _ = decoded[head]
+                    _, _, reads, _, code, _, _ = decoded[head + 1]
+                    if reads != []:
+                        for read in reads:
+                            KVRead.from_dict(read)
+                    if count == 1:
+                        key, _, _ = decoded[head + 2]
+                        hash(key)
+                        keys = [key]
+                    else:
+                        keys = [key for key, _, _ in decoded[head + 2 : end]]
+                        hash(tuple(keys))
                     if code == VALID:
                         written.append((tx_num, keys))
                 head = end

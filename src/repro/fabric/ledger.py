@@ -104,6 +104,7 @@ class Ledger:
         else:
             savepoint = self.state_db.savepoint()
         replay_from = 0 if savepoint is None else savepoint + 1
+        block: Optional[Block] = None
         for number, block in enumerate(self.block_store.iter_blocks()):
             # A replayed block is decoded whole for its state writes, and
             # the history walk then reads those transactions; any other
@@ -112,6 +113,8 @@ class Ledger:
                 self._apply_state_writes(block)
                 self.state_db.record_savepoint(block.number)
             self.history_db.index_block(block)
+        if block is not None:
+            # Only the head's hash is kept: the orderer resumes from it.
             self._last_header_hash = block.header.hash()
 
     # -- commit path ---------------------------------------------------------

@@ -30,7 +30,8 @@ table file stays on disk at least as long as any snapshot that lists it,
 and no read depends on that.  If the process dies before a finalizer
 runs, the orphaned victim would resurrect deleted keys on a glob-based
 reopen; the manifest makes it a stray instead.  Directories from before
-the manifest existed load by glob and gain a manifest on first open.
+the manifest existed load by glob and gain a manifest on first open; an
+open that loads exactly the tables its manifest lists rewrites nothing.
 """
 
 from __future__ import annotations
@@ -222,7 +223,11 @@ class LSMStore(KVStore):
                 continue
             tables.append((sequence, reader))
         self._set_tables(sorted(tables, key=lambda pair: pair[0]))
-        self._write_manifest()
+        if listed != [sequence for sequence, _ in self._tables]:
+            # A legacy or unreadable manifest, or a listed table lost or
+            # quarantined: record the set that loaded.  An open that
+            # found what the manifest lists writes nothing.
+            self._write_manifest()
 
     def _set_tables(self, tables: List[Tuple[int, SSTableReader]]) -> None:
         self._tables = tables

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 from typing import Any, Callable
 
 import pytest
@@ -305,3 +306,42 @@ class TestRecursionIsACodecError:
             codec.encode(cycle)
         # The codec is still usable, and still stateless, afterwards.
         assert codec.decode(codec.encode([[1], {"k": b"v"}])) == [[1], {"k": b"v"}]
+
+
+# -- a bytes tag decodes as base64.b64decode would -----------------------------
+
+
+def _b64decode_outcome(decode: Callable[[Any], Any], text: str) -> tuple[str, Any]:
+    """The decoded bytes, or the class of the error raised."""
+    try:
+        return "value", decode(text)
+    except Exception as exc:  # the class is what is compared
+        return "error", type(exc)
+
+
+_BASE64_TEXT = st.binary(max_size=24).map(lambda raw: base64.b64encode(raw).decode("ascii"))
+
+tag_texts = st.one_of(
+    _BASE64_TEXT,  # valid
+    _BASE64_TEXT.map(lambda text: text.rstrip("=")),  # unpadded
+    st.text(alphabet="AZaz09+/=-_ \n.!", max_size=16),  # malformed, ASCII
+    st.text(min_size=1, max_size=8).map(lambda text: text + "é"),  # non-ASCII
+    _BASE64_TEXT.map(lambda text: "ÿ" + text),
+)
+
+
+@given(text=tag_texts)
+def test_a_bytes_tag_decodes_as_b64decode_does(text):
+    """The decode hook calls ``binascii.a2b_base64`` directly: the same
+    value, or the same error class, as ``base64.b64decode`` on every tag
+    text -- and through the codec that error is a :class:`CodecError`."""
+    from repro.common.codec import BYTES_TAG, _decode_special
+
+    expected = _b64decode_outcome(base64.b64decode, text)
+    assert _b64decode_outcome(lambda held: _decode_special({BYTES_TAG: held}), text) == expected
+    payload = JsonCodec().encode({BYTES_TAG: text})
+    if expected[0] == "value":
+        assert JsonCodec().decode(payload) == expected[1]
+    else:
+        with pytest.raises(CodecError):
+            JsonCodec().decode(payload)

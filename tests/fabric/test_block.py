@@ -737,6 +737,28 @@ class TestHistoryKeys:
     @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
     @given(block=blocks(max_txs=12, max_writes=5))
     def test_the_walk_of_a_frame_is_the_eager_blocks(self, codec, block):
+        self.assert_walk_is_build(codec, block)
+
+    @pytest.mark.parametrize("codec", CODECS, ids=codec_ids)
+    @given(data=st.data())
+    def test_the_walk_reads_every_transaction_shape(self, codec, data):
+        """One-write and multi-write transactions, each with and without
+        reads, in any mix: the walk reads a one-write transaction's key
+        and a transaction without reads its own way."""
+        txs = []
+        for index in range(data.draw(st.integers(1, 8), label="transactions")):
+            tx = data.draw(transactions(index, max_writes=0), label="body")
+            tx.rw_set.reads = tx.rw_set.reads if data.draw(st.booleans(), label="reads") else []
+            written = data.draw(st.sampled_from([1, 2, 4]), label="writes")
+            for key in data.draw(
+                st.lists(st.sampled_from("uvwxyz"), min_size=written, max_size=written, unique=True)
+            ):
+                tx.rw_set.add_write(key, data.draw(values))
+            txs.append(tx)
+        self.assert_walk_is_build(codec, make_block(number=data.draw(st.integers(0, 99)), txs=txs))
+
+    @staticmethod
+    def assert_walk_is_build(codec, block):
         expected = (block.number, [
             (tx_num, sorted(tx.rw_set.writes))
             for tx_num, tx in enumerate(block.transactions)
@@ -798,6 +820,79 @@ class TestHistoryKeys:
 
         built = fails(lambda lazy: (list(lazy.transactions), lazy.header))
         assert fails(Block.history_keys) == built
+
+    @staticmethod
+    def replaced(block: Block, index: int, value) -> bytes:
+        """``block``'s frame with segment ``index`` replaced by ``value``."""
+        codec = JsonCodec()
+        payload = block.to_payload(codec)
+        start = 2 + payload[1]
+        writes = list(payload[2:start])
+        count = 1 + 2 * len(writes) + sum(writes)
+        segments = [codec.encode(value) for value in codec.decode(payload[start + 4 * count :])]
+        segments[index] = codec.encode(value)
+        return TestMalformedFrames.frame(
+            writes, list(accumulate(map(len, segments))), b"[" + b",".join(segments) + b"]"
+        )
+
+    @pytest.mark.parametrize(
+        "segment, value, fails",
+        [
+            # A one-write transaction's write (segment 3: header, head, body).
+            ("write", ["u", 1], True),
+            ("write", ["u", 1, False, 2], True),
+            ("write", 5, True),
+            ("write", None, True),
+            ("write", [["u"], 1, False], True),
+            ("write", [{"u": 1}, 1, False], True),
+            ("write", "abc", False),  # three characters unpack as three values
+            ("write", ["u", 1, True], False),
+            # Its body: the reads, then a body of the wrong length.
+            ("body", ["cc", "alice", None, "", "VALID", "", None], True),
+            ("body", ["cc", "alice", 0, "", "VALID", "", None], True),
+            ("body", ["cc", "alice", [5], "", "VALID", "", None], True),
+            ("body", ["cc", "alice", [{"v": [1, 2]}], "", "VALID", "", None], True),
+            ("body", ["cc", "alice", "", "", "VALID", "", None], False),
+            ("body", ["cc", "alice", {}, "", "VALID", "", None], False),
+            ("body", ["cc", "alice", [{"k": "a"}], "", "VALID", "", None], False),
+            ("body", ["cc", "alice", [], "", "VALID", ""], True),
+            # Its head.
+            ("head", ["tx-0"], True),
+            ("head", ["tx-0", 1, 2], True),
+            ("head", 7, True),
+        ],
+    )
+    def test_a_misshapen_single_write_fails_the_walk_where_it_fails_the_build(
+        self, segment, value, fails
+    ):
+        """The walk reads a one-write, read-free transaction (the first)
+        by index instead of unpacking a slice; each misshapen segment of
+        it fails the walk exactly when it fails building the block."""
+        one = RWSet()
+        one.add_write("u", 1)
+        many = RWSet()
+        many.add_read("a", (1, 2))
+        many.add_write("v", 2)
+        many.add_write("w", 3)
+        block = make_block(txs=[
+            Transaction(tx_id="tx-0", chaincode="cc", creator="alice", timestamp=1,
+                        rw_set=one, validation_code=VALID),
+            Transaction(tx_id="tx-1", chaincode="cc", creator="bob", timestamp=2,
+                        rw_set=many, validation_code=VALID),
+        ])
+        framed = self.replaced(block, {"head": 1, "body": 2, "write": 3}[segment], value)
+
+        def outcome(read):
+            try:
+                return read(Block.from_payload(framed, JsonCodec()))
+            except CodecError:
+                return CodecError
+
+        built = outcome(lambda lazy: (list(lazy.transactions), lazy.header))
+        walked = outcome(Block.history_keys)
+        assert (walked is CodecError) == (built is CodecError) == fails
+        if not fails:
+            assert walked == Block(built[1], built[0]).history_keys()
 
 
 # --------------------------------------------------------------------------

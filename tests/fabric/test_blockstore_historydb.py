@@ -6,6 +6,7 @@ import gc
 import importlib.util
 import io
 import itertools
+import json
 import os
 import shutil
 import sys
@@ -44,6 +45,7 @@ from repro.fabric.historydb import HistoryDB
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
 from repro.faults import FaultPlan, FaultyFS
+from repro.faults.fs import FileSystem
 from repro.faults.doctor import detect_backend, run_doctor
 from repro.storage import blockfile as blockfile_module
 from repro.storage.blockfile import BlockFileManager
@@ -612,6 +614,145 @@ class TestReopenDecodes:
             assert metrics.counter(metric_names.TXS_DECODED) == replayed
         finally:
             ledger.close()
+
+
+class _CountedWrites:
+    """A handle whose writes :class:`RecordingFS` counts."""
+
+    def __init__(self, handle, fs: "RecordingFS") -> None:
+        self._handle = handle
+        self._fs = fs
+
+    def write(self, data: bytes) -> int:
+        self._fs.bytes_written += len(data)
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._handle.close()
+
+
+class RecordingFS(FileSystem):
+    """The real file system, recording every rename, every file opened to
+    be truncated and every byte written."""
+
+    def __init__(self) -> None:
+        self.replaced: list = []
+        self.truncated: list = []
+        self.bytes_written = 0
+
+    def open(self, path, mode):
+        handle = super().open(path, mode)
+        if "w" in mode:
+            self.truncated.append(Path(path).name)
+        return handle if mode == "rb" else _CountedWrites(handle, self)
+
+    def replace(self, src, dst) -> None:
+        self.replaced.append(Path(dst).name)
+        super().replace(src, dst)
+
+    def changes(self) -> tuple:
+        return self.replaced, self.truncated, self.bytes_written
+
+
+def _lsm_ledger(path: Path, blocks: int = 10) -> FabricConfig:
+    """An ``lsm`` ledger of ``blocks`` blocks, two distinct-key puts each,
+    its state-db spread over SSTables; returns its config."""
+    config = FabricConfig(
+        block_cutting=BlockCuttingConfig(max_message_count=2),
+        state_db=StateDbConfig(backend="lsm", memtable_limit=2),
+    )
+    with FabricNetwork(path, config=config) as network:
+        network.install(KeyValueChaincode())
+        gateway = network.gateway("writer")
+        for i in range(2 * blocks):
+            gateway.submit_transaction("kv", "put", [f"k{i}", i], timestamp=i + 1)
+        gateway.flush()
+        assert network.ledger.height == blocks
+    assert any((path / "statedb").glob("sst-*.sst"))
+    return config
+
+
+def _reopen(path: Path, config: FabricConfig) -> tuple:
+    """What one open and close of the ledger at ``path`` wrote."""
+    fs = RecordingFS()
+    FabricNetwork(path, config=config, fs=fs).close()
+    return fs.changes()
+
+
+class TestReopenWritesNothing:
+    """An open that recovers nothing writes nothing: the LSM manifest is
+    rewritten only when the tables that loaded are not the ones it lists."""
+
+    def test_an_unchanged_ledger_reopens_without_a_write(self, tmp_path):
+        config = _lsm_ledger(tmp_path)
+        assert len(list((tmp_path / "statedb").glob("sst-*.sst"))) >= 2
+        for _ in range(3):
+            assert _reopen(tmp_path, config) == ([], [], 0)
+
+    def test_a_deleted_manifest_is_written_again(self, tmp_path):
+        config = _lsm_ledger(tmp_path)
+        manifest = tmp_path / "statedb" / "MANIFEST.json"
+        listed = manifest.read_bytes()
+        manifest.unlink()
+        replaced, _, written = _reopen(tmp_path, config)
+        assert replaced == ["MANIFEST.json"] and written == len(listed)
+        assert manifest.read_bytes() == listed
+        assert _reopen(tmp_path, config) == ([], [], 0)
+
+    def test_a_corrupt_table_gets_a_manifest_without_it(self, tmp_path):
+        config = _lsm_ledger(tmp_path)
+        with FabricNetwork(tmp_path, config=config) as network:
+            fingerprint = network.ledger.state_fingerprint()
+        victim = sorted((tmp_path / "statedb").glob("sst-*.sst"))[0]
+        blob = bytearray(victim.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        replaced, _, _ = _reopen(tmp_path, config)
+        assert "MANIFEST.json" in replaced
+        listed = json.loads((tmp_path / "statedb" / "MANIFEST.json").read_text())["tables"]
+        assert int(victim.name[len("sst-") : -len(".sst")]) not in listed
+        assert (tmp_path / "statedb" / "quarantine" / victim.name).exists()
+        with FabricNetwork(tmp_path, config=config) as network:
+            assert network.ledger.state_fingerprint() == fingerprint
+            network.ledger.verify_chain()
+
+
+class TestRecoveredHead:
+    """A reopen hashes only the last block's header: that hash is the
+    head the orderer resumes from, so the next block must commit on it
+    whether the reopen kept its savepoint or replayed from block 0."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 30])
+    @pytest.mark.parametrize("branch", ["savepoint", "quarantine"])
+    def test_the_next_block_commits_on_the_recovered_head(self, tmp_path, blocks, branch):
+        config = _lsm_ledger(tmp_path, blocks)
+        if branch == "quarantine":
+            for table in (tmp_path / "statedb").glob("sst-*.sst"):
+                blob = bytearray(table.read_bytes())
+                blob[len(blob) // 2] ^= 0xFF
+                table.write_bytes(bytes(blob))
+        metrics = MetricsRegistry()
+        with FabricNetwork(tmp_path, config=config, metrics=metrics) as network:
+            ledger = network.ledger
+            quarantined = metrics.counter(metric_names.STATE_TABLES_QUARANTINED)
+            assert (quarantined > 0) == (branch == "quarantine")
+            head = ledger.block_store.get_block(blocks - 1).header.hash()
+            assert ledger.last_header_hash == head
+            network.install(KeyValueChaincode())
+            gateway = network.gateway("writer")
+            gateway.submit_transaction("kv", "put", ["next", 1], timestamp=10_000)
+            gateway.flush()
+            assert ledger.height == blocks + 1
+            assert ledger.block_store.get_block(blocks).header.previous_hash == head
+            assert ledger.get_state("next") == 1
+            assert ledger.get_state(f"k{2 * blocks - 1}") == 2 * blocks - 1
+            ledger.verify_chain()
 
 
 class TestDescriptorLifetime:
