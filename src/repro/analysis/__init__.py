@@ -1,11 +1,12 @@
-"""repro-lint: AST-based determinism & durability analysis.
+"""repro-lint: AST-based durability analysis.
 
-The execute-order-validate pipeline only works if chaincode is
-deterministic, and PR 1's crash-recovery guarantees only hold if every
-durable write keeps going through the :class:`~repro.faults.fs.FileSystem`
-seam and the fsync-before-rename convention.  Neither invariant is
-visible to a conventional linter, so this package turns both into
-repo-native static-analysis rules that CI enforces.  The one rule table
+The crash-recovery guarantees only hold if every durable write keeps
+going through the :class:`~repro.faults.fs.FileSystem` seam, fsyncs
+before it renames, and closes its seam handles on every path.  The
+fault harness cannot see a write that bypasses the seam, and no
+tier-1 test kills the process right after a rename, so this package
+turns those conventions into repo-native static-analysis rules that
+CI enforces.  The one rule table
 -- each rule, its scope and what it rejects -- is in
 ``docs/static-analysis.md``; ``repro lint --explain RULE`` prints a
 rule's own documentation.

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.analysis.findings import Finding
 
 #: Per-line suppression: a comment that *starts* ``# repro-lint:
-#: disable=DUR001,ERR001`` (or ``disable=all``).  Honored on the flagged
+#: disable=DUR001,RES001`` (or ``disable=all``).  Honored on the flagged
 #: line itself or on a standalone comment line directly above it; the
 #: same text quoted in a docstring or inside another comment is not one.
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -105,14 +105,6 @@ class Project:
 
     root: Path
     files: List[SourceFile]
-
-    def find(self, relpath_suffix: str) -> Optional[SourceFile]:
-        """The analyzed file whose relative path ends with ``suffix``
-        (e.g. ``repro/faults/crashpoints.py``), if any."""
-        for source in self.files:
-            if source.relpath.endswith(relpath_suffix):
-                return source
-        return None
 
     def parse_failures(self) -> List[Finding]:
         """Unparseable files become findings rather than crashes."""

@@ -1,14 +1,10 @@
 """The rule registry: how rule families plug into the analyzer.
 
 A rule is a class with a ``rule_id``, a docstring (shown by
-``repro lint --explain``) and one of two hooks:
-
-* :meth:`Rule.check_file` -- called once per analyzed file whose path the
-  rule claims via :meth:`Rule.applies_to`; sees a single
-  :class:`~repro.analysis.project.SourceFile`.
-* :meth:`Rule.check_project` -- called once per run with the whole
-  :class:`~repro.analysis.project.Project`; for cross-file invariants
-  like crash-point registry coverage.
+``repro lint --explain``) and one hook, :meth:`Rule.check_file`, called
+once per analyzed file whose path the rule claims via
+:meth:`Rule.applies_to`; it sees a single
+:class:`~repro.analysis.project.SourceFile`.
 
 Registering is one decorator::
 
@@ -44,10 +40,6 @@ class Rule:
         """Per-file findings (default: none)."""
         return []
 
-    def check_project(self, project: Project) -> List[Finding]:
-        """Whole-project findings (default: none)."""
-        return []
-
 
 def register(rule_class: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the global registry."""
@@ -69,8 +61,8 @@ def all_rules() -> Dict[str, Type[Rule]]:
 def instantiate(selected: Iterable[str] = ()) -> List[Rule]:
     """Rule instances for a run.
 
-    Each entry of ``selected`` is a rule id *or prefix*: ``DET`` selects
-    every ``DET*`` rule, ``DET002`` exactly one.  Matching is
+    Each entry of ``selected`` is a rule id *or prefix*: ``DUR`` selects
+    every ``DUR*`` rule, ``DUR002`` exactly one.  Matching is
     case-insensitive; an entry matching nothing raises ``KeyError`` (the
     CLI turns that into a usage error, exit code 2).  A selection made
     entirely of blank entries (``--select ""``, ``--select ,``) is a

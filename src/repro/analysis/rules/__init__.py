@@ -2,20 +2,6 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules import (
-    crashpoints,
-    dataflow_determinism,
-    determinism,
-    durability,
-    exceptions,
-    resources,
-)
+from repro.analysis.rules import durability, resources
 
-__all__ = [
-    "crashpoints",
-    "dataflow_determinism",
-    "determinism",
-    "durability",
-    "exceptions",
-    "resources",
-]
+__all__ = ["durability", "resources"]

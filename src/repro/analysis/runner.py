@@ -69,7 +69,6 @@ def run_lint(
         for source in project.files:
             if source.tree is not None and rule.applies_to(source.relpath):
                 raw.extend(rule.check_file(source, project))
-        raw.extend(rule.check_project(project))
 
     suppressed: List[Finding] = []
     active: List[Finding] = []

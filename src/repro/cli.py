@@ -139,10 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="repro-lint: AST & dataflow analysis "
-        "(chaincode determinism incl. interprocedural taint, "
-        "seam-handle lifetimes, FileSystem-seam bypasses, "
-        "fsync-before-rename, crash-point coverage, swallowed exceptions)",
+        help="repro-lint: AST analysis of the durable write path "
+        "(FileSystem-seam bypasses, fsync-before-rename, "
+        "seam-handle lifetimes)",
         description="Run the repro-lint static analyzer.",
         epilog="exit codes: 0 = clean, 1 = new findings, "
         "2 = usage error (unknown rule, bad path)",
@@ -164,14 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="comma-separated rule ids or prefixes to run, e.g. "
-        "'DET002' or 'DET,TEMP' (default: all; an entry matching no "
+        "'DUR002' or 'DUR,RES' (default: all; an entry matching no "
         "rule is a usage error, exit 2)",
     )
     lint.add_argument(
         "--root",
         default=None,
         metavar="DIR",
-        help="project root for relative paths and the tests/ cross-checks "
+        help="project root for relative paths and rule scopes "
         "(default: nearest directory with a pyproject.toml)",
     )
     lint.add_argument(

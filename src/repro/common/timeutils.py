@@ -1,4 +1,4 @@
-"""Logical time and wall-clock measurement helpers.
+"""Logical timestamps and wall-clock measurement helpers.
 
 The paper expresses event times as *logical timestamps* in ``0..t_max``
 (e.g. ``t_max = 150K`` for DS1).  The simulator keeps that convention:
@@ -14,51 +14,6 @@ from dataclasses import dataclass, field
 
 #: Logical timestamps are plain non-negative integers.
 Timestamp = int
-
-
-def require_timestamp(value: int, name: str = "timestamp") -> int:
-    """Validate that ``value`` is a usable logical timestamp.
-
-    Raises:
-        ValueError: if ``value`` is negative or not an integer.
-    """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-class LogicalClock:
-    """A monotonically non-decreasing logical clock.
-
-    The ingestion pipeline advances this clock to each event's timestamp so
-    that components which need "now" (e.g. Model M2's ``GetState-Base``
-    probing, which starts from the *current* indexing interval) observe a
-    consistent notion of logical time.
-    """
-
-    def __init__(self, start: Timestamp = 0) -> None:
-        self._now = require_timestamp(start, "start")
-
-    @property
-    def now(self) -> Timestamp:
-        """The current logical time."""
-        return self._now
-
-    def advance_to(self, timestamp: Timestamp) -> Timestamp:
-        """Move the clock forward to ``timestamp``.
-
-        The clock never moves backwards: advancing to an earlier time is a
-        no-op, which lets out-of-order readers share a clock safely.
-        """
-        require_timestamp(timestamp)
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LogicalClock(now={self._now})"
 
 
 @dataclass

@@ -12,7 +12,6 @@ from typing import Dict, List
 
 from repro.fabric.block import VALID
 from repro.fabric.ledger import Ledger
-from repro.temporal.keys import is_interval_key
 
 
 @dataclass
@@ -85,17 +84,3 @@ def summarize_chain(ledger: Ledger, top_keys: int = 5) -> ChainSummary:
         txs_per_block=txs_per_block,
         widest_histories=widths[:top_keys],
     )
-
-
-def ghfk_cost_profile(ledger: Ledger, prefix: str = "") -> Dict[str, int]:
-    """Blocks a full GHFK would deserialize, per key (base keys only).
-
-    This is the paper's "number of blocks to deserialize" quantity,
-    computed from the history index without touching the block files.
-    """
-    return {
-        key: ledger.history_db.block_count_for_key(key)
-        for key in ledger.history_db.keys()
-        if key.startswith(prefix) and not is_interval_key(key)
-        and not key.startswith("\x01") and not key.startswith("\x02")
-    }

@@ -8,6 +8,9 @@ exactly that point and verify recovery.
 
 Every registered point is listed in :data:`ALL_CRASH_POINTS`, which the
 kill-point sweep iterates so newly added points are automatically swept.
+An armed ``crash_point`` refuses a name the registry does not hold, so
+a point added without registering it fails the first armed run instead
+of going unswept.
 The registry is process-global and single-threaded by design, matching
 the simulator's synchronous pipeline.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro.common.errors import FaultInjectionError
 from repro.faults.plan import FaultPlan
 
 __all__ = [
@@ -94,8 +98,14 @@ _ACTIVE: Optional[FaultPlan] = None
 
 def crash_point(name: str) -> None:
     """Report reaching ``name``; raises ``SimulatedCrashError`` when an
-    armed plan scheduled a crash here."""
+    armed plan scheduled a crash here, and ``FaultInjectionError`` when a
+    plan is armed and ``name`` is not registered."""
     if _ACTIVE is not None:
+        if name not in ALL_CRASH_POINTS:
+            raise FaultInjectionError(
+                f"crash point {name!r} is not registered: add it to "
+                "repro/faults/crashpoints.py and a sweep tuple"
+            )
         _ACTIVE.on_crash_point(name)
 
 

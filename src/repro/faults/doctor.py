@@ -108,6 +108,7 @@ def run_doctor(
         ledger = Ledger(path, config=config)
     except ReproError as exc:
         report.add("error", "recovery-failed", f"ledger will not open: {exc}")
+        report.height = _records_on_disk(path)
         return report
     try:
         report.height = ledger.height
@@ -145,6 +146,25 @@ def _check_raw_storage(path: Path, report: DoctorReport) -> None:
                 f"{stray.relative_to(path)}: staging file left by a crash "
                 "(swept automatically on open)",
             )
+
+
+def _records_on_disk(path: Path) -> int:
+    """The chain height the block files hold: their intact records, up to
+    the first damaged one.  Reads only -- the block store's own open
+    creates files and appends to its index."""
+    from repro.common.errors import BlockFileError
+    from repro.storage.blockfile import latest_file_num, scan_files
+
+    chains = path / "ledger" / "chains"
+    if not chains.is_dir():
+        return 0
+    height = 0
+    try:
+        for _ in scan_files(chains, 0, 0, latest_file_num(chains)):
+            height += 1
+    except BlockFileError:
+        pass  # the damage is the recovery-failed finding; count the prefix
+    return height
 
 
 def _check_m1(ledger, report: DoctorReport) -> None:

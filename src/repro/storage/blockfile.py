@@ -44,6 +44,89 @@ def _parse_file_num(file: Path) -> Optional[int]:
     return int(suffix)
 
 
+def _block_file(directory: Path, file_num: int) -> Path:
+    return directory / f"{_FILE_PREFIX}{file_num:06d}"
+
+
+def latest_file_num(directory: Path) -> int:
+    """Highest *numeric* block file number in ``directory`` (0 when none).
+
+    Parses the suffix instead of trusting lexicographic order --
+    ``blockfile_1000000`` sorts before ``blockfile_999999`` as a
+    string -- and skips (with a warning) foreign entries that would
+    otherwise crash the open with ``ValueError``.
+    """
+    latest = 0
+    for file in directory.glob(f"{_FILE_PREFIX}*"):
+        file_num = _parse_file_num(file)
+        if file_num is None:
+            warnings.warn(
+                f"ignoring foreign entry {file.name!r} in block file "
+                f"directory {directory}",
+                stacklevel=2,
+            )
+            continue
+        latest = max(latest, file_num)
+    return latest
+
+
+def scan_files(
+    directory: Path, file_num: int, offset: int, last_file_num: int
+) -> Iterator[Tuple[BlockLocation, bytes]]:
+    """Walk intact records forward from ``(file_num, offset)`` through
+    ``last_file_num``, reading only: see
+    :meth:`BlockFileManager.scan_records`."""
+    while True:
+        file_path = _block_file(directory, file_num)
+        # Read from ``offset`` on, not the whole file: the block store
+        # re-verifies only its last indexed record on every open.
+        # Raw read-mode open, off the read-fault seam, so recovery
+        # does not consume a test's ``fail_reads`` schedule.
+        try:
+            with open(file_path, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+        except FileNotFoundError:
+            return
+        is_last_file = file_num == last_file_num
+        position = 0  # into ``data``, which starts at ``offset``
+        while position < len(data):
+            start = offset + position
+            tail_ok = is_last_file  # only the live tail may be torn
+            if position + _HEADER.size > len(data):
+                if tail_ok:
+                    return
+                raise BlockFileError(
+                    f"torn record header mid-chain at "
+                    f"{file_path.name}:{start}"
+                )
+            length, crc = _HEADER.unpack_from(data, position)
+            end = position + _HEADER.size + length
+            if end > len(data):
+                if tail_ok:
+                    return
+                raise BlockFileError(
+                    f"torn record payload mid-chain at "
+                    f"{file_path.name}:{start}"
+                )
+            payload = data[position + _HEADER.size : end]
+            if zlib.crc32(payload) != crc:
+                if tail_ok and end == len(data):
+                    return  # corrupt final record: crash-torn tail
+                raise BlockFileError(
+                    f"record checksum mismatch at {file_path.name}:{start}"
+                )
+            yield (
+                BlockLocation(file_num=file_num, offset=start, length=length),
+                payload,
+            )
+            position = end
+        if is_last_file:
+            return
+        file_num += 1
+        offset = 0
+
+
 class BlockFileManager:
     """Manages the directory of append-only block files."""
 
@@ -65,32 +148,11 @@ class BlockFileManager:
         #: :meth:`close`.  Never evicted: roll-over and tail truncation
         #: keep the inode, so a cached descriptor never goes stale.
         self._readers: Dict[int, IO[bytes]] = {}
-        self._current_num = self._latest_file_num()
+        self._current_num = latest_file_num(self.path)
         self._writer = fs.open(self._file_path(self._current_num), "ab")
 
-    def _latest_file_num(self) -> int:
-        """Highest *numeric* block file number present (0 when none).
-
-        Parses the suffix instead of trusting lexicographic order --
-        ``blockfile_1000000`` sorts before ``blockfile_999999`` as a
-        string -- and skips (with a warning) foreign entries that would
-        previously have crashed the open with ``ValueError``.
-        """
-        latest = 0
-        for file in self.path.glob(f"{_FILE_PREFIX}*"):
-            file_num = _parse_file_num(file)
-            if file_num is None:
-                warnings.warn(
-                    f"ignoring foreign entry {file.name!r} in block file "
-                    f"directory {self.path}",
-                    stacklevel=2,
-                )
-                continue
-            latest = max(latest, file_num)
-        return latest
-
     def _file_path(self, file_num: int) -> Path:
-        return self.path / f"{_FILE_PREFIX}{file_num:06d}"
+        return _block_file(self.path, file_num)
 
     def append(self, payload: bytes) -> BlockLocation:
         """Append one serialized block; returns its location."""
@@ -188,56 +250,7 @@ class BlockFileManager:
         because bytes beyond the corruption cannot be trusted.
         """
         self._writer.flush()
-        last_file_num = self._current_num
-        while True:
-            file_path = self._file_path(file_num)
-            # Read from ``offset`` on, not the whole file: the block store
-            # re-verifies only its last indexed record on every open.
-            # Raw read-mode open, off the read-fault seam, so recovery
-            # does not consume a test's ``fail_reads`` schedule.
-            try:
-                with open(file_path, "rb") as handle:
-                    handle.seek(offset)
-                    data = handle.read()
-            except FileNotFoundError:
-                return
-            is_last_file = file_num == last_file_num
-            position = 0  # into ``data``, which starts at ``offset``
-            while position < len(data):
-                start = offset + position
-                tail_ok = is_last_file  # only the live tail may be torn
-                if position + _HEADER.size > len(data):
-                    if tail_ok:
-                        return
-                    raise BlockFileError(
-                        f"torn record header mid-chain at "
-                        f"{file_path.name}:{start}"
-                    )
-                length, crc = _HEADER.unpack_from(data, position)
-                end = position + _HEADER.size + length
-                if end > len(data):
-                    if tail_ok:
-                        return
-                    raise BlockFileError(
-                        f"torn record payload mid-chain at "
-                        f"{file_path.name}:{start}"
-                    )
-                payload = data[position + _HEADER.size : end]
-                if zlib.crc32(payload) != crc:
-                    if tail_ok and end == len(data):
-                        return  # corrupt final record: crash-torn tail
-                    raise BlockFileError(
-                        f"record checksum mismatch at {file_path.name}:{start}"
-                    )
-                yield (
-                    BlockLocation(file_num=file_num, offset=start, length=length),
-                    payload,
-                )
-                position = end
-            if is_last_file:
-                return
-            file_num += 1
-            offset = 0
+        return scan_files(self.path, file_num, offset, self._current_num)
 
     def truncate_tail(self, location: BlockLocation) -> None:
         """Cut the *last* block file back so ``location`` is its next

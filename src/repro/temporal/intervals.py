@@ -111,21 +111,6 @@ class FixedIntervalScheme:
             yield TimeInterval(start, start + self.u)
             start += self.u
 
-    def partition(self, window: TimeInterval) -> List[TimeInterval]:
-        """Disjoint aligned intervals covering exactly ``window``.
-
-        ``window`` bounds must be multiples of ``u``; use
-        :meth:`partition_clipped` for arbitrary windows.
-        """
-        if window.start % self.u or window.end % self.u:
-            raise TemporalQueryError(
-                f"window {window} is not aligned to u={self.u}"
-            )
-        return [
-            TimeInterval(start, start + self.u)
-            for start in range(window.start, window.end, self.u)
-        ]
-
     def partition_clipped(self, window: TimeInterval) -> List[TimeInterval]:
         """Disjoint u-aligned intervals covering ``window``, with the first
         and last clipped to the window bounds.

@@ -77,52 +77,6 @@ class ZipfSampler(TimeSampler):
         return self._rng.randint(low, high)
 
 
-class BurstSampler(TimeSampler):
-    """Periodic bursts: most probability mass inside narrow windows.
-
-    Beyond the paper's uniform/zipf: models shift-based operations
-    (loading happens during work shifts, not around the clock).  The
-    timeline splits into ``periods`` equal periods; within each, a burst
-    occupying ``burst_fraction`` of the period receives
-    ``burst_weight`` of the probability.
-    """
-
-    def __init__(
-        self,
-        rng: random.Random,
-        t_max: int,
-        periods: int = 8,
-        burst_fraction: float = 0.2,
-        burst_weight: float = 0.9,
-    ) -> None:
-        super().__init__(rng, t_max)
-        if periods < 1:
-            raise WorkloadError(f"periods must be >= 1, got {periods}")
-        if not 0 < burst_fraction <= 1:
-            raise WorkloadError(
-                f"burst_fraction must be in (0, 1], got {burst_fraction}"
-            )
-        if not 0 <= burst_weight <= 1:
-            raise WorkloadError(
-                f"burst_weight must be in [0, 1], got {burst_weight}"
-            )
-        self.periods = min(periods, t_max)
-        self.burst_fraction = burst_fraction
-        self.burst_weight = burst_weight
-
-    def sample(self) -> int:
-        period_length = self.t_max / self.periods
-        period = self._rng.randrange(self.periods)
-        period_start = period * period_length
-        if self._rng.random() < self.burst_weight:
-            span = max(1.0, period_length * self.burst_fraction)
-            offset = self._rng.random() * span
-        else:
-            offset = self._rng.random() * period_length
-        timestamp = int(period_start + offset) + 1
-        return min(timestamp, self.t_max)
-
-
 def make_sampler(
     distribution: str, rng: random.Random, t_max: int
 ) -> TimeSampler:
@@ -135,9 +89,6 @@ def make_sampler(
         return UniformSampler(rng, t_max)
     if distribution == "zipf":
         return ZipfSampler(rng, t_max, a=rng.random())
-    if distribution == "burst":
-        return BurstSampler(rng, t_max)
     raise WorkloadError(
-        f"unknown distribution {distribution!r}; expected 'uniform', 'zipf' "
-        f"or 'burst'"
+        f"unknown distribution {distribution!r}; expected 'uniform' or 'zipf'"
     )

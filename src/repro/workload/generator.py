@@ -60,7 +60,7 @@ class WorkloadConfig:
                 f"events_per_key must be even (load/unload pairs), "
                 f"got {self.events_per_key}"
             )
-        if self.distribution not in ("uniform", "zipf", "burst"):
+        if self.distribution not in ("uniform", "zipf"):
             raise WorkloadError(f"unknown distribution {self.distribution!r}")
         if self.ingestion not in ("se", "me"):
             raise WorkloadError(f"ingestion must be 'se' or 'me', got {self.ingestion!r}")

@@ -15,7 +15,7 @@ from tests.analysis.helpers import FIXTURES
 def project(tmp_path):
     src = tmp_path / "proj" / "src"
     src.mkdir(parents=True)
-    shutil.copy(FIXTURES / "errors" / "bad_excepts.py", src / "handlers.py")
+    shutil.copy(FIXTURES / "resources" / "handles.py", src / "handlers.py")
     return tmp_path / "proj"
 
 
@@ -32,7 +32,7 @@ def lint_argv(project, *extra):
 def test_findings_exit_nonzero_with_rule_ids_in_output(project, capsys):
     assert main(lint_argv(project)) == 1
     out = capsys.readouterr().out
-    assert "ERR001" in out and "handlers.py" in out
+    assert "RES001" in out and "handlers.py" in out
 
 
 def test_clean_tree_exits_zero(project, capsys):
@@ -45,13 +45,13 @@ def test_json_format_is_machine_readable(project, capsys):
     assert main(lint_argv(project, "--format", "json")) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["ok"] is False
-    assert {finding["rule"] for finding in document["findings"]} == {"ERR001"}
+    assert {finding["rule"] for finding in document["findings"]} == {"RES001"}
     assert all(finding["line"] > 0 for finding in document["findings"])
 
 
 def test_select_limits_the_rules(project, capsys):
     assert main(lint_argv(project, "--select", "DUR001")) == 0
-    assert main(lint_argv(project, "--select", "ERR001")) == 1
+    assert main(lint_argv(project, "--select", "RES001")) == 1
 
 
 def test_unknown_rule_and_missing_path_are_usage_errors(project, capsys):
@@ -60,16 +60,16 @@ def test_unknown_rule_and_missing_path_are_usage_errors(project, capsys):
 
 
 def test_select_accepts_comma_separated_prefixes(project, capsys):
-    # "ERR" is a prefix of ERR001; pairing it with DUR keeps only those
-    # two families, and the ERR finding still fails the run.
-    assert main(lint_argv(project, "--select", "DUR,ERR")) == 1
+    # "RES" is a prefix of RES001; pairing it with DUR keeps only those
+    # families, and the RES finding still fails the run.
+    assert main(lint_argv(project, "--select", "DUR,RES")) == 1
     out = capsys.readouterr().out
-    assert "ERR001" in out
-    assert main(lint_argv(project, "--select", "DUR,CHAIN")) == 0
+    assert "RES001" in out
+    assert main(lint_argv(project, "--select", "DUR,dur002")) == 0
 
 
 def test_unknown_prefix_is_a_usage_error(project, capsys):
-    assert main(lint_argv(project, "--select", "ERR,ZZZ")) == 2
+    assert main(lint_argv(project, "--select", "RES,ZZZ")) == 2
     assert "ZZZ" in capsys.readouterr().err
 
 
@@ -83,12 +83,14 @@ def test_help_documents_the_exit_codes(capsys):
 
 
 def test_explain_prints_rule_documentation(capsys):
-    assert main(["lint", "--explain", "CHAIN001"]) == 0
+    assert main(["lint", "--explain", "DUR002"]) == 0
     out = capsys.readouterr().out
-    assert "CHAIN001" in out and "deterministic" in out
-    assert main(["lint", "--explain", "NOPE999"]) == 2
-    captured = capsys.readouterr()  # a usage error: stderr, like the others
-    assert captured.out == "" and "unknown rule 'NOPE999'" in captured.err
+    assert "DUR002" in out and "fsync" in out
+    # NOPE999 never existed; DET002 was deleted with its rule.
+    for unknown in ("NOPE999", "DET002"):
+        assert main(["lint", "--explain", unknown]) == 2
+        captured = capsys.readouterr()  # a usage error: stderr, like the others
+        assert captured.out == "" and f"unknown rule {unknown!r}" in captured.err
 
 
 def test_explain_matches_case_insensitively_like_select(capsys):

@@ -15,7 +15,6 @@ from repro.analysis import all_rules, run_lint
 from tests.analysis.helpers import (
     FIXTURES,
     assert_matches_expectations,
-    expected_findings,
     find_lines,
     lint_fixture_tree,
 )
@@ -23,86 +22,10 @@ from tests.analysis.helpers import (
 
 def test_registry_exposes_the_documented_rule_families():
     rules = all_rules()
-    assert {
-        "CHAIN001",
-        "DUR001",
-        "DUR002",
-        "CRASH001",
-        "ERR001",
-        "DET002",
-        "RES001",
-    } == set(rules)
+    assert {"DUR001", "DUR002", "RES001"} == set(rules)
     for rule_id, rule_class in rules.items():
         assert rule_class.rule_id == rule_id
         assert rule_class.__doc__, f"{rule_id} has no docstring for --explain"
-
-
-class TestChaincodeDeterminism:
-    def test_bad_chaincode_flags_every_marked_line(self):
-        result = lint_fixture_tree("chaincode")
-        assert_matches_expectations(
-            result,
-            FIXTURES / "chaincode" / "bad_chaincode.py",
-            FIXTURES / "chaincode" / "good_chaincode.py",
-        )
-
-    def test_bad_chaincode_expectations_are_nontrivial(self):
-        expected = expected_findings(FIXTURES / "chaincode" / "bad_chaincode.py")
-        assert len(expected) >= 7  # clock, random, env, uuid, datetime, 2 set loops
-
-    def test_nondeterministic_branch_is_convicted_by_chain001_alone(self):
-        # Why CHAIN001 is not retired in favour of DET002: a coin toss
-        # deciding *whether* a constant is written taints no value, so
-        # the interprocedural rule has nothing to follow to the sink.
-        fixture = FIXTURES / "chaincode" / "bad_chaincode.py"
-        branch = 1 + fixture.read_text().splitlines().index(
-            "        if random.random() < 0.5:  # expect: CHAIN001"
-        )
-        on_the_branch = {
-            finding.rule_id
-            for finding in lint_fixture_tree("chaincode").new_findings
-            if finding.path.endswith("bad_chaincode.py")
-            and finding.line in (branch, branch + 1)  # the test, the write
-        }
-        assert on_the_branch == {"CHAIN001"}
-
-    def test_suppressed_violation_is_reported_as_suppressed(self):
-        result = lint_fixture_tree("chaincode")
-        suppressed = [
-            finding
-            for finding in result.suppressed
-            if finding.path.endswith("good_chaincode.py")
-        ]
-        assert find_lines(suppressed, "CHAIN001"), (
-            "the disable=CHAIN001 line should surface in result.suppressed"
-        )
-
-
-class TestInterproceduralDeterminism:
-    def test_two_hop_flows_match_expectations(self):
-        result = lint_fixture_tree("dataflow")
-        assert_matches_expectations(
-            result,
-            FIXTURES / "dataflow" / "helpers.py",
-            FIXTURES / "dataflow" / "pipeline_chaincode.py",
-        )
-
-    def test_chain001_stays_silent_on_laundered_flows(self):
-        # The whole point of DET002: no banned API appears inside the
-        # chaincode class, so the per-file rule cannot fire.
-        result = lint_fixture_tree("dataflow")
-        assert not find_lines(result.new_findings, "CHAIN001")
-
-    def test_messages_name_source_and_chain(self):
-        result = lint_fixture_tree("dataflow")
-        messages = "\n".join(
-            finding.message
-            for finding in result.new_findings
-            if finding.rule_id == "DET002"
-        )
-        assert "time.time" in messages
-        assert "clock -> stamp" in messages
-        assert "commit" in messages
 
 
 class TestSelectValidation:
@@ -173,75 +96,6 @@ class TestDurability:
         assert find_lines(suppressed, "DUR001")
 
 
-class TestSwallowedExceptions:
-    def test_error_fixtures_match_expectations(self):
-        result = lint_fixture_tree("errors")
-        assert_matches_expectations(
-            result,
-            FIXTURES / "errors" / "bad_excepts.py",
-            FIXTURES / "errors" / "good_excepts.py",
-        )
-
-
-class TestCrashPointCoverage:
-    ROOT = FIXTURES / "crashproj"
-
-    def lint(self, root=None):
-        return run_lint([(root or self.ROOT) / "src"], root=root or self.ROOT)
-
-    def test_registry_drift_is_reported(self):
-        result = self.lint()
-        registry = "src/repro/faults/crashpoints.py"
-        write_path = "src/repro/fabric/write_path.py"
-        by_file = {
-            registry: sorted(
-                finding.line
-                for finding in result.new_findings
-                if finding.path == registry
-            ),
-            write_path: sorted(
-                finding.line
-                for finding in result.new_findings
-                if finding.path == write_path
-            ),
-        }
-        expected_registry = sorted(
-            line
-            for _, line in expected_findings(self.ROOT / "src/repro/faults/crashpoints.py")
-        )
-        expected_write = sorted(
-            line
-            for _, line in expected_findings(self.ROOT / "src/repro/fabric/write_path.py")
-        )
-        assert by_file[registry] == expected_registry
-        assert by_file[write_path] == expected_write
-        assert all(
-            finding.rule_id == "CRASH001" for finding in result.new_findings
-        )
-
-    def test_messages_name_the_failure_modes(self):
-        result = self.lint()
-        messages = "\n".join(finding.message for finding in result.new_findings)
-        assert "registry does not know" in messages  # fired-but-unregistered
-        assert "no crash_point() call site fires it" in messages
-        assert "missing from the swept tuples" in messages
-
-    def test_unreferenced_sweep_tuple_is_flagged(self, tmp_path):
-        clone = tmp_path / "crashproj"
-        shutil.copytree(self.ROOT, clone)
-        (clone / "tests" / "faults" / "sweep_reference.py").unlink()
-        result = self.lint(root=clone)
-        messages = [finding.message for finding in result.new_findings]
-        assert any("not referenced by any test under tests/faults/" in m for m in messages)
-
-    def test_rule_is_silent_without_a_registry(self, tmp_path):
-        lonely = tmp_path / "proj" / "src"
-        lonely.mkdir(parents=True)
-        (lonely / "app.py").write_text('"""No registry here."""\n')
-        result = run_lint([lonely], root=tmp_path / "proj")
-        assert not find_lines(result.new_findings, "CRASH001")
-
-
 def _clone_real_tree(dest):
     """A copy of the real ``src/`` tree under ``dest/proj``."""
     import repro
@@ -285,9 +139,6 @@ class TestMutationAcceptance:
         clone = _clone_real_tree(tmp_path_factory.mktemp("mutants"))
         repro = clone / "src" / "repro"
         sstable = repro / "storage" / "kv" / "sstable.py"
-        ledger = repro / "fabric" / "ledger.py"
-        registry = repro / "faults" / "crashpoints.py"
-        chaincodes = repro / "temporal" / "chaincodes.py"
         lsm = repro / "storage" / "kv" / "lsm.py"
 
         # DUR002 (mutant B): the SSTable writer flushes its temp file but
@@ -325,81 +176,6 @@ class TestMutationAcceptance:
             "            self._fs.fsync(handle)\n"
             "        handle.close()\n",
         )
-        # ERR001: the endorser's two handlers collapsed into one broad
-        # catch that wraps everything, SimulatedCrashError included.
-        _edit(
-            repro / "fabric" / "endorser.py",
-            "        except (FaultInjectionError, EndorsementError):\n"
-            "            # SimulatedCrashError must reach the fault harness untouched;\n"
-            "            # wrapping it here would let chaincode survive its own crash.\n"
-            "            raise\n"
-            "        except (ReproError, ValueError, TypeError, KeyError, IndexError, "
-            "AttributeError) as exc:\n",
-            "        except Exception as exc:  # mutant: broad catch\n",
-        )
-        # CRASH001: a crash point added to the commit path but never
-        # registered, so the kill-point sweep never fires it; and a
-        # registered point whose call site was dropped.
-        _edit(
-            ledger,
-            "            crash_point(LEDGER_PRE_SAVEPOINT)\n",
-            "            crash_point(LEDGER_PRE_SAVEPOINT)\n"
-            '            crash_point("ledger.pre_savepoint_record")\n',
-        )
-        _edit(
-            ledger,
-            "            crash_point(LEDGER_PRE_STATE)\n",
-            "            pass  # instrumentation dropped\n",
-        )
-
-        # CHAIN001: an audit write gated on the peer's environment -- a
-        # branch around a constant, so no value carries taint to the write.
-        _edit(
-            chaincodes,
-            "            stub.put_state(event.key, event.to_value())\n"
-            "            return {\"key\": event.key, \"t\": event.time}\n"
-            "        if fn == \"record_events\":",
-            "            stub.put_state(event.key, event.to_value())\n"
-            "            if os.environ.get(\"REPRO_AUDIT_EVENTS\"):  # mutant: env branch\n"
-            "                stub.put_state(\"\\x03audit\", event.key)\n"
-            "            return {\"key\": event.key, \"t\": event.time}\n"
-            "        if fn == \"record_events\":",
-        )
-        # DET002: the M1 bundle deduplicated through a set, so the stored
-        # event order follows per-process string hashing -- identical
-        # within one process, which is all tier-1 ever compares; and a
-        # wall clock laundered through two module-level helpers.
-        _edit(chaincodes, "from typing import", "import json\nimport os\nimport time\nfrom typing import")
-        _edit(
-            chaincodes,
-            "\n\ndef validate_transition(",
-            "\n\ndef _distinct(values):\n"
-            '    """Drop duplicate events from a bundle."""\n'
-            "    return [json.loads(text) for text in "
-            "{json.dumps(value, sort_keys=True) for value in values}]\n"
-            "\n\ndef validate_transition(",
-        )
-        _edit(
-            chaincodes,
-            "            stub.put_state(index_key, event_values)\n",
-            "            stub.put_state(index_key, _distinct(event_values))  # mutant: set order\n",
-        )
-        chaincodes.write_text(
-            chaincodes.read_text()
-            + "\n\ndef _clock():\n"
-            '    """Hop two."""\n'
-            "    return time.time()\n\n\n"
-            "def _stamp():\n"
-            '    """Hop one."""\n'
-            "    return _clock()\n\n\n"
-            "class SneakyChaincode(Chaincode):\n"
-            '    """Nondeterministic only through the helper chain."""\n\n'
-            '    name = "sneaky"\n\n'
-            "    def invoke(self, stub, fn, args):\n"
-            '        """Commits a laundered wall-clock reading."""\n'
-            "        stub.put_state(args[0], _stamp())  # mutant: two hops\n"
-            "        return []\n"
-        )
 
         def at(rule, target, marker):
             return (rule, target.relative_to(clone).as_posix(), _line_of(target, marker))
@@ -409,12 +185,6 @@ class TestMutationAcceptance:
             "raw_manifest": at("DUR001", lsm, "# mutant: raw write"),
             "raw_open": at("DUR001", repro / "storage" / "sneaky.py", "open(path"),
             "leaked_handle": at("RES001", lsm, "# mutant: leak"),
-            "env_branch": at("CHAIN001", chaincodes, "# mutant: env branch"),
-            "broad_catch": at("ERR001", repro / "fabric" / "endorser.py", "# mutant: broad catch"),
-            "unregistered_point": at("CRASH001", ledger, "ledger.pre_savepoint_record"),
-            "dropped_point": at("CRASH001", registry, "LEDGER_PRE_STATE = "),
-            "set_order": at("DET002", chaincodes, "# mutant: set order"),
-            "two_hops": at("DET002", chaincodes, "# mutant: two hops"),
         }
         result = run_lint([clone / "src"], root=clone)
         return result, expected
@@ -446,44 +216,6 @@ class TestMutationAcceptance:
         assert expected["sstable_fsync"][1:] == ("src/repro/storage/kv/sstable.py", 112)
         assert "never fsynced" in self._message(result, expected["sstable_fsync"])
 
-    def test_unregistered_crash_point_fails_the_lint(self, mutants):
-        result, expected = mutants
-        message = self._message(result, expected["unregistered_point"])
-        assert "registry does not know" in message
-
-    def test_deregistered_crash_point_fails_the_lint(self, mutants):
-        result, expected = mutants
-        message = self._message(result, expected["dropped_point"])
-        assert "LEDGER_PRE_STATE" in message
-        assert "no crash_point() call site fires it" in message
-
-    def test_set_ordered_bundle_fails_the_lint(self, mutants):
-        # The bug no other detector convicts: set iteration order varies
-        # only across processes (string hashing), and tier-1 compares
-        # every ledger with a reference built in the same process.
-        result, expected = mutants
-        message = self._message(result, expected["set_order"])
-        assert "set iteration order" in message
-        assert "_distinct" in message
-
-    def test_two_hop_helper_chain_is_caught_by_det002_not_chain001(self, mutants):
-        # A chaincode whose nondeterminism is laundered through two
-        # module-level helpers: invisible to the per-file rule, fatal to
-        # the interprocedural one.
-        result, expected = mutants
-        message = self._message(result, expected["two_hops"])
-        assert "time.time" in message
-        assert "_clock -> _stamp" in message
-        path = expected["two_hops"][1]
-        chain001 = {
-            finding.line
-            for finding in result.new_findings
-            if finding.rule_id == "CHAIN001" and finding.path == path
-        }
-        assert chain001 <= {
-            line for rule, _, line in expected.values() if rule == "CHAIN001"
-        }, "the laundered flow must be invisible to the per-file rule"
-
     def test_raw_manifest_write_fails_the_lint(self, mutants):
         # Tier-1 stays green: a write FaultyFS never sees is one it can
         # never tear, so every crash test recovers.
@@ -502,21 +234,3 @@ class TestMutationAcceptance:
         assert "only closed on the happy path" in self._message(
             result, expected["leaked_handle"]
         )
-
-    def test_environment_gated_write_fails_the_lint(self, mutants):
-        # A branch around a constant carries no taint, so DET002 is
-        # silent; tier-1 never sets the variable.
-        result, expected = mutants
-        rules = {
-            finding.rule_id
-            for finding in result.new_findings
-            if (finding.path, finding.line) == expected["env_branch"][1:]
-        }
-        assert rules == {"CHAIN001"}, result.render_text()
-        assert "os.environ" in self._message(result, expected["env_branch"])
-
-    def test_broad_endorser_catch_fails_the_lint(self, mutants):
-        # Tier-1 stays green: no test drives a fault-harness error
-        # through a chaincode invocation, so nothing sees it wrapped.
-        result, expected = mutants
-        assert "broad except Exception" in self._message(result, expected["broad_catch"])

@@ -1,52 +1,10 @@
-"""Tests for logical clocks, stopwatches and duration formatting."""
+"""Tests for stopwatches and duration formatting."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common.timeutils import (
-    LogicalClock,
-    Stopwatch,
-    format_duration,
-    require_timestamp,
-)
-
-
-class TestRequireTimestamp:
-    def test_accepts_non_negative_int(self):
-        assert require_timestamp(0) == 0
-        assert require_timestamp(150_000) == 150_000
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            require_timestamp(-1)
-
-    def test_rejects_non_int(self):
-        with pytest.raises(ValueError):
-            require_timestamp(1.5)  # type: ignore[arg-type]
-
-    def test_rejects_bool(self):
-        with pytest.raises(ValueError):
-            require_timestamp(True)
-
-
-class TestLogicalClock:
-    def test_starts_at_zero(self):
-        assert LogicalClock().now == 0
-
-    def test_advances_forward(self):
-        clock = LogicalClock()
-        clock.advance_to(10)
-        assert clock.now == 10
-
-    def test_never_moves_backwards(self):
-        clock = LogicalClock(100)
-        clock.advance_to(50)
-        assert clock.now == 100
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            LogicalClock(-1)
+from repro.common.timeutils import Stopwatch, format_duration
 
 
 class TestStopwatch:

@@ -14,9 +14,10 @@ from repro.common.errors import (
     CodecError,
     HashChainError,
     LedgerError,
+    SimulatedCrashError,
 )
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader
-from repro.fabric.chaincode import KeyValueChaincode
+from repro.fabric.chaincode import Chaincode, KeyValueChaincode
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
 from tests.helpers import fabric_config
@@ -159,4 +160,52 @@ class TestRecoveryAfterDamage:
         history = [e.value for e in network.ledger.get_history_for_key("k")]
         assert history == ["honest"]
         assert result.tx_id != tx.tx_id
+        network.close()
+
+
+class RaisingChaincode(Chaincode):
+    """Raises whatever the test hands it, from inside ``invoke``."""
+
+    name = "raising"
+
+    def invoke(self, stub, fn, args):
+        raise args[0]
+
+
+class TestFailuresPropagate:
+    """A handler that catches too much would let a simulated crash or a
+    programming error pass as an ordinary rejection, or a failed commit
+    as a committed block; each of these must reach the caller as the
+    very exception raised."""
+
+    @pytest.mark.parametrize(
+        "failure",
+        [SimulatedCrashError("killed mid-chaincode"), ZeroDivisionError("a bug")],
+        ids=["simulated-crash", "programming-error"],
+    )
+    def test_chaincode_failure_reaches_the_client_unchanged(self, tmp_path, failure):
+        network = FabricNetwork(tmp_path, config=fabric_config())
+        network.install(RaisingChaincode())
+        with pytest.raises(type(failure)) as raised:
+            network.gateway("writer").submit_transaction(
+                "raising", "go", [failure], timestamp=1
+            )
+        assert raised.value is failure
+        network.close()
+
+    def test_history_index_failure_fails_the_commit(self, tmp_path, monkeypatch):
+        network = FabricNetwork(tmp_path, config=fabric_config())
+        network.install(KeyValueChaincode())
+        failure = OSError("history index unavailable")
+
+        def fail(block):
+            raise failure
+
+        monkeypatch.setattr(network.ledger.history_db, "index_block", fail)
+        gateway = network.gateway("writer")
+        gateway.submit_transaction("kv", "put", ["k", 1], timestamp=1)
+        with pytest.raises(OSError) as raised:
+            gateway.flush()
+        assert raised.value is failure
+        assert network.ledger.get_state("k") is None
         network.close()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.fabric.historydb import HistoryDB
-from repro.fabric.inspect import ghfk_cost_profile, summarize_chain
+from repro.fabric.inspect import summarize_chain
 from tests.helpers import build_plain_network, index_only_block, small_workload
 
 
@@ -50,17 +50,6 @@ class TestSummarizeChain:
         assert f"{network.ledger.height} blocks" in text
 
 
-class TestGhfkCostProfile:
-    def test_profile_covers_entity_keys(self, network, workload):
-        profile = ghfk_cost_profile(network.ledger)
-        assert set(profile) == set(workload.shipments + workload.containers)
-        assert all(blocks >= 1 for blocks in profile.values())
-
-    def test_prefix_filter(self, network, workload):
-        profile = ghfk_cost_profile(network.ledger, prefix="S")
-        assert set(profile) == set(workload.shipments)
-
-
 class TestHistoryKeysSnapshot:
     def test_keys_is_a_snapshot_not_a_view(self, network, workload):
         history = network.ledger.history_db
@@ -68,28 +57,6 @@ class TestHistoryKeysSnapshot:
         assert len(keys) == history.key_count() == workload.config.key_count
         keys.clear()
         assert history.key_count() == workload.config.key_count
-
-    def test_profile_between_commits_reads_a_snapshot(self, monkeypatch):
-        """``ghfk_cost_profile`` may run between a gateway's commits; here
-        a commit lands while it walks the keys.  It enumerates a snapshot
-        (``HistoryDB.keys()``), never the live ``_locations`` dict, so it
-        answers for the keys as of its call."""
-        history = HistoryDB()
-        for n in range(20):
-            history.index_block(index_only_block(n, [f"S{n:03d}"]))
-        ledger = SimpleNamespace(history_db=history)
-        count = history.block_count_for_key
-        commits = iter([index_only_block(20, [f"S{n:03d}" for n in range(20, 40)])])
-
-        def count_then_commit(key: str) -> int:
-            for block in commits:  # the first call commits, once
-                history.index_block(block)
-            return count(key)
-
-        monkeypatch.setattr(history, "block_count_for_key", count_then_commit)
-        assert ghfk_cost_profile(ledger) == {f"S{n:03d}": 1 for n in range(20)}
-        assert ghfk_cost_profile(ledger) == {f"S{n:03d}": 1 for n in range(40)}
-
 
 class TestCli:
     def test_inspect_command(self, network, capsys):

@@ -103,11 +103,13 @@ def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
     """A ledger whose block records hold an older payload -- the whole-
     block value, the per-transaction 0xF1 frame, or the frame under the
     removed ``binary`` codec -- will not open; the doctor says why
-    instead of calling it corruption."""
+    instead of calling it corruption, and counts the chain it cannot
+    open without writing to it."""
     from repro.common.codec import JsonCodec
     from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader
     from repro.fabric.blockstore import BlockStore
     from tests.helpers import BINARY_GOLDEN_PAYLOAD, per_transaction_frame
+    from tests.test_stored_bytes import directory_digest
 
     codec = JsonCodec()
     genesis = Block(BlockHeader(0, GENESIS_PREVIOUS_HASH, Block.compute_data_hash([])), [])
@@ -120,10 +122,13 @@ def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
         store = BlockStore(tmp_path / name / "ledger")
         store._index.append(store._files.append(payload))
         store.close()
+        before = directory_digest(tmp_path / name)
         report = run_doctor(tmp_path / name)
         assert not report.ok
         assert "recovery-failed" in codes(report)
         assert named in report.render()
+        assert report.height == 1
+        assert directory_digest(tmp_path / name) == before
 
 
 def test_interrupted_m1_run_is_reported_until_rerun(tmp_path):

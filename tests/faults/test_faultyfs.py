@@ -15,6 +15,7 @@ from repro.common.errors import (
     SimulatedCrashError,
 )
 from repro.faults import FaultPlan, FaultyFS, active_plan, crash_point
+from repro.faults.crashpoints import LEDGER_POST_COMMIT, LEDGER_PRE_STATE
 from repro.storage.blockfile import BlockFileManager
 
 
@@ -153,20 +154,29 @@ def test_crash_on_replace_preserves_src_and_dst(tmp_path):
 
 
 def test_crash_at_counts_occurrences():
-    plan = FaultPlan().crash_at("demo.point", occurrence=3)
+    plan = FaultPlan().crash_at(LEDGER_PRE_STATE, occurrence=3)
     with active_plan(plan):
-        crash_point("demo.point")
-        crash_point("other.point")
-        crash_point("demo.point")
+        crash_point(LEDGER_PRE_STATE)
+        crash_point(LEDGER_POST_COMMIT)
+        crash_point(LEDGER_PRE_STATE)
         with pytest.raises(SimulatedCrashError):
-            crash_point("demo.point")
-    assert plan.fired == "demo.point"
-    assert plan.point_counts["demo.point"] == 3
-    assert plan.point_counts["other.point"] == 1
+            crash_point(LEDGER_PRE_STATE)
+    assert plan.fired == LEDGER_PRE_STATE
+    assert plan.point_counts[LEDGER_PRE_STATE] == 3
+    assert plan.point_counts[LEDGER_POST_COMMIT] == 1
 
 
 def test_crash_point_is_free_when_disarmed():
     crash_point("never.registered")  # must be a no-op, not an error
+
+
+def test_armed_crash_point_refuses_an_unregistered_name():
+    # A point the registry lacks is one the kill-point sweep never fires.
+    plan = FaultPlan().crash_at(LEDGER_PRE_STATE)
+    with active_plan(plan):
+        with pytest.raises(FaultInjectionError, match="is not registered"):
+            crash_point("ledger.pre_savepoint_record")
+    assert plan.fired is None and plan.point_counts == {}
 
 
 def test_active_plan_is_not_reentrant():

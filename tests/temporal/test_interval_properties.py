@@ -92,24 +92,13 @@ class TestSchemePartitionProperties:
             for u, scheme in self._schemes(rng):
                 k = rng.randrange(0, 4)
                 window = TimeInterval(k * u, (k + rng.randrange(1, 5)) * u)
-                tiles = scheme.partition(window)
+                tiles = scheme.partition_clipped(window)
                 assert tiles[0].start == window.start
                 assert tiles[-1].end == window.end
                 for left, right in zip(tiles, tiles[1:]):
                     assert left.end == right.start
                 for tile in tiles:
                     assert tile.start % u == 0 and tile.length == u
-
-    def test_partition_rejects_unaligned_windows(self, rng):
-        from repro.common.errors import TemporalQueryError
-
-        for _ in range(ROUNDS // 8):
-            for u, scheme in self._schemes(rng):
-                if u == 1:
-                    continue  # every window is aligned at u = 1
-                window = TimeInterval(rng.randrange(0, 3) * u + 1, 5 * u)
-                with pytest.raises(TemporalQueryError):
-                    scheme.partition(window)
 
     def test_partition_clipped_tiles_the_window_exactly(self, rng):
         for _ in range(ROUNDS // 8):
@@ -131,7 +120,7 @@ class TestSchemePartitionProperties:
             for u, scheme in self._schemes(rng):
                 k = rng.randrange(0, 4)
                 window = TimeInterval(k * u, (k + rng.randrange(1, 5)) * u)
-                tiles = scheme.partition(window)
+                tiles = scheme.partition_clipped(window)
                 for t in sorted(points(window))[:: max(1, u // 2)]:
                     home = scheme.interval_for(t)
                     assert home in tiles, (str(window), t)

@@ -143,17 +143,14 @@ class TestIntervalForBoundaries:
         ]
 
     def test_partition(self):
+        # An aligned window clips nothing: whole u-length tiles.
         scheme = FixedIntervalScheme(50)
-        parts = scheme.partition(TimeInterval(100, 250))
+        parts = scheme.partition_clipped(TimeInterval(100, 250))
         assert parts == [
             TimeInterval(100, 150),
             TimeInterval(150, 200),
             TimeInterval(200, 250),
         ]
-
-    def test_partition_requires_alignment(self):
-        with pytest.raises(TemporalQueryError, match="not aligned"):
-            FixedIntervalScheme(50).partition(TimeInterval(10, 100))
 
 
 @given(t=st.integers(min_value=1, max_value=10**9), u=st.integers(min_value=1, max_value=10**6))

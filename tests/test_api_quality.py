@@ -139,6 +139,31 @@ def test_no_module_imports_a_concurrency_primitive():
     )
 
 
+#: What reads the peer's clock, entropy or environment.
+ENVIRONMENT_MODULES = ("os", "time", "random", "uuid", "datetime", "secrets")
+
+
+def test_no_chaincode_module_reads_its_environment():
+    """Every endorsing peer must compute the same write set from the
+    same proposal.  A chaincode that reads a clock, a random source or
+    an environment variable (even only to decide *whether* to write) is
+    endorsed differently on two peers, and a single-peer test never sees
+    it.  Inputs reach a chaincode through its arguments and the stub."""
+    offending = {}
+    for module_name in ("repro.fabric.chaincode", "repro.temporal.chaincodes"):
+        found = sorted(
+            name
+            for name in imported_names(module_name)
+            if any(
+                name == banned or name.startswith(banned + ".")
+                for banned in ENVIRONMENT_MODULES
+            )
+        )
+        if found:
+            offending[module_name] = found
+    assert not offending
+
+
 def test_package_exposes_version():
     assert repro.__version__
 

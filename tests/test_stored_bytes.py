@@ -13,12 +13,20 @@ clean close truncates the WAL; ``tests/storage/test_write_batch.py``
 holds its bytes to the put-per-item path.)  The MSP secrets are
 the one random input: they are fixed here, so signatures, hashes and
 every stored byte are a function of the code alone.
+
+A function of the code alone also means of no per-process state: the
+last test builds the same ledgers in two interpreters with different
+string-hash seeds, where anything stored in ``set`` or ``dict``-of-hash
+order comes out differently.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.common import metrics as metric_names
@@ -48,12 +56,15 @@ def directory_digest(root: Path) -> str:
     return hasher.hexdigest()
 
 
-def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch):
+def fixed_urandom():
+    """An ``os.urandom`` stand-in that hands out the same MSP secrets in
+    every process."""
     secrets = itertools.count()
-    monkeypatch.setattr(
-        "repro.fabric.identity.os.urandom",
-        lambda size: hashlib.sha256(b"msp-%d" % next(secrets)).digest()[:size],
-    )
+    return lambda size: hashlib.sha256(b"msp-%d" % next(secrets)).digest()[:size]
+
+
+def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.fabric.identity.os.urandom", fixed_urandom())
     config = FabricConfig(
         state_db=StateDbConfig(backend="lsm", memtable_limit=37, compaction_trigger=3),
     )
@@ -72,3 +83,37 @@ def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch):
     # Tables were flushed and compacted: SSTables and manifest are covered.
     assert metrics.counter(metric_names.KV_COMPACTIONS) > 0
     assert directory_digest(tmp_path / "net") == DIGEST
+
+
+#: Run in a child interpreter: build a plain ledger indexed by M1 and an
+#: M2 ledger under ``argv[1]``, print each directory's digest.
+HASH_SEED_CHILD = """
+import sys
+from pathlib import Path
+import repro.fabric.identity as identity
+from tests.helpers import build_m1_index, build_m2_network, build_plain_network, small_workload
+from tests.test_stored_bytes import directory_digest, fixed_urandom
+identity.os.urandom = fixed_urandom()
+root, data = Path(sys.argv[1]), small_workload()
+plain = build_plain_network(root / "plain", data)
+build_m1_index(plain, 0, 1_000, 100)
+plain.close()
+build_m2_network(root / "m2", data, u=100).close()
+print(directory_digest(root / "plain"), directory_digest(root / "m2"))
+"""
+
+
+def test_stored_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    digests = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo)]))
+        child = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_CHILD, str(tmp_path / seed)],
+            env=env, cwd=repo, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        digests[seed] = child.stdout.split()
+        assert len(digests[seed]) == 2, child.stdout
+    assert digests["1"] == digests["2"]

@@ -41,8 +41,10 @@ class TestConfigValidation:
             make_config(events_per_key=100, t_max=150)
 
     def test_unknown_distribution_rejected(self):
-        with pytest.raises(WorkloadError):
-            make_config(distribution="gaussian")
+        # "burst" was a distribution once; its sampler is deleted.
+        for distribution in ("gaussian", "burst"):
+            with pytest.raises(WorkloadError):
+                make_config(distribution=distribution)
 
     def test_derived_counts(self):
         config = make_config()
