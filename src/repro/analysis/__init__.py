@@ -1,9 +1,7 @@
 """repro-lint: AST-based durability analysis.
 
-The crash-recovery guarantees only hold if every durable write keeps
-going through the :class:`~repro.faults.fs.FileSystem` seam, fsyncs
-before it renames, and closes its seam handles on every path.  The
-fault harness cannot see a write that bypasses the seam, and no
+The crash-recovery guarantees only hold if every durable write fsyncs
+before it renames and closes its seam handles on every path.  No
 tier-1 test kills the process right after a rename, so this package
 turns those conventions into repo-native static-analysis rules that
 CI enforces.  The one rule table

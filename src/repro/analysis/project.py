@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.analysis.findings import Finding
 
 #: Per-line suppression: a comment that *starts* ``# repro-lint:
-#: disable=DUR001,RES001`` (or ``disable=all``).  Honored on the flagged
+#: disable=DUR002,RES001`` (or ``disable=all``).  Honored on the flagged
 #: line itself or on a standalone comment line directly above it; the
 #: same text quoted in a docstring or inside another comment is not one.
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")

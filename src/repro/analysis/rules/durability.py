@@ -1,36 +1,23 @@
-"""DUR001/DUR002: durable writes must follow the crash-safety convention.
+"""DUR002: a rename must finalize a file that was fsynced first.
 
-PR 1's crash-recovery guarantees rest on two conventions that nothing
-else enforces:
+Atomic finalization is write-temp / flush+fsync / rename.  Renaming a
+temp file whose bytes may still sit in the page cache re-orders against
+the metadata update on many filesystems, so a power loss can leave the
+*final* name with truncated content -- exactly the subtle failure mode
+the state-db literature warns about.  The rule requires a
+``*.fsync(...)`` call before any ``fs.replace(...)`` in the same
+function (conditional fsyncs satisfy it: the ``durability="flush"``
+configuration loosens the guarantee on purpose).
 
-* **DUR001 -- use the seam.**  Every durable write goes through a
-  :class:`~repro.faults.fs.FileSystem` object (``fs.open``,
-  ``fs.replace``, ``fs.remove``) so the fault harness can interpose.
-  A raw write-mode ``open()``, ``os.replace``/``os.rename``, or
-  ``Path.write_text``/``write_bytes`` in the write path is invisible to
-  the kill-point sweep: the tests would keep passing while the new code
-  path silently loses data on a real crash.
-
-* **DUR002 -- fsync before rename.**  Atomic finalization is
-  write-temp / flush+fsync / rename.  Renaming a temp file whose bytes
-  may still sit in the page cache re-orders against the metadata update
-  on many filesystems, so a power loss can leave the *final* name with
-  truncated content -- exactly the subtle failure mode the state-db
-  literature warns about.  The rule requires a ``*.fsync(...)`` call
-  before any ``fs.replace(...)`` in the same function (conditional
-  fsyncs satisfy it: the ``durability="flush"`` configuration loosens
-  the guarantee on purpose).
-
-Both rules only police the write path -- ``repro/storage/``,
-``repro/fabric/`` and ``repro/faults/`` -- and skip
-``repro/faults/fs.py`` itself, which *is* the seam and legitimately
-calls the builtins.  Read-mode opens are always fine.
+The rule only polices the write path -- ``repro/storage/``,
+``repro/fabric/`` and ``repro/faults/`` -- and skips
+``repro/faults/fs.py`` itself, which *is* the seam.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.findings import Finding
 from repro.analysis.project import Project, SourceFile
@@ -39,31 +26,11 @@ from repro.analysis.registry import Rule, register
 _SCOPES = ("repro/storage/", "repro/fabric/", "repro/faults/")
 _SEAM_IMPLEMENTATION = "repro/faults/fs.py"
 
-_WRITE_MODE_CHARS = set("wax+")
-_PATH_WRITE_METHODS = {"write_text", "write_bytes"}
-
 
 def _in_write_path(relpath: str) -> bool:
     if relpath.endswith(_SEAM_IMPLEMENTATION):
         return False
     return any(scope in relpath for scope in _SCOPES)
-
-
-def _open_mode(call: ast.Call) -> Optional[str]:
-    """The literal mode of an ``open()`` call (default ``"r"``), or
-    ``None`` when the mode is not a string literal."""
-    mode_node: Optional[ast.expr] = None
-    if len(call.args) >= 2:
-        mode_node = call.args[1]
-    else:
-        for keyword in call.keywords:
-            if keyword.arg == "mode":
-                mode_node = keyword.value
-    if mode_node is None:
-        return "r"
-    if isinstance(mode_node, ast.Constant) and isinstance(mode_node.value, str):
-        return mode_node.value
-    return None
 
 
 def _receiver_is_filesystem(node: ast.expr) -> bool:
@@ -76,51 +43,6 @@ def _receiver_is_filesystem(node: ast.expr) -> bool:
     else:
         return False
     return name.lower() == "fs" or name.lower().endswith("_fs") or name.endswith("FS")
-
-
-@register
-class SeamBypassRule(Rule):
-    """DUR001: no durable write may bypass the FileSystem seam."""
-
-    rule_id = "DUR001"
-
-    def applies_to(self, relpath: str) -> bool:
-        return _in_write_path(relpath)
-
-    def check_file(self, source: SourceFile, project: Project) -> List[Finding]:
-        if source.tree is None:
-            return []
-        findings: List[Finding] = []
-
-        def flag(node: ast.AST, what: str) -> None:
-            findings.append(
-                Finding(
-                    path=source.relpath,
-                    line=node.lineno,  # type: ignore[attr-defined]
-                    rule_id=self.rule_id,
-                    message=(
-                        f"{what} bypasses the FileSystem seam; route it "
-                        "through fs.open/fs.replace so the fault harness "
-                        "(and the kill-point sweep) can see the write"
-                    ),
-                )
-            )
-
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                mode = _open_mode(node)
-                if mode is None or _WRITE_MODE_CHARS & set(mode):
-                    described = "a non-literal mode" if mode is None else f"mode {mode!r}"
-                    flag(node, f"raw open() with {described}")
-            elif isinstance(func, ast.Attribute) and func.attr in {"replace", "rename"}:
-                if isinstance(func.value, ast.Name) and func.value.id == "os":
-                    flag(node, f"os.{func.attr}()")
-            elif isinstance(func, ast.Attribute) and func.attr in _PATH_WRITE_METHODS:
-                flag(node, f".{func.attr}()")
-        return findings
 
 
 @register

@@ -25,7 +25,7 @@ it -- move the close into ``finally`` or use ``with``).
 
 The seam implementation itself (``repro/faults/fs.py``) is exempt, as
 are receivers that do not look like a FileSystem (the same ``fs`` /
-``*_fs`` naming heuristic DUR001/DUR002 rely on).
+``*_fs`` naming heuristic DUR002 relies on).
 """
 
 from __future__ import annotations

@@ -140,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser(
         "lint",
         help="repro-lint: AST analysis of the durable write path "
-        "(FileSystem-seam bypasses, fsync-before-rename, "
-        "seam-handle lifetimes)",
+        "(fsync-before-rename, seam-handle lifetimes)",
         description="Run the repro-lint static analyzer.",
         epilog="exit codes: 0 = clean, 1 = new findings, "
         "2 = usage error (unknown rule, bad path)",

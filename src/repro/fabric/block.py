@@ -456,6 +456,15 @@ class _Frame(NamedTuple):
         return parts
 
 
+class _PlainJson:
+    """Decodes a segment as plain JSON, without the codec's hooks."""
+
+    decode = staticmethod(json.loads)
+
+
+_PLAIN_JSON = _PlainJson()
+
+
 def _unreadable_frame(payload: bytes) -> str:
     """Why ``payload`` is not a :data:`FRAME_MAGIC` frame, naming the
     older format it is in."""
@@ -850,6 +859,35 @@ class Block:
         except (TypeError, ValueError, KeyError, AttributeError):
             raise _malformed("a transaction's head, body or write") from None
         return header.number, written
+
+    def first_undecodable(self) -> Optional[Tuple[Optional[int], Optional[str]]]:
+        """Where a lazy block first fails to decode, one segment at a time:
+        ``(None, None)`` for the header, ``(tx_index, None)`` for a
+        transaction's head or body, ``(tx_index, key)`` for a write, its
+        key read as plain JSON (without the codec's hooks, which are what
+        refused it).  ``None`` when every segment decodes alone, or the
+        block is not framed.  ``repro doctor`` names a block that will
+        not open with it; no read path calls it."""
+        frame = self._frame
+        if frame is None:
+            return None
+        tx_index: Optional[int] = None
+        index = 0
+        try:
+            frame.segment(0)
+            for tx_index, count in enumerate(frame.writes):
+                for index in range(index + 1, index + 3 + count):
+                    frame.segment(index)
+        except CodecError:
+            if tx_index is None or index < frame.head(tx_index) + 2:
+                return tx_index, None
+            try:
+                write = frame._replace(codec=_PLAIN_JSON).segment(index)
+            except ValueError:
+                return tx_index, None
+            key = write[0] if type(write) is list and write else None
+            return tx_index, key if type(key) is str else None
+        return None
 
     def _materialize(self) -> List[Transaction]:
         """Decode everything still framed -- header included -- with one

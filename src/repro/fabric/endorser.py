@@ -13,9 +13,7 @@ from typing import Any, Dict, List, Tuple
 from repro.common.errors import EndorsementError, FaultInjectionError, ReproError
 from repro.fabric import crypto
 from repro.fabric.block import Transaction
-from repro.fabric.blockstore import BlockStore
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
-from repro.fabric.historydb import HistoryDB
 from repro.fabric.identity import Identity
 from repro.fabric.statedb import StateDB
 
@@ -23,25 +21,14 @@ from repro.fabric.statedb import StateDB
 class Endorser:
     """Simulates proposals on behalf of one peer identity."""
 
-    def __init__(
-        self,
-        identity: Identity,
-        state_db: StateDB,
-        history_db: HistoryDB,
-        block_store: BlockStore,
-    ) -> None:
+    def __init__(self, identity: Identity, state_db: StateDB) -> None:
         self._identity = identity
         self._state_db = state_db
-        self._history_db = history_db
-        self._block_store = block_store
         self._chaincodes: Dict[str, Chaincode] = {}
         self._tx_occurrences: Dict[Tuple[str, int], int] = {}
 
     def install(self, chaincode: Chaincode) -> None:
         self._chaincodes[chaincode.name] = chaincode
-
-    def installed(self, name: str) -> bool:
-        return name in self._chaincodes
 
     def endorse(
         self,
@@ -63,8 +50,6 @@ class Endorser:
         tx_id = self._next_tx_id(creator, timestamp)
         stub = ChaincodeStub(
             state_db=self._state_db,
-            history_db=self._history_db,
-            block_store=self._block_store,
             tx_id=tx_id,
             timestamp=timestamp,
             creator=creator,

@@ -1,17 +1,17 @@
-"""Client-side SDK: submit and evaluate transactions through the network.
+"""Client-side SDK: submit transactions through the network.
 
 ``submit_transaction`` runs the full write path (endorse, order, commit
-when a block is cut); ``evaluate_transaction`` runs chaincode against the
-peer without submitting anything (Fabric's query path).
+when a block is cut).  Reads go to the ledger directly
+(``network.ledger``), not through chaincode.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from repro.fabric.endorser import Endorser
 from repro.fabric.identity import Identity
 from repro.fabric.orderer import SoloOrderer
-from repro.fabric.peer import Peer
 
 
 class SubmitResult:
@@ -38,8 +38,10 @@ class Gateway:
     transaction stays in its block; nothing resubmits it.
     """
 
-    def __init__(self, peer: Peer, orderer: SoloOrderer, identity: Identity) -> None:
-        self._peer = peer
+    def __init__(
+        self, endorser: Endorser, orderer: SoloOrderer, identity: Identity
+    ) -> None:
+        self._endorser = endorser
         self._orderer = orderer
         self._identity = identity
 
@@ -55,26 +57,12 @@ class Gateway:
         The block containing the transaction commits when the orderer cuts
         it (batch full) or on :meth:`flush`.
         """
-        tx, response = self._peer.endorse(
+        tx, response = self._endorser.endorse(
             chaincode, fn, list(args or []), creator=self._identity.name,
             timestamp=timestamp,
         )
         self._orderer.submit(tx)
         return SubmitResult(tx_id=tx.tx_id, response=response)
-
-    def evaluate_transaction(
-        self,
-        chaincode: str,
-        fn: str,
-        args: Optional[List[Any]] = None,
-        timestamp: int = 0,
-    ) -> Any:
-        """Run chaincode as a query: nothing is ordered or committed."""
-        _, response = self._peer.endorse(
-            chaincode, fn, list(args or []), creator=self._identity.name,
-            timestamp=timestamp,
-        )
-        return response
 
     def flush(self) -> None:
         """Force the orderer to cut any pending partial block."""

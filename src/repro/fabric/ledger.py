@@ -78,7 +78,7 @@ class Ledger:
 
     def rewire_validator(self, signature_check) -> None:
         """Rebuild the validator with an endorsement-signature check
-        (the peer calls this once its endorser exists)."""
+        (``FabricNetwork`` calls this once its endorser exists)."""
         self._validator = Validator(self.state_db.get_version, signature_check)
 
     def _recover(self) -> None:
@@ -211,8 +211,8 @@ class Ledger:
     def state_fingerprint(self) -> str:
         """SHA-256 over every committed state (key, value, version).
 
-        Two honest peers that committed the same chain have identical
-        fingerprints; used to check replica convergence.
+        Two ledgers that committed the same chain have identical
+        fingerprints; a state-db edited behind the chain's back does not.
         """
         import hashlib
         import json

@@ -7,9 +7,9 @@ block or by an *earlier transaction in the same block*.  Invalid
 transactions stay in the block (the chain is append-only) but their
 writes are not applied.
 
-The recorded read/write sets are the validator's only input: a read that
-never enters a read set (``get_history_for_key``) is not checked, so it
-can change no validation code.
+The recorded read/write sets are the validator's only input; a chaincode
+reads state only through ``ChaincodeStub.get_state``, which records every
+read it makes.
 """
 
 from __future__ import annotations

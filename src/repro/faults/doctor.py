@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from repro.common.codec import Codec, JsonCodec
 from repro.common.config import FabricConfig
 from repro.common.errors import IndexingError, ReproError, WalCorruptionError
 from repro.fabric.audit import Finding, audit_ledger
@@ -107,8 +108,9 @@ def run_doctor(
     try:
         ledger = Ledger(path, config=config)
     except ReproError as exc:
-        report.add("error", "recovery-failed", f"ledger will not open: {exc}")
-        report.height = _records_on_disk(path)
+        report.height, undecodable = _chain_on_disk(path)
+        where = f" ({undecodable} does not decode)" if undecodable else ""
+        report.add("error", "recovery-failed", f"ledger will not open: {exc}{where}")
         return report
     try:
         report.height = ledger.height
@@ -148,23 +150,53 @@ def _check_raw_storage(path: Path, report: DoctorReport) -> None:
             )
 
 
-def _records_on_disk(path: Path) -> int:
-    """The chain height the block files hold: their intact records, up to
-    the first damaged one.  Reads only -- the block store's own open
-    creates files and appends to its index."""
+def _chain_on_disk(path: Path) -> Tuple[int, Optional[str]]:
+    """The chain height the block files hold -- their intact records, up
+    to the first damaged one -- and where the first of those records
+    fails to decode as a reopen decodes it: ``block N``, with the
+    transaction and key where a segment-by-segment walk reaches them.
+    Reads only -- the block store's own open creates files and appends to
+    its index -- and repairs or skips nothing."""
     from repro.common.errors import BlockFileError
     from repro.storage.blockfile import latest_file_num, scan_files
 
     chains = path / "ledger" / "chains"
     if not chains.is_dir():
-        return 0
+        return 0, None
+    codec = JsonCodec()
     height = 0
+    undecodable: Optional[str] = None
     try:
-        for _ in scan_files(chains, 0, 0, latest_file_num(chains)):
+        for _, payload in scan_files(chains, 0, 0, latest_file_num(chains)):
+            if undecodable is None:
+                undecodable = _undecodable(height, payload, codec)
             height += 1
     except BlockFileError:
         pass  # the damage is the recovery-failed finding; count the prefix
-    return height
+    return height, undecodable
+
+
+def _undecodable(number: int, payload: bytes, codec: Codec) -> Optional[str]:
+    """``None`` when record ``number`` decodes whole (its history keys,
+    then every transaction), else where it fails."""
+    from repro.fabric.block import Block
+
+    block = None
+    try:
+        block = Block.from_payload(payload, codec)
+        block.history_keys()
+        list(block.transactions)
+        return None
+    except ReproError:
+        spot = block.first_undecodable() if block is not None else None
+    where = f"block {number}"
+    if spot is None:
+        return where
+    tx_index, key = spot
+    if tx_index is None:
+        return f"{where}, header"
+    where += f", transaction {tx_index}"
+    return where if key is None else f"{where}, key {key!r}"
 
 
 def _check_m1(ledger, report: DoctorReport) -> None:

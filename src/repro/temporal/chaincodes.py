@@ -88,9 +88,6 @@ class SupplyChainChaincode(Chaincode):
             validate_transition(current, event)
             stub.put_state(event.key, event.to_value())
             return {"key": event.key, "t": event.time}
-        if fn == "get_current":
-            (key,) = args
-            return stub.get_state(key)
         raise ChaincodeError(f"unknown function {fn!r} on {self.name!r}")
 
 
@@ -145,10 +142,6 @@ class M2SupplyChainChaincode(Chaincode):
             validate_transition(current, event)
             stub.put_state(self._transformed_key(key, time), event.to_value())
             return {"key": key, "t": time}
-        if fn == "get_current_base":
-            key, now = args
-            value, probes = walk_back(stub.get_state, self.scheme, key, now)
-            return {"value": value, "probes": probes}
         raise ChaincodeError(f"unknown function {fn!r} on {self.name!r}")
 
 

@@ -38,6 +38,11 @@ BOUND_CAP = 10 ** _WIDTH
 _FIELD = f"%0{_WIDTH}d"
 _SUFFIX = SEPARATOR + _FIELD + SEPARATOR + _FIELD
 
+#: Exclusive upper bound of a prefix scan (the engines' ``list_keys``):
+#: Fabric's ``maxUnicodeRuneValue``, the largest code point the text after
+#: the prefix can start with.
+MAX_UNICODE_RUNE = "\U0010ffff"
+
 
 def validate_base_key(key: str) -> str:
     """Reject keys that would break composite encoding."""

@@ -46,7 +46,6 @@ from repro.common import metrics as metric_names
 from repro.common.errors import IndexingError, TemporalQueryError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.common.timeutils import Stopwatch
-from repro.fabric.chaincode import MAX_UNICODE_RUNE
 from repro.fabric.gateway import Gateway
 from repro.fabric.ledger import Ledger
 from repro.faults.crashpoints import (
@@ -62,6 +61,7 @@ from repro.temporal.events import Event, events_from_values, events_to_values
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import (
     BOUND_CAP,
+    MAX_UNICODE_RUNE,
     decode_interval_key,
     encode_interval_key,
     interval_key_suffix,

@@ -28,12 +28,12 @@ from typing import Any, Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.common import metrics as metric_names
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.fabric.chaincode import MAX_UNICODE_RUNE
 from repro.fabric.historydb import HistoryEntry
 from repro.fabric.ledger import Ledger
 from repro.temporal.events import Event
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import (
+    MAX_UNICODE_RUNE,
     SEPARATOR,
     bound_field,
     decode_interval_key,

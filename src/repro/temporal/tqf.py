@@ -13,11 +13,10 @@ from typing import List
 
 from repro.common import metrics as metric_names
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.fabric.chaincode import MAX_UNICODE_RUNE
 from repro.fabric.ledger import Ledger
 from repro.temporal.events import Event
 from repro.temporal.intervals import TimeInterval
-from repro.temporal.keys import is_interval_key
+from repro.temporal.keys import MAX_UNICODE_RUNE, is_interval_key
 
 
 class TQFEngine:

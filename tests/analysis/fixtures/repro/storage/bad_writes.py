@@ -1,10 +1,8 @@
-"""Seam-bypassing writes (repro-lint test fixture): DUR001/DUR002.
+"""A rename before fsync (repro-lint test fixture): DUR002.
 
-Lives under a ``repro/storage/`` directory because the durability rules
-only police the write path.
+Lives under a ``repro/storage/`` directory because the durability rule
+only polices the write path.
 """
-
-import os
 
 
 def rewrite_without_fsync(fs, path, tmp_path, payload):
@@ -15,15 +13,3 @@ def rewrite_without_fsync(fs, path, tmp_path, payload):
     finally:
         handle.close()
     fs.replace(tmp_path, path)  # expect: DUR002
-
-
-def raw_writes(path, payload, text):
-    """Every durable-write builtin the seam is supposed to replace."""
-    with open(path, "wb") as handle:  # expect: DUR001
-        handle.write(payload)
-    os.replace(path, str(path) + ".bak")  # expect: DUR001
-    os.rename(str(path) + ".bak", path)  # expect: DUR001
-    path.write_text(text)  # expect: DUR001
-    mode = "a"
-    with open(path, mode) as handle:  # expect: DUR001
-        handle.write(text)

@@ -1,7 +1,7 @@
 """Seam-respecting writes (repro-lint test fixture): zero new findings.
 
-The suppressed raw open exercises the standalone previous-line comment
-form of the suppression syntax.
+The suppressed unsynced rename exercises the standalone previous-line
+comment form of the suppression syntax.
 """
 
 
@@ -34,9 +34,13 @@ def read_only(path):
         return handle.read()
 
 
-def legacy_debug_dump(path, text):
-    """A justified bypass, suppressed on the line above."""
-    # repro-lint: disable=DUR001
-    with open(path, "w") as handle:
+def legacy_debug_dump(fs, path, tmp_path, text):
+    """A justified unsynced rename, suppressed on the line above."""
+    handle = fs.open(tmp_path, "w")
+    try:
         handle.write(text)
+    finally:
+        handle.close()
+    # repro-lint: disable=DUR002
+    fs.replace(tmp_path, path)
     return "x".replace("a", "b")  # str.replace is not fs.replace

@@ -50,7 +50,7 @@ def test_json_format_is_machine_readable(project, capsys):
 
 
 def test_select_limits_the_rules(project, capsys):
-    assert main(lint_argv(project, "--select", "DUR001")) == 0
+    assert main(lint_argv(project, "--select", "DUR002")) == 0
     assert main(lint_argv(project, "--select", "RES001")) == 1
 
 
@@ -86,13 +86,13 @@ def test_explain_prints_rule_documentation(capsys):
     assert main(["lint", "--explain", "DUR002"]) == 0
     out = capsys.readouterr().out
     assert "DUR002" in out and "fsync" in out
-    # NOPE999 never existed; DET002 was deleted with its rule.
-    for unknown in ("NOPE999", "DET002"):
+    # NOPE999 never existed; DET002 and DUR001 were deleted with their rules.
+    for unknown in ("NOPE999", "DET002", "DUR001"):
         assert main(["lint", "--explain", unknown]) == 2
         captured = capsys.readouterr()  # a usage error: stderr, like the others
         assert captured.out == "" and f"unknown rule {unknown!r}" in captured.err
 
 
 def test_explain_matches_case_insensitively_like_select(capsys):
-    assert main(["lint", "--explain", "dur001"]) == 0
-    assert capsys.readouterr().out.startswith("DUR001:")
+    assert main(["lint", "--explain", "dur002"]) == 0
+    assert capsys.readouterr().out.startswith("DUR002:")

@@ -22,7 +22,7 @@ from tests.analysis.helpers import (
 
 def test_registry_exposes_the_documented_rule_families():
     rules = all_rules()
-    assert {"DUR001", "DUR002", "RES001"} == set(rules)
+    assert {"DUR002", "RES001"} == set(rules)
     for rule_id, rule_class in rules.items():
         assert rule_class.rule_id == rule_id
         assert rule_class.__doc__, f"{rule_id} has no docstring for --explain"
@@ -77,13 +77,12 @@ class TestDurability:
         )
 
     def test_rules_only_police_the_write_path(self, tmp_path):
-        # The same seam-bypassing code outside repro/storage|fabric|faults
-        # is none of DUR001/DUR002's business.
+        # The same unsynced rename outside repro/storage|fabric|faults is
+        # none of DUR002's business.
         elsewhere = tmp_path / "tools"
         elsewhere.mkdir()
         shutil.copy(FIXTURES / "repro" / "storage" / "bad_writes.py", elsewhere)
         result = run_lint([elsewhere], root=tmp_path)
-        assert not find_lines(result.new_findings, "DUR001")
         assert not find_lines(result.new_findings, "DUR002")
 
     def test_previous_line_suppression_form(self):
@@ -93,7 +92,7 @@ class TestDurability:
             for finding in result.suppressed
             if finding.path.endswith("good_writes.py")
         ]
-        assert find_lines(suppressed, "DUR001")
+        assert find_lines(suppressed, "DUR002")
 
 
 def _clone_real_tree(dest):
@@ -127,9 +126,8 @@ def _line_of(target, marker):
 
 class TestMutationAcceptance:
     """For each rule, the mutant from DESIGN.md §5's mutant tables that
-    only that rule convicts (plus a few more shapes of the same bugs),
-    seeded together into one clone of the real ``src/`` tree, which is
-    linted once with every rule.  Each finding must land at its
+    only that rule convicts, seeded together into one clone of the real
+    ``src/`` tree, which is linted once with every rule.  Each finding must land at its
     mutant's exact ``file:line``, and nothing else may fire."""
 
     @pytest.fixture(scope="class")
@@ -144,21 +142,6 @@ class TestMutationAcceptance:
         # DUR002 (mutant B): the SSTable writer flushes its temp file but
         # never fsyncs it before the rename.
         _edit(sstable, "            fs.fsync(handle)\n", "            handle.flush()\n")
-        # DUR001: the LSM manifest written straight to its final name
-        # instead of renaming the staged copy, bypassing the seam
-        # (FaultyFS can neither tear nor drop it).
-        _edit(
-            lsm,
-            "        self._fs.replace(tmp, manifest)\n",
-            "        manifest.write_bytes(payload)  # mutant: raw write\n",
-        )
-        (repro / "storage" / "sneaky.py").write_text(
-            '"""A write path added without the seam."""\n\n\n'
-            "def persist(path, data):\n"
-            '    """Writes directly -- invisible to the fault harness."""\n'
-            '    with open(path, "wb") as handle:\n'
-            "        handle.write(data)\n"
-        )
         # RES001: the LSM manifest's temp handle closed only on the happy
         # path, so a failed write or fsync leaks it.
         _edit(
@@ -182,8 +165,6 @@ class TestMutationAcceptance:
 
         expected = {
             "sstable_fsync": at("DUR002", sstable, "fs.replace(tmp_path, path)"),
-            "raw_manifest": at("DUR001", lsm, "# mutant: raw write"),
-            "raw_open": at("DUR001", repro / "storage" / "sneaky.py", "open(path"),
             "leaked_handle": at("RES001", lsm, "# mutant: leak"),
         }
         result = run_lint([clone / "src"], root=clone)
@@ -215,19 +196,6 @@ class TestMutationAcceptance:
         result, expected = mutants
         assert expected["sstable_fsync"][1:] == ("src/repro/storage/kv/sstable.py", 112)
         assert "never fsynced" in self._message(result, expected["sstable_fsync"])
-
-    def test_raw_manifest_write_fails_the_lint(self, mutants):
-        # Tier-1 stays green: a write FaultyFS never sees is one it can
-        # never tear, so every crash test recovers.
-        result, expected = mutants
-        assert ".write_bytes() bypasses the FileSystem seam" in self._message(
-            result, expected["raw_manifest"]
-        )
-
-    def test_injected_raw_open_fails_the_lint(self, mutants):
-        result, expected = mutants
-        assert expected["raw_open"][2] == 6
-        assert "raw open() with mode 'wb'" in self._message(result, expected["raw_open"])
 
     def test_leaked_seam_handle_fails_the_lint(self, mutants):
         result, expected = mutants

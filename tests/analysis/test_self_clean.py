@@ -1,9 +1,9 @@
 """The dogfood invariant: this repository passes its own analyzer.
 
-This is the tier-1 enforcement of what the CI lint job checks -- a new
-seam bypass, a rename before fsync, or a seam handle closed only on the
-happy path anywhere under ``src/`` fails the test suite even on machines
-that never run CI.
+This is the tier-1 enforcement of what the CI lint job checks -- a
+rename before fsync or a seam handle closed only on the happy path
+anywhere under ``src/`` fails the test suite even on machines that never
+run CI.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ class TestHealthyLedger:
         # The primary network fixture path holds the ledger; reopening a
         # second Ledger on it must also audit clean (memory state-db is
         # rebuilt from blocks).
-        path = network.peer.ledger.block_store._files.path.parent.parent
+        path = network.ledger.block_store._files.path.parent.parent
         reopened = Ledger(path)
         assert audit_ledger(reopened).ok
         reopened.close()

@@ -729,6 +729,32 @@ class TestMalformedFrames:
                     read(Block.from_payload(framed, codec))
 
 
+
+def test_first_undecodable_names_the_first_segment_that_does_not_decode(monkeypatch):
+    """``repro doctor``'s locator decodes a framed block one segment at a
+    time and names the first that raises: its transaction and, for a
+    write, the write's key."""
+    from repro.common.codec import BYTES_TAG
+    from repro.fabric import block as block_module
+
+    monkeypatch.setattr(block_module, "_holds_bytes_tag", lambda value: False)
+    codec = JsonCodec()
+    tag = {BYTES_TAG: 5}
+    good = make_tx("tx-0", key="a")
+    in_write = make_tx("tx-1", key="b", value=tag)
+    in_body = make_tx("tx-2", key="c")
+    in_body.event_name, in_body.event_payload = "e", tag
+
+    def locate(*txs):
+        payload = make_block(txs=list(txs)).to_payload(codec)
+        return Block.from_payload(payload, codec).first_undecodable()
+
+    assert locate(good) is None
+    assert locate(good, in_write) == (1, "b")
+    assert locate(good, in_body, in_write) == (1, None)
+    assert make_block().first_undecodable() is None  # nothing framed to walk
+
+
 class TestHistoryKeys:
     """``Block.history_keys`` -- what the history index is built from --
     read from a frame equals the eager block's, and fails on a malformed

@@ -1,10 +1,10 @@
-"""Tests for chaincode events and block/event listeners."""
+"""Tests for chaincode events and block listeners."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ChaincodeError, EndorsementError
+from repro.common.errors import EndorsementError
 from repro.fabric.block import Transaction
 from repro.fabric.network import FabricNetwork
 from tests.helpers import fabric_config
@@ -20,10 +20,6 @@ class _EventingChaincode:
             key, value = args
             stub.put_state(key, value)
             stub.set_event("written", {"key": key})
-            return value
-        if fn == "put_quiet":
-            key, value = args
-            stub.put_state(key, value)
             return value
         if fn == "double_event":
             stub.set_event("first", 1)
@@ -44,39 +40,12 @@ def network(tmp_path):
 
 
 class TestChaincodeEvents:
-    def test_event_delivered_to_listener(self, network):
-        received = []
-        network.on_chaincode_event(
-            "eventing", lambda tx, name, payload: received.append((name, payload))
-        )
-        gateway = network.gateway("c")
-        gateway.submit_transaction("eventing", "put", ["k1", "v"], timestamp=1)
-        gateway.submit_transaction("eventing", "put", ["k2", "v"], timestamp=2)
-        gateway.flush()
-        assert received == [
-            ("written", {"key": "k1"}),
-            ("written", {"key": "k2"}),
-        ]
-
-    def test_no_event_no_delivery(self, network):
-        received = []
-        network.on_chaincode_event(
-            "eventing", lambda tx, name, payload: received.append(name)
-        )
-        gateway = network.gateway("c")
-        gateway.submit_transaction("eventing", "put_quiet", ["k", "v"], timestamp=1)
-        gateway.flush()
-        assert received == []
-
     def test_later_event_replaces_earlier(self, network):
-        received = []
-        network.on_chaincode_event(
-            "eventing", lambda tx, name, payload: received.append((name, payload))
-        )
         gateway = network.gateway("c")
         gateway.submit_transaction("eventing", "double_event", [], timestamp=1)
         gateway.flush()
-        assert received == [("second", 2)]
+        (tx,) = network.ledger.block_store.get_block(0).transactions
+        assert (tx.event_name, tx.event_payload) == ("second", 2)
 
     def test_empty_event_name_rejected(self, network):
         gateway = network.gateway("c")
@@ -93,18 +62,6 @@ class TestChaincodeEvents:
         assert tx.event_payload == {"key": "k"}
         restored = Transaction.from_dict(tx.to_dict())
         assert restored.event_name == "written"
-
-    def test_invalidated_tx_event_dropped(self, network):
-        """Events from transactions that fail validation never fire."""
-        received = []
-        network.on_chaincode_event(
-            "eventing", lambda tx, name, payload: received.append(name)
-        )
-        tx, _ = network.peer.endorse("eventing", "put", ["k", "v"], "mallory", 1)
-        tx.signature = b"forged"
-        network.orderer.submit(tx)
-        network.orderer.flush()
-        assert received == []
 
 
 class TestBlockListeners:

@@ -151,7 +151,7 @@ class TestRecoveryAfterDamage:
         result = gateway.submit_transaction("kv", "put", ["k", "honest"], timestamp=1)
         gateway.flush()
 
-        tx, _ = network.peer.endorse("kv", "put", ["k", "forged"], "mallory", 2)
+        tx, _ = network.endorser.endorse("kv", "put", ["k", "forged"], "mallory", 2)
         tx.signature = b"not-a-valid-signature"
         network.orderer.submit(tx)
         network.orderer.flush()

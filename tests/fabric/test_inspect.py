@@ -62,7 +62,7 @@ class TestCli:
     def test_inspect_command(self, network, capsys):
         # The network fixture's ledger lives in its workdir; inspect a copy
         # via the ledger path the network was built on.
-        path = network.peer.ledger.block_store._files.path.parent.parent
+        path = network.ledger.block_store._files.path.parent.parent
         exit_code = main(["inspect", str(path)])
         assert exit_code == 0
         assert "chain height" in capsys.readouterr().out

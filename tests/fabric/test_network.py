@@ -42,14 +42,6 @@ class TestSubmitPath:
             gateway.submit_transaction("kv", "put", [f"k{i}", i], timestamp=i)
         assert network.ledger.height == 1  # cut without explicit flush
 
-    def test_evaluate_does_not_commit(self, network):
-        gateway = network.gateway("alice")
-        gateway.submit_transaction("kv", "put", ["k", "v"], timestamp=1)
-        gateway.flush()
-        value = gateway.evaluate_transaction("kv", "get", ["k"])
-        assert value == "v"
-        assert network.ledger.height == 1  # the query added no block
-
     def test_unknown_chaincode_rejected(self, network):
         gateway = network.gateway("alice")
         with pytest.raises(EndorsementError, match="not installed"):
@@ -104,12 +96,24 @@ class TestQueries:
         keys = [k for k, _ in network.ledger.state_db.get_state_by_range("ship-", "ship-\xff")]
         assert keys == ["ship-1", "ship-2", "ship-3"]
 
-    def test_chaincode_history_query(self, network):
-        gateway = network.gateway("alice")
-        for i in range(3):
-            gateway.submit_transaction("kv", "put", ["k", i], timestamp=i)
+
+class TestFingerprint:
+    @staticmethod
+    def put_many(network, count, start=0):
+        gateway = network.gateway("writer")
+        for i in range(start, start + count):
+            gateway.submit_transaction("kv", "put", [f"k{i}", i], timestamp=i + 1)
         gateway.flush()
-        assert gateway.evaluate_transaction("kv", "history", ["k"]) == [0, 1, 2]
+
+    def test_fingerprint_changes_with_state(self, network):
+        self.put_many(network, 4)
+        before = network.ledger.state_fingerprint()
+        self.put_many(network, 4, start=10)
+        assert network.ledger.state_fingerprint() != before
+
+    def test_fingerprint_stable_for_same_state(self, network):
+        self.put_many(network, 4)
+        assert network.ledger.state_fingerprint() == network.ledger.state_fingerprint()
 
 
 class TestIntegrityAndRecovery:
@@ -212,9 +216,6 @@ class CounterChaincode(Chaincode):
             current = stub.get_state(key) or 0
             stub.put_state(key, current + 1)
             return current + 1
-        if fn == "get":
-            (key,) = args
-            return stub.get_state(key)
         raise ChaincodeError(f"unknown function {fn!r}")
 
 
@@ -236,5 +237,5 @@ def test_conflict_without_retries_stays_invalid(tmp_path):
         for tx in block.transactions
     }
     assert codes[result.tx_id] == MVCC_READ_CONFLICT
-    assert writer_b.evaluate_transaction("counter", "get", ["c"]) == 1
+    assert network.ledger.get_state("c") == 1
     network.close()

@@ -1,10 +1,9 @@
 """Stateful property test: the full transaction pipeline vs a model.
 
-A hypothesis rule-based state machine drives random puts, deletes,
-flushes, peer joins and even mid-run ledger rebuilds through the real
-endorse/order/validate/commit pipeline, checking after every step that
-the ledger's visible state matches a plain dict model and that all peers
-agree.
+A hypothesis rule-based state machine drives random puts, deletes and
+flushes through the real endorse/order/validate/commit pipeline,
+checking after every step that the ledger's visible state matches a
+plain dict model and that its chain verifies.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
 )
 from hypothesis import strategies as st
@@ -46,7 +44,6 @@ class PipelinePropertyMachine(RuleBasedStateMachine):
         #: Writes submitted but possibly not yet committed (pending batch).
         self.pending: dict = {}
         self.timestamp = 0
-        self.extra_peer = None
 
     @initialize()
     def start(self) -> None:
@@ -80,11 +77,6 @@ class PipelinePropertyMachine(RuleBasedStateMachine):
                 self.model.pop(key, None)
         self.pending.clear()
 
-    @precondition(lambda self: self.extra_peer is None)
-    @rule()
-    def join_second_peer(self) -> None:
-        self.extra_peer = self.network.add_peer("peer-extra")
-
     @invariant()
     def committed_state_matches_model(self) -> None:
         # Only committed (flushed) writes are visible; pending ones are
@@ -95,15 +87,6 @@ class PipelinePropertyMachine(RuleBasedStateMachine):
         for key in KEYS:
             expected = self.model.get(key)
             assert self.network.ledger.get_state(key) == expected, key
-
-    @invariant()
-    def peers_agree(self) -> None:
-        if self.pending or self.extra_peer is None:
-            return
-        assert (
-            self.extra_peer.ledger.state_fingerprint()
-            == self.network.ledger.state_fingerprint()
-        )
 
     @invariant()
     def chain_verifies(self) -> None:

@@ -144,12 +144,12 @@ class TestSignatureCheck:
 
     @pytest.mark.parametrize("signature", ["abc", None, 5], ids=["str", "none", "int"])
     def test_a_signature_that_is_not_bytes_is_a_bad_signature(self, tmp_path, signature):
-        """A well-framed block can carry a signature of any decoded type
-        (``Peer.sync_from``, ``commit_block``): the endorser's check says
-        no instead of raising out of ``hmac.compare_digest``."""
+        """A well-framed block handed to ``commit_block`` can carry a
+        signature of any decoded type: the endorser's check says no
+        instead of raising out of ``hmac.compare_digest``."""
         with FabricNetwork(tmp_path) as network:
             network.install(KeyValueChaincode())
-            endorser = network.peer.endorser
+            endorser = network.endorser
             good, _ = endorser.endorse("kv", "put", ["a", 1], creator="writer", timestamp=1)
             bad, _ = endorser.endorse("kv", "put", ["b", 2], creator="writer", timestamp=2)
             bad.signature = signature

@@ -131,6 +131,39 @@ def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
         assert directory_digest(tmp_path / name) == before
 
 
+def test_a_block_that_will_not_decode_is_named(tmp_path, monkeypatch):
+    """A ledger holding a value spelled as the codec's bytes tag -- as a
+    writer from before endorsement refused them could store -- will not
+    open.  The doctor names the block, transaction and key whose decode
+    raises, and changes nothing on disk."""
+    from repro.common.codec import BYTES_TAG
+    from repro.fabric import block as block_module
+    from tests.helpers import fabric_config
+    from tests.test_stored_bytes import directory_digest
+
+    path = tmp_path / "net"
+    monkeypatch.setattr(block_module, "_holds_bytes_tag", lambda value: False)
+    with FabricNetwork(path, config=fabric_config(max_message_count=1)) as network:
+        network.install(KeyValueChaincode())
+        gateway = network.gateway("writer")
+        for timestamp, (key, value) in enumerate(
+            [("a", 1), ("b", 2), ("bad", {BYTES_TAG: 5}), ("z", 3)], start=1
+        ):
+            # "bad" is the second write of its transaction, in key order.
+            gateway.submit_transaction(
+                "kv", "put_many", [["a0", 0], [key, value]], timestamp=timestamp
+            )
+    monkeypatch.undo()
+    before = directory_digest(path)
+    report = run_doctor(path)
+    assert not report.ok
+    (finding,) = [f for f in report.findings if f.code == "recovery-failed"]
+    assert "a bytes tag holds a value of type int" in finding.detail
+    assert "(block 2, transaction 0, key 'bad' does not decode)" in finding.detail
+    assert report.height == 4
+    assert directory_digest(path) == before
+
+
 def test_interrupted_m1_run_is_reported_until_rerun(tmp_path):
     """The doctor reads an interrupted indexing run off the ledger alone:
     bundles in history-db no recorded run covers, named by their span."""

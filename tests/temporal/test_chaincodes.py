@@ -55,15 +55,6 @@ class TestSupplyChainChaincode:
                 [["S00001", "C00001", 10, "l"], ["S00001", "C00001", 20, "ul"]],
             )
 
-    def test_get_current(self, network):
-        gateway = network.gateway("client")
-        gateway.submit_transaction(
-            "supplychain", "record_event", ["S00001", "C00001", 5, "l"], timestamp=5
-        )
-        gateway.flush()
-        value = gateway.evaluate_transaction("supplychain", "get_current", ["S00001"])
-        assert value["o"] == "C00001"
-
 
 class TestM2Chaincode:
     def test_key_transformed_to_interval_key(self, network):

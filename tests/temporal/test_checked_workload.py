@@ -169,15 +169,3 @@ class TestM2Checked:
                 "supplychain-m2", "record_event_checked", ["S1", "C2", 20, "l"],
                 timestamp=20,
             )
-
-    def test_get_current_base_chaincode_fn(self, m2_network):
-        gateway = m2_network.gateway("client")
-        gateway.submit_transaction(
-            "supplychain-m2", "record_event", ["S1", "C1", 10, "l"], timestamp=10
-        )
-        gateway.flush()
-        result = gateway.evaluate_transaction(
-            "supplychain-m2", "get_current_base", ["S1", 450]
-        )
-        assert result["value"]["o"] == "C1"
-        assert result["probes"] == 5  # (400,500] back to (0,100]
