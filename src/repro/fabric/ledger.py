@@ -19,7 +19,7 @@ from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, VALID, Block, Version, WriteValues
 from repro.fabric.blockstore import BlockStore
 from repro.fabric.historydb import HistoryDB, HistoryEntry
-from repro.fabric.statedb import BatchWrite, StateDB, StateValue
+from repro.fabric.statedb import BatchWrite, StateDB
 from repro.fabric.validator import Validator
 from repro.faults.crashpoints import (
     LEDGER_MID_STATE,
@@ -189,10 +189,6 @@ class Ledger:
         """Current value of ``key`` (Fabric GetState)."""
         state = self.state_db.get_state(key)
         return state.value if state else None
-
-    def get_state_entry(self, key: str) -> Optional[StateValue]:
-        """Current value *and version* of ``key``."""
-        return self.state_db.get_state(key)
 
     def get_history_for_key(self, key: str) -> Iterator[HistoryEntry]:
         """Fabric GHFK: lazy, oldest-first history iterator for ``key``."""

@@ -111,7 +111,3 @@ class SoloOrderer:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    @property
-    def next_block_number(self) -> int:
-        return self._next_number

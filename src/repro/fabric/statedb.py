@@ -11,8 +11,10 @@ State keys are strings.  Composite keys used by the temporal models embed
 under the byte-lexicographic order the KV layer provides.
 
 A read hands back the stored bytes wrapped in a :class:`StateValue`,
-decoded on first access (Fabric's ``KV.Value`` contract): the temporal
-engines scan thousands of states per query for their *keys* alone.
+decoded on first access (Fabric's ``KV.Value`` contract).  The temporal
+engines scan thousands of states per query for their *keys* alone, and
+read them through :meth:`StateDB.keys_in_range`: the same scan as
+:meth:`StateDB.get_state_by_range`, with no wrapper per state.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.storage.kv.api import BatchItem, KVStore
 #: detect whether state must be rebuilt from the block store on open
 #: (Fabric calls this the savepoint).
 SAVEPOINT_KEY = "\x01savepoint"
+_SAVEPOINT_RAW = SAVEPOINT_KEY.encode("utf-8")
 
 #: One write of a batch: the write, the version it commits at, and its
 #: value already encoded with the state-db's codec, or ``None`` when the
@@ -115,14 +118,27 @@ class StateDB:
         Empty ``start_key`` / ``end_key`` mean unbounded, as in Fabric's
         ``GetStateByRange``.  Values stay undecoded until read.
         """
+        codec = self._codec
+        for raw_key, raw_value in self._scan(start_key, end_key):
+            yield raw_key.decode("utf-8"), StateValue(raw_value, codec)
+
+    def keys_in_range(self, start_key: str, end_key: str) -> List[str]:
+        """The keys :meth:`get_state_by_range` would yield, as one list:
+        the same scan, without a ``StateValue`` per state for a caller
+        that reads keys alone (the engines' listings)."""
+        return [raw_key.decode("utf-8") for raw_key, _ in self._scan(start_key, end_key)]
+
+    def _scan(self, start_key: str, end_key: str) -> Iterator[Tuple[bytes, bytes]]:
+        """The one range scan under both views: counts a range-scan call,
+        encodes the bounds and leaves out the savepoint, which only a range
+        holding ``\\x01savepoint`` has to test each key against."""
         self._metrics.increment(metric_names.RANGE_SCAN_CALLS)
         start = self._encode_key(start_key) if start_key else None
         end = self._encode_key(end_key) if end_key else None
-        for raw_key, raw_value in self._store.scan(start, end):
-            key = raw_key.decode("utf-8")
-            if key == SAVEPOINT_KEY:
-                continue
-            yield key, StateValue(raw_value, self._codec)
+        entries = self._store.scan(start, end)
+        if (start is None or start <= _SAVEPOINT_RAW) and (end is None or _SAVEPOINT_RAW < end):
+            return (entry for entry in entries if entry[0] != _SAVEPOINT_RAW)
+        return entries
 
     # -- writes -------------------------------------------------------------
 
@@ -195,11 +211,7 @@ class StateDB:
 
     def state_count(self) -> int:
         """Number of live states (drives the paper's state-db-size costs)."""
-        count = 0
-        for raw_key, _ in self._store.scan(None, None):
-            if raw_key.decode("utf-8") != SAVEPOINT_KEY:
-                count += 1
-        return count
+        return sum(raw_key != _SAVEPOINT_RAW for raw_key, _ in self._store.scan(None, None))
 
     def close(self) -> None:
         self._store.close()

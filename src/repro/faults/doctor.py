@@ -255,7 +255,7 @@ def _check_m1(ledger, report: DoctorReport) -> None:
             "no recorded indexing run covers: an indexing run was "
             "interrupted; rerun M1Indexer.run over that range to finish it",
         )
-    for key in [key for key, _ in ledger.state_db.get_state_by_range("", "")]:
+    for key in ledger.state_db.keys_in_range("", ""):
         if bundle_interval(key) is not None:
             report.add(
                 "warning", "m1-unfinished-bundle",

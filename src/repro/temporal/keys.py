@@ -26,7 +26,9 @@ from repro.common.errors import TemporalQueryError
 from repro.temporal.intervals import TimeInterval
 
 SEPARATOR = "\x00"
-_RANGE_END = "\x01"
+#: The character after :data:`SEPARATOR`: ``k\x01`` is the exclusive end
+#: of base key ``k``'s interval keys.
+RANGE_END = "\x01"
 _WIDTH = 12
 
 #: Every interval bound spelled into a ``(k, θ)`` key is below this: the
@@ -48,7 +50,7 @@ def validate_base_key(key: str) -> str:
     """Reject keys that would break composite encoding."""
     if not key:
         raise TemporalQueryError("base key must be non-empty")
-    if SEPARATOR in key or _RANGE_END in key:
+    if SEPARATOR in key or RANGE_END in key:
         raise TemporalQueryError(
             f"base key {key!r} contains a reserved separator byte"
         )
@@ -109,5 +111,5 @@ def interval_key_range(base_key: str, before: Optional[int] = None) -> Tuple[str
     validate_base_key(base_key)
     prefix = base_key + SEPARATOR
     if before is None or before >= BOUND_CAP:
-        return prefix, base_key + _RANGE_END
+        return prefix, base_key + RANGE_END
     return prefix, prefix + bound_field(before)

@@ -231,9 +231,9 @@ class M1Indexer:
         by an interrupted run -- under this ``u`` or another -- whose
         ``clear_index`` never committed.
         """
-        scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
+        scan = self._ledger.state_db.keys_in_range(prefix, prefix + MAX_UNICODE_RUNE)
         # Listed before the first submit: a submit may commit a block.
-        left = [key for key, _ in scan if is_interval_key(key)]
+        left = [key for key in scan if is_interval_key(key)]
         for index_key in left:
             _, interval = decode_interval_key(index_key)
             if interval.overlaps(window):
@@ -356,17 +356,12 @@ class M1QueryEngine:
         raw = self._ledger.get_state(M1IndexChaincode.META_KEY) or []
         return [IndexingRun.from_value(item) for item in raw]
 
-    def indexed_until(self) -> int:
-        """Largest timestamp covered by any indexing run (0 when unindexed)."""
-        runs = self.indexing_runs()
-        return max((run.t2 for run in runs), default=0)
-
     # -- queries -------------------------------------------------------------
 
     def list_keys(self, prefix: str) -> List[str]:
         """Base entity keys (M1 leaves original state-db entries intact)."""
-        scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
-        return [key for key, _ in scan if not is_interval_key(key)]
+        scan = self._ledger.state_db.keys_in_range(prefix, prefix + MAX_UNICODE_RUNE)
+        return [key for key in scan if not is_interval_key(key)]
 
     def plan(self, window: TimeInterval) -> M1QueryPlan:
         """Resolve ``O(Θ, τ)`` for ``window`` from one read of the run list.

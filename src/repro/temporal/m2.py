@@ -23,6 +23,7 @@ index interval for the former and unioning all intervals for the latter.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Tuple, TypeVar
 
@@ -34,10 +35,9 @@ from repro.temporal.events import Event
 from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import (
     MAX_UNICODE_RUNE,
-    SEPARATOR,
+    RANGE_END,
     bound_field,
     decode_interval_key,
-    encode_interval_key,
     interval_key_range,
     interval_key_suffix,
     validate_base_key,
@@ -65,32 +65,38 @@ class M2QueryEngine:
         """Distinct base keys under ``prefix``.
 
         State-db holds only transformed ``(k, θ)`` keys; they sort by base
-        key first, so one range scan with on-the-fly dedup enumerates the
-        entities.  A key is decoded once per base key: the rest of that
-        key's states are recognised by their ``k\\x00`` prefix.
+        key first, so one keys-only range scan enumerates the entities.  A
+        key is decoded once per base key: the rest of that key's states are
+        ``[k\\x00, k\\x01)``, passed over with one bisect of the scanned list
+        (in memory -- no further range call).
         """
+        composites = self._ledger.state_db.keys_in_range(prefix, prefix + MAX_UNICODE_RUNE)
         keys: List[str] = []
-        own: Optional[str] = None  # ``k\x00`` of the base key enumerated last
-        scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
-        for composite, _ in scan:
-            if own is not None and composite.startswith(own):
-                continue
-            base_key, _ = decode_interval_key(composite)
+        i, count = 0, len(composites)
+        while i < count:
+            base_key, _ = decode_interval_key(composites[i])
             keys.append(base_key)
-            own = base_key + SEPARATOR
+            i = bisect_left(composites, base_key + RANGE_END, i + 1)
         return keys
 
     def overlapping_intervals(self, key: str, window: TimeInterval) -> List[TimeInterval]:
         """Occupied index intervals of ``key`` overlapping ``window``, in
         temporal order: what :meth:`fetch_events` visits and ``EXPLAIN``
-        predicts.  ``θ`` overlaps ``τ`` iff ``θ.start < τ.end``, which bounds
-        the scan, and ``τ.start < θ.end``, tested on the spelled end field.
-        """
+        predicts."""
+        return [
+            decode_interval_key(composite)[1]
+            for composite in self._overlapping_keys(key, window)
+        ]
+
+    def _overlapping_keys(self, key: str, window: TimeInterval) -> List[str]:
+        """The ``(k, θ)`` keys of :meth:`overlapping_intervals`, as scanned.
+        ``θ`` overlaps ``τ`` iff ``θ.start < τ.end``, which bounds the scan,
+        and ``τ.start < θ.end``, tested on the spelled end field."""
         start, end = interval_key_range(key, before=window.end)
         floor = bound_field(window.start)
         return [
-            decode_interval_key(composite)[1]
-            for composite, _ in self._ledger.state_db.get_state_by_range(start, end)
+            composite
+            for composite in self._ledger.state_db.keys_in_range(start, end)
             if composite[-len(floor):] > floor
         ]
 
@@ -112,8 +118,7 @@ class M2QueryEngine:
         start, end = window.start, window.end
         events: List[Event] = []
         with self._metrics.timed(metric_names.GHFK_SECONDS):
-            for interval in self.overlapping_intervals(key, window):
-                composite = encode_interval_key(key, interval)
+            for composite in self._overlapping_keys(key, window):
                 for entry in self._ledger.get_history_for_key(composite):
                     if entry.is_delete:
                         continue

@@ -39,8 +39,8 @@ class TQFEngine:
         This is the paper's first step: "retrieve the list of all shipments
         and containers using a range-scan query".
         """
-        scan = self._ledger.state_db.get_state_by_range(prefix, prefix + MAX_UNICODE_RUNE)
-        return [key for key, _ in scan if not is_interval_key(key)]
+        scan = self._ledger.state_db.keys_in_range(prefix, prefix + MAX_UNICODE_RUNE)
+        return [key for key in scan if not is_interval_key(key)]
 
     def plan(self, window: TimeInterval) -> None:
         """TQF resolves nothing per query: a fetch is one GHFK of its key."""

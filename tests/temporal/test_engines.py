@@ -118,7 +118,7 @@ class TestM1Engine:
         assert runs[0].t1 == 0
         assert runs[0].t2 == workload.config.t_max
         assert runs[0].u == 100
-        assert engine.indexed_until() == workload.config.t_max
+        assert max(run.t2 for run in runs) == workload.config.t_max
 
     def test_list_keys_sees_base_keys(self, plain_network, workload):
         engine = M1QueryEngine(plain_network.ledger)
@@ -158,7 +158,7 @@ class TestM1Engine:
     def test_unindexed_ledger_rejects_queries(self, tmp_path, workload):
         network = build_plain_network(tmp_path, workload)
         engine = M1QueryEngine(network.ledger)
-        assert engine.indexed_until() == 0
+        assert engine.indexing_runs() == []
         with pytest.raises(TemporalQueryError):
             engine.fetch_events(workload.shipments[0], TimeInterval(0, 100))
         network.close()
