@@ -137,48 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="state-db backend of the ledger (default: detect from files)",
     )
 
-    lint = subparsers.add_parser(
-        "lint",
-        help="repro-lint: AST analysis of the durable write path "
-        "(fsync-before-rename, seam-handle lifetimes)",
-        description="Run the repro-lint static analyzer.",
-        epilog="exit codes: 0 = clean, 1 = new findings, "
-        "2 = usage error (unknown rule, bad path)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output format (json is machine-readable, for CI annotation)",
-    )
-    lint.add_argument(
-        "--select",
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule ids or prefixes to run, e.g. "
-        "'DUR002' or 'DUR,RES' (default: all; an entry matching no "
-        "rule is a usage error, exit 2)",
-    )
-    lint.add_argument(
-        "--root",
-        default=None,
-        metavar="DIR",
-        help="project root for relative paths and rule scopes "
-        "(default: nearest directory with a pyproject.toml)",
-    )
-    lint.add_argument(
-        "--explain",
-        default=None,
-        metavar="RULE",
-        help="print a rule's full documentation and exit",
-    )
-
     return parser
 
 
@@ -285,49 +243,6 @@ def _run_doctor(args: argparse.Namespace) -> tuple[str, bool]:
     return report.render(), report.ok
 
 
-def _run_lint(args: argparse.Namespace) -> int:
-    """The ``lint`` subcommand; returns the process exit code directly
-    (0 clean, 1 findings, 2 usage error)."""
-    import inspect
-    from pathlib import Path
-
-    from repro.analysis import all_rules, run_lint
-
-    if args.explain:
-        rules = all_rules()
-        # Rule ids are upper-case; match like --select does.
-        rule = rules.get(args.explain.upper())
-        if rule is None:
-            print(
-                f"repro lint: unknown rule {args.explain!r}; "
-                f"known: {', '.join(sorted(rules))}",
-                file=sys.stderr,
-            )
-            return 2
-        module_doc = inspect.getmodule(rule).__doc__ or ""
-        print(f"{rule.rule_id}: {(rule.__doc__ or '').strip()}\n\n{module_doc.strip()}")
-        return 0
-
-    # `--select ""` must reach the validator (blank selection is a usage
-    # error), so test against None, not truthiness.
-    select = (
-        [part.strip() for part in args.select.split(",")]
-        if args.select is not None
-        else []
-    )
-    try:
-        result = run_lint(
-            [Path(path) for path in args.paths],
-            root=Path(args.root) if args.root else None,
-            select=select,
-        )
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    print(result.render_json() if args.format == "json" else result.render_text())
-    return 0 if result.ok else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -359,8 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         rendered, healthy = _run_doctor(args)
         print(rendered)
         return 0 if healthy else 1
-    elif args.command == "lint":
-        return _run_lint(args)
     elif args.command == "all":
         for dataset in ("ds1", "ds2", "ds3"):
             args.dataset = dataset

@@ -9,6 +9,7 @@ the three Fabric calls the paper builds on: ``GetState``,
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Iterator, List, Optional
 
@@ -49,32 +50,38 @@ class Ledger:
         self._config = config or FabricConfig()
         self._metrics = metrics
         path = Path(path)
-        self.block_store = BlockStore(
-            path / "ledger",
-            max_file_bytes=self._config.block_store.max_file_bytes,
-            metrics=metrics,
-            durability=self._config.block_store.durability,
-            fs=fs,
-        )
-        state_config = self._config.state_db
-        # One option set whichever backend is configured: ``lsm`` takes
-        # all of it, ``memory`` has nothing to configure and ignores it.
-        self.state_db = StateDB(
-            open_kv_store(
-                state_config.backend,
-                path=path / "statedb",
-                memtable_limit=state_config.memtable_limit,
-                compaction_trigger=state_config.compaction_trigger,
-                durability=state_config.durability,
+        # A ledger that will not open keeps no handle: what opened before
+        # the failure is closed, and the failure is raised as it was.
+        with ExitStack() as opened:
+            self.block_store = BlockStore(
+                path / "ledger",
+                max_file_bytes=self._config.block_store.max_file_bytes,
                 metrics=metrics,
+                durability=self._config.block_store.durability,
                 fs=fs,
-            ),
-            metrics=metrics,
-        )
-        self.history_db = HistoryDB(metrics=metrics)
-        self._validator = Validator(self.state_db.get_version)
-        self._last_header_hash = GENESIS_PREVIOUS_HASH
-        self._recover()
+            )
+            opened.callback(self.block_store.close)
+            state_config = self._config.state_db
+            # One option set whichever backend is configured: ``lsm`` takes
+            # all of it, ``memory`` has nothing to configure and ignores it.
+            self.state_db = StateDB(
+                open_kv_store(
+                    state_config.backend,
+                    path=path / "statedb",
+                    memtable_limit=state_config.memtable_limit,
+                    compaction_trigger=state_config.compaction_trigger,
+                    durability=state_config.durability,
+                    metrics=metrics,
+                    fs=fs,
+                ),
+                metrics=metrics,
+            )
+            opened.callback(self.state_db.close)
+            self.history_db = HistoryDB(metrics=metrics)
+            self._validator = Validator(self.state_db.get_version)
+            self._last_header_hash = GENESIS_PREVIOUS_HASH
+            self._recover()
+            opened.pop_all()
 
     def rewire_validator(self, signature_check) -> None:
         """Rebuild the validator with an endorsement-signature check

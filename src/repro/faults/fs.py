@@ -18,6 +18,13 @@ The write model mirrors what the OS actually guarantees:
   a power loss does not;
 * ``fsync()``   -> bytes reach the device; nothing short of media failure
   loses them.
+
+A power loss keeps only fsynced bytes, whether the file's handle is
+still open or was closed long before (after *All File Systems Are Not
+Created Equal*, Pillai et al., OSDI 2014): :class:`FaultyFS` keeps one
+fsync watermark per path it wrote, and the watermark outlives ``close``,
+follows ``replace`` and is dropped by ``remove``.  Directory entries are
+not modelled: a create, rename or remove is durable once it returns.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ class FaultyFile:
 
     Writes accumulate in an in-memory buffer; ``flush`` moves them to the
     real file (the simulated OS page cache) and ``fsync`` (via the owning
-    :class:`FaultyFS`) records the power-loss-safe watermark.  The owning
+    :class:`FaultyFS`) moves the path's power-loss-safe watermark.  The owning
     filesystem's fault plan sees every write and may mutate the payload
     (bit flip), cut it short (torn write) or raise
     :class:`~repro.common.errors.SimulatedCrashError` mid-operation.
@@ -80,8 +87,7 @@ class FaultyFile:
         # simulated OS has; Python adds no hidden second buffer.
         self._real = open(path, mode, buffering=0)
         self._buffer = bytearray()
-        self._flushed_size = self._real.seek(0, os.SEEK_END)
-        self.synced_size = self._flushed_size
+        self.flushed_size = self._real.seek(0, os.SEEK_END)
         self.closed = False
 
     # -- file protocol (the subset the storage layer uses) ---------------
@@ -96,7 +102,7 @@ class FaultyFile:
     def tell(self) -> int:
         """Logical end-of-file position (flushed bytes + buffered bytes)."""
         self._check_alive()
-        return self._flushed_size + len(self._buffer)
+        return self.flushed_size + len(self._buffer)
 
     def flush(self) -> None:
         self._check_alive()
@@ -120,21 +126,14 @@ class FaultyFile:
     def _drain_buffer(self) -> None:
         if self._buffer:
             self._real.write(bytes(self._buffer))
-            self._flushed_size += len(self._buffer)
+            self.flushed_size += len(self._buffer)
             self._buffer.clear()
 
-    def mark_synced(self) -> None:
-        """Record the current flushed size as the power-loss-safe mark."""
-        self.synced_size = self._flushed_size
-
-    def kill(self, power_loss: bool) -> None:
-        """Simulate the process dying: buffered bytes vanish; on power
-        loss the file is also truncated back to its fsync watermark."""
+    def kill(self) -> None:
+        """Simulate the process dying: buffered bytes vanish."""
         if self.closed:
             return
         self._buffer.clear()
-        if power_loss and self._flushed_size > self.synced_size:
-            self._real.truncate(self.synced_size)
         self._real.close()
         self.closed = True
 
@@ -218,6 +217,9 @@ class FaultyFS(FileSystem):
     def __init__(self, plan) -> None:
         self.plan = plan
         self._files: List[FaultyFile] = []
+        #: Per path written through this filesystem, the byte count a
+        #: power loss keeps: what the last ``fsync`` made durable.
+        self._synced: Dict[Path, int] = {}
         self._dead = False
 
     def open(self, path: Union[str, Path], mode: str) -> IO[bytes]:
@@ -225,6 +227,11 @@ class FaultyFS(FileSystem):
         if "b" in mode and ("w" in mode or "a" in mode):
             handle = FaultyFile(self, Path(path), mode)
             self._files.append(handle)
+            # A file this filesystem never wrote counts as durable; one
+            # reopened for append keeps its recorded mark (a truncation
+            # since may have cut the file below it).
+            size = handle.flushed_size
+            self._synced[handle.path] = min(self._synced.get(handle.path, size), size)
             return handle  # type: ignore[return-value]
         if "r" in mode and "+" not in mode:
             return FaultyReadFile(self, Path(path), mode)  # type: ignore[return-value]
@@ -241,34 +248,47 @@ class FaultyFS(FileSystem):
         self._check_alive()
         self.plan.on_replace(Path(src), Path(dst))
         os.replace(src, dst)
+        # The renamed file's unsynced bytes go with it; a source this
+        # filesystem never wrote is durable, and so is its new name.
+        mark = self._synced.pop(Path(src), None)
+        if mark is None:
+            self._synced.pop(Path(dst), None)
+        else:
+            self._synced[Path(dst)] = mark
 
     def fsync(self, handle: IO[bytes]) -> None:
         self._check_alive()
         if isinstance(handle, FaultyFile):
             handle.flush()
-            handle.mark_synced()
+            self._synced[handle.path] = handle.flushed_size
         else:  # a real handle that slipped through (read-mode open)
             super().fsync(handle)
 
     def remove(self, path: Union[str, Path]) -> None:
         self._check_alive()
         Path(path).unlink(missing_ok=True)
+        self._synced.pop(Path(path), None)
 
     def forget(self, handle: FaultyFile) -> None:
-        """Drop a cleanly closed handle from the kill list."""
+        """Drop a cleanly closed handle from the kill list (its path's
+        watermark stays)."""
         if handle in self._files:
             self._files.remove(handle)
 
     def kill(self, power_loss: bool = False) -> None:
         """Kill the simulated process: destroy every live write handle.
 
-        With ``power_loss=True``, data that was flushed but never fsynced
-        is lost as well -- the difference between the ``flush`` and
-        ``fsync`` durability levels.
+        With ``power_loss=True``, every file this filesystem wrote is also
+        cut back to its fsync watermark, open or closed -- the difference
+        between the ``flush`` and ``fsync`` durability levels.
         """
         for handle in list(self._files):
-            handle.kill(power_loss)
+            handle.kill()
         self._files.clear()
+        if power_loss:
+            for path, mark in self._synced.items():
+                if path.exists() and path.stat().st_size > mark:
+                    os.truncate(path, mark)
         self._dead = True
 
     @property

@@ -124,8 +124,10 @@ class LSMStore(KVStore):
         #: :func:`_unlink_retired`); ``close`` force-deletes leftovers.
         self._pending_unlinks: Set[Path] = set()
         self._load_tables()
-        self._wal = WriteAheadLog(self.path / _WAL_NAME, fsync=self._fsync, fs=fs)
+        # Replay before the log opens for append: a log that does not
+        # replay leaves no handle behind.
         self._replay_wal()
+        self._wal = WriteAheadLog(self.path / _WAL_NAME, fsync=self._fsync, fs=fs)
 
     # -- startup ---------------------------------------------------------
 

@@ -68,7 +68,8 @@ def test_torn_wal_tail_is_tolerated(tmp_path):
     assert report.ok, report.render()
 
 
-def test_mid_wal_corruption_is_flagged(tmp_path):
+def ledger_with_a_corrupt_wal(path):
+    """A crashed LSM ledger whose WAL fails its checksum mid-log."""
     # A clean close truncates the WAL, so kill between the WAL sync and
     # the SSTable write: the full memtable's records are on disk.
     from repro.faults import FaultPlan
@@ -77,14 +78,19 @@ def test_mid_wal_corruption_is_flagged(tmp_path):
 
     config = lsm_config()
     plan = FaultPlan(seed=31).crash_at(LSM_PRE_SSTABLE)
-    run_kv_workload_until_crash(tmp_path / "net", config, plan)
+    run_kv_workload_until_crash(path, config, plan)
     assert plan.fired == LSM_PRE_SSTABLE
 
-    wal = tmp_path / "net" / "statedb" / "wal.log"
+    wal = path / "statedb" / "wal.log"
     raw = bytearray(wal.read_bytes())
     assert len(raw) > 64, "WAL should hold the synced memtable records"
     raw[10] ^= 0xFF  # inside the first record, with more records after it
     wal.write_bytes(bytes(raw))
+    return config
+
+
+def test_mid_wal_corruption_is_flagged(tmp_path):
+    config = ledger_with_a_corrupt_wal(tmp_path / "net")
     report = run_doctor(tmp_path / "net", config=config)
     assert not report.ok
     assert "wal-corrupt" in codes(report)
@@ -131,19 +137,16 @@ def test_pre_frame_chain_is_reported_by_format_name(tmp_path):
         assert directory_digest(tmp_path / name) == before
 
 
-def test_a_block_that_will_not_decode_is_named(tmp_path, monkeypatch):
-    """A ledger holding a value spelled as the codec's bytes tag -- as a
-    writer from before endorsement refused them could store -- will not
-    open.  The doctor names the block, transaction and key whose decode
-    raises, and changes nothing on disk."""
+def ledger_with_an_undecodable_block(path, monkeypatch):
+    """A ledger holding a value spelled as the codec's bytes tag, as a
+    writer from before endorsement refused them could store."""
     from repro.common.codec import BYTES_TAG
     from repro.fabric import block as block_module
     from tests.helpers import fabric_config
-    from tests.test_stored_bytes import directory_digest
 
-    path = tmp_path / "net"
+    config = fabric_config(max_message_count=1)
     monkeypatch.setattr(block_module, "_holds_bytes_tag", lambda value: False)
-    with FabricNetwork(path, config=fabric_config(max_message_count=1)) as network:
+    with FabricNetwork(path, config=config) as network:
         network.install(KeyValueChaincode())
         gateway = network.gateway("writer")
         for timestamp, (key, value) in enumerate(
@@ -154,6 +157,17 @@ def test_a_block_that_will_not_decode_is_named(tmp_path, monkeypatch):
                 "kv", "put_many", [["a0", 0], [key, value]], timestamp=timestamp
             )
     monkeypatch.undo()
+    return config
+
+
+def test_a_block_that_will_not_decode_is_named(tmp_path, monkeypatch):
+    """A ledger holding an undecodable block will not open.  The doctor
+    names the block, transaction and key whose decode raises, and
+    changes nothing on disk."""
+    from tests.test_stored_bytes import directory_digest
+
+    path = tmp_path / "net"
+    ledger_with_an_undecodable_block(path, monkeypatch)
     before = directory_digest(path)
     report = run_doctor(path)
     assert not report.ok
@@ -162,6 +176,26 @@ def test_a_block_that_will_not_decode_is_named(tmp_path, monkeypatch):
     assert "(block 2, transaction 0, key 'bad' does not decode)" in finding.detail
     assert report.height == 4
     assert directory_digest(path) == before
+
+
+@pytest.mark.parametrize("damage", ["undecodable-block", "corrupt-wal"])
+def test_a_ledger_that_will_not_open_closes_every_handle(tmp_path, monkeypatch, damage):
+    """What the doctor's open reaches before it fails is closed, and the
+    failure it reports is the one the open raised."""
+    from repro.common.errors import ReproError
+    from repro.fabric.ledger import Ledger
+    from tests.helpers import HandleRecordingFS
+
+    path = tmp_path / "net"
+    if damage == "corrupt-wal":
+        config = ledger_with_a_corrupt_wal(path)
+    else:
+        config = ledger_with_an_undecodable_block(path, monkeypatch)
+    fs = HandleRecordingFS()
+    with pytest.raises(ReproError) as failed:
+        Ledger(path, config=config, fs=fs)
+    assert fs.all_closed()
+    assert f"ledger will not open: {failed.value}" in run_doctor(path, config=config).render()
 
 
 def test_interrupted_m1_run_is_reported_until_rerun(tmp_path):

@@ -78,9 +78,63 @@ def test_close_drains_and_unregisters(tmp_path):
     handle.close()
     assert fs.open_file_count == 0
     assert read_bytes(tmp_path / "f.bin") == b"data"
-    # A kill after clean close must not disturb the file.
+    # Closing is not syncing: a power loss still takes the bytes.
     fs.kill(power_loss=True)
-    assert read_bytes(tmp_path / "f.bin") == b"data"
+    assert read_bytes(tmp_path / "f.bin") == b""
+
+
+def test_a_closed_file_keeps_only_its_fsynced_bytes(tmp_path):
+    fs = FaultyFS(FaultPlan())
+    path = tmp_path / "f.bin"
+    handle = fs.open(path, "wb")
+    handle.write(b"durable")
+    fs.fsync(handle)
+    handle.write(b"+flushed")
+    handle.close()
+    fs.kill(power_loss=True)
+    assert read_bytes(path) == b"durable"
+
+
+def test_watermark_follows_replace(tmp_path):
+    fs = FaultyFS(FaultPlan())
+    staged, live = tmp_path / "t.tmp", tmp_path / "t.sst"
+    live.write_bytes(b"old and durable")
+    handle = fs.open(staged, "wb")
+    handle.write(b"abc")
+    fs.fsync(handle)
+    handle.write(b"def")
+    handle.close()
+    fs.replace(staged, live)
+    fs.kill(power_loss=True)
+    assert read_bytes(live) == b"abc"
+    assert not staged.exists()
+
+
+def test_reopen_for_append_starts_at_the_recorded_mark(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"12")  # written before this filesystem: durable
+    fs = FaultyFS(FaultPlan())
+    handle = fs.open(path, "ab")
+    handle.write(b"34")
+    handle.close()  # flushed, never synced
+    handle = fs.open(path, "ab")
+    assert handle.tell() == 4
+    handle.write(b"56")
+    handle.flush()
+    fs.kill(power_loss=True)
+    assert read_bytes(path) == b"12"
+
+
+def test_remove_forgets_the_path(tmp_path):
+    fs = FaultyFS(FaultPlan())
+    path = tmp_path / "f.bin"
+    handle = fs.open(path, "wb")
+    handle.write(b"unsynced")
+    handle.close()
+    fs.remove(path)
+    path.write_bytes(b"another writer's file")  # not this filesystem's
+    fs.kill(power_loss=True)
+    assert read_bytes(path) == b"another writer's file"
 
 
 def test_io_after_kill_raises(tmp_path):
@@ -177,6 +231,16 @@ def test_armed_crash_point_refuses_an_unregistered_name():
         with pytest.raises(FaultInjectionError, match="is not registered"):
             crash_point("ledger.pre_savepoint_record")
     assert plan.fired is None and plan.point_counts == {}
+
+
+def test_every_registered_point_really_fires_in_the_sweep():
+    """The registry the sweep iterates names each point once.  That
+    each one fires is the sweep's own check (``outcome.fired ==
+    point``), and that nothing fires an unregistered name is
+    ``crash_point``'s (above)."""
+    from repro.faults.crashpoints import ALL_CRASH_POINTS
+
+    assert len(ALL_CRASH_POINTS) == len(set(ALL_CRASH_POINTS)) >= 15
 
 
 def test_active_plan_is_not_reentrant():

@@ -10,6 +10,7 @@ from repro.common.codec import JsonCodec, write_uvarint
 from repro.common.config import BlockCuttingConfig, FabricConfig
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, VALID, Block, BlockHeader, RWSet, Transaction
 from repro.fabric.network import FabricNetwork
+from repro.faults.fs import FileSystem
 from repro.temporal.chaincodes import (
     M1IndexChaincode,
     M2SupplyChainChaincode,
@@ -167,3 +168,19 @@ class DecodeSpyCodec(JsonCodec):
     def decode(self, payload):
         self.decoded.append(len(payload))
         return super().decode(payload)
+
+
+class HandleRecordingFS(FileSystem):
+    """The real filesystem, keeping every handle it opens."""
+
+    def __init__(self) -> None:
+        self.opened: list = []
+
+    def open(self, path, mode):
+        handle = super().open(path, mode)
+        self.opened.append(handle)
+        return handle
+
+    def all_closed(self) -> bool:
+        """Whether it opened anything, and closed all of it."""
+        return bool(self.opened) and all(handle.closed for handle in self.opened)

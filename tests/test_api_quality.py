@@ -78,12 +78,6 @@ def test_public_classes_and_functions_documented(module_name):
     )
 
 
-#: The system proper.  ``repro.analysis`` is tooling *about* it; a
-#: runtime module importing the analyzer (at module level or inside a
-#: function) would put lint machinery on the endorse/commit/query path.
-RUNTIME_PACKAGES = ("common", "storage", "fabric", "temporal", "workload", "faults")
-
-
 def imported_names(module_name):
     """Every module (and ``module.name``) that ``module_name`` imports,
     at module level or inside a function."""
@@ -96,21 +90,6 @@ def imported_names(module_name):
             imported.add(node.module)
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
     return imported
-
-
-def test_no_runtime_module_imports_the_analyzer():
-    offending = {}
-    for module_name in MODULES:
-        if module_name.split(".")[1] not in RUNTIME_PACKAGES:
-            continue
-        analyzer = sorted(
-            name
-            for name in imported_names(module_name)
-            if (name + ".").startswith("repro.analysis.")
-        )
-        if analyzer:
-            offending[module_name] = analyzer
-    assert not offending
 
 
 #: What starts a second thread, process or event loop.
