@@ -21,6 +21,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench import experiments, tables
+from repro.common.errors import ConfigError
 from repro.storage.kv import BACKENDS
 
 
@@ -29,13 +30,13 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         "--scale",
         type=float,
         default=None,
-        help="event/timeline scale (default: REPRO_SCALE or 0.1; 1 = paper size)",
+        help="event/timeline scale in (0, 1] (default 0.1; 1 = paper size)",
     )
     parser.add_argument(
         "--entity-scale",
         type=float,
         default=None,
-        help="entity-count scale (default: REPRO_ENTITY_SCALE or 0.1)",
+        help="entity-count scale in (0, 1] (default 0.1; ds3 1)",
     )
     parser.add_argument(
         "--statedb",
@@ -244,8 +245,17 @@ def _run_doctor(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2 for a bad
+    argument the parser cannot check, such as a scale outside (0, 1])."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     outputs: List[str] = []
     results: List[object] = []
 

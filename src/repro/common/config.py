@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
 
-#: Environment variable controlling default benchmark scale (see DESIGN.md §5).
-SCALE_ENV_VAR = "REPRO_SCALE"
-
 #: Environment variable overriding a randomized test's replay seed (see
 #: :func:`repro_seed`).
 SEED_ENV_VAR = "REPRO_SEED"
@@ -193,21 +190,3 @@ def repro_seed(default: int) -> int:
         raise ConfigError(
             f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
         ) from None
-
-
-def default_scale() -> float:
-    """Benchmark scale factor from ``REPRO_SCALE`` (default 0.1).
-
-    At scale ``s``, per-key event counts and ``t_max`` are both multiplied
-    by ``s`` so interval geometry (index interval length ``u``, query window
-    width) scales consistently.  ``REPRO_SCALE=1`` reproduces the paper's
-    full-size datasets.
-    """
-    raw = os.environ.get(SCALE_ENV_VAR, "0.1")
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise ConfigError(f"{SCALE_ENV_VAR} must be a float, got {raw!r}") from None
-    if scale <= 0 or scale > 1:
-        raise ConfigError(f"{SCALE_ENV_VAR} must be in (0, 1], got {scale}")
-    return scale

@@ -110,16 +110,10 @@ class MetricsRegistry:
         for name, amount in pairs:
             counters[name] = counters.get(name, 0) + amount
 
-    def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
     def add_time(self, name: str, seconds: float) -> float:
         value = self._timers.get(name, 0.0) + seconds
         self._timers[name] = value
         return value
-
-    def timer(self, name: str) -> float:
-        return self._timers.get(name, 0.0)
 
     @contextmanager
     def timed(self, name: str) -> Iterator[Stopwatch]:
@@ -140,19 +134,6 @@ class MetricsRegistry:
         return MetricsSnapshot(
             counters=dict(self._counters), timers=dict(self._timers)
         )
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._timers.clear()
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten counters and timers into one report-friendly mapping."""
-        merged: Dict[str, float] = dict(self._counters)
-        merged.update(self._timers)
-        return merged
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MetricsRegistry(counters={self._counters}, timers={self._timers})"
 
 
 class _NullMetricsRegistry(MetricsRegistry):

@@ -18,11 +18,8 @@ Timestamp = int
 
 @dataclass
 class Stopwatch:
-    """Accumulating wall-clock stopwatch.
-
-    Usable either as a context manager (accumulates on exit) or through
-    explicit :meth:`start` / :meth:`stop` calls.  ``elapsed`` is the total
-    across all completed intervals.
+    """Accumulating wall-clock stopwatch: :meth:`start` / :meth:`stop`.
+    ``elapsed`` is the total across all completed intervals.
     """
 
     elapsed: float = 0.0
@@ -41,20 +38,6 @@ class Stopwatch:
         self.elapsed += time.perf_counter() - self._started_at
         self._started_at = None
         return self.elapsed
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._started_at = None
-
-    @property
-    def running(self) -> bool:
-        return self._started_at is not None
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 def format_duration(seconds: float) -> str:

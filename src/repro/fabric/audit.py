@@ -1,9 +1,10 @@
 """Full-ledger audit: cross-check every derived structure against the chain.
 
 The chain is the source of truth; state-db, history index and savepoint
-are derivations.  The auditor replays the chain independently and
-reports every divergence instead of stopping at the first, so operators
-get the whole damage picture:
+are derivations.  The auditor replays the chain independently and adds
+every divergence to the caller's
+:class:`~repro.faults.doctor.DoctorReport` instead of stopping at the
+first, so operators get the whole damage picture:
 
 * hash-chain links and per-block data hashes;
 * state-db contents vs a fresh replay of all valid writes;
@@ -16,65 +17,28 @@ peer's whole queryable state follows from its blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict
 
 from repro.common.errors import ReproError
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, VALID, Version
 from repro.fabric.historydb import HistoryDB
 from repro.fabric.ledger import Ledger
-from repro.fabric.statedb import SAVEPOINT_KEY
+
+if TYPE_CHECKING:
+    from repro.faults.doctor import DoctorReport
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One divergence discovered by the audit."""
-
-    severity: str  # "error" or "warning"
-    code: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.severity}] {self.code}: {self.detail}"
-
-
-@dataclass
-class AuditReport:
-    """Everything the audit found (empty findings == healthy ledger)."""
-
-    height: int
-    findings: List[Finding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when no error-severity findings exist."""
-        return not any(f.severity == "error" for f in self.findings)
-
-    def add(self, severity: str, code: str, detail: str) -> None:
-        """Record one finding."""
-        self.findings.append(Finding(severity=severity, code=code, detail=detail))
-
-    def render(self) -> str:
-        """Human-readable summary."""
-        if not self.findings:
-            return f"audit: ledger healthy ({self.height} blocks)"
-        lines = [f"audit: {len(self.findings)} finding(s) over {self.height} blocks"]
-        lines.extend(f"  {finding}" for finding in self.findings)
-        return "\n".join(lines)
-
-
-def audit_ledger(ledger: Ledger) -> AuditReport:
-    """Run every check; never raises for ledger damage (only for IO that
-    prevents reading the chain at all)."""
-    report = AuditReport(height=ledger.height)
+def audit_ledger(ledger: Ledger, report: DoctorReport) -> None:
+    """Run every check, adding what it finds to ``report``; never raises
+    for ledger damage (only for IO that prevents reading the chain at
+    all)."""
     expected_state = _audit_chain(ledger, report)
     _audit_state_db(ledger, expected_state, report)
     _audit_history_index(ledger, report)
     _audit_savepoint(ledger, report)
-    return report
 
 
-def _audit_chain(ledger: Ledger, report: AuditReport) -> Dict[str, tuple]:
+def _audit_chain(ledger: Ledger, report: DoctorReport) -> Dict[str, tuple]:
     """Walk the chain verifying hashes; returns the replayed state
     ``key -> (value, version)``."""
     expected: Dict[str, tuple] = {}
@@ -112,7 +76,7 @@ def _audit_chain(ledger: Ledger, report: AuditReport) -> Dict[str, tuple]:
 
 
 def _audit_state_db(
-    ledger: Ledger, expected: Dict[str, tuple], report: AuditReport
+    ledger: Ledger, expected: Dict[str, tuple], report: DoctorReport
 ) -> None:
     actual: Dict[str, tuple] = {}
     for key, state in ledger.state_db.get_state_by_range("", ""):
@@ -134,7 +98,7 @@ def _audit_state_db(
             )
 
 
-def _audit_history_index(ledger: Ledger, report: AuditReport) -> None:
+def _audit_history_index(ledger: Ledger, report: DoctorReport) -> None:
     rebuilt = HistoryDB()
     rebuilt.rebuild(ledger.block_store)
     live = ledger.history_db
@@ -147,7 +111,7 @@ def _audit_history_index(ledger: Ledger, report: AuditReport) -> None:
             )
 
 
-def _audit_savepoint(ledger: Ledger, report: AuditReport) -> None:
+def _audit_savepoint(ledger: Ledger, report: DoctorReport) -> None:
     savepoint = ledger.state_db.savepoint()
     if ledger.height == 0:
         if savepoint is not None:
@@ -163,7 +127,3 @@ def _audit_savepoint(ledger: Ledger, report: AuditReport) -> None:
             "warning", "savepoint-stale",
             f"savepoint {savepoint} != last block {ledger.height - 1}",
         )
-
-
-# Re-export for callers that audit the savepoint key's namespace directly.
-__all__ = ["AuditReport", "Finding", "audit_ledger", "SAVEPOINT_KEY"]

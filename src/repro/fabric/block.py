@@ -945,13 +945,6 @@ class Block:
     def number(self) -> int:
         return self.header.number
 
-    @property
-    def commit_timestamp(self) -> int:
-        """Logical commit time: the newest transaction timestamp inside."""
-        if not self.transactions:
-            return 0
-        return max(tx.timestamp for tx in self.transactions)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Block):
             return NotImplemented

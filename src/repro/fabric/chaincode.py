@@ -87,31 +87,3 @@ class Chaincode(ABC):
         The return value becomes the proposal response payload.  Raise
         :class:`ChaincodeError` to reject the proposal.
         """
-
-
-class KeyValueChaincode(Chaincode):
-    """A minimal general-purpose chaincode: put / get / delete / put_many.
-
-    Used by tests and as the default application when no domain chaincode
-    is installed.
-    """
-
-    name = "kv"
-
-    def invoke(self, stub: ChaincodeStub, fn: str, args: List[Any]) -> Any:
-        if fn == "put":
-            key, value = args
-            stub.put_state(key, value)
-            return {"key": key}
-        if fn == "get":
-            (key,) = args
-            return stub.get_state(key)
-        if fn == "delete":
-            (key,) = args
-            stub.del_state(key)
-            return {"key": key}
-        if fn == "put_many":
-            for key, value in args:
-                stub.put_state(key, value)
-            return {"count": len(args)}
-        raise ChaincodeError(f"unknown function {fn!r} on chaincode {self.name!r}")

@@ -23,9 +23,6 @@ class SubmitResult:
         self.tx_id = tx_id
         self.response = response
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SubmitResult(tx_id={self.tx_id!r})"
-
 
 class Gateway:
     """A client connection bound to one identity.

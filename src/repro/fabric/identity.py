@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.common.errors import LedgerError
 from repro.fabric import crypto
 
 
@@ -52,12 +51,3 @@ class MSP:
         identity = Identity(name=name, msp_id=self.msp_id, secret=os.urandom(16))
         self._identities[name] = identity
         return identity
-
-    def get(self, name: str) -> Identity:
-        try:
-            return self._identities[name]
-        except KeyError:
-            raise LedgerError(f"unknown identity {name!r} in MSP {self.msp_id}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._identities

@@ -85,9 +85,3 @@ class FabricNetwork:
     def close(self) -> None:
         self.orderer.flush()
         self.ledger.close()
-
-    def __enter__(self) -> "FabricNetwork":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

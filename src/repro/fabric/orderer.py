@@ -107,7 +107,3 @@ class SoloOrderer:
     def flush(self) -> Optional[Block]:
         """Force-cut any pending partial batch (end of an ingestion run)."""
         return self.cut_block()
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

@@ -30,9 +30,21 @@ from typing import List, Optional, Tuple
 from repro.common.codec import Codec, JsonCodec
 from repro.common.config import FabricConfig
 from repro.common.errors import IndexingError, ReproError, WalCorruptionError
-from repro.fabric.audit import Finding, audit_ledger
+from repro.fabric.audit import audit_ledger
 
 _WAL_NAME = "wal.log"
+
+
+@dataclasses.dataclass(frozen=True)
+class Finding:
+    """One inconsistency the doctor found."""
+
+    severity: str  # "error" or "warning"
+    code: str
+    detail: str
+
+    def __str__(self) -> str:
+        return f"[{self.severity}] {self.code}: {self.detail}"
 
 
 @dataclasses.dataclass
@@ -48,6 +60,7 @@ class DoctorReport:
 
     @property
     def ok(self) -> bool:
+        """True when no error-severity findings exist."""
         return not any(f.severity == "error" for f in self.findings)
 
     def add(self, severity: str, code: str, detail: str) -> None:
@@ -114,8 +127,7 @@ def run_doctor(
         return report
     try:
         report.height = ledger.height
-        audit = audit_ledger(ledger)
-        report.findings.extend(audit.findings)
+        audit_ledger(ledger, report)
         _check_m1(ledger, report)
     finally:
         ledger.close()
@@ -131,7 +143,7 @@ def _check_raw_storage(path: Path, report: DoctorReport) -> None:
     wal_path = statedb / _WAL_NAME
     if wal_path.exists():
         try:
-            report.wal_records += sum(1 for _ in replay(wal_path))
+            report.wal_records += len(replay(wal_path)[0])
         except WalCorruptionError as exc:
             report.add("error", "wal-corrupt", str(exc))
     for table in sorted(statedb.glob("sst-*.sst")):

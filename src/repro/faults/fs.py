@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import IO, Dict, List, Union
+from typing import IO, Dict, List, Set, Union
 
 from repro.common.errors import FaultInjectionError
 
@@ -190,6 +190,7 @@ class FaultyReadFile:
         if not self.closed:
             self._real.close()
             self.closed = True
+            self._fs._readers.discard(self)
 
     def __iter__(self):
         return iter(self._real)
@@ -217,6 +218,9 @@ class FaultyFS(FileSystem):
     def __init__(self, plan) -> None:
         self.plan = plan
         self._files: List[FaultyFile] = []
+        #: Open read handles: a kill closes them, as the OS closes a dead
+        #: process's descriptors.
+        self._readers: Set[FaultyReadFile] = set()
         #: Per path written through this filesystem, the byte count a
         #: power loss keeps: what the last ``fsync`` made durable.
         self._synced: Dict[Path, int] = {}
@@ -234,7 +238,9 @@ class FaultyFS(FileSystem):
             self._synced[handle.path] = min(self._synced.get(handle.path, size), size)
             return handle  # type: ignore[return-value]
         if "r" in mode and "+" not in mode:
-            return FaultyReadFile(self, Path(path), mode)  # type: ignore[return-value]
+            reader = FaultyReadFile(self, Path(path), mode)
+            self._readers.add(reader)
+            return reader  # type: ignore[return-value]
         return open(path, mode)
 
     def pread(self, handle: IO[bytes], size: int, offset: int) -> bytes:
@@ -276,7 +282,8 @@ class FaultyFS(FileSystem):
             self._files.remove(handle)
 
     def kill(self, power_loss: bool = False) -> None:
-        """Kill the simulated process: destroy every live write handle.
+        """Kill the simulated process: destroy every live write handle and
+        close every read handle.
 
         With ``power_loss=True``, every file this filesystem wrote is also
         cut back to its fsync watermark, open or closed -- the difference
@@ -285,6 +292,8 @@ class FaultyFS(FileSystem):
         for handle in list(self._files):
             handle.kill()
         self._files.clear()
+        for reader in list(self._readers):
+            reader.close()
         if power_loss:
             for path, mark in self._synced.items():
                 if path.exists() and path.stat().st_size > mark:

@@ -268,12 +268,6 @@ class BlockFileManager:
             handle.truncate(location.offset)
         self._writer = self._fs.open(file_path, "ab")
 
-    def file_size(self, file_num: int) -> int:
-        """Current byte size of one block file (0 when absent)."""
-        self._flush_for_read(file_num)
-        file_path = self._file_path(file_num)
-        return file_path.stat().st_size if file_path.exists() else 0
-
     def sync(self) -> None:
         if self._fsync:
             self._fs.fsync(self._writer)
@@ -287,10 +281,6 @@ class BlockFileManager:
         for handle in self._readers.values():
             handle.close()
         self._readers.clear()
-
-    @property
-    def current_file_num(self) -> int:
-        return self._current_num
 
     def total_bytes(self) -> int:
         """Total bytes across all block files (for storage-cost reporting)."""

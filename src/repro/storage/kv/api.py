@@ -5,9 +5,9 @@ on keys, which is what makes composite-key range scans (``GetStateByRange``
 in the Fabric layer) work.  Range bounds follow the conventional
 half-open ``[start, end)`` contract with ``None`` meaning unbounded.
 
-Every write is a :meth:`KVStore.write_batch` -- ``put`` and ``delete`` are
-one-item batches -- as in LevelDB, where ``Put`` and ``Delete`` are a
-``WriteBatch`` of one.
+Every write is a :meth:`KVStore.write_batch` -- ``put`` is a one-item
+batch and a delete is a ``(key, None)`` item -- as in LevelDB, where
+``Put`` and ``Delete`` are a ``WriteBatch`` of one.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class KVStore(ABC):
         """Insert or overwrite ``key``: a one-item :meth:`write_batch`."""
         self._check_value(value)
         self.write_batch(((key, value),))
-
-    def delete(self, key: bytes) -> None:
-        """Remove ``key`` (a no-op when absent): a one-item :meth:`write_batch`."""
-        self.write_batch(((key, None),))
 
     @abstractmethod
     def scan(
@@ -104,12 +100,6 @@ class KVStore(ABC):
             batch.append((bytes(key), value))
         return batch
 
-    def __enter__(self) -> "KVStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # -- quarantine (corruption isolation) -----------------------------
     #
     # Backends with on-disk structure (the LSM store) override these to
@@ -137,15 +127,6 @@ class KVStore(ABC):
     def scrub(self) -> Tuple[str, ...]:
         """Re-verify on-disk integrity; returns names newly quarantined."""
         return ()
-
-    # -- convenience ----------------------------------------------------
-
-    def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Scan the entire store."""
-        return self.scan(None, None)
-
-    def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None
 
 
 #: Sentinel byte prepended to SSTable/WAL records to mark deletions.  Kept

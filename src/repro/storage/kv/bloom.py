@@ -71,12 +71,10 @@ class BloomFilter:
 
     # -- queries ----------------------------------------------------------
 
-    def may_contain(self, key: bytes) -> bool:
-        """False means *definitely absent*; True means "probably present"."""
-        return self.may_contain_hashed(*key_hashes(key))
-
     def may_contain_hashed(self, h1: int, h2: int) -> bool:
-        """:meth:`may_contain` for a key already hashed by :func:`key_hashes`."""
+        """Whether the key hashed to ``(h1, h2)`` by :func:`key_hashes` may
+        be in the set: False means *definitely absent*, True "probably
+        present"."""
         bits, bit_count = self._bits, self._bit_count
         step = h2 if h2 % bit_count else _FALLBACK_STEP
         for _ in range(self._hash_count):
@@ -101,11 +99,3 @@ class BloomFilter:
                 f"bloom payload has {len(bits)} bytes, expected {expected}"
             )
         return cls(bits, bit_count, hash_count)
-
-    @property
-    def bit_count(self) -> int:
-        return self._bit_count
-
-    @property
-    def hash_count(self) -> int:
-        return self._hash_count

@@ -1,11 +1,12 @@
 """The LevelDB-like LSM key-value store.
 
-Write path: every write is a batch (``put`` and ``delete`` are batches
-of one): its WAL records are appended, then its entries enter the
-memtable; when the memtable reaches its entry limit -- mid-batch too -- it
-is flushed to a new immutable SSTable and the WAL is truncated.  Read path: memtable first, then SSTables newest-first, the
-key hashed once for every table's Bloom filter.  Range scans merge all
-sources with newest-wins semantics and tombstone suppression; a table
+Write path: every write is a batch (``put`` is a batch of one, a delete
+a ``(key, None)`` item): its WAL records are appended, then its entries
+enter the memtable; when the memtable reaches its entry limit -- mid-batch
+too -- it is flushed to a new immutable SSTable and the WAL is truncated.
+Read path: memtable first, then SSTables newest-first, the key hashed
+once for every table's Bloom filter.  Range scans merge all sources with
+newest-wins semantics and tombstone suppression; a table
 with nothing in range costs two bisects and never enters the merge, and a
 range only one source has entries in is read straight off that source, no
 heap.  When the number of SSTables reaches ``compaction_trigger``, a full
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common import metrics as metric_names
-from repro.common.errors import QuarantinedError, SSTableError, StorageError
+from repro.common.errors import FaultInjectionError, QuarantinedError, SSTableError, StorageError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.faults.crashpoints import LSM_POST_SSTABLE, LSM_PRE_SSTABLE, crash_point
 from repro.faults.fs import REAL_FS, FileSystem
@@ -62,11 +63,17 @@ _WAL_NAME = "wal.log"
 _MANIFEST_NAME = "MANIFEST.json"
 
 
-def _unlink_retired(path: Path, pending: Set[Path]) -> None:
-    """Finalizer for a compacted-away SSTable reader: delete the file now
-    that no reader snapshot can reference it.  Module-level (not a bound
-    method) so the finalizer does not keep the store alive."""
-    path.unlink(missing_ok=True)
+def _unlink_retired(fs: FileSystem, path: Path, pending: Set[Path]) -> None:
+    """Finalizer for a compacted-away SSTable reader: delete the file,
+    through the store's filesystem, now that no reader snapshot can
+    reference it.  Module-level (not a bound method) so the finalizer does
+    not keep the store alive.  A filesystem killed by a simulated crash
+    stands for a process that is gone and runs no finalizer: the file
+    stays, as after a real crash, and reopen deletes it as a stray."""
+    try:
+        fs.remove(path)
+    except FaultInjectionError:
+        pass
     pending.discard(path)
 
 #: Subdirectory corrupt tables are moved into.  Keeping the bytes (rather
@@ -126,8 +133,10 @@ class LSMStore(KVStore):
         self._load_tables()
         # Replay before the log opens for append: a log that does not
         # replay leaves no handle behind.
-        self._replay_wal()
-        self._wal = WriteAheadLog(self.path / _WAL_NAME, fsync=self._fsync, fs=fs)
+        torn_at = self._replay_wal()
+        self._wal = WriteAheadLog(
+            self.path / _WAL_NAME, fsync=self._fsync, fs=fs, torn_at=torn_at
+        )
 
     # -- startup ---------------------------------------------------------
 
@@ -250,8 +259,12 @@ class LSMStore(KVStore):
                 tables=tuple(self._quarantined),
             )
 
-    def _replay_wal(self) -> None:
-        self._memtable.write([(key, value) for _, key, value in replay(self.path / _WAL_NAME)])
+    def _replay_wal(self) -> Optional[int]:
+        """Replay the WAL into the memtable; returns where its torn tail
+        starts, if it has one."""
+        records, torn_at = replay(self.path / _WAL_NAME)
+        self._memtable.write([(key, value) for _, key, value in records])
+        return torn_at
 
     # -- write path -------------------------------------------------------
 
@@ -339,7 +352,7 @@ class LSMStore(KVStore):
         self._write_manifest()
         for reader in retired:
             self._pending_unlinks.add(reader.path)
-            weakref.finalize(reader, _unlink_retired, reader.path,
+            weakref.finalize(reader, _unlink_retired, self._fs, reader.path,
                              self._pending_unlinks)
 
     # -- read path ---------------------------------------------------------
@@ -478,7 +491,7 @@ class LSMStore(KVStore):
         # forced now -- the store owns the directory and no new
         # readers can start after close.
         for retired in list(self._pending_unlinks):
-            retired.unlink(missing_ok=True)
+            self._fs.remove(retired)
         self._pending_unlinks.clear()
 
     # -- quarantine --------------------------------------------------------

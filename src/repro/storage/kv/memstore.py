@@ -53,6 +53,3 @@ class MemStore(KVStore):
 
     def close(self) -> None:
         self._closed = True
-
-    def __len__(self) -> int:
-        return len(self._values)

@@ -99,9 +99,3 @@ class Memtable:
     def entries_sorted(self) -> Iterator[Tuple[bytes, Optional[bytes]]]:
         """All entries (tombstones as ``None``) in key order, for flushing."""
         return self.scan(None, None)
-
-    def clear(self) -> None:
-        """Drop every entry (after a flush to an SSTable)."""
-        self._entries.clear()
-        self._sorted_keys.clear()
-        self.approximate_bytes = 0

@@ -225,14 +225,3 @@ class SSTableReader:
         """The ``(key, value-or-tombstone-None)`` at positions ``[lo, hi)``."""
         keys, values = self._decoded()
         return zip(keys[lo:hi], values[lo:hi])
-
-    def scan(
-        self, start: Optional[bytes], end: Optional[bytes]
-    ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """``(key, value-or-tombstone-None)`` within ``[start, end)``."""
-        return self.entries(*self.bounds(start, end))
-
-    @property
-    def smallest_key(self) -> Optional[bytes]:
-        keys = self._decoded()[0]
-        return keys[0] if keys else None

@@ -14,17 +14,17 @@ payload := op:u8  key_len:uvarint  key  [value_len:uvarint  value]
 ```
 
 A torn final record (truncated by a crash mid-append) is tolerated and
-dropped, matching LevelDB's behaviour; a checksum mismatch anywhere else
-raises :class:`~repro.common.errors.WalCorruptionError`.
+dropped, matching LevelDB's behaviour, and the log is cut back to its
+last intact record before it opens for append; a checksum mismatch
+anywhere else raises :class:`~repro.common.errors.WalCorruptionError`.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.codec import read_uvarint, write_uvarint
 from repro.common.errors import WalCorruptionError
@@ -32,6 +32,9 @@ from repro.faults.fs import REAL_FS, FileSystem
 from repro.storage.kv.api import OP_DELETE, OP_PUT, BatchItem
 
 _HEADER = struct.Struct("<II")
+
+#: One replayed record: ``(op, key, value)``, ``value`` ``None`` for a delete.
+Record = Tuple[int, bytes, Optional[bytes]]
 
 #: One-byte varints, by value: the length of a key or value shorter than
 #: 128 bytes, and a record's op followed by such a key length.
@@ -52,7 +55,7 @@ def _encode_payload(op: int, key: bytes, value: Optional[bytes]) -> bytes:
     return bytes(out)
 
 
-def _decode_payload(payload: bytes) -> Tuple[int, bytes, Optional[bytes]]:
+def _decode_payload(payload: bytes) -> Record:
     if not payload:
         raise WalCorruptionError("empty WAL payload")
     op = payload[0]
@@ -85,11 +88,19 @@ class WriteAheadLog:
         path: str | Path,
         fsync: bool = False,
         fs: FileSystem = REAL_FS,
+        torn_at: Optional[int] = None,
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fs = fs
         self._fsync = fsync
+        if torn_at is not None:
+            # Cut the torn tail :func:`replay` stopped at, so the records
+            # appended next follow the last intact one and replay too.
+            # "r+b" passes through the seam (only write/append modes are
+            # buffered) but still hits the dead-filesystem check.
+            with fs.open(self.path, "r+b") as handle:
+                handle.truncate(torn_at)
         self._file = fs.open(self.path, "ab")
         self.record_count = 0
 
@@ -139,39 +150,38 @@ class WriteAheadLog:
             self._file.flush()
             self._file.close()
 
-    @property
-    def size_bytes(self) -> int:
-        self._file.flush()
-        return os.path.getsize(self.path)
 
+def replay(path: str | Path) -> Tuple[List[Record], Optional[int]]:
+    """Every intact record in the log as ``(op, key, value)``, and the
+    offset its torn tail starts at (``None`` when the log ends on a
+    record boundary).
 
-def replay(path: str | Path) -> Iterator[Tuple[int, bytes, Optional[bytes]]]:
-    """Yield ``(op, key, value)`` for every intact record in the log.
-
-    A truncated final record is silently dropped; a corrupt record followed
-    by more data raises :class:`WalCorruptionError`.
+    A truncated or checksum-failing final record is dropped; a corrupt
+    record followed by more data raises :class:`WalCorruptionError`.
     """
     path = Path(path)
+    records: List[Record] = []
     if not path.exists():
-        return
+        return records, None
     with open(path, "rb") as handle:
         data = handle.read()
     offset = 0
     total = len(data)
     while offset < total:
         if offset + _HEADER.size > total:
-            return  # torn header at tail
+            return records, offset  # torn header at tail
         length, crc = _HEADER.unpack_from(data, offset)
         body_start = offset + _HEADER.size
         body_end = body_start + length
         if body_end > total:
-            return  # torn payload at tail
+            return records, offset  # torn payload at tail
         payload = data[body_start:body_end]
         if zlib.crc32(payload) != crc:
             if body_end == total:
-                return  # corrupt tail record: drop it
+                return records, offset  # corrupt tail record: drop it
             raise WalCorruptionError(
                 f"WAL checksum mismatch at offset {offset} in {path}"
             )
-        yield _decode_payload(payload)
+        records.append(_decode_payload(payload))
         offset = body_end
+    return records, None

@@ -104,10 +104,6 @@ class M2SupplyChainChaincode(Chaincode):
     def __init__(self, u: int) -> None:
         self.scheme = FixedIntervalScheme(u)
 
-    @property
-    def u(self) -> int:
-        return self.scheme.u
-
     def _transformed_key(self, key: str, time: int) -> str:
         return validate_base_key(key) + interval_key_suffix(
             *self.scheme.bounds_for(time)

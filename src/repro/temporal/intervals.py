@@ -52,10 +52,6 @@ class TimeInterval:
             return None
         return TimeInterval(start, end)
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
     def __str__(self) -> str:
         return f"({self.start}-{self.end}]"
 
@@ -71,10 +67,6 @@ class FixedIntervalScheme:
         if u <= 0:
             raise TemporalQueryError(f"interval length u must be positive, got {u}")
         self.u = u
-
-    def interval_for(self, timestamp: Timestamp) -> TimeInterval:
-        """The index interval containing ``timestamp`` (see :meth:`bounds_for`)."""
-        return TimeInterval(*self.bounds_for(timestamp))
 
     def bounds_for(self, timestamp: Timestamp) -> Tuple[int, int]:
         """``(start, end)`` of the index interval containing ``timestamp``,
@@ -96,10 +88,6 @@ class FixedIntervalScheme:
             )
         bucket = (timestamp + self.u - 1) // self.u  # ceil(t / u)
         return (bucket - 1) * self.u, bucket * self.u
-
-    def intervals_overlapping(self, window: TimeInterval) -> List[TimeInterval]:
-        """All index intervals that overlap the query window."""
-        return list(self.iter_intervals_overlapping(window))
 
     def iter_intervals_overlapping(
         self, window: TimeInterval

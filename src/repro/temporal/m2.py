@@ -187,10 +187,6 @@ class BaseAccessAPI:
         self._scheme = FixedIntervalScheme(u)
         self._metrics = metrics
 
-    @property
-    def u(self) -> int:
-        return self._scheme.u
-
     def get_state_base(self, key: str, now: int) -> BaseAccessResult:
         """``GetState(k)`` emulation: the current state of ``(k, θ_max)``.
 

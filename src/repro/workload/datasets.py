@@ -10,8 +10,8 @@ DS2    400    100   20     2000    zipf       150K      ME
 DS3    15     5     2      2000    uniform    150K      SE
 =====  =====  ====  =====  ======  =========  ========  =========
 
-Two scale knobs keep laptop benchmarks tractable while preserving the
-paper's geometry:
+Two scales, each in ``(0, 1]``, keep laptop benchmarks tractable while
+preserving the paper's geometry:
 
 * ``scale`` multiplies ``nEv`` and ``t_max`` together (interval lengths
   ``u`` and query windows must be scaled identically by the caller --
@@ -19,39 +19,25 @@ paper's geometry:
 * ``entity_scale`` multiplies the entity counts (the paper's GHFK call
   counts are proportional to the key count, so scaled counts follow).
 
-``REPRO_SCALE`` sets the default ``scale`` (0.1 unless overridden);
-``REPRO_SCALE=1`` gives the paper's full-size datasets.
+Both default to :data:`DEFAULT_SCALE` (DS3's ``entity_scale`` to 1).  They
+are set by argument only -- ``repro``'s ``--scale`` / ``--entity-scale``
+pass them through -- and ``--scale 1 --entity-scale 1`` gives the paper's
+full-size datasets.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from repro.common.config import default_scale
 from repro.common.errors import ConfigError
 from repro.workload.generator import WorkloadConfig
-
-ENTITY_SCALE_ENV_VAR = "REPRO_ENTITY_SCALE"
 
 #: Full-scale timeline length shared by all three datasets.
 FULL_T_MAX = 150_000
 #: Full-scale events per key.
 FULL_EVENTS_PER_KEY = 2_000
-
-
-def default_entity_scale() -> float:
-    """Entity-count scale from ``REPRO_ENTITY_SCALE`` (default 0.1)."""
-    raw = os.environ.get(ENTITY_SCALE_ENV_VAR, "0.1")
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{ENTITY_SCALE_ENV_VAR} must be a float, got {raw!r}"
-        ) from None
-    if scale <= 0 or scale > 1:
-        raise ConfigError(f"{ENTITY_SCALE_ENV_VAR} must be in (0, 1], got {scale}")
-    return scale
+#: ``scale`` and ``entity_scale`` when the caller gives none.
+DEFAULT_SCALE = 0.1
 
 
 def _scaled(value: int, scale: float, minimum: int = 1) -> int:
@@ -81,8 +67,11 @@ def _build(
     entity_scale: Optional[float],
     seed: int,
 ) -> WorkloadConfig:
-    scale = default_scale() if scale is None else scale
-    entity_scale = default_entity_scale() if entity_scale is None else entity_scale
+    scale = DEFAULT_SCALE if scale is None else scale
+    entity_scale = DEFAULT_SCALE if entity_scale is None else entity_scale
+    for what, value in (("scale", scale), ("entity_scale", entity_scale)):
+        if not 0 < value <= 1:
+            raise ConfigError(f"{what} must be in (0, 1], got {value}")
     events_per_key = _scaled(FULL_EVENTS_PER_KEY, scale, minimum=2)
     if events_per_key % 2:
         events_per_key += 1

@@ -30,18 +30,3 @@ def container_id(index: int) -> str:
 def truck_id(index: int) -> str:
     """The id of truck ``index`` (appears only inside event values)."""
     return f"{NAMESPACE.truck_prefix}{index:0{_WIDTH}d}"
-
-
-def is_shipment(key: str) -> bool:
-    """True when ``key`` names a shipment."""
-    return key.startswith(NAMESPACE.shipment_prefix)
-
-
-def is_container(key: str) -> bool:
-    """True when ``key`` names a container."""
-    return key.startswith(NAMESPACE.container_prefix)
-
-
-def is_truck(key: str) -> bool:
-    """True when ``key`` names a truck."""
-    return key.startswith(NAMESPACE.truck_prefix)

@@ -87,6 +87,19 @@ class TestParser:
 
 @pytest.mark.slow
 class TestMain:
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--scale", "0", "--entity-scale", "-3"],
+        ["table1", "--dataset", "ds3", "--entity-scale", "1.5"],
+        ["verify", "--scale", "2"],
+    ])
+    def test_a_scale_outside_the_unit_interval_is_refused(self, capsys, argv):
+        """``--scale`` / ``--entity-scale`` reach the dataset's one range
+        check: the command stops before building anything, non-zero."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be in (0, 1]" in captured.err
+
     def test_table1_end_to_end(self, capsys):
         exit_code = main(
             ["table1", "--dataset", "ds3", "--scale", "0.02", "--entity-scale", "0.1"]

@@ -8,7 +8,6 @@ import typing
 import pytest
 
 from repro.common.config import (
-    SCALE_ENV_VAR,
     STATEDB_ENV_VAR,
     BlockCuttingConfig,
     BlockStoreConfig,
@@ -16,10 +15,10 @@ from repro.common.config import (
     FabricConfig,
     QueryConfig,
     StateDbConfig,
-    default_scale,
 )
 from repro.common.errors import ConfigError
 from repro.temporal.engine import TemporalQueryEngine
+from repro.workload.datasets import ds1, ds2
 
 
 class TestBlockCuttingConfig:
@@ -127,23 +126,23 @@ class TestOneValueNames:
 
 
 class TestDefaultScale:
+    """A dataset's scale is an argument, 0.1 when none is given; the
+    environment sets none (``REPRO_SCALE`` is not read)."""
+
     def test_default_is_one_tenth(self, monkeypatch):
-        monkeypatch.delenv(SCALE_ENV_VAR, raising=False)
-        assert default_scale() == 0.1
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        assert ds1() == ds1(scale=0.1, entity_scale=0.1)
+        assert ds1().t_max == 15_000
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(SCALE_ENV_VAR, "1")
-        assert default_scale() == 1.0
+        monkeypatch.setenv("REPRO_SCALE", "1")
+        assert ds1() == ds1(scale=0.1)
 
-    def test_bad_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCALE_ENV_VAR, "huge")
-        with pytest.raises(ConfigError):
-            default_scale()
+    def test_bad_value_rejected(self):
+        with pytest.raises(ConfigError, match=r"scale must be in \(0, 1\], got nan"):
+            ds1(scale=float("nan"))
 
-    def test_out_of_range_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCALE_ENV_VAR, "2.0")
-        with pytest.raises(ConfigError):
-            default_scale()
-        monkeypatch.setenv(SCALE_ENV_VAR, "0")
-        with pytest.raises(ConfigError):
-            default_scale()
+    def test_out_of_range_rejected(self):
+        for bad in (2.0, 0, -0.5):
+            with pytest.raises(ConfigError, match=r"scale must be in \(0, 1\]"):
+                ds2(scale=bad)

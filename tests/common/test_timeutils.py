@@ -8,15 +8,14 @@ from repro.common.timeutils import Stopwatch, format_duration
 
 
 class TestStopwatch:
-    def test_context_manager_accumulates(self, clock):
-        watch = Stopwatch()
-        with watch:
-            clock.now += 0.25
-        assert watch.elapsed == 0.25
-        clock.now += 8.0  # time between blocks is not counted
-        with watch:
-            clock.now += 0.5
-        assert watch.elapsed == 0.75
+    def test_start_stop_accumulates(self, clock):
+        watch = Stopwatch().start()
+        clock.now += 0.25
+        assert watch.stop() == 0.25
+        clock.now += 8.0  # time between intervals is not counted
+        watch.start()
+        clock.now += 0.5
+        assert watch.stop() == 0.75
 
     def test_double_start_rejected(self):
         watch = Stopwatch().start()
@@ -27,15 +26,6 @@ class TestStopwatch:
     def test_stop_without_start_rejected(self):
         with pytest.raises(RuntimeError):
             Stopwatch().stop()
-
-    def test_reset(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        watch.reset()
-        assert watch.elapsed == 0.0
-        assert not watch.running
-
 
 class TestFormatDuration:
     def test_sub_ten_seconds_two_decimals(self):

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
-from repro.fabric.audit import audit_ledger
 from repro.fabric.block import KVWrite
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
-from tests.helpers import fabric_config
+from tests.helpers import KeyValueChaincode, audit, fabric_config
 
 
 @pytest.fixture
 def network(tmp_path):
-    with FabricNetwork(tmp_path, config=fabric_config(max_message_count=3)) as net:
+    with closing(FabricNetwork(tmp_path, config=fabric_config(max_message_count=3))) as net:
         net.install(KeyValueChaincode())
         gateway = net.gateway("writer")
         for i in range(9):
@@ -26,14 +26,14 @@ def network(tmp_path):
 
 class TestHealthyLedger:
     def test_clean_audit(self, network):
-        report = audit_ledger(network.ledger)
+        report = audit(network.ledger)
         assert report.ok
         assert report.findings == []
-        assert "healthy" in report.render()
+        assert "-> consistent" in report.render()
 
     def test_empty_ledger(self, tmp_path):
         ledger = Ledger(tmp_path)
-        report = audit_ledger(ledger)
+        report = audit(ledger)
         assert report.ok
         ledger.close()
 
@@ -43,43 +43,42 @@ class TestHealthyLedger:
         # rebuilt from blocks).
         path = network.ledger.block_store._files.path.parent.parent
         reopened = Ledger(path)
-        assert audit_ledger(reopened).ok
+        assert audit(reopened).ok
         reopened.close()
 
 
 class TestDamagedLedger:
     def test_tampered_state_value_detected(self, network):
         network.ledger.state_db.apply_write([(KVWrite("k3", "evil"), (0, 0), None)])
-        report = audit_ledger(network.ledger)
+        report = audit(network.ledger)
         assert not report.ok
         codes = {finding.code for finding in report.findings}
         assert "state-mismatch" in codes
 
     def test_extra_state_detected(self, network):
         network.ledger.state_db.apply_write([(KVWrite("planted", "value"), (0, 0), None)])
-        report = audit_ledger(network.ledger)
+        report = audit(network.ledger)
         assert not report.ok
         assert any(f.code == "state-extra" for f in report.findings)
 
     def test_missing_state_detected(self, network):
         network.ledger.state_db.apply_write([(KVWrite("k5", None, is_delete=True), (0, 0), None)])
-        report = audit_ledger(network.ledger)
+        report = audit(network.ledger)
         assert any(f.code == "state-missing" for f in report.findings)
 
     def test_corrupted_history_index_detected(self, network):
         network.ledger.history_db._locations["k3"] = [(0, 0, 0), (0, 0, 0)]
-        report = audit_ledger(network.ledger)
+        report = audit(network.ledger)
         assert any(f.code == "history-index-divergent" for f in report.findings)
 
     def test_stale_savepoint_is_warning_not_error(self, network):
         network.ledger.state_db.record_savepoint(0)
-        report = audit_ledger(network.ledger)
+        report = audit(network.ledger)
         assert report.ok  # warnings do not fail the audit
         assert any(f.code == "savepoint-stale" for f in report.findings)
 
     def test_findings_render(self, network):
         network.ledger.state_db.apply_write([(KVWrite("k3", "evil"), (0, 0), None)])
-        rendered = audit_ledger(network.ledger).render()
-        assert "state-mismatch" in rendered
-        assert "finding" in rendered
-
+        rendered = audit(network.ledger).render()
+        assert "INCONSISTENT" in rendered
+        assert "[error] state-mismatch: 'k3'" in rendered

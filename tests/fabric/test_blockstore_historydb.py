@@ -10,6 +10,7 @@ import json
 import os
 import shutil
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,6 @@ from repro.fabric.block import (
 from repro.fabric import block as block_module
 from repro.fabric import blockstore as blockstore_module
 from repro.fabric.blockstore import BlockStore
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.historydb import HistoryDB
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
@@ -56,6 +56,7 @@ from repro.workload.generator import generate
 from tests.helpers import (
     BINARY_GOLDEN_PAYLOAD,
     DecodeSpyCodec,
+    KeyValueChaincode,
     build_plain_network,
     per_transaction_frame,
 )
@@ -115,11 +116,11 @@ class TestBlockStore:
 
     def test_reads_are_counted(self, store, metrics):
         store.add_block(chain_blocks([[make_tx("t0", {"k": "v"})]])[0])
-        before = metrics.counter(metric_names.BLOCKS_DESERIALIZED)
+        before = metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED)
         store.get_block(0)
         store.get_block(0)
-        assert metrics.counter(metric_names.BLOCKS_DESERIALIZED) == before + 2
-        assert metrics.counter(metric_names.BLOCK_BYTES_READ) > 0
+        assert metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED) == before + 2
+        assert metrics.snapshot().counter(metric_names.BLOCK_BYTES_READ) > 0
 
     def test_iter_blocks_range(self, store):
         for block in chain_blocks([[make_tx(f"t{i}", {"k": i})] for i in range(4)]):
@@ -195,31 +196,31 @@ class TestHistoryDB:
             store,
             [[make_tx(f"t{i}", {"k": f"v{i}"}, timestamp=i)] for i in range(10)],
         )
-        before = metrics.counter(metric_names.BLOCKS_DESERIALIZED)
+        before = metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED)
         iterator = history.get_history_for_key("k", store)
         for entry in iterator:
             if entry.timestamp >= 2:
                 break
-        deserialized = metrics.counter(metric_names.BLOCKS_DESERIALIZED) - before
+        deserialized = metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED) - before
         assert deserialized == 3  # blocks 0, 1, 2 only
 
     def test_ghfk_same_block_entries_use_cache(self, store, metrics):
         """Multiple writes of a key in one block cost one deserialization."""
         txs = [make_tx(f"t{i}", {"k": f"v{i}"}) for i in range(3)]
         history = self.build(store, [txs])
-        before = metrics.counter(metric_names.BLOCKS_DESERIALIZED)
+        before = metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED)
         entries = list(history.get_history_for_key("k", store))
         assert len(entries) == 3
-        assert metrics.counter(metric_names.BLOCKS_DESERIALIZED) - before == 1
+        assert metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED) - before == 1
 
     def test_ghfk_call_counted(self, store, metrics):
         history = self.build(store, [[make_tx("t0", {"k": "v"})]])
-        before = metrics.counter(metric_names.GHFK_CALLS)
+        before = metrics.snapshot().counter(metric_names.GHFK_CALLS)
         list(history.get_history_for_key("k", store))
-        assert metrics.counter(metric_names.GHFK_CALLS) == before + 1
+        assert metrics.snapshot().counter(metric_names.GHFK_CALLS) == before + 1
 
     def counts(self, metrics) -> tuple[int, int, int, int]:
-        return tuple(metrics.counter(name) for name in (
+        return tuple(metrics.snapshot().counter(name) for name in (
             metric_names.GHFK_CALLS, metric_names.GHFK_RESULTS,
             metric_names.TXS_DECODED, metric_names.BLOCKS_DESERIALIZED,
         ))
@@ -334,7 +335,7 @@ class TestConcurrentGHFK:
                 )
 
             # No cross-call reuse: each of the 8 scans reads all 12 blocks.
-            assert metrics.counter(metric_names.BLOCKS_DESERIALIZED) == 8 * len(blocks)
+            assert metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED) == 8 * len(blocks)
         finally:
             store.close()
 
@@ -611,7 +612,7 @@ class TestReopenDecodes:
             # built or counted.  ``memory`` replays every block.
             replayed = txs if backend == "memory" else 0
             assert len(built) == replayed
-            assert metrics.counter(metric_names.TXS_DECODED) == replayed
+            assert metrics.snapshot().counter(metric_names.TXS_DECODED) == replayed
         finally:
             ledger.close()
 
@@ -667,7 +668,7 @@ def _lsm_ledger(path: Path, blocks: int = 10) -> FabricConfig:
         block_cutting=BlockCuttingConfig(max_message_count=2),
         state_db=StateDbConfig(backend="lsm", memtable_limit=2),
     )
-    with FabricNetwork(path, config=config) as network:
+    with closing(FabricNetwork(path, config=config)) as network:
         network.install(KeyValueChaincode())
         gateway = network.gateway("writer")
         for i in range(2 * blocks):
@@ -707,7 +708,7 @@ class TestReopenWritesNothing:
 
     def test_a_corrupt_table_gets_a_manifest_without_it(self, tmp_path):
         config = _lsm_ledger(tmp_path)
-        with FabricNetwork(tmp_path, config=config) as network:
+        with closing(FabricNetwork(tmp_path, config=config)) as network:
             fingerprint = network.ledger.state_fingerprint()
         victim = sorted((tmp_path / "statedb").glob("sst-*.sst"))[0]
         blob = bytearray(victim.read_bytes())
@@ -718,7 +719,7 @@ class TestReopenWritesNothing:
         listed = json.loads((tmp_path / "statedb" / "MANIFEST.json").read_text())["tables"]
         assert int(victim.name[len("sst-") : -len(".sst")]) not in listed
         assert (tmp_path / "statedb" / "quarantine" / victim.name).exists()
-        with FabricNetwork(tmp_path, config=config) as network:
+        with closing(FabricNetwork(tmp_path, config=config)) as network:
             assert network.ledger.state_fingerprint() == fingerprint
             network.ledger.verify_chain()
 
@@ -738,9 +739,9 @@ class TestRecoveredHead:
                 blob[len(blob) // 2] ^= 0xFF
                 table.write_bytes(bytes(blob))
         metrics = MetricsRegistry()
-        with FabricNetwork(tmp_path, config=config, metrics=metrics) as network:
+        with closing(FabricNetwork(tmp_path, config=config, metrics=metrics)) as network:
             ledger = network.ledger
-            quarantined = metrics.counter(metric_names.STATE_TABLES_QUARANTINED)
+            quarantined = metrics.snapshot().counter(metric_names.STATE_TABLES_QUARANTINED)
             assert (quarantined > 0) == (branch == "quarantine")
             head = ledger.block_store.get_block(blocks - 1).header.hash()
             assert ledger.last_header_hash == head
@@ -787,7 +788,7 @@ class TestDescriptorLifetime:
             network = FabricNetwork(tmp_path, config=config)
             try:
                 store = network.ledger.block_store
-                assert store._files.current_file_num > 1  # several block files
+                assert store._files._current_num > 1  # several block files
                 for number in range(height):
                     assert store.get_block(number).number == number
                 assert _open_fds() > baseline
@@ -805,9 +806,10 @@ class TestDescriptorLifetime:
             for number in range(height):
                 network.ledger.block_store.get_block(number)
             fs.kill()  # the process dies without close()
+            assert _open_fds() == baseline  # a dead process holds no descriptors
             with pytest.raises(FaultInjectionError):
                 network.ledger.block_store.get_block(0)
-            del network  # a dead process holds no descriptors
+            del network
             reopened = FabricNetwork(tmp_path, config=config)
             try:
                 assert reopened.ledger.height == height

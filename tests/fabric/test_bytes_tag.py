@@ -10,14 +10,16 @@ cannot read with :class:`CodecError`.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common.codec import BYTES_TAG, JsonCodec
 from repro.common.config import FabricConfig, StateDbConfig
 from repro.common.errors import ChaincodeError, CodecError
 from repro.fabric.block import RWSet, Transaction
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
+from tests.helpers import KeyValueChaincode
 
 #: One-key dicts keyed by the tag, whatever they hold.
 TAGGED = [{BYTES_TAG: 5}, {BYTES_TAG: "abc"}, {BYTES_TAG: "AP8="}, {BYTES_TAG: None}]
@@ -98,7 +100,7 @@ class TestNoWedge:
         height does not move, the next submit commits, and the ledger
         reopens with every read working."""
         config = FabricConfig(state_db=StateDbConfig(backend=backend))
-        with FabricNetwork(tmp_path, config=config) as network:
+        with closing(FabricNetwork(tmp_path, config=config)) as network:
             network.install(KeyValueChaincode())
             network.install(_EventingChaincode())
             gateway = network.gateway("writer")
@@ -115,7 +117,7 @@ class TestNoWedge:
             gateway.submit_transaction("kv", "put", ["c", b"\x00\xff"], timestamp=10)
             gateway.flush()
             assert network.ledger.height >= 1
-        with FabricNetwork(tmp_path, config=config) as network:
+        with closing(FabricNetwork(tmp_path, config=config)) as network:
             ledger = network.ledger
             assert ledger.get_state("a") is None
             assert ledger.get_state("b") == {BYTES_TAG: 5, "x": 1}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common.errors import EndorsementError
@@ -34,7 +36,7 @@ class _EventingChaincode:
 
 @pytest.fixture
 def network(tmp_path):
-    with FabricNetwork(tmp_path, config=fabric_config(max_message_count=2)) as net:
+    with closing(FabricNetwork(tmp_path, config=fabric_config(max_message_count=2))) as net:
         net.install(_EventingChaincode())
         yield net
 

@@ -17,10 +17,10 @@ from repro.common.errors import (
     SimulatedCrashError,
 )
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, Block, BlockHeader
-from repro.fabric.chaincode import Chaincode, KeyValueChaincode
+from repro.fabric.chaincode import Chaincode
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
-from tests.helpers import fabric_config
+from tests.helpers import KeyValueChaincode, fabric_config
 
 
 @pytest.fixture

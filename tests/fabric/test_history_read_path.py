@@ -133,13 +133,13 @@ def test_every_entry_equals_the_object_graph_oracle(codec, chain):
             for key in sorted(written):
                 want = oracle_history(history, store, key)
                 assert want, key
-                before = metrics.counter(metric_names.TXS_DECODED)
+                before = metrics.snapshot().counter(metric_names.TXS_DECODED)
                 got = list(history.get_history_for_key(key, store))
                 assert len(got) == len(want)
                 for mine, theirs in zip(got, want):
                     assert same_entry(mine, theirs), (mine, theirs)
                 # One transaction head decoded per result, never the block.
-                assert metrics.counter(metric_names.TXS_DECODED) - before == len(want)
+                assert metrics.snapshot().counter(metric_names.TXS_DECODED) - before == len(want)
         finally:
             store.close()
 
@@ -195,7 +195,7 @@ def test_history_reads_share_the_segments_the_view_decodes(shared):
     store, history, metrics = shared
     entries = list(history.get_history_for_key("S1", store))
     assert [entry.tx_num for entry in entries] == list(range(10))
-    assert metrics.counter(metric_names.TXS_DECODED) == 10
+    assert metrics.snapshot().counter(metric_names.TXS_DECODED) == 10
     block = store.get_block(0)
     # Another key of the same transactions, then the transactions
     # themselves: nothing is decoded twice.
@@ -205,11 +205,11 @@ def test_history_reads_share_the_segments_the_view_decodes(shared):
     first = block.transactions[3]
     assert first is block.transactions[3] is block.transactions[-7]
     assert first.rw_set.writes["S1"].value == entries[3].value
-    assert metrics.counter(metric_names.TXS_DECODED) == 10
+    assert metrics.snapshot().counter(metric_names.TXS_DECODED) == 10
     # ... and across the switch to the fully decoded list, after which
     # history reads the list.
     assert list(block.transactions)[3] is first
-    assert metrics.counter(metric_names.TXS_DECODED) == 10
+    assert metrics.snapshot().counter(metric_names.TXS_DECODED) == 10
     assert list(history.get_history_for_key("S1", store)) == entries
     block.verify_data_hash()
 
@@ -308,7 +308,7 @@ def test_counts_are_exact_when_an_iterator_is_abandoned(codec, tmp_path):
         previous = block.header.hash()
 
     def counts() -> tuple[int, int, int, int]:
-        return tuple(metrics.counter(name) for name in (
+        return tuple(metrics.snapshot().counter(name) for name in (
             metric_names.GHFK_CALLS, metric_names.GHFK_RESULTS,
             metric_names.TXS_DECODED, metric_names.BLOCKS_DESERIALIZED,
         ))
@@ -353,11 +353,11 @@ def test_a_bad_history_location_is_a_ledger_error(shared, scanned, location, nam
     if scanned:
         list(store.get_block(0).transactions)
     history._locations["only-2"] = [(0, 2, 3), location]
-    results = metrics.counter(metric_names.GHFK_RESULTS)
+    results = metrics.snapshot().counter(metric_names.GHFK_RESULTS)
     iterator = history.get_history_for_key("only-2", store)
     assert next(iterator).value == {"tx": 2, "key": "only-2"}
     with pytest.raises(LedgerError, match=names) as raised:
         next(iterator)
     assert "'only-2'" in str(raised.value)
     # Only the entry that exists counted as a result.
-    assert metrics.counter(metric_names.GHFK_RESULTS) == results + 1
+    assert metrics.snapshot().counter(metric_names.GHFK_RESULTS) == results + 1

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common.config import BlockCuttingConfig
 from repro.common.errors import ChaincodeError, OrdererHaltedError
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, RWSet, Transaction
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.fabric.orderer import SoloOrderer
+from tests.helpers import KeyValueChaincode
 
 
 def make_tx(tx_id: str) -> Transaction:
@@ -29,7 +31,7 @@ class TestBatchCutting:
             orderer.submit(make_tx(f"t{i}"))
         assert len(blocks) == 2
         assert [len(b.transactions) for b in blocks] == [3, 3]
-        assert orderer.pending_count == 1
+        assert len(orderer.flush().transactions) == 1
 
     def test_flush_cuts_partial_batch(self):
         blocks = []
@@ -38,7 +40,7 @@ class TestBatchCutting:
         orderer.submit(make_tx("t0"))
         orderer.flush()
         assert len(blocks) == 1
-        assert orderer.pending_count == 0
+        assert orderer.flush() is None
 
     def test_flush_empty_is_noop(self):
         orderer = SoloOrderer()
@@ -96,7 +98,6 @@ class TestFailedCommit:
         for tx_id in ("t1", "t2"):
             with pytest.raises(OrdererHaltedError, match="block 0 failed to commit"):
                 orderer.submit(make_tx(tx_id))
-        assert orderer.pending_count == 0
         assert orderer.flush() is None
 
     def test_unencodable_value_does_not_wedge_later_submits(self, tmp_path):
@@ -104,7 +105,7 @@ class TestFailedCommit:
         dict whose keys do not sort -- is refused at submit, before it
         reaches the orderer: the height does not move and the next submit
         commits with no reopen."""
-        with FabricNetwork(tmp_path) as network:
+        with closing(FabricNetwork(tmp_path)) as network:
             network.install(KeyValueChaincode())
             gateway = network.gateway("writer")
             for timestamp, value in enumerate([{1, 2}, object(), {1: "a", "1": "b"}], start=1):

@@ -50,9 +50,9 @@ class TestStateAccess:
 
     def test_get_version_without_metrics(self, state_db, metrics):
         state_db.apply_write([(KVWrite("k", "v"), (4, 1), None)])
-        before = metrics.counter(metric_names.GET_STATE_CALLS)
+        before = metrics.snapshot().counter(metric_names.GET_STATE_CALLS)
         assert state_db.get_version("k") == (4, 1)
-        assert metrics.counter(metric_names.GET_STATE_CALLS) == before
+        assert metrics.snapshot().counter(metric_names.GET_STATE_CALLS) == before
 
     def test_empty_key_rejected(self, state_db):
         with pytest.raises(ValueError):
@@ -179,8 +179,8 @@ class TestSavepoint:
 class TestMetrics:
     def test_get_state_counted(self, state_db, metrics):
         state_db.get_state("k")
-        assert metrics.counter(metric_names.GET_STATE_CALLS) == 1
+        assert metrics.snapshot().counter(metric_names.GET_STATE_CALLS) == 1
 
     def test_range_scan_counted(self, state_db, metrics):
         list(state_db.get_state_by_range("", ""))
-        assert metrics.counter(metric_names.RANGE_SCAN_CALLS) == 1
+        assert metrics.snapshot().counter(metric_names.RANGE_SCAN_CALLS) == 1

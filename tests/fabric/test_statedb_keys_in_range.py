@@ -79,13 +79,13 @@ def test_keys_in_range_is_the_key_column_of_get_state_by_range(backend):
                     model[f"v{block}"] = block
                     store.flush()
             if backend == "lsm":
-                compactions.append(metrics.counter(metric_names.KV_COMPACTIONS))
+                compactions.append(metrics.snapshot().counter(metric_names.KV_COMPACTIONS))
             for start, end in ranges:
-                before = metrics.counter(metric_names.RANGE_SCAN_CALLS)
+                before = metrics.snapshot().counter(metric_names.RANGE_SCAN_CALLS)
                 keys = db.keys_in_range(start, end)
-                assert metrics.counter(metric_names.RANGE_SCAN_CALLS) == before + 1
+                assert metrics.snapshot().counter(metric_names.RANGE_SCAN_CALLS) == before + 1
                 scanned = [key for key, _ in db.get_state_by_range(start, end)]
-                assert metrics.counter(metric_names.RANGE_SCAN_CALLS) == before + 2
+                assert metrics.snapshot().counter(metric_names.RANGE_SCAN_CALLS) == before + 2
                 assert keys == scanned
                 assert keys == sorted(key for key in model if in_range(key, start, end))
                 assert SAVEPOINT_KEY not in keys

@@ -21,8 +21,8 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.common.config import BlockCuttingConfig, FabricConfig
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
+from tests.helpers import KeyValueChaincode
 
 KEYS = [f"key-{i}" for i in range(6)]
 VALUES = st.one_of(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.fabric.block import (
@@ -14,9 +16,9 @@ from repro.fabric.block import (
     RWSet,
     Transaction,
 )
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.fabric.validator import Validator
+from tests.helpers import KeyValueChaincode
 
 
 def make_tx(tx_id, reads=(), writes=()):
@@ -147,7 +149,7 @@ class TestSignatureCheck:
         """A well-framed block handed to ``commit_block`` can carry a
         signature of any decoded type: the endorser's check says no
         instead of raising out of ``hmac.compare_digest``."""
-        with FabricNetwork(tmp_path) as network:
+        with closing(FabricNetwork(tmp_path)) as network:
             network.install(KeyValueChaincode())
             endorser = network.endorser
             good, _ = endorser.endorse("kv", "put", ["a", 1], creator="writer", timestamp=1)

@@ -14,6 +14,7 @@ The pattern every crash test follows:
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Set
@@ -25,13 +26,11 @@ from repro.common.config import (
     StateDbConfig,
 )
 from repro.common.errors import SimulatedCrashError
-from repro.fabric.audit import audit_ledger
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, VALID
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.faults import FaultPlan, FaultyFS, active_plan
 from repro.faults.doctor import run_doctor
-from tests.helpers import LEDGER_FIELDS, ledger_summary
+from tests.helpers import LEDGER_FIELDS, KeyValueChaincode, audit, ledger_summary
 
 
 def lsm_config(
@@ -111,7 +110,7 @@ def kv_reference(
     path: Path, config: FabricConfig, total_txs: int = 160, distinct_keys: int = 64
 ) -> HeightRecord:
     """The KV workload's fault-free run, recorded at every height."""
-    with FabricNetwork(path, config=config) as network:
+    with closing(FabricNetwork(path, config=config)) as network:
         network.install(KeyValueChaincode())
         record = HeightRecord(network)
         submit_kv_puts(network.gateway("writer"), total_txs, distinct_keys)
@@ -171,7 +170,7 @@ def reopen_and_verify(
         }
         lost = acked - committed
         assert not lost, f"acknowledged transactions lost in the crash: {lost}"
-        report = audit_ledger(ledger)
+        report = audit(ledger)
         assert report.ok, report.render()
         height = ledger.height
         summary, expected = ledger_summary(network), reference.at(height)

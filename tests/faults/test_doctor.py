@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.cli import main
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.faults.doctor import detect_backend, run_doctor
 from repro.temporal.chaincodes import M1IndexChaincode
 from tests.faults.harness import lsm_config
+from tests.helpers import KeyValueChaincode
 
 
 def build_ledger_dir(path, txs: int = 120, distinct_keys: int = 64):
@@ -146,7 +148,7 @@ def ledger_with_an_undecodable_block(path, monkeypatch):
 
     config = fabric_config(max_message_count=1)
     monkeypatch.setattr(block_module, "_holds_bytes_tag", lambda value: False)
-    with FabricNetwork(path, config=config) as network:
+    with closing(FabricNetwork(path, config=config)) as network:
         network.install(KeyValueChaincode())
         gateway = network.gateway("writer")
         for timestamp, (key, value) in enumerate(
@@ -227,7 +229,7 @@ def test_interrupted_m1_run_is_reported_until_rerun(tmp_path):
     assert finding.severity == "warning"
     assert "holds 8 M1 bundles over (0-900] that no recorded indexing run covers" in finding.detail
 
-    with FabricNetwork(tmp_path / "net", config=config) as network:
+    with closing(FabricNetwork(tmp_path / "net", config=config)) as network:
         network.install(SupplyChainChaincode())
         network.install(M1IndexChaincode())
         M1Indexer(network.ledger, network.gateway("indexer"), ["S", "C"]).run(
@@ -250,7 +252,7 @@ def test_m2_interval_keys_are_not_m1_bundles(tmp_path):
 def record_m1_runs(path, runs):
     """A closed ledger whose M1 run list is ``runs`` (``(t1, t2, u)``)."""
     config = lsm_config()
-    with FabricNetwork(path, config=config) as network:
+    with closing(FabricNetwork(path, config=config)) as network:
         network.install(M1IndexChaincode())
         gateway = network.gateway("indexer")
         for t1, t2, u in runs:

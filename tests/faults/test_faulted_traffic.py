@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
+from contextlib import closing
 from typing import List, NamedTuple, Optional
 
 import pytest
@@ -78,7 +79,7 @@ def oracle(events) -> list:
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory) -> Reference:
-    with FabricNetwork(tmp_path_factory.mktemp("reference"), config=CONFIG) as network:
+    with closing(FabricNetwork(tmp_path_factory.mktemp("reference"), config=CONFIG)) as network:
         network.install(SupplyChainChaincode())
         record = HeightRecord(network)
         engine = TemporalQueryEngine(network.ledger, network.metrics)
@@ -161,7 +162,7 @@ def run_round(path, reference, acked, target, arm):
 def check_recovered(path, reference, acked) -> int:
     """``reopen_and_verify`` at the recovered height, then scrub and rows."""
     height = reopen_and_verify(path, CONFIG, acked, reference.record)
-    with FabricNetwork(path, config=CONFIG) as network:
+    with closing(FabricNetwork(path, config=CONFIG)) as network:
         assert network.ledger.state_db.scrub() == ()
         engine = TemporalQueryEngine(network.ledger, network.metrics)
         assert engine.run_join("tqf", WINDOW).rows == reference.rows[height]
@@ -181,6 +182,6 @@ def test_queries_between_faulted_commits_are_right_or_typed(tmp_path, reference)
         assert observed(plan, path), f"the {fault} fault never happened"
 
     assert height == reference.record.height
-    with FabricNetwork(path, config=CONFIG) as network:
+    with closing(FabricNetwork(path, config=CONFIG)) as network:
         engine = TemporalQueryEngine(network.ledger, network.metrics)
         assert rows_digest(engine, "tqf", WINDOW) == reference.digest

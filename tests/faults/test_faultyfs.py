@@ -344,7 +344,7 @@ def _block_files(tmp_path, plan, blocks=6):
     manager = BlockFileManager(tmp_path / "chains", max_file_bytes=64, fs=fs)
     payloads = [f"block-{i}-".encode() * 4 for i in range(blocks)]
     locations = [manager.append(payload) for payload in payloads]
-    assert manager.current_file_num > 0
+    assert manager._current_num > 0
     return fs, manager, locations, payloads
 
 

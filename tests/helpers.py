@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Sequence
+from typing import Any, List, Sequence
 
 from repro.common.codec import JsonCodec, write_uvarint
 from repro.common.config import BlockCuttingConfig, FabricConfig
+from repro.common.errors import ChaincodeError
+from repro.fabric.audit import audit_ledger
 from repro.fabric.block import GENESIS_PREVIOUS_HASH, VALID, Block, BlockHeader, RWSet, Transaction
+from repro.fabric.chaincode import Chaincode, ChaincodeStub
+from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
+from repro.faults.doctor import DoctorReport
 from repro.faults.fs import FileSystem
 from repro.temporal.chaincodes import (
     M1IndexChaincode,
@@ -34,6 +39,45 @@ SMALL_CONFIG = WorkloadConfig(
     distribution="uniform",
     seed=99,
 )
+
+
+class KeyValueChaincode(Chaincode):
+    """A minimal general-purpose chaincode: put / get / delete / put_many,
+    the fixture application of the fabric tests."""
+
+    name = "kv"
+
+    def invoke(self, stub: ChaincodeStub, fn: str, args: List[Any]) -> Any:
+        if fn == "put":
+            key, value = args
+            stub.put_state(key, value)
+            return {"key": key}
+        if fn == "get":
+            (key,) = args
+            return stub.get_state(key)
+        if fn == "delete":
+            (key,) = args
+            stub.del_state(key)
+            return {"key": key}
+        if fn == "put_many":
+            for key, value in args:
+                stub.put_state(key, value)
+            return {"count": len(args)}
+        raise ChaincodeError(f"unknown function {fn!r} on chaincode {self.name!r}")
+
+
+def audit(ledger: Ledger) -> DoctorReport:
+    """What :func:`audit_ledger` finds on an open ``ledger``, in a report
+    of its own."""
+    report = DoctorReport(path="<open ledger>", backend="-", height=ledger.height)
+    audit_ledger(ledger, report)
+    return report
+
+
+def table_rows(reader, start=None, end=None) -> list:
+    """An SSTable reader's ``(key, value-or-None)`` entries with
+    ``start <= key < end``, as the LSM merge reads them."""
+    return list(reader.entries(*reader.bounds(start, end)))
 
 
 def small_workload() -> WorkloadData:

@@ -32,9 +32,9 @@ class TestContract:
             assert store.get(b"k") == b"v1"
             store.put(b"k", b"v2")
             assert store.get(b"k") == b"v2"
-            store.delete(b"k")
+            store.write_batch([(b"k", None)])
             assert store.get(b"k") is None
-            store.delete(b"never-there")  # no-op, no error
+            store.write_batch([(b"never-there", None)])  # no-op, no error
         finally:
             store.close()
 
@@ -64,7 +64,7 @@ class TestContract:
                 expected[key] = f"value-{i}".encode()
             for i in range(0, 40, 3):
                 key = f"key-{i:03d}".encode()
-                store.delete(key)
+                store.write_batch([(key, None)])
                 del expected[key]
             assert dict(store.scan()) == expected
             for key, value in expected.items():
@@ -81,7 +81,7 @@ class TestContract:
                 store.put(b"victim", f"gen-{i}".encode())
                 for j in range(8):  # force flushes between generations
                     store.put(f"pad-{i}-{j}".encode(), b"x")
-            store.delete(b"victim")
+            store.write_batch([(b"victim", None)])
             for j in range(10):  # push the tombstone down a level too
                 store.put(f"tail-{j}".encode(), b"x")
             assert store.get(b"victim") is None
@@ -118,7 +118,7 @@ class TestContract:
         store = _open(backend, tmp_path)
         for i in range(20):
             store.put(f"k{i:02d}".encode(), f"v{i}".encode())
-        store.delete(b"k05")
+        store.write_batch([(b"k05", None)])
         store.close()
         reopened = _open(backend, tmp_path)
         try:
@@ -155,8 +155,8 @@ class TestContract:
             for key, value in operations:
                 reference.put(key, value)
                 store.put(key, value)
-            reference.delete(b"k3")
-            store.delete(b"k3")
+            reference.write_batch([(b"k3", None)])
+            store.write_batch([(b"k3", None)])
             assert list(store.scan()) == list(reference.scan())
         finally:
             store.close()

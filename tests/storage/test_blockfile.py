@@ -30,7 +30,7 @@ class TestBlockFileManager:
     def test_rollover_creates_new_file(self, tmp_path):
         manager = BlockFileManager(tmp_path, max_file_bytes=64)
         locations = [manager.append(b"x" * 40) for _ in range(4)]
-        assert manager.current_file_num >= 1
+        assert manager._current_num >= 1
         file_nums = {loc.file_num for loc in locations}
         assert len(file_nums) > 1
         for location in locations:
@@ -44,7 +44,7 @@ class TestBlockFileManager:
         manager.append(b"c" * 50)  # rolls to file 1
         manager.close()
         reopened = BlockFileManager(tmp_path, max_file_bytes=64)
-        assert reopened.current_file_num >= 1
+        assert reopened._current_num >= 1
         loc3 = reopened.append(b"c" * 10)
         assert reopened.read(loc1) == b"a" * 50
         assert reopened.read(loc3) == b"c" * 10

@@ -36,7 +36,7 @@ class TestForeignEntries:
         with pytest.warns(UserWarning, match="blockfile_backup"):
             manager = BlockFileManager(tmp_path)
         try:
-            assert manager.current_file_num == 0
+            assert manager._current_num == 0
             location = manager.append(_payload(1))
             assert manager.read(location) == _payload(1)
         finally:
@@ -49,7 +49,7 @@ class TestForeignEntries:
         (tmp_path / "blockfile_1000000").write_bytes(b"")
         manager = BlockFileManager(tmp_path)
         try:
-            assert manager.current_file_num == 1000000
+            assert manager._current_num == 1000000
         finally:
             manager.close()
 
@@ -127,10 +127,10 @@ class TestReadPath:
             early = manager.append(_payload(0))
             assert manager.read(early) == _payload(0)  # caches file 0's handle
             locations = [manager.append(_payload(i)) for i in range(1, 12)]
-            assert manager.current_file_num > 0
+            assert manager._current_num > 0
             assert manager.read(early) == _payload(0)  # file 0 is sealed now
             kept, dropped = locations[-2], locations[-1]
-            assert kept.file_num == dropped.file_num == manager.current_file_num
+            assert kept.file_num == dropped.file_num == manager._current_num
             assert manager.read(dropped) == _payload(11)
             opens = list(fs.read_opens)
             manager.truncate_tail(dropped)
@@ -200,13 +200,12 @@ def test_readers_interleaved_with_a_committer_across_rollovers(tmp_path):
         for i in range(1, 400):
             count = len(locations)
             assert manager.read(locations[i % count]) == _payload(i % count)
-            manager.file_size(manager.current_file_num)
             # The newest record (current file) and the oldest (sealed once
             # the committer has rolled over).
             assert manager.read(locations[count - 1]) == _payload(count - 1)
             assert manager.read(locations[0]) == _payload(0)
             locations.append(manager.append(_payload(i)))
-        assert manager.current_file_num > 0
-        assert len(manager._readers) == manager.current_file_num + 1
+        assert manager._current_num > 0
+        assert len(manager._readers) == manager._current_num + 1
     finally:
         manager.close()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common import metrics as metric_names
@@ -13,7 +15,7 @@ from repro.storage.kv.lsm import LSMStore
 
 @pytest.fixture
 def store(tmp_path):
-    with LSMStore(tmp_path / "db", memtable_limit=8, compaction_trigger=4) as store:
+    with closing(LSMStore(tmp_path / "db", memtable_limit=8, compaction_trigger=4)) as store:
         yield store
 
 
@@ -32,17 +34,12 @@ class TestBasicOps:
 
     def test_delete(self, store):
         store.put(b"k", b"v")
-        store.delete(b"k")
+        store.write_batch([(b"k", None)])
         assert store.get(b"k") is None
 
     def test_delete_absent_is_noop(self, store):
-        store.delete(b"never-existed")
+        store.write_batch([(b"never-existed", None)])
         assert store.get(b"never-existed") is None
-
-    def test_contains(self, store):
-        store.put(b"k", b"v")
-        assert b"k" in store
-        assert b"other" not in store
 
     def test_empty_key_rejected(self, store):
         with pytest.raises(ValueError):
@@ -70,14 +67,14 @@ class TestFlushAndShadowing:
     def test_tombstone_shadows_sstable_value(self, store):
         store.put(b"k", b"old")
         store.flush()
-        store.delete(b"k")
+        store.write_batch([(b"k", None)])
         assert store.get(b"k") is None
 
     def test_tombstone_shadows_in_scan(self, store):
         store.put(b"a", b"1")
         store.put(b"b", b"2")
         store.flush()
-        store.delete(b"a")
+        store.write_batch([(b"a", None)])
         assert list(store.scan()) == [(b"b", b"2")]
 
     def test_newer_sstable_beats_older(self, store):
@@ -135,7 +132,7 @@ class TestScan:
         advanced one entry per insert: every scan is strictly sorted and
         yields exactly the keys there at its call."""
         base = [b"m%03d" % i for i in range(50)]
-        with LSMStore(tmp_path / "db", memtable_limit=4096) as store:
+        with closing(LSMStore(tmp_path / "db", memtable_limit=4096)) as store:
             for key in base:
                 store.put(key, b"v")
             written = list(base)
@@ -231,7 +228,7 @@ class TestScanSources:
             real_heapify(heap)
 
         model = {}
-        with LSMStore(tmp_path / "db", memtable_limit=64, compaction_trigger=16) as store:
+        with closing(LSMStore(tmp_path / "db", memtable_limit=64, compaction_trigger=16)) as store:
             for operation in operations:
                 if operation == FLUSH:
                     store.flush()
@@ -239,7 +236,7 @@ class TestScanSources:
                     store.put(operation[1], operation[2])
                     model[operation[1]] = operation[2]
                 else:
-                    store.delete(operation[1])
+                    store.write_batch([(operation[1], None)])
                     model.pop(operation[1], None)
             monkeypatch.setattr(lsm.heapq, "heapify", spy)
             scanned = list(store.scan(start, end))
@@ -260,7 +257,7 @@ class TestCompaction:
         )
         for i in range(40):
             store.put(f"k{i:03d}".encode(), b"v")
-        assert metrics.counter(metric_names.KV_COMPACTIONS) >= 1
+        assert metrics.snapshot().counter(metric_names.KV_COMPACTIONS) >= 1
         assert store.sstable_count < 3
         for i in range(40):
             assert store.get(f"k{i:03d}".encode()) == b"v"
@@ -270,8 +267,8 @@ class TestCompaction:
         store = LSMStore(tmp_path / "db", memtable_limit=2, compaction_trigger=2)
         store.put(b"a", b"1")
         store.put(b"b", b"2")  # flush 1
-        store.delete(b"a")
-        store.delete(b"b")  # flush 2 -> compaction
+        store.write_batch([(b"a", None)])
+        store.write_batch([(b"b", None)])  # flush 2 -> compaction
         assert store.get(b"a") is None
         assert list(store.scan()) == []
         store.close()
@@ -294,7 +291,7 @@ class TestRecovery:
         store = LSMStore(tmp_path / "db", memtable_limit=2)
         store.put(b"a", b"1")
         store.put(b"b", b"2")  # flushed to SSTable
-        store.delete(b"a")  # only in WAL
+        store.write_batch([(b"a", None)])  # only in WAL
         store._wal.sync()
         store._wal._file.close()
         reopened = LSMStore(tmp_path / "db", memtable_limit=100)
@@ -325,9 +322,9 @@ class TestMetricsIntegration:
         store = LSMStore(tmp_path / "db", metrics=metrics)
         store.put(b"k", b"v")
         store.get(b"k")
-        assert metrics.counter(metric_names.KV_WRITES) == 1
-        assert metrics.counter(metric_names.KV_READS) == 1
-        assert metrics.counter(metric_names.WAL_RECORDS) == 1
+        assert metrics.snapshot().counter(metric_names.KV_WRITES) == 1
+        assert metrics.snapshot().counter(metric_names.KV_READS) == 1
+        assert metrics.snapshot().counter(metric_names.WAL_RECORDS) == 1
         store.close()
 
     def test_read_counters_of_a_fixed_scenario_are_pinned(self, tmp_path):
@@ -344,7 +341,7 @@ class TestMetricsIntegration:
             model[key] = value
 
         def delete(key):
-            store.delete(key)
+            store.write_batch([(key, None)])
             model.pop(key, None)
 
         store = LSMStore(
@@ -378,7 +375,7 @@ class TestMetricsIntegration:
         """The read is counted before the quarantine check can raise, as
         every other read is: once, and with no filter or table counted."""
         root = tmp_path / "db"
-        with LSMStore(root) as store:
+        with closing(LSMStore(root)) as store:
             store.put(b"k", b"v")
             store.flush()
         (table,) = root.glob("sst-*.sst")

@@ -14,15 +14,15 @@ class TestBasicOps:
         store = MemStore()
         store.put(b"k", b"v")
         assert store.get(b"k") == b"v"
-        store.delete(b"k")
+        store.write_batch([(b"k", None)])
         assert store.get(b"k") is None
 
     def test_len(self):
         store = MemStore()
         store.put(b"a", b"1")
         store.put(b"b", b"2")
-        store.put(b"a", b"3")
-        assert len(store) == 2
+        store.put(b"a", b"3")  # an overwrite adds no second entry
+        assert list(store.scan()) == [(b"a", b"3"), (b"b", b"2")]
 
     def test_scan_sorted(self):
         store = MemStore()
@@ -40,7 +40,7 @@ class TestBasicOps:
         store = MemStore()
         for key in (b"a", b"b", b"c"):
             store.put(key, key)
-        store.delete(b"b")
+        store.write_batch([(b"b", None)])
         assert [k for k, _ in store.scan()] == [b"a", b"c"]
         store.put(b"b", b"back")
         assert [k for k, _ in store.scan()] == [b"a", b"b", b"c"]

@@ -90,11 +90,3 @@ class TestBookkeeping:
         assert table.approximate_bytes == 0
         table.write([(b"key", b"value")])
         assert table.approximate_bytes == 8
-
-    def test_clear(self):
-        table = Memtable()
-        table.write([(b"a", b"1")])
-        table.clear()
-        assert len(table) == 0
-        assert table.approximate_bytes == 0
-        assert list(table.scan(None, None)) == []

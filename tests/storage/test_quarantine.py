@@ -9,14 +9,15 @@ rebuild the range (the ledger replays the chain) acknowledges the loss.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common.errors import QuarantinedError
-from repro.fabric.audit import audit_ledger
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.storage.kv.lsm import QUARANTINE_DIR, LSMStore
 from tests.faults.harness import lsm_config, submit_kv_puts
+from tests.helpers import KeyValueChaincode, audit
 
 
 def fill_and_flush(store: LSMStore, prefix: bytes, n: int = 8) -> None:
@@ -39,7 +40,7 @@ def sst_files(root):
 class TestQuarantineAtOpen:
     def test_corrupt_table_is_quarantined_not_served(self, tmp_path):
         root = tmp_path / "db"
-        with LSMStore(root, memtable_limit=1000) as store:
+        with closing(LSMStore(root, memtable_limit=1000)) as store:
             fill_and_flush(store, b"a")
             fill_and_flush(store, b"b")
         victim = sst_files(root)[0]
@@ -62,7 +63,7 @@ class TestQuarantineAtOpen:
 
     def test_acknowledge_resumes_with_surviving_tables(self, tmp_path):
         root = tmp_path / "db"
-        with LSMStore(root, memtable_limit=1000) as store:
+        with closing(LSMStore(root, memtable_limit=1000)) as store:
             fill_and_flush(store, b"a")
             fill_and_flush(store, b"b")
         victim = sst_files(root)[0]
@@ -83,7 +84,7 @@ class TestQuarantineAtOpen:
         # Ingest must be able to continue (the rebuild path writes the
         # lost range back); only reads are blocked until acknowledged.
         root = tmp_path / "db"
-        with LSMStore(root, memtable_limit=1000) as store:
+        with closing(LSMStore(root, memtable_limit=1000)) as store:
             fill_and_flush(store, b"a")
         corrupt(sst_files(root)[0])
         store = LSMStore(root, memtable_limit=1000)
@@ -98,7 +99,7 @@ class TestQuarantineAtOpen:
 
 class TestScrub:
     def test_scrub_clean_store_finds_nothing(self, tmp_path):
-        with LSMStore(tmp_path / "db", memtable_limit=1000) as store:
+        with closing(LSMStore(tmp_path / "db", memtable_limit=1000)) as store:
             fill_and_flush(store, b"a")
             assert store.scrub() == ()
             assert store.get(b"a000") == b"value-a"
@@ -129,14 +130,14 @@ def test_a_table_rotting_after_its_wal_is_gone_is_rebuilt_from_the_chain(tmp_pat
     only in the chain, so recovery must replay the chain from block 0,
     not from the savepoint a newer table still holds."""
     config = lsm_config(memtable_limit=8)
-    with FabricNetwork(tmp_path / "net", config=config) as network:
+    with closing(FabricNetwork(tmp_path / "net", config=config)) as network:
         network.install(KeyValueChaincode())
         submit_kv_puts(network.gateway("writer"), total_txs=48, distinct_keys=48)
         fingerprint = network.ledger.state_fingerprint()
     tables = sst_files(tmp_path / "net" / "statedb")
     assert len(tables) > 1
     corrupt(tables[0])
-    with FabricNetwork(tmp_path / "net", config=config) as network:
+    with closing(FabricNetwork(tmp_path / "net", config=config)) as network:
         assert network.ledger.state_db.quarantined_tables() == ()  # acknowledged
         assert network.ledger.state_fingerprint() == fingerprint
-        assert audit_ledger(network.ledger).ok
+        assert audit(network.ledger).ok

@@ -10,6 +10,7 @@ from repro.common.codec import write_uvarint
 from repro.common.errors import SSTableError
 from repro.storage.kv.bloom import BloomFilter
 from repro.storage.kv.sstable import _FOOTER, MAGIC, SSTableReader, write_sstable
+from tests.helpers import table_rows
 
 
 def build(tmp_path, entries, name="t.sst"):
@@ -64,7 +65,7 @@ class TestWrite:
         reader = build(tmp_path, [])
         assert reader.entry_count == 0
         assert reader.lookup(b"x") == (False, None)
-        assert list(reader.scan(None, None)) == []
+        assert table_rows(reader) == []
 
 
     def test_index_section_is_empty(self, tmp_path):
@@ -114,24 +115,24 @@ class TestScan:
     def test_full_scan_sorted(self, tmp_path):
         entries = [(f"k{i:03d}".encode(), b"v") for i in range(50)]
         reader = build(tmp_path, entries)
-        keys = [key for key, _ in reader.scan(None, None)]
+        keys = [key for key, _ in table_rows(reader)]
         assert keys == [key for key, _ in entries]
 
     def test_range_scan_half_open(self, tmp_path):
         entries = [(f"k{i:03d}".encode(), b"v") for i in range(50)]
         reader = build(tmp_path, entries)
-        keys = [key for key, _ in reader.scan(b"k010", b"k013")]
+        keys = [key for key, _ in table_rows(reader, b"k010", b"k013")]
         assert keys == [b"k010", b"k011", b"k012"]
 
     def test_range_scan_start_between_index_points(self, tmp_path):
         entries = [(f"k{i:03d}".encode(), b"v") for i in range(64)]
         reader = build(tmp_path, entries)
-        keys = [key for key, _ in reader.scan(b"k017", b"k020")]
+        keys = [key for key, _ in table_rows(reader, b"k017", b"k020")]
         assert keys == [b"k017", b"k018", b"k019"]
 
     def test_scan_includes_tombstones(self, tmp_path):
         reader = build(tmp_path, [(b"a", b"1"), (b"b", None), (b"c", b"3")])
-        assert list(reader.scan(None, None)) == [
+        assert table_rows(reader) == [
             (b"a", b"1"),
             (b"b", None),
             (b"c", b"3"),
@@ -152,11 +153,11 @@ class TestFormat:
         new = build(tmp_path, entries, name="new.sst")
         assert (tmp_path / "old.sst").stat().st_size > (tmp_path / "new.sst").stat().st_size
         assert old.entry_count == new.entry_count == 100
-        assert list(old.scan(None, None)) == list(new.scan(None, None)) == entries
+        assert table_rows(old) == table_rows(new) == entries
         bounds = [None, b"a", b"key00015", b"key00016", b"key000160", b"key00099", b"z"]
         for start in bounds:
             for end in bounds:
-                assert list(old.scan(start, end)) == list(new.scan(start, end))
+                assert table_rows(old, start, end) == table_rows(new, start, end)
         for key in [key for key, _ in entries] + [b"a", b"key000160", b"z"]:
             assert old.lookup(key) == new.lookup(key)
 
@@ -172,11 +173,11 @@ class TestFormat:
             (b"d", b"w" * 70_000),
         ]
         reader = build(tmp_path, entries)
-        assert list(reader.scan(None, None)) == entries
+        assert table_rows(reader) == entries
         for key, value in entries:
             assert reader.lookup(key) == (True, value)
         assert reader.lookup(b"b" * 130) == (False, None)
-        assert list(reader.scan(b"b" * 128, b"c")) == entries[2:4]
+        assert table_rows(reader, b"b" * 128, b"c") == entries[2:4]
 
     def test_unknown_op_byte_is_a_typed_error(self, tmp_path):
         path = tmp_path / "t.sst"
@@ -185,7 +186,7 @@ class TestFormat:
         with pytest.raises(SSTableError, match="unknown op 7"):
             reader.lookup(b"a")
         with pytest.raises(SSTableError, match="unknown op 7"):
-            list(reader.scan(None, None))
+            table_rows(reader)
 
     @pytest.mark.parametrize(
         "tail", [b"\x05b", b"\x01b", b"\x01b\x00", b"\x01b\x00\x05v", b"\x81"]
@@ -212,7 +213,3 @@ class TestCorruption:
         path.write_bytes(b"short")
         with pytest.raises(SSTableError, match="too small"):
             SSTableReader(path)
-
-    def test_smallest_key(self, tmp_path):
-        reader = build(tmp_path, [(b"bbb", b"1"), (b"ccc", b"2")])
-        assert reader.smallest_key == b"bbb"

@@ -17,6 +17,7 @@ from repro.common.errors import BlockFileError, SSTableError, WalCorruptionError
 from repro.storage.blockfile import BlockFileManager
 from repro.storage.kv.sstable import SSTableReader, write_sstable
 from repro.storage.kv.wal import WriteAheadLog, replay
+from tests.helpers import table_rows
 
 # -- fixtures: one intact instance of each format -------------------------
 
@@ -37,7 +38,7 @@ def build_wal(path):
 
 
 def replayed(path):
-    return [(key, value) for _, key, value in replay(path)]
+    return [(key, value) for _, key, value in replay(path)[0]]
 
 
 def build_sstable(path):
@@ -140,7 +141,7 @@ def test_sstable_intact_reload_round_trips(tmp_path):
     source = tmp_path / "table.sst"
     entries = build_sstable(source)
     reader = SSTableReader(source)
-    assert list(reader.scan(None, None)) == entries
+    assert table_rows(reader) == entries
 
 
 # -- block files -----------------------------------------------------------

@@ -10,7 +10,7 @@ from repro.storage.kv.wal import WriteAheadLog, replay
 
 
 def test_replay_missing_file_yields_nothing(tmp_path):
-    assert list(replay(tmp_path / "nope.log")) == []
+    assert replay(tmp_path / "nope.log")[0] == []
 
 
 def test_round_trip_puts_and_deletes(tmp_path):
@@ -19,7 +19,8 @@ def test_round_trip_puts_and_deletes(tmp_path):
     wal.append([(b"k2", None)])
     wal.append([(b"k1", b"v2")])
     wal.close()
-    records = list(replay(tmp_path / "wal.log"))
+    records, torn_at = replay(tmp_path / "wal.log")
+    assert torn_at is None
     assert records == [
         (OP_PUT, b"k1", b"v1"),
         (OP_DELETE, b"k2", None),
@@ -31,7 +32,7 @@ def test_empty_values_and_binary_keys(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal.log")
     wal.append([(b"\x00\xff", b"")])
     wal.close()
-    assert list(replay(tmp_path / "wal.log")) == [(OP_PUT, b"\x00\xff", b"")]
+    assert replay(tmp_path / "wal.log")[0] == [(OP_PUT, b"\x00\xff", b"")]
 
 
 def test_truncate_discards_records(tmp_path):
@@ -40,7 +41,7 @@ def test_truncate_discards_records(tmp_path):
     wal.truncate()
     wal.append([(b"k2", b"v2")])
     wal.close()
-    assert list(replay(tmp_path / "wal.log")) == [(OP_PUT, b"k2", b"v2")]
+    assert replay(tmp_path / "wal.log")[0] == [(OP_PUT, b"k2", b"v2")]
 
 
 def test_torn_tail_is_dropped(tmp_path):
@@ -51,7 +52,8 @@ def test_torn_tail_is_dropped(tmp_path):
     wal.close()
     data = path.read_bytes()
     path.write_bytes(data[:-4])  # simulate crash mid-append
-    assert list(replay(path)) == [(OP_PUT, b"good", b"record")]
+    # Both records are 21 bytes: the torn tail starts at the second.
+    assert replay(path) == ([(OP_PUT, b"good", b"record")], len(data) // 2)
 
 
 def test_corrupt_tail_record_is_dropped(tmp_path):
@@ -63,7 +65,8 @@ def test_corrupt_tail_record_is_dropped(tmp_path):
     data = bytearray(path.read_bytes())
     data[-1] ^= 0xFF  # flip a payload bit in the final record
     path.write_bytes(bytes(data))
-    assert list(replay(path)) == [(OP_PUT, b"good", b"record")]
+    # The final record is 8 header bytes and a 12-byte payload.
+    assert replay(path) == ([(OP_PUT, b"good", b"record")], len(data) - 20)
 
 
 def test_corrupt_middle_record_raises(tmp_path):
@@ -76,7 +79,7 @@ def test_corrupt_middle_record_raises(tmp_path):
     data[12] ^= 0xFF  # corrupt inside the first record's payload
     path.write_bytes(bytes(data))
     with pytest.raises(WalCorruptionError):
-        list(replay(path))
+        replay(path)
 
 
 def test_reopen_appends_after_existing_records(tmp_path):
@@ -87,13 +90,15 @@ def test_reopen_appends_after_existing_records(tmp_path):
     wal = WriteAheadLog(path)
     wal.append([(b"b", b"2")])
     wal.close()
-    keys = [key for _, key, _ in replay(path)]
+    keys = [key for _, key, _ in replay(path)[0]]
     assert keys == [b"a", b"b"]
 
 
 def test_size_bytes_grows(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.log")
-    initial = wal.size_bytes
+    path = tmp_path / "wal.log"
+    wal = WriteAheadLog(path)
+    initial = path.stat().st_size
     wal.append([(b"key", b"value")])
-    assert wal.size_bytes > initial
+    wal.sync()
+    assert path.stat().st_size > initial
     wal.close()

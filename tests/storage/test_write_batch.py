@@ -34,7 +34,7 @@ batches = st.lists(st.lists(st.tuples(keys, values), max_size=12), max_size=6)
 def one_at_a_time(store, batch) -> None:
     for key, value in batch:
         if value is None:
-            store.delete(key)
+            store.write_batch([(key, None)])
         else:
             store.put(key, value)
 
@@ -108,7 +108,7 @@ class TestLsm:
                 metric_names.KV_WRITES,
                 metric_names.KV_COMPACTIONS,
             ):
-                assert batched_metrics.counter(name) == single_metrics.counter(name)
+                assert batched_metrics.snapshot().counter(name) == single_metrics.snapshot().counter(name)
         finally:
             batched.close()
             single.close()
@@ -124,7 +124,7 @@ class TestLsm:
         batched.write_batch(batch)
         one_at_a_time(single, batch)
         assert len(batched_flushes) == 3 and batched_flushes == single_flushes
-        assert batched_metrics.counter(metric_names.KV_COMPACTIONS) == 2
+        assert batched_metrics.snapshot().counter(metric_names.KV_COMPACTIONS) == 2
         assert batched.sstable_count == single.sstable_count == 1
         assert stored_bytes(batched) == stored_bytes(single)
         assert contents(batched) == contents(single)
@@ -202,7 +202,7 @@ class TestWalRecords:
         assert (tmp_path / "wal.log").read_bytes() == b"".join(
             self.framed(key, value) for key, value in items
         )
-        assert list(replay(tmp_path / "wal.log")) == [
+        assert replay(tmp_path / "wal.log")[0] == [
             (OP_DELETE if value is None else OP_PUT, key, value) for key, value in items
         ]
         assert wal.record_count == len(items)

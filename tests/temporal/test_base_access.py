@@ -172,6 +172,3 @@ class TestGhfkBase:
 
     def test_unknown_key_empty(self, api, workload):
         assert list(api.ghfk_base("S99999", now=workload.config.t_max)) == []
-
-    def test_u_property(self, api):
-        assert api.u == 100

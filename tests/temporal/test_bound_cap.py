@@ -11,6 +11,8 @@ keys and still answer.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common.errors import EndorsementError, IndexingError, TemporalQueryError
@@ -75,7 +77,7 @@ class TestPastTheCap:
         network.close()
 
     def test_tqf_answers_both_events(self, tmp_path):
-        with FabricNetwork(tmp_path, config=fabric_config()) as network:
+        with closing(FabricNetwork(tmp_path, config=fabric_config())) as network:
             network.install(SupplyChainChaincode())
             ingest(network.gateway("ingestor"), EVENTS, SupplyChainChaincode.name)
             assert TQFEngine(network.ledger).fetch_events("S00001", WINDOW) == EVENTS
@@ -102,7 +104,7 @@ class TestPastTheCap:
             list(api.ghfk_base("S00001", BOUND_CAP + 5))
 
     def test_an_m1_run_ending_at_the_cap_is_rejected_before_any_write(self, tmp_path):
-        with FabricNetwork(tmp_path, config=fabric_config()) as network:
+        with closing(FabricNetwork(tmp_path, config=fabric_config())) as network:
             network.install(SupplyChainChaincode())
             network.install(M1IndexChaincode())
             ingest(network.gateway("ingestor"), EVENTS, SupplyChainChaincode.name)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common.errors import EndorsementError
@@ -18,7 +20,7 @@ from tests.helpers import fabric_config
 
 @pytest.fixture
 def network(tmp_path):
-    with FabricNetwork(tmp_path, config=fabric_config(max_message_count=4)) as net:
+    with closing(FabricNetwork(tmp_path, config=fabric_config(max_message_count=4))) as net:
         net.install(SupplyChainChaincode())
         net.install(M2SupplyChainChaincode(u=100))
         net.install(M1IndexChaincode())

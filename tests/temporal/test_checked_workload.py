@@ -3,6 +3,8 @@ scenario where every transaction also reads current state."""
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common import metrics as metric_names
@@ -37,14 +39,14 @@ def workload():
 
 @pytest.fixture
 def plain_network(tmp_path):
-    with FabricNetwork(tmp_path, config=fabric_config()) as network:
+    with closing(FabricNetwork(tmp_path, config=fabric_config())) as network:
         network.install(SupplyChainChaincode())
         yield network
 
 
 @pytest.fixture
 def m2_network(tmp_path):
-    with FabricNetwork(tmp_path, config=fabric_config()) as network:
+    with closing(FabricNetwork(tmp_path, config=fabric_config())) as network:
         network.install(M2SupplyChainChaincode(u=100))
         yield network
 
@@ -53,11 +55,11 @@ class TestPlainChecked:
     def test_checked_ingest_matches_unchecked_history(self, plain_network, workload):
         gateway = plain_network.gateway("ingestor")
         metrics = plain_network.metrics
-        before = metrics.counter(metric_names.GET_STATE_CALLS)
+        before = metrics.snapshot().counter(metric_names.GET_STATE_CALLS)
         report = ingest_checked(gateway, workload.events, "supplychain")
         assert report.transactions == len(workload.events)
         # On original keys the current state is one GetState per event.
-        assert metrics.counter(metric_names.GET_STATE_CALLS) - before == len(workload.events)
+        assert metrics.snapshot().counter(metric_names.GET_STATE_CALLS) - before == len(workload.events)
         engine = TQFEngine(plain_network.ledger)
         window = TimeInterval(0, CONFIG.t_max)
         for key in workload.shipments:
@@ -113,7 +115,7 @@ class TestPlainChecked:
         )
         gateway.flush()
         metrics = plain_network.metrics
-        assert metrics.counter(metric_names.TXS_INVALIDATED) == 1
+        assert metrics.snapshot().counter(metric_names.TXS_INVALIDATED) == 1
         assert plain_network.ledger.get_state("S1")["t"] == 20
 
     def test_flush_each_false_rejected_at_endorsement(self, plain_network, workload):
@@ -143,18 +145,18 @@ class TestM2Checked:
         so GetState calls exceed one per event -- and more of them the
         smaller u is, since more empty intervals lie between an event and
         its entity's latest state."""
-        with FabricNetwork(
+        with closing(FabricNetwork(
             tmp_path_factory.mktemp("m2-small-u"), config=fabric_config()
-        ) as small_u_network:
+        )) as small_u_network:
             small_u_network.install(M2SupplyChainChaincode(u=25))
             probes = {}
             for u, network in ((100, m2_network), (25, small_u_network)):
-                before = network.metrics.counter(metric_names.GET_STATE_CALLS)
+                before = network.metrics.snapshot().counter(metric_names.GET_STATE_CALLS)
                 report = ingest_checked(
                     network.gateway("ingestor"), workload.events, "supplychain-m2"
                 )
                 assert report.events == len(workload.events)
-                probes[u] = network.metrics.counter(metric_names.GET_STATE_CALLS) - before
+                probes[u] = network.metrics.snapshot().counter(metric_names.GET_STATE_CALLS) - before
         assert probes[25] > probes[100] > len(workload.events)
 
     def test_m2_validation_rules_apply(self, m2_network):

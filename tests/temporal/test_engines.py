@@ -101,9 +101,9 @@ class TestTQFEngine:
         key = workload.shipments[0]
 
         def blocks_for(window):
-            before = plain_network.metrics.counter(metric_names.BLOCKS_DESERIALIZED)
+            before = plain_network.metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED)
             engine.fetch_events(key, window)
-            return plain_network.metrics.counter(metric_names.BLOCKS_DESERIALIZED) - before
+            return plain_network.metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED) - before
 
         early = blocks_for(TimeInterval(0, 100))
         late = blocks_for(TimeInterval(900, 1_000))
@@ -186,7 +186,7 @@ class TestM2Engine:
         )
         assert len(intervals) > 1
         assert intervals == sorted(intervals)
-        assert all(interval.length == 100 for interval in intervals)
+        assert all(interval.end - interval.start == 100 for interval in intervals)
 
     @pytest.mark.parametrize("window", WINDOWS, ids=str)
     def test_fetch_matches_oracle(self, m2_network, workload, window):
@@ -203,9 +203,9 @@ class TestM2Engine:
         key = workload.shipments[0]
 
         def blocks_for(window):
-            before = metrics.counter(metric_names.BLOCKS_DESERIALIZED)
+            before = metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED)
             engine.fetch_events(key, window)
-            return metrics.counter(metric_names.BLOCKS_DESERIALIZED) - before
+            return metrics.snapshot().counter(metric_names.BLOCKS_DESERIALIZED) - before
 
         late = blocks_for(TimeInterval(900, 1_000))
         full = blocks_for(TimeInterval(0, 1_000))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common import metrics as metric_names
@@ -132,7 +134,7 @@ class TestM2ExplainIsTheQuerysOwnScan:
     @pytest.fixture(scope="class")
     def gapped(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("gapped-m2")
-        with FabricNetwork(path, config=fabric_config()) as network:
+        with closing(FabricNetwork(path, config=fabric_config())) as network:
             network.install(M2SupplyChainChaincode(u=100))
             ingest(
                 network.gateway("ingestor"), GAPPED_EVENTS,
@@ -192,7 +194,7 @@ class TestExplainJoin:
     def test_no_keys_needs_no_plan(self, tmp_path):
         """With no key to fetch the M1 join never plans, so it answers
         (no rows) over a window no run covers; explaining it must too."""
-        with FabricNetwork(tmp_path, config=fabric_config()) as network:
+        with closing(FabricNetwork(tmp_path, config=fabric_config())) as network:
             explainer = QueryExplainer(network.ledger)
             assert explainer.explain_join("m1", TimeInterval(0, 100), []) == []
 

@@ -41,27 +41,27 @@ class TestTimeInterval:
 
     def test_length_and_str(self):
         interval = TimeInterval(2_000, 4_000)
-        assert interval.length == 2_000
+        assert (interval.start, interval.end) == (2_000, 4_000)
         assert str(interval) == "(2000-4000]"
 
 
 class TestFixedIntervalScheme:
     def test_interval_for_interior_point(self):
         scheme = FixedIntervalScheme(2_000)
-        assert scheme.interval_for(1) == TimeInterval(0, 2_000)
-        assert scheme.interval_for(1_999) == TimeInterval(0, 2_000)
-        assert scheme.interval_for(2_001) == TimeInterval(2_000, 4_000)
+        assert TimeInterval(*scheme.bounds_for(1)) == TimeInterval(0, 2_000)
+        assert TimeInterval(*scheme.bounds_for(1_999)) == TimeInterval(0, 2_000)
+        assert TimeInterval(*scheme.bounds_for(2_001)) == TimeInterval(2_000, 4_000)
 
     def test_interval_for_boundary_belongs_left(self):
         """t = k*u lands in ((k-1)u, ku] -- the only partition-consistent
         reading of the paper's floor/ceil formula."""
         scheme = FixedIntervalScheme(2_000)
-        assert scheme.interval_for(2_000) == TimeInterval(0, 2_000)
-        assert scheme.interval_for(4_000) == TimeInterval(2_000, 4_000)
+        assert TimeInterval(*scheme.bounds_for(2_000)) == TimeInterval(0, 2_000)
+        assert TimeInterval(*scheme.bounds_for(4_000)) == TimeInterval(2_000, 4_000)
 
     def test_interval_for_zero_rejected(self):
         with pytest.raises(TemporalQueryError):
-            FixedIntervalScheme(10).interval_for(0)
+            FixedIntervalScheme(10).bounds_for(0)
 
     def test_non_positive_u_rejected(self):
         with pytest.raises(TemporalQueryError):
@@ -78,7 +78,7 @@ class TestIntervalForBoundaries:
     def test_zero_raises_typed_error_with_actionable_message(self):
         scheme = FixedIntervalScheme(self.U)
         with pytest.raises(TemporalQueryError) as excinfo:
-            scheme.interval_for(0)
+            scheme.bounds_for(0)
         message = str(excinfo.value)
         # The message must say what's wrong AND how to fix it.
         assert "no (start, end] index interval" in message
@@ -86,16 +86,16 @@ class TestIntervalForBoundaries:
 
     def test_negative_timestamp_raises_same_typed_error(self):
         with pytest.raises(TemporalQueryError):
-            FixedIntervalScheme(self.U).interval_for(-5)
+            FixedIntervalScheme(self.U).bounds_for(-5)
 
     def test_exactly_u_belongs_to_first_interval(self):
         # t = u is the *inclusive end* of (0, u], not the start of (u, 2u].
-        interval = FixedIntervalScheme(self.U).interval_for(self.U)
+        interval = TimeInterval(*FixedIntervalScheme(self.U).bounds_for(self.U))
         assert interval == TimeInterval(0, self.U)
         assert interval.contains(self.U)
 
     def test_u_plus_one_starts_second_interval(self):
-        interval = FixedIntervalScheme(self.U).interval_for(self.U + 1)
+        interval = TimeInterval(*FixedIntervalScheme(self.U).bounds_for(self.U + 1))
         assert interval == TimeInterval(self.U, 2 * self.U)
         assert interval.contains(self.U + 1)
 
@@ -104,20 +104,22 @@ class TestIntervalForBoundaries:
         # A naive t // u files t = k*u into ((k)u, (k+1)u] -- one interval
         # too late; the ceil formula must land it in ((k-1)u, ku].
         scheme = FixedIntervalScheme(self.U)
-        interval = scheme.interval_for(k * self.U)
+        interval = TimeInterval(*scheme.bounds_for(k * self.U))
         assert interval == TimeInterval((k - 1) * self.U, k * self.U)
 
     def test_unit_u_degenerates_to_singletons(self):
         # u=1: every timestamp gets its own interval (t-1, t].
         scheme = FixedIntervalScheme(1)
-        assert scheme.interval_for(1) == TimeInterval(0, 1)
-        assert scheme.interval_for(42) == TimeInterval(41, 42)
+        assert TimeInterval(*scheme.bounds_for(1)) == TimeInterval(0, 1)
+        assert TimeInterval(*scheme.bounds_for(42)) == TimeInterval(41, 42)
 
     def test_bounds_for_is_interval_for_as_integers(self):
         scheme = FixedIntervalScheme(100)
         for t in (1, 99, 100, 101, 250):
-            interval = scheme.interval_for(t)
-            assert scheme.bounds_for(t) == (interval.start, interval.end)
+            # The one index interval overlapping the single point (t-1, t].
+            (home,) = scheme.iter_intervals_overlapping(TimeInterval(t - 1, t))
+            assert scheme.bounds_for(t) == (home.start, home.end)
+            assert all(type(bound) is int for bound in scheme.bounds_for(t))
         with pytest.raises(TemporalQueryError, match="no \\(start, end\\]"):
             scheme.bounds_for(0)
 
@@ -125,7 +127,7 @@ class TestIntervalForBoundaries:
         """Query (10K, 20K] with u=2K touches exactly the 5 intervals the
         paper lists in Section VII-A."""
         scheme = FixedIntervalScheme(2_000)
-        overlapping = scheme.intervals_overlapping(TimeInterval(10_000, 20_000))
+        overlapping = list(scheme.iter_intervals_overlapping(TimeInterval(10_000, 20_000)))
         assert overlapping == [
             TimeInterval(10_000, 12_000),
             TimeInterval(12_000, 14_000),
@@ -136,7 +138,7 @@ class TestIntervalForBoundaries:
 
     def test_intervals_overlapping_unaligned_window(self):
         scheme = FixedIntervalScheme(100)
-        overlapping = scheme.intervals_overlapping(TimeInterval(150, 250))
+        overlapping = list(scheme.iter_intervals_overlapping(TimeInterval(150, 250)))
         assert overlapping == [
             TimeInterval(100, 200),
             TimeInterval(200, 300),
@@ -155,9 +157,9 @@ class TestIntervalForBoundaries:
 
 @given(t=st.integers(min_value=1, max_value=10**9), u=st.integers(min_value=1, max_value=10**6))
 def test_interval_for_always_contains_t(t, u):
-    interval = FixedIntervalScheme(u).interval_for(t)
+    interval = TimeInterval(*FixedIntervalScheme(u).bounds_for(t))
     assert interval.contains(t)
-    assert interval.length == u
+    assert interval.end - interval.start == u
     assert interval.start % u == 0
 
 
@@ -177,7 +179,7 @@ def test_overlapping_intervals_tile_the_window(start, unit_and_length):
     u, length = unit_and_length
     window = TimeInterval(start, start + length)
     scheme = FixedIntervalScheme(u)
-    intervals = scheme.intervals_overlapping(window)
+    intervals = list(scheme.iter_intervals_overlapping(window))
     assert intervals, "a non-empty window always overlaps something"
     for interval in intervals:
         assert interval.overlaps(window)

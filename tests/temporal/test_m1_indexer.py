@@ -59,7 +59,7 @@ class TestIndexingReports:
         network, report1, report2 = indexed
         ingested = len(list(batch_events_me(workload.events)))
         bundles = report1.indexes_written + report2.indexes_written
-        committed = network.metrics.counter(metric_names.TXS_COMMITTED)
+        committed = network.metrics.snapshot().counter(metric_names.TXS_COMMITTED)
         assert committed == ingested + 2 * bundles + 2
 
     def test_reports_carry_run_descriptors(self, indexed):

@@ -11,6 +11,8 @@ the run list once.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -239,7 +241,7 @@ class TestOneRunListReadPerQuery:
     def test_no_keys_no_state_read_no_error(self, tmp_path):
         """An empty ledger answers nothing without consulting the index,
         even over a window no run covers."""
-        with FabricNetwork(tmp_path, config=fabric_config()) as network:
+        with closing(FabricNetwork(tmp_path, config=fabric_config())) as network:
             network.install(SupplyChainChaincode())
             network.install(M1IndexChaincode())
             got, result = rows(network, "m1", TimeInterval(0, 100))

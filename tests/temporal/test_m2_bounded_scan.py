@@ -16,6 +16,7 @@ memtable holds 8 entries, so one key's range crosses several SSTables
 from __future__ import annotations
 
 import tempfile
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -86,9 +87,9 @@ def test_bounded_scan_equals_filter_all(backend):
     @given(scenarios())
     def check(scenario):
         u, events, windows = scenario
-        with tempfile.TemporaryDirectory() as scratch, FabricNetwork(
+        with tempfile.TemporaryDirectory() as scratch, closing(FabricNetwork(
             scratch, config=config
-        ) as network:
+        )) as network:
             network.install(M2SupplyChainChaincode(u=u))
             ingest(
                 network.gateway("ingestor"), events,
@@ -103,9 +104,9 @@ def test_bounded_scan_equals_filter_all(backend):
                 for key in KEYS:
                     reference = filter_all(network.ledger, key, window)
                     assert engine.overlapping_intervals(key, window) == reference
-                    before = network.metrics.counter(metric_names.GHFK_CALLS)
+                    before = network.metrics.snapshot().counter(metric_names.GHFK_CALLS)
                     fetched = engine.fetch_events(key, window)
-                    spent = network.metrics.counter(metric_names.GHFK_CALLS) - before
+                    spent = network.metrics.snapshot().counter(metric_names.GHFK_CALLS) - before
                     assert spent == len(reference), (key, str(window))
                     assert fetched == [
                         event

@@ -17,6 +17,7 @@ GHFK per interval of ``overlapping_intervals``, spelled by
 from __future__ import annotations
 
 import tempfile
+from contextlib import closing
 from typing import List
 
 import pytest
@@ -24,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import BlockCuttingConfig, FabricConfig, StateDbConfig
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import M2SupplyChainChaincode
 from repro.temporal.events import LOAD, UNLOAD, Event
@@ -32,6 +32,7 @@ from repro.temporal.intervals import FixedIntervalScheme, TimeInterval
 from repro.temporal.keys import SEPARATOR, encode_interval_key, interval_key_suffix
 from repro.temporal.m2 import M2QueryEngine
 from repro.workload.ingest import ingest
+from tests.helpers import KeyValueChaincode
 
 KEYS = ("S1", "S10", "S1é", "C1")
 T_LAST = 120
@@ -91,9 +92,9 @@ def test_listing_and_ghfks_match_brute_force(backend):
     @given(scenarios())
     def check(scenario):
         u, events, deleted, windows = scenario
-        with tempfile.TemporaryDirectory() as scratch, FabricNetwork(
+        with tempfile.TemporaryDirectory() as scratch, closing(FabricNetwork(
             scratch, config=config
-        ) as network:
+        )) as network:
             network.install(M2SupplyChainChaincode(u=u))
             network.install(KeyValueChaincode())
             gateway = network.gateway("ingestor")

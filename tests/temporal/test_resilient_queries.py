@@ -8,6 +8,8 @@ back a substitute answer.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
 from repro.common.errors import TemporalQueryError
@@ -34,9 +36,9 @@ WINDOW = TimeInterval(0, 200)
 @pytest.fixture(scope="module")
 def network(tmp_path_factory):
     """Ingested ledger with NO M1 index: every m1 probe fails typed."""
-    with FabricNetwork(
+    with closing(FabricNetwork(
         tmp_path_factory.mktemp("resilient"), config=fabric_config()
-    ) as net:
+    )) as net:
         net.install(SupplyChainChaincode())
         ingest(net.gateway("ingestor"), generate(CONFIG).events, "supplychain")
         net.gateway("ingestor").flush()

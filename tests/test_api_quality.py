@@ -143,6 +143,63 @@ def test_no_chaincode_module_reads_its_environment():
     assert not offending
 
 
+#: The environment variables the package reads: the replay seed of a
+#: randomized sweep and the state-db backend (the CI matrix runs tier-1 on
+#: ``lsm`` through it).  Everything else is an argument or a flag.
+ENVIRONMENT_VARIABLES = {"REPRO_SEED", "REPRO_STATEDB"}
+
+
+def environment_reads(module_name):
+    """The variable each ``os.environ`` / ``os.getenv`` use in
+    ``module_name`` reads: a string literal or a module-level string
+    constant, else ``None`` (a use whose variable cannot be read off)."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(module_name)))
+    constants = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def variable(expr):
+        if isinstance(expr, ast.Constant):
+            return expr.value
+        return constants.get(expr.id) if isinstance(expr, ast.Name) else None
+
+    reads = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name not in ("environ", "getenv") or isinstance(parents.get(node), ast.alias):
+            continue
+        parent = parents.get(node)
+        if isinstance(parent, ast.Attribute) and parent.attr == "get":
+            parent = parents.get(parent)
+        if isinstance(parent, ast.Call) and parent.args:
+            reads.append(variable(parent.args[0]))
+        elif isinstance(parent, ast.Subscript):
+            reads.append(variable(parent.slice))
+        else:
+            reads.append(None)
+    return reads
+
+
+def test_the_package_reads_only_its_two_environment_variables():
+    """A setting the environment changes is a second way to set it, and
+    one a test, a benchmark or a reader of the command line cannot see:
+    the package reads ``REPRO_SEED`` and ``REPRO_STATEDB`` and nothing
+    else (the dataset scales are arguments, ``--scale`` /
+    ``--entity-scale`` on the command line)."""
+    read = {}
+    for module_name in MODULES:
+        for variable in environment_reads(module_name):
+            read.setdefault(variable, set()).add(module_name)
+    assert set(read) == ENVIRONMENT_VARIABLES, read
+
+
 def test_package_exposes_version():
     assert repro.__version__
 

@@ -12,13 +12,13 @@ fingerprint, join rows and GetState-Base / GHFK-Base answers.
 from __future__ import annotations
 
 import hashlib
+from contextlib import closing
 
 import pytest
 
 from repro.common import metrics as metric_names
 from repro.common.config import BlockCuttingConfig, FabricConfig, StateDbConfig
 from repro.fabric.block import MVCC_READ_CONFLICT, VALID
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import (
     M1IndexChaincode,
@@ -30,7 +30,7 @@ from repro.temporal.intervals import TimeInterval
 from repro.temporal.m2 import BaseAccessAPI
 from repro.workload.generator import WorkloadConfig, generate
 from repro.workload.ingest import ingest
-from tests.helpers import LEDGER_FIELDS, build_m1_index, ledger_summary, rows_digest
+from tests.helpers import LEDGER_FIELDS, KeyValueChaincode, build_m1_index, ledger_summary, rows_digest
 
 WORKLOAD = WorkloadConfig(
     name="matrix",
@@ -80,7 +80,7 @@ def run_workload(path, backend: str) -> dict:
     config = fabric_config(backend)
     events = generate(WORKLOAD).events
     result: dict = {"rows": {}}
-    with FabricNetwork(path / "plain", config=config) as network:
+    with closing(FabricNetwork(path / "plain", config=config)) as network:
         network.install(SupplyChainChaincode())
         network.install(KeyValueChaincode())
         network.install(M1IndexChaincode())
@@ -122,9 +122,9 @@ def run_workload(path, backend: str) -> dict:
             network.ledger.get_state("k1"),
             [entry.is_delete for entry in network.ledger.get_history_for_key("k1")],
         )
-        result["sstable_reads"] = network.metrics.counter(metric_names.KV_SSTABLE_READS)
-        result["compactions"] = network.metrics.counter(metric_names.KV_COMPACTIONS)
-    with FabricNetwork(path / "m2", config=config) as network:
+        result["sstable_reads"] = network.metrics.snapshot().counter(metric_names.KV_SSTABLE_READS)
+        result["compactions"] = network.metrics.snapshot().counter(metric_names.KV_COMPACTIONS)
+    with closing(FabricNetwork(path / "m2", config=config)) as network:
         network.install(M2SupplyChainChaincode(u=U))
         ingest(network.gateway("alice"), events, M2SupplyChainChaincode.name, strategy="se")
         engine = TemporalQueryEngine(network.ledger, network.metrics)
@@ -214,7 +214,7 @@ def test_reopen_under_the_other_backend_recovers_the_state(cells, written, reope
     transaction, the delete and the M1 bundles included."""
     path, result = cells[written]
     for ledger in ("plain", "m2"):
-        with FabricNetwork(path / ledger, config=fabric_config(reopened)) as network:
+        with closing(FabricNetwork(path / ledger, config=fabric_config(reopened))) as network:
             assert network.ledger.height == result[ledger]["height"]
             assert network.ledger.state_fingerprint() == result[ledger]["state"]
             assert history_index(network) == result["history"][ledger]
@@ -227,7 +227,7 @@ def test_reopen_under_lsm_rebuilds_the_index_from_the_frames(cells):
     is the one its commits built."""
     path, result = cells["lsm"]
     for ledger in ("plain", "m2"):
-        with FabricNetwork(path / ledger, config=fabric_config("lsm")) as network:
-            assert network.metrics.counter(metric_names.TXS_DECODED) == 0
+        with closing(FabricNetwork(path / ledger, config=fabric_config("lsm"))) as network:
+            assert network.metrics.snapshot().counter(metric_names.TXS_DECODED) == 0
             assert history_index(network) == result["history"][ledger]
             assert network.ledger.state_fingerprint() == result[ledger]["state"]

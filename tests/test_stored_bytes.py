@@ -32,12 +32,12 @@ from pathlib import Path
 from repro.common import metrics as metric_names
 from repro.common.config import FabricConfig, StateDbConfig
 from repro.common.metrics import MetricsRegistry
-from repro.fabric.chaincode import KeyValueChaincode
 from repro.fabric.network import FabricNetwork
 from repro.temporal.chaincodes import SupplyChainChaincode
 from repro.workload import datasets
 from repro.workload.generator import generate
 from repro.workload.ingest import ingest
+from tests.helpers import KeyValueChaincode
 
 WORKLOAD = datasets.ds1(scale=0.004, entity_scale=0.1, seed=11)
 
@@ -81,7 +81,7 @@ def test_stored_bytes_match_the_pinned_digest(tmp_path, monkeypatch):
     client.flush()
     network.close()
     # Tables were flushed and compacted: SSTables and manifest are covered.
-    assert metrics.counter(metric_names.KV_COMPACTIONS) > 0
+    assert metrics.snapshot().counter(metric_names.KV_COMPACTIONS) > 0
     assert directory_digest(tmp_path / "net") == DIGEST
 
 

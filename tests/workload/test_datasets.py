@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.workload.datasets import (
-    ENTITY_SCALE_ENV_VAR,
-    default_entity_scale,
-    ds1,
-    ds2,
-    ds3,
-)
+from repro.workload.datasets import ds1, ds2, ds3
 
 
 class TestFullScale:
@@ -62,18 +56,22 @@ class TestScaling:
         assert config.n_shipments == 15
 
     def test_env_default_entity_scale(self, monkeypatch):
-        monkeypatch.delenv(ENTITY_SCALE_ENV_VAR, raising=False)
-        assert default_entity_scale() == 0.1
-        monkeypatch.setenv(ENTITY_SCALE_ENV_VAR, "0.5")
-        assert default_entity_scale() == 0.5
+        """The environment sets no scale: the default entity scale is the
+        constant 0.1, whatever ``REPRO_ENTITY_SCALE`` says."""
+        monkeypatch.setenv("REPRO_ENTITY_SCALE", "0.5")
+        assert ds1() == ds1(entity_scale=0.1)
+        assert (ds1().n_shipments, ds1().n_containers, ds1().n_trucks) == (40, 10, 2)
 
     def test_env_entity_scale_validation(self, monkeypatch):
-        monkeypatch.setenv(ENTITY_SCALE_ENV_VAR, "zero")
-        with pytest.raises(ConfigError):
-            default_entity_scale()
-        monkeypatch.setenv(ENTITY_SCALE_ENV_VAR, "0")
-        with pytest.raises(ConfigError):
-            default_entity_scale()
+        """``entity_scale`` outside (0, 1] is refused where the dataset is
+        built; a malformed variable in the environment is not read."""
+        monkeypatch.setenv("REPRO_ENTITY_SCALE", "zero")
+        assert ds1().n_shipments == 40
+        for bad in (0, -3, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match=r"entity_scale must be in \(0, 1\]"):
+                ds1(entity_scale=bad)
+            with pytest.raises(ConfigError, match=r"entity_scale must be in \(0, 1\]"):
+                ds3(entity_scale=bad)
 
     def test_distinct_seeds_per_dataset(self):
         assert ds1().seed != ds2().seed != ds3().seed

@@ -71,10 +71,10 @@ class TestGeneratedStream:
     def test_shipments_reference_containers(self):
         data = generate(make_config())
         for event in data.events:
-            if model.is_shipment(event.key):
-                assert model.is_container(event.other)
+            if event.key in data.shipments:
+                assert event.other in data.containers
             else:
-                assert model.is_truck(event.other)
+                assert event.other in data.trucks
 
     def test_deterministic_under_seed(self):
         assert generate(make_config(seed=5)).events == generate(make_config(seed=5)).events

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +68,7 @@ class TestMEBatching:
 class TestIngest:
     @pytest.fixture
     def network(self, tmp_path):
-        with FabricNetwork(tmp_path, config=fabric_config()) as net:
+        with closing(FabricNetwork(tmp_path, config=fabric_config())) as net:
             net.install(SupplyChainChaincode())
             yield net
 
@@ -99,14 +101,14 @@ class TestIngest:
         happens inside the one transaction each batch already is."""
         plain = ingest(network.gateway("ingestor"), workload.events, "supplychain",
                        strategy=strategy)
-        with FabricNetwork(tmp_path_factory.mktemp("m2"), config=fabric_config()) as m2:
+        with closing(FabricNetwork(tmp_path_factory.mktemp("m2"), config=fabric_config())) as m2:
             m2.install(M2SupplyChainChaincode(u=100))
             report = ingest(m2.gateway("ingestor"), workload.events,
                             M2SupplyChainChaincode.name, strategy=strategy)
-            committed = m2.metrics.counter(metric_names.TXS_COMMITTED)
+            committed = m2.metrics.snapshot().counter(metric_names.TXS_COMMITTED)
         assert report.events == plain.events == len(workload.events)
         assert report.transactions == plain.transactions == committed
-        assert committed == network.metrics.counter(metric_names.TXS_COMMITTED)
+        assert committed == network.metrics.snapshot().counter(metric_names.TXS_COMMITTED)
 
     def test_history_complete_after_me(self, network, workload):
         gateway = network.gateway("ingestor")
