@@ -13,8 +13,7 @@ The full hierarchy::
     │   ├── WalCorruptionError   WAL record fails its checksum
     │   ├── SSTableError         malformed SSTable file
     │   ├── BlockFileError       malformed block file / bad block location
-    │   ├── ClosedStoreError     operation on a closed store
-    │   └── QuarantinedError     reads refused: a corrupt SSTable was isolated
+    │   └── ClosedStoreError     operation on a closed store
     ├── LedgerError              Fabric-simulator failures
     │   ├── BlockNotFoundError
     │   ├── TransactionValidationError
@@ -69,21 +68,6 @@ class BlockFileError(StorageError):
 
 class ClosedStoreError(StorageError):
     """An operation was attempted on a store that has been closed."""
-
-
-class QuarantinedError(StorageError):
-    """Reads refused because a corrupt SSTable was quarantined on open.
-
-    The store isolated a CRC-failing table instead of dying, but until a
-    higher layer acknowledges the quarantine (and schedules a rebuild of
-    the lost range -- the ledger replays its chain), answering reads
-    would silently drop the quarantined keys.
-    """
-
-    def __init__(self, message: str, tables: tuple = ()) -> None:
-        super().__init__(message)
-        #: File names of the quarantined tables, for diagnostics.
-        self.tables = tuple(tables)
 
 
 class LedgerError(ReproError):

@@ -33,9 +33,10 @@ class BlockStore:
 
     On open the index is reconciled against the block files, which are
     the source of truth: a torn blockfile tail truncates the index back
-    to the intact records, an index that lags the files (crash between
-    file append and index append) is extended by scanning the files, and
-    a corrupt index is rebuilt from scratch the same way.
+    to the intact records and is cut off the file before the next append
+    can land behind it, an index that lags the files (crash between file
+    append and index append) is extended by scanning the files, and a
+    corrupt index is rebuilt from scratch the same way.
 
     Blocks are stored in :class:`JsonCodec`; ``codec`` is there for a
     test to substitute a counting subclass.
@@ -60,12 +61,12 @@ class BlockStore:
             path / "chains", max_file_bytes=max_file_bytes, fsync=fsync, fs=fs
         )
         index_path = path / "index" / "blocks.idx"
-        index_path.with_name(index_path.name + ".tmp").unlink(missing_ok=True)
+        fs.remove(index_path.with_name(index_path.name + ".tmp"))
         try:
             self._index = BlockIndex(index_path, fsync=fsync, fs=fs)
         except BlockFileError:
             # Corrupt index: it is derived data, rebuild it from the files.
-            index_path.unlink(missing_ok=True)
+            fs.remove(index_path)
             self._index = BlockIndex(index_path, fsync=fsync, fs=fs)
         self._codec = codec or JsonCodec()
         self._metrics = metrics
@@ -82,15 +83,16 @@ class BlockStore:
             scan = self._files.scan_records(0, 0)
             base = 0
         count = 0
+        intact: Optional[BlockLocation] = None
         try:
-            for location, _payload in scan:
+            for intact, _payload in scan:
                 position = base + count
                 if position < self._index.height:
-                    if self._index.lookup(position) != location:
+                    if self._index.lookup(position) != intact:
                         self._rebuild_index()
                         return
                 else:
-                    self._index.append(location)
+                    self._index.append(intact)
                 count += 1
         except BlockFileError:
             # Mid-chain damage the scan cannot step over; reads of the
@@ -103,13 +105,16 @@ class BlockStore:
             # from a full scan so every surviving entry is re-verified.
             self._rebuild_index()
             return
+        self._files.cut_after(intact)
         self._index.sync()
 
     def _rebuild_index(self) -> None:
         """Rebuild the whole index from a full block-file scan."""
         self._index.truncate_to(0)
-        for location, _payload in self._files.scan_records(0, 0):
-            self._index.append(location)
+        intact: Optional[BlockLocation] = None
+        for intact, _payload in self._files.scan_records(0, 0):
+            self._index.append(intact)
+        self._files.cut_after(intact)
         self._index.sync()
 
     @property

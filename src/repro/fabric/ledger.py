@@ -93,19 +93,17 @@ class Ledger:
 
         The history index is always rebuilt from the chain; the state-db is
         replayed from the savepoint forward (normally a no-op).  When the
-        state-db opened with quarantined tables (an SSTable failed its
-        checksum), the savepoint and any surviving entries are untrusted:
-        the loss is acknowledged and every state is rebuilt by replaying
-        the chain from block 0 -- the chain, not the derived store, is
-        authoritative.
+        state-db's open set tables aside (one failed its checksum, or no
+        manifest vouched for it), the savepoint and any surviving entries
+        are untrusted: every state is rebuilt by replaying the chain from
+        block 0 -- the chain, not the derived store, is authoritative.
         """
         if self.block_store.height == 0:
             return
-        quarantined = self.state_db.quarantined_tables()
-        if quarantined:
-            self.state_db.acknowledge_quarantine()
+        set_aside = self.state_db.tables_set_aside
+        if set_aside:
             self._metrics.increment(
-                metric_names.STATE_TABLES_QUARANTINED, len(quarantined)
+                metric_names.STATE_TABLES_QUARANTINED, len(set_aside)
             )
             savepoint: Optional[int] = None
         else:

@@ -187,25 +187,12 @@ class StateDB:
             return None
         return StateValue(raw, self._codec).value
 
-    # -- quarantine ----------------------------------------------------------
-
-    def quarantined_tables(self) -> Tuple[str, ...]:
-        """Backend storage units isolated after failing integrity checks.
-
-        Non-empty means reads raise
-        :class:`~repro.common.errors.QuarantinedError`; the ledger's
-        recovery path acknowledges the loss and rebuilds every state by
-        replaying the chain (see ``Ledger._recover``).
-        """
-        return self._store.quarantined_tables()
-
-    def acknowledge_quarantine(self) -> Tuple[str, ...]:
-        """Accept quarantined-table data loss; returns what was lost."""
-        return self._store.acknowledge_quarantine()
-
-    def scrub(self) -> Tuple[str, ...]:
-        """Re-verify backend integrity; returns names newly quarantined."""
-        return self._store.scrub()
+    @property
+    def tables_set_aside(self) -> Tuple[str, ...]:
+        """The backend tables the open set aside (see
+        :attr:`KVStore.tables_set_aside`); the ledger rebuilds every state
+        from the chain when there are any (``Ledger._recover``)."""
+        return self._store.tables_set_aside
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -252,6 +252,18 @@ class BlockFileManager:
         self._writer.flush()
         return scan_files(self.path, file_num, offset, self._current_num)
 
+    def cut_after(self, intact: Optional[BlockLocation]) -> None:
+        """Cut a torn record off the last file: whatever follows
+        ``intact``, the last record a scan verified (``None``: no record,
+        or one in an earlier file, so the whole last file).  The file's
+        end is the append handle's position, so an intact file costs no
+        read."""
+        end = 0
+        if intact is not None and intact.file_num == self._current_num:
+            end = intact.offset + _HEADER.size + intact.length
+        if self._writer.tell() > end:
+            self.truncate_tail(BlockLocation(self._current_num, end, 0))
+
     def truncate_tail(self, location: BlockLocation) -> None:
         """Cut the *last* block file back so ``location`` is its next
         append position (drops a torn record left by a crash)."""

@@ -25,6 +25,10 @@ class KVStore(ABC):
     """A sorted, mutable mapping from byte keys to byte values."""
 
     _closed: bool = False
+    #: Storage units the open set aside because it could not vouch for
+    #: them (moved out of the way, not served): what the store lost and
+    #: its owner must rebuild.  A backend with nothing on disk has none.
+    tables_set_aside: Tuple[str, ...] = ()
 
     @abstractmethod
     def get(self, key: bytes) -> Optional[bytes]:
@@ -99,34 +103,6 @@ class KVStore(ABC):
                 value = bytes(value)
             batch.append((bytes(key), value))
         return batch
-
-    # -- quarantine (corruption isolation) -----------------------------
-    #
-    # Backends with on-disk structure (the LSM store) override these to
-    # isolate files that fail integrity checks instead of serving from
-    # them.  The defaults describe a backend with nothing to quarantine.
-
-    def quarantined_tables(self) -> Tuple[str, ...]:
-        """Names of storage units isolated after failing integrity checks.
-
-        Non-empty means reads raise
-        :class:`~repro.common.errors.QuarantinedError` until a recovery
-        layer calls :meth:`acknowledge_quarantine` and rebuilds the lost
-        range from an authoritative source (the block chain).
-        """
-        return ()
-
-    def acknowledge_quarantine(self) -> Tuple[str, ...]:
-        """Accept the data loss and resume serving; returns what was lost.
-
-        Only a caller that can rebuild the missing entries (e.g. the
-        ledger replaying the chain) should acknowledge.
-        """
-        return ()
-
-    def scrub(self) -> Tuple[str, ...]:
-        """Re-verify on-disk integrity; returns names newly quarantined."""
-        return ()
 
 
 #: Sentinel byte prepended to SSTable/WAL records to mark deletions.  Kept

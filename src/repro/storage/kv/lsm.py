@@ -30,9 +30,13 @@ file, so this snapshot-lifetime guarantee is about file lifetime only: a
 table file stays on disk at least as long as any snapshot that lists it,
 and no read depends on that.  If the process dies before a finalizer
 runs, the orphaned victim would resurrect deleted keys on a glob-based
-reopen; the manifest makes it a stray instead.  Directories from before
-the manifest existed load by glob and gain a manifest on first open; an
-open that loads exactly the tables its manifest lists rewrites nothing.
+reopen; the manifest makes it a stray instead.  A table the open cannot
+vouch for -- a listed one that is missing or fails its CRC, a corrupt
+stray, every table when the manifest is missing or unreadable -- is set
+aside into ``quarantine/`` and named in :attr:`LSMStore.tables_set_aside`;
+the store serves what loaded, and its owner rebuilds the rest (the ledger
+replays the chain).  An open that loads exactly the tables its manifest
+lists rewrites nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common import metrics as metric_names
-from repro.common.errors import FaultInjectionError, QuarantinedError, SSTableError, StorageError
+from repro.common.errors import FaultInjectionError, SSTableError
 from repro.common.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.faults.crashpoints import LSM_POST_SSTABLE, LSM_PRE_SSTABLE, crash_point
 from repro.faults.fs import REAL_FS, FileSystem
@@ -76,9 +80,9 @@ def _unlink_retired(fs: FileSystem, path: Path, pending: Set[Path]) -> None:
         pass
     pending.discard(path)
 
-#: Subdirectory corrupt tables are moved into.  Keeping the bytes (rather
-#: than deleting) preserves forensic evidence and keeps the quarantined
-#: file out of the live-table glob, so a reopen does not re-trip on it.
+#: Subdirectory set-aside tables are moved into.  Keeping the bytes
+#: (rather than deleting) preserves forensic evidence and keeps the file
+#: out of the live-table glob, so a reopen does not re-trip on it.
 QUARANTINE_DIR = "quarantine"
 
 
@@ -125,12 +129,13 @@ class LSMStore(KVStore):
         #: with it (:meth:`_set_tables`), never mutated.
         self._readers: Tuple[SSTableReader, ...] = ()
         self._next_sequence = 0
-        self._quarantined: List[str] = []
         #: Paths of compacted-away tables whose deletion is deferred
         #: until their last reader reference drains (see
         #: :func:`_unlink_retired`); ``close`` force-deletes leftovers.
         self._pending_unlinks: Set[Path] = set()
-        self._load_tables()
+        #: The tables this open set aside, by file name: what the store
+        #: lost and its owner must rebuild.
+        self.tables_set_aside = self._load_tables()
         # Replay before the log opens for append: a log that does not
         # replay leaves no handle behind.
         torn_at = self._replay_wal()
@@ -144,14 +149,10 @@ class LSMStore(KVStore):
         return self.path / _MANIFEST_NAME
 
     def _read_manifest(self) -> Optional[List[int]]:
-        """The manifest's live sequence list, or ``None`` for a legacy or
-        unreadable manifest (the caller falls back to a glob load)."""
-        manifest = self._manifest_path()
-        if not manifest.exists():
-            return None
+        """The manifest's live sequence list, or ``None`` when it is
+        missing or unreadable (no table is vouched for)."""
         try:
-            payload = json.loads(manifest.read_text())
-            sequences = payload["tables"]
+            sequences = json.loads(self._manifest_path().read_text())["tables"]
             if not isinstance(sequences, list):
                 return None
             return sorted(int(sequence) for sequence in sequences)
@@ -175,89 +176,72 @@ class LSMStore(KVStore):
             handle.close()
         self._fs.replace(tmp, manifest)
 
-    def _load_tables(self) -> None:
+    def _load_tables(self) -> Tuple[str, ...]:
+        """Load the tables the manifest vouches for; returns the names of
+        those set aside."""
         for stray in self.path.glob(f"*{TMP_SUFFIX}"):
             # A crash mid-flush (or mid-manifest-write) left a staged file
             # that was never renamed live; drop it.
-            stray.unlink()
+            self._fs.remove(stray)
         listed = self._read_manifest()
-        if listed is None:
-            # Legacy directory (or unreadable manifest): trust the glob,
-            # then write the manifest this directory never had.
-            candidates = [
-                (int(file.name[len(_SST_PREFIX) : -len(_SST_SUFFIX)]), file)
-                for file in sorted(self.path.glob(f"{_SST_PREFIX}*{_SST_SUFFIX}"))
-            ]
-        else:
-            candidates = [
-                (sequence, self._table_path(sequence)) for sequence in listed
-            ]
-            known = {path.name for _, path in candidates}
-            for file in sorted(self.path.glob(f"{_SST_PREFIX}*{_SST_SUFFIX}")):
-                # Not in the manifest: either a flushed table whose WAL
-                # was never truncated (records replay from the WAL) or a
-                # compaction victim whose deferred unlink never ran.
-                # Loading it would resurrect deleted keys.  A *healthy*
-                # stray is safe to delete (its records live in the WAL or
-                # the merged table); a corrupt one is evidence of a fault
-                # -- bit rot, torn write -- and is quarantined so the
-                # damage is surfaced, exactly as a corrupt live table
-                # would be.
-                if file.name in known:
-                    continue
-                sequence = int(file.name[len(_SST_PREFIX) : -len(_SST_SUFFIX)])
-                self._next_sequence = max(self._next_sequence, sequence + 1)
-                try:
-                    SSTableReader(file, fs=self._fs)
-                except SSTableError:
-                    self._quarantine_file(file)
-                    continue
-                file.unlink()
-        tables: List[Tuple[int, SSTableReader]] = []
-        for sequence, file in candidates:
+        known = {self._table_path(sequence).name for sequence in listed or ()}
+        set_aside: List[str] = []
+        for file in sorted(self.path.glob(f"{_SST_PREFIX}*{_SST_SUFFIX}")):
+            # Not in the manifest: either a flushed table whose WAL was
+            # never truncated (records replay from the WAL) or a
+            # compaction victim whose deferred unlink never ran.  Loading
+            # it would resurrect deleted keys.  A *healthy* stray is safe
+            # to delete (its records live in the WAL or the merged
+            # table); a corrupt one is evidence of a fault -- bit rot,
+            # torn write -- and is set aside.  With no readable manifest
+            # nothing vouches for any table: every one is set aside.
+            if file.name in known:
+                continue
+            sequence = int(file.name[len(_SST_PREFIX) : -len(_SST_SUFFIX)])
             self._next_sequence = max(self._next_sequence, sequence + 1)
-            if not file.exists():
-                # Listed but gone: the data is lost outside our control
-                # (nothing to move to quarantine/), so record the loss and
-                # block reads exactly like corruption would.
-                self._quarantined.append(file.name)
-                continue
-            try:
-                reader = SSTableReader(file, fs=self._fs)
-            except SSTableError:
-                # Scrub-and-quarantine: a table failing its CRC (bit rot,
-                # torn bytes, injected flip) is isolated rather than
-                # served from or silently dropped.  Reads raise
-                # QuarantinedError until a recovery layer that can
-                # rebuild the range acknowledges the loss.
-                self._quarantine_file(file)
-                continue
-            tables.append((sequence, reader))
-        self._set_tables(sorted(tables, key=lambda pair: pair[0]))
+            if listed is not None and self._verified(file) is not None:
+                self._fs.remove(file)
+            else:
+                self._quarantine_file(file, set_aside)
+        tables: List[Tuple[int, SSTableReader]] = []
+        for sequence in listed or ():
+            file = self._table_path(sequence)
+            self._next_sequence = max(self._next_sequence, sequence + 1)
+            reader = self._verified(file)
+            if reader is None:
+                # Missing, or failing its CRC (bit rot, torn bytes, an
+                # injected flip): never served from, never silently dropped.
+                self._quarantine_file(file, set_aside)
+            else:
+                tables.append((sequence, reader))
+        self._set_tables(tables)
         if listed != [sequence for sequence, _ in self._tables]:
-            # A legacy or unreadable manifest, or a listed table lost or
-            # quarantined: record the set that loaded.  An open that
-            # found what the manifest lists writes nothing.
+            # A missing or unreadable manifest, or a listed table set
+            # aside: record the set that loaded.  An open that found what
+            # the manifest lists writes nothing.
             self._write_manifest()
+        return tuple(set_aside)
+
+    def _verified(self, file: Path) -> Optional[SSTableReader]:
+        """``file``'s reader, or ``None`` when it is missing or fails its
+        checks."""
+        try:
+            return SSTableReader(file, fs=self._fs)
+        except SSTableError:
+            return None
 
     def _set_tables(self, tables: List[Tuple[int, SSTableReader]]) -> None:
         self._tables = tables
         self._readers = tuple(reader for _, reader in tables)
 
-    def _quarantine_file(self, file: Path) -> None:
-        quarantine = self.path / QUARANTINE_DIR
-        quarantine.mkdir(exist_ok=True)
-        file.rename(quarantine / file.name)
-        self._quarantined.append(file.name)
-
-    def _check_quarantine(self) -> None:
-        if self._quarantined:
-            raise QuarantinedError(
-                f"store has quarantined tables {sorted(self._quarantined)}; "
-                "rebuild from the authoritative source and call "
-                "acknowledge_quarantine() before reading",
-                tables=tuple(self._quarantined),
-            )
+    def _quarantine_file(self, file: Path, set_aside: List[str]) -> None:
+        """Name ``file`` in ``set_aside`` and move it, if it exists, into
+        :data:`QUARANTINE_DIR`."""
+        if file.exists():
+            quarantine = self.path / QUARANTINE_DIR
+            quarantine.mkdir(exist_ok=True)
+            self._fs.replace(file, quarantine / file.name)
+        set_aside.append(file.name)
 
     def _replay_wal(self) -> Optional[int]:
         """Replay the WAL into the memtable; returns where its torn tail
@@ -367,8 +351,6 @@ class LSMStore(KVStore):
             key = bytes(key)
         skipped = searched = 0
         try:
-            if self._quarantined:
-                self._check_quarantine()
             value = self._memtable.lookup(key)
             if value is not ABSENT:
                 return value
@@ -407,12 +389,11 @@ class LSMStore(KVStore):
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
-        """Not a generator: a closed or quarantined store raises here, and
-        what is scanned is the store as of this call: the memtable's keys
-        in range are sliced and the table tuple taken here, so a key
-        written while the scan is held does not reach it."""
+        """Not a generator: a closed store raises here, and what is
+        scanned is the store as of this call: the memtable's keys in range
+        are sliced and the table tuple taken here, so a key written while
+        the scan is held does not reach it."""
         self._check_open()
-        self._check_quarantine()
         return self._merged_entries(
             self._readers, self._memtable.scan(start, end), start, end
         )
@@ -494,56 +475,7 @@ class LSMStore(KVStore):
             self._fs.remove(retired)
         self._pending_unlinks.clear()
 
-    # -- quarantine --------------------------------------------------------
-
-    def quarantined_tables(self) -> Tuple[str, ...]:
-        return tuple(self._quarantined)
-
-    def acknowledge_quarantine(self) -> Tuple[str, ...]:
-        """Accept the loss of quarantined tables and resume serving.
-
-        The caller owns rebuilding the lost entries from an
-        authoritative source (the ledger replays the block chain); the
-        store itself cannot conjure them back.  Returns the names that
-        were quarantined.
-        """
-        lost = tuple(self._quarantined)
-        self._quarantined = []
-        return lost
-
-    def scrub(self) -> Tuple[str, ...]:
-        """Re-verify every live table's checksum; quarantine failures.
-
-        Returns the names newly quarantined (empty when all tables are
-        healthy).  A non-empty result leaves the store in the same
-        read-blocked state as corruption found at open.
-        """
-        healthy: List[Tuple[int, SSTableReader]] = []
-        newly: List[str] = []
-        for sequence, reader in self._tables:
-            try:
-                healthy.append(
-                    (sequence, SSTableReader(reader.path, fs=self._fs))
-                )
-            except SSTableError:
-                self._quarantine_file(reader.path)
-                newly.append(reader.path.name)
-        self._set_tables(healthy)
-        if newly:
-            self._write_manifest()
-        return tuple(newly)
-
     @property
     def sstable_count(self) -> int:
         """Number of live SSTables (exposed for tests and ablations)."""
         return len(self._tables)
-
-    def verify_integrity(self) -> None:
-        """Cheap invariant check used by tests: scan yields sorted keys."""
-        previous: Optional[bytes] = None
-        for key, _ in self.scan():
-            if previous is not None and key <= previous:
-                raise StorageError(
-                    f"scan order violated: {previous!r} then {key!r}"
-                )
-            previous = key

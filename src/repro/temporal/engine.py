@@ -10,8 +10,8 @@ in ``list_keys`` order -- the paper's setup.  A ledger and everything
 under it is used from one thread (DESIGN.md §6); a query may still be
 interleaved with commits on that thread.
 
-A model that cannot answer -- an M1 window no indexing run covers, a
-quarantined SSTable, corrupt index state -- raises its typed error
+A model that cannot answer -- an M1 window no indexing run covers,
+corrupt index state, a block that fails its checksum -- raises its typed error
 (:class:`~repro.common.errors.TemporalQueryError` or
 :class:`~repro.common.errors.StorageError`); no model answers for another.
 """

@@ -57,6 +57,7 @@ from tests.helpers import (
     BINARY_GOLDEN_PAYLOAD,
     DecodeSpyCodec,
     KeyValueChaincode,
+    audit,
     build_plain_network,
     per_transaction_frame,
 )
@@ -697,13 +698,19 @@ class TestReopenWritesNothing:
             assert _reopen(tmp_path, config) == ([], [], 0)
 
     def test_a_deleted_manifest_is_written_again(self, tmp_path):
+        """No manifest vouches for the tables: the open sets every one
+        aside and replays the chain, and what that writes is listed in a
+        new manifest the next open finds complete."""
         config = _lsm_ledger(tmp_path)
+        with closing(FabricNetwork(tmp_path, config=config)) as network:
+            fingerprint = network.ledger.state_fingerprint()
         manifest = tmp_path / "statedb" / "MANIFEST.json"
-        listed = manifest.read_bytes()
         manifest.unlink()
-        replaced, _, written = _reopen(tmp_path, config)
-        assert replaced == ["MANIFEST.json"] and written == len(listed)
-        assert manifest.read_bytes() == listed
+        replaced, _, _ = _reopen(tmp_path, config)
+        assert "MANIFEST.json" in replaced and manifest.exists()
+        with closing(FabricNetwork(tmp_path, config=config)) as network:
+            assert network.ledger.state_fingerprint() == fingerprint
+            assert audit(network.ledger).ok
         assert _reopen(tmp_path, config) == ([], [], 0)
 
     def test_a_corrupt_table_gets_a_manifest_without_it(self, tmp_path):

@@ -8,10 +8,14 @@ the same workload at the height it recovered to, and keeps working.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
+from repro.fabric.network import FabricNetwork
 from repro.faults import FaultPlan
 from repro.faults.crashpoints import COMMIT_CRASH_POINTS, LEDGER_POST_COMMIT
+from repro.faults.doctor import run_doctor
 from tests.faults.harness import (
     continue_workload,
     kv_reference,
@@ -19,6 +23,7 @@ from tests.faults.harness import (
     reopen_and_verify,
     run_kv_workload_until_crash,
 )
+from tests.helpers import KeyValueChaincode
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
@@ -74,6 +79,32 @@ def test_torn_blockfile_write_recovers(tmp_path, reference):
     outcome = run_kv_workload_until_crash(tmp_path / "net", config, plan)
     assert outcome.fired is not None and outcome.fired.startswith("write:")
     _recovers(tmp_path / "net", config, outcome, reference)
+
+
+def test_a_torn_blockfile_tail_is_cut_before_the_next_append(tmp_path):
+    """Blocks appended after torn bytes must stay reachable by a full
+    scan of the files, the one a lost block index is rebuilt from."""
+    config, path = lsm_config(), tmp_path / "net"
+    with closing(FabricNetwork(path, config=config)) as network:
+        network.install(KeyValueChaincode())
+        gateway = network.gateway("writer")
+        for i in range(3):
+            gateway.submit_transaction("kv", "put", [f"k{i}", i], timestamp=i + 1)
+            gateway.flush()
+    *_, tail = sorted((path / "ledger" / "chains").glob("blockfile_*"))
+    with open(tail, "ab") as handle:
+        handle.write(b"\x05\x00")  # a record header cut short
+    with closing(FabricNetwork(path, config=config)) as network:
+        network.install(KeyValueChaincode())
+        gateway = network.gateway("writer")
+        gateway.submit_transaction("kv", "put", ["k9", 9], timestamp=9)
+        gateway.flush()
+    (path / "ledger" / "index" / "blocks.idx").unlink()
+    with closing(FabricNetwork(path, config=config)) as network:
+        assert network.ledger.height == 4
+        assert network.ledger.get_state("k9") == 9
+    doctor = run_doctor(path, config=config)
+    assert doctor.ok, doctor.render()
 
 
 def test_crash_before_sstable_rename_recovers(tmp_path, reference):
