@@ -14,11 +14,12 @@ registry is used from one thread (DESIGN.md §6).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import gc
+import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
-from repro.common.timeutils import Stopwatch
+from repro.common import timeutils
 
 # Canonical metric names.  Keeping them in one place avoids typo'd strings
 # silently creating new counters.
@@ -110,24 +111,13 @@ class MetricsRegistry:
         for name, amount in pairs:
             counters[name] = counters.get(name, 0) + amount
 
-    def add_time(self, name: str, seconds: float) -> float:
-        value = self._timers.get(name, 0.0) + seconds
-        self._timers[name] = value
-        return value
-
-    @contextmanager
-    def timed(self, name: str) -> Iterator[Stopwatch]:
+    def timed(self, name: str) -> Timed:
         """Context manager accumulating wall time into timer ``name``.
 
-        Each ``timed`` block owns its private :class:`Stopwatch`, so
-        nested blocks timing the same name each add their own time.
+        Each ``timed`` block owns its start time, so nested blocks timing
+        the same name each add their own time.
         """
-        watch = Stopwatch().start()
-        try:
-            yield watch
-        finally:
-            watch.stop()
-            self.add_time(name, watch.elapsed)
+        return Timed(self._timers, name)
 
     def snapshot(self) -> MetricsSnapshot:
         """A copy of every counter and timer."""
@@ -136,14 +126,33 @@ class MetricsRegistry:
         )
 
 
+class Timed:
+    """A ``timed`` block: the clock, read through :mod:`timeutils` on entry
+    and exit, adds the difference to ``timers[name]``, on an exception too.
+    Every engine enters one per key and the commit path one per block."""
+
+    __slots__ = ("_timers", "_name", "_started")
+
+    def __init__(self, timers: Dict[str, float], name: str) -> None:
+        self._timers = timers
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._started = timeutils.time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        elapsed = timeutils.time.perf_counter() - self._started
+        self._timers[self._name] = self._timers.get(self._name, 0.0) + elapsed
+
+
 class _NullMetricsRegistry(MetricsRegistry):
     """A write-discarding registry for callers that pass no registry.
 
     The old default was a plain shared :class:`MetricsRegistry`: a
     process-global accumulator nobody ever read, whose counters bled
     across tests.  A null sink has no mutable traffic at all: increments
-    and timings return their would-be values and drop them, reads always
-    see zero.
+    return their would-be values and drop them, a timed block adds to a
+    dict nobody reads, reads always see zero.
     """
 
     def increment(self, name: str, amount: int = 1) -> int:
@@ -153,9 +162,9 @@ class _NullMetricsRegistry(MetricsRegistry):
     def increment_many(self, *pairs: Tuple[str, int]) -> None:
         """Discard the increments."""
 
-    def add_time(self, name: str, seconds: float) -> float:
-        """Discard the timing; pretend the timer started at zero."""
-        return seconds
+    def timed(self, name: str) -> Timed:
+        """A block timed into a dict nobody reads."""
+        return Timed({}, name)
 
 
 #: A registry used when callers do not supply one; keeps call sites simple
@@ -163,3 +172,29 @@ class _NullMetricsRegistry(MetricsRegistry):
 #: still be given its own registry).  A discarding sink: see
 #: :class:`_NullMetricsRegistry`.
 NULL_REGISTRY = _NullMetricsRegistry()
+
+
+class _CollectorClock:
+    """A ``gc.callbacks`` hook summing the wall time of the collector's
+    passes.  It only reads: the collection schedule stays the interpreter's."""
+
+    seconds = 0.0
+    _started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+
+
+_COLLECTOR_CLOCK = _CollectorClock()
+
+
+def collector_seconds() -> float:
+    """Seconds spent in garbage collection since the first call, which
+    installs the one process-wide hook: the difference of two calls is the
+    collector's pause between them."""
+    if _COLLECTOR_CLOCK not in gc.callbacks:
+        gc.callbacks.append(_COLLECTOR_CLOCK)
+    return _COLLECTOR_CLOCK.seconds

@@ -766,17 +766,26 @@ class Block:
                 tx = txs[tx_index]
         elif 0 <= tx_index < len(frame.writes):
             tx = self._decoded.get(tx_index)
-            if tx is None and 0 <= write_index < frame.writes[tx_index]:
-                head = frame.head(tx_index)
+            writes = frame.writes
+            if tx is None and 0 <= write_index < writes[tx_index]:
+                # :meth:`_Frame.head` and :meth:`_Frame.segment` inline:
+                # neither segment is the header, so each has two table ends.
+                head = 1 + 2 * tx_index + sum(writes[:tx_index])
+                payload, table, first, step = frame.payload, frame.table, frame.first, frame.step
                 segments = self._segments
                 tx_head = segments.get(head)
                 decoded_head = tx_head is None
                 if decoded_head:
-                    tx_head = frame.segment(head)
+                    before, end = _END_PAIR.unpack_from(payload, table + 4 * head - 4)
+                    start = first + head * step
+                    tx_head = frame.codec.decode(payload[start + before : start + end])
                 index = head + 2 + write_index
                 write = segments.get(index)
                 if write is None:
-                    write = segments[index] = frame.segment(index)
+                    before, end = _END_PAIR.unpack_from(payload, table + 4 * index - 4)
+                    start = first + index * step
+                    write = frame.codec.decode(payload[start + before : start + end])
+                    segments[index] = write
                 try:
                     written_key, value, is_delete = write
                     tx_id, timestamp = tx_head

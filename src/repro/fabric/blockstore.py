@@ -142,22 +142,17 @@ class BlockStore:
         self._index.append(location)
 
     def get_block(self, block_number: int) -> Block:
-        """Read and deserialize one block (counted, real file IO)."""
-        return self._deserialize(self._files.read(self._locate(block_number)))
-
-    def _locate(self, block_number: int) -> BlockLocation:
-        """Where ``block_number`` lives on disk, or :class:`BlockNotFoundError`."""
+        """Read and deserialize one block (counted, real file IO): look
+        it up in the index (:class:`BlockNotFoundError` past the head),
+        read its record, count one block deserialization and open the
+        payload as a lazy :class:`Block` -- the frame is parsed here, a
+        transaction (or the header) is decoded when first asked for."""
         location = self._index.lookup(block_number)
         if location is None:
             raise BlockNotFoundError(
                 f"block {block_number} beyond height {self.height}"
             )
-        return location
-
-    def _deserialize(self, payload: bytes) -> Block:
-        """Count one block deserialization and open ``payload`` as a lazy
-        :class:`Block`: the frame is parsed here, a transaction (or the
-        header) is decoded when first asked for."""
+        payload = self._files.read(location)
         self._metrics.increment_many(
             (metric_names.BLOCKS_DESERIALIZED, 1),
             (metric_names.BLOCK_BYTES_READ, len(payload)),

@@ -13,8 +13,9 @@ under the byte-lexicographic order the KV layer provides.
 A read hands back the stored bytes wrapped in a :class:`StateValue`,
 decoded on first access (Fabric's ``KV.Value`` contract).  The temporal
 engines scan thousands of states per query for their *keys* alone, and
-read them through :meth:`StateDB.keys_in_range`: the same scan as
-:meth:`StateDB.get_state_by_range`, with no wrapper per state.
+read them through :meth:`StateDB.keys_in_range`: the keys
+:meth:`StateDB.get_state_by_range` would yield, listed by the store's
+keys-only scan (:meth:`~repro.storage.kv.api.KVStore.scan_keys`).
 """
 
 from __future__ import annotations
@@ -119,26 +120,26 @@ class StateDB:
         ``GetStateByRange``.  Values stay undecoded until read.
         """
         codec = self._codec
-        for raw_key, raw_value in self._scan(start_key, end_key):
-            yield raw_key.decode("utf-8"), StateValue(raw_value, codec)
+        for raw_key, raw_value in self._store.scan(*self._bounds(start_key, end_key)):
+            if raw_key != _SAVEPOINT_RAW:
+                yield raw_key.decode("utf-8"), StateValue(raw_value, codec)
 
     def keys_in_range(self, start_key: str, end_key: str) -> List[str]:
-        """The keys :meth:`get_state_by_range` would yield, as one list:
-        the same scan, without a ``StateValue`` per state for a caller
-        that reads keys alone (the engines' listings)."""
-        return [raw_key.decode("utf-8") for raw_key, _ in self._scan(start_key, end_key)]
+        """The keys :meth:`get_state_by_range` would yield, as one list
+        taken at the call by the store's keys-only scan: no value and no
+        ``StateValue`` per state, for a caller that reads keys alone (the
+        engines' listings)."""
+        start, end = self._bounds(start_key, end_key)
+        keys = self._store.scan_keys(start, end)
+        if (start is None or start <= _SAVEPOINT_RAW) and _SAVEPOINT_RAW in keys:
+            keys.remove(_SAVEPOINT_RAW)
+        return list(map(bytes.decode, keys))
 
-    def _scan(self, start_key: str, end_key: str) -> Iterator[Tuple[bytes, bytes]]:
-        """The one range scan under both views: counts a range-scan call,
-        encodes the bounds and leaves out the savepoint, which only a range
-        holding ``\\x01savepoint`` has to test each key against."""
+    def _bounds(self, start_key: str, end_key: str) -> Tuple[Optional[bytes], Optional[bytes]]:
+        """Count one range-scan call and encode its bounds (empty: unbounded)."""
         self._metrics.increment(metric_names.RANGE_SCAN_CALLS)
         start = self._encode_key(start_key) if start_key else None
-        end = self._encode_key(end_key) if end_key else None
-        entries = self._store.scan(start, end)
-        if (start is None or start <= _SAVEPOINT_RAW) and (end is None or _SAVEPOINT_RAW < end):
-            return (entry for entry in entries if entry[0] != _SAVEPOINT_RAW)
-        return entries
+        return start, self._encode_key(end_key) if end_key else None
 
     # -- writes -------------------------------------------------------------
 
@@ -198,7 +199,8 @@ class StateDB:
 
     def state_count(self) -> int:
         """Number of live states (drives the paper's state-db-size costs)."""
-        return sum(raw_key != _SAVEPOINT_RAW for raw_key, _ in self._store.scan(None, None))
+        keys = self._store.scan_keys(None, None)
+        return len(keys) - (_SAVEPOINT_RAW in keys)
 
     def close(self) -> None:
         self._store.close()

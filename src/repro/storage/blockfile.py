@@ -174,21 +174,6 @@ class BlockFileManager:
         self._current_num += 1
         self._writer = self._fs.open(self._file_path(self._current_num), "ab")
 
-    def _flush_for_read(self, file_num: int) -> None:
-        """Make appended-but-buffered data visible before reading the
-        *current* file."""
-        if file_num == self._current_num:
-            self._writer.flush()
-
-    def _reader(self, file_num: int) -> IO[bytes]:
-        """The cached read handle for ``file_num``, opened on first use,
-        after the visibility flush (the append handle buffers, and only a
-        flush makes the tail record preadable)."""
-        self._flush_for_read(file_num)
-        if file_num not in self._readers:
-            self._readers[file_num] = self._fs.open(self._file_path(file_num), "rb")
-        return self._readers[file_num]
-
     def read(self, location: BlockLocation) -> bytes:
         """Read the serialized block payload at ``location``.
 
@@ -200,15 +185,20 @@ class BlockFileManager:
         flipped byte surfaces as :class:`BlockFileError`, never a
         silently wrong block.
         """
-        length = location.length
+        file_num, length = location.file_num, location.length
         try:
-            record = self._fs.pread(
-                self._reader(location.file_num),
-                _HEADER.size + length,
-                location.offset,
-            )
+            if file_num == self._current_num:
+                # The append handle buffers: only a flush makes the tail
+                # record preadable.
+                self._writer.flush()
+            handle = self._readers.get(file_num)
+            if handle is None:
+                handle = self._readers[file_num] = self._fs.open(
+                    self._file_path(file_num), "rb"
+                )
+            record = self._fs.pread(handle, _HEADER.size + length, location.offset)
         except FileNotFoundError:
-            name = self._file_path(location.file_num).name
+            name = self._file_path(file_num).name
             raise BlockFileError(f"block file {name} does not exist") from None
         except OSError as exc:
             # Injected or genuine fault (EIO, EMFILE): typed, never a

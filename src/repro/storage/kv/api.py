@@ -65,6 +65,14 @@ class KVStore(ABC):
         """
 
     @abstractmethod
+    def scan_keys(
+        self, start: Optional[bytes] = None, end: Optional[bytes] = None
+    ) -> List[bytes]:
+        """The keys :meth:`scan` would yield, sorted, as one list taken at
+        the call: the listing a caller that reads keys alone pays for, with
+        no ``(key, value)`` pair per key.  A closed store raises."""
+
+    @abstractmethod
     def close(self) -> None:
         """Release resources.  Further operations raise :class:`ClosedStoreError`."""
 

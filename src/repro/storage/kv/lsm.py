@@ -9,8 +9,10 @@ once for every table's Bloom filter.  Range scans merge all sources with
 newest-wins semantics and tombstone suppression; a table
 with nothing in range costs two bisects and never enters the merge, and a
 range only one source has entries in is read straight off that source, no
-heap.  When the number of SSTables reaches ``compaction_trigger``, a full
-compaction merges them into one table and drops dead entries.
+heap.  A keys-only scan (:meth:`LSMStore.scan_keys`) reads the same
+sources' key slices and merges them without a pair per key.  When the
+number of SSTables reaches ``compaction_trigger``, a full compaction
+merges them into one table and drops dead entries.
 
 On reopen, surviving WAL records are replayed into a fresh memtable, so a
 process crash between flushes loses no acknowledged writes.  Crash
@@ -45,7 +47,7 @@ import heapq
 import json
 import weakref
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common import metrics as metric_names
 from repro.common.errors import FaultInjectionError, SSTableError
@@ -398,6 +400,30 @@ class LSMStore(KVStore):
             self._readers, self._memtable.scan(start, end), start, end
         )
 
+    def scan_keys(
+        self, start: Optional[bytes] = None, end: Optional[bytes] = None
+    ) -> List[bytes]:
+        """The keys of :meth:`scan`, from each table's and the memtable's
+        keys in range, sliced at this call.  One source in range is its
+        slice minus tombstones; two or more merge newest-wins through one
+        dict -- oldest first, each overwriting what it shadows."""
+        self._check_open()
+        windows: List[Tuple[List[bytes], List[Optional[bytes]]]] = []
+        for reader in self._readers:
+            window = reader.window(start, end)
+            if window[0]:
+                windows.append(window)
+        memtable = self._memtable.window(start, end)
+        if memtable[0]:
+            windows.append(memtable)
+        if len(windows) == 1:
+            keys, values = windows[0]
+            return [key for key, value in zip(keys, values) if value is not None]
+        merged: Dict[bytes, Optional[bytes]] = {}
+        for keys, values in windows:
+            merged.update(zip(keys, values))
+        return sorted([key for key, value in merged.items() if value is not None])
+
     def _merged_entries(
         self,
         sources: Sequence[SSTableReader],
@@ -413,17 +439,17 @@ class LSMStore(KVStore):
         keys the newest source surfaces first and older duplicates are
         skipped.
 
-        A table is asked for its positions in ``[start, end)`` first -- two
-        bisects -- and one with none contributes no iterator.  A lone
-        source with entries in range -- the steady state after a flush or
-        compaction, or a range one table covers alone -- is yielded as it
-        comes, minus tombstones: nothing to merge.
+        A table is asked for its entries in ``[start, end)`` first -- two
+        bisects and a slice -- and one with none contributes no iterator.
+        A lone source with entries in range -- the steady state after a
+        flush or compaction, or a range one table covers alone -- is
+        yielded as it comes, minus tombstones: nothing to merge.
         """
         iterators: List[_Entries] = []
         for reader in sources:
-            lo, hi = reader.bounds(start, end)
-            if lo < hi:
-                iterators.append(reader.entries(lo, hi))
+            keys, values = reader.window(start, end)
+            if keys:
+                iterators.append(zip(keys, values))
         if memtable_entries is not None:
             iterators.append(memtable_entries)
 

@@ -7,7 +7,7 @@ test; keeps benchmark setup fast while preserving ordering semantics.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.storage.kv.api import BatchItem, KVStore
 
@@ -44,12 +44,17 @@ class MemStore(KVStore):
         scanned is the store as of this call -- the entries in range are
         copied, so a ``put`` or ``delete`` made while the scan is held
         changes neither the keys nor the values it yields."""
+        values = self._values
+        return iter([(key, values[key]) for key in self.scan_keys(start, end)])
+
+    def scan_keys(
+        self, start: Optional[bytes] = None, end: Optional[bytes] = None
+    ) -> List[bytes]:
         self._check_open()
         keys = self._sorted_keys
         lo = 0 if start is None else bisect.bisect_left(keys, bytes(start))
         hi = len(keys) if end is None else bisect.bisect_left(keys, bytes(end))
-        values = self._values
-        return iter([(key, values[key]) for key in keys[lo:hi]])
+        return keys[lo:hi]
 
     def close(self) -> None:
         self._closed = True

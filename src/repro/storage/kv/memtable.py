@@ -90,11 +90,23 @@ class Memtable:
         repeat one key and never reach the last.  Every key present at the
         call is yielded, with the value it has when the scan reaches it.
         """
+        window = self._key_window(start, end)
+        return zip(window, map(self._entries.__getitem__, window))
+
+    def window(
+        self, start: Optional[bytes], end: Optional[bytes]
+    ) -> Tuple[list[bytes], list[Optional[bytes]]]:
+        """The keys within ``[start, end)`` and their values (``None`` for a
+        tombstone), as two lists taken by this call."""
+        window = self._key_window(start, end)
+        entries = self._entries
+        return window, [entries[key] for key in window]
+
+    def _key_window(self, start: Optional[bytes], end: Optional[bytes]) -> list[bytes]:
         keys = self._sorted_keys
         lo = 0 if start is None else bisect.bisect_left(keys, bytes(start))
         hi = len(keys) if end is None else bisect.bisect_left(keys, bytes(end))
-        window = keys[lo:hi]
-        return zip(window, map(self._entries.__getitem__, window))
+        return keys[lo:hi]
 
     def entries_sorted(self) -> Iterator[Tuple[bytes, Optional[bytes]]]:
         """All entries (tombstones as ``None``) in key order, for flushing."""

@@ -118,8 +118,8 @@ class SSTableReader:
 
     The whole file is read once at open, so the footer CRC covers every
     byte before anything is parsed; the file is never opened again.  The
-    verified data section is decoded by the first ``lookup`` / ``scan`` /
-    ``bounds`` and replaced by the result -- LevelDB's block cache at our
+    verified data section is decoded by the first ``lookup`` or ``window``
+    and replaced by the result -- LevelDB's block cache at our
     scale, already parsed.
     """
 
@@ -214,14 +214,10 @@ class SSTableReader:
             return True, values[position]
         return False, None
 
-    def bounds(self, start: Optional[bytes], end: Optional[bytes]) -> Tuple[int, int]:
-        """Positions ``[lo, hi)`` of the entries with ``start <= key < end``."""
-        keys = self._decoded()[0]
+    def window(self, start: Optional[bytes], end: Optional[bytes]) -> _Decoded:
+        """The keys with ``start <= key < end`` and their values (``None``
+        for a tombstone), as two slices of the decoded lists."""
+        keys, values = self._decoded()
         lo = 0 if start is None else bisect.bisect_left(keys, start)
         hi = len(keys) if end is None else bisect.bisect_left(keys, end)
-        return lo, hi
-
-    def entries(self, lo: int, hi: int) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """The ``(key, value-or-tombstone-None)`` at positions ``[lo, hi)``."""
-        keys, values = self._decoded()
-        return zip(keys[lo:hi], values[lo:hi])
+        return keys[lo:hi], values[lo:hi]

@@ -24,7 +24,7 @@ from typing import Dict, List, Protocol
 from repro.common import metrics as metric_names
 from repro.common.config import require_only
 from repro.common.errors import TemporalQueryError
-from repro.common.metrics import MetricsRegistry
+from repro.common.metrics import MetricsRegistry, collector_seconds
 from repro.common.timeutils import Stopwatch
 from repro.fabric.ledger import Ledger
 from repro.temporal.events import Event
@@ -75,6 +75,9 @@ class QueryStats:
     range_scan_calls: int = 0
     events_fetched: int = 0
     keys_queried: int = 0
+    #: Of ``join_seconds``, the garbage collector's passes (any
+    #: generation) that ran inside the query.
+    gc_seconds: float = 0.0
 
 
 @dataclass
@@ -143,10 +146,12 @@ class TemporalQueryEngine:
         enumeration, event retrieval and the in-memory join.
         """
         before = self._metrics.snapshot()
+        collector_before = collector_seconds()
         watch = Stopwatch().start()
         shipment_events, container_events = self.fetch_window_events(model, window)
         rows = temporal_join(shipment_events, container_events, window)
         join_seconds = watch.stop()
+        gc_seconds = collector_seconds() - collector_before
         delta = self._metrics.snapshot().diff(before)
 
         stats = QueryStats(
@@ -162,5 +167,6 @@ class TemporalQueryEngine:
             events_fetched=sum(len(e) for e in shipment_events.values())
             + sum(len(e) for e in container_events.values()),
             keys_queried=len(shipment_events) + len(container_events),
+            gc_seconds=gc_seconds,
         )
         return JoinResult(rows=rows, stats=stats)

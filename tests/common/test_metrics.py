@@ -33,11 +33,6 @@ class TestCounters:
 
 
 class TestTimers:
-    def test_add_time_accumulates(self, metrics: MetricsRegistry):
-        metrics.add_time("t", 0.5)
-        metrics.add_time("t", 0.25)
-        assert metrics.snapshot().timer("t") == 0.75
-
     def test_timed_context_accumulates(self, metrics: MetricsRegistry, clock):
         with metrics.timed("t"):
             clock.now += 0.25
@@ -52,6 +47,30 @@ class TestTimers:
                 raise RuntimeError("boom")
         assert metrics.snapshot().timer("t") == 0.125
 
+    def test_nested_blocks_of_one_name_each_add_their_own_time(
+        self, metrics: MetricsRegistry, clock
+    ):
+        with metrics.timed("t"):
+            clock.now += 0.25
+            with metrics.timed("t"):
+                clock.now += 0.5
+            clock.now += 0.125
+        # The inner block's 0.5 s, then the outer block's 0.875 s.
+        assert metrics.snapshot().timer("t") == 1.375
+
+    def test_the_null_registry_records_no_time(self, clock):
+        with NULL_REGISTRY.timed("t"):
+            clock.now += 0.5
+        assert NULL_REGISTRY.snapshot().timers == {}
+
+    def test_the_clock_is_read_through_timeutils(self, metrics: MetricsRegistry, clock):
+        """The clock fixture stands in for ``timeutils.time``: a block in
+        which it does not move adds exactly nothing, whatever the real
+        clock did meanwhile."""
+        with metrics.timed("t"):
+            sum(range(10_000))
+        assert metrics.snapshot().timers == {"t": 0.0}
+
 
 class TestSnapshots:
     def test_snapshot_is_immutable_copy(self, metrics: MetricsRegistry):
@@ -61,13 +80,15 @@ class TestSnapshots:
         assert snap.counter("a") == 1
         assert metrics.snapshot().counter("a") == 2
 
-    def test_diff_computes_deltas(self, metrics: MetricsRegistry):
+    def test_diff_computes_deltas(self, metrics: MetricsRegistry, clock):
         metrics.increment("a", 2)
-        metrics.add_time("t", 1.0)
+        with metrics.timed("t"):
+            clock.now += 1.0
         before = metrics.snapshot()
         metrics.increment("a", 3)
         metrics.increment("b")
-        metrics.add_time("t", 0.5)
+        with metrics.timed("t"):
+            clock.now += 0.5
         delta = metrics.snapshot().diff(before)
         assert delta.counter("a") == 3
         assert delta.counter("b") == 1

@@ -1,9 +1,10 @@
 """Property test: ``StateDB.keys_in_range`` is the key column of
 ``get_state_by_range``.
 
-Both views read one scan, so for any bounds they must list the same keys
-in the same order, each counting one range-scan call, and both must equal
-a sorted model of the live keys minus the savepoint.  Each example writes
+One view reads the store's keys-only scan, the other its full scan; for
+any bounds they must list the same keys in the same order, each counting
+one range-scan call, and both must equal a sorted model of the live keys
+minus the savepoint.  Each example writes
 its states in five phases over the memory backend and over an LSM store
 that flushes between phases: the first three flushes end in a full
 compaction, the savepoint is then recorded, the fourth phase's writes --

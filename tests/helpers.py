@@ -77,7 +77,7 @@ def audit(ledger: Ledger) -> DoctorReport:
 def table_rows(reader, start=None, end=None) -> list:
     """An SSTable reader's ``(key, value-or-None)`` entries with
     ``start <= key < end``, as the LSM merge reads them."""
-    return list(reader.entries(*reader.bounds(start, end)))
+    return list(zip(*reader.window(start, end)))
 
 
 def small_workload() -> WorkloadData:

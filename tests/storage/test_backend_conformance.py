@@ -111,6 +111,8 @@ class TestContract:
             store.get(b"k")
         with pytest.raises(ClosedStoreError):
             store.scan()  # at the call: no next() needed to find out
+        with pytest.raises(ClosedStoreError):
+            store.scan_keys()
 
     def test_reopen_recovers_acknowledged_writes(self, backend, tmp_path):
         if backend == "memory":

@@ -5,8 +5,7 @@ Two behaviours are pinned here:
 
 * reads interleaved with appends see every appended record, through a
   visibility flush of the append handle and read descriptors cached per
-  file across rollovers (:meth:`BlockFileManager._reader` /
-  ``_flush_for_read``);
+  file across rollovers (both in :meth:`BlockFileManager.read`);
 * ``_latest_file_num`` crashed at open with ``ValueError`` on any stray
   directory entry sharing the ``blockfile_`` prefix but lacking a
   numeric suffix (``blockfile_backup``), and trusted lexicographic glob

@@ -3,7 +3,8 @@
 A random sequence of put/delete/flush operations is applied both to the
 store under test and to a plain dict model; gets and ordered scans must
 agree at every step, including after a close/reopen cycle for the LSM
-backend (exercising WAL replay and SSTable reads together).  Gets cover
+backend (exercising WAL replay and SSTable reads together), and a
+keys-only scan lists exactly the keys of the full scan.  Gets cover
 every key an example ever touched -- deleted ones too -- and keys it never
 wrote; keys and values reach the sizes whose lengths take a second varint
 byte.  One SSTable on its own is held to a sorted-list model.
@@ -11,6 +12,9 @@ byte.  One SSTable on its own is held to a sorted-list model.
 
 from __future__ import annotations
 
+import tempfile
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +36,17 @@ operations = st.lists(
     st.one_of(
         st.tuples(st.just("put"), keys, values),
         st.tuples(st.just("delete"), keys, st.just(b"")),
+        st.tuples(st.just("flush"), st.just(b""), st.just(b"")),
+    ),
+    max_size=60,
+)
+
+#: Eight keys, so one key is written, deleted and flushed over and over.
+few_keys = st.sampled_from([b"k%d" % n for n in range(8)])
+few_key_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), few_keys, st.binary(max_size=2)),
+        st.tuples(st.just("delete"), few_keys, st.just(b"")),
         st.tuples(st.just("flush"), st.just(b""), st.just(b"")),
     ),
     max_size=60,
@@ -116,6 +131,29 @@ def test_lsm_range_scan_matches_model(tmp_path_factory, ops, start, end):
     )
     assert list(store.scan(start, end)) == expected
     store.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "lsm"])
+def test_scan_keys_is_the_key_column_of_scan(backend):
+    """Over puts, deletes and flushes -- three tables compact into one,
+    so tombstones sit in tables under newer tables and the memtable --
+    ``scan_keys(lo, hi)`` lists the keys ``scan(lo, hi)`` yields, for
+    bounds on, between and around the written keys."""
+
+    @settings(max_examples=40)
+    @given(ops=few_key_operations, bounds=st.lists(st.tuples(st.one_of(st.none(), few_keys),
+                                                             st.one_of(st.none(), few_keys))))
+    def check(ops, bounds):
+        with tempfile.TemporaryDirectory() as scratch:
+            store = MemStore() if backend == "memory" else LSMStore(
+                scratch, memtable_limit=6, compaction_trigger=3
+            )
+            apply_ops(store, {}, ops, set())
+            for start, end in [(None, None), *bounds]:
+                assert store.scan_keys(start, end) == [key for key, _ in store.scan(start, end)]
+            store.close()
+
+    check()
 
 
 @settings(max_examples=40)

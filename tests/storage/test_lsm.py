@@ -215,8 +215,9 @@ SCAN_CELLS = {
 
 
 class TestScanSources:
-    """Every shape of source set against a dict model, and which of the
-    two scan paths (single source / heap merge) answered."""
+    """Every shape of source set against a dict model, which of the two
+    scan paths (single source / heap merge) answered, and the keys-only
+    scan listing the same keys."""
 
     @pytest.mark.parametrize("name", sorted(SCAN_CELLS))
     def test_scan_equals_the_dict_model(self, tmp_path, monkeypatch, name):
@@ -241,6 +242,7 @@ class TestScanSources:
                     model.pop(operation[1], None)
             monkeypatch.setattr(lsm.heapq, "heapify", spy)
             scanned = list(store.scan(start, end))
+            assert store.scan_keys(start, end) == [key for key, _ in scanned]
         assert scanned == sorted(
             (key, value)
             for key, value in model.items()

@@ -7,11 +7,14 @@ that never touches the ledger.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.common import metrics as metric_names
 from repro.common.errors import TemporalQueryError
 from repro.fabric.network import FabricNetwork
+from repro.temporal import engine as engine_module
 from repro.temporal.chaincodes import (
     M1IndexChaincode,
     M2SupplyChainChaincode,
@@ -20,6 +23,7 @@ from repro.temporal.chaincodes import (
 from repro.temporal.engine import TemporalQueryEngine
 from repro.temporal.events import LOAD, UNLOAD, Event
 from repro.temporal.intervals import TimeInterval
+from repro.temporal.join import temporal_join
 from repro.temporal.m1 import M1QueryEngine
 from repro.temporal.m2 import M2QueryEngine
 from repro.temporal.tqf import TQFEngine
@@ -229,6 +233,21 @@ class TestFacade:
         assert result.stats.join_seconds > 0
         assert result.stats.ghfk_seconds > 0
         assert result.stats.keys_queried == workload.config.key_count
+
+    def test_a_collection_inside_the_query_is_its_gc_seconds(
+        self, plain_network, monkeypatch
+    ):
+        """``gc_seconds`` is the collector's pause inside the query: a full
+        collection forced in the join shows, and stays within the query's
+        wall time."""
+        def collecting_join(*args):
+            gc.collect()
+            return temporal_join(*args)
+
+        monkeypatch.setattr(engine_module, "temporal_join", collecting_join)
+        facade = TemporalQueryEngine(plain_network.ledger, plain_network.metrics)
+        stats = facade.run_join("tqf", TimeInterval(100, 400)).stats
+        assert 0 < stats.gc_seconds <= stats.join_seconds
 
     def test_m1_makes_more_but_cheaper_ghfk_calls(self, plain_network, workload):
         """Table I's structure: M1 calls = keys x overlapping intervals,

@@ -25,6 +25,14 @@ fewer bytes on these ledgers.  ``txs_decoded`` keeps its meaning: one
 tick per transaction first decoded, a head read by history or a
 transaction built.
 
+The same two ledgers are also built on the ``lsm`` state-db, with a
+memtable of :data:`LSM_MEMTABLE_LIMIT` entries: the states spread over
+several SSTables and the memtable, and M1's cleared bundles leave
+tombstones among them, so every listing and per-key scan of all three
+models merges sources and drops deleted keys.  They must read the same
+literals: the backend stores states, it does not choose which blocks a
+query touches.
+
 A literal changes only with the on-disk format or the query algorithms
 themselves; regenerate with ``PYTHONPATH=src python
 tests/temporal/test_paper_counters_pinned.py`` and say why in the commit.
@@ -101,12 +109,18 @@ EXPECTED: Dict[str, Dict[str, Pinned]] = {
 }
 
 
-def fabric_config(max_message_count: int = 10) -> FabricConfig:
+#: The ``lsm`` ledgers' memtable: small enough that each ledger's states
+#: (a few hundred) fill several SSTables and trigger compactions.
+LSM_MEMTABLE_LIMIT = 16
+
+
+def fabric_config(max_message_count: int = 10, backend: str = "memory") -> FabricConfig:
     """The paper's measurement setup, spelled out so no environment
     variable a CI leg sets can move a literal."""
     return FabricConfig(
         block_cutting=BlockCuttingConfig(max_message_count=max_message_count),
-        state_db=StateDbConfig(backend="memory"),
+        # ``memory`` ignores the memtable limit.
+        state_db=StateDbConfig(backend=backend, memtable_limit=LSM_MEMTABLE_LIMIT),
     )
 
 
@@ -120,9 +134,10 @@ def build_plain(
     workload: WorkloadConfig,
     index: bool = True,
     max_message_count: int = 10,
+    backend: str = "memory",
 ) -> FabricNetwork:
     """Plain ledger, by default with a full M1 index at ``u = t_max / 15``."""
-    network = FabricNetwork(path / "plain", config=fabric_config(max_message_count))
+    network = FabricNetwork(path / "plain", config=fabric_config(max_message_count, backend))
     network.install(SupplyChainChaincode())
     network.install(M1IndexChaincode())
     ingest(network.gateway("ingestor"), generate(workload).events,
@@ -137,8 +152,8 @@ def build_plain(
     return network
 
 
-def build_m2(path, workload: WorkloadConfig) -> FabricNetwork:
-    network = FabricNetwork(path / "m2", config=fabric_config())
+def build_m2(path, workload: WorkloadConfig, backend: str = "memory") -> FabricNetwork:
+    network = FabricNetwork(path / "m2", config=fabric_config(backend=backend))
     network.install(M2SupplyChainChaincode(u=workload.t_max // 15))
     ingest(network.gateway("ingestor"), generate(workload).events,
            M2SupplyChainChaincode.name, strategy=workload.ingestion)
@@ -159,8 +174,9 @@ def sweep(network: FabricNetwork, model: str, t_max: int) -> Pinned:
     return Pinned(*(delta.counter(name) for name in COUNTERS), hasher.hexdigest()[:16])
 
 
-def measure(path, workload: WorkloadConfig) -> Dict[str, Pinned]:
-    plain, m2 = build_plain(path, workload), build_m2(path, workload)
+def measure(path, workload: WorkloadConfig, backend: str = "memory") -> Dict[str, Pinned]:
+    plain = build_plain(path, workload, backend=backend)
+    m2 = build_m2(path, workload, backend=backend)
     try:
         return {
             model: sweep(m2 if model == "m2" else plain, model, workload.t_max)
@@ -171,10 +187,15 @@ def measure(path, workload: WorkloadConfig) -> Dict[str, Pinned]:
         m2.close()
 
 
-@pytest.fixture(scope="module", params=sorted(LEDGERS))
+@pytest.fixture(
+    scope="module", params=sorted(LEDGERS) + [f"{name}-lsm" for name in sorted(LEDGERS)]
+)
 def measured(request, tmp_path_factory):
-    name = request.param
-    return name, measure(tmp_path_factory.mktemp(name), LEDGERS[name])
+    """``(ledger name, sweeps)``; a ``-lsm`` id builds the ledger on the
+    ``lsm`` state-db."""
+    name = request.param.removesuffix("-lsm")
+    backend = "memory" if name == request.param else "lsm"
+    return name, measure(tmp_path_factory.mktemp(request.param), LEDGERS[name], backend)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -193,6 +214,22 @@ def test_the_models_agree_and_the_ledgers_are_not_trivial(measured):
     assert sweeps["tqf"].blocks_deserialized > sweeps["m2"].blocks_deserialized > 0
     for pinned in sweeps.values():
         assert pinned.blocks_deserialized <= pinned.txs_decoded <= pinned.ghfk_results
+
+
+def test_the_lsm_ledger_lists_the_memory_ledgers_states(tmp_path):
+    """The sweeps never list a deleted key: the only deletes are M1's
+    cleared bundles, which every listing drops by their shape.  So the
+    literals cannot see a keys-only merge that lets a tombstone through or
+    an older table win; the full listing of the indexed ledger can."""
+    workload = LEDGERS["ds1-me"]
+    listings = []
+    for backend in ("memory", "lsm"):
+        network = build_plain(tmp_path / backend, workload, backend=backend)
+        try:
+            listings.append(network.ledger.state_db.keys_in_range("", ""))
+        finally:
+            network.close()
+    assert listings[0] == listings[1]
 
 
 def test_a_smaller_block_cut_spreads_tqf_over_more_blocks(tmp_path):

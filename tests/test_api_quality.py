@@ -50,7 +50,7 @@ CONVENTIONAL_METHODS = {
     "to_dict", "from_dict", "to_value", "from_value", "to_bytes", "from_bytes",
     "encode", "decode", "sign", "verify", "get", "put", "delete", "scan",
     "install", "installed", "invoke", "commit", "endorse", "submit",
-    "counter", "timer", "add_time", "snapshot", "start", "stop",
+    "counter", "timer", "snapshot", "start", "stop",
     "add_read", "add_write", "add_delete", "key_count", "state_count",
     "run_join", "items", "sample", "plan", "query",
     "list_keys", "fetch_events", "load", "run",
@@ -212,3 +212,24 @@ def test_no_module_shadows_stdlib_badly():
 
     assert fabric_inspect.__name__ == "repro.fabric.inspect"
     assert std_inspect.signature  # stdlib remains intact
+
+
+#: ``gc`` calls that change when or whether the collector runs.
+COLLECTOR_SETTINGS = ("disable", "freeze", "set_threshold")
+
+
+def test_no_module_changes_the_collectors_schedule():
+    """The package measures the garbage collector's pauses
+    (``QueryStats.gc_seconds``) and leaves its schedule to the
+    interpreter: a module that disabled, froze or retuned it would change
+    what every measurement around it means."""
+    offending = sorted(
+        f"{module_name}: gc.{node.attr}"
+        for module_name in MODULES
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(module_name))))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "gc"
+        and node.attr in COLLECTOR_SETTINGS
+    )
+    assert not offending, offending
