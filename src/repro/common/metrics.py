@@ -32,6 +32,9 @@ GHFK_CALLS = "query.ghfk_calls"
 GHFK_RESULTS = "query.ghfk_results"
 GET_STATE_CALLS = "query.get_state_calls"
 RANGE_SCAN_CALLS = "query.range_scan_calls"
+#: Events a query's fetches built from history values, before the window
+#: filter: one tick per ``fetch_events``.
+EVENTS_DECODED = "query.events_decoded"
 KV_READS = "kv.reads"
 KV_WRITES = "kv.writes"
 KV_SSTABLE_READS = "kv.sstable_reads"

@@ -126,6 +126,38 @@ class HistoryDB:
             return iter(())
         return self._iterate_history(key, list(locations), block_store)
 
+    def oldest_entries(
+        self, keys: List[str], block_store: BlockStore
+    ) -> List[Optional[HistoryEntry]]:
+        """The first result of each key's GHFK, ``None`` for a key with
+        none: what ``len(keys)`` :meth:`get_history_for_key` iterators, each
+        abandoned after its first result, yield and count (up to and
+        including one that raises).  Model M1's bundle read: a key's oldest
+        write is its bundle; the deletion marker's block is never read."""
+        increment_many = self._metrics.increment_many
+        index = self._locations
+        entries: List[Optional[HistoryEntry]] = [None] * len(keys)
+        position = -1
+        try:
+            for position, key in enumerate(keys):
+                locations = index.get(key)
+                if locations:
+                    block_num, tx_num, write_num = locations[0]
+                    value, is_delete, timestamp, tx_id, decoded_head = block_store.get_block(
+                        block_num
+                    ).history_write(tx_num, write_num, key)
+                    increment_many(
+                        (metric_names.GHFK_RESULTS, 1), (metric_names.TXS_DECODED, decoded_head)
+                    )
+                    entries[position] = _new_entry(
+                        HistoryEntry,
+                        (key, value, is_delete, timestamp, block_num, tx_num, tx_id),
+                    )
+        finally:
+            # One GHFK call per key reached, the one that raised included.
+            self._metrics.increment(metric_names.GHFK_CALLS, position + 1)
+        return entries
+
     def _iterate_history(
         self,
         key: str,

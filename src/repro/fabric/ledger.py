@@ -199,6 +199,10 @@ class Ledger:
         """Fabric GHFK: lazy, oldest-first history iterator for ``key``."""
         return self.history_db.get_history_for_key(key, self.block_store)
 
+    def oldest_history_entries(self, keys: List[str]) -> List[Optional[HistoryEntry]]:
+        """The first GHFK result of each of ``keys`` (Model M1's bundles)."""
+        return self.history_db.oldest_entries(keys, self.block_store)
+
     # -- integrity & bookkeeping ------------------------------------------------
 
     @property

@@ -74,6 +74,8 @@ class QueryStats:
     get_state_calls: int = 0
     range_scan_calls: int = 0
     events_fetched: int = 0
+    #: Events the fetches built from history values, before the window filter.
+    events_decoded: int = 0
     keys_queried: int = 0
     #: Of ``join_seconds``, the garbage collector's passes (any
     #: generation) that ran inside the query.
@@ -166,6 +168,7 @@ class TemporalQueryEngine:
             range_scan_calls=delta.counter(metric_names.RANGE_SCAN_CALLS),
             events_fetched=sum(len(e) for e in shipment_events.values())
             + sum(len(e) for e in container_events.values()),
+            events_decoded=delta.counter(metric_names.EVENTS_DECODED),
             keys_queried=len(shipment_events) + len(container_events),
             gc_seconds=gc_seconds,
         )

@@ -80,5 +80,10 @@ def events_to_values(events: List[Event]) -> List[Dict[str, Any]]:
 
 
 def events_from_values(key: str, values: List[Dict[str, Any]]) -> List[Event]:
-    """Invert :func:`events_to_values` for one key's bundle."""
-    return [Event.from_value(key, value) for value in values]
+    """Invert :func:`events_to_values` for one key's bundle, in one pass;
+    a malformed value is re-read through :meth:`Event.from_value`, which
+    raises its error."""
+    try:
+        return [Event(value["t"], key, value["o"], value["e"]) for value in values]
+    except (KeyError, TypeError):
+        return [Event.from_value(key, value) for value in values]

@@ -17,9 +17,10 @@ The **query engine** splits a query in two.  The key-independent half,
 list, a check that the runs cover the whole window, and the overlapping
 index intervals ``O(Θ, τ)`` in temporal order, each with the tail of its
 composite key already spelled.  The per-key half,
-:meth:`M1QueryEngine.fetch_events`, issues one GHFK per planned interval
-and reads only the first history entry of each -- the bundle -- leaving
-the deletion marker's block untouched (GHFK laziness).
+:meth:`M1QueryEngine.fetch_events`, makes one history-db call that reads
+the first history entry of each planned ``(k, θ)`` -- the bundle --
+leaving the deletion marker's block untouched (GHFK laziness), with the
+counters of one GHFK per interval.
 
 **Coverage rule.**  ``M1Indexer.run`` forbids overlapping runs, not gaps:
 the first run may start after ``t = 0`` and two runs may leave a stretch
@@ -412,8 +413,9 @@ class M1QueryEngine:
     ) -> List[Event]:
         """Events of ``key`` in ``window`` from index bundles.
 
-        One GHFK per planned interval; each reads exactly one block (the
-        bundle write), never the deletion marker's block.  ``plan`` is
+        One history-db call reads each planned ``(k, θ)``'s oldest entry
+        (its bundle, one block; never the deletion marker's block), counted
+        as one GHFK per interval abandoned after one result.  ``plan`` is
         :meth:`plan` of the same ``window``, resolved once by a caller
         fetching many keys; without it the fetch resolves its own, and
         raises what :meth:`plan` raises.
@@ -426,18 +428,20 @@ class M1QueryEngine:
             )
         validate_base_key(key)
         start, end = window.start, window.end
-        get_history = self._ledger.get_history_for_key
+        intervals = plan.intervals
         events: List[Event] = []
+        decoded = 0
         with self._metrics.timed(metric_names.GHFK_SECONDS):
-            for planned in plan.intervals:
-                # The first (oldest) entry is the bundle; stop there so the
-                # deletion marker's block is never deserialized.
-                for entry in get_history(key + planned.key_suffix):
-                    if not entry.is_delete and entry.value:
-                        bundle = events_from_values(key, entry.value)
-                        if planned.clipped:
-                            bundle = [e for e in bundle if start < e.time <= end]
-                        events.extend(bundle)
-                    break
+            entries = self._ledger.oldest_history_entries(
+                [key + planned.key_suffix for planned in intervals]
+            )
+            for planned, entry in zip(intervals, entries):
+                if entry is not None and not entry.is_delete and entry.value:
+                    bundle = events_from_values(key, entry.value)
+                    decoded += len(bundle)
+                    if planned.clipped:
+                        bundle = [e for e in bundle if start < e.time <= end]
+                    events.extend(bundle)
+        self._metrics.increment(metric_names.EVENTS_DECODED, decoded)
         events.sort()
         return events

@@ -94,10 +94,11 @@ class M2QueryEngine:
         and ``τ.start < θ.end``, tested on the spelled end field."""
         start, end = interval_key_range(key, before=window.end)
         floor = bound_field(window.start)
+        cut = -len(floor)
         return [
             composite
             for composite in self._ledger.state_db.keys_in_range(start, end)
-            if composite[-len(floor):] > floor
+            if composite[cut:] > floor
         ]
 
     def plan(self, window: TimeInterval) -> None:
@@ -117,6 +118,7 @@ class M2QueryEngine:
         """
         start, end = window.start, window.end
         events: List[Event] = []
+        decoded = 0
         with self._metrics.timed(metric_names.GHFK_SECONDS):
             for composite in self._overlapping_keys(key, window):
                 for entry in self._ledger.get_history_for_key(composite):
@@ -125,10 +127,12 @@ class M2QueryEngine:
                     # Filter on the event's own time (ME batches stamp every
                     # event with the batch's newest transaction time).
                     event = Event.from_value(key, entry.value)
+                    decoded += 1
                     if event.time > end:
                         break
                     if event.time > start:
                         events.append(event)
+        self._metrics.increment(metric_names.EVENTS_DECODED, decoded)
         events.sort()
         return events
 

@@ -62,13 +62,16 @@ class TQFEngine:
         # time-sorted), so stopping at the first too-late event is exact.
         start, end = window.start, window.end
         events: List[Event] = []
+        decoded = 0
         with self._metrics.timed(metric_names.GHFK_SECONDS):
             for entry in self._ledger.get_history_for_key(key):
                 if entry.is_delete:
                     continue
                 event = Event.from_value(key, entry.value)
+                decoded += 1
                 if event.time > end:
                     break
                 if event.time > start:
                     events.append(event)
+        self._metrics.increment(metric_names.EVENTS_DECODED, decoded)
         return events

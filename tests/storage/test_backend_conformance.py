@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ClosedStoreError
+from repro.faults import FaultPlan, FaultyFS
 from repro.storage.kv import BACKENDS, open_kv_store
 
 
@@ -137,9 +138,18 @@ class TestContract:
         even when the process never called close() (crash semantics)."""
         if backend == "memory":
             pytest.skip("memory is not durable")
-        store = _open(backend, tmp_path)
+        fs = FaultyFS(FaultPlan())
+        store = open_kv_store(
+            backend, path=tmp_path / "db", memtable_limit=8, compaction_trigger=3, fs=fs
+        )
         store.put(b"acked", b"yes")
-        del store  # abandoned, not closed
+        # Acknowledged: the WAL record has left the process (a kill
+        # destroys what it still buffers).
+        store._wal.sync()
+        # The process dies, not closed: its write handles are destroyed
+        # unflushed and its readers closed.
+        fs.kill()
+        del store
         reopened = _open(backend, tmp_path)
         try:
             assert reopened.get(b"acked") == b"yes"

@@ -16,6 +16,7 @@ import gc
 
 from repro.common import metrics as metric_names
 from repro.common.metrics import MetricsRegistry
+from repro.faults import FaultPlan, FaultyFS
 from repro.storage.kv import open_kv_store
 from repro.storage.kv.lsm import LSMStore
 from tests.helpers import table_rows
@@ -87,27 +88,29 @@ class TestDeferredVictimDeletion:
         """If the process dies before a deferred unlink runs, the
         orphaned victim must not resurrect deleted keys on reopen: the
         manifest omits it, so reopen treats it as a stray."""
+        fs = FaultyFS(FaultPlan())
         store = open_kv_store(
             "lsm", path=tmp_path / "db",
-            memtable_limit=2, compaction_trigger=2,
+            memtable_limit=2, compaction_trigger=2, fs=fs,
         )
         store.put(b"doomed", b"v")
         store.put(b"other", b"v")  # flush 1
         store.write_batch([(b"doomed", None)])
         store.put(b"pad", b"v")  # flush 2 -> compaction drops nothing yet
-        # Keep a victim alive artificially, simulating a crash before
-        # the finalizer fires.
+        # Keep a victim alive artificially, so its finalizer has not fired
+        # when the process dies.
         pinned, tables = store._memtable, store._readers
         victim = tables[0].path
         store.put(b"x1", b"v")
         store.put(b"x2", b"v")  # flush 3 -> compaction retires victims
         assert victim.exists()
-        # "Crash": abandon the store without close() so no force-unlink
-        # runs; release our own pin only after copying the bytes back.
-        payload = victim.read_bytes()
-        del pinned, tables
+        # "Crash": the process dies without close(), so no force-unlink
+        # runs, and a killed filesystem runs no deferred unlink either:
+        # releasing the pin leaves the orphan on disk.
+        fs.kill()
+        del store, pinned, tables
         gc.collect()
-        victim.write_bytes(payload)  # the orphan survives the "crash"
+        assert victim.exists()  # the orphan survives the "crash"
 
         reopened = LSMStore(tmp_path / "db", memtable_limit=2,
                             compaction_trigger=2)
